@@ -46,21 +46,25 @@ def build_engine(
     seed: int = DEFAULT_SEED,
     **overrides,
 ) -> QueenBeeEngine:
-    """A QueenBee deployment with benchmark-friendly defaults."""
-    config = QueenBeeConfig(
-        peer_count=peer_count,
-        worker_count=worker_count,
-        dht_k=8,
-        dht_alpha=3,
-        dht_replicate=4,
-        storage_replication=3,
-        latency_median=25.0,
-        latency_sigma=0.45,
-        rank_max_iterations=25,
-        seed=seed,
-    )
-    for key, value in overrides.items():
-        setattr(config, key, value)
+    """A QueenBee deployment with benchmark-friendly defaults.
+
+    ``overrides`` go through :meth:`QueenBeeConfig.from_dict`, so a misspelt
+    knob raises with a did-you-mean hint instead of being set and ignored.
+    """
+    knobs = {
+        "peer_count": peer_count,
+        "worker_count": worker_count,
+        "dht_k": 8,
+        "dht_alpha": 3,
+        "dht_replicate": 4,
+        "storage_replication": 3,
+        "latency_median": 25.0,
+        "latency_sigma": 0.45,
+        "rank_max_iterations": 25,
+        "seed": seed,
+        **overrides,
+    }
+    config = QueenBeeConfig.from_dict(knobs)
     config.validate()
     return QueenBeeEngine(config)
 

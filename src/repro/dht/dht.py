@@ -8,7 +8,7 @@ keys and never deal with individual Kademlia nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import KeyNotFoundError
@@ -29,7 +29,6 @@ class DHTStats:
     total_contacted: int = 0
     failed_lookups: int = 0
     stores: int = 0
-    per_lookup_rounds: List[int] = field(default_factory=list)
 
     @property
     def mean_rounds(self) -> float:
@@ -45,7 +44,6 @@ class DHTStats:
         self.total_contacted = 0
         self.failed_lookups = 0
         self.stores = 0
-        self.per_lookup_rounds.clear()
 
 
 class DHTNetwork:
@@ -226,6 +224,5 @@ class DHTNetwork:
         self.stats.lookups += 1
         self.stats.total_rounds += rounds
         self.stats.total_contacted += contacted
-        self.stats.per_lookup_rounds.append(rounds)
         if failed:
             self.stats.failed_lookups += 1

@@ -3,18 +3,17 @@
 The lookup procedure is the paper-standard iterative algorithm: keep a
 shortlist of the ``k`` closest contacts seen so far, query the ``alpha``
 closest unqueried ones in parallel, merge the contacts they return, and stop
-when a round makes no progress (or, for value lookups, when the value is
-found).  The number of rounds is what the scalability experiment (E4) reports
-as "lookup hops".
+once every contact on the shortlist has been asked (value lookups run to the
+same convergence and keep the freshest replica).  The number of rounds is
+what the scalability experiment (E4) reports as "lookup hops".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, List, Optional, Set
 
-from repro.dht.node import FIND_NODE, FIND_VALUE, KademliaNode, sort_contacts_by_distance
-from repro.dht.nodeid import distance
+from repro.dht.node import FIND_NODE, FIND_VALUE, KademliaNode
 from repro.dht.routing import Contact
 
 DEFAULT_ALPHA = 3
@@ -56,10 +55,15 @@ class IterativeLookup:
         self.find_value = find_value
 
     def run(self) -> LookupResult:
-        result = LookupResult(target=self.target)
-        shortlist: List[Contact] = self.origin.routing_table.closest(self.target, self.k)
-        queried: Set[str] = {self.origin.address}
-        msg_type = FIND_VALUE if self.find_value else FIND_NODE
+        origin, target, find_value = self.origin, self.target, self.find_value
+        table = origin.routing_table
+        result = LookupResult(target=target)
+        # Sorted by distance to the target, here and after every round.
+        shortlist: List[Contact] = table.closest(target, self.k)
+        queried: Set[str] = {origin.address}
+        msg_type = FIND_VALUE if find_value else FIND_NODE
+        # Every request of the lookup says the same thing; handlers only read it.
+        payload = dict(origin._base_payload(), **{"key" if find_value else "target": target})
         # Value candidates found along the way: (stored_at, value).  The lookup
         # runs to convergence and keeps the freshest replica, so an overwrite
         # that moved the replica set is not shadowed by a stale holder.
@@ -68,74 +72,51 @@ class IterativeLookup:
         items_found = False
 
         # The origin's own storage counts as hop zero for value lookups.
-        if self.find_value:
-            if self.target in self.origin.values:
+        if find_value:
+            if target in origin.values:
                 value_candidates.append(
-                    (self.origin.store_timestamps.get(self.target, 0.0),
-                     self.origin.values[self.target])
+                    (origin.store_timestamps.get(target, 0.0), origin.values[target])
                 )
-            if self.target in self.origin.sets:
+            if target in origin.sets:
                 items_found = True
-                item_union.update(self.origin.sets[self.target])
+                item_union.update(origin.sets[target])
 
-        if not shortlist:
-            result.closest = []
-            self._finalize_value(result, value_candidates, item_union, items_found)
-            return result
-
+        # Converged once each of the k closest contacts seen has been asked.
         while True:
             candidates = [c for c in shortlist if c.address not in queried][: self.alpha]
             if not candidates:
                 break
             result.rounds += 1
-            payload_key = "key" if self.find_value else "target"
-            requests = [
-                (c.address, msg_type, dict(self.origin._base_payload(), **{payload_key: self.target}))
-                for c in candidates
-            ]
-            responses = self.origin.network.rpc_parallel(self.origin.address, requests)
-            progress = False
-            best_before = self._best_distance(shortlist)
+            responses = origin.network.rpc_parallel(
+                origin.address, [(c.address, msg_type, payload) for c in candidates]
+            )
+            listed = {c.node_id for c in shortlist}
             for contact, response in zip(candidates, responses):
                 queried.add(contact.address)
                 result.contacted += 1
                 if response is None or not response.ok:
-                    self.origin.routing_table.remove(contact.node_id)
-                    shortlist = [c for c in shortlist if c.node_id != contact.node_id]
+                    table.remove(contact.node_id)
+                    shortlist.remove(contact)
+                    listed.discard(contact.node_id)
                     continue
-                self.origin.routing_table.update(contact)
-                if self.find_value and response.payload.get("found"):
-                    stored_at = response.payload.get("stored_at", 0.0)
-                    if "value" in response.payload:
-                        value_candidates.append((stored_at, response.payload["value"]))
-                    if "items" in response.payload:
+                table.update(contact)
+                reply = response.payload
+                if find_value and reply.get("found"):
+                    if "value" in reply:
+                        value_candidates.append((reply.get("stored_at", 0.0), reply["value"]))
+                    if "items" in reply:
                         items_found = True
-                        item_union.update(response.payload["items"])
-                returned = sort_contacts_by_distance(
-                    response.payload.get("contacts", []), self.target
-                )
-                for new_contact in returned:
-                    if new_contact.address == self.origin.address:
-                        continue
-                    if all(new_contact.node_id != c.node_id for c in shortlist):
+                        item_union.update(reply["items"])
+                for new_contact in reply.get("contacts", ()):
+                    if new_contact.node_id not in listed and new_contact.address != origin.address:
+                        listed.add(new_contact.node_id)
                         shortlist.append(new_contact)
-                        progress = True
-            shortlist.sort(key=lambda c: distance(c.node_id, self.target))
-            shortlist = shortlist[: self.k]
-            if not progress and self._best_distance(shortlist) >= best_before:
-                # No new closer contacts: the lookup has converged.
-                unqueried = [c for c in shortlist if c.address not in queried]
-                if not unqueried:
-                    break
+            shortlist.sort(key=lambda c: c.node_id ^ target)
+            del shortlist[self.k:]
 
-        result.closest = shortlist[: self.k]
+        result.closest = shortlist
         self._finalize_value(result, value_candidates, item_union, items_found)
         return result
-
-    def _best_distance(self, contacts: List[Contact]) -> int:
-        if not contacts:
-            return 1 << 200
-        return min(distance(c.node_id, self.target) for c in contacts)
 
     @staticmethod
     def _finalize_value(

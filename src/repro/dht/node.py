@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set
 
-from repro.dht.nodeid import distance, key_to_id
+from repro.dht.nodeid import key_to_id
 from repro.dht.routing import Contact, RoutingTable
-from repro.net.message import Message, Response
+from repro.errors import NetworkError
+from repro.net.message import Message, Response, estimate_size
 from repro.net.network import SimulatedNetwork
 
 # RPC message types understood by every Kademlia node.
@@ -57,18 +58,13 @@ class KademliaNode:
         sender_id = message.payload.get("sender_id")
         if isinstance(sender_id, int):
             self.routing_table.update(Contact(sender_id, message.sender))
+        handler = self._HANDLERS.get(message.msg_type)
+        if handler is None:
+            return Response.failure(self.address, message.msg_type, "unknown DHT message type")
+        return handler(self, message)
 
-        if message.msg_type == PING:
-            return Response(self.address, PING, {"node_id": self.node_id})
-        if message.msg_type == STORE:
-            return self._handle_store(message)
-        if message.msg_type == APPEND:
-            return self._handle_append(message)
-        if message.msg_type == FIND_NODE:
-            return self._handle_find_node(message)
-        if message.msg_type == FIND_VALUE:
-            return self._handle_find_value(message)
-        return Response.failure(self.address, message.msg_type, "unknown DHT message type")
+    def _handle_ping(self, message: Message) -> Response:
+        return Response(self.address, PING, {"node_id": self.node_id})
 
     def _handle_store(self, message: Message) -> Response:
         key = message.payload["key"]
@@ -84,13 +80,8 @@ class KademliaNode:
         return Response(self.address, APPEND, {"stored": True})
 
     def _handle_find_node(self, message: Message) -> Response:
-        target = message.payload["target"]
-        contacts = self.routing_table.closest(target)
-        return Response(
-            self.address,
-            FIND_NODE,
-            {"contacts": [(c.node_id, c.address) for c in contacts]},
-        )
+        contacts = self.routing_table.closest(message.payload["target"])
+        return Response(self.address, FIND_NODE, {"contacts": contacts})
 
     def _handle_find_value(self, message: Message) -> Response:
         key = message.payload["key"]
@@ -101,14 +92,19 @@ class KademliaNode:
             payload["items"] = sorted(self.sets[key], key=repr)
         # Closest contacts are always returned so the lookup can keep
         # converging and compare replicas for freshness.
-        contacts = self.routing_table.closest(key)
-        payload["contacts"] = [(c.node_id, c.address) for c in contacts]
-        if "value" in payload or "items" in payload:
-            payload["found"] = True
+        payload["contacts"] = self.routing_table.closest(key)
+        payload["found"] = "value" in payload or "items" in payload
+        if payload["found"]:
             payload["stored_at"] = self.store_timestamps.get(key, 0.0)
-            return Response(self.address, FIND_VALUE, payload)
-        payload["found"] = False
         return Response(self.address, FIND_VALUE, payload)
+
+    _HANDLERS = {
+        PING: _handle_ping,
+        STORE: _handle_store,
+        APPEND: _handle_append,
+        FIND_NODE: _handle_find_node,
+        FIND_VALUE: _handle_find_value,
+    }
 
     # -- RPC client side ------------------------------------------------------
 
@@ -119,7 +115,7 @@ class KademliaNode:
         """Probe a peer; returns ``True`` if it answered."""
         try:
             response = self.network.rpc(self.address, contact.address, PING, self._base_payload())
-        except Exception:
+        except NetworkError:
             self.routing_table.remove(contact.node_id)
             return False
         return response.ok
@@ -129,7 +125,7 @@ class KademliaNode:
         payload = dict(self._base_payload(), key=key, value=value)
         try:
             response = self.network.rpc(self.address, contact.address, STORE, payload)
-        except Exception:
+        except NetworkError:
             self.routing_table.remove(contact.node_id)
             return False
         return response.ok
@@ -139,7 +135,7 @@ class KademliaNode:
         payload = dict(self._base_payload(), key=key, item=item)
         try:
             response = self.network.rpc(self.address, contact.address, APPEND, payload)
-        except Exception:
+        except NetworkError:
             self.routing_table.remove(contact.node_id)
             return False
         return response.ok
@@ -157,27 +153,14 @@ class KademliaNode:
 
     def storage_bytes(self) -> int:
         """Rough size of everything stored locally (for the scalability tables)."""
-        from repro.net.message import estimate_size
-
-        total = 0
-        for value in self.values.values():
-            total += estimate_size(value)
-        for items in self.sets.values():
-            total += estimate_size(items)
-        return total
+        stored = list(self.values.values()) + list(self.sets.values())
+        return sum(estimate_size(entry) for entry in stored)
 
     def as_contact(self) -> Contact:
         return Contact(self.node_id, self.address)
 
     def __repr__(self) -> str:
         return f"KademliaNode(address={self.address!r}, keys={len(self.stored_keys())})"
-
-
-def sort_contacts_by_distance(contacts: List[Tuple[int, str]], target: int) -> List[Contact]:
-    """Deserialize ``(node_id, address)`` pairs and sort them by distance to ``target``."""
-    parsed = [Contact(node_id, address) for node_id, address in contacts]
-    parsed.sort(key=lambda c: distance(c.node_id, target))
-    return parsed
 
 
 def key_for(value: Any) -> int:

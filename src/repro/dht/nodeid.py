@@ -42,7 +42,7 @@ def bucket_index(own_id: int, other_id: int) -> int:
     position ``i`` (distance in ``[2^i, 2^(i+1))``).  Returns ``-1`` for the
     node's own ID.
     """
-    d = distance(own_id, other_id)
+    d = own_id ^ other_id
     if d == 0:
         return -1
     return d.bit_length() - 1

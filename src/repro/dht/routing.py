@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.dht.nodeid import ID_BITS, bucket_index, distance, id_to_hex
+from repro.dht.nodeid import bucket_index, id_to_hex
+from repro.net.message import estimate_size
 
 DEFAULT_K = 20
 
 
 @dataclass(frozen=True)
 class Contact:
-    """A known peer: its DHT identifier and its network address."""
+    """A known peer: its DHT identifier and its network address.
+
+    ``wire_size`` is what the ``(node_id, address)`` pair costs inside a
+    message payload, taken once so a reply listing contacts is sized by
+    addition (see :func:`repro.net.message.estimate_size`).
+    """
 
     node_id: int
     address: str
+    wire_size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wire_size", estimate_size((self.node_id, self.address)))
 
     def __repr__(self) -> str:
         return f"Contact({id_to_hex(self.node_id)[:8]}…, {self.address!r})"
@@ -42,9 +52,12 @@ class KBucket:
     def __contains__(self, contact: Contact) -> bool:
         return contact in self._contacts
 
+    def __iter__(self) -> Iterator[Contact]:
+        return iter(self._contacts)
+
     @property
     def contacts(self) -> List[Contact]:
-        """Contacts ordered least-recently seen first."""
+        """A copy of the contacts, ordered least-recently seen first."""
         return list(self._contacts)
 
     def update(
@@ -59,35 +72,40 @@ class KBucket:
         the newcomer is dropped (the classic Kademlia policy, which resists
         flooding attacks by favouring stable peers).
         """
-        existing = next((c for c in self._contacts if c.node_id == contact.node_id), None)
-        if existing is not None:
-            self._contacts.remove(existing)
-            self._contacts.append(contact)
+        contacts = self._contacts
+        node_id = contact.node_id
+        for position, existing in enumerate(contacts):
+            if existing.node_id == node_id:
+                del contacts[position]
+                contacts.append(contact)
+                return True
+        if len(contacts) < self.k:
+            contacts.append(contact)
             return True
-        if len(self._contacts) < self.k:
-            self._contacts.append(contact)
-            return True
-        head = self._contacts[0]
-        if is_alive is not None and not is_alive(head):
-            self._contacts.pop(0)
-            self._contacts.append(contact)
-            return True
-        # Refresh the live head and drop the newcomer.
-        self._contacts.pop(0)
-        self._contacts.append(head)
-        return False
+        head = contacts[0]
+        dead = is_alive is not None and not is_alive(head)
+        del contacts[0]
+        # A dead head makes room; a live one is refreshed and the newcomer dropped.
+        contacts.append(contact if dead else head)
+        return dead
 
     def remove(self, node_id: int) -> bool:
         """Drop a contact (e.g. after repeated RPC failures)."""
-        for contact in self._contacts:
-            if contact.node_id == node_id:
-                self._contacts.remove(contact)
+        contacts = self._contacts
+        for position, existing in enumerate(contacts):
+            if existing.node_id == node_id:
+                del contacts[position]
                 return True
         return False
 
 
 class RoutingTable:
-    """160 k-buckets indexed by XOR-distance prefix, plus closest-node queries."""
+    """k-buckets indexed by XOR-distance prefix, plus closest-node queries.
+
+    Only occupied buckets exist: ``buckets`` maps a bucket index (see
+    :func:`~repro.dht.nodeid.bucket_index`) to its non-empty bucket, so a
+    query never looks at the ~150 of 160 indices a small overlay leaves empty.
+    """
 
     def __init__(
         self,
@@ -98,31 +116,46 @@ class RoutingTable:
         self.own_id = own_id
         self.k = k
         self.is_alive = is_alive
-        self.buckets: List[KBucket] = [KBucket(k) for _ in range(ID_BITS)]
+        self.buckets: Dict[int, KBucket] = {}
 
     def update(self, contact: Contact) -> bool:
         """Record a sighting of ``contact``; self-contacts are ignored."""
         index = bucket_index(self.own_id, contact.node_id)
         if index < 0:
             return False
-        return self.buckets[index].update(contact, self.is_alive)
+        bucket = self.buckets.get(index)
+        if bucket is None:
+            bucket = self.buckets[index] = KBucket(self.k)
+        return bucket.update(contact, self.is_alive)
 
     def remove(self, node_id: int) -> bool:
         index = bucket_index(self.own_id, node_id)
-        if index < 0:
+        bucket = self.buckets.get(index)
+        if bucket is None or not bucket.remove(node_id):
             return False
-        return self.buckets[index].remove(node_id)
+        if not bucket:
+            del self.buckets[index]
+        return True
 
     def closest(self, target_id: int, count: Optional[int] = None) -> List[Contact]:
         """The ``count`` known contacts closest to ``target_id`` by XOR distance."""
         count = count or self.k
-        all_contacts = [c for bucket in self.buckets for c in bucket.contacts]
-        all_contacts.sort(key=lambda c: distance(c.node_id, target_id))
-        return all_contacts[:count]
+        offset = self.own_id ^ target_id
+        buckets = self.buckets
+        found: List[Contact] = []
+        # Every contact of bucket i is at a distance in [start, start + 2**i)
+        # from the target, start = ((offset >> i) ^ 1) << i: above bit i it
+        # agrees with our own offset, at bit i it differs.  The ranges are
+        # disjoint, so whole buckets taken by ``start`` until ``count`` is
+        # reached hold exactly the closest contacts, and nothing farther than
+        # the last bucket taken is ever touched.
+        for index in sorted(buckets, key=lambda i: ((offset >> i) ^ 1) << i):
+            found.extend(buckets[index])
+            if len(found) >= count:
+                break
+        found.sort(key=lambda c: c.node_id ^ target_id)
+        return found[:count]
 
     def contact_count(self) -> int:
         """Total number of contacts across all buckets."""
-        return sum(len(bucket) for bucket in self.buckets)
-
-    def all_contacts(self) -> List[Contact]:
-        return [c for bucket in self.buckets for c in bucket.contacts]
+        return sum(len(bucket) for bucket in self.buckets.values())

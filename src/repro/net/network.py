@@ -291,40 +291,53 @@ class SimulatedNetwork:
             return self.rpc_timeout
         return self.latency.sample(self._rng, src, dst) * 2
 
-    def rpc(self, src: str, dst: str, msg_type: str, payload: Optional[dict] = None) -> Response:
-        """Send a request and wait for the reply, charging round-trip latency.
+    def _deliver(
+        self, src: str, dst: str, msg_type: str, payload: Optional[dict],
+        plane: Optional[FaultPlane], serial: bool,
+    ) -> Tuple[Optional[Response], float, Optional[str]]:
+        """One request's whole trip, the step every RPC flavour shares:
+        reachability, fault verdict, loss draw, latency draws, handler,
+        traffic record, detector feed — in that order.
 
-        Raises :class:`NodeUnreachableError` if the destination is offline or
-        partitioned away, and :class:`NetworkError` if the message is lost.
+        ``serial`` is :meth:`rpc`'s accounting: the clock moves with the
+        message, so the handler runs one sampled hop in and the return hop
+        is drawn after it.  Fan-outs draw both hops up front and charge the
+        clock themselves.  Returns ``(response, ticks, fault)``: ``fault``
+        is ``None`` when the peer's handler answered, ``FLAKY`` when an
+        injected error reply stands in for it, ``DROP`` when the request
+        was lost and ``BLOCK`` when the peer was unreachable (``response``
+        is ``None`` for those two); ``ticks`` is what a fan-out sender waits
+        for this exchange (a serial delivery has been charged already).
         """
         message = Message(sender=src, recipient=dst, msg_type=msg_type, payload=payload or {})
-        if not self._can_reach(src, dst):
+        reachable = self._can_reach(src, dst)
+        verdict = plane.intercept(message) if reachable and plane is not None else None
+        if not reachable or verdict == BLOCK:
             self.stats.record_drop(message)
             self._note_failure(dst)
-            raise NodeUnreachableError(f"{dst!r} is unreachable from {src!r}")
-        plane = self._active_faults()
-        verdict = plane.intercept(message) if plane is not None else None
-        if verdict == BLOCK:
-            self.stats.record_drop(message)
-            self._note_failure(dst)
-            raise NodeUnreachableError(
-                f"{dst!r} is unreachable from {src!r} (injected fault)"
-            )
+            return None, 0.0, BLOCK
+        clock = self.simulator.clock
         if verdict == DROP or (self.loss_rate and self._rng.random() < self.loss_rate):
             self.stats.record_drop(message)
             # A lost request still costs the sender a timeout's worth of waiting.
-            self.simulator.clock.advance(self._drop_cost(src, dst))
+            ticks = self._drop_cost(src, dst)
+            if serial:
+                clock.advance(ticks)
             self._note_failure(dst)
-            raise NetworkError(f"message {msg_type!r} from {src!r} to {dst!r} was lost")
+            return None, ticks, DROP
         factor = plane.latency_factor(src, dst) if plane is not None else 1.0
-        one_way = self.latency.sample(self._rng, src, dst) * factor
-        self.simulator.clock.advance(one_way)
+        sample, rng = self.latency.sample, self._rng
+        if serial:
+            ticks = 0.0
+            clock.advance(sample(rng, src, dst) * factor)
+        else:
+            ticks = (sample(rng, src, dst) + sample(rng, dst, src)) * factor
         if verdict == FLAKY:
             response = Response.failure(dst, msg_type, "injected fault: flaky responder")
         else:
-            handler = self._handlers[dst]
-            response = handler(message)
-        self.simulator.clock.advance(self.latency.sample(self._rng, dst, src) * factor)
+            response = self._handlers[dst](message)
+        if serial:
+            clock.advance(sample(rng, dst, src) * factor)
         self.stats.record(message, response)
         if verdict == FLAKY:
             # A gray failure: the peer "answered", but uselessly — that is a
@@ -333,6 +346,21 @@ class SimulatedNetwork:
             self._note_failure(dst)
         else:
             self._note_success(dst)
+        return response, ticks, verdict
+
+    def rpc(self, src: str, dst: str, msg_type: str, payload: Optional[dict] = None) -> Response:
+        """Send a request and wait for the reply, charging round-trip latency.
+
+        Raises :class:`NodeUnreachableError` if the destination is offline or
+        partitioned away, and :class:`NetworkError` if the message is lost.
+        """
+        response, _, fault = self._deliver(
+            src, dst, msg_type, payload, self._active_faults(), serial=True
+        )
+        if fault == BLOCK:
+            raise NodeUnreachableError(f"{dst!r} is unreachable from {src!r}")
+        if fault == DROP:
+            raise NetworkError(f"message {msg_type!r} from {src!r} to {dst!r} was lost")
         return response
 
     def request_with_retry(
@@ -408,42 +436,9 @@ class SimulatedNetwork:
         results: List[Optional[Response]] = []
         slowest = 0.0
         for dst, msg_type, payload in requests:
-            message = Message(sender=src, recipient=dst, msg_type=msg_type, payload=payload or {})
-            if not self._can_reach(src, dst):
-                self.stats.record_drop(message)
-                self._note_failure(dst)
-                results.append(None)
-                continue
-            verdict = plane.intercept(message) if plane is not None else None
-            if verdict == BLOCK:
-                self.stats.record_drop(message)
-                self._note_failure(dst)
-                results.append(None)
-                continue
-            if verdict == DROP or (self.loss_rate and self._rng.random() < self.loss_rate):
-                self.stats.record_drop(message)
-                results.append(None)
-                slowest = max(slowest, self._drop_cost(src, dst))
-                self._note_failure(dst)
-                continue
-            factor = plane.latency_factor(src, dst) if plane is not None else 1.0
-            round_trip = (
-                self.latency.sample(self._rng, src, dst)
-                + self.latency.sample(self._rng, dst, src)
-            ) * factor
-            if verdict == FLAKY:
-                response = Response.failure(dst, msg_type, "injected fault: flaky responder")
-                self.stats.record(message, response)
-                results.append(None)
-                slowest = max(slowest, round_trip)
-                self._note_failure(dst)
-                continue
-            handler = self._handlers[dst]
-            response = handler(message)
-            self.stats.record(message, response)
-            results.append(response)
-            slowest = max(slowest, round_trip)
-            self._note_success(dst)
+            response, ticks, fault = self._deliver(src, dst, msg_type, payload, plane, serial=False)
+            results.append(response if fault is None else None)
+            slowest = max(slowest, ticks)
         self.simulator.clock.advance_to(start + slowest)
         return results
 
@@ -474,41 +469,14 @@ class SimulatedNetwork:
         fallback: Optional[Tuple[float, int, Response]] = None
         slowest_failure = 0.0
         for index, (dst, msg_type, payload) in enumerate(requests):
-            message = Message(sender=src, recipient=dst, msg_type=msg_type, payload=payload or {})
-            if not self._can_reach(src, dst):
-                self.stats.record_drop(message)
-                self._note_failure(dst)
+            response, ticks, _ = self._deliver(src, dst, msg_type, payload, plane, serial=False)
+            if response is not None and response.ok:
+                if best is None or ticks < best[0]:
+                    best = (ticks, index, response)
                 continue
-            verdict = plane.intercept(message) if plane is not None else None
-            if verdict == BLOCK:
-                self.stats.record_drop(message)
-                self._note_failure(dst)
-                continue
-            if verdict == DROP or (self.loss_rate and self._rng.random() < self.loss_rate):
-                self.stats.record_drop(message)
-                slowest_failure = max(slowest_failure, self._drop_cost(src, dst))
-                self._note_failure(dst)
-                continue
-            factor = plane.latency_factor(src, dst) if plane is not None else 1.0
-            round_trip = (
-                self.latency.sample(self._rng, src, dst)
-                + self.latency.sample(self._rng, dst, src)
-            ) * factor
-            if verdict == FLAKY:
-                response = Response.failure(dst, msg_type, "injected fault: flaky responder")
-                self._note_failure(dst)
-            else:
-                handler = self._handlers[dst]
-                response = handler(message)
-                self._note_success(dst)
-            self.stats.record(message, response)
-            if response.ok:
-                if best is None or round_trip < best[0]:
-                    best = (round_trip, index, response)
-            else:
-                slowest_failure = max(slowest_failure, round_trip)
-                if fallback is None or round_trip < fallback[0]:
-                    fallback = (round_trip, index, response)
+            slowest_failure = max(slowest_failure, ticks)
+            if response is not None and (fallback is None or ticks < fallback[0]):
+                fallback = (ticks, index, response)
         if best is not None:
             self.simulator.clock.advance_to(start + best[0])
             return best[1], best[2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config_schema import UnknownConfigKnobError
 from repro.core.config import QueenBeeConfig
 from repro.core.directory import DocumentDirectory
 from repro.core.publisher import ContentPublisher
@@ -35,6 +36,14 @@ class TestConfigValidation:
             setattr(config, key, value)
         with pytest.raises(ValueError):
             config.validate()
+
+    def test_benchmark_build_engine_rejects_misspelt_knob(self):
+        from benchmarks.common import build_engine
+
+        with pytest.raises(UnknownConfigKnobError, match=r"did you mean 'gossip_interval'\?"):
+            build_engine(peer_count=8, worker_count=2, gossip_interal=5)
+        engine = build_engine(peer_count=8, worker_count=2, gossip_interval=5)
+        assert engine.config.gossip_interval == 5
 
 
 class TestDocumentDirectory:

@@ -219,6 +219,42 @@ class TestDHTNetworkFacade:
         assert sim.now > before
 
 
+class TestPeerRpcErrors:
+    """``ping`` / ``store_at`` / ``append_at`` read a *transport* failure as
+    "peer dead, evict it" — and nothing else."""
+
+    CALLS = {
+        "ping": lambda node, contact: node.ping(contact),
+        "store_at": lambda node, contact: node.store_at(contact, 7, "v"),
+        "append_at": lambda node, contact: node.append_at(contact, 7, "item"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_handler_bug_propagates_and_evicts_nobody(self, dht_net, call):
+        _, network, dht = dht_net
+        caller, peer = list(dht.nodes.values())[:2]
+        caller.routing_table.update(peer.as_contact())
+        known = caller.routing_table.contact_count()
+
+        def broken_handler(message):
+            raise ValueError("bug in a handler")
+
+        network.register(peer.address, broken_handler)
+        with pytest.raises(ValueError, match="bug in a handler"):
+            self.CALLS[call](caller, peer.as_contact())
+        assert caller.routing_table.contact_count() == known
+        assert peer.as_contact() in caller.routing_table.closest(peer.node_id, 1)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_unreachable_peer_is_evicted(self, dht_net, call):
+        _, network, dht = dht_net
+        caller, peer = list(dht.nodes.values())[:2]
+        caller.routing_table.update(peer.as_contact())
+        network.set_offline(peer.address)
+        assert self.CALLS[call](caller, peer.as_contact()) is False
+        assert peer.as_contact() not in caller.routing_table.closest(peer.node_id, 1)
+
+
 class TestRepublisher:
     def test_republish_restores_lost_values(self, dht_net):
         sim, network, dht = dht_net

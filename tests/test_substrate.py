@@ -1,0 +1,238 @@
+"""The simulation substrate against its slow references.
+
+``RoutingTable.closest`` and the envelope sizer were rewritten for host speed
+(ISSUE 13); the implementations they replaced live on here as oracles.  The
+golden deployment at the end pins what the simulated system does — clock,
+RPCs, bytes, lookups, served pages — so a substrate change that alters the
+simulation fails on every test run, not only when E13 is compared.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict, namedtuple
+from typing import Any, List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import QueenBeeConfig
+from repro.core.engine import QueenBeeEngine
+from repro.dht.dht import DHTNetwork
+from repro.dht.nodeid import ID_BITS
+from repro.dht.routing import Contact, RoutingTable
+from repro.net.latency import ConstantLatency
+from repro.net.message import Message, Response, estimate_size
+from repro.net.network import SimulatedNetwork
+from repro.sim.simulator import Simulator
+from repro.workloads.corpus import CorpusGenerator
+from repro.workloads.queries import QueryWorkloadGenerator
+
+# -- RoutingTable.closest ---------------------------------------------------------------
+
+
+def reference_closest(table: RoutingTable, target_id: int, count: int) -> List[Contact]:
+    """The replaced implementation: flatten every bucket, sort by XOR distance."""
+    flat = [c for bucket in table.buckets.values() for c in bucket.contacts]
+    flat.sort(key=lambda c: c.node_id ^ target_id)
+    return flat[:count]
+
+
+# Small ids crowd the low buckets (full-bucket evictions at k=2); wide ids reach the high ones.
+node_ids = st.one_of(
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=(1 << ID_BITS) - 1),
+)
+table_ops = st.lists(
+    st.tuples(st.sampled_from(["update", "update", "update", "remove", "kill"]), node_ids),
+    max_size=80,
+)
+
+
+@given(own_id=node_ids, ops=table_ops, targets=st.lists(node_ids, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_closest_matches_flatten_and_sort(own_id, ops, targets):
+    dead = set()
+    table = RoutingTable(own_id, k=2, is_alive=lambda contact: contact.node_id not in dead)
+    for op, node_id in ops:
+        if op == "update":
+            table.update(Contact(node_id, f"peer-{node_id}"))
+        elif op == "remove":
+            table.remove(node_id)
+        else:  # a dead head is evicted by the next newcomer to its full bucket
+            dead.add(node_id)
+    size = table.contact_count()
+    assert all(len(bucket) > 0 for bucket in table.buckets.values())
+    for target in targets + [own_id]:
+        for count in {1, max(1, size - 1), max(1, size), size + 3}:
+            assert table.closest(target, count) == reference_closest(table, target, count)
+        assert table.closest(target) == reference_closest(table, target, table.k)
+
+
+# -- envelope sizes -----------------------------------------------------------------------
+
+
+def reference_estimate_size(payload: Any) -> int:
+    """The replaced recursive sizer, verbatim."""
+    if payload is None:
+        return 1
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return 8
+    if isinstance(payload, float):
+        return 8
+    if isinstance(payload, bytes):
+        return len(payload)
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, dict):
+        return sum(
+            reference_estimate_size(k) + reference_estimate_size(v) for k, v in payload.items()
+        ) + 2
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return sum(reference_estimate_size(item) for item in payload) + 2
+    return 16
+
+
+def wire_form(payload: Any) -> Any:
+    """What the payload was on the wire before contacts travelled as objects:
+    each :class:`Contact` is the ``(node_id, address)`` pair it declares the size of."""
+    if isinstance(payload, Contact):
+        return (payload.node_id, payload.address)
+    if isinstance(payload, dict):
+        return {key: wire_form(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [wire_form(item) for item in payload]
+    return payload
+
+
+class Opaque:
+    """An object the sizer knows nothing about."""
+
+
+class Code(int):
+    pass
+
+
+class Label(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),  # the default alphabet is mostly non-ASCII
+    st.text(alphabet="abcxyz:-_0123456789", max_size=12),
+    st.binary(max_size=12),
+    st.builds(Code, st.integers()),
+    st.builds(Label, st.text(max_size=6)),
+)
+leaves = st.one_of(scalars, st.builds(Opaque), st.builds(object))
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.tuples(inner, inner).map(lambda pair: Pair(*pair)),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(), st.booleans()), inner,
+                        max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(OrderedDict),
+        st.sets(scalars, max_size=4),
+        st.frozensets(scalars, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(payload=payloads)
+@settings(max_examples=300, deadline=None)
+def test_estimate_size_matches_recursive_reference(payload):
+    assert estimate_size(payload) == reference_estimate_size(payload)
+
+
+@given(payload=st.dictionaries(st.text(max_size=6), payloads, max_size=4),
+       msg_type=st.text(max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_envelope_size_is_reference_plus_framing(payload, msg_type):
+    expected = len(msg_type) + reference_estimate_size(payload) + 40
+    message = Message("a", "b", msg_type, payload)
+    response = Response("b", msg_type, payload)
+    assert message.size_bytes == response.size_bytes == expected
+    assert message.size_bytes == expected  # the kept value, read again
+
+
+def test_contact_declares_the_size_of_its_pair():
+    for address in ("peer-3:dht", "pär-3:dht", ""):
+        contact = Contact(1 << 150, address)
+        assert contact.wire_size == reference_estimate_size((contact.node_id, address))
+        assert estimate_size([contact, contact]) == 2 + 2 * contact.wire_size
+    assert Contact(5, "a") == Contact(5, "a") and hash(Contact(5, "a")) == hash(Contact(5, "a"))
+
+
+def test_real_dht_exchanges_are_sized_like_the_reference():
+    sim = Simulator(seed=21)
+    network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
+    dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
+    dht.build(14)
+    exchanged = []
+    record = network.stats.record
+    network.stats.record = lambda message, response: (
+        exchanged.append((message, response)), record(message, response))
+    before = network.stats.bytes_sent
+
+    dht.put("term:alpha", {"cid": "bafy-ä", "generation": 3, "shards": [1, 2, 3]})
+    dht.add_to_set("providers:alpha", "peer-7:storage")
+    dht.add_to_set("providers:alpha", ("peer-9:storage", 2))
+    assert dht.get("term:alpha")["generation"] == 3
+    assert len(dht.get_set("providers:alpha")) == 2
+    assert not dht.contains("term:never")
+
+    seen = {message.msg_type for message, _ in exchanged}
+    assert {"dht.find_node", "dht.find_value", "dht.store", "dht.append"} <= seen
+    expected_total = 0
+    for message, response in exchanged:
+        for envelope in (message, response):
+            expected = (len(envelope.msg_type)
+                        + reference_estimate_size(wire_form(envelope.payload)) + 40)
+            assert envelope.size_bytes == expected
+            expected_total += expected
+    assert network.stats.bytes_sent - before == expected_total
+
+
+# -- the simulated system, pinned ---------------------------------------------------------
+
+# Recorded on the commit before the substrate rewrite (67c39dc, PR 11).
+GOLDEN_COUNTERS = (563841.554029, 15332, 4953783, 1208, 3624)
+GOLDEN_PAGES = [
+    [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
+    [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
+    [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [5, 16], [],
+]
+
+
+def test_golden_deployment_is_unchanged():
+    corpus = CorpusGenerator(
+        vocabulary_size=200, owner_count=8, mean_document_length=40,
+        length_spread=10, mean_out_degree=3.0, seed=11,
+    ).generate(20)
+    engine = QueenBeeEngine(QueenBeeConfig.from_dict(
+        {"peer_count": 16, "worker_count": 4, "metadata_plane": "gossip", "seed": 13}
+    ))
+    engine.bootstrap_corpus(corpus.documents)
+    engine.compute_page_ranks()
+    engine.converge_metadata()
+    frontend = engine.create_frontend()
+    queries = list(QueryWorkloadGenerator(corpus.documents, seed=13).generate(10))
+    pages = [[hit.doc_id for hit in frontend.search(query).results] for query in queries]
+
+    net, dht = engine.network.stats, engine.dht.stats
+    # The clock is a sum of ~15k libm-sampled latencies: rounded so a last-bit
+    # difference between platforms passes while one draw more or fewer cannot.
+    counters = (round(engine.simulator.now, 6), net.rpc_count, net.bytes_sent,
+                dht.lookups, dht.total_rounds)
+    assert counters == GOLDEN_COUNTERS
+    assert pages == GOLDEN_PAGES
