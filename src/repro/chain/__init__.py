@@ -8,8 +8,8 @@ contract code and charges gas, so this package provides exactly that:
 * accounts with native balances and nonces (:mod:`repro.chain.account`),
 * transactions and blocks with hash chaining (:mod:`repro.chain.transaction`,
   :mod:`repro.chain.block`),
-* a world state with snapshot/rollback so failed contract calls revert
-  (:mod:`repro.chain.state`),
+* a world state with a write journal so failed contract calls revert at the
+  cost of what they wrote (:mod:`repro.chain.state`),
 * a minimal contract VM hosting Python contract objects (:mod:`repro.chain.vm`),
 * round-robin (proof-of-authority style) block production
   (:mod:`repro.chain.consensus`), and

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Tuple
+from functools import cached_property
+from typing import Iterable, Tuple
 
 from repro.chain.transaction import Transaction
 
@@ -23,17 +24,18 @@ class ChainBlock:
     timestamp: float
     transactions: Tuple[Transaction, ...] = field(default_factory=tuple)
 
-    @property
+    @cached_property
     def block_hash(self) -> str:
-        """Hash committing to the block header and every transaction id."""
+        """Hash committing to the block header and every transaction id, computed on first read."""
+        return self._hash(tx.tx_id for tx in self.transactions)
+
+    def compute_hash(self) -> str:
+        """The hash of the contents as they are now (``verify_integrity`` re-derives it)."""
+        return self._hash(tx.compute_id() for tx in self.transactions)
+
+    def _hash(self, tx_ids: Iterable[str]) -> str:
         body = "|".join(
-            [
-                str(self.number),
-                self.previous_hash,
-                self.producer,
-                f"{self.timestamp:.6f}",
-            ]
-            + [tx.tx_id for tx in self.transactions]
+            [str(self.number), self.previous_hash, self.producer, f"{self.timestamp:.6f}", *tx_ids]
         )
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 

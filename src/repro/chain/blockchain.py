@@ -141,7 +141,6 @@ class Blockchain:
         The call still goes through the VM, so contracts cannot distinguish
         queries from calls, but any state it would have written is rolled back.
         """
-        snapshot = self.state.snapshot()
         ctx = CallContext(
             sender="query",
             value=0,
@@ -149,11 +148,11 @@ class Blockchain:
             block_time=self.simulator.now,
             tx_id="query",
         )
+        mark = self.state.journal.checkpoint()
         try:
             return self.vm.execute_call(contract, method, ctx, args)
         finally:
-            self.state.restore(snapshot)
-            self.vm.state = self.state
+            self.state.journal.rollback(mark)
 
     # -- block production ------------------------------------------------------
 
@@ -198,12 +197,12 @@ class Blockchain:
         self._producing = False
 
     def verify_integrity(self) -> bool:
-        """Check the hash chain — detects any retroactive tampering."""
+        """Re-derive every hash from current contents — detects any retroactive tampering."""
         previous = GENESIS_HASH
         for block in self.blocks:
             if block.previous_hash != previous:
                 return False
-            previous = block.block_hash
+            previous = block.compute_hash()
         return True
 
     # -- internals --------------------------------------------------------------
@@ -236,7 +235,6 @@ class Blockchain:
         return sum(1 for tx in self.pending if tx.sender == sender)
 
     def _execute(self, tx: Transaction, block_number: int, producer: str) -> ExecutionReceipt:
-        snapshot = self.state.snapshot()
         fee = fee_for(tx)
         ctx = CallContext(
             sender=tx.sender,
@@ -245,33 +243,25 @@ class Blockchain:
             block_time=self.simulator.now,
             tx_id=tx.tx_id,
         )
+        # Fee and nonce are consumed whether or not the call reverts, as on
+        # Ethereum, so they are paid before the checkpoint a revert returns to.
+        balance = self.state.get_account(tx.sender).balance
+        charged = min(fee, balance)
+        self.state.transfer(tx.sender, producer, charged)
+        self.state.bump_nonce(tx.sender)
+        mark = self.state.journal.checkpoint()
         try:
-            sender_account = self.state.get_account(tx.sender)
-            if sender_account.balance < tx.value + fee:
+            if balance < tx.value + fee:
                 raise InvalidTransactionError(
                     f"{tx.sender!r} cannot cover value {tx.value} + fee {fee}"
                 )
-            sender_account.balance -= fee
-            self.state.get_account(producer).balance += fee
-            sender_account.nonce += 1
             result: Any = None
             if tx.is_contract_call:
                 result = self.vm.execute_call(tx.contract, tx.method, ctx, tx.args)
             elif tx.to is not None:
                 self.state.transfer(tx.sender, tx.to, tx.value)
-            return ExecutionReceipt(
-                tx_id=tx.tx_id, success=True, result=result, gas_fee=fee, block_number=block_number
-            )
         except (ContractError, InvalidTransactionError, ChainError) as exc:
-            self.state.restore(snapshot)
-            self.vm.state = self.state
-            # Even a reverted transaction consumes its fee and the nonce,
-            # as on Ethereum; re-apply both on the rolled-back state.
-            account = self.state.get_account(tx.sender)
-            charged = min(fee, account.balance)
-            account.balance -= charged
-            self.state.get_account(producer).balance += charged
-            account.nonce += 1
+            self.state.journal.rollback(mark)
             return ExecutionReceipt(
                 tx_id=tx.tx_id,
                 success=False,
@@ -279,3 +269,10 @@ class Blockchain:
                 gas_fee=charged,
                 block_number=block_number,
             )
+        except BaseException:  # a contract bug: leave no partial write and no open scope
+            self.state.journal.rollback(mark)
+            raise
+        self.state.journal.commit()
+        return ExecutionReceipt(
+            tx_id=tx.tx_id, success=True, result=result, gas_fee=fee, block_number=block_number
+        )

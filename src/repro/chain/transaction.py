@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 
@@ -33,9 +34,13 @@ class Transaction:
         if self.signed_by is None:
             self.signed_by = self.sender
 
-    @property
+    @cached_property
     def tx_id(self) -> str:
-        """Deterministic transaction hash."""
+        """Deterministic transaction hash, computed on first read."""
+        return self.compute_id()
+
+    def compute_id(self) -> str:
+        """The hash of the fields as they are now (integrity checks re-derive it)."""
         body = json.dumps(
             {
                 "sender": self.sender,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ContractError
-from repro.chain.state import WorldState
+from repro.chain.state import JournaledList, WorldState
 
 
 @dataclass
@@ -43,7 +43,10 @@ class Contract:
 
     Subclasses get:
 
-    * ``self.storage`` — their private persistent key/value dict,
+    * ``self.storage`` — their private persistent key/value dict; it and every
+      dict, list or set stored in it journal their writes so a revert can undo
+      them (storing a container stores a journaling copy: read it back from
+      storage before changing it further),
     * ``self.state`` — the world state (native balances),
     * ``self.emit(name, **data)`` — append an event log,
     * ``self.require(condition, message)`` — revert helper,
@@ -97,7 +100,7 @@ class ContractVM:
     def __init__(self, state: WorldState) -> None:
         self.state = state
         self.contracts: Dict[str, Contract] = {}
-        self.events: List[EventLog] = []
+        self.events: List[EventLog] = JournaledList([], state.journal)
         self._current_context: Optional[CallContext] = None
 
     def deploy(self, contract: Contract) -> Contract:
@@ -133,8 +136,8 @@ class ContractVM:
     ) -> Any:
         """Run one contract method.  Raises :class:`ContractError` on revert.
 
-        The caller (the blockchain) is responsible for snapshotting state
-        before the call and rolling back if this raises.
+        The caller (the blockchain) is responsible for taking a journal
+        checkpoint before the call and rolling back to it if this raises.
         """
         contract = self.get(contract_name)
         if method.startswith("_"):

@@ -961,7 +961,9 @@ class SearchFrontend:
             return []
         placements: List[AdPlacement] = []
         seen_ids = set()
-        for term in terms:
+        # Raw tokens and stems often coincide; a repeated term can only return
+        # ads already placed, so each distinct term is asked once, first-seen order.
+        for term in dict.fromkeys(terms):
             for ad in self.ad_provider(term):
                 ad_id = ad.get("ad_id")
                 if ad_id in seen_ids:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ChainError, ContractError, InsufficientFundsError, InvalidTransactionError
@@ -64,16 +66,50 @@ class TestWorldState:
         with pytest.raises(InsufficientFundsError):
             state.transfer("alice", "bob", -1)
 
-    def test_snapshot_and_restore_roll_back_changes(self):
+    def test_checkpoint_and_rollback_undo_changes(self):
         state = WorldState()
         state.credit("alice", 100)
         state.storage_for("c")["k"] = "v"
-        snapshot = state.snapshot()
+        state.storage_for("c")["members"] = {"alice"}
+        mark = state.journal.checkpoint()
         state.transfer("alice", "bob", 50)
         state.storage_for("c")["k"] = "changed"
-        state.restore(snapshot)
+        state.storage_for("c")["members"].add("bob")
+        state.storage_for("c").setdefault("table", {})["row"] = [1]
+        state.storage_for("fresh")["x"] = 1
+        state.journal.rollback(mark)
         assert state.get_account("alice").balance == 100
-        assert state.storage_for("c")["k"] == "v"
+        assert "bob" not in state.accounts
+        assert state.contract_storage == {"c": {"k": "v", "members": {"alice"}}}
+
+    def test_commit_keeps_changes_and_scopes_nest(self):
+        state = WorldState()
+        outer = state.journal.checkpoint()
+        state.credit("alice", 100)
+        inner = state.journal.checkpoint()
+        state.storage_for("c").setdefault("members", set()).add("alice")
+        state.journal.commit()
+        assert state.storage_for("c")["members"] == {"alice"}
+        state.journal.rollback(outer)
+        assert state.accounts == {} and state.contract_storage == {}
+        # Nothing is kept once the outermost scope has closed.
+        state.credit("bob", 1)
+        assert state.journal.checkpoint() == 0
+
+    def test_unjournaled_mutators_are_refused(self):
+        storage = WorldState().storage_for("c")
+        storage["rows"] = [1]
+        storage["members"] = {1}
+        for mutate in (
+            lambda: storage.pop("rows"), lambda: storage.update(x=1), lambda: storage.clear(),
+            lambda: storage["rows"].extend([2]), lambda: storage["rows"].sort(),
+            lambda: storage["members"].discard(1), lambda: storage["members"].update({2}),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        with pytest.raises(TypeError):
+            del storage["rows"]
+        assert storage == {"rows": [1], "members": {1}}
 
     def test_total_native_supply(self):
         state = WorldState()
@@ -114,6 +150,19 @@ class TestTransactionsAndBlocks:
         block_b = ChainBlock(0, GENESIS_HASH, "v", 0.0, ())
         assert block_a.block_hash != block_b.block_hash
         assert block_a.transaction_count == 1
+
+    def test_ids_and_hashes_are_what_they_were_before_caching(self):
+        # Literals recorded on the commit before tx_id / block_hash were computed once.
+        call = Transaction(sender="alice", nonce=3, contract="ads", method="place_ad", value=100,
+                           args={"keywords": ["honey", "bees"], "bid_per_click": 5,
+                                 "tags": {"b", "a"}})
+        transfer = Transaction(sender="alice", nonce=4, to="bob", value=7)
+        block = ChainBlock(2, GENESIS_HASH, "validator-0", 1234.5, (call, transfer))
+        assert call.tx_id == "47278b8a79d1d24ce093ed005f0b05f8e3a846ed380c402e4ddd87c55d7c1256"
+        assert transfer.tx_id == "5d8a88bbac4f1da3e2e02709c8bb8f77f4957c92752f73fa5fdb5d2dc76d1b74"
+        assert (block.block_hash == block.compute_hash()
+                == "43dd753eced8cf20d480f013043884bb24376501287af72371b59c8003b5d8c1")
+        assert dataclasses.replace(call) == call  # the kept id is not a field
 
     def test_round_robin_schedule_cycles(self):
         schedule = RoundRobinSchedule(["v0", "v1", "v2"])
@@ -205,6 +254,24 @@ class TestBlockchain:
         # Tampering with a block's contents breaks the hash chain.
         assert not chain.verify_integrity()
 
+    def test_tampering_with_a_transaction_inside_a_block_is_detected(self, chain_with_counter):
+        chain = chain_with_counter
+        for _ in range(3):
+            chain.call("alice", "counter", "increment", by=1)
+        assert chain.head_hash == chain.blocks[-1].compute_hash() and chain.verify_integrity()
+        chain.blocks[0].transactions[0].args["by"] = 1_000
+        # The ids read while the block was produced are kept; integrity re-derives them.
+        assert not chain.verify_integrity()
+
+    def test_each_transaction_is_hashed_once(self, chain_with_counter, monkeypatch):
+        hashed = []
+        compute_id = Transaction.compute_id
+        monkeypatch.setattr(Transaction, "compute_id",
+                            lambda tx: hashed.append(tx.nonce) or compute_id(tx))
+        for _ in range(3):
+            assert chain_with_counter.call("alice", "counter", "increment").success
+        assert hashed == [0, 1, 2]
+
     def test_manual_block_production_batches_pending(self, simulator):
         chain = Blockchain(simulator, auto_mine=False)
         chain.deploy(Counter())
@@ -232,8 +299,9 @@ class TestBlockchain:
         chain.call("alice", "counter", "increment", by=3)
         assert chain.query("counter", "value") == 3
         assert chain.query("counter", "increment", by=10) == 13
-        # The query's write was rolled back.
+        # The query's write was rolled back, and so was the event it emitted.
         assert chain.query("counter", "value") == 3
+        assert [e.data["by"] for e in chain.vm.events_named("Incremented")] == [3]
 
     def test_events_are_recorded_in_order(self, chain_with_counter):
         chain = chain_with_counter

@@ -213,6 +213,46 @@ class TestSearchFrontend:
         no_ads = frontend_setup.search("decentralized")
         assert no_ads.ads == []
 
+    def test_ad_provider_asked_once_per_distinct_term(self, frontend_setup):
+        """Raw tokens and analyzed terms repeat each other; asking the chain again
+        for a term already asked can only return ads already placed."""
+        frontend = frontend_setup
+        inventory = {
+            "honey": [{"ad_id": 9, "advertiser": "adv", "bid_per_click": 10},
+                      {"ad_id": 4, "advertiser": "other", "bid_per_click": 7}],
+            "bees": [{"ad_id": 4, "advertiser": "other", "bid_per_click": 7},
+                     {"ad_id": 5, "advertiser": "adv", "bid_per_click": 3}],
+        }
+        asked = []
+
+        def provider(keyword):
+            asked.append(keyword)
+            return inventory.get(keyword, [])
+
+        def per_occurrence(terms, max_ads):
+            """The selection before de-duplication: one provider call per occurrence."""
+            placed, seen = [], set()
+            for term in terms:
+                for ad in inventory.get(term, []):
+                    if ad["ad_id"] not in seen and len(placed) < max_ads:
+                        placed.append((ad["ad_id"], term))
+                        seen.add(ad["ad_id"])
+            return placed
+
+        frontend.ad_provider = provider
+        for max_ads in (1, 2, 5):
+            frontend.max_ads = max_ads
+            for query, doc_ids in (("honey bees", {1, 2}), ("bees honey bees", {1, 2}),
+                                   ("web", {3})):
+                del asked[:]
+                page = frontend.search(query)
+                assert {r.doc_id for r in page.results} == doc_ids
+                occurrences = query.split() * 2  # raw tokens + analyzed terms (no stemming here)
+                assert [(ad.ad_id, ad.keyword) for ad in page.ads] == per_occurrence(
+                    occurrences, max_ads)
+                assert len(asked) == len(set(asked)) <= len(set(occurrences))
+        assert asked == ["web"]
+
     def test_unknown_term_gives_empty_page(self, frontend_setup):
         page = frontend_setup.search("nonexistentterm")
         assert page.result_count == 0

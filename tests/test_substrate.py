@@ -3,7 +3,8 @@
 ``RoutingTable.closest`` and the envelope sizer were rewritten for host speed
 (ISSUE 13); the implementations they replaced live on here as oracles.  The
 golden deployment at the end pins what the simulated system does — clock,
-RPCs, bytes, lookups, served pages — so a substrate change that alters the
+RPCs, bytes, lookups, served pages, and (since ISSUE 15 journaled the chain
+state) the ledger and the ads beside those pages — so a change that alters the
 simulation fails on every test run, not only when E13 is compared.
 """
 
@@ -212,6 +213,21 @@ GOLDEN_PAGES = [
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
     [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [5, 16], [],
 ]
+# The same deployment's ledger, recorded on the commit before the chain state was
+# journaled (9995152, PR 12): the chain got cheaper, what it holds did not change.
+GOLDEN_CHAIN = {
+    "height": 211, "honey_supply": 10996, "pages": 20, "native_supply": 1006042000000,
+    "holders": {"creator-001": 1716, "creator-000": 1746, "creator-003": 1686, "creator-004": 1696,
+                "creator-007": 1676, "creator-002": 1676, "worker-000": 200, "worker-001": 200,
+                "worker-002": 200, "worker-003": 200},
+}
+GOLDEN_ADS = [  # (ad_id, advertiser, keyword) beside each of the ten pages
+    [], [], [(2, "advertiser-b", "decentralized")],
+    [(2, "advertiser-b", "data"), (1, "advertiser-a", "data")],
+    [(2, "advertiser-b", "crypto"), (1, "advertiser-a", "crypto")],
+    [(2, "advertiser-b", "engine")], [(1, "advertiser-a", "advert")],
+    [(2, "advertiser-b", "engine")], [], [],
+]
 
 
 def test_golden_deployment_is_unchanged():
@@ -227,7 +243,18 @@ def test_golden_deployment_is_unchanged():
     engine.converge_metadata()
     frontend = engine.create_frontend()
     queries = list(QueryWorkloadGenerator(corpus.documents, seed=13).generate(10))
-    pages = [[hit.doc_id for hit in frontend.search(query).results] for query in queries]
+    # Three campaigns, the third spent by its one click; the chain touches neither the
+    # clock nor an RNG, so the counters below are the ones recorded without any ad.
+    for advertiser in ("advertiser-a", "advertiser-b"):
+        engine.chain.fund_account(advertiser, 10**6)
+    contracts = engine.contracts
+    assert contracts.place_ad("advertiser-a", ["advert", "crypto", "data"], 5_000, 50) == 1
+    assert contracts.place_ad("advertiser-b", ["crypto", "data", "decentralized", "engine"],
+                              9_000, 70) == 2
+    assert contracts.place_ad("advertiser-a", ["term00121"], 100, 100) == 3
+    assert contracts.click_ad(3, creator="owner-0", worker="worker-0")["creator"] == 60
+    served = [frontend.search(query) for query in queries]
+    pages = [[hit.doc_id for hit in page.results] for page in served]
 
     net, dht = engine.network.stats, engine.dht.stats
     # The clock is a sum of ~15k libm-sampled latencies: rounded so a last-bit
@@ -236,3 +263,14 @@ def test_golden_deployment_is_unchanged():
                 dht.lookups, dht.total_rounds)
     assert counters == GOLDEN_COUNTERS
     assert pages == GOLDEN_PAGES
+    assert [[(ad.ad_id, ad.advertiser, ad.keyword) for ad in page.ads]
+            for page in served] == GOLDEN_ADS
+    chain = engine.chain
+    holders = contracts.honey_holders()
+    assert list(holders.items()) == list(GOLDEN_CHAIN["holders"].items())  # order included
+    assert {
+        "height": chain.height, "honey_supply": chain.query("honey", "total_supply"),
+        "pages": chain.query("registry", "page_count"), "holders": holders,
+        "native_supply": chain.state.total_native_supply(),
+    } == GOLDEN_CHAIN
+    assert chain.verify_integrity()

@@ -93,9 +93,9 @@ class _ScopeTypes(ast.NodeVisitor):
             return self.is_set_expr(node.left) or self.is_set_expr(node.right)
         if isinstance(node, ast.Name):
             return node.id in self.set_names
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id == "self":
-                return node.attr in self.set_attrs
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            return node.attr in self.set_attrs
         return False
 
     def is_dict_expr(self, node: ast.AST) -> bool:
@@ -105,9 +105,9 @@ class _ScopeTypes(ast.NodeVisitor):
             return True
         if isinstance(node, ast.Name):
             return node.id in self.dict_names
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id == "self":
-                return node.attr in self.dict_attrs
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            return node.attr in self.dict_attrs
         return False
 
     # -- binding collection ----------------------------------------------------------
@@ -154,9 +154,9 @@ class _ScopeTypes(ast.NodeVisitor):
             return
         if isinstance(target, ast.Name):
             (self.set_names if kind == "set" else self.dict_names).add(target.id)
-        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            if target.value.id == "self":
-                (self.set_attrs if kind == "set" else self.dict_attrs).add(target.attr)
+        elif (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == "self"):
+            (self.set_attrs if kind == "set" else self.dict_attrs).add(target.attr)
 
     def collect_args(self, args: ast.arguments) -> None:
         """Bind parameter annotations (``def drain(pending: set)``)."""
