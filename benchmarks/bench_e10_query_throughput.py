@@ -30,26 +30,19 @@ that naive path on a Zipfian repeated-query stream:
 
 All rows must return *identical* top-k pages.  A second table replays a
 disjunctive head-term workload (pairwise ORs of the heaviest terms), where
-per-shard bounds prune documents that whole-list bounds cannot; its
-``+rri`` / ``+ceilings`` rows ablate the two rank-pruning sources — the
-frontend-built RankRangeIndex versus the quantized rank ceilings published
-into term manifests at rank time (the path that needs no materialised rank
-vector; it must prune at least as many shards).  A third table measures the
-``vectorized_scoring`` knob on a larger corpus: numpy array decode/score
-hot loops against the scalar reference, identical pages, wall-clock
-docs-scored/sec (the simulated clock cannot price python CPU).  Results are
-also written to ``BENCH_E10.json`` so the perf trajectory is tracked
-PR-over-PR.  Set
-the ``E10_SMOKE`` environment variable to run a tiny configuration (the CI
-smoke job does this to catch perf-path regressions, including
-sharded-vs-unsharded and gossip-vs-shared divergence, quickly).
+per-shard bounds — impact bounds plus the quantized rank ceilings published
+into term manifests at rank time — prune documents that whole-list bounds
+cannot.  Results are also written to ``BENCH_E10.json`` so the perf
+trajectory is tracked PR-over-PR.  Set the ``E10_SMOKE`` environment
+variable to run a tiny configuration (the CI smoke job does this to catch
+perf-path regressions, including sharded-vs-unsharded and gossip-vs-shared
+divergence, quickly).
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.index.analysis import Analyzer
 from repro.index.inverted_index import LocalInvertedIndex
@@ -69,14 +62,6 @@ HEAD_TERMS = 4 if SMOKE else 6
 # The cached system receives the stream in batches, as a frontend would:
 # dedup amortizes lookups within a batch, the LRU carries terms across them.
 BATCH_SIZE = 10 if SMOKE else 30
-# The vectorized-scoring section runs on its own, larger corpus: numpy's
-# fixed per-query costs only pay off once candidate sets are big, which the
-# main corpus (sized for eight full system builds) is too small to show.
-VEC_DOC_COUNT = 60 if SMOKE else 2_000
-VEC_PEER_COUNT = 12 if SMOKE else 16
-VEC_SHARD_SIZE = 8 if SMOKE else 128
-VEC_QUERY_COUNT = 20 if SMOKE else 60
-VEC_DISTINCT_QUERIES = 10 if SMOKE else 40
 
 
 def _run_system(
@@ -89,7 +74,6 @@ def _run_system(
     batched: bool = False,
     overlapped: bool = True,
     metadata_plane: str = "shared",
-    frontend_overrides: Optional[Dict[str, object]] = None,
     label: str = "",
 ) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
     engine = build_engine(
@@ -109,11 +93,7 @@ def _run_system(
     # metadata before the measured stream (a deployment's steady state);
     # scheduled rounds keep running during the stream.
     engine.converge_metadata()
-    # Frontend policy goes through FrontendOptions: keyword overrides
-    # replace fields on the config-derived defaults at construction time.
-    frontend = engine.create_frontend(
-        requester="peer-001:store", **(frontend_overrides or {})
-    )
+    frontend = engine.create_frontend(requester="peer-001:store")
     frontend.index.stats.reset()
 
     start = engine.simulator.now
@@ -184,140 +164,18 @@ def run_head_term_experiment(corpus) -> List[Dict[str, object]]:
         corpus, queries, "maxscore", shard_size=SHARD_SIZE,
         label="maxscore+shards (head OR)",
     )
-    # Rank-pruning source ablation: the frontend-built RankRangeIndex (the
-    # fallback that materialises the rank vector per rank round) versus the
-    # quantized per-shard rank ceilings published into term manifests at
-    # rank time (usable by any remote frontend with no vector at all).
-    rri_row, rri_top = _run_system(
-        corpus, queries, "maxscore", shard_size=SHARD_SIZE,
-        frontend_overrides={"use_rank_ceilings": False},
-        label="maxscore+shards+rri (head OR)",
-    )
-    ceilings_row, ceilings_top = _run_system(
-        corpus, queries, "maxscore", shard_size=SHARD_SIZE,
-        frontend_overrides={"use_rank_range_index": False},
-        label="maxscore+shards+ceilings (head OR)",
-    )
     naive_row, naive_top = _run_system(
         corpus, queries, "taat", shard_size=0, label="taat (head OR)"
     )
     assert sharded_top == naive_top, "sharding changed head-term top-k results"
     assert unsharded_top == naive_top, "MaxScore changed head-term top-k results"
-    assert rri_top == naive_top, "RankRangeIndex pruning changed head-term top-k"
-    assert ceilings_top == naive_top, "manifest rank ceilings changed head-term top-k"
-    # The acceptance bar of the manifest path: at least as much shard
-    # pruning as the RankRangeIndex it replaces, with no rank vector
-    # materialised at the frontend.
-    assert ceilings_row["shards skipped"] >= rri_row["shards skipped"], (
-        "manifest rank ceilings prune fewer shards than the RankRangeIndex"
-    )
-    rows = [naive_row, unsharded_row, sharded_row, rri_row, ceilings_row]
+    rows = [naive_row, unsharded_row, sharded_row]
     print_table(
         "E10b: head-term OR workload — per-shard bounds vs whole-list bounds",
         rows,
         note=f"{len(queries)} disjunctive queries over the {HEAD_TERMS} heaviest terms",
     )
     return rows
-
-
-def run_vectorized_experiment() -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
-    """Scalar vs numpy-vectorized scoring: identical pages, wall-clock gain.
-
-    One engine, one corpus, two frontends differing only in the
-    ``vectorized_scoring`` option.  The simulated clock cannot see python
-    CPU cost, so this section measures *wall* time (``time.perf_counter``,
-    fine in benchmarks) around the query loop after a full warm-up pass per
-    frontend (caches hot, readers memoized — what remains is scoring work).
-    Returns ``(gate_rows, detail_rows)``: the gate row carries only the
-    machine-portable numbers (the speedup *ratio* and the top-k mismatch
-    count) for the bench-compare baseline; the detail rows carry the raw
-    per-variant measurements.  Note the vectorized disjunctive path scores
-    the whole candidate union instead of pruning, so its ``docs scored`` is
-    higher by design — the docs-scored/sec comparison measures scoring
-    throughput, while queries/sec is the end-to-end check.
-    """
-    corpus = build_corpus(VEC_DOC_COUNT, seed=904_000)
-    generator = QueryWorkloadGenerator(corpus.documents, seed=904)
-    queries = list(generator.generate_stream(VEC_QUERY_COUNT, VEC_DISTINCT_QUERIES))
-    engine = build_engine(
-        peer_count=VEC_PEER_COUNT,
-        worker_count=max(4, VEC_PEER_COUNT // 4),
-        execution_mode="maxscore",
-        index_shard_size=VEC_SHARD_SIZE,
-        posting_cache_capacity=CACHE_CAPACITY,
-        seed=904,
-    )
-    engine.bootstrap_corpus(corpus.documents)
-    engine.compute_page_ranks()
-
-    detail_rows: List[Dict[str, object]] = []
-    pages_by_variant: Dict[str, List[List[Tuple[int, float]]]] = {}
-    rates: Dict[str, float] = {}
-    for variant, vectorized in (("scalar", False), ("vectorized", True)):
-        frontend = engine.create_frontend(
-            requester="peer-001:store", vectorized_scoring=vectorized
-        )
-        # Warm-up pass: fills the posting cache and memoized readers, and
-        # collects the pages the identity assertion compares.
-        pages = [engine.search(query, frontend=frontend) for query in queries]
-        pages_by_variant[variant] = [
-            [(result.doc_id, result.score) for result in page.results] for page in pages
-        ]
-        scored_before = engine.metrics.counter("query.docs_scored")
-        wall_start = time.perf_counter()
-        for query in queries:
-            engine.search(query, frontend=frontend)
-        wall = time.perf_counter() - wall_start
-        scored = engine.metrics.counter("query.docs_scored") - scored_before
-        rate = scored / wall if wall else float("inf")
-        rates[variant] = rate
-        detail_rows.append(
-            {
-                "execution": f"maxscore+shards ({variant})",
-                "docs scored": scored,
-                "wall s": wall,
-                "docs scored/s (wall)": rate,
-                "queries/s (wall)": len(queries) / wall if wall else float("inf"),
-            }
-        )
-    engine.storage.close()
-
-    mismatches = sum(
-        1
-        for scalar_page, vector_page in zip(
-            pages_by_variant["scalar"], pages_by_variant["vectorized"]
-        )
-        if scalar_page != vector_page
-    )
-    assert mismatches == 0, "vectorized scoring changed top-k pages"
-    gate_rows = [
-        {
-            "execution": "vectorized-vs-scalar",
-            # Ratio, not absolute rates: wall-clock numbers do not transfer
-            # between the machine that committed the baseline and the CI
-            # runner, but python-vs-numpy relative speed does.
-            "docs scored/s speedup": rates["vectorized"] / rates["scalar"]
-            if rates["scalar"]
-            else float("inf"),
-            "top-k mismatches": mismatches,
-        }
-    ]
-    print_table(
-        "E10c: vectorized scoring (identical pages, wall-clock throughput)",
-        detail_rows + gate_rows,
-        note=(
-            f"{VEC_DOC_COUNT} documents, {VEC_QUERY_COUNT} queries, shard size "
-            f"{VEC_SHARD_SIZE}; measured after a warm-up pass per frontend"
-        ),
-    )
-    if not SMOKE:
-        # The perf half of the acceptance bar: array scoring must beat the
-        # scalar loops on scoring throughput at this corpus scale.  (Not
-        # asserted in smoke: at 60 documents numpy's fixed costs dominate.)
-        assert gate_rows[0]["docs scored/s speedup"] > 1.0, (
-            "vectorized scoring is not faster than the scalar reference"
-        )
-    return gate_rows, detail_rows
 
 
 def run_experiment() -> Dict[str, object]:
@@ -368,17 +226,13 @@ def run_experiment() -> Dict[str, object]:
         ),
     )
     head_rows = run_head_term_experiment(corpus)
-    vectorized_rows, vectorized_detail_rows = run_vectorized_experiment()
 
-    head_naive, head_unsharded, head_sharded, head_rri, head_ceilings = head_rows
+    head_naive, head_unsharded, head_sharded = head_rows
     derived = {
         # Gossip staleness + the remote frontend's own cold caches cost
         # extra network fetches; pages are asserted identical above.
         "gossip_extra_network_fetches": (
             gossip_row["network fetches"] - cached_row["network fetches"]
-        ),
-        "head_shards_skipped_ceilings_vs_rri": (
-            head_ceilings["shards skipped"] - head_rri["shards skipped"]
         ),
         "head_docs_scored_ratio_naive_vs_sharded": (
             head_naive["docs scored"] / head_sharded["docs scored"]
@@ -400,8 +254,6 @@ def run_experiment() -> Dict[str, object]:
             if cached_row["mean batch latency"]
             else float("inf")
         ),
-        "vectorized_docs_scored_speedup": vectorized_rows[0]["docs scored/s speedup"],
-        "vectorized_topk_mismatches": vectorized_rows[0]["top-k mismatches"],
     }
     payload = {
         "experiment": "E10",
@@ -415,14 +267,9 @@ def run_experiment() -> Dict[str, object]:
             "batch_size": BATCH_SIZE,
             "posting_cache_capacity": CACHE_CAPACITY,
             "result_cache_capacity": RESULT_CACHE_CAPACITY,
-            "vectorized_documents": VEC_DOC_COUNT,
-            "vectorized_queries": VEC_QUERY_COUNT,
-            "vectorized_shard_size": VEC_SHARD_SIZE,
         },
         "rows": rows,
         "head_term_rows": head_rows,
-        "vectorized_rows": vectorized_rows,
-        "vectorized_detail_rows": vectorized_detail_rows,
         "derived": derived,
     }
     # Smoke runs must not overwrite the committed full-run baseline the
@@ -470,10 +317,6 @@ def test_e10_query_throughput(benchmark):
     # The gossip-plane row exists and priced its staleness in fetches, not
     # correctness (identity is asserted inside run_experiment).
     assert "maxscore+shards+cache+batch (gossip)" in by_execution
-    assert payload["derived"]["head_shards_skipped_ceilings_vs_rri"] >= 0
-    # Vectorized scoring never changes pages; the speedup bar itself is
-    # asserted inside run_vectorized_experiment (full runs only).
-    assert payload["derived"]["vectorized_topk_mismatches"] == 0
 
 
 if __name__ == "__main__":

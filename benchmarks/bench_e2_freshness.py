@@ -45,7 +45,7 @@ from repro.baselines.crawler import Crawler
 from repro.core.freshness import FreshnessTracker
 from repro.net.latency import LogNormalLatency
 from repro.net.network import SimulatedNetwork
-from repro.search.frontend import SearchFrontend
+from repro.search.frontend import FrontendOptions, SearchFrontend
 from repro.sim.simulator import Simulator
 from repro.workloads.updates import PublishWorkloadGenerator
 
@@ -159,7 +159,7 @@ def _invalidation_row(corpus, validate: bool) -> Dict[str, object]:
         metadata_resolver=engine.directory.resolve,
         analyzer=engine.analyzer,
         statistics=engine.statistics,
-        top_k=engine.config.top_k,
+        options=FrontendOptions(top_k=engine.config.top_k),
         planning_strategy=engine.config.planning_strategy,
         execution_mode=engine.config.execution_mode,
         requester="peer-002:store",

@@ -1,13 +1,15 @@
 """Shared helpers for the experiment benchmarks (E1–E9).
 
-Each ``bench_eN_*.py`` file regenerates one experiment from EXPERIMENTS.md: it
-builds the workload, runs the systems under comparison, prints the table the
-experiment reports, and exposes a ``test_*`` entry point so
-``pytest benchmarks/ --benchmark-only`` runs everything.
+Each ``bench_eN_*.py`` file regenerates one experiment — its module docstring
+states the question and the gates: it builds the workload, runs the systems
+under comparison, prints the table the experiment reports, and exposes a
+``test_*`` entry point so ``pytest benchmarks/ --benchmark-only`` runs
+everything.
 
 Sizes are chosen so the full suite finishes in a few minutes on a laptop; the
 *shape* of every result (who wins, by roughly what factor, where crossovers
-fall) is what matters, not absolute numbers — see EXPERIMENTS.md.
+fall) is what matters, not absolute numbers.  Host time is measured
+separately, by ``benchmarks/e13`` — see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

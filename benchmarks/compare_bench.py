@@ -87,32 +87,16 @@ TRACKED: Dict[str, object] = {
             },
         },
     ],
-    "BENCH_E10.json": [
-        {
-            "rows_key": "rows",
-            "identity": ("execution",),
-            "metrics": {
-                "docs scored": 20.0,
-                "postings scanned": 50.0,
-                "network fetches": 10.0,
-                "KiB fetched": 1.0,
-            },
+    "BENCH_E10.json": {
+        "rows_key": "rows",
+        "identity": ("execution",),
+        "metrics": {
+            "docs scored": 20.0,
+            "postings scanned": 50.0,
+            "network fetches": 10.0,
+            "KiB fetched": 1.0,
         },
-        {
-            # Vectorized scoring: only machine-portable numbers are gated —
-            # the python-vs-numpy speedup *ratio* must not collapse, and a
-            # single top-k mismatch (baseline 0) is an infinite relative
-            # regression, so the bit-identity invariant gates the build.
-            "rows_key": "vectorized_rows",
-            "identity": ("execution",),
-            "metrics": {
-                "top-k mismatches": 0.0,
-            },
-            "higher_metrics": {
-                "docs scored/s speedup": 0.1,
-            },
-        },
-    ],
+    },
     "BENCH_E11.json": {
         # The serving front door: the admitted tail and answered share must
         # not regress, and goodput under overload must not collapse.

@@ -132,7 +132,6 @@ KNOBS: Tuple[Knob, ...] = (
         ("overlapped_prefetch", bool, True, "Concurrent manifest/shard prefetch."),
         ("result_cache_capacity", int, 0, "Frontend result-cache capacity in pages (0 = off)."),
         ("result_cache_loose_keys", bool, False, "Bucketized statistics in result-cache keys."),
-        ("vectorized_scoring", bool, False, "Numpy array decode/score hot loops (scalar = reference)."),
     ),
 )
 

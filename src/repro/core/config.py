@@ -141,8 +141,7 @@ class QueenBeeConfig:
     gossip_interval: float = 500.0
     # Publish quantized per-shard rank ceilings into every term manifest at
     # rank-publish time, letting any frontend prune shards by rank without
-    # materialising the rank vector (the frontend-built RankRangeIndex
-    # becomes the fallback/ablation).  Costs one manifest rewrite per term
+    # materialising the rank vector.  Costs one manifest rewrite per term
     # per rank round.
     publish_rank_ceilings: bool = True
 
@@ -194,11 +193,6 @@ class QueenBeeConfig:
     # low-order digits from a fresh execution (the documented exactness
     # trade; loose hits are counter-tracked per frontend).
     result_cache_loose_keys: bool = False
-    # Numpy-vectorized shard decode + array BM25 scoring in the executor.
-    # Off by default: the scalar path is the bit-identical reference, and
-    # the vectorized path must return identical top-k pages (asserted in
-    # tests and the E10 bench).
-    vectorized_scoring: bool = False
 
     @classmethod
     def from_dict(cls, knobs: Mapping[str, object]) -> "QueenBeeConfig":

@@ -721,9 +721,6 @@ class QueenBeeEngine:
             requester=requester,
             shard_size_hint=cfg.index_shard_size,
             metadata_view=view,
-            # FrontendOptions.from_config already defaults the RankRangeIndex
-            # off on the gossip plane (remote frontends prune from manifest
-            # ceilings instead of materialising the rank vector).
             options=options,
         )
 

@@ -12,15 +12,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import IndexError_
 
-try:  # numpy accelerates bulk decode; the scalar path is the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
-
-# Below this payload size the numpy fixed costs (frombuffer, reduceat)
-# exceed the scalar loop; measured crossover is ~tens of bytes.
-_BULK_DECODE_MIN_BYTES = 48
-
 
 def varint_encode(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128-style varint."""
@@ -164,63 +155,10 @@ def compress_postings(doc_ids: Sequence[int], frequencies: Sequence[int]) -> byt
 
 
 def decompress_postings(data: bytes) -> Tuple[List[int], List[int]]:
-    """Invert :func:`compress_postings`; returns ``(doc_ids, frequencies)``.
-
-    Large payloads take the numpy bulk path (:func:`_decompress_bulk`):
-    identical values and identical error behaviour, one vectorized pass
-    instead of a per-byte python loop.  The scalar path below is the
-    reference implementation and the fallback when numpy is unavailable.
-    """
-    if _np is not None and len(data) >= _BULK_DECODE_MIN_BYTES:
-        decoded = _decompress_bulk(data)
-        if decoded is not None:
-            return decoded
+    """Invert :func:`compress_postings`; returns ``(doc_ids, frequencies)``."""
     count, offset = varint_decode(data)
     gaps, offset = decode_sequence(data, count, offset)
     frequencies, offset = decode_sequence(data, count, offset)
     if offset != len(data):
         raise IndexError_("trailing bytes after posting list payload")
     return delta_decode(gaps), frequencies
-
-
-def _decompress_bulk(data: bytes):
-    """Vectorized LEB128 + delta decode of a whole posting payload.
-
-    Handles only the clean common case; returns ``None`` on *any* anomaly
-    (truncated or overlong varints, group-count mismatch, values too large
-    for the uint64 shift arithmetic) so the scalar reference decoder both
-    defines the semantics and raises the exact reference error.  Well-formed
-    shards produced by :func:`compress_postings` always stay on this path.
-    """
-    arr = _np.frombuffer(data, dtype=_np.uint8)
-    if arr[-1] & 0x80:
-        # The final varint group is incomplete; let the scalar path decide
-        # whether that is "truncated varint" or trailing garbage.
-        return None
-    # A varint ends on each byte without the continuation bit.
-    ends = _np.flatnonzero((arr & 0x80) == 0)
-    starts = _np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > 9:
-        # Shifts beyond 56 can exceed uint64-safe range (the scalar decoder
-        # allows shift 63); the codec never emits such groups.
-        return None
-    # Per-byte shift = 7 * (offset within its varint group).
-    within = _np.arange(len(arr), dtype=_np.uint64) - _np.repeat(
-        starts.astype(_np.uint64), lengths
-    )
-    shifted = (arr & 0x7F).astype(_np.uint64) << (_np.uint64(7) * within)
-    values = _np.add.reduceat(shifted, starts)
-    count = int(values[0])
-    if len(values) != 1 + 2 * count:
-        return None
-    if int(values.max()) >= 1 << 31:
-        # Keeps the uint64 cumsum below any wraparound risk (count * max
-        # < 2**62); real doc ids, gaps and term frequencies are far smaller.
-        return None
-    gaps = values[1 : 1 + count]
-    frequencies = values[1 + count :]
-    doc_ids = _np.cumsum(gaps, dtype=_np.uint64)
-    return doc_ids.tolist(), frequencies.tolist()

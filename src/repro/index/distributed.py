@@ -62,10 +62,9 @@ rank version the ceilings were computed at (see
 :class:`~repro.ranking.distributed.RankCeilingPublisher`).  The executor
 uses matching-version ceilings to skip shards whose best possible rank
 cannot reach the top-k threshold, which lets any frontend (local or
-remote) prune by rank **without materialising the rank vector**; the
-frontend-built :class:`~repro.ranking.scoring.RankRangeIndex` remains as
-the fallback/ablation.  A stale or missing ceiling only loosens pruning —
-bounds are conservative by construction, so pages stay bit-identical.
+remote) prune by rank **without materialising the rank vector**.  A stale
+or missing ceiling only loosens pruning — bounds are conservative by
+construction, so pages stay bit-identical.
 
 Shard placement & replication
 -----------------------------

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.index.postings import PostingList
 from repro.index.statistics import CollectionStatistics
-
-try:  # numpy backs the vectorized scoring path; scalar is the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -92,51 +87,6 @@ class BM25Scorer:
             denominator = tf + self.k1 * (1.0 - self.b + self.b * length / avgdl)
             score += idf * (tf * (self.k1 + 1.0)) / denominator
         return score
-
-    def lengths_array(self, doc_ids: Sequence[int]):
-        """Float64 document lengths for ``doc_ids`` (unknown -> avgdl).
-
-        Mirrors the scalar ``length_of(doc_id) or avgdl`` lookup; the
-        int-to-float conversion is exact, so the vectorized scores built on
-        this array match the scalar path bit for bit.
-        """
-        avgdl = self.statistics.average_length or 1.0
-        length_of = self.statistics.length_of
-        return _np.array(
-            [length_of(doc_id) or avgdl for doc_id in doc_ids], dtype=_np.float64
-        )
-
-    def score_batch(self, query_terms, tf_arrays: Mapping[str, object], lengths):
-        """Vectorized :meth:`score_document` over parallel candidate arrays.
-
-        ``tf_arrays`` maps each matched term to a float64 array of term
-        frequencies aligned with ``lengths``; terms absent from the mapping
-        (or with tf 0 in a slot) contribute nothing, exactly like the scalar
-        loop's ``tf <= 0`` skip.  Bit-identity argument: every elementwise
-        operation replicates the scalar expression's operation order on the
-        same float64 values, contributions accumulate term-by-term in the
-        same order (never a reassociated ``np.sum``), and adding an exact
-        ``0.0`` to a non-negative partial score is the identity — so each
-        slot computes the same IEEE-754 value :meth:`score_document` would.
-        """
-        avgdl = self.statistics.average_length or 1.0
-        denom_base = self.k1 * ((1.0 - self.b) + (self.b * lengths) / avgdl)
-        scores = _np.zeros(len(lengths), dtype=_np.float64)
-        # The scalar path builds a per-document dict keyed by term, which
-        # collapses duplicate query terms; replicate that here.
-        for term in dict.fromkeys(query_terms):
-            tf = tf_arrays.get(term)
-            if tf is None:
-                continue
-            idf = self.idf(term)
-            with _np.errstate(divide="ignore", invalid="ignore"):
-                contribution = (idf * (tf * (self.k1 + 1.0))) / (tf + denom_base)
-            if not tf.all():
-                # Zero-tf slots divide 0 by denom_base (fine) unless k1 == 0
-                # makes it 0/0; mask them to the scalar path's exact skip.
-                contribution = _np.where(tf > 0.0, contribution, 0.0)
-            scores = scores + contribution
-        return scores
 
     def score_postings(
         self,

@@ -18,9 +18,7 @@ accepted — which is the vulnerable configuration E6 demonstrates.
 The module also owns the *publication* side of a rank round's metadata:
 :class:`RankCeilingPublisher` stamps every term manifest with quantized
 per-shard **rank ceilings** at rank-publish time, so any frontend can prune
-doc-id-range shards by rank without materialising the rank vector (the
-frontend-built :class:`~repro.ranking.scoring.RankRangeIndex` becomes the
-fallback/ablation).
+doc-id-range shards by rank without materialising the rank vector.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 
 class CombinedScorer:
@@ -57,72 +56,3 @@ class CombinedScorer:
         """The ``k`` best documents, ties broken by doc_id for determinism."""
         ordered = sorted(combined.items(), key=lambda item: (-item[1], item[0]))
         return dict(ordered[:k])
-
-
-class RankRangeIndex:
-    """Doc-id-range maxima over a rank vector (bucketed, O(1)-ish queries).
-
-    The single global rank upper bound is the weak link of MaxScore pruning
-    on head terms: their idf — hence their text bound — is tiny, so whether
-    a doc-id-range shard can reach the top-k threshold is decided almost
-    entirely by the best *rank* in the shard's range, not by term
-    frequencies.  This index buckets the rank vector by doc id and keeps
-    per-bucket and suffix maxima, so the executor can bound "the best rank
-    any document in ``[lo, hi]`` (or ``>= lo``) can have" without touching
-    the corpus-sized vector per query.
-
-    Built once per rank version (the frontend memoizes it) in O(corpus);
-    bounds are conservative by construction — bucket maxima round the range
-    outward — so pruning against them is admissible.
-    """
-
-    def __init__(self, page_ranks: Mapping[int, float], bucket_size: int = 8) -> None:
-        if bucket_size < 1:
-            raise ValueError(f"bucket_size must be positive, got {bucket_size!r}")
-        self.bucket_size = bucket_size
-        buckets: Dict[int, float] = {}
-        for doc_id, rank in page_ranks.items():
-            bucket = doc_id // bucket_size
-            if rank > buckets.get(bucket, 0.0):
-                buckets[bucket] = rank
-        self._buckets = buckets
-        self._ordered = sorted(buckets)
-        # suffix_max[i] = max rank over ordered buckets i..end.
-        self._suffix = [buckets[b] for b in self._ordered]
-        for i in range(len(self._suffix) - 2, -1, -1):
-            self._suffix[i] = max(self._suffix[i], self._suffix[i + 1])
-        self.global_max = self._suffix[0] if self._suffix else 0.0
-
-    def range_max(self, lo: int, hi: Optional[int] = None) -> float:
-        """Max rank of any document with ``lo <= doc_id`` (``<= hi`` if given).
-
-        Rounded outward to bucket boundaries, so the result can only be an
-        over-estimate — never tighter than the true range maximum.
-        """
-        if not self._ordered:
-            return 0.0
-        first = lo // self.bucket_size
-        if hi is None:
-            # Suffix query: max over every bucket at or after `first`.
-            position = self._bisect(first)
-            return self._suffix[position] if position < len(self._suffix) else 0.0
-        last = hi // self.bucket_size
-        span = last - first + 1
-        if span >= len(self._ordered):
-            position = self._bisect(first)
-            best = 0.0
-            while position < len(self._ordered) and self._ordered[position] <= last:
-                value = self._buckets[self._ordered[position]]
-                if value > best:
-                    best = value
-                position += 1
-            return best
-        best = 0.0
-        for bucket in range(first, last + 1):
-            value = self._buckets.get(bucket, 0.0)
-            if value > best:
-                best = value
-        return best
-
-    def _bisect(self, bucket: int) -> int:
-        return bisect.bisect_left(self._ordered, bucket)

@@ -58,11 +58,6 @@ from repro.ranking.bm25 import BM25Scorer
 from repro.ranking.scoring import CombinedScorer
 from repro.search.planner import EXECUTION_MODES, MODE_MAXSCORE, MODE_TAAT, QueryPlan
 
-try:  # numpy backs the vectorized scoring paths; scalar is the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
-
 # A posting fetcher resolves one term to its postings — a PostingList, or a
 # lazy ShardedPostings reader (duck-typed via .shard_infos) for sharded
 # terms; it raises TermNotFoundError for unknown/unreachable terms.  In
@@ -115,21 +110,6 @@ def _materialize(postings: Any) -> PostingList:
     return postings.materialize()
 
 
-def _gather_tf(ids: Any, frequencies: Any, targets: Any) -> Any:
-    """Float64 frequencies of ``targets`` looked up in sorted ``ids``.
-
-    ``ids``/``frequencies`` are the parallel posting arrays of one term
-    (doc ids strictly increasing); absent targets gather 0.0 — the same
-    value the scalar scorers see for a term the document does not carry.
-    """
-    if not ids.size:
-        return _np.zeros(len(targets), dtype=_np.float64)
-    positions = _np.searchsorted(ids, targets)
-    positions = _np.minimum(positions, ids.size - 1)
-    hits = ids[positions] == targets
-    return _np.where(hits, frequencies[positions], 0.0)
-
-
 class _ShardUnreachable(Exception):
     """A lazy shard load failed mid-execution; carries the term to degrade."""
 
@@ -161,7 +141,7 @@ class _Segment:
         self.min_len = min_len
         # Manifest-published max rank over the shard's documents, valid at
         # the executor's rank version (-1 = unknown: fall back to the
-        # rank-range provider or the global bound).
+        # global bound).
         self.rank_ceiling = rank_ceiling
 
 
@@ -317,29 +297,20 @@ class _Cursor:
     def current_segment(self) -> _Segment:
         return self.segments[self.seg]
 
-    def segment_arrays(self, position: int) -> Tuple[List[int], List[int]]:
-        """Materialised ``(doc_ids, frequencies)`` of segment ``position``.
-
-        Loads the segment on first access without moving the cursor — the
-        vectorized paths bulk-read segments by position while the cursor
-        itself tracks pruning progress.
-        """
-        arrays = self._arrays[position]
+    def _ids(self) -> List[int]:
+        arrays = self._arrays[self.seg]
         if arrays is None:
             try:
-                postings = self._loader(self.segments[position].index)  # type: ignore[misc]
+                postings = self._loader(self.segments[self.seg].index)  # type: ignore[misc]
             except TermNotFoundError as exc:
                 # Degrade like an unreachable whole term (the pre-sharding
                 # behaviour): the executor retries without this term.
                 raise _ShardUnreachable(self.term) from exc
             arrays = postings.arrays()
-            self._arrays[position] = arrays
+            self._arrays[self.seg] = arrays
             if self._on_load is not None:
                 self._on_load()
-        return arrays
-
-    def _ids(self) -> List[int]:
-        return self.segment_arrays(self.seg)[0]
+        return arrays[0]
 
     @property
     def current(self) -> int:
@@ -472,10 +443,7 @@ class QueryExecutor:
         top_k: int = 10,
         mode: str = MODE_TAAT,
         rank_bound_provider: Optional[Callable[[], float]] = None,
-        rank_range_provider: Optional[Callable[[int, Optional[int]], float]] = None,
         rank_version: Optional[int] = None,
-        use_manifest_ceilings: bool = True,
-        vectorized_scoring: bool = False,
     ) -> None:
         if top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {top_k!r}")
@@ -496,31 +464,14 @@ class QueryExecutor:
         # the rank-vector version (the frontend) supplies a provider so the
         # max() is paid once per rank round instead of once per query.
         self.rank_bound_provider = rank_bound_provider
-        # Optional doc-id-range rank maximum: ``(lo, hi) -> max rank`` over
-        # documents in [lo, hi] (hi=None means "at or after lo").  Head
-        # terms' text bounds are tiny (low idf), so whether a shard can
-        # reach the threshold hinges on the best rank *in its range*; the
-        # frontend supplies a RankRangeIndex-backed provider memoized per
-        # rank version.  Falls back to the global bound when absent.
-        self.rank_range_provider = rank_range_provider
         # The caller's current rank-vector version.  Sharded readers whose
         # manifest was rank-ceiling-stamped at exactly this version
         # contribute per-shard rank ceilings to the bounds below — the
         # "prune by rank without materialising the rank vector" path any
         # remote frontend can use.  A mismatched (stale) stamp is simply
-        # ignored: looser pruning, identical pages.
+        # ignored, as are all stamps when no version is given (``None``):
+        # looser pruning, identical pages.
         self.rank_version = rank_version
-        self.use_manifest_ceilings = use_manifest_ceilings
-        # Numpy array decode/score hot loops.  Strictly an implementation
-        # swap: candidates are scored through BM25Scorer.score_batch (the
-        # vectorized twin of score_document, bit-identical by construction)
-        # and bound pruning keeps the same strict comparisons, so the
-        # returned pages match the scalar paths exactly.  Per-candidate
-        # pruning is coarsened to segment granularity, so the docs_scored /
-        # docs_pruned diagnostics count differently (never the results).
-        # Silently off without numpy: the knob is an optimisation, not a
-        # semantic switch.
-        self.vectorized_scoring = bool(vectorized_scoring) and _np is not None
 
     def execute(self, plan: QueryPlan, mode: Optional[str] = None) -> ExecutionOutcome:
         """Run the plan in the executor's (or an overriding) mode."""
@@ -571,12 +522,9 @@ class QueryExecutor:
 
         candidates = running.doc_ids
         outcome.candidates = candidates
-        if self.vectorized_scoring:
-            bm25_scores = self._bm25_scores_bulk(plan, outcome.postings_by_term, candidates)
-        else:
-            bm25_scores = self.bm25.score_postings(
-                list(plan.query.terms), outcome.postings_by_term, candidates
-            )
+        bm25_scores = self.bm25.score_postings(
+            list(plan.query.terms), outcome.postings_by_term, candidates
+        )
         outcome.docs_scored = len(candidates)
         combined = self.combiner.combine(
             bm25_scores, self.page_ranks, self.statistics.document_count
@@ -636,8 +584,7 @@ class QueryExecutor:
             scale, tf_constant = self.bm25.impact_parameters(term)
             scale *= self.combiner.bm25_weight
             ceilings_valid = (
-                self.use_manifest_ceilings
-                and self.rank_version is not None
+                self.rank_version is not None
                 and self.rank_version >= 0
                 and getattr(postings, "rank_version", -1) == self.rank_version
             )
@@ -678,7 +625,7 @@ class QueryExecutor:
         # the local max() entirely.
         rank_ub_memo: List[float] = []
 
-        def rank_ub() -> float:
+        def rank_bound() -> float:
             if not rank_ub_memo:
                 if self.rank_bound_provider is not None:
                     rank_ub_memo.append(self.rank_bound_provider())
@@ -688,29 +635,16 @@ class QueryExecutor:
                     )
             return rank_ub_memo[0]
 
-        def rank_bound(lo: Optional[int] = None, hi: Optional[int] = None) -> float:
-            """Rank-component bound for docs in [lo, hi] (global when lo=None).
-
-            The range form needs a rank_range_provider; without one it
-            falls back to the global bound — never tighter, always valid.
-            """
-            if lo is None or self.rank_range_provider is None:
-                return rank_ub()
-            return self.combiner.rank_component(
-                self.rank_range_provider(lo, hi), document_count
-            )
-
         def segment_rank_bound(segment: _Segment) -> float:
             """Rank bound for the documents *inside* one shard.
 
             Every document in a shard's doc-id range that carries its term
             lives in that shard, so the manifest's rank ceiling bounds the
-            rank of any document the shard can contribute.  Both the range
+            rank of any document the shard can contribute.  Both the global
             bound and the ceiling are valid upper bounds; take the tighter
-            — on a frontend with no rank vector materialised, the ceiling
-            is the only range-level signal available.
+            — the ceiling is the only range-level signal there is.
             """
-            bound = rank_bound(segment.lo, segment.hi)
+            bound = rank_bound()
             if segment.rank_ceiling >= 0.0:
                 bound = min(
                     bound,
@@ -724,18 +658,10 @@ class QueryExecutor:
         heap: List[Tuple[float, int]] = []
 
         if conjunctive:
-            if self.vectorized_scoring:
-                self._vec_and(
-                    plan, cursors, heap, rank_bound, segment_rank_bound,
-                    window_low, window_high, outcome,
-                )
-            else:
-                self._daat_and(
-                    plan, cursors, heap, rank_bound, segment_rank_bound,
-                    window_low, window_high, outcome,
-                )
-        elif self.vectorized_scoring:
-            self._vec_or(plan, cursors, heap, outcome)
+            self._daat_and(
+                plan, cursors, heap, rank_bound, segment_rank_bound,
+                window_low, window_high, outcome,
+            )
         else:
             self._daat_or(plan, cursors, heap, rank_bound, segment_rank_bound, outcome)
 
@@ -767,7 +693,7 @@ class QueryExecutor:
         plan: QueryPlan,
         cursors: List[_Cursor],
         heap: List[Tuple[float, int]],
-        rank_bound: Callable[..., float],
+        rank_bound: Callable[[], float],
         segment_rank_bound: Callable[[_Segment], float],
         window_low: int,
         window_high: Optional[int],
@@ -788,10 +714,10 @@ class QueryExecutor:
         def remaining_rank() -> float:
             # A conjunctive candidate appears in *every* list, so its rank
             # is bounded by each cursor's remaining manifest ceiling — take
-            # the min, and tighten the (suffix) rank bound with it.  Usable
+            # the min, and tighten the global rank bound with it.  Usable
             # only while every cursor's remaining ceilings are valid; an
             # exhausted cursor bounds at 0 (the intersection is over).
-            bound = rank_bound(driver.current if not driver.exhausted else None)
+            bound = rank_bound()
             ceilings = [cursor.remaining_rank_ceiling() for cursor in cursors]
             if all(ceiling >= 0.0 for ceiling in ceilings):
                 bound = min(
@@ -812,15 +738,10 @@ class QueryExecutor:
                 return
             threshold = heap[0][0] if len(heap) == full else None
             if threshold is not None:
-                # Suffix rank bound (best rank at or after the cursor): an
-                # O(log buckets) query, cheap enough per posting, and it
-                # tightens monotonically as the driver advances.  (The
-                # windowed range form would be tighter still but scans
-                # buckets linearly — too hot for this loop.)
                 if total_ub * _BOUND_SLACK + remaining_rank() < threshold:
                     # Even a document matching every term at max impact with
-                    # the best rank remaining in the window cannot displace
-                    # the current top-k.
+                    # the best rank the remaining shards allow cannot
+                    # displace the current top-k.
                     outcome.docs_pruned += driver.remaining()
                     outcome.early_exit = True
                     return
@@ -829,7 +750,7 @@ class QueryExecutor:
                     # the driver's own shard bound plus every other term's
                     # max impact *within that range* (their overlapping
                     # shards' quantized bounds, tighter than whole-list
-                    # max-tf), plus the best rank in the range.  Below
+                    # max-tf), plus the shard's rank ceiling.  Below
                     # threshold, the whole shard is skipped without scanning
                     # — or fetching — it.
                     segment = driver.current_segment
@@ -881,7 +802,7 @@ class QueryExecutor:
         plan: QueryPlan,
         cursors: List[_Cursor],
         heap: List[Tuple[float, int]],
-        rank_bound: Callable[..., float],
+        rank_bound: Callable[[], float],
         segment_rank_bound: Callable[[_Segment], float],
         outcome: ExecutionOutcome,
     ) -> None:
@@ -889,15 +810,15 @@ class QueryExecutor:
 
         Cursors are ordered by their *remaining* bound (the max over their
         unconsumed shards); the *non-essential* prefix is the longest prefix
-        whose summed bounds (plus the rank bound over the remaining doc-id
-        space) stay strictly below the top-k threshold — documents appearing
+        whose summed bounds (plus the rank bound over the unconsumed
+        shards) stay strictly below the top-k threshold — documents appearing
         only there can never enter the top-k, so their lists are never
         enumerated, only probed for documents the essential lists surface.
         As cursors consume their high-impact shards their remaining bounds
         drop, demoting them to non-essential earlier than whole-list bounds
         would; and an essential cursor's next shard is skipped outright when
-        every term's range bound plus the best rank in the shard's range
-        cannot reach the threshold.
+        every term's range bound plus the shard's rank ceiling cannot reach
+        the threshold.
         """
         full = self.top_k
         last_candidate = -1
@@ -917,7 +838,7 @@ class QueryExecutor:
             threshold = heap[0][0] if len(heap) == full else None
             first_essential = 0
             if threshold is not None:
-                remaining_rank = rank_bound(last_candidate + 1)
+                remaining_rank = rank_bound()
                 # Every future candidate surfaces from some active list, so
                 # its rank is bounded by the *max* over the active cursors'
                 # remaining manifest ceilings — usable only while every
@@ -1013,230 +934,3 @@ class QueryExecutor:
                     found[cursor.term] = cursor.current_frequency
             self._offer(heap, candidate, self._score_exact(plan, candidate, found))
             outcome.docs_scored += 1
-
-    # -- vectorized scoring (numpy array hot loops, same results) --------------------
-    #
-    # Bit-identity argument shared by the three paths below: candidates are
-    # scored through BM25Scorer.score_batch, whose elementwise operations
-    # replicate score_document's float64 expression order; the rank
-    # component stays scalar per candidate (math.log1p has no ufunc twin
-    # with guaranteed-identical rounding); and the final combination
-    # ``bm25_weight * text + rank_part`` is the same two operations the
-    # scalar combiner applies.  Pruning decisions only ever use the same
-    # strict bound comparisons at segment granularity, and the top-k of a
-    # scored *superset* equals the scalar top-k: a candidate the scalar
-    # path pruned had a proven score strictly below the then-current
-    # threshold, so offering its exact score is always rejected.
-
-    def _bm25_scores_bulk(
-        self, plan: QueryPlan, postings_by_term: Mapping[str, Any], candidates: List[int]
-    ) -> Dict[int, float]:
-        """Vectorized twin of :meth:`BM25Scorer.score_postings` (taat mode)."""
-        targets = _np.asarray(candidates, dtype=_np.int64)
-        tf_arrays: Dict[str, Any] = {}
-        for term, postings in postings_by_term.items():
-            doc_ids, frequencies = postings.arrays()
-            if not doc_ids:
-                continue
-            tf_arrays[term] = _gather_tf(
-                _np.asarray(doc_ids, dtype=_np.int64),
-                _np.asarray(frequencies, dtype=_np.float64),
-                targets,
-            )
-        lengths = self.bm25.lengths_array(candidates)
-        text = self.bm25.score_batch(list(plan.query.terms), tf_arrays, lengths)
-        return dict(zip(candidates, text.tolist()))
-
-    def _window_arrays(self, cursor: _Cursor, lo: int, hi: int) -> Tuple[Any, Any]:
-        """Concatenated ``(ids, frequencies)`` of segments overlapping [lo, hi].
-
-        Segment ranges are disjoint and ascending, so the concatenation is
-        itself sorted — directly searchsorted-able.  Only overlapping
-        segments load; on the conjunctive path these are exactly the
-        window shards the frontend already prefetched eagerly.
-        """
-        position = bisect.bisect_right(cursor._segment_los, hi) - 1
-        indices: List[int] = []
-        while position >= 0:
-            if cursor.segments[position].hi < lo:
-                break
-            indices.append(position)
-            position -= 1
-        id_parts, freq_parts = [], []
-        for index in reversed(indices):
-            arrays = cursor.segment_arrays(index)
-            id_parts.append(_np.asarray(arrays[0], dtype=_np.int64))
-            freq_parts.append(_np.asarray(arrays[1], dtype=_np.float64))
-        if not id_parts:
-            return (
-                _np.empty(0, dtype=_np.int64),
-                _np.empty(0, dtype=_np.float64),
-            )
-        return _np.concatenate(id_parts), _np.concatenate(freq_parts)
-
-    def _offer_batch(
-        self,
-        plan: QueryPlan,
-        candidates: Any,
-        tf_arrays: Mapping[str, Any],
-        heap: List[Tuple[float, int]],
-        outcome: ExecutionOutcome,
-    ) -> None:
-        """Score a candidate array exactly and offer every entry to the heap."""
-        cand_list = candidates.tolist()
-        lengths = self.bm25.lengths_array(cand_list)
-        text = self.bm25.score_batch(list(plan.query.terms), tf_arrays, lengths)
-        rank_component = self.combiner.rank_component
-        get_rank = self.page_ranks.get
-        document_count = self.statistics.document_count
-        rank_parts = _np.array(
-            [rank_component(get_rank(doc_id, 0.0), document_count) for doc_id in cand_list],
-            dtype=_np.float64,
-        )
-        combined = self.combiner.bm25_weight * text + rank_parts
-        outcome.candidates.extend(cand_list)
-        outcome.docs_scored += len(cand_list)
-        for doc_id, score in zip(cand_list, combined.tolist()):
-            self._offer(heap, doc_id, score)
-
-    def _vec_and(
-        self,
-        plan: QueryPlan,
-        cursors: List[_Cursor],
-        heap: List[Tuple[float, int]],
-        rank_bound: Callable[..., float],
-        segment_rank_bound: Callable[[_Segment], float],
-        window_low: int,
-        window_high: Optional[int],
-        outcome: ExecutionOutcome,
-    ) -> None:
-        """Segment-at-a-time conjunctive evaluation over numpy arrays.
-
-        The scalar :meth:`_daat_and` loop's segment-level prunings (early
-        exit on the total bound, whole-shard skips on range bounds) are
-        kept verbatim; within a surviving driver segment the intersection
-        is computed in one searchsorted pass per other term and every
-        member is scored exactly — a superset of the documents the scalar
-        path scores, hence identical top-k (see the section comment).
-        Heap states agree at every segment boundary (both hold the top-k
-        of the documents visited so far), so the skip decisions agree too.
-        """
-        cursors.sort(key=len)
-        driver, others = cursors[0], cursors[1:]
-        total_ub = sum(cursor.upper_bound for cursor in cursors)
-        full = self.top_k
-        document_count = self.statistics.document_count
-
-        def remaining_rank() -> float:
-            bound = rank_bound(driver.current if not driver.exhausted else None)
-            ceilings = [cursor.remaining_rank_ceiling() for cursor in cursors]
-            if all(ceiling >= 0.0 for ceiling in ceilings):
-                bound = min(
-                    bound,
-                    self.combiner.rank_component(min(ceilings), document_count),
-                )
-            return bound
-
-        if window_low > 0:
-            outcome.postings_scanned += driver.seek(window_low)
-        while not driver.exhausted:
-            segment = driver.current_segment
-            if window_high is not None and segment.lo > window_high:
-                outcome.docs_pruned += driver.remaining()
-                outcome.early_exit = True
-                return
-            threshold = heap[0][0] if len(heap) == full else None
-            if threshold is not None:
-                if total_ub * _BOUND_SLACK + remaining_rank() < threshold:
-                    outcome.docs_pruned += driver.remaining()
-                    outcome.early_exit = True
-                    return
-                if driver.at_segment_start:
-                    segment_bound = driver.bounds[driver.seg] + sum(
-                        other.range_bound(segment.lo, segment.hi) for other in others
-                    )
-                    if (
-                        segment_bound * _BOUND_SLACK + segment_rank_bound(segment)
-                        < threshold
-                    ):
-                        outcome.docs_pruned += driver.skip_segment()
-                        outcome.shards_skipped += 1
-                        continue
-            ids_list, freqs_list = driver.segment_arrays(driver.seg)
-            start = driver.offset
-            ids = _np.asarray(ids_list[start:] if start else ids_list, dtype=_np.int64)
-            driver_tf = _np.asarray(
-                freqs_list[start:] if start else freqs_list, dtype=_np.float64
-            )
-            overflow = 0
-            if window_high is not None and ids.size and int(ids[-1]) > window_high:
-                keep = ids <= window_high
-                overflow = int(ids.size - keep.sum())
-                ids = ids[keep]
-                driver_tf = driver_tf[keep]
-            outcome.postings_scanned += int(ids.size)
-            if ids.size:
-                tf_arrays: Dict[str, Any] = {driver.term: driver_tf}
-                present = _np.ones(ids.size, dtype=bool)
-                lo, hi = int(ids[0]), int(ids[-1])
-                for other in others:
-                    other_ids, other_freqs = self._window_arrays(other, lo, hi)
-                    tf = _gather_tf(other_ids, other_freqs, ids)
-                    tf_arrays[other.term] = tf
-                    # Postings always carry tf >= 1, so tf > 0 is membership.
-                    present &= tf > 0.0
-                if present.any():
-                    scored_tf = {term: tf[present] for term, tf in tf_arrays.items()}
-                    self._offer_batch(plan, ids[present], scored_tf, heap, outcome)
-            if overflow:
-                # Past the feasible window: everything after this point in
-                # the driver is unmatchable, same as the scalar early exit.
-                driver.seg += 1
-                driver.offset = 0
-                outcome.docs_pruned += overflow + driver.remaining()
-                outcome.early_exit = True
-                return
-            driver.seg += 1
-            driver.offset = 0
-
-    def _vec_or(
-        self,
-        plan: QueryPlan,
-        cursors: List[_Cursor],
-        heap: List[Tuple[float, int]],
-        outcome: ExecutionOutcome,
-    ) -> None:
-        """Disjunctive evaluation: materialise, union, bulk-score everything.
-
-        The scalar MaxScore prunings are skipped entirely — every segment
-        loads and every union member is scored (``docs_scored`` counts the
-        union, the documented diagnostic difference).  The exact scores of
-        a superset of the scalar path's scored documents yield the same
-        top-k; what the trade buys is one array pass instead of a python
-        loop per posting, which E10 measures as docs-scored/sec.
-        """
-        sources = []
-        id_parts = []
-        for cursor in cursors:
-            seg_ids, seg_freqs = [], []
-            for position in range(len(cursor.segments)):
-                arrays = cursor.segment_arrays(position)
-                outcome.postings_scanned += len(arrays[0])
-                seg_ids.append(_np.asarray(arrays[0], dtype=_np.int64))
-                seg_freqs.append(_np.asarray(arrays[1], dtype=_np.float64))
-            if not seg_ids:
-                continue
-            ids = _np.concatenate(seg_ids)
-            frequencies = _np.concatenate(seg_freqs)
-            sources.append((cursor.term, ids, frequencies))
-            if ids.size:
-                id_parts.append(ids)
-        if not id_parts:
-            return
-        candidates = _np.unique(_np.concatenate(id_parts))
-        tf_arrays = {
-            term: _gather_tf(ids, frequencies, candidates)
-            for term, ids, frequencies in sources
-            if ids.size
-        }
-        self._offer_batch(plan, candidates, tf_arrays, heap, outcome)

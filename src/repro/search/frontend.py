@@ -51,7 +51,7 @@ from repro.index.analysis import Analyzer, tokenize
 from repro.index.distributed import DistributedIndex
 from repro.index.statistics import CollectionStatistics
 from repro.ranking.bm25 import BM25Scorer
-from repro.ranking.scoring import CombinedScorer, RankRangeIndex
+from repro.ranking.scoring import CombinedScorer
 from repro.search.executor import QueryExecutor
 from repro.search.planner import MODE_MAXSCORE, STRATEGY_RAREST_FIRST, QueryPlanner
 from repro.search.query import ParsedQuery, parse_query
@@ -104,34 +104,31 @@ class FrontendOptions:
     """
 
     top_k: int = 10
+    # Issue manifest/shard lookups concurrently.  False restores the
+    # sequential prefetch — the ablation quantified in E10.
     overlapped_prefetch: bool = True
-    # Rank-pruning sources (see SearchFrontend docstring): manifest-stamped
-    # per-shard rank ceilings, and/or the frontend-built RankRangeIndex.
-    use_rank_ceilings: bool = True
-    use_rank_range_index: bool = True
+    # Entries in the top-k page cache; 0 disables it.  The cache requires a
+    # ``rank_version_provider`` and an index exposing ``generation`` to build
+    # freshness-safe keys; without them it stays inert.
     result_cache_capacity: int = 0
+    # Key the result cache on BM25 statistic *buckets* (per-term df, avgdl)
+    # instead of the exact statistics version — more reuse under
+    # update-heavy streams, at the documented exactness trade (see
+    # ``SearchFrontend._result_cache_key``).
     result_cache_loose_keys: bool = False
-    # Numpy array decode/score hot loops in the executor; the scalar path
-    # is the bit-identical reference (pages never change, only speed).
-    vectorized_scoring: bool = False
 
     @classmethod
     def from_config(cls, config, **overrides) -> "FrontendOptions":
         """Defaults taken from a :class:`~repro.core.config.QueenBeeConfig`.
 
-        On the gossip metadata plane the RankRangeIndex default flips off:
-        remote frontends prune from manifest ceilings and should not
-        materialise the rank vector per rank round.  ``overrides`` replace
-        individual fields (unknown names raise ``TypeError``).
+        ``overrides`` replace individual fields (unknown names raise
+        ``TypeError``).
         """
         options = cls(
             top_k=config.top_k,
             overlapped_prefetch=config.overlapped_prefetch,
-            use_rank_ceilings=True,
-            use_rank_range_index=config.metadata_plane != "gossip",
             result_cache_capacity=config.result_cache_capacity,
             result_cache_loose_keys=config.result_cache_loose_keys,
-            vectorized_scoring=config.vectorized_scoring,
         )
         return replace(options, **overrides) if overrides else options
 
@@ -195,23 +192,9 @@ class SearchFrontend:
     ad_provider:
         Callable returning ads for a keyword (usually ``contracts.ads_for``);
         omit it to run an ad-free frontend.
-    overlapped_prefetch:
-        Issue manifest/shard lookups concurrently (default).  False restores
-        the sequential prefetch — the ablation quantified in E10.
-    result_cache_capacity:
-        Entries in the top-k page cache; 0 (default) disables it.  The cache
-        requires a ``rank_version_provider`` and an index exposing
-        ``generation`` to build freshness-safe keys; without them it stays
-        inert.
-    result_cache_loose_keys:
-        Key the result cache on BM25 statistic *buckets* (per-term df,
-        avgdl) instead of the exact statistics version — more reuse under
-        update-heavy streams, at the documented exactness trade (see
-        ``_result_cache_key``).
-    vectorized_scoring:
-        Run the executor's numpy array decode/score hot loops instead of
-        the scalar per-posting loops.  Pages are bit-identical either way
-        (asserted in tests and the E10 bench); only throughput changes.
+    options:
+        The frontend's policy, see :class:`FrontendOptions` (defaults when
+        omitted).
     shard_size_hint:
         The deployment's shard size, used only for the planner's shard
         fan-out estimate in diagnostics (0 = unknown/unsharded).
@@ -219,11 +202,6 @@ class SearchFrontend:
         The frontend's gossiped metadata view (gossip plane only): pinned
         per batch for torn-read-free prefetches, consulted for statistics
         freshness.  ``None`` on the shared plane.
-    use_rank_ceilings / use_rank_range_index:
-        Which rank-pruning sources the executor gets: manifest-published
-        per-shard rank ceilings (no rank-vector materialisation; the
-        primary path) and/or the frontend-built RankRangeIndex (the
-        fallback/ablation, off for remote frontends).
     """
 
     def __init__(
@@ -236,36 +214,17 @@ class SearchFrontend:
         ad_provider: Optional[AdProvider] = None,
         analyzer: Optional[Analyzer] = None,
         statistics: Optional[CollectionStatistics] = None,
-        top_k: int = 10,
         max_ads: int = 2,
         planning_strategy: str = STRATEGY_RAREST_FIRST,
         execution_mode: str = MODE_MAXSCORE,
         requester: Optional[str] = None,
         bm25: Optional[BM25Scorer] = None,
         combiner: Optional[CombinedScorer] = None,
-        overlapped_prefetch: bool = True,
-        result_cache_capacity: int = 0,
-        result_cache_loose_keys: bool = False,
-        vectorized_scoring: bool = False,
         shard_size_hint: int = 0,
         metadata_view: Optional[Any] = None,
-        use_rank_ceilings: bool = True,
-        use_rank_range_index: bool = True,
         options: Optional[FrontendOptions] = None,
     ) -> None:
-        # Policy knobs travel as one FrontendOptions; the individual keyword
-        # arguments remain for direct (test) construction and are folded
-        # into an options object when none is given.
-        if options is None:
-            options = FrontendOptions(
-                top_k=top_k,
-                overlapped_prefetch=overlapped_prefetch,
-                use_rank_ceilings=use_rank_ceilings,
-                use_rank_range_index=use_rank_range_index,
-                result_cache_capacity=result_cache_capacity,
-                result_cache_loose_keys=result_cache_loose_keys,
-                vectorized_scoring=vectorized_scoring,
-            )
+        options = options or FrontendOptions()
         self.options = options
         self.simulator = simulator
         self.index = index
@@ -290,30 +249,17 @@ class SearchFrontend:
             else None
         )
         self.result_cache_loose_keys = options.result_cache_loose_keys
-        self.vectorized_scoring = options.vectorized_scoring
         # The gossiped metadata view this frontend reads (None on the shared
         # plane).  Used for two things here: search_batch pins it so every
         # query in the batch sees one consistent metadata version, and the
         # statistics property refreshes when the gossiped stats head moves.
         self.metadata_view = metadata_view
-        # Rank-pruning sources.  use_rank_ceilings consumes the quantized
-        # per-shard rank ceilings stamped into term manifests at
-        # rank-publish time (works with no rank vector materialised);
-        # use_rank_range_index additionally builds the frontend-side
-        # RankRangeIndex from the full vector — the fallback/ablation, off
-        # for remote (gossip-plane) frontends.
-        self.use_rank_ceilings = options.use_rank_ceilings
-        self.use_rank_range_index = options.use_rank_range_index
         self.stats = FrontendStats()
         # Memo for the MaxScore rank upper bound, keyed by (rank version,
         # corpus size) — both inputs of the bound that can change between
         # queries.  Only populated when a rank_version_provider is wired.
         self._rank_bound_key: Optional[tuple] = None
         self._rank_bound = 0.0
-        # Memo for the doc-id-range rank index (shard-skip bounds), rebuilt
-        # once per rank version — O(corpus) per rank round, not per query.
-        self._rank_range_key: Optional[int] = None
-        self._rank_range_index: Optional[RankRangeIndex] = None
 
     # -- statistics handling ------------------------------------------------------
 
@@ -358,29 +304,6 @@ class SearchFrontend:
                 self._rank_bound = self.combiner.rank_upper_bound(page_ranks, document_count)
                 self._rank_bound_key = key
             return self._rank_bound
-
-        return provider
-
-    def _rank_range_provider(
-        self, page_ranks: Mapping[int, float]
-    ) -> Optional[Callable[[int, Optional[int]], float]]:
-        """A ``(lo, hi) -> max rank in range`` provider, or ``None``.
-
-        Backs the executor's per-shard rank bounds with a
-        :class:`~repro.ranking.scoring.RankRangeIndex` rebuilt once per rank
-        version.  Head terms' pruning hinges on it: their idf (hence text
-        bound) is tiny, so whether a doc-id-range shard can reach the top-k
-        threshold is decided by the best rank inside the shard's range.
-        """
-        if self.rank_version_provider is None:
-            return None
-
-        def provider(lo: int, hi: Optional[int] = None) -> float:
-            key = self.rank_version_provider()
-            if self._rank_range_key != key or self._rank_range_index is None:
-                self._rank_range_index = RankRangeIndex(page_ranks)
-                self._rank_range_key = key
-            return self._rank_range_index.range_max(lo, hi)
 
         return provider
 
@@ -861,21 +784,13 @@ class SearchFrontend:
             rank_bound_provider=self._rank_bound_provider(
                 page_ranks, statistics.document_count
             ),
-            # The manifest rank-ceiling path needs only the current rank
-            # version; the RankRangeIndex provider is the fallback/ablation
-            # that materialises the full vector per rank round.
-            rank_range_provider=(
-                self._rank_range_provider(page_ranks)
-                if self.use_rank_range_index
-                else None
-            ),
+            # Per-shard pruning by rank needs only the current rank version
+            # to validate the ceilings stamped into term manifests.
             rank_version=(
                 self.rank_version_provider()
-                if self.use_rank_ceilings and self.rank_version_provider is not None
+                if self.rank_version_provider is not None
                 else None
             ),
-            use_manifest_ceilings=self.use_rank_ceilings,
-            vectorized_scoring=self.vectorized_scoring,
         )
         outcome = executor.execute(plan)
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config_schema import UnknownConfigKnobError
@@ -178,3 +182,19 @@ class TestEngineEndToEnd:
         page = frontend_b.search("decentralized")
         assert page.result_count <= 3
         assert frontend_a.stats.queries == 0
+
+
+def test_the_library_does_not_import_numpy():
+    """Every device is a frontend: the engine and both baselines are plain Python.
+
+    Run in a fresh interpreter because this sandbox has numpy installed and
+    another test may already have imported it into this one.
+    """
+    probe = (
+        "import repro.core.engine, repro.baselines.centralized, repro.baselines.yacy, sys; "
+        "assert 'numpy' not in sys.modules"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe], check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )

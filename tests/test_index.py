@@ -3,8 +3,10 @@ statistics, documents, and the distributed index."""
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexError_, TermNotFoundError
@@ -132,6 +134,34 @@ class TestCompression:
         doc_ids = [p[0] for p in pairs]
         freqs = [p[1] for p in pairs]
         assert decompress_postings(compress_postings(doc_ids, freqs)) == (doc_ids, freqs)
+
+    # One decoder serves every payload size; the pinned examples sit on both sides
+    # of 48 bytes, where a second decoder once took over.
+    @given(st.lists(st.tuples(st.integers(1, 2**21), st.integers(1, 2**14)), max_size=48))
+    @example([(1, 1)] * 23)                  # 1 + 23 + 23 = 47 bytes
+    @example([(128, 1)] + [(1, 1)] * 22)     # 48 bytes, a two-byte gap
+    @example([(1, 1)] * 22 + [(1, 128)])     # 48 bytes, a two-byte tf
+    @example([(2**21, 2**14)] * 10)          # 1 + 40 + 30 = 71 bytes
+    @settings(max_examples=100)
+    def test_roundtrip_on_both_sides_of_48_bytes(self, gaps_and_tfs):
+        doc_ids = list(accumulate(gap for gap, _ in gaps_and_tfs))
+        freqs = [tf for _, tf in gaps_and_tfs]
+        assert decompress_postings(compress_postings(doc_ids, freqs)) == (doc_ids, freqs)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda good: good[:-1] + b"\x80", "truncated varint"),
+        (lambda good: good + b"\x01", "trailing bytes after posting list payload"),
+        # The header promises one posting more than the groups that follow.
+        (lambda good: varint_encode(41) + good[1:], "truncated varint"),
+        # An eleven-byte group where the first gap should be.
+        (lambda good: good[:1] + b"\x80" * 10 + b"\x01" + good[1:], "varint too long"),
+    ])
+    def test_malformed_large_payloads_name_their_defect(self, damage, message):
+        doc_ids = list(range(5, 5 + 300 * 40, 300))
+        good = compress_postings(doc_ids, [1 + (i * 37) % 200 for i in range(40)])
+        assert len(good) >= 48 and decompress_postings(good)[0] == doc_ids
+        with pytest.raises(IndexError_, match=f"^{message}$"):
+            decompress_postings(damage(good))
 
     @given(st.lists(st.tuples(st.integers(0, 10**8), st.integers(1, 1000)),
                     max_size=100, unique_by=lambda t: t[0]))

@@ -3,9 +3,8 @@
 At rank-publish time every term manifest is stamped with a quantized
 per-shard rank ceiling (max PageRank over the shard's doc-id range, rounded
 up) plus the rank version.  The executor prunes shards against matching-
-version ceilings instead of the frontend-built ``RankRangeIndex`` — same
-admissibility argument (conservative upper bounds, strict comparisons), so
-pages stay bit-identical while remote frontends never materialise the rank
+version ceilings (conservative upper bounds, strict comparisons), so pages
+stay bit-identical to TAAT while remote frontends never materialise the rank
 vector for pruning.
 """
 
@@ -142,31 +141,9 @@ class TestCeilingPruning:
         engine.compute_page_ranks()
 
         reference, _ = run_queries(engine, queries, execution_mode="taat")
-        ceilings_only, skipped = run_queries(
-            engine, queries, use_rank_range_index=False, use_rank_ceilings=True
-        )
+        ceilings_only, skipped = run_queries(engine, queries)
         assert ceilings_only == reference
         assert skipped > 0, "manifest ceilings never skipped a shard"
-
-    def test_ceilings_prune_at_least_as_much_as_rank_range_index(self):
-        # The acceptance bar: on head-term ORs the manifest path must not
-        # prune fewer shards than the frontend-built RankRangeIndex it
-        # replaces (exact per-shard maxima, quantized by at most one grid
-        # step, versus bucket-rounded range maxima).
-        corpus = small_corpus()
-        queries = head_or_queries(corpus)
-        engine = build_engine()
-        engine.bootstrap_corpus(corpus.documents)
-        engine.compute_page_ranks()
-
-        range_index_only, rri_skipped = run_queries(
-            engine, queries, use_rank_range_index=True, use_rank_ceilings=False
-        )
-        ceilings_only, ceiling_skipped = run_queries(
-            engine, queries, use_rank_range_index=False, use_rank_ceilings=True
-        )
-        assert ceilings_only == range_index_only
-        assert ceiling_skipped >= rri_skipped
 
     def test_stale_rank_version_falls_back_without_changing_pages(self):
         # A new rank round whose ceilings were *not* republished leaves the
@@ -184,7 +161,5 @@ class TestCeilingPruning:
             assert manifest.rank_version == engine.rank_version() - 1
 
         reference, _ = run_queries(engine, queries, execution_mode="taat")
-        stale, _ = run_queries(
-            engine, queries, use_rank_range_index=False, use_rank_ceilings=True
-        )
+        stale, _ = run_queries(engine, queries)
         assert stale == reference

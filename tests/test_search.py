@@ -18,7 +18,7 @@ from repro.search.planner import (
     QueryPlanner,
 )
 from repro.search.query import MODE_AND, MODE_OR, parse_query
-from repro.search.frontend import SearchFrontend
+from repro.search.frontend import FrontendOptions, SearchFrontend
 from repro.search.results import ResultPage, SearchResult
 
 
@@ -543,8 +543,7 @@ class TestLooseResultCacheKeys:
             analyzer=analyzer,
             statistics=statistics,
             rank_version_provider=lambda: 1,
-            result_cache_capacity=16,
-            result_cache_loose_keys=loose,
+            options=FrontendOptions(result_cache_capacity=16, result_cache_loose_keys=loose),
         )
 
     def test_exact_keys_miss_on_any_statistics_drift(self, simulator, dht, storage):

@@ -43,7 +43,6 @@ class TestFrontendOptions:
         assert options.top_k == engine.config.top_k
         assert options.overlapped_prefetch == engine.config.overlapped_prefetch
         assert options.result_cache_capacity == engine.config.result_cache_capacity
-        assert options.use_rank_range_index  # shared plane keeps the fallback on
 
     def test_from_config_overrides_replace_fields(self, serving_setup):
         engine, _ = serving_setup
@@ -52,12 +51,10 @@ class TestFrontendOptions:
         with pytest.raises(TypeError):
             FrontendOptions.from_config(engine.config, no_such_knob=1)
 
-    def test_gossip_plane_disables_rank_range_index(self):
+    def test_gossip_plane_frontend_takes_the_same_options(self):
         engine = make_small_engine(seed=9, metadata_plane="gossip")
-        options = FrontendOptions.from_config(engine.config)
-        assert not options.use_rank_range_index
-        frontend = engine.create_frontend(requester="peer-001:store")
-        assert not frontend.use_rank_range_index and frontend.use_rank_ceilings
+        frontend = engine.create_frontend(requester="peer-001:store", top_k=3)
+        assert frontend.options == FrontendOptions.from_config(engine.config, top_k=3)
 
     def test_create_frontend_keyword_overrides_still_work(self, serving_setup):
         engine, _ = serving_setup

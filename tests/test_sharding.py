@@ -236,7 +236,6 @@ def _build_statistics(postings_map, lengths=None):
 
 def _build_executor(
     index, postings_map, page_ranks=None, top_k=10, sharded=True, lengths=None,
-    with_rank_ranges=False,
 ):
     statistics = _build_statistics(postings_map, lengths)
     readers = {}
@@ -250,19 +249,11 @@ def _build_executor(
             return reader
         return index.fetch_term(term)
 
-    rank_range_provider = None
-    if with_rank_ranges and page_ranks:
-        from repro.ranking.scoring import RankRangeIndex
-
-        rank_range_index = RankRangeIndex(page_ranks)
-        rank_range_provider = lambda lo, hi=None: rank_range_index.range_max(lo, hi)  # noqa: E731
-
     executor = QueryExecutor(
         fetch_postings=fetch,
         statistics=statistics,
         page_ranks=page_ranks or {},
         top_k=top_k,
-        rank_range_provider=rank_range_provider,
     )
     return executor, statistics, readers
 
@@ -279,14 +270,13 @@ class TestShardedExecutionEquivalence:
         )
 
     def _both(self, postings_map, raw, shard_size, page_ranks=None, top_k=3,
-              lengths=None, with_rank_ranges=False):
+              lengths=None):
         """TAAT over the local (unsharded) lists vs MaxScore over the
         published sharded index — the acceptance invariant end to end.
 
-        ``lengths`` and ``with_rank_ranges`` wire the two subtlest pruning
-        ingredients (per-shard min-length impact bounds, RankRangeIndex
-        range/suffix bounds) into the sharded side; TAAT ignores both, so
-        any inadmissible bound shows up as a scores mismatch.
+        ``lengths`` wires the subtlest pruning ingredient (per-shard
+        min-length impact bounds) into the sharded side; TAAT ignores it,
+        so any inadmissible bound shows up as a scores mismatch.
         """
         _, dht, storage = _stack(seed=11)
         statistics = _build_statistics(postings_map, lengths)
@@ -311,7 +301,7 @@ class TestShardedExecutionEquivalence:
 
         sharded_executor, _, readers = _build_executor(
             sharded_index, postings_map, page_ranks, top_k, sharded=True,
-            lengths=lengths, with_rank_ranges=with_rank_ranges,
+            lengths=lengths,
         )
         outcome_sharded = sharded_executor.execute(self._plan(raw), mode=MODE_MAXSCORE)
         return outcome_taat, outcome_sharded, readers
@@ -381,10 +371,9 @@ class TestShardedExecutionEquivalence:
         """The full bound stack under adversarial randomization.
 
         Every trial wires heterogeneous document lengths (per-shard
-        min-length impact bounds) and a RankRangeIndex provider (range and
-        suffix rank bounds) into the sharded MaxScore side — the two
-        ingredients a uniform-length, global-rank-bound trial would leave
-        untested — and demands bit-identical scores vs TAAT.
+        min-length impact bounds) into the sharded MaxScore side — the
+        ingredient a uniform-length trial would leave untested — and
+        demands bit-identical scores vs TAAT.
         """
         rng = random.Random(20260728)
         vocabulary = ["t%d" % i for i in range(6)]
@@ -404,7 +393,7 @@ class TestShardedExecutionEquivalence:
             shard_size = rng.choice([1, 2, 5, 13, 64])
             taat, sharded, _ = self._both(
                 postings_map, raw, shard_size, page_ranks=ranks, top_k=top_k,
-                lengths=lengths, with_rank_ranges=True,
+                lengths=lengths,
             )
             assert sharded.scores == taat.scores, f"trial {trial}: {raw!r} size {shard_size}"
             assert list(sharded.scores) == list(taat.scores), f"trial {trial}: {raw!r}"

@@ -6,8 +6,7 @@ order, same byte accounting, same transactional visibility — because the
 discrete-event experiments assert bit-identical results across media.  The
 suite runs each behavioural check against both backends, checks op-for-op
 parity between them, and finishes with engine-level bit-identity: the same
-corpus and queries on sqlite and memory produce the same top-k pages, and
-the vectorized scoring paths match the scalar reference.
+corpus and queries on sqlite and memory produce the same top-k pages.
 """
 
 from __future__ import annotations
@@ -190,14 +189,13 @@ def test_create_backend_factory_validation(tmp_path):
 
 def test_new_knobs_declared_and_typos_rejected():
     config = QueenBeeConfig.from_dict(
-        {"storage_backend": "sqlite", "storage_path": "", "vectorized_scoring": True}
+        {"storage_backend": "sqlite", "storage_path": ""}
     )
     assert config.storage_backend == "sqlite"
-    assert config.vectorized_scoring is True
     with pytest.raises(UnknownConfigKnobError, match="storage_backend"):
         QueenBeeConfig.from_dict({"storage_backed": "sqlite"})
-    with pytest.raises(UnknownConfigKnobError, match="vectorized_scoring"):
-        QueenBeeConfig.from_dict({"vectorised_scoring": True})
+    with pytest.raises(UnknownConfigKnobError, match="storage_path"):
+        QueenBeeConfig.from_dict({"storage_pth": ""})
     with pytest.raises(ValueError, match="storage_backend"):
         QueenBeeConfig(storage_backend="papyrus").validate()
 
@@ -214,7 +212,7 @@ QUERIES = (
 )
 
 
-def _pages(tmp_path, *, backend: str, vectorized: bool, corpus):
+def _pages(tmp_path, *, backend: str, corpus):
     config = QueenBeeConfig(
         seed=11,
         peer_count=8,
@@ -222,7 +220,6 @@ def _pages(tmp_path, *, backend: str, vectorized: bool, corpus):
         index_shard_size=16,
         storage_backend=backend,
         storage_path=str(tmp_path / backend) if backend == "sqlite" else "",
-        vectorized_scoring=vectorized,
     )
     config.validate()
     engine = QueenBeeEngine(config)
@@ -244,25 +241,9 @@ def small_corpus():
 
 def test_sqlite_and_memory_backends_are_bit_identical(tmp_path, small_corpus):
     """Same corpus, same queries: identical pages *and* identical sim clock."""
-    memory_pages, memory_clock = _pages(
-        tmp_path, backend="memory", vectorized=False, corpus=small_corpus
-    )
-    sqlite_pages, sqlite_clock = _pages(
-        tmp_path, backend="sqlite", vectorized=False, corpus=small_corpus
-    )
+    memory_pages, memory_clock = _pages(tmp_path, backend="memory", corpus=small_corpus)
+    sqlite_pages, sqlite_clock = _pages(tmp_path, backend="sqlite", corpus=small_corpus)
     assert memory_pages == sqlite_pages
     assert memory_clock == sqlite_clock
     assert any(results for results in memory_pages.values())
 
-
-def test_vectorized_scoring_matches_scalar_reference(tmp_path, small_corpus):
-    """Identical pages; the sim clock is *not* asserted — the vectorized
-    disjunctive path materialises every shard instead of pruning lazy loads,
-    a documented fetch-pattern trade that never changes results."""
-    scalar_pages, _ = _pages(
-        tmp_path, backend="memory", vectorized=False, corpus=small_corpus
-    )
-    vector_pages, _ = _pages(
-        tmp_path, backend="memory", vectorized=True, corpus=small_corpus
-    )
-    assert scalar_pages == vector_pages

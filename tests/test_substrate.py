@@ -221,6 +221,11 @@ GOLDEN_CHAIN = {
                 "creator-007": 1676, "creator-002": 1676, "worker-000": 200, "worker-001": 200,
                 "worker-002": 200, "worker-003": 200},
 }
+# The executor's work summed over the ten queries (the `query.*` metrics), recorded on the
+# commit before the array paths and the rank-range index were deleted (f1e207c, PR 15).
+GOLDEN_QUERY_WORK = {
+    "docs_scored": 71, "docs_pruned": 7, "postings_scanned": 113, "shards_skipped": 0,
+}
 GOLDEN_ADS = [  # (ad_id, advertiser, keyword) beside each of the ten pages
     [], [], [(2, "advertiser-b", "decentralized")],
     [(2, "advertiser-b", "data"), (1, "advertiser-a", "data")],
@@ -263,6 +268,9 @@ def test_golden_deployment_is_unchanged():
                 dht.lookups, dht.total_rounds)
     assert counters == GOLDEN_COUNTERS
     assert pages == GOLDEN_PAGES
+    assert {
+        name: sum(page.diagnostics[name] for page in served) for name in GOLDEN_QUERY_WORK
+    } == GOLDEN_QUERY_WORK
     assert [[(ad.ad_id, ad.advertiser, ad.keyword) for ad in page.ads]
             for page in served] == GOLDEN_ADS
     chain = engine.chain
