@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.errors import KeyNotFoundError
-from repro.dht.lookup import find_node, find_value
-from repro.dht.node import KademliaNode
+from repro.errors import KeyNotFoundError, RoutingError
+from repro.dht.lookup import LookupResult, find_node, find_value
+from repro.dht.node import APPEND, STORE, KademliaNode
 from repro.dht.nodeid import key_to_id, random_node_id
-from repro.dht.routing import Contact
+from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 
@@ -155,57 +155,92 @@ class DHTNetwork:
 
         Returns the number of replicas successfully written.
         """
-        origin = origin or self.random_node()
-        target = key_to_id(key)
-        result = find_node(origin, target, k=self.k, alpha=self.alpha)
-        self._record_lookup(result.rounds, result.contacted, failed=False)
-        stored = 0
-        replicas = result.closest[: self.replicate] or [origin.as_contact()]
-        for contact in replicas:
-            if contact.address == origin.address:
-                origin.local_store(target, value)
-                stored += 1
-            elif origin.store_at(contact, target, value):
-                stored += 1
-        self.stats.stores += 1
-        return stored
+        return self._write(key, STORE, {"value": value}, origin)
 
     def get(self, key: str, origin: Optional[KademliaNode] = None) -> Any:
-        """Fetch the value stored under ``key``.  Raises :class:`KeyNotFoundError`."""
-        origin = origin or self.random_node()
-        target = key_to_id(key)
-        result = find_value(origin, target, k=self.k, alpha=self.alpha)
-        self._record_lookup(result.rounds, result.contacted, failed=not result.found)
+        """Fetch the value stored under ``key``.
+
+        Raises :class:`KeyNotFoundError` on a clean miss and its subclass
+        :class:`RoutingError` on an inconclusive one (see :meth:`_read`).
+        """
+        result = self._read(key, origin)
         if not result.found:
             raise KeyNotFoundError(f"key {key!r} not found in the DHT")
         return result.value
 
-    def add_to_set(self, key: str, item: Any, origin: Optional[KademliaNode] = None) -> int:
-        """Add ``item`` to the multi-writer set stored under ``key``."""
+    def add_to_set(self, key: str, *items: Any, origin: Optional[KademliaNode] = None) -> int:
+        """Add ``items`` to the multi-writer set stored under ``key``.
+
+        One lookup and one APPEND per replica however many items there are.
+        Returns the number of replicas successfully written.
+        """
+        return self._write(key, APPEND, {"items": list(items)}, origin)
+
+    def get_set(self, key: str, origin: Optional[KademliaNode] = None) -> List[Any]:
+        """Fetch the set stored under ``key`` (empty list on a clean miss;
+        :class:`RoutingError` on an inconclusive one)."""
+        return list(self._read(key, origin).items or [])
+
+    def _write(
+        self, key: str, msg_type: str, body: Dict[str, Any], origin: Optional[KademliaNode]
+    ) -> int:
+        """Resolve ``key``'s closest set once, then send ``msg_type`` to its
+        ``replicate`` closest nodes in one parallel fan-out.
+
+        A lookup that reached nobody raises :class:`RoutingError` instead of
+        falling back to the origin's own store: that copy would be one no
+        other reader can find during the outage and — being the freshest —
+        the one every reader prefers after it.  Only an overlay with nobody
+        to ask stores on the origin.
+        """
         origin = origin or self.random_node()
         target = key_to_id(key)
         result = find_node(origin, target, k=self.k, alpha=self.alpha)
         self._record_lookup(result.rounds, result.contacted, failed=False)
+        payload = dict(origin._base_payload(), key=target, **body)
+        replicas = result.closest[: self.replicate]
+        if replicas:
+            responses = self.network.rpc_parallel(
+                origin.address, [(contact.address, msg_type, payload) for contact in replicas]
+            )
+        elif self._inconclusive(result):
+            raise RoutingError(f"no peer answered the lookup for {key!r}; nothing stored")
+        else:
+            # The origin is the whole overlay: its own handler, no network.
+            replicas = [origin.as_contact()]
+            message = Message(origin.address, origin.address, msg_type, payload)
+            responses = [origin.handle_message(message)]
         stored = 0
-        replicas = result.closest[: self.replicate] or [origin.as_contact()]
-        for contact in replicas:
-            if contact.address == origin.address:
-                origin.sets.setdefault(target, set()).add(item)
-                stored += 1
-            elif origin.append_at(contact, target, item):
+        for contact, response in zip(replicas, responses):
+            if response is None:
+                origin.routing_table.remove(contact.node_id)
+            elif response.ok:
                 stored += 1
         self.stats.stores += 1
         return stored
 
-    def get_set(self, key: str, origin: Optional[KademliaNode] = None) -> List[Any]:
-        """Fetch the set stored under ``key`` (empty list if absent)."""
+    def _read(self, key: str, origin: Optional[KademliaNode]) -> LookupResult:
+        """One FIND_VALUE lookup.  A miss is returned only when it is clean."""
         origin = origin or self.random_node()
-        target = key_to_id(key)
-        result = find_value(origin, target, k=self.k, alpha=self.alpha)
+        result = find_value(origin, key_to_id(key), k=self.k, alpha=self.alpha)
         self._record_lookup(result.rounds, result.contacted, failed=not result.found)
-        if not result.found:
-            return []
-        return list(result.items or [])
+        if not result.found and self._inconclusive(result):
+            raise RoutingError(
+                f"lookup for {key!r} was inconclusive: {result.unanswered} of "
+                f"{result.contacted} contacts asked did not answer"
+            )
+        return result
+
+    def _inconclusive(self, result: LookupResult) -> bool:
+        """Whether a lookup that found nothing leaves "is there a record?" open.
+
+        It does when a contact asked did not answer (it may hold the record),
+        and when the origin had nobody to ask although it is not the whole
+        overlay — its contacts were all evicted, which is isolation, not
+        absence.  "Could not validate" is a third state beside found and not
+        found; callers must not fold it into the latter.
+        """
+        return result.unanswered > 0 or (result.contacted == 0 and len(self.nodes) > 1)
 
     def contains(self, key: str, origin: Optional[KademliaNode] = None) -> bool:
         """Whether a value or set exists under ``key`` (without raising)."""

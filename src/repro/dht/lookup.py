@@ -30,6 +30,9 @@ class LookupResult:
     found: bool = False
     rounds: int = 0
     contacted: int = 0
+    #: Contacts asked that did not answer.  A miss with any of these is
+    #: inconclusive: one of them may hold the record.
+    unanswered: int = 0
 
     @property
     def hops(self) -> int:
@@ -95,6 +98,7 @@ class IterativeLookup:
                 queried.add(contact.address)
                 result.contacted += 1
                 if response is None or not response.ok:
+                    result.unanswered += 1
                     table.remove(contact.node_id)
                     shortlist.remove(contact)
                     listed.discard(contact.node_id)

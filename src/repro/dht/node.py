@@ -74,8 +74,7 @@ class KademliaNode:
 
     def _handle_append(self, message: Message) -> Response:
         key = message.payload["key"]
-        item = message.payload["item"]
-        self.sets.setdefault(key, set()).add(item)
+        self.sets.setdefault(key, set()).update(message.payload["items"])
         self.store_timestamps[key] = self.network.simulator.now
         return Response(self.address, APPEND, {"stored": True})
 
@@ -111,41 +110,29 @@ class KademliaNode:
     def _base_payload(self) -> Dict[str, Any]:
         return {"sender_id": self.node_id}
 
-    def ping(self, contact: Contact) -> bool:
-        """Probe a peer; returns ``True`` if it answered."""
+    def _request(self, contact: Contact, msg_type: str, **fields: Any) -> bool:
+        """One RPC to ``contact``; a transport failure (and only that) evicts it."""
+        payload = dict(self._base_payload(), **fields)
         try:
-            response = self.network.rpc(self.address, contact.address, PING, self._base_payload())
+            response = self.network.rpc(self.address, contact.address, msg_type, payload)
         except NetworkError:
             self.routing_table.remove(contact.node_id)
             return False
         return response.ok
+
+    def ping(self, contact: Contact) -> bool:
+        """Probe a peer; returns ``True`` if it answered."""
+        return self._request(contact, PING)
 
     def store_at(self, contact: Contact, key: int, value: Any) -> bool:
         """Ask ``contact`` to store ``value`` under ``key``."""
-        payload = dict(self._base_payload(), key=key, value=value)
-        try:
-            response = self.network.rpc(self.address, contact.address, STORE, payload)
-        except NetworkError:
-            self.routing_table.remove(contact.node_id)
-            return False
-        return response.ok
+        return self._request(contact, STORE, key=key, value=value)
 
-    def append_at(self, contact: Contact, key: int, item: Any) -> bool:
-        """Ask ``contact`` to add ``item`` to the set stored under ``key``."""
-        payload = dict(self._base_payload(), key=key, item=item)
-        try:
-            response = self.network.rpc(self.address, contact.address, APPEND, payload)
-        except NetworkError:
-            self.routing_table.remove(contact.node_id)
-            return False
-        return response.ok
+    def append_at(self, contact: Contact, key: int, *items: Any) -> bool:
+        """Ask ``contact`` to add ``items`` to the set stored under ``key``."""
+        return self._request(contact, APPEND, key=key, items=list(items))
 
     # -- local helpers --------------------------------------------------------
-
-    def local_store(self, key: int, value: Any) -> None:
-        """Store directly on this node, bypassing the network (used at bootstrap)."""
-        self.values[key] = value
-        self.store_timestamps[key] = self.network.simulator.now
 
     def stored_keys(self) -> List[int]:
         """Every key this node holds in either slot."""

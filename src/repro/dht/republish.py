@@ -62,8 +62,7 @@ class Republisher:
         for key, value in sorted(self.tracked_values.items()):
             writes += self.dht.put(key, value)
         for key, items in sorted(self.tracked_sets.items()):
-            for item in items:
-                writes += self.dht.add_to_set(key, item)
+            writes += self.dht.add_to_set(key, *sorted(items, key=repr))
         self.republish_count += 1
         return writes
 

@@ -41,8 +41,16 @@ class KeyNotFoundError(DHTError):
     """A FIND_VALUE lookup terminated without locating the key."""
 
 
-class RoutingError(DHTError):
-    """The routing table cannot make progress towards the target ID."""
+class RoutingError(KeyNotFoundError):
+    """A lookup could not reach the peers that would settle it.
+
+    Raised for an *inconclusive* miss — no record was found but some
+    contact asked did not answer, so "no record" was never established —
+    and for a write whose lookup heard from no peer at all.  It is a
+    :class:`KeyNotFoundError` so read paths that only care about "no value
+    in hand" keep degrading the same way; a read-modify-write must tell the
+    two apart (see ``docs/RESILIENCE.md``).
+    """
 
 
 class StorageError(ReproError):

@@ -6,8 +6,8 @@ A term's postings no longer live in one monolithic shard.  ``publish_term``
 splits the sorted posting list into **doc-id-range shards** of at most
 ``shard_size`` postings each; every shard payload is published to
 decentralized storage (content-addressed and replicated like any other DWeb
-content) and its CID is recorded in the DHT under ``idx:<term>:<shard>``.
-The DHT value under ``idx:<term>`` is a small JSON **shard manifest**:
+content) and named by CID in the one DHT record a term has: the small JSON
+**shard manifest** under ``idx:<term>``, which carries
 
 * the term's current *generation* (the index epoch, bumped per publish),
 * one entry per shard with its doc-id boundaries (``lo``/``hi``), posting
@@ -94,7 +94,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import KeyNotFoundError, ReproError, TermNotFoundError
+from repro.errors import DHTError, KeyNotFoundError, ReproError, RoutingError, TermNotFoundError
 from repro.dht.dht import DHTNetwork
 from repro.index.cache import PostingCache
 from repro.index.placement import PlacementPolicy, rank_replicas
@@ -123,7 +123,8 @@ def term_key(term: str) -> str:
 
 
 def shard_key(term: str, shard: int) -> str:
-    """DHT key under which one range shard's content CID is stored."""
+    """Posting-cache key of one range shard (not a DHT key: shards are
+    addressed by the CIDs in the term's manifest)."""
     return f"idx:{term}:{shard}"
 
 
@@ -553,6 +554,7 @@ class DistributedIndex:
         postings: PostingList,
         publisher: Optional[str] = None,
         base_postings: Optional[PostingList] = None,
+        previous: Optional[TermManifest] = None,
     ) -> str:
         """Publish ``postings`` as the authoritative shards for ``term``.
 
@@ -564,34 +566,32 @@ class DistributedIndex:
         previous manifest entry, or a patch bigger than
         ``delta_max_ratio`` of the full payload, simply ships no patch.
 
+        ``previous`` is the authoritative manifest that read came with.  A
+        caller that passes none pays one lookup for it here — unless this is
+        the term's first generation, which has no predecessor to look up
+        (``bootstrap_corpus`` passes nothing and pays nothing).
+
         Splits the list into doc-id-range shards, stores the shards whose
         content changed (fingerprint diff against the previous manifest —
         unchanged shards keep their CID *and* their generation, so caches
-        holding them stay valid), moves the ``idx:<term>:<i>`` pointers, and
-        publishes the new manifest under ``idx:<term>``.  Old shard payloads
-        stay in storage — content addressing makes them immutable — but the
-        manifest is what readers resolve.  Returns the CID of the first
-        shard (the whole list's CID in the common single-shard case).
+        holding them stay valid), and publishes the new manifest under
+        ``idx:<term>``.  Old shard payloads stay in storage — content
+        addressing makes them immutable — but the manifest is what readers
+        resolve.  Returns the CID of the first shard (the whole list's CID
+        in the common single-shard case).
 
-        The per-shard DHT pointers are deliberately redundant with the
-        manifest's ``cid`` fields: the query path fetches shard content
-        straight from the manifest (no per-shard lookup), while the pointers
-        give repair/rebalance jobs an address for one shard without reading
-        the manifest.  A pointer left behind by a shrinking list keeps
-        resolving to its (immutable) old payload; it is harmless because
-        nothing resolves shards the current manifest does not name.
-
-        **Crash ordering.**  Every side effect a *reader* can observe is
-        sequenced so the ``idx:<term>`` manifest write is the commit point:
-        shard payloads are stored and announced first, per-shard pointers
-        move next, and only after the manifest DHT put succeeds does this
-        publisher's own generation registry (and epoch-feed announcement)
-        advance.  A publisher that dies anywhere before the commit point
-        leaves the old manifest — and the old, still-immutable shard
-        payloads it names — fully intact: readers see the *old* generation
-        or the *new* one, never a torn mix.  (Dying between the commit
-        point and the feed announcement just delays remote frontends one
-        gossip round; they read old-but-consistent until the epoch lands.)
+        **Crash ordering.**  Three steps, sequenced so the ``idx:<term>``
+        manifest write is the commit point: (1) shard and patch payloads
+        are stored and their holders announced; (2) the manifest is put —
+        and must land on at least one replica, else the publish raises;
+        (3) only then does this publisher's own generation registry (and
+        epoch-feed announcement) advance.  A publisher that dies anywhere
+        before the commit point leaves the old manifest — and the old,
+        still-immutable shard payloads it names — fully intact: readers see
+        the *old* generation or the *new* one, never a torn mix.  (Dying
+        between the commit point and the feed announcement just delays
+        remote frontends one gossip round; they read old-but-consistent
+        until the epoch lands.)
         """
         # generation() merges the local registry with the epoch feed, so a
         # publisher that learned a newer epoch via gossip bumps past it.
@@ -599,7 +599,8 @@ class DistributedIndex:
         # manifest commit below, so a crash mid-publish cannot leave this
         # publisher believing in a generation no reader can fetch.
         generation = self.generation(term) + 1
-        previous = self._previous_manifest(term) if generation > 1 else None
+        if previous is None and generation > 1:
+            previous = self._previous_manifest(term)
         chunks = self._split_for_republish(postings, previous)
 
         # Recover the previous per-shard contents from the pre-update list
@@ -683,7 +684,6 @@ class DistributedIndex:
             # the publisher fallback is announced) — a hint naming a peer
             # without the content would defeat the repair floor check.
             achieved = receipt.providers if requested else ()
-            self.dht.put(shard_key(term, index), cid)
             self.stats.shards_published += 1
             self.stats.bytes_published += len(payload)
             if self.metrics is not None:
@@ -709,7 +709,8 @@ class DistributedIndex:
             rank_version=previous.rank_version if previous is not None else -1,
         )
         manifest_json = manifest.to_json()
-        self.dht.put(term_key(term), manifest_json)
+        if not self.dht.put(term_key(term), manifest_json):
+            raise DHTError(f"manifest of term {term!r} was stored on no replica")
         # Commit point passed: only now does the new generation become the
         # one this publisher asserts (and gossips).
         if generation > self._generations.get(term, 0):
@@ -790,49 +791,71 @@ class DistributedIndex:
         bees use when a publish event touches an already-indexed term.
 
         A term that is *published but currently unreachable* (a shard's
-        providers are offline) re-raises instead of merging: treating it as
-        empty would republish a manifest containing only ``new_postings``
-        and permanently wipe every other document from the term.  The
-        caller retries when the network heals; only a term with no DHT
-        pointer at all starts from empty.
+        providers are offline, or the manifest lookup was inconclusive)
+        re-raises instead of merging: treating it as empty would republish a
+        manifest containing only ``new_postings`` and permanently wipe every
+        other document from the term.  The caller retries when the network
+        heals; only a term the DHT cleanly reports absent starts from empty
+        (see :meth:`_read_for_update`).
         """
-        try:
-            # Publish-path reads always resolve the authoritative shards: a
-            # cached copy may predate another publisher's update, and merging
-            # from it would republish (resurrect) postings that were removed.
-            existing = self.fetch_term(term, use_cache=False)
-        except TermNotFoundError:
-            if self.has_term(term):
-                raise
-            existing = PostingList()
+        current = self._read_for_update(term)
+        existing = current.materialize() if current is not None else PostingList()
         merged = existing.merge(new_postings)
-        # The just-fetched authoritative list is exactly the base the patch
-        # channel needs — no extra fetch to publish deltas.
-        return self.publish_term(term, merged, publisher=publisher, base_postings=existing)
+        # The just-fetched authoritative list and manifest are exactly the
+        # base the patch channel and the fingerprint diff need — no second
+        # read to publish.
+        return self.publish_term(
+            term, merged, publisher=publisher, base_postings=existing,
+            previous=current.manifest if current is not None else None,
+        )
 
     def remove_document(self, term: str, doc_id: int, publisher: Optional[str] = None) -> bool:
         """Remove one document from a term's shards (page deletion/update).
 
         Returns False only for a term that was never published.  A published
-        term whose shards are currently unreachable re-raises (same rule as
+        term that is currently unreachable re-raises (same rule as
         :meth:`merge_term`): swallowing the failure would silently leave the
         stale posting the removal exists to eliminate.
         """
-        try:
-            # Authoritative read, same as merge_term: removing from a stale
-            # cached shard would republish other documents' dead postings.
-            existing = self.fetch_term(term, use_cache=False)
-        except TermNotFoundError:
-            if self.has_term(term):
-                raise
+        current = self._read_for_update(term)
+        if current is None:
             return False
+        existing = current.materialize()
         # The fetched list may be shared with other readers; never mutate it
         # in place.
         updated = existing.copy()
         if not updated.remove(doc_id):
             return False
-        self.publish_term(term, updated, publisher=publisher, base_postings=existing)
+        self.publish_term(
+            term, updated, publisher=publisher, base_postings=existing,
+            previous=current.manifest,
+        )
         return True
+
+    def _read_for_update(self, term: str) -> Optional[ShardedPostings]:
+        """The authoritative reader a read-modify-write starts from, or
+        ``None`` for a term that was never published.
+
+        Publish-path reads bypass every cache: a cached copy may predate
+        another publisher's update, and merging from it would republish
+        (resurrect) postings that were removed.  The one manifest lookup
+        also decides the new-term case — but only when it was *clean*.  An
+        inconclusive miss (:class:`~repro.errors.RoutingError`: a contact
+        that did not answer may hold the manifest) is "could not validate",
+        not "no record": it gets one more lookup from another origin and
+        re-raises if that is inconclusive too.
+        """
+        for last_try in (False, True):
+            try:
+                return self.fetch_term_sharded(term, use_cache=False)
+            except TermNotFoundError as miss:
+                cause = miss.__cause__
+                if not isinstance(cause, KeyNotFoundError):
+                    raise  # a pre-manifest pointer whose content is unreachable
+                if not isinstance(cause, RoutingError):
+                    return None  # clean miss: never published
+                if last_try:
+                    raise
 
     def publish_statistics(
         self, statistics: CollectionStatistics, publisher: Optional[str] = None

@@ -10,10 +10,10 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BlockNotFoundError
+from repro.errors import BlockNotFoundError, KeyNotFoundError
 from repro.dht.dht import DHTNetwork
 from repro.net.detector import FailureDetector
 from repro.net.network import SimulatedNetwork
@@ -88,8 +88,6 @@ class FetchResult:
 
     cid: str
     data: bytes
-    #: Size of the DHT provider record at fetch time.
-    providers_known: int
     #: Blocks pulled over the network (0 = served entirely from local store).
     blocks_fetched: int
     #: Provider fetch attempts, including ones that failed (a hedged
@@ -137,7 +135,6 @@ class StorageStats:
     placed_adds: int = 0
     replications: int = 0
     hedged_gets: int = 0
-    per_get_providers: List[int] = field(default_factory=list)
 
     def reset(self) -> None:
         self.adds = 0
@@ -148,7 +145,6 @@ class StorageStats:
         self.placed_adds = 0
         self.replications = 0
         self.hedged_gets = 0
-        self.per_get_providers.clear()
 
 
 class DecentralizedStorage:
@@ -325,8 +321,7 @@ class DecentralizedStorage:
                     if origin.push_block_to(replica_address, block, pin=True):
                         self.stats.blocks_transferred += 1
             holders = [origin.address] + replicas
-        for holder in holders:
-            self.dht.add_to_set(provider_key(result.root_cid), holder)
+        self.dht.add_to_set(provider_key(result.root_cid), *holders)
         self.stats.adds += 1
         self.stats.bytes_added += len(data)
         return StoreReceipt(
@@ -384,45 +379,54 @@ class DecentralizedStorage:
         """Fetch and reassemble the content behind ``cid``.
 
         Returns a :class:`FetchResult` — the reassembled bytes plus how they
-        were reached (providers known, blocks pulled remotely, attempts,
-        hedging).  Callers that only want the payload read ``.data``/``.text``.
+        were reached (blocks pulled remotely, attempts, hedging).  Callers
+        that only want the payload read ``.data``/``.text``.
 
-        ``preferred`` is an ordered provider routing hint (the index passes
-        the manifest's provider set ranked least-loaded-first): live
-        preferred peers are tried before the DHT provider record's order, and
-        a preferred peer that fails simply falls through to the rest — the
-        hint can redirect load but never lose reachable content.
+        Each block is looked for in the requester's own store, then on the
+        live ``preferred`` peers — an ordered routing hint (the index passes
+        the manifest's provider set ranked least-loaded-first) — and only
+        when those miss is the DHT provider record resolved, once per call:
+        suspected hints and every announced provider then get their turn in
+        :meth:`_route_candidates` order.  The hint can redirect load and save
+        the lookup but never lose reachable content; a read served locally or
+        by a live hint costs no lookup at all.
 
         Raises :class:`BlockNotFoundError` when no reachable provider holds
         the content (the failure mode counted by the resilience experiment).
         """
         peer = self.peers[requester] if requester is not None else self.random_peer()
         self.stats.gets += 1
-        providers = [p for p in self.dht.get_set(provider_key(cid)) if isinstance(p, str)]
-        self.stats.per_get_providers.append(len(providers))
-        reachable = self._route_candidates(providers, preferred, exclude=peer.address)
         trace = _FetchTrace()
-        if peer.store.has(cid):
-            root = peer.store.get(cid)
-        else:
-            root = self._fetch_from_any(peer, reachable, cid, trace)
-            if root is None:
-                self.stats.failed_gets += 1
-                raise BlockNotFoundError(f"no reachable provider holds root block {cid[:16]}…")
-        blocks_by_cid: Dict[str, Block] = {}
-        for link in root.links:
-            if peer.store.has(link):
-                blocks_by_cid[link] = peer.store.get(link)
-                continue
-            block = self._fetch_from_any(peer, reachable, link, trace)
+        hinted = [
+            a for a in dict.fromkeys(preferred or ())
+            if a != peer.address and self.presumed_alive(a)
+        ]
+        rest: Optional[List[str]] = None
+
+        def fetch(block_cid: str, what: str) -> Block:
+            nonlocal rest
+            if peer.store.has(block_cid):
+                return peer.store.get(block_cid)
+            block = self._fetch_from_any(peer, hinted, block_cid, trace)
+            if block is None:
+                if rest is None:
+                    order = self._route_candidates(
+                        self._announced(cid), preferred, exclude=peer.address
+                    )
+                    rest = [a for a in order if a not in hinted]
+                block = self._fetch_from_any(peer, rest, block_cid, trace)
             if block is None:
                 self.stats.failed_gets += 1
-                raise BlockNotFoundError(f"no reachable provider holds chunk {link[:16]}…")
-            blocks_by_cid[link] = block
+                raise BlockNotFoundError(
+                    f"no reachable provider holds {what} {block_cid[:16]}…"
+                )
+            return block
+
+        root = fetch(cid, "root block")
+        blocks_by_cid = {link: fetch(link, "chunk") for link in root.links}
         return FetchResult(
             cid=cid,
             data=self.dag.assemble(root, blocks_by_cid),
-            providers_known=len(providers),
             blocks_fetched=trace.blocks_fetched,
             attempts=trace.attempts,
             hedged=trace.hedged,
@@ -439,7 +443,16 @@ class DecentralizedStorage:
 
     def providers_of(self, cid: str) -> List[str]:
         """The peers currently announced as providers of ``cid``."""
-        return sorted(p for p in self.dht.get_set(provider_key(cid)) if isinstance(p, str))
+        return sorted(self._announced(cid))
+
+    def _announced(self, cid: str) -> List[str]:
+        """The DHT provider record of ``cid``; empty when it cannot be read
+        (an inconclusive lookup names no provider to try, same as none)."""
+        try:
+            record = self.dht.get_set(provider_key(cid))
+        except KeyNotFoundError:
+            return []
+        return [p for p in record if isinstance(p, str)]
 
     def replicate_to(self, cid: str, targets: Sequence[str]) -> List[str]:
         """Re-replicate already-published content onto ``targets`` (repair).
@@ -450,10 +463,9 @@ class DecentralizedStorage:
         content — empty when no reachable source held the complete DAG (the
         caller records the deficit and retries after the next join).
         """
-        providers = [p for p in self.dht.get_set(provider_key(cid)) if isinstance(p, str)]
         sources = [
             p
-            for p in providers
+            for p in self._announced(cid)
             if self.network.is_online(p) and p in self.peers and self.peers[p].store.has(cid)
         ]
         supplied: List[str] = []
@@ -474,7 +486,6 @@ class DecentralizedStorage:
                     # sure it is announced and report it as supplied.
                     supplied.append(target)
                     remaining.remove(target)
-                    self.dht.add_to_set(provider_key(cid), target)
                     continue
                 delivered = 0
                 for block in blocks:
@@ -485,8 +496,8 @@ class DecentralizedStorage:
                 if delivered == len(blocks):
                     supplied.append(target)
                     remaining.remove(target)
-                    self.dht.add_to_set(provider_key(cid), target)
         if supplied:
+            self.dht.add_to_set(provider_key(cid), *supplied)
             self.stats.replications += 1
         return supplied
 

@@ -321,7 +321,8 @@ class TestCrashMidDeltaPublish:
                     p.doc_id for p in baseline
                 ], f"old generation must be byte-stable at crash point {after_sends}"
             else:
-                assert 30_002 in authoritative.doc_ids
+                # New means old plus the update: a wiped term is torn.
+                assert {30_002, *baseline.doc_ids} <= set(authoritative.doc_ids)
             # The warm cache resolves through the patch ladder (patch, or
             # counted fallback to a full fetch) and must agree bit-for-bit.
             cached = engine.index.fetch_term(term)

@@ -86,18 +86,6 @@ class TestShardLayout:
             previous_hi = shard.hi
             position += shard.count
 
-    def test_shard_pointers_resolve_independently(self):
-        _, dht, storage = _stack()
-        index = DistributedIndex(dht, storage, shard_size=4)
-        index.publish_term("head", self._postings(9))
-        manifest = index.fetch_term_manifest("head")
-        for shard in manifest.shards:
-            # Every range shard is independently addressable: DHT pointer
-            # under idx:<term>:<i> resolving to the manifest's content CID.
-            assert dht.get(shard_key("head", shard.index)) == shard.cid
-            payload = storage.get_text(shard.cid)
-            assert '"postings"' in payload
-
     def test_manifest_bound_covers_every_shard_max_tf(self):
         _, dht, storage = _stack()
         index = DistributedIndex(dht, storage, shard_size=3)

@@ -13,14 +13,17 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from typing import Any, List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
 from repro.dht.dht import DHTNetwork
-from repro.dht.nodeid import ID_BITS
+from repro.dht.nodeid import ID_BITS, key_to_id
 from repro.dht.routing import Contact, RoutingTable
+from repro.errors import KeyNotFoundError, RoutingError
+from repro.net.faults import DROP, CrashWindow, FaultRule
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message, Response, estimate_size
 from repro.net.network import SimulatedNetwork
@@ -204,10 +207,114 @@ def test_real_dht_exchanges_are_sized_like_the_reference():
     assert network.stats.bytes_sent - before == expected_total
 
 
+# -- one message per replica, and the third answer a lookup can give -----------------------
+
+
+def _overlay(count: int = 14, seed: int = 21):
+    sim = Simulator(seed=seed)
+    network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
+    dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
+    dht.build(count)
+    return network, dht
+
+
+def _holders(dht: DHTNetwork, key: str):
+    target = key_to_id(key)
+    return {a: set(n.sets[target]) for a, n in dht.nodes.items() if target in n.sets}
+
+
+def test_one_batched_append_leaves_what_three_single_ones_did():
+    items = ("peer-a:store", "peer-b:store", "peer-c:store")
+    _, batched = _overlay()
+    _, single = _overlay()
+    assert batched.add_to_set("providers:x", *items, origin=batched.nodes["dht-5"]) == 3
+    for item in items:
+        assert single.add_to_set("providers:x", item, origin=single.nodes["dht-5"]) == 3
+    assert batched.stats.lookups == 1 and single.stats.lookups == 3
+    holders = _holders(batched, "providers:x")
+    assert holders == _holders(single, "providers:x")
+    assert all(held == set(items) for held in holders.values())
+    target = key_to_id("providers:x")
+    closest = sorted(batched.nodes.values(), key=lambda n: n.node_id ^ target)[: batched.replicate]
+    assert set(holders) == {node.address for node in closest}
+    assert batched.get_set("providers:x") == sorted(items)
+
+
+def test_a_lookup_nobody_answers_is_inconclusive_not_a_miss():
+    network, dht = _overlay()
+    origin = dht.nodes["dht-5"]
+    network.faults.add(CrashWindow(after_sends=0))  # every message is blocked
+    for read in (dht.get, dht.get_set):
+        with pytest.raises(RoutingError):
+            read("term:beta")
+    assert not dht.contains("term:beta")  # still a KeyNotFoundError to "is it there?" callers
+    # A write that reached nobody raises; it does not "succeed" on its own origin.
+    with pytest.raises(RoutingError):
+        dht.put("term:beta", "wiped", origin=origin)
+    with pytest.raises(RoutingError):
+        dht.add_to_set("providers:beta", "peer-2:store", origin=origin)
+    # Failed lookups evict the contacts they tried.  Once none is left the origin asks
+    # nobody — which is isolation, not absence: still inconclusive, never a clean miss.
+    while origin.routing_table.contact_count():
+        with pytest.raises(RoutingError):
+            dht.get("term:beta", origin=origin)
+    with pytest.raises(RoutingError):
+        dht.get("term:beta", origin=origin)
+    with pytest.raises(RoutingError):
+        dht.put("term:beta", "wiped", origin=origin)
+    assert not any(key_to_id("term:beta") in node.values for node in dht.nodes.values())
+    assert not _holders(dht, "providers:beta")
+
+
+def test_a_single_node_overlay_stores_and_misses_cleanly():
+    network, dht = _overlay(count=1)
+    (node,) = dht.nodes.values()
+    rpcs = network.stats.rpc_count
+    assert dht.put("term:alpha", "manifest") == 1
+    assert dht.add_to_set("providers:alpha", "peer-1:store", "peer-2:store") == 1
+    assert dht.get("term:alpha") == "manifest"
+    assert dht.get_set("providers:alpha") == ["peer-1:store", "peer-2:store"]
+    assert dht.get_set("providers:never") == []
+    with pytest.raises(KeyNotFoundError) as miss:
+        dht.get("term:never")
+    assert not isinstance(miss.value, RoutingError)
+    assert network.stats.rpc_count == rpcs and key_to_id("term:alpha") in node.values
+
+
+class _DropStoresTo(FaultRule):
+    def __init__(self, address: str) -> None:
+        self.address = address
+
+    def intercept(self, message, now, rng):
+        lost = message.recipient == self.address and message.msg_type == "dht.store"
+        return DROP if lost else None
+
+
+def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
+    network, dht = _overlay()
+    origin = dht.nodes["dht-5"]
+    target = key_to_id("term:alpha")
+    assert dht.put("term:alpha", "v1", origin=origin) == 3
+    rounds = dht.stats.total_rounds
+    started = network.simulator.now
+    assert dht.put("term:alpha", "v2", origin=origin) == 3
+    # ConstantLatency(2.0): every lookup round and the whole fan-out cost one round trip.
+    assert network.simulator.now - started == 4.0 * (dht.stats.total_rounds - rounds + 1)
+
+    silent = next(n for n in dht.nodes.values() if n.values.get(target) == "v2")
+    network.faults.add(_DropStoresTo(silent.address))
+    assert dht.put("term:alpha", "v3", origin=origin) == 2
+    assert silent.values[target] == "v2"
+    assert silent.as_contact() not in origin.routing_table.closest(silent.node_id, 1)
+
+
 # -- the simulated system, pinned ---------------------------------------------------------
 
-# Recorded on the commit before the substrate rewrite (67c39dc, PR 11).
-GOLDEN_COUNTERS = (563841.554029, 15332, 4953783, 1208, 3624)
+# Re-recorded once by ISSUE 17, which removed RPCs on purpose (one provider announcement
+# per CID, no shard pointers, provider records resolved on a miss, parallel STORE fan-out).
+# From PR 11 (67c39dc) until then: (563841.554029, 15332, 4953783, 1208, 3624).  Everything
+# below this tuple — pages, ledger, executor work, ads — is as recorded before.
+GOLDEN_COUNTERS = (241005.264683, 8598, 3114131, 642, 1927)
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
