@@ -93,9 +93,11 @@ class WorkerBee:
 
         The previous term vector is fetched from the term directory, so
         updates remove the document from terms it no longer contains even
-        when *this* worker never saw the previous version.  ``statistics``
-        (the shared collection statistics, owned by the engine) is updated in
-        place when provided.
+        when *this* worker never saw the previous version — and a directory
+        record (or term vector) that could not be read raises before anything
+        is touched, rather than indexing the page as a first version.
+        ``statistics`` (the shared collection statistics, owned by the engine)
+        is updated in place when provided.
         """
         frequencies = self.analyzer.term_frequencies(document.full_text)
         prior = self.term_directory.fetch(document.doc_id, requester=self.storage_peer)
@@ -168,7 +170,9 @@ class WorkerBee:
         The term set comes from the term directory, so any worker can process
         the delete.  Publishes a directory tombstone (version bumped) and
         clears the display metadata.  Returns False when the document was
-        never indexed or is already deleted.
+        never indexed or is already deleted; a directory record (or term
+        vector) that could not be read raises instead — "could not validate"
+        is neither of those, and the caller retries when the network heals.
         """
         prior = self.term_directory.fetch(doc_id, requester=self.storage_peer)
         if prior is None or prior.deleted:

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, RoutingError
 from repro.dht.dht import DHTNetwork
 from repro.storage.ipfs import DecentralizedStorage
 
@@ -52,10 +52,11 @@ class TermDirectoryRecord:
     version: int
     terms_cid: Optional[str] = None
     deleted: bool = False
-    # The hydrated term-frequency vector.  Empty for tombstones and for
-    # records whose term-vector content was unreachable (peer churn); callers
-    # treating an unreachable vector as empty degrade to the seed behaviour
-    # (stale postings linger) instead of failing the update.
+    # The hydrated term-frequency vector; empty only for tombstones.  A
+    # record whose vector is unreachable is never handed out with an empty
+    # one (:meth:`TermDirectory.fetch` re-raises): a delete or update diffed
+    # against "no terms" would remove no posting and then publish a successor
+    # that no longer names the vector.
     terms: Dict[str, int] = field(default_factory=dict)
 
     def to_pointer(self) -> Dict[str, object]:
@@ -138,9 +139,11 @@ class TermDirectory:
     def fetch(self, doc_id: int, requester: Optional[str] = None) -> Optional[TermDirectoryRecord]:
         """The latest record for ``doc_id`` with its term vector hydrated.
 
-        Returns ``None`` when the document has never been indexed.  Tombstones
-        are returned as-is (``deleted`` set, empty terms) so callers can
-        distinguish "never existed" from "deleted".
+        Returns ``None`` when the document has never been indexed — a *clean*
+        miss only (see :meth:`_read_pointer`).  Tombstones are returned as-is
+        (``deleted`` set, empty terms) so callers can distinguish "never
+        existed" from "deleted".  An unreachable term vector re-raises: the
+        record exists, and what it says could not be read.
         """
         pointer = self._read_pointer(doc_id)
         if pointer is None:
@@ -159,7 +162,7 @@ class TermDirectory:
             payload = self.storage.get_text(record.terms_cid, requester=requester)
         except Exception:
             self.stats.unreachable_vectors += 1
-            return record
+            raise
         body = json.loads(payload)
         record.terms = {str(term): int(tf) for term, tf in body.get("terms", {}).items()}
         self.stats.records_fetched += 1
@@ -178,8 +181,22 @@ class TermDirectory:
         return prior_version + 1
 
     def _read_pointer(self, doc_id: int) -> Optional[Dict[str, object]]:
-        try:
-            pointer = self.dht.get(doc_terms_key(doc_id))
-        except KeyNotFoundError:
-            return None
-        return pointer if isinstance(pointer, dict) else None
+        """The ``doc:<doc_id>`` pointer, or ``None`` when the DHT cleanly
+        reports none.
+
+        Same rule as ``DistributedIndex._read_for_update``: an inconclusive
+        miss (:class:`~repro.errors.RoutingError` — a contact that did not
+        answer may hold the record) is "could not validate", not "never
+        indexed".  It gets one more lookup from another origin and re-raises
+        if that is inconclusive too.
+        """
+        for last_try in (False, True):
+            try:
+                pointer = self.dht.get(doc_terms_key(doc_id))
+            except RoutingError:
+                if last_try:
+                    raise
+            except KeyNotFoundError:
+                return None
+            else:
+                return pointer if isinstance(pointer, dict) else None
