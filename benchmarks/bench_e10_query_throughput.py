@@ -16,9 +16,6 @@ that naive path on a Zipfian repeated-query stream:
                         per-shard posting cache, the frontend result cache,
                         and the batched query API with *overlapped*
                         manifest/shard prefetch;
-* ``…+batch-overlap`` — the overlap ablation: identical configuration but
-                        sequential prefetch, isolating what concurrency buys
-                        in batch latency;
 * ``…+batch (gossip)``— the metadata-plane ablation: the same full fast
                         path served by a *remote* frontend on the gossiped
                         metadata plane (own index instance, epoch feed and
@@ -72,7 +69,6 @@ def _run_system(
     cache_capacity: int = 0,
     result_cache_capacity: int = 0,
     batched: bool = False,
-    overlapped: bool = True,
     metadata_plane: str = "shared",
     label: str = "",
 ) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
@@ -83,7 +79,6 @@ def _run_system(
         index_shard_size=shard_size,
         posting_cache_capacity=cache_capacity,
         result_cache_capacity=result_cache_capacity,
-        overlapped_prefetch=overlapped,
         metadata_plane=metadata_plane,
         seed=77,
     )
@@ -191,31 +186,25 @@ def run_experiment() -> Dict[str, object]:
     cached_row, cached_top = _run_system(
         corpus, queries, "maxscore", shard_size=SHARD_SIZE,
         cache_capacity=CACHE_CAPACITY, result_cache_capacity=RESULT_CACHE_CAPACITY,
-        batched=True, overlapped=True, label="maxscore+shards+cache+batch",
-    )
-    sequential_row, sequential_top = _run_system(
-        corpus, queries, "maxscore", shard_size=SHARD_SIZE,
-        cache_capacity=CACHE_CAPACITY, result_cache_capacity=RESULT_CACHE_CAPACITY,
-        batched=True, overlapped=False, label="maxscore+shards+cache+batch-overlap",
+        batched=True, label="maxscore+shards+cache+batch",
     )
     gossip_row, gossip_top = _run_system(
         corpus, queries, "maxscore", shard_size=SHARD_SIZE,
         cache_capacity=CACHE_CAPACITY, result_cache_capacity=RESULT_CACHE_CAPACITY,
-        batched=True, overlapped=True, metadata_plane="gossip",
+        batched=True, metadata_plane="gossip",
         label="maxscore+shards+cache+batch (gossip)",
     )
 
     assert pruned_top == naive_top, "MaxScore changed the top-k results"
     assert sharded_top == naive_top, "sharding changed the top-k results"
     assert cached_top == naive_top, "caching/batching/overlap changed the top-k results"
-    assert sequential_top == naive_top, "sequential prefetch changed the top-k results"
     # The metadata-plane acceptance gate (also the CI smoke assertion): a
     # frontend that learns everything through the network — gossiped epoch
     # feed, manifest rank ceilings, DWeb-fetched rank vector and statistics
     # — serves pages bit-identical to the shared-plane frontend.
     assert gossip_top == cached_top, "gossip-plane top-k diverged from shared-plane"
 
-    rows = [naive_row, pruned_row, sharded_row, cached_row, sequential_row, gossip_row]
+    rows = [naive_row, pruned_row, sharded_row, cached_row, gossip_row]
     print_table(
         "E10: query execution engine (identical top-k, decreasing work)",
         rows,
@@ -249,11 +238,6 @@ def run_experiment() -> Dict[str, object]:
             if head_sharded["KiB fetched"]
             else float("inf")
         ),
-        "batch_prefetch_overlap_speedup": (
-            sequential_row["mean batch latency"] / cached_row["mean batch latency"]
-            if cached_row["mean batch latency"]
-            else float("inf")
-        ),
     }
     payload = {
         "experiment": "E10",
@@ -283,9 +267,6 @@ def run_experiment() -> Dict[str, object]:
     )
     assert head_sharded["docs scored"] <= head_unsharded["docs scored"]
     assert sharded_row["shards skipped"] > 0, "shard skipping never fired"
-    assert derived["batch_prefetch_overlap_speedup"] > 1.0, (
-        "overlapped prefetch no longer beats sequential prefetch"
-    )
     if not SMOKE:
         # Lazy shard cursors must fetch substantially fewer bytes than the
         # whole-list path on disjunctive head queries.  (Not asserted in the
@@ -312,8 +293,6 @@ def test_e10_query_throughput(benchmark):
     assert cached["posting cache hit"] > 0.0
     assert cached["result cache hit"] > 0.0
     assert cached["network fetches"] < naive["network fetches"]
-    # Overlap must beat sequential prefetch on batch latency.
-    assert payload["derived"]["batch_prefetch_overlap_speedup"] > 1.0
     # The gossip-plane row exists and priced its staleness in fetches, not
     # correctness (identity is asserted inside run_experiment).
     assert "maxscore+shards+cache+batch (gossip)" in by_execution

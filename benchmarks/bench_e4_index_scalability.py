@@ -138,7 +138,7 @@ def _row(
     # The anti-affinity bound uses the replication factor the placement
     # policy actually enforces (config-derived, not a bench-side constant,
     # so the gate cannot drift from the engine's behaviour).
-    replication = engine.config.placement_replication_factor or engine.config.storage_replication
+    replication = engine.config.storage_replication
 
     row = {
         "documents": doc_count,
@@ -221,7 +221,7 @@ def _update_row(delta_on: bool) -> Dict[str, object]:
     engine.bootstrap_corpus(corpus.documents)
     reader = DistributedIndex(
         engine.dht, engine.storage, compress=True, cache=PostingCache(64),
-        validate_generations=True, shard_size=0,
+        shard_size=0,
         epoch_feed=_SharedEpochFeed(engine.index),
         delta_publication=delta_on,
         delta_max_ratio=engine.config.delta_max_ratio,

@@ -1,16 +1,23 @@
 """Configuration for a QueenBee deployment (one object, every knob).
 
-Every field here must be declared in :mod:`repro.config_schema` — the
-registry repro-lint rule RL005 and the runtime unknown-knob rejection are
-built on (a schema/dataclass mismatch fails ``tests/test_repro_lint.py``).
+The fields of :class:`QueenBeeConfig` *are* the knob registry: a knob is
+declared once, here, with its type, default and comment.  :data:`KNOB_NAMES`
+is derived from them, repro-lint rule RL005 checks every ``config.<name>``
+read under ``src/`` against it, and :func:`check_unknown_knobs` rejects
+dict-shaped overrides that name anything else.  ``docs/KNOBS.md`` says who
+sets each knob and why it is kept (a test keeps its table equal to the
+fields).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Mapping
+import difflib
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Iterable, Mapping
 
-from repro import config_schema
+
+class UnknownConfigKnobError(ValueError):
+    """A config override named a knob :class:`QueenBeeConfig` does not declare."""
 
 
 @dataclass
@@ -44,8 +51,6 @@ class QueenBeeConfig:
     # ± fraction of deterministic jitter on each backoff, drawn from a
     # dedicated RNG stream (never perturbs latency/loss sampling).
     retry_jitter: float = 0.0
-    # Per-operation retry deadline budget (ticks); 0 = unbounded.
-    retry_deadline: float = 0.0
     # Hedge storage block fetches across the two best-ranked providers,
     # charging the clock only the winner's round trip (tail-latency hedge).
     hedged_fetches: bool = False
@@ -56,9 +61,6 @@ class QueenBeeConfig:
     failure_detector: bool = True
     # Net failures before a peer is suspected (avoided by routing).
     detector_threshold: int = 3
-    # Ticks after the last failure at which a suspected peer is probed
-    # again (presumed alive for one request); 0 = never re-probe.
-    detector_probe_after: float = 2_000.0
 
     # DHT
     dht_k: int = 8
@@ -81,10 +83,6 @@ class QueenBeeConfig:
     # Capacity (in shards) of the LRU posting cache in front of
     # decentralized storage; 0 disables caching entirely.
     posting_cache_capacity: int = 256
-    # Validate cached shards against their manifest generation (the epoch
-    # invalidation protocol).  Disabling it is the E2 ablation that
-    # quantifies the stale-hit rate the protocol eliminates.
-    cache_validation: bool = True
     # Maximum postings per doc-id-range shard: posting lists above this
     # split into range shards behind a per-term manifest, so no single peer
     # serves a whole head term and per-shard impact bounds tighten MaxScore
@@ -98,12 +96,6 @@ class QueenBeeConfig:
     # that churn drops below the replication floor.  False restores the
     # unsteered publisher-pins-everything path (the E4 placement ablation).
     index_placement: bool = True
-    # Distinct providers per placed shard; 0 inherits storage_replication
-    # so placed and unsteered content survive the same churn.
-    placement_replication_factor: int = 0
-    # Live providers below which churn-triggered repair re-replicates a
-    # shard; 0 inherits the replication factor (repair on any departure).
-    placement_repair_floor: int = 0
     # Grace period (ticks) before a departed provider's shards are repaired:
     # a peer that rejoins inside the window triggers zero repairs (flap
     # debounce).  0 repairs immediately on departure.
@@ -117,10 +109,6 @@ class QueenBeeConfig:
     # of refetching wholesale.  The full artifact is still published and
     # stays authoritative; False is the wholesale ablation E2 measures.
     delta_publication: bool = True
-    # Doc-id bands the rank vector is partitioned into per publication;
-    # remote frontends refetch only bands whose fingerprint moved.  0
-    # publishes the monolithic vector every round (wholesale).
-    rank_delta_bands: int = 8
     # A shard patch larger than this fraction of the full shard payload is
     # not published (an all-docs-changed round degenerates to full fetch).
     delta_max_ratio: float = 0.5
@@ -135,8 +123,6 @@ class QueenBeeConfig:
     # the engine's epoch registry, rank vector, or peer counters.  Stale
     # gossip costs extra fetches or looser pruning, never a wrong page.
     metadata_plane: str = "shared"
-    # Push/pull exchanges each peer initiates per gossip round.
-    gossip_fanout: int = 3
     # Ticks between scheduled gossip rounds.
     gossip_interval: float = 500.0
     # Publish quantized per-shard rank ceilings into every term manifest at
@@ -149,7 +135,6 @@ class QueenBeeConfig:
     rank_redundancy: int = 3
     rank_damping: float = 0.85
     rank_max_iterations: int = 30
-    rank_tolerance: float = 1e-6
 
     # Chain / incentives
     block_interval: float = 1_000.0
@@ -173,11 +158,6 @@ class QueenBeeConfig:
     # "maxscore" is the document-at-a-time top-k engine with pruning;
     # "taat" is the reference term-at-a-time path (identical results).
     execution_mode: str = "maxscore"
-    # Issue manifest/shard DHT lookups and content fetches concurrently
-    # during query prefetch (latency bounded by the slowest chain instead of
-    # the sum over terms).  False restores the sequential prefetch — the
-    # overlap ablation measured in E10.
-    overlapped_prefetch: bool = True
     # Capacity (in pages) of the frontend's top-k result cache, keyed by
     # (normalized query, term generations, rank version, stats version).
     # 0 (default) disables it: the cache is opt-in because its key tracks
@@ -185,26 +165,18 @@ class QueenBeeConfig:
     # experiments that measure degraded service (E3) must not have repeated
     # queries silently answered from pre-failure pages.  E10 opts in.
     result_cache_capacity: int = 0
-    # Loosen result-cache keys to BM25-relevant *buckets* of the collection
-    # statistics (per-term df and average document length on a geometric
-    # grid) instead of the exact statistics version, so update-heavy
-    # streams keep their reuse.  Opt-in: a hit whose exact statistics
-    # moved within the bucket replays a page whose scores may differ in
-    # low-order digits from a fresh execution (the documented exactness
-    # trade; loose hits are counter-tracked per frontend).
-    result_cache_loose_keys: bool = False
 
     @classmethod
     def from_dict(cls, knobs: Mapping[str, object]) -> "QueenBeeConfig":
         """Build a config from a knob mapping, rejecting undeclared knobs.
 
         The dataclass constructor already raises ``TypeError`` on unknown
-        keywords; this entry point goes through the schema registry
+        keywords; this entry point goes through :func:`check_unknown_knobs`
         instead, so experiment scripts get an
-        :class:`~repro.config_schema.UnknownConfigKnobError` with a
-        did-you-mean hint rather than a bare constructor error.
+        :class:`UnknownConfigKnobError` with a did-you-mean hint rather
+        than a bare constructor error.
         """
-        config_schema.check_unknown_knobs(knobs)
+        check_unknown_knobs(knobs)
         return cls(**dict(knobs))
 
     def as_dict(self) -> Dict[str, object]:
@@ -214,12 +186,11 @@ class QueenBeeConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` on impossible combinations.
 
-        Also re-checks the knob *names* against the schema registry: a
-        config object that grew an undeclared attribute (a subclass, a
-        monkeypatched experiment) is rejected the same way a typo'd
-        ``from_dict`` key is.
+        Also re-checks the knob *names*: a config object that grew an
+        undeclared field (a dataclass subclass) is rejected the same way a
+        typo'd ``from_dict`` key is.
         """
-        config_schema.check_unknown_knobs(self.as_dict())
+        check_unknown_knobs(self.as_dict())
         if self.execution_mode not in ("taat", "maxscore"):
             raise ValueError(f"unknown execution_mode {self.execution_mode!r}")
         if self.rpc_timeout < 0:
@@ -230,32 +201,20 @@ class QueenBeeConfig:
             raise ValueError("retry_backoff must be non-negative")
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ValueError("retry_jitter must be in [0, 1]")
-        if self.retry_deadline < 0:
-            raise ValueError("retry_deadline must be non-negative")
         if self.detector_threshold < 1:
             raise ValueError("detector_threshold must be at least 1")
-        if self.detector_probe_after < 0:
-            raise ValueError("detector_probe_after must be non-negative")
         if self.posting_cache_capacity < 0:
             raise ValueError("posting_cache_capacity must be non-negative")
         if self.index_shard_size < 0:
             raise ValueError("index_shard_size must be non-negative")
-        if self.placement_replication_factor < 0:
-            raise ValueError("placement_replication_factor must be non-negative")
-        if self.placement_repair_floor < 0:
-            raise ValueError("placement_repair_floor must be non-negative")
         if self.placement_repair_grace < 0:
             raise ValueError("placement_repair_grace must be non-negative")
         if self.placement_repair_budget < 0:
             raise ValueError("placement_repair_budget must be non-negative")
-        if self.rank_delta_bands < 0:
-            raise ValueError("rank_delta_bands must be non-negative")
         if not 0.0 < self.delta_max_ratio <= 1.0:
             raise ValueError("delta_max_ratio must be in (0, 1]")
         if self.metadata_plane not in ("shared", "gossip"):
             raise ValueError(f"unknown metadata_plane {self.metadata_plane!r}")
-        if self.gossip_fanout < 1:
-            raise ValueError("gossip_fanout must be at least 1")
         if self.gossip_interval <= 0:
             raise ValueError("gossip_interval must be positive")
         if self.result_cache_capacity < 0:
@@ -274,3 +233,26 @@ class QueenBeeConfig:
             raise ValueError("rank_redundancy must be at least 1")
         if self.worker_stake < self.min_worker_stake:
             raise ValueError("worker_stake must cover min_worker_stake")
+
+
+# The registry: one name per declared field, nothing written twice.
+KNOB_NAMES = frozenset(knob.name for knob in fields(QueenBeeConfig))
+
+
+def check_unknown_knobs(names: Iterable[str]) -> None:
+    """Raise :class:`UnknownConfigKnobError` for any undeclared knob name.
+
+    The message suggests close matches so a typo'd experiment script fails
+    with something actionable.
+    """
+    unknown = sorted(set(names) - KNOB_NAMES)
+    if not unknown:
+        return
+    hints = []
+    for name in unknown:
+        close = difflib.get_close_matches(name, KNOB_NAMES, n=1)
+        hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+    raise UnknownConfigKnobError(
+        "unknown config knob(s): " + ", ".join(hints) + " — every knob is a field of "
+        "repro.core.config.QueenBeeConfig"
+    )

@@ -49,6 +49,7 @@ from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.ranking.distributed import (
     DecentralizedPageRank,
     RANK_BANDS_DHT_KEY,
+    RANK_DELTA_BANDS,
     RankCeilingPublisher,
     RankVectorPublisher,
     assemble_banded_ranks,
@@ -191,11 +192,7 @@ class QueenBeeEngine:
         # path.  On a healthy network it never suspects anyone, so wiring
         # it by default keeps the happy path bit-identical.
         self.detector = (
-            FailureDetector(
-                self.simulator,
-                suspicion_threshold=cfg.detector_threshold,
-                probe_after=cfg.detector_probe_after,
-            )
+            FailureDetector(self.simulator, suspicion_threshold=cfg.detector_threshold)
             if cfg.failure_detector
             else None
         )
@@ -210,7 +207,6 @@ class QueenBeeEngine:
             attempts=cfg.rpc_retries,
             backoff_base=cfg.retry_backoff,
             jitter=cfg.retry_jitter,
-            deadline=cfg.retry_deadline,
         )
         self.dht = DHTNetwork(
             self.simulator, self.network, k=cfg.dht_k, alpha=cfg.dht_alpha, replicate=cfg.dht_replicate
@@ -248,8 +244,7 @@ class QueenBeeEngine:
         # and frontends read the engine's in-process state directly.
         if cfg.metadata_plane == "gossip":
             self.gossip: Optional[GossipPlane] = GossipPlane(
-                self.simulator, self.network,
-                fanout=cfg.gossip_fanout, interval=cfg.gossip_interval,
+                self.simulator, self.network, interval=cfg.gossip_interval
             )
             # Epoch bumps enter the plane at the publishing peer's node;
             # the first peer's store is the deterministic fallback origin.
@@ -260,8 +255,9 @@ class QueenBeeEngine:
         self.placement = (
             PlacementPolicy(
                 self.storage,
-                replication_factor=cfg.placement_replication_factor or cfg.storage_replication,
-                repair_floor=cfg.placement_repair_floor or None,
+                # Placed and unsteered content survive the same churn; repair
+                # kicks in on any departure (the floor defaults to the factor).
+                replication_factor=cfg.storage_replication,
                 repair_grace=cfg.placement_repair_grace,
                 repair_budget=cfg.placement_repair_budget or None,
                 simulator=self.simulator,
@@ -271,7 +267,7 @@ class QueenBeeEngine:
         )
         self.index = DistributedIndex(
             self.dht, self.storage, compress=cfg.compress_index, cache=self.posting_cache,
-            validate_generations=cfg.cache_validation, shard_size=cfg.index_shard_size,
+            shard_size=cfg.index_shard_size,
             # Published shards carry their range's quantized minimum document
             # length (tightens the per-shard MaxScore bound); the engine's
             # shared statistics are the length source of truth.  Lazy lambda:
@@ -287,7 +283,7 @@ class QueenBeeEngine:
         # anchor when delta publication is on, pure wholesale otherwise.
         self._rank_publisher = RankVectorPublisher(
             self.storage, self.dht,
-            bands=cfg.rank_delta_bands if cfg.delta_publication else 0,
+            bands=RANK_DELTA_BANDS if cfg.delta_publication else 0,
             metrics=self.metrics,
         )
         self.directory = DocumentDirectory(self.dht)
@@ -484,7 +480,6 @@ class QueenBeeEngine:
             workers=worker_fns,
             damping=cfg.rank_damping,
             redundancy=redundancy if redundancy is not None else cfg.rank_redundancy,
-            tolerance=cfg.rank_tolerance,
             max_iterations=cfg.rank_max_iterations,
             rng=self.simulator.fork_rng("rank-round"),
         )
@@ -698,7 +693,7 @@ class QueenBeeEngine:
         )
         index = DistributedIndex(
             self.dht, self.storage, compress=cfg.compress_index, cache=cache,
-            validate_generations=cfg.cache_validation, shard_size=cfg.index_shard_size,
+            shard_size=cfg.index_shard_size,
             epoch_feed=view,
             load_lookup=view.load_hint,
             delta_publication=cfg.delta_publication,
@@ -815,8 +810,6 @@ class QueenBeeEngine:
                     "index.cache.hit_rate": cache_stats.hit_rate,
                     "index.cache.size": len(self.posting_cache),
                     "index.cache.invalidations": cache_stats.invalidations,
-                    "index.cache.stale_hits": cache_stats.stale_hits,
-                    "index.cache.stale_hit_rate": cache_stats.stale_hit_rate,
                 }
             )
 

@@ -34,15 +34,12 @@ from repro.sim import monitor as state_monitor
 
 @dataclass
 class PostingCacheStats:
-    """Hit/miss accounting (the E10 cache column, E2's stale-hit column)."""
+    """Hit/miss accounting (the E10 cache column, E2b's invalidation columns)."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    # Lookups that served an entry whose generation was already superseded —
-    # only possible with generation validation disabled (the E2 ablation).
-    stale_hits: int = 0
     # Stale entries brought current by applying a published patch instead
     # of refetching the full shard (the delta channel's cache-side win).
     patched_in_place: int = 0
@@ -59,17 +56,11 @@ class PostingCacheStats:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
 
-    @property
-    def stale_hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.stale_hits / lookups if lookups else 0.0
-
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.stale_hits = 0
         self.patched_in_place = 0
         self.delta_fallbacks = 0
 
@@ -119,11 +110,6 @@ class PostingCache:
         self.stats.hits += 1
         state_monitor.record_read("posting_cache", self, term, entry)
         return postings
-
-    def generation_of(self, term: str) -> Optional[int]:
-        """The generation the cached entry was filled at (stats-neutral probe)."""
-        entry = self._entries.get(term)
-        return entry[1] if entry is not None else None
 
     def peek(self, term: str) -> Optional[Tuple[PostingList, int, str]]:
         """The full ``(postings, generation, fingerprint)`` entry, or None.

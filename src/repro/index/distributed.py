@@ -416,10 +416,6 @@ class DistributedIndex:
         the DHT.  Entries are **per shard** (keyed by :func:`shard_key`) and
         carry the shard generation they were filled at; they validate by
         equality against the current manifest (see *Index epochs* above).
-    validate_generations:
-        When false, cached manifests and shards are served without the
-        generation check — the ablation the E2 freshness bench uses to
-        quantify the stale-hit rate the protocol eliminates.
     shard_size:
         Maximum postings per shard; lists above it split into range shards.
         0 (default) publishes every term as a single shard.
@@ -477,7 +473,6 @@ class DistributedIndex:
         storage: DecentralizedStorage,
         compress: bool = True,
         cache: Optional[PostingCache] = None,
-        validate_generations: bool = True,
         shard_size: int = DEFAULT_SHARD_SIZE,
         length_lookup: Optional[Callable[[int], int]] = None,
         placement: Optional[PlacementPolicy] = None,
@@ -493,7 +488,6 @@ class DistributedIndex:
         self.storage = storage
         self.compress = compress
         self.cache = cache
-        self.validate_generations = validate_generations
         self.shard_size = shard_size
         self.length_lookup = length_lookup
         self.placement = placement
@@ -512,15 +506,13 @@ class DistributedIndex:
         # without one this registry *is* the feed (exactly consistent when
         # all participants share the engine's single index instance).
         self._generations: Dict[str, int] = {}
-        # Manifest cache, filled on fetch only (never on publish, so the
-        # validation-off ablation really does model a cache that does not
-        # learn of supersession).  Entries validate against the registry.
+        # Manifest cache, filled on fetch (and kept current by this
+        # instance's own restamps).  An entry is served only while its
+        # generation equals :meth:`generation` — the epoch registry.
         self._manifests: Dict[str, TermManifest] = {}
-        # Publisher-side record of the latest manifest per term.  This is
-        # ground truth for *instrumentation only* (exact stale-hit
-        # accounting in the validation-off ablation: a carried-forward,
-        # content-identical shard is not a stale read even though the term
-        # generation moved on); the read path never consults it.
+        # Publisher-side record of the latest manifest this instance wrote,
+        # per term: what the rank-ceiling and provider-hint restamps rewrite
+        # without a DHT read.  The read path never consults it.
         self._authoritative: Dict[str, TermManifest] = {}
 
     # -- epochs ---------------------------------------------------------------------
@@ -851,7 +843,7 @@ class DistributedIndex:
             except TermNotFoundError as miss:
                 cause = miss.__cause__
                 if not isinstance(cause, KeyNotFoundError):
-                    raise  # a pre-manifest pointer whose content is unreachable
+                    raise  # a record that is no manifest: rejected, not merged over
                 if not isinstance(cause, RoutingError):
                     return None  # clean miss: never published
                 if last_try:
@@ -869,18 +861,11 @@ class DistributedIndex:
 
     # -- fetching (frontend side) -----------------------------------------------------
 
-    def fetch_term_manifest(
-        self,
-        term: str,
-        requester: Optional[str] = None,
-        use_cache: bool = True,
-    ) -> TermManifest:
+    def fetch_term_manifest(self, term: str, use_cache: bool = True) -> TermManifest:
         """Resolve the shard manifest for ``term`` (one DHT lookup, no content).
 
         Raises :class:`TermNotFoundError` when the term has never been
-        published.  Cached manifests validate against the epoch registry;
-        with ``validate_generations`` off, a cached manifest is served as-is
-        (the E2 ablation) and superseded shard reads count as stale hits.
+        published.  Cached manifests validate against the epoch registry.
         Manifest caching rides the posting-cache config: an instance built
         without a cache pays the full one-DHT-lookup-per-resolution cost
         model on every fetch (what the cache-free benchmark rows measure).
@@ -888,15 +873,14 @@ class DistributedIndex:
         use_cache = use_cache and self.cache is not None
         if use_cache:
             cached = self._manifests.get(term)
-            if cached is not None:
-                if not self.validate_generations or cached.generation == self.generation(term):
-                    return self._overlay_rank_hint(term, cached)
+            if cached is not None and cached.generation == self.generation(term):
+                return self._overlay_rank_hint(term, cached)
         try:
             value = self.dht.get(term_key(term))
         except KeyNotFoundError as exc:
             self.stats.fetch_misses += 1
             raise TermNotFoundError(f"term {term!r} has no published shard") from exc
-        manifest = self._decode_manifest(term, value, requester=requester)
+        manifest = self._decode_manifest(term, value)
         self.stats.manifest_fetches += 1
         self.stats.manifest_bytes_fetched += len(str(value))
         self._observe_generation(term, manifest.generation)
@@ -954,7 +938,7 @@ class DistributedIndex:
         contents load on demand through the per-shard posting cache, so
         consumers that skip shards never pay their content fetch.
         """
-        manifest = self.fetch_term_manifest(term, requester=requester, use_cache=use_cache)
+        manifest = self.fetch_term_manifest(term, use_cache=use_cache)
 
         def loader(index: int) -> PostingList:
             return self._fetch_shard(manifest, index, requester=requester, use_cache=use_cache)
@@ -994,29 +978,14 @@ class DistributedIndex:
         if self.cache is not None and use_cache:
             # Hit/miss accounting lives in self.cache.stats, the single
             # source of truth for cache behaviour.
-            expected = info.generation if self.validate_generations else None
-            if expected is not None and info.patch is not None:
+            if info.patch is not None:
                 entry = self.cache.peek(key)
-                if entry is not None and entry[1] != expected:
+                if entry is not None and entry[1] != info.generation:
                     patched = self._patch_cached_shard(manifest, info, key, entry, requester)
                     if patched is not None:
                         return patched
-            cached = self.cache.get(key, generation=expected)
+            cached = self.cache.get(key, generation=info.generation)
             if cached is not None:
-                if not self.validate_generations:
-                    # The manifest itself may be superseded (it was served
-                    # without validation): count the read as a stale hit iff
-                    # the entry's generation differs from the shard's
-                    # generation in the *authoritative* manifest — a
-                    # carried-forward, content-identical shard is not stale
-                    # even though the term's generation moved on.
-                    entry_generation = self.cache.generation_of(key)
-                    authoritative = self._authoritative.get(manifest.term)
-                    if authoritative is not None and entry_generation is not None:
-                        if index >= len(authoritative.shards):
-                            self.cache.stats.stale_hits += 1
-                        elif entry_generation != authoritative.shards[index].generation:
-                            self.cache.stats.stale_hits += 1
                 return cached
         try:
             payload = self.storage.get_text(
@@ -1220,38 +1189,18 @@ class DistributedIndex:
         except TermNotFoundError:
             return None
 
-    def _decode_manifest(
-        self, term: str, value: object, requester: Optional[str] = None
-    ) -> TermManifest:
-        """Decode a DHT value into a manifest.
+    def _decode_manifest(self, term: str, value: object) -> TermManifest:
+        """Parse the DHT value under ``idx:<term>`` as a manifest.
 
-        A plain CID string (the pre-manifest layout) is upgraded on the fly
-        into a synthetic single-shard manifest by fetching the legacy shard.
+        Anything else is malformed outside input and is rejected with
+        :class:`TermNotFoundError` — never guessed at.
         """
-        if isinstance(value, str) and value.startswith("{"):
-            return TermManifest.from_json(value)
         try:
-            payload = self.storage.get_text(str(value), requester=requester)
-        except Exception as exc:
-            self.stats.fetch_misses += 1
-            raise TermNotFoundError(f"shard for term {term!r} is unreachable") from exc
-        postings, generation = self._decode_shard(payload)
-        return TermManifest(
-            term=term,
-            generation=generation,
-            shards=(
-                ShardInfo(
-                    index=0,
-                    lo=postings.min_doc_id if len(postings) else 0,
-                    hi=postings.max_doc_id if len(postings) else -1,
-                    count=len(postings),
-                    max_tf=quantize_max_tf(postings.max_term_frequency),
-                    generation=generation,
-                    cid=str(value),
-                    fingerprint="",
-                ),
-            ),
-        )
+            return TermManifest.from_json(value)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise TermNotFoundError(
+                f"the record under {term_key(term)!r} is not a term manifest"
+            ) from exc
 
     def _split_for_republish(
         self, postings: PostingList, previous: Optional[TermManifest]

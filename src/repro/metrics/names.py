@@ -47,8 +47,6 @@ GAUGES = frozenset(
         "index.cache.hit_rate",
         "index.cache.size",
         "index.cache.invalidations",
-        "index.cache.stale_hits",
-        "index.cache.stale_hit_rate",
     }
 )
 

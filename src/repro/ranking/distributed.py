@@ -398,6 +398,12 @@ RANK_BANDS_DHT_KEY = "rank:bands"
 
 RANK_BAND_MANIFEST_KIND = "qb-rank-bands"
 
+# Doc-id bands a delta-publishing RankVectorPublisher cuts the vector into;
+# remote frontends refetch only the bands whose fingerprint moved.  (Wholesale
+# publication is ``bands=0``, which the engine selects with
+# ``delta_publication=False``.)
+RANK_DELTA_BANDS = 8
+
 
 def rank_band_width(max_doc_id: int, bands: int) -> int:
     """The fixed doc-id width of each band for this round's vector."""

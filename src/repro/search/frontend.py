@@ -17,10 +17,9 @@ the slowest single chain instead of the sum over terms and shards.  For
 conjunctive queries the manifests alone determine the feasible doc-id
 window, and shards outside it are never fetched.  ``search_batch`` extends
 the same overlap across the union of a whole batch's distinct terms — batch
-prefetch latency drops by roughly the unique-term fan-out versus the
-sequential prefetch (``overlapped_prefetch=False``, the E10 ablation) — and
-then executes the per-query work in a parallel region too, so batch wall
-time is the shared prefetch plus the slowest query.  Shard fetches are
+prefetch latency drops by roughly the unique-term fan-out versus fetching
+term by term — and then executes the per-query work in a parallel region
+too, so batch wall time is the shared prefetch plus the slowest query.  Shard fetches are
 placement-routed by the index (least-loaded live provider from the
 manifest's replica hints), which is what keeps the parallel queries from
 contending on a single peer for a head term's shards.
@@ -31,9 +30,9 @@ Below the frontend, the per-shard posting cache absorbs repeated shard
 fetches (validated by the index-epoch protocol, so update/delete-correct
 results need no publisher-side notification).  Above it, an optional
 **result cache** stores whole top-k pages keyed by (normalized query, the
-max index generation across its terms, rank version, statistics version) —
-any republish, rank round, or corpus change shifts the key, so stale pages
-are never served.  Ads are re-selected on every hit; only the ranked
+index generation of each of its terms, rank version, statistics version) —
+any republish, rank round, or corpus change shifts the key, so a hit is
+always the page a fresh execution would compose.  Ads are re-selected on every hit; only the ranked
 results are reused.
 
 Within one ``search_batch`` call the prefetched lists are a consistent
@@ -42,7 +41,6 @@ snapshot: queries in the batch see the index as of the prefetch instant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -79,43 +77,24 @@ RankVersionProvider = Callable[[], int]
 # Returns active ads for a keyword (list of dicts like AdMarket.ads_for).
 AdProvider = Callable[[str], List[Dict[str, Any]]]
 
-# Geometric grid for the loose result-cache key's statistics buckets: df and
-# avgdl within one bucket are treated as "the same" for reuse purposes.
-_LOOSE_BUCKET_RATIO = 1.25
-
-
-def _loose_bucket(value: float) -> int:
-    """Geometric bucket index of a BM25 statistic (0 for non-positive)."""
-    if value <= 0:
-        return 0
-    return 1 + math.floor(math.log(value) / math.log(_LOOSE_BUCKET_RATIO))
-
-
 @dataclass
 class FrontendOptions:
-    """Every behavioural knob of one :class:`SearchFrontend`, in one object.
+    """The per-frontend policy of one :class:`SearchFrontend`, in one object.
 
     This is the construction surface: :meth:`QueenBeeEngine.create_frontend`,
     the serving layer, and the benchmarks all describe the frontend they
     want with a ``FrontendOptions`` (usually :meth:`from_config` plus field
     overrides) instead of threading individual keyword arguments through
     every layer.  Wiring — the index, providers, simulator — stays on the
-    constructor; *policy* lives here.
+    constructor; what may differ between two frontends of one deployment
+    (page size, whether whole pages are cached) lives here.
     """
 
     top_k: int = 10
-    # Issue manifest/shard lookups concurrently.  False restores the
-    # sequential prefetch — the ablation quantified in E10.
-    overlapped_prefetch: bool = True
     # Entries in the top-k page cache; 0 disables it.  The cache requires a
     # ``rank_version_provider`` and an index exposing ``generation`` to build
     # freshness-safe keys; without them it stays inert.
     result_cache_capacity: int = 0
-    # Key the result cache on BM25 statistic *buckets* (per-term df, avgdl)
-    # instead of the exact statistics version — more reuse under
-    # update-heavy streams, at the documented exactness trade (see
-    # ``SearchFrontend._result_cache_key``).
-    result_cache_loose_keys: bool = False
 
     @classmethod
     def from_config(cls, config, **overrides) -> "FrontendOptions":
@@ -125,10 +104,7 @@ class FrontendOptions:
         ``TypeError``).
         """
         options = cls(
-            top_k=config.top_k,
-            overlapped_prefetch=config.overlapped_prefetch,
-            result_cache_capacity=config.result_cache_capacity,
-            result_cache_loose_keys=config.result_cache_loose_keys,
+            top_k=config.top_k, result_cache_capacity=config.result_cache_capacity
         )
         return replace(options, **overrides) if overrides else options
 
@@ -149,10 +125,6 @@ class FrontendStats:
     shards_window_skipped: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
-    # Hits served under a loose key whose *exact* statistics version had
-    # moved inside the bucket — the pages the exactness trade-off actually
-    # touched (scores may differ in low-order digits from a fresh run).
-    result_cache_loose_hits: int = 0
     latencies: List[float] = field(default_factory=list)
 
     def record(self, latency: float, result_count: int) -> None:
@@ -241,14 +213,12 @@ class SearchFrontend:
         self.requester = requester
         self.bm25 = bm25
         self.combiner = combiner or CombinedScorer()
-        self.overlapped_prefetch = options.overlapped_prefetch
         self.shard_size_hint = shard_size_hint
         self.result_cache = (
             ResultCache(options.result_cache_capacity)
             if options.result_cache_capacity > 0
             else None
         )
-        self.result_cache_loose_keys = options.result_cache_loose_keys
         # The gossiped metadata view this frontend reads (None on the shared
         # plane).  Used for two things here: search_batch pins it so every
         # query in the batch sees one consistent metadata version, and the
@@ -317,8 +287,8 @@ class SearchFrontend:
         return self.index.fetch_term(term, requester=self.requester)
 
     def _run_region(self, thunks: List[Callable[[], Any]]) -> List[Any]:
-        """Run prefetch branches, overlapped when configured and worthwhile."""
-        if self.overlapped_prefetch and len(thunks) > 1:
+        """Run prefetch branches overlapped (a lone branch needs no region)."""
+        if len(thunks) > 1:
             self.stats.prefetch_regions += 1
             return self.simulator.parallel_region(thunks)
         return [thunk() for thunk in thunks]
@@ -436,45 +406,23 @@ class SearchFrontend:
         shifts the key — a max() would let a lower-generation term change
         behind a higher one), the rank version, and the collection-
         statistics version (plus count/length so a *replaced* statistics
-        object also shifts the key).
-
-        With ``result_cache_loose_keys`` the statistics part is replaced by
-        the BM25-relevant *buckets* — each term's df and the average
-        document length (plus the document count) on a geometric grid — so
-        an update-heavy stream whose statistics only drift inside a bucket
-        keeps its reuse.  The trade is exactness: a loose hit may replay a
-        page whose scores a fresh execution would perturb in low-order
-        digits; such hits are counted in ``stats.result_cache_loose_hits``.
-        Index generations and the rank version stay exact either way, so a
-        republished term or a new rank round always misses.
+        object also shifts the key).  Every part is exact, so a hit replays
+        the page a fresh execution would compose.
         """
         if self.result_cache is None or self.rank_version_provider is None:
             return None
-        generation_of = getattr(self.index, "generation", None)
-        if generation_of is None:
+        term_generation = getattr(self.index, "generation", None)
+        if term_generation is None:
             return None
         statistics = self.statistics
         terms = tuple(sorted(query.terms))
-        if self.result_cache_loose_keys:
-            statistics_part: Tuple[Hashable, ...] = (
-                "loose",
-                tuple(_loose_bucket(statistics.df(term)) for term in terms),
-                _loose_bucket(statistics.document_count),
-                _loose_bucket(statistics.average_length),
-            )
-        else:
-            statistics_part = (
-                statistics.version,
-                statistics.document_count,
-                statistics.total_length,
-            )
         return (
             terms,
-            tuple(generation_of(term) for term in terms),
+            tuple(term_generation(term) for term in terms),
             query.mode,
             self.top_k,
             self.rank_version_provider(),
-            statistics_part,
+            (statistics.version, statistics.document_count, statistics.total_length),
         )
 
     def _page_from_cache(
@@ -489,16 +437,6 @@ class SearchFrontend:
         latency = self.simulator.now - started + extra_latency
         diagnostics = dict(template.diagnostics)
         diagnostics["result_cache"] = "hit"
-        loose_hit = False
-        if self.result_cache_loose_keys:
-            # Internal bookkeeping only — not part of the page's surface.
-            stored_version = diagnostics.pop("stats_version", None)
-            if stored_version is not None and stored_version != self.statistics.version:
-                # The loose key absorbed a statistics drift: the replayed
-                # page is the documented approximation, count it.
-                self.stats.result_cache_loose_hits += 1
-                diagnostics["result_cache_loose"] = True
-                loose_hit = True
         page = replace(
             template,
             query=raw_query,
@@ -506,11 +444,7 @@ class SearchFrontend:
             ads=ads,
             latency=latency,
             diagnostics=diagnostics,
-            serving=ServingDiagnostics(
-                served_from=SERVED_RESULT_CACHE,
-                latency=latency,
-                loose_hit=loose_hit,
-            ),
+            serving=ServingDiagnostics(served_from=SERVED_RESULT_CACHE, latency=latency),
         )
         self.stats.record(latency, page.result_count)
         return page
@@ -567,7 +501,6 @@ class SearchFrontend:
         ads = self._select_ads(tuple(tokenize(raw_query)) + template.terms)
         latency = self.simulator.now - started
         diagnostics = dict(template.diagnostics)
-        diagnostics.pop("stats_version", None)
         diagnostics["result_cache"] = "degraded"
         return replace(
             template,
@@ -599,8 +532,8 @@ class SearchFrontend:
         per-term fallback — a latency cost only, never a correctness one.
 
         After the shared prefetch the per-query executions themselves run in
-        a parallel region (when ``overlapped_prefetch`` is on), so batch wall
-        time is the prefetch plus the *slowest* query rather than the sum.
+        a parallel region, so batch wall time is the prefetch plus the
+        *slowest* query rather than the sum.
         This is safe because each query builds its own executor and cursors;
         the only state shared between branches is read-mostly — the
         prefetched readers (whose lazy shard memoization is an idempotent
@@ -616,8 +549,7 @@ class SearchFrontend:
 
         Each page's ``latency`` is its own execution time plus an equal
         share of the shared prefetch time; with parallel execution the batch
-        wall time is bounded by the slowest page, not the latency sum (the
-        sequential ablation keeps the old additive behaviour).
+        wall time is bounded by the slowest page, not the latency sum.
 
         On the gossip metadata plane the batch additionally **pins** the
         frontend's gossip view for its whole duration: network RPCs inside
@@ -680,7 +612,7 @@ class SearchFrontend:
         # second's get — an intra-region read-after-write no real concurrent
         # execution guarantees.  Only the first occurrence runs in the
         # region; duplicates replay afterwards, where the just-stored page
-        # makes them a cache hit (exactly what the sequential path did).
+        # makes them a cache hit.
         seen_keys: Dict[Hashable, int] = {}
         replays: List[Tuple[int, Callable[[], ResultPage]]] = []
         for slot, (raw_query, query, key) in enumerate(zip(raw_queries, parsed, keys)):
@@ -704,7 +636,7 @@ class SearchFrontend:
                 seen_keys[key] = slot
             thunks.append(run)
             slots.append(slot)
-        if self.overlapped_prefetch and len(thunks) > 1:
+        if len(thunks) > 1:
             self.stats.parallel_query_regions += 1
             executed = self.simulator.parallel_region(thunks)
         else:
@@ -847,19 +779,13 @@ class SearchFrontend:
             # page.diagnostics/results on the returned object.  Pages with
             # missing (unreachable) terms are never cached — they reflect
             # transient reachability, which no key ingredient tracks.
-            template_diagnostics = dict(page.diagnostics)
-            if self.result_cache_loose_keys:
-                # Remember the exact statistics version the page was
-                # computed at, so loose hits that replay it under drifted
-                # statistics can be counted.
-                template_diagnostics["stats_version"] = self.statistics.version
             self.result_cache.put(
                 cache_key,
                 replace(
                     page,
                     results=list(page.results),
                     ads=[],
-                    diagnostics=template_diagnostics,
+                    diagnostics=dict(page.diagnostics),
                     # Detach the envelope too: _page_from_cache builds a
                     # fresh one per hit, and the degraded path retags it.
                     serving=ServingDiagnostics(shards_fetched=serving.shards_fetched),

@@ -17,12 +17,11 @@ class ServingDiagnostics:
     """The structured serving envelope of one response.
 
     Replaces the scattered per-frontend counters consumers used to poke at:
-    every response says *how* it was produced, what it cost, and whether any
-    exactness trade was taken.  The frontend fills the execution-side fields
-    (``served_from`` of ``full``/``result_cache``, ``shards_fetched``, the
-    loose-key flag); the serving layer (:class:`repro.serve.QueryService`)
-    overwrites ``served_from`` for degraded/shed outcomes and adds the
-    queueing fields.
+    every response says *how* it was produced and what it cost.  The
+    frontend fills the execution-side fields (``served_from`` of
+    ``full``/``result_cache``, ``shards_fetched``); the serving layer
+    (:class:`repro.serve.QueryService`) overwrites ``served_from`` for
+    degraded/shed outcomes and adds the queueing fields.
     """
 
     served_from: str = SERVED_FULL
@@ -34,9 +33,6 @@ class ServingDiagnostics:
     queue_delay: float = 0.0
     # Doc-id-range shards actually loaded to answer (0 on cache serves).
     shards_fetched: int = 0
-    # A loose-key result-cache hit whose exact statistics version had
-    # drifted inside its bucket (the documented exactness trade).
-    loose_hit: bool = False
     # Why admission rejected the request ("" unless served_from == "shed").
     shed_reason: str = ""
 

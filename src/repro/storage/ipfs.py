@@ -32,12 +32,7 @@ def provider_key(cid: str) -> str:
 
 @dataclass(frozen=True)
 class StorageOptions:
-    """Storage-layer policy in one bag (mirrors ``FrontendOptions``).
-
-    Replaces the kwarg sprawl the :class:`DecentralizedStorage` constructor
-    accumulated (``replication=``, ``chunk_size=``, ``hedged_fetches=`` —
-    still accepted, deprecated; see the constructor docstring).
-    """
+    """Storage-layer policy in one bag (mirrors ``FrontendOptions``)."""
 
     #: Block-store medium per peer: ``"memory"`` or ``"sqlite"``.
     backend: str = "memory"
@@ -156,11 +151,8 @@ class DecentralizedStorage:
         Shared simulation substrate.  The DHT holds provider records.
     options:
         A :class:`StorageOptions` bag (backend medium, replication factor,
-        chunk size, hedging) — the preferred way to configure the layer.
-    replication / chunk_size / hedged_fetches:
-        Deprecated per-field equivalents, kept for back-compat: when given
-        they override the corresponding ``options`` field.  New callers
-        should pass ``options`` (``StorageOptions.from_config(config)``).
+        chunk size, hedging); the engine passes
+        ``StorageOptions.from_config(config)``.
     liveness:
         Wiring, not policy: the engine's :class:`FailureDetector`.
     """
@@ -171,22 +163,10 @@ class DecentralizedStorage:
         network: SimulatedNetwork,
         dht: DHTNetwork,
         options: Optional[StorageOptions] = None,
-        replication: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         liveness: Optional[FailureDetector] = None,
-        hedged_fetches: Optional[bool] = None,
     ) -> None:
         if options is None:
             options = StorageOptions()
-        legacy = {}
-        if replication is not None:
-            legacy["replication"] = replication
-        if chunk_size is not None:
-            legacy["chunk_size"] = chunk_size
-        if hedged_fetches is not None:
-            legacy["hedged_fetches"] = hedged_fetches
-        if legacy:
-            options = replace(options, **legacy)
         if options.replication < 1:
             raise ValueError(
                 f"replication must be at least 1, got {options.replication!r}"
@@ -359,16 +339,6 @@ class DecentralizedStorage:
         return self.add_bytes(
             text.encode("utf-8"), publisher=publisher, providers=providers
         )
-
-    def add_text_placed(
-        self,
-        text: str,
-        publisher: Optional[str] = None,
-        providers: Optional[Sequence[str]] = None,
-    ) -> Tuple[str, List[str]]:
-        """Deprecated: use ``add_text(...)`` and read the receipt's fields."""
-        receipt = self.add_text(text, publisher=publisher, providers=providers)
-        return receipt.cid, list(receipt.providers)
 
     def get_bytes(
         self,

@@ -16,8 +16,17 @@ from repro.dht.dht import DHTNetwork
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
-from repro.storage.ipfs import DecentralizedStorage
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
+
+
+# The ten knobs ISSUE 18 deleted (docs/KNOBS.md has each one's answer).  Named
+# here only so tests can assert that configs and lint keep rejecting them.
+DELETED_KNOBS = (
+    "placement_replication_factor", "placement_repair_floor", "retry_deadline",
+    "detector_probe_after", "gossip_fanout", "rank_tolerance", "rank_delta_bands",
+    "result_cache_loose_keys", "cache_validation", "overlapped_prefetch",
+)
 
 
 @pytest.fixture
@@ -39,7 +48,9 @@ def dht(simulator: Simulator, network: SimulatedNetwork) -> DHTNetwork:
 
 @pytest.fixture
 def storage(simulator: Simulator, network: SimulatedNetwork, dht: DHTNetwork) -> DecentralizedStorage:
-    store = DecentralizedStorage(simulator, network, dht, replication=2, chunk_size=64)
+    store = DecentralizedStorage(
+        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
+    )
     store.build(6)
     return store
 

@@ -8,8 +8,7 @@ import sys
 
 import pytest
 
-from repro.config_schema import UnknownConfigKnobError
-from repro.core.config import QueenBeeConfig
+from repro.core.config import QueenBeeConfig, UnknownConfigKnobError
 from repro.core.directory import DocumentDirectory
 from repro.core.publisher import ContentPublisher
 from repro.core.worker import WorkerBee
@@ -18,7 +17,7 @@ from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
 from repro.index.statistics import CollectionStatistics
 
-from tests.conftest import make_small_engine
+from tests.conftest import DELETED_KNOBS, make_small_engine
 
 
 class TestConfigValidation:
@@ -48,6 +47,11 @@ class TestConfigValidation:
             build_engine(peer_count=8, worker_count=2, gossip_interal=5)
         engine = build_engine(peer_count=8, worker_count=2, gossip_interval=5)
         assert engine.config.gossip_interval == 5
+
+    @pytest.mark.parametrize("knob", DELETED_KNOBS)
+    def test_deleted_knobs_are_rejected(self, knob):
+        with pytest.raises(UnknownConfigKnobError, match=knob):
+            QueenBeeConfig.from_dict({knob: 1})
 
 
 class TestDocumentDirectory:

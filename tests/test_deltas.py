@@ -242,7 +242,7 @@ class TestBandedRankPublication:
         assert client.band_fetches == fetches_after_adopt
 
     def test_bands_disabled_is_the_legacy_wholesale_path(self, small_corpus):
-        engine = make_small_engine(seed=53, rank_delta_bands=0)
+        engine = make_small_engine(seed=53, delta_publication=False)  # bands=0
         engine.bootstrap_corpus(small_corpus.documents[:20])
         engine.compute_page_ranks()
         engine.compute_page_ranks()

@@ -405,7 +405,7 @@ class TestFailureDetector:
 
 def make_storage_stack(seed=2, hedged=False, with_detector=True):
     from repro.dht.dht import DHTNetwork
-    from repro.storage.ipfs import DecentralizedStorage
+    from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
     sim = Simulator(seed=seed)
     detector = FailureDetector(sim, suspicion_threshold=2) if with_detector else None
@@ -413,8 +413,8 @@ def make_storage_stack(seed=2, hedged=False, with_detector=True):
     dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
     dht.build(8)
     storage = DecentralizedStorage(
-        sim, network, dht, replication=3, chunk_size=64,
-        liveness=detector, hedged_fetches=hedged,
+        sim, network, dht, liveness=detector,
+        options=StorageOptions(replication=3, chunk_size=64, hedged_fetches=hedged),
     )
     storage.build(6)
     return sim, network, detector, storage

@@ -6,7 +6,7 @@ Three layers of coverage:
   ``tests/analysis_fixtures/``; bad fixtures must trip exactly their rule,
   good fixtures must lint clean.
 * **mechanics** — suppression pragmas (inline, standalone-line, wrong-rule,
-  missing justification), path normalization, and the schema registry the
+  missing justification), path normalization, and the knob registry the
   config rule keys off.
 * **self-check** — the shipped ``src/repro`` tree lints clean, and a seeded
   mutation of a real module (dropping a ``sorted()``, unseeding an RNG) is
@@ -15,13 +15,11 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import pytest
 
-from repro.config_schema import KNOBS
-from repro.core.config import QueenBeeConfig
+from tests.conftest import DELETED_KNOBS
 from tools.analysis.core import load_module, run_lint
 from tools.analysis.rules import default_rules
 
@@ -162,16 +160,19 @@ def test_list_of_tuples_with_dict_elements_is_not_a_dict(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Config schema registry (what RL005 keys off)
+# The knob registry RL005 keys off: the fields of QueenBeeConfig, nothing else
 # ---------------------------------------------------------------------------
 
 
-def test_schema_and_dataclass_agree_on_fields_and_defaults():
-    schema = {knob.name: knob for knob in KNOBS}
-    config_fields = {field.name: field for field in dataclasses.fields(QueenBeeConfig)}
-    assert set(schema) == set(config_fields)
-    for name, knob in schema.items():
-        assert knob.default == config_fields[name].default, name
+def test_rl005_flags_a_typo_and_every_deleted_knob(tmp_path):
+    names = ("gossip_interal",) + DELETED_KNOBS
+    path = tmp_path / "snippet.py"
+    path.write_text(
+        "def read(cfg):\n    return [" + ", ".join(f"cfg.{name}" for name in names) + "]\n"
+    )
+    report = lint(str(path))
+    assert rule_ids(report) == {"RL005"}
+    assert len(report.findings) == len(names)
 
 
 # ---------------------------------------------------------------------------

@@ -462,20 +462,6 @@ class TestSearchBatch:
         # simulated time once shards are prefetched.)
         assert wall <= sum(page.latency for page in batched)
 
-    def test_batch_sequential_ablation_matches_parallel_results(self, batch_setup):
-        frontend, _, _ = batch_setup
-        queries = ["honey bees", "web", "honey OR nectar"]
-        parallel_pages = frontend.search_batch(queries)
-        frontend.overlapped_prefetch = False
-        try:
-            sequential_pages = frontend.search_batch(queries)
-        finally:
-            frontend.overlapped_prefetch = True
-        assert [p.doc_ids for p in parallel_pages] == [p.doc_ids for p in sequential_pages]
-        assert [[r.score for r in p.results] for p in parallel_pages] == [
-            [r.score for r in p.results] for p in sequential_pages
-        ]
-
     def test_batch_deduplicates_term_fetches(self, batch_setup):
         frontend, index, cache = batch_setup
         cache.clear()
@@ -516,9 +502,9 @@ class TestSearchBatch:
 
 
 class TestLooseResultCacheKeys:
-    """The result_cache_loose_keys knob: df/avgdl-bucket keys, counted trade."""
+    """Result-cache keys are exact (there is no bucketed-statistics variant)."""
 
-    def _frontend(self, simulator, dht, storage, loose: bool) -> SearchFrontend:
+    def _frontend(self, simulator, dht, storage) -> SearchFrontend:
         from repro.index.document import Document
         from repro.index.inverted_index import LocalInvertedIndex
 
@@ -543,62 +529,14 @@ class TestLooseResultCacheKeys:
             analyzer=analyzer,
             statistics=statistics,
             rank_version_provider=lambda: 1,
-            options=FrontendOptions(result_cache_capacity=16, result_cache_loose_keys=loose),
+            options=FrontendOptions(result_cache_capacity=16),
         )
 
     def test_exact_keys_miss_on_any_statistics_drift(self, simulator, dht, storage):
-        frontend = self._frontend(simulator, dht, storage, loose=False)
+        frontend = self._frontend(simulator, dht, storage)
         frontend.search("honey bees")
         # An in-place statistics mutation (what every add/remove does)
         # shifts the exact key: the repeat query misses.
         frontend.statistics.version += 1
-        frontend.search("honey bees")
-        assert frontend.result_cache.stats.hits == 0
-        assert frontend.stats.result_cache_loose_hits == 0
-
-    def test_loose_keys_survive_intra_bucket_drift_and_count_it(
-        self, simulator, dht, storage
-    ):
-        frontend = self._frontend(simulator, dht, storage, loose=True)
-        first = frontend.search("honey bees")
-        frontend.statistics.version += 1  # drift with identical df/avgdl buckets
-        second = frontend.search("honey bees")
-        assert frontend.result_cache.stats.hits == 1
-        # The exactness trade is visible, not silent: the hit is flagged
-        # and counted because the exact version moved under the bucket.
-        assert frontend.stats.result_cache_loose_hits == 1
-        assert second.diagnostics.get("result_cache_loose") is True
-        assert [r.doc_id for r in second.results] == [r.doc_id for r in first.results]
-
-    def test_loose_keys_still_miss_across_bucket_boundaries(
-        self, simulator, dht, storage
-    ):
-        frontend = self._frontend(simulator, dht, storage, loose=True)
-        frontend.search("honey bees")
-        # Quadrupling the corpus size moves the document-count and df
-        # buckets no matter the grid phase: the loose key must shift.
-        statistics = frontend.statistics
-        statistics.document_count *= 4
-        statistics.total_length *= 4
-        for term in list(statistics.document_frequency):
-            statistics.document_frequency[term] *= 4
-        statistics.version += 1
-        frontend.search("honey bees")
-        assert frontend.result_cache.stats.hits == 0
-
-    def test_loose_keys_still_miss_on_republish_and_rank_round(
-        self, simulator, dht, storage
-    ):
-        frontend = self._frontend(simulator, dht, storage, loose=True)
-        frontend.search("honey bees")
-        # Index generations stay exact in the loose key: a republish of any
-        # queried term must miss.
-        postings = frontend.index.fetch_term("honey").copy()
-        postings.add(9, 1)
-        frontend.index.publish_term("honey", postings)
-        frontend.search("honey bees")
-        assert frontend.result_cache.stats.hits == 0
-        # So does the rank version.
-        frontend.rank_version_provider = lambda: 2
         frontend.search("honey bees")
         assert frontend.result_cache.stats.hits == 0

@@ -41,13 +41,12 @@ class TestFrontendOptions:
         engine, _ = serving_setup
         options = FrontendOptions.from_config(engine.config)
         assert options.top_k == engine.config.top_k
-        assert options.overlapped_prefetch == engine.config.overlapped_prefetch
         assert options.result_cache_capacity == engine.config.result_cache_capacity
 
     def test_from_config_overrides_replace_fields(self, serving_setup):
         engine, _ = serving_setup
-        options = FrontendOptions.from_config(engine.config, top_k=3, overlapped_prefetch=False)
-        assert options.top_k == 3 and not options.overlapped_prefetch
+        options = FrontendOptions.from_config(engine.config, top_k=3, result_cache_capacity=7)
+        assert options.top_k == 3 and options.result_cache_capacity == 7
         with pytest.raises(TypeError):
             FrontendOptions.from_config(engine.config, no_such_knob=1)
 

@@ -12,7 +12,7 @@ from repro.storage.blockstore import BlockStore
 from repro.storage.chunker import chunk_bytes, iter_chunks
 from repro.storage.cid import compute_cid, is_valid_cid, validate_cid, verify_cid
 from repro.storage.dag import MerkleDAG
-from repro.storage.ipfs import DecentralizedStorage, provider_key
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
 from repro.storage.peer import StoragePeer, decode_block, encode_block
 
 
@@ -221,7 +221,7 @@ class TestDecentralizedStorage:
 
     def test_invalid_replication_rejected(self, simulator, network, dht):
         with pytest.raises(ValueError):
-            DecentralizedStorage(simulator, network, dht, replication=0)
+            DecentralizedStorage(simulator, network, dht, options=StorageOptions(replication=0))
 
     def test_provider_key_format(self):
         assert provider_key("bafyabc").startswith("providers:")

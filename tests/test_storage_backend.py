@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config_schema import UnknownConfigKnobError
-from repro.core.config import QueenBeeConfig
+from repro.core.config import QueenBeeConfig, UnknownConfigKnobError
 from repro.core.engine import QueenBeeEngine
 from repro.errors import BlockNotFoundError
 from repro.storage.backend import MemoryBackend, SqliteBackend, create_backend

@@ -21,7 +21,7 @@ from repro.net.faults import CrashWindow
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
-from repro.storage.ipfs import DecentralizedStorage
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
 from tests.conftest import make_small_engine
 
@@ -38,8 +38,8 @@ class _Deployment:
         self.dht = DHTNetwork(self.simulator, self.network, k=4, alpha=2, replicate=3)
         self.dht.build(12)
         self.storage = DecentralizedStorage(
-            self.simulator, self.network, self.dht, replication=3, chunk_size=64,
-            liveness=self.detector, hedged_fetches=hedged_fetches,
+            self.simulator, self.network, self.dht, liveness=self.detector,
+            options=StorageOptions(replication=3, chunk_size=64, hedged_fetches=hedged_fetches),
         )
         self.storage.build(8)
         self.index = DistributedIndex(

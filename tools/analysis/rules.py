@@ -520,18 +520,18 @@ class UnsortedIteration(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL005 — config knobs must be declared in the schema registry
+# RL005 — config knobs must be declared fields of QueenBeeConfig
 # ---------------------------------------------------------------------------
 
 
 class UndeclaredConfigKnob(Rule):
-    """Every config attribute read must name a knob from the schema.
+    """Every config attribute read must name a declared knob.
 
-    ``repro/config_schema.py`` is the single registry of deployment knobs;
-    a typo'd or undocumented read (``config.gossip_interal``) silently
-    falls back to whatever `getattr` default the call site chose — this
-    rule makes it a lint error, and the engine rejects unknown knobs at
-    runtime from the same registry.
+    The fields of ``repro.core.config.QueenBeeConfig`` are the single
+    registry of deployment knobs; a typo'd or deleted read
+    (``config.gossip_interal``) silently falls back to whatever `getattr`
+    default the call site chose — this rule makes it a lint error, and the
+    engine rejects unknown knobs at runtime from the same names.
     """
 
     rule_id = "RL005"
@@ -547,15 +547,13 @@ class UndeclaredConfigKnob(Rule):
 
     def knob_names(self) -> Set[str]:
         if self._knob_names is None:
-            from repro.config_schema import KNOB_NAMES
+            from repro.core.config import KNOB_NAMES
 
             self._knob_names = set(KNOB_NAMES)
         return self._knob_names
 
     def check(self, module: Module) -> Iterator[Finding]:
-        if module.rel_path.endswith("repro/config_schema.py") or module.rel_path.endswith(
-            "repro/core/config.py"
-        ):
+        if module.rel_path.endswith("repro/core/config.py"):
             return
         knobs = self.knob_names()
         for node in ast.walk(module.tree):
@@ -572,8 +570,8 @@ class UndeclaredConfigKnob(Rule):
             yield self.finding(
                 module,
                 node,
-                f"config knob `{node.attr}` is not declared in "
-                "repro/config_schema.py (typo, or add it to the registry)",
+                f"config knob `{node.attr}` is not a field of "
+                "repro.core.config.QueenBeeConfig (typo, or a deleted knob)",
             )
 
 
