@@ -11,7 +11,6 @@ fields).
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Iterable, Mapping
 
@@ -248,6 +247,8 @@ def check_unknown_knobs(names: Iterable[str]) -> None:
     unknown = sorted(set(names) - KNOB_NAMES)
     if not unknown:
         return
+    import difflib
+
     hints = []
     for name in unknown:
         close = difflib.get_close_matches(name, KNOB_NAMES, n=1)

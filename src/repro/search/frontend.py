@@ -19,10 +19,10 @@ window, and shards outside it are never fetched.  ``search_batch`` extends
 the same overlap across the union of a whole batch's distinct terms — batch
 prefetch latency drops by roughly the unique-term fan-out versus fetching
 term by term — and then executes the per-query work in a parallel region
-too, so batch wall time is the shared prefetch plus the slowest query.  Shard fetches are
-placement-routed by the index (least-loaded live provider from the
-manifest's replica hints), which is what keeps the parallel queries from
-contending on a single peer for a head term's shards.
+too, so batch wall time is the shared prefetch plus the slowest query.
+Shard fetches are placement-routed by the index (least-loaded live provider
+from the manifest's replica hints), which is what keeps the parallel queries
+from contending on a single peer for a head term's shards.
 
 Caching layers
 --------------
@@ -32,8 +32,8 @@ results need no publisher-side notification).  Above it, an optional
 **result cache** stores whole top-k pages keyed by (normalized query, the
 index generation of each of its terms, rank version, statistics version) —
 any republish, rank round, or corpus change shifts the key, so a hit is
-always the page a fresh execution would compose.  Ads are re-selected on every hit; only the ranked
-results are reused.
+always the page a fresh execution would compose.  Ads are re-selected on
+every hit; only the ranked results are reused.
 
 Within one ``search_batch`` call the prefetched lists are a consistent
 snapshot: queries in the batch see the index as of the prefetch instant.
