@@ -8,7 +8,7 @@ top-k results they display.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.errors import KeyNotFoundError
 from repro.dht.dht import DHTNetwork
@@ -17,10 +17,6 @@ from repro.index.document import Document
 
 def doc_key(doc_id: int) -> str:
     return f"docmeta:{doc_id}"
-
-
-def url_key(url: str) -> str:
-    return f"docid:{url}"
 
 
 class DocumentDirectory:
@@ -43,23 +39,15 @@ class DocumentDirectory:
             "snippet": document.text[: self.snippet_length],
         }
         self.dht.put(doc_key(document.doc_id), record)
-        self.dht.put(url_key(document.url), document.doc_id)
 
-    def mark_deleted(self, doc_id: int) -> bool:
+    def mark_deleted(self, doc_id: int) -> None:
         """Replace a document's metadata with a tombstone (page deletion).
 
         The DHT has no delete primitive, so absence is expressed as published
-        state: a ``deleted`` record that :meth:`resolve` hides and whose URL
-        mapping is cleared.  Returns False when no record existed.
+        state: a ``deleted`` record that :meth:`resolve` hides.  One put, no
+        read — the caller has already established that the page exists.
         """
-        try:
-            record = self.dht.get(doc_key(doc_id))
-        except KeyNotFoundError:
-            return False
         self.dht.put(doc_key(doc_id), {"doc_id": doc_id, "deleted": True})
-        if isinstance(record, dict) and record.get("url"):
-            self.dht.put(url_key(record["url"]), None)
-        return True
 
     def resolve(self, doc_id: int) -> Dict[str, Any]:
         """Metadata for ``doc_id`` (empty dict when unknown/unreachable/deleted)."""
@@ -70,14 +58,3 @@ class DocumentDirectory:
         if not isinstance(record, dict) or record.get("deleted"):
             return {}
         return dict(record)
-
-    def resolve_url(self, url: str) -> Optional[int]:
-        """The doc_id registered for ``url`` (``None`` when unknown)."""
-        try:
-            doc_id = self.dht.get(url_key(url))
-        except KeyNotFoundError:
-            return None
-        return int(doc_id) if doc_id is not None else None
-
-    def resolve_many(self, doc_ids: List[int]) -> Dict[int, Dict[str, Any]]:
-        return {doc_id: self.resolve(doc_id) for doc_id in doc_ids}

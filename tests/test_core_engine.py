@@ -62,10 +62,9 @@ class TestDocumentDirectory:
         directory.publish(document, cid="bafy" + "7" * 64)
         record = directory.resolve(7)
         assert record["url"] == "dweb://a/7" and record["owner"] == "alice"
-        assert directory.resolve_url("dweb://a/7") == 7
         assert directory.resolve(99) == {}
-        assert directory.resolve_url("dweb://missing") is None
-        assert set(directory.resolve_many([7, 99])) == {7, 99}
+        directory.mark_deleted(7)
+        assert directory.resolve(7) == {}
 
 
 class TestWorkerBee:

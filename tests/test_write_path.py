@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.directory import DocumentDirectory
 from repro.dht.dht import DHTNetwork
 from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
@@ -134,6 +135,19 @@ class TestMergeBudget:
         d = _Deployment()
         d.index.publish_term("head", _postings(5))
         assert not d.dht.contains("idx:head:0")
+
+
+class TestDirectoryBudget:
+    def test_display_record_is_one_put_and_its_tombstone_one_more(self):
+        # No docid:<url> record beside it (nothing read it), and the
+        # tombstone needs nothing from the record it replaces.
+        d = _Deployment()
+        directory = DocumentDirectory(d.dht)
+        page = Document(doc_id=7, url="dweb://a/7", title="seven", text="lucky", owner="alice")
+        assert d.lookups(lambda: directory.publish(page, cid="bafy" + "7" * 60)) == 1
+        assert directory.resolve(7)["url"] == "dweb://a/7"
+        assert d.lookups(lambda: directory.mark_deleted(7)) == 1
+        assert directory.resolve(7) == {}
 
 
 class TestFetchBudget:
