@@ -314,7 +314,7 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # per CID, no shard pointers, provider records resolved on a miss, parallel STORE fan-out).
 # From PR 11 (67c39dc) until then: (563841.554029, 15332, 4953783, 1208, 3624); ISSUE 17
 # left (241005.264683, 8598, 3114131, 642, 1927).  Re-recorded once more by ISSUE 18, which
-# stopped writing the docid:<url> record nothing read: one put per document, so 20 lookups,
+# stopped writing the url -> doc_id record nothing read: one put per document, so 20 lookups,
 # 60 rounds and 241 RPCs fewer on these 20 documents.  Everything below this tuple — pages,
 # ledger, executor work, ads — is as recorded before.
 GOLDEN_COUNTERS = (235055.949816, 8357, 3047894, 622, 1867)

@@ -139,7 +139,7 @@ class TestMergeBudget:
 
 class TestDirectoryBudget:
     def test_display_record_is_one_put_and_its_tombstone_one_more(self):
-        # No docid:<url> record beside it (nothing read it), and the
+        # No url -> doc_id record beside it (nothing read it), and the
         # tombstone needs nothing from the record it replaces.
         d = _Deployment()
         directory = DocumentDirectory(d.dht)
