@@ -124,11 +124,6 @@ class QueenBeeConfig:
     metadata_plane: str = "shared"
     # Ticks between scheduled gossip rounds.
     gossip_interval: float = 500.0
-    # Publish quantized per-shard rank ceilings into every term manifest at
-    # rank-publish time, letting any frontend prune shards by rank without
-    # materialising the rank vector.  Costs one manifest rewrite per term
-    # per rank round.
-    publish_rank_ceilings: bool = True
 
     # Ranking
     rank_redundancy: int = 3

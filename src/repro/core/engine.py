@@ -38,7 +38,6 @@ from repro.net.gossip import (
     LOAD_PREFIX,
     PlaneEpochFeed,
     RANK_BANDS_KEY,
-    RANK_CEILING_PREFIX,
     RANK_HEAD_KEY,
     STATS_HEAD_KEY,
     quantize_load,
@@ -493,22 +492,11 @@ class QueenBeeEngine:
         )
         if receipt.full_cid is not None:
             self._rank_cid = receipt.full_cid
-        if cfg.publish_rank_ceilings:
-            # Stamp quantized per-shard rank ceilings into every term
-            # manifest (generations untouched, caches stay valid): any
-            # frontend can then prune shards by rank straight from the
-            # manifest, without materialising the rank vector.  With delta
-            # publication on, each restamp also gossips a per-term
-            # rank-version hint so remote frontends refresh ceilings on
-            # their *cached* manifests without a refetch.
-            hint_sink = (
-                self._rank_hint_sink()
-                if self.gossip is not None and cfg.delta_publication
-                else None
-            )
-            RankCeilingPublisher(self.index).publish(
-                result.ranks, self._rank_version, hint_sink=hint_sink
-            )
+        # Restamp the per-shard rank ceilings of the manifests this engine's
+        # own index holds (what shared-plane frontends read).  In memory
+        # only: a remote frontend derives the same bounds from the vector it
+        # fetches, so the round writes nothing per term.
+        RankCeilingPublisher(self.index).publish(self._page_ranks, self._rank_version)
         if self.gossip is not None:
             if receipt.manifest_json is not None:
                 # The band manifest rides the plane whole (it is small);
@@ -866,20 +854,3 @@ class QueenBeeEngine:
                 self._pending_links.setdefault(target_url, []).append(document.doc_id)
         for source_doc_id in self._pending_links.pop(document.url, []):
             self.link_graph.add_edge(source_doc_id, document.doc_id)
-
-    def _rank_hint_sink(self):
-        """The per-term ``rv:<term>`` gossip writer for ceiling restamps."""
-
-        def sink(term: str, manifest) -> None:
-            value = json.dumps(
-                {
-                    "g": manifest.generation,
-                    "rc": [info.rank_ceiling for info in manifest.shards],
-                },
-                sort_keys=True,
-            )
-            self.gossip.publish(
-                "peer-000:store", RANK_CEILING_PREFIX + term, value, self._rank_version
-            )
-
-        return sink

@@ -55,16 +55,17 @@ local feed, so authoritative knowledge piggybacks on gossip.
 
 Rank ceilings
 -------------
-At rank-publish time the engine stamps every manifest entry with a
-**quantized per-shard rank ceiling** — the largest PageRank of any document
-in the shard's doc-id range, rounded *up* on a geometric grid — plus the
-rank version the ceilings were computed at (see
-:class:`~repro.ranking.distributed.RankCeilingPublisher`).  The executor
-uses matching-version ceilings to skip shards whose best possible rank
-cannot reach the top-k threshold, which lets any frontend (local or
-remote) prune by rank **without materialising the rank vector**.  A stale
-or missing ceiling only loosens pruning — bounds are conservative by
-construction, so pages stay bit-identical.
+A manifest *in memory* can carry a **per-shard rank ceiling** — the largest
+PageRank of any document in the shard's doc-id range — plus the rank version
+it was computed at.  The stamp is put there by whoever holds both the
+manifest and a rank vector (see
+:class:`~repro.ranking.distributed.RankCeilingPublisher` and
+:meth:`DistributedIndex.refresh_rank_ceilings`) and is never part of the DHT
+record: it is a statement about the holder's own vector, which the holder
+can always compute and nobody else can vouch for.  The executor uses
+matching-version ceilings to skip shards whose best possible rank cannot
+reach the top-k threshold.  A missing or other-version stamp only loosens
+pruning, so pages stay bit-identical.
 
 Shard placement & replication
 -----------------------------
@@ -92,7 +93,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DHTError, KeyNotFoundError, ReproError, RoutingError, TermNotFoundError
 from repro.dht.dht import DHTNetwork
@@ -184,9 +185,10 @@ class ShardInfo:
     # provider record only).  Hints are routing advice, never authority —
     # a fetch falls back to the provider record when every hint fails.
     providers: Tuple[str, ...] = ()
-    # Quantized-up maximum PageRank of any document in [lo, hi], stamped at
-    # rank-publish time and valid only at the manifest's rank_version
-    # (-1 = unknown; the executor falls back to its other rank bounds).
+    # Maximum PageRank of any document in [lo, hi] in the holder's rank
+    # vector, valid only at the manifest's rank_version (-1 = unknown; the
+    # executor falls back to its other rank bounds).  Memory only: never
+    # written to, nor trusted from, the wire.
     rank_ceiling: float = -1.0
     # The published patch rewriting the *previous* generation's content into
     # this one (None = no patch this generation).  It rides in the manifest,
@@ -202,8 +204,6 @@ class ShardInfo:
         }
         if self.providers:
             body["prov"] = list(self.providers)
-        if self.rank_ceiling >= 0.0:
-            body["rc"] = self.rank_ceiling
         if self.patch is not None:
             body["patch"] = self.patch.to_dict()
         return body
@@ -217,7 +217,6 @@ class ShardInfo:
             generation=int(body["gen"]), cid=str(body["cid"]),
             fingerprint=str(body["fp"]), min_len=int(body.get("ml", 0)),
             providers=tuple(str(p) for p in body.get("prov", ())),
-            rank_ceiling=float(body.get("rc", -1.0)),
             patch=PatchInfo.from_dict(patch) if isinstance(patch, dict) else None,
         )
 
@@ -232,7 +231,8 @@ class TermManifest:
     # The rank-vector version the shards' rank ceilings were computed at
     # (-1 = never stamped).  Consumers use ceilings only when this matches
     # their current rank version; anything else falls back to looser
-    # bounds, never to a wrong page.
+    # bounds, never to a wrong page.  Memory only, like the ceilings: a
+    # parsed manifest is always unstamped, whatever the record says.
     rank_version: int = -1
 
     @property
@@ -262,8 +262,6 @@ class TermManifest:
             "gen": self.generation,
             "shards": [shard.to_dict() for shard in self.shards],
         }
-        if self.rank_version >= 0:
-            body["rv"] = self.rank_version
         return json.dumps(body, sort_keys=True)
 
     @classmethod
@@ -273,7 +271,6 @@ class TermManifest:
             term=str(body["term"]),
             generation=int(body["gen"]),
             shards=tuple(ShardInfo.from_dict(entry) for entry in body["shards"]),
-            rank_version=int(body.get("rv", -1)),
         )
 
 
@@ -376,9 +373,6 @@ class DistributedIndexStats:
     shards_patched: int = 0
     delta_fallbacks: int = 0
     delta_bytes_fetched: int = 0
-    # Cached manifests whose rank ceilings were refreshed from the gossiped
-    # per-term rv hint (no DHT refetch, no epoch bump).
-    rank_hint_refreshes: int = 0
     per_fetch_bytes: List[int] = field(default_factory=list)
 
     def reset(self) -> None:
@@ -397,7 +391,6 @@ class DistributedIndexStats:
         self.shards_patched = 0
         self.delta_fallbacks = 0
         self.delta_bytes_fetched = 0
-        self.rank_hint_refreshes = 0
         self.per_fetch_bytes.clear()
 
 
@@ -511,8 +504,8 @@ class DistributedIndex:
         # generation equals :meth:`generation` — the epoch registry.
         self._manifests: Dict[str, TermManifest] = {}
         # Publisher-side record of the latest manifest this instance wrote,
-        # per term: what the rank-ceiling and provider-hint restamps rewrite
-        # without a DHT read.  The read path never consults it.
+        # per term: what the provider-hint restamp rewrites without a DHT
+        # read.  The read path never consults it.
         self._authoritative: Dict[str, TermManifest] = {}
 
     # -- epochs ---------------------------------------------------------------------
@@ -692,14 +685,7 @@ class DistributedIndex:
                 self.placement.record(term, index, cid, info.providers)
             infos.append(info)
 
-        # Carried shards keep the rank ceilings stamped at the previous
-        # rank-publish; changed shards enter with no ceiling (-1), so the
-        # executor falls back to looser bounds for exactly those until the
-        # next rank round restamps the manifest.
-        manifest = TermManifest(
-            term=term, generation=generation, shards=tuple(infos),
-            rank_version=previous.rank_version if previous is not None else -1,
-        )
+        manifest = TermManifest(term=term, generation=generation, shards=tuple(infos))
         manifest_json = manifest.to_json()
         if not self.dht.put(term_key(term), manifest_json):
             raise DHTError(f"manifest of term {term!r} was stored on no replica")
@@ -874,7 +860,7 @@ class DistributedIndex:
         if use_cache:
             cached = self._manifests.get(term)
             if cached is not None and cached.generation == self.generation(term):
-                return self._overlay_rank_hint(term, cached)
+                return cached
         try:
             value = self.dht.get(term_key(term))
         except KeyNotFoundError as exc:
@@ -887,44 +873,6 @@ class DistributedIndex:
         if use_cache:
             self._manifests[term] = manifest
         return manifest
-
-    def _overlay_rank_hint(self, term: str, cached: TermManifest) -> TermManifest:
-        """Refresh a cached manifest's rank ceilings from the gossiped rv hint.
-
-        The epoch feed may carry a per-term ``rv`` hint — the rank version
-        plus the quantized per-shard ceilings stamped at the last rank
-        publish (see :class:`~repro.ranking.distributed.RankCeilingPublisher`).
-        A hint that is newer than the cached stamp *and* describes exactly
-        this generation's shard layout is applied in place, which is
-        identical to what an authoritative manifest refetch would deliver —
-        so ceilings refresh without an epoch bump or a DHT round trip.
-        Anything else (older hint, generation moved, layout mismatch) leaves
-        the cached manifest untouched; stale ceilings only loosen pruning.
-        """
-        hint_of = getattr(self.epoch_feed, "rank_ceiling_hint", None)
-        if hint_of is None:
-            return cached
-        hint = hint_of(term)
-        if hint is None:
-            return cached
-        version, generation, ceilings = hint
-        if (
-            version <= cached.rank_version
-            or generation != cached.generation
-            or len(ceilings) != len(cached.shards)
-        ):
-            return cached
-        shards = tuple(
-            replace(info, rank_ceiling=float(ceiling))
-            for info, ceiling in zip(cached.shards, ceilings)
-        )
-        refreshed = TermManifest(
-            term=term, generation=cached.generation, shards=shards,
-            rank_version=int(version),
-        )
-        self._manifests[term] = refreshed
-        self.stats.rank_hint_refreshes += 1
-        return refreshed
 
     def fetch_term_sharded(
         self,
@@ -1092,47 +1040,35 @@ class DistributedIndex:
         # full announced provider set.
         return rank_replicas(info.providers, self.storage.presumed_alive, load_of)
 
-    def authoritative_manifests(self) -> Dict[str, TermManifest]:
-        """The latest manifest this instance published, per term (a copy).
-
-        Publisher-side only (empty on a purely-fetching frontend); the rank
-        ceiling publisher iterates it at rank-publish time.
-        """
-        return dict(self._authoritative)
+    def held_manifests(self) -> Dict[str, TermManifest]:
+        """The manifests in this instance's manifest cache, per term (a copy)."""
+        return dict(self._manifests)
 
     def refresh_rank_ceilings(
-        self, term: str, ceilings_by_shard: Dict[int, float], rank_version: int
-    ) -> Optional[TermManifest]:
-        """Restamp one manifest's per-shard rank ceilings at ``rank_version``.
+        self, manifest: TermManifest, ceilings: Sequence[float], rank_version: int
+    ) -> TermManifest:
+        """``manifest`` stamped with per-shard rank ceilings at ``rank_version``.
 
-        Generations (term and per-shard) are untouched — shard *content*
-        did not change, so posting/manifest caches stay valid and result
-        caches keep their keys; only the pruning metadata moves.  Returns
-        the refreshed manifest (the rank ceiling publisher derives the
-        gossiped ``rv`` hint from it), or ``None`` for an unknown term.
+        Memory only — no DHT read, no DHT write: the stamp describes the
+        rank vector of whoever holds this instance, which the record's other
+        readers neither share nor need (they stamp from their own).  When
+        ``manifest`` is the copy the manifest cache holds, the cache takes
+        the stamped one, so the next read finds it current.  Generations
+        (term and per-shard) are untouched — shard *content* did not change,
+        so posting/manifest caches stay valid and result caches keep their
+        keys; only the pruning metadata moves.
         """
-        manifest = self._authoritative.get(term)
-        if manifest is None:
-            try:
-                manifest = self._decode_manifest(term, self.dht.get(term_key(term)))
-            except (KeyNotFoundError, TermNotFoundError):
-                return None
-        shards = tuple(
-            replace(
-                info,
-                rank_ceiling=float(ceilings_by_shard.get(info.index, info.rank_ceiling)),
-            )
-            for info in manifest.shards
-        )
-        refreshed = TermManifest(
-            term=term, generation=manifest.generation, shards=shards,
+        refreshed = replace(
+            manifest,
+            shards=tuple(
+                replace(info, rank_ceiling=float(ceiling))
+                for info, ceiling in zip(manifest.shards, ceilings)
+            ),
             rank_version=rank_version,
         )
-        self._authoritative[term] = refreshed
-        self.dht.put(term_key(term), refreshed.to_json())
+        if self._manifests.get(manifest.term) is manifest:
+            self._manifests[manifest.term] = refreshed
         self.stats.rank_ceiling_refreshes += 1
-        if term in self._manifests:
-            self._manifests[term] = refreshed
         return refreshed
 
     def refresh_shard_providers(
@@ -1142,7 +1078,9 @@ class DistributedIndex:
 
         Generations (term and per-shard) are untouched: the shard *content*
         did not change, only where it lives, so posting/manifest caches stay
-        valid and the result cache's keys do not shift.
+        valid and the result cache's keys do not shift.  This is the only
+        rewrite of a record at an unchanged generation — it changes what the
+        record says to every reader, so it has to be put.
         """
         manifest = self._authoritative.get(term)
         if manifest is None:
@@ -1150,13 +1088,12 @@ class DistributedIndex:
                 manifest = self._decode_manifest(term, self.dht.get(term_key(term)))
             except (KeyNotFoundError, TermNotFoundError):
                 return
-        shards = tuple(
-            replace(info, providers=tuple(providers_by_shard.get(info.index, info.providers)))
-            for info in manifest.shards
-        )
-        refreshed = TermManifest(
-            term=term, generation=manifest.generation, shards=shards,
-            rank_version=manifest.rank_version,
+        refreshed = replace(
+            manifest,
+            shards=tuple(
+                replace(info, providers=tuple(providers_by_shard.get(info.index, info.providers)))
+                for info in manifest.shards
+            ),
         )
         self._authoritative[term] = refreshed
         self.dht.put(term_key(term), refreshed.to_json())

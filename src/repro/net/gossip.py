@@ -44,7 +44,6 @@ wrong answer (see the consuming modules for the per-key argument).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -61,13 +60,6 @@ STATS_HEAD_KEY = "stats:head"
 # JSON, version = rank version).  The DHT copy under the same name stays
 # authoritative; the gossiped manifest only saves the lookup round trip.
 RANK_BANDS_KEY = "rank:bands"
-# Per-term rank-version hint: ``rv:<term>`` carries (as a JSON value) the
-# term generation plus the quantized per-shard rank ceilings stamped at the
-# last rank publish, versioned by rank version — so a frontend's cached
-# manifest refreshes its ceilings without an epoch bump or a manifest
-# refetch.  A stale or missing hint only loosens pruning (ceilings are
-# conservative by construction), never a wrong page.
-RANK_CEILING_PREFIX = "rv:"
 
 # Serving-load hints are deliberately coarse: routing only needs "roughly
 # how busy", and a coarse bucket changes (and therefore re-gossips) orders
@@ -255,30 +247,6 @@ class GossipView:
         if entry is None:
             return 0, None
         return entry.version, str(entry.value)
-
-    # -- rank-version hints ------------------------------------------------------
-
-    def rank_ceiling_hint(self, term: str) -> Optional[Tuple[int, int, List[float]]]:
-        """The gossiped ``(rank_version, generation, ceilings)`` for ``term``.
-
-        Published at each rank round (``rv:<term>``, versioned by rank
-        version), this lets a frontend holding a cached manifest refresh its
-        per-shard rank ceilings without a manifest refetch.  The generation
-        rides along so a hint minted against a *different* manifest layout
-        (shard count or ranges changed) is rejected by the consumer.  A
-        malformed entry reads as "no hint" — ceilings then stay at their
-        cached (still conservative) values.
-        """
-        entry = self._entry(RANK_CEILING_PREFIX + term)
-        if entry is None:
-            return None
-        try:
-            body = json.loads(str(entry.value))
-            generation = int(body["g"])
-            ceilings = [float(ceiling) for ceiling in body["rc"]]
-        except (ValueError, TypeError, KeyError):
-            return None
-        return entry.version, generation, ceilings
 
 
 class PlaneEpochFeed:

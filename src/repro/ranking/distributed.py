@@ -15,10 +15,11 @@ honest computation and the defense knob:
 With ``redundancy = 1`` there is no defense — whatever a worker returns is
 accepted — which is the vulnerable configuration E6 demonstrates.
 
-The module also owns the *publication* side of a rank round's metadata:
-:class:`RankCeilingPublisher` stamps every term manifest with quantized
-per-shard **rank ceilings** at rank-publish time, so any frontend can prune
-doc-id-range shards by rank without materialising the rank vector.
+The module also owns the per-shard **rank ceilings** the executor prunes
+doc-id-range shards by: :class:`RankCeilingPublisher` derives them from a
+rank vector and stamps them onto the term manifests an index instance holds
+in memory.  Nothing about them is published — whoever holds a rank vector
+can compute them, so a rank round writes only the vector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -294,38 +294,19 @@ class DecentralizedPageRank:
         return len(answers)
 
 
-# -- rank-ceiling publication ---------------------------------------------------------
-
-# Geometric grid for the per-shard rank ceiling carried in the manifest.
-# Rounding is always *upward*, so a ceiling can only over-estimate the best
-# rank in a shard's range — pruning against it stays admissible and the
-# top-k stays bit-identical — while quantization keeps manifests compact
-# and stable across rank rounds whose ranks only jitter.
-RANK_CEILING_RATIO = 1.05
-
-
-def quantize_rank_ceiling(value: float, ratio: float = RANK_CEILING_RATIO) -> float:
-    """Round a rank value up to the geometric ceiling grid (conservative)."""
-    if value <= 0.0:
-        return 0.0
-    exponent = math.ceil(math.log(value) / math.log(ratio))
-    quantized = ratio ** exponent
-    # Guard the float round-trip: the grid point must never undercut the
-    # true value, or pruning against it would stop being admissible.
-    while quantized < value:
-        quantized *= ratio
-    return quantized
+# -- rank ceilings ---------------------------------------------------------------------
 
 
 class _DocRangeMax:
-    """Exact max-rank-over-doc-id-range queries for the publisher side.
+    """Exact max-rank-over-doc-id-range queries over one rank vector.
 
-    The publisher holds the full rank vector anyway (it just computed it),
-    so ceilings are computed from sorted (doc_id, rank) arrays — exact, one
-    O(n log n) build per rank round, O(log n + span) per shard query.
+    Sorted (doc_id, rank) arrays: one O(n log n) build per rank version,
+    O(log n + span) per shard query.  A range holding no ranked document
+    answers 0.0, which is what scoring assigns a document the vector does
+    not know.
     """
 
-    def __init__(self, ranks: Dict[int, float]) -> None:
+    def __init__(self, ranks: Mapping[int, float]) -> None:
         pairs = sorted(ranks.items())
         self._doc_ids = [doc_id for doc_id, _ in pairs]
         self._ranks = [rank for _, rank in pairs]
@@ -339,52 +320,54 @@ class _DocRangeMax:
 
 
 class RankCeilingPublisher:
-    """Stamps quantized per-shard rank ceilings into every term manifest.
+    """Stamps per-shard rank ceilings onto the manifests one index holds.
 
-    Runs at rank-publish time (``QueenBeeEngine.compute_page_ranks``):
-    for each manifest the index published, the ceiling of each non-empty
-    shard is the exact maximum rank over its doc-id range, quantized up on
-    the :data:`RANK_CEILING_RATIO` grid, and the manifest's ``rank_version``
-    moves to the new round — generations are untouched, so every cache
-    stays valid.  Remote frontends whose rank version matches then prune
-    shards by rank straight from the manifest, with no rank-vector
-    materialisation and no in-process link to the engine.
+    A shard's ceiling is the exact maximum rank over its doc-id range in the
+    rank vector its holder scores with, and the stamp's ``rank_version`` is
+    that vector's version.  Both sides of the number — the vector and the
+    manifest — are already in the holder's memory, so the stamp is computed
+    there and never travels: the engine stamps its own index after a rank
+    round (:meth:`publish`), and a frontend stamps each manifest it is about
+    to read whose stamp is at another version than its own vector's
+    (:meth:`stamp`) — a freshly fetched manifest, a term republished since,
+    a rank round it has just adopted.  Generations are untouched, so every
+    cache stays valid.  The bound is exact *for the vector the executor
+    scores with* — also on a frontend a round behind the engine — so pruning
+    against it is admissible and pages stay bit-identical to TAAT.
     """
 
     def __init__(self, index) -> None:
-        # Duck-typed: needs authoritative_manifests() + refresh_rank_ceilings().
+        # Duck-typed: needs held_manifests() + refresh_rank_ceilings().
         self.index = index
+        # The range-max structure is built once per rank version, not per
+        # stamp: a version names one vector.
+        self._version: Optional[int] = None
+        self._range_max = _DocRangeMax({})
 
-    def publish(
-        self,
-        ranks: Dict[int, float],
-        rank_version: int,
-        hint_sink: Optional[Callable[[str, object], None]] = None,
-    ) -> int:
-        """Restamp every published manifest; returns the manifests touched.
+    def publish(self, ranks: Mapping[int, float], rank_version: int) -> int:
+        """Restamp every held manifest not already at ``rank_version``;
+        returns how many were."""
+        stale = [
+            manifest
+            for _, manifest in sorted(self.index.held_manifests().items())
+            if manifest.rank_version != rank_version
+        ]
+        for manifest in stale:
+            self.stamp(manifest, ranks, rank_version)
+        return len(stale)
 
-        ``hint_sink(term, refreshed_manifest)`` is invoked for every manifest
-        that was restamped — the engine uses it to gossip a per-term
-        ``rv:<term>`` rank-version hint so remote frontends holding a cached
-        manifest can adopt the new ceilings without a manifest refetch (and
-        without an epoch bump, which would invalidate posting caches).
-        """
-        range_max = _DocRangeMax(dict(ranks))
-        refreshed = 0
-        for term, manifest in sorted(self.index.authoritative_manifests().items()):
-            ceilings = {
-                info.index: (
-                    quantize_rank_ceiling(range_max.range_max(info.lo, info.hi))
-                    if info.count
-                    else 0.0
-                )
-                for info in manifest.shards
-            }
-            restamped = self.index.refresh_rank_ceilings(term, ceilings, rank_version)
-            refreshed += 1
-            if hint_sink is not None and restamped is not None:
-                hint_sink(term, restamped)
-        return refreshed
+    def stamp(self, manifest, ranks: Mapping[int, float], rank_version: int):
+        """``manifest`` with its ceilings taken from ``ranks``; the index's
+        held copy of it is replaced too."""
+        if self._version != rank_version:
+            self._range_max = _DocRangeMax(ranks)
+            self._version = rank_version
+        range_max = self._range_max.range_max
+        ceilings = [
+            range_max(info.lo, info.hi) if info.count else 0.0
+            for info in manifest.shards
+        ]
+        return self.index.refresh_rank_ceilings(manifest, ceilings, rank_version)
 
 
 # -- banded rank-vector publication ----------------------------------------------------

@@ -49,6 +49,7 @@ from repro.index.analysis import Analyzer, tokenize
 from repro.index.distributed import DistributedIndex
 from repro.index.statistics import CollectionStatistics
 from repro.ranking.bm25 import BM25Scorer
+from repro.ranking.distributed import RankCeilingPublisher
 from repro.ranking.scoring import CombinedScorer
 from repro.search.executor import QueryExecutor
 from repro.search.planner import MODE_MAXSCORE, STRATEGY_RAREST_FIRST, QueryPlanner
@@ -230,6 +231,9 @@ class SearchFrontend:
         # queries.  Only populated when a rank_version_provider is wired.
         self._rank_bound_key: Optional[tuple] = None
         self._rank_bound = 0.0
+        # The per-shard counterpart: stamps the manifests this frontend reads
+        # with range maxima of its own rank vector (see _resolve_term).
+        self._ceilings = RankCeilingPublisher(index)
 
     # -- statistics handling ------------------------------------------------------
 
@@ -280,11 +284,27 @@ class SearchFrontend:
     # -- term prefetch -----------------------------------------------------------
 
     def _resolve_term(self, term: str) -> Any:
-        """One term's postings: a lazy sharded reader when the index has one."""
+        """One term's postings: a lazy sharded reader when the index has one.
+
+        The reader's manifest leaves here stamped with per-shard rank
+        ceilings at this frontend's rank version.  The frontend holds both
+        sides of that number (its vector, its index), so a manifest stamped
+        at any other version — fresh off the DHT, republished since, or from
+        before the rank round this frontend just adopted — is restamped from
+        the frontend's *own* vector, in memory: exact for the vector the
+        executor is about to score with, whichever round that is.
+        """
         sharded = getattr(self.index, "fetch_term_sharded", None)
-        if sharded is not None:
-            return sharded(term, requester=self.requester)
-        return self.index.fetch_term(term, requester=self.requester)
+        if sharded is None:
+            return self.index.fetch_term(term, requester=self.requester)
+        reader = sharded(term, requester=self.requester)
+        if self.rank_version_provider is not None:
+            version = self.rank_version_provider()
+            if reader.rank_version != version:
+                reader.manifest = self._ceilings.stamp(
+                    reader.manifest, self.rank_provider(), version
+                )
+        return reader
 
     def _run_region(self, thunks: List[Callable[[], Any]]) -> List[Any]:
         """Run prefetch branches overlapped (a lone branch needs no region)."""
@@ -716,8 +736,8 @@ class SearchFrontend:
             rank_bound_provider=self._rank_bound_provider(
                 page_ranks, statistics.document_count
             ),
-            # Per-shard pruning by rank needs only the current rank version
-            # to validate the ceilings stamped into term manifests.
+            # Per-shard pruning by rank: the executor trusts a manifest's
+            # ceilings only when they were stamped at this version.
             rank_version=(
                 self.rank_version_provider()
                 if self.rank_version_provider is not None

@@ -16,6 +16,7 @@ from repro.index.compression import apply_posting_delta, encode_posting_delta
 from repro.index.distributed import DistributedIndex
 from repro.index.cache import PostingCache
 from repro.index.document import Document
+from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.net.faults import CrashWindow
 
@@ -253,32 +254,85 @@ class TestBandedRankPublication:
         assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
 
 
-class TestRankCeilingHints:
-    def test_cached_manifest_refreshes_ceilings_without_refetch(self, small_corpus):
-        engine = make_small_engine(seed=59, metadata_plane="gossip")
-        engine.bootstrap_corpus(small_corpus.documents[:20])
+class TestRankCeilingsNeedNoChannel:
+    """Per-shard rank bounds move every rank round and ride no patch channel:
+    a frontend derives them from the vector the banded channel delivered."""
+
+    @staticmethod
+    def _deployment(small_corpus, seed):
+        engine = make_small_engine(seed=seed, metadata_plane="gossip", index_shard_size=8)
+        documents = small_corpus.documents[:30]
+        engine.bootstrap_corpus(documents)
         engine.compute_page_ranks()
         engine.converge_metadata()
+        local = LocalInvertedIndex(engine.analyzer)
+        for document in documents:
+            local.add_document(document)
+        heads = local.heaviest_terms(3)
+        # A page none of the head terms index: publishing it moves the rank
+        # vector without republishing any manifest the queries read.
+        bystander = Document(
+            doc_id=9_001, url="dweb://creator-x/bystander", title="bystander",
+            text="bystander wanderer", owner="creator-x",
+            links=(documents[3].url, documents[7].url),
+        )
+        frontend = engine.create_gossip_frontend(requester="peer-004:store", top_k=2)
+        return engine, frontend, heads, bystander
 
-        frontend = engine.create_gossip_frontend(requester="peer-004:store")
-        term = sorted(engine.index.authoritative_manifests())[0]
-        manifest = frontend.index.fetch_term_manifest(term)
-        assert manifest.rank_version == engine.rank_version()
+    @staticmethod
+    def _assert_stamped_from(frontend, terms, ranks, version):
+        held = frontend.index.held_manifests()
+        for term in terms:
+            assert held[term].rank_version == version
+            for info in held[term].shards:
+                assert info.rank_ceiling == max(
+                    (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
+                    default=0.0,
+                )
+
+    def test_cached_manifest_refreshes_ceilings_without_refetch(self, small_corpus):
+        engine, frontend, heads, bystander = self._deployment(small_corpus, seed=59)
+        query = " OR ".join(heads)
+        frontend.search(query)
+        self._assert_stamped_from(frontend, heads, engine.page_ranks(), engine.rank_version())
+        before = dict(engine.page_ranks())
         manifest_fetches = frontend.index.stats.manifest_fetches
+        restamps = frontend.index.stats.rank_ceiling_refreshes
 
-        engine.compute_page_ranks()  # restamps ceilings, no epoch bump
+        engine.publish_document(bystander)
+        engine.compute_page_ranks()
         engine.converge_metadata()
-        refreshed = frontend.index.fetch_term_manifest(term)
-        assert refreshed.rank_version == engine.rank_version()
-        assert frontend.index.stats.rank_hint_refreshes >= 1
-        # The refresh came from the gossiped rv hint, not a manifest refetch.
+        assert dict(engine.page_ranks()) != before
+        frontend.search(query)
+        self._assert_stamped_from(frontend, heads, engine.page_ranks(), engine.rank_version())
+        # Restamped in the frontend's memory, once per held manifest: nothing
+        # was refetched and the plane carried nothing per term.
         assert frontend.index.stats.manifest_fetches == manifest_fetches
-        # Hint-applied ceilings are exactly what the authoritative manifest
-        # carries (the publisher stamped both from the same rank vector).
-        authoritative = engine.index.authoritative_manifests()[term]
-        assert [info.rank_ceiling for info in refreshed.shards] == [
-            info.rank_ceiling for info in authoritative.shards
-        ]
+        assert frontend.index.stats.rank_ceiling_refreshes - restamps == len(heads)
+        assert not [key for key in frontend.metadata_view.node.snapshot() if key.startswith("rv:")]
+
+    def test_a_frontend_one_round_behind_prunes_by_its_own_vector(self, small_corpus):
+        engine, frontend, heads, bystander = self._deployment(small_corpus, seed=61)
+        queries = [f"{a} OR {b}" for a in heads for b in heads if a < b]
+        for query in queries:
+            frontend.search(query)
+        behind = dict(frontend.rank_provider())
+
+        engine.gossip.stop()  # the next round's heads never reach the frontend's peer
+        engine.publish_document(bystander)
+        engine.compute_page_ranks()
+        assert frontend.rank_version_provider() == engine.rank_version() - 1
+        assert dict(frontend.rank_provider()) == behind != dict(engine.page_ranks())
+
+        frontend.execution_mode = "taat"
+        reference = [[(hit.doc_id, hit.score) for hit in frontend.search(q).results] for q in queries]
+        frontend.execution_mode = "maxscore"
+        pages = [frontend.search(query) for query in queries]
+        assert [[(hit.doc_id, hit.score) for hit in page.results] for page in pages] == reference
+        # Its stamps are exact for the vector it scores with — the one it
+        # holds, not the engine's — so being behind costs it no pruning.
+        self._assert_stamped_from(frontend, heads, behind, engine.rank_version() - 1)
+        assert sum(page.diagnostics["shards_skipped"] for page in pages) > 0
 
 
 class TestCrashMidDeltaPublish:

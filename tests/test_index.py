@@ -3,6 +3,7 @@ statistics, documents, and the distributed index."""
 
 from __future__ import annotations
 
+import json
 from itertools import accumulate
 
 import pytest
@@ -359,6 +360,27 @@ class TestDistributedIndex:
         with pytest.raises(TermNotFoundError, match="not a term manifest"):
             index.merge_term("bee", PostingList([Posting(1, 1)]))
         assert dht.get(term_key("bee")) == value
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    def test_a_rank_stamp_in_the_record_is_neither_trusted_nor_written(self, dht, storage, stamped):
+        # Manifests written before ISSUE 24 carry ``rc`` / ``rv``.  They still
+        # parse, but a rank ceiling is a statement about the reader's own rank
+        # vector: one that arrives in a record is dropped, never believed.
+        index = DistributedIndex(dht, storage, shard_size=2)
+        index.publish_term("bee", PostingList([Posting(d, 1) for d in range(5)]))
+        body = json.loads(dht.get(term_key("bee")))
+        assert "rv" not in body and all("rc" not in shard for shard in body["shards"])
+        if stamped:
+            body["rv"] = 7
+            for shard in body["shards"]:
+                shard["rc"] = 0.0  # would prune every shard's rank away if believed
+            dht.put(term_key("bee"), json.dumps(body, sort_keys=True))
+        manifest = index.fetch_term_manifest("bee")
+        assert manifest.rank_version == -1
+        assert [info.rank_ceiling for info in manifest.shards] == [-1.0, -1.0, -1.0]
+        assert index.fetch_term("bee").doc_ids == list(range(5))
+        index.merge_term("bee", PostingList([Posting(9, 1)]))
+        assert "rv" not in dht.get(term_key("bee")) and "rc" not in dht.get(term_key("bee"))
 
     def test_merge_term_accumulates_documents(self, dht, storage):
         index = DistributedIndex(dht, storage)

@@ -1,20 +1,36 @@
-"""Manifest-published rank ceilings: the rank-pruning path without a vector.
+"""Per-shard rank ceilings: stamped where the rank vector already is.
 
-At rank-publish time every term manifest is stamped with a quantized
-per-shard rank ceiling (max PageRank over the shard's doc-id range, rounded
-up) plus the rank version.  The executor prunes shards against matching-
-version ceilings (conservative upper bounds, strict comparisons), so pages
-stay bit-identical to TAAT while remote frontends never materialise the rank
-vector for pruning.
+A shard's ceiling is the exact maximum rank over its doc-id range in the
+vector its holder scores with.  Nothing about it is published: the engine
+stamps the manifests its own index holds after a rank round, a frontend
+stamps each manifest it reads from its *own* vector.  The executor prunes
+shards against matching-version ceilings (exact upper bounds, strict
+comparisons), so pages stay bit-identical to TAAT.
 """
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
+from repro.dht.dht import DHTNetwork
 from repro.index.analysis import Analyzer
+from repro.index.cache import PostingCache
+from repro.index.distributed import DistributedIndex
 from repro.index.inverted_index import LocalInvertedIndex
-from repro.ranking.distributed import quantize_rank_ceiling
+from repro.index.postings import Posting, PostingList
+from repro.index.statistics import CollectionStatistics
+from repro.net.latency import ConstantLatency
+from repro.net.network import SimulatedNetwork
+from repro.ranking.distributed import RankCeilingPublisher
+from repro.search.executor import QueryExecutor
+from repro.search.frontend import SearchFrontend
+from repro.search.planner import MODE_MAXSCORE, MODE_TAAT, QueryPlanner
+from repro.search.query import parse_query
+from repro.sim.simulator import Simulator
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
 
@@ -56,26 +72,29 @@ def head_or_queries(corpus, heads: int = 4):
     ]
 
 
+def top_k_of(pages):
+    return [[(r.doc_id, r.score) for r in page.results] for page in pages]
+
+
 def run_queries(engine, queries, **frontend_overrides):
     frontend = engine.create_frontend(requester="peer-001:store")
     for attribute, value in frontend_overrides.items():
         setattr(frontend, attribute, value)
     pages = [frontend.search(query) for query in queries]
-    top_k = [[(r.doc_id, r.score) for r in page.results] for page in pages]
     skipped = sum(page.diagnostics.get("shards_skipped", 0) for page in pages)
-    return top_k, skipped
+    return top_k_of(pages), skipped
 
 
-class TestQuantization:
-    def test_rounds_up_on_the_grid(self):
-        for value in (1e-6, 0.0123, 0.5, 1.0, 7.3):
-            quantized = quantize_rank_ceiling(value)
-            assert quantized >= value
-            assert quantized <= value * 1.06  # one grid step of slack
+def range_max(ranks, lo, hi):
+    """The oracle: a linear scan, documents the vector does not know rank 0."""
+    return max((rank for doc_id, rank in ranks.items() if lo <= doc_id <= hi), default=0.0)
 
-    def test_non_positive_is_zero(self):
-        assert quantize_rank_ceiling(0.0) == 0.0
-        assert quantize_rank_ceiling(-1.0) == 0.0
+
+def assert_stamped_exactly(manifest, ranks, version):
+    assert manifest.rank_version == version, manifest.term
+    for info in manifest.shards:
+        expected = range_max(ranks, info.lo, info.hi) if info.count else 0.0
+        assert info.rank_ceiling == expected, (manifest.term, info.index)
 
 
 class TestStamping:
@@ -84,52 +103,63 @@ class TestStamping:
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        ranks = engine.page_ranks()
-        stamped_multi = 0
-        for term, manifest in engine.index.authoritative_manifests().items():
-            assert manifest.rank_version == engine.rank_version(), term
-            for info in manifest.shards:
-                if not info.count:
-                    continue
-                true_max = max(
-                    (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
-                    default=0.0,
-                )
-                assert info.rank_ceiling >= true_max, (term, info.index)
-            if len(manifest.shards) > 1:
-                stamped_multi += 1
-        assert stamped_multi > 0, "corpus produced no multi-shard terms"
+        run_queries(engine, head_or_queries(corpus))  # fills the manifest cache
+        held = engine.index.held_manifests()
+        assert any(len(manifest.shards) > 1 for manifest in held.values()), (
+            "corpus produced no multi-shard terms"
+        )
+        for manifest in held.values():
+            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
 
-    def test_republish_leaves_changed_shards_unstamped(self):
+        # The next round restamps what the engine's own index holds, in
+        # memory: no lookup per term, and nothing about it on the wire.
+        engine.delete_document(corpus.documents[0].doc_id)  # the vector moves
+        refreshes = engine.index.stats.rank_ceiling_refreshes
+        engine.compute_page_ranks()
+        restamped = engine.index.held_manifests()
+        assert engine.index.stats.rank_ceiling_refreshes - refreshes == len(restamped)
+        for term, manifest in restamped.items():
+            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
+            assert '"rc"' not in engine.dht.get(f"idx:{term}")
+            assert '"rv"' not in engine.dht.get(f"idx:{term}")
+
+    def test_republished_term_is_restamped_on_next_read(self):
         corpus = small_corpus(num_documents=40)
+        queries = head_or_queries(corpus)
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        version = engine.rank_version()
+        frontend = engine.create_frontend(requester="peer-001:store")
+        for query in queries:
+            frontend.search(query)
         document = corpus.documents[0]
-        engine.delete_document(document.doc_id)
-        # The manifests an update touched keep the stamp version but the
-        # changed shards' ceilings reset to unknown until the next round.
-        local = LocalInvertedIndex(engine.analyzer)
-        frequencies = local.add_document(document)
-        touched = [t for t in frequencies if t in engine.index.authoritative_manifests()]
+        touched = sorted(
+            set(LocalInvertedIndex(engine.analyzer).add_document(document))
+            & set(engine.index.held_manifests())
+        )
         assert touched
-        saw_unstamped = False
-        for term in touched:
-            manifest = engine.index.authoritative_manifests()[term]
-            assert manifest.rank_version == version
-            saw_unstamped = saw_unstamped or any(
-                info.rank_ceiling < 0 for info in manifest.shards
-            )
-        assert saw_unstamped, "a changed shard must drop its stale ceiling"
+        generations = {term: engine.index.generation(term) for term in touched}
+        engine.delete_document(document.doc_id)  # republishes every term it had
 
-    def test_ceiling_publish_can_be_disabled(self):
-        corpus = small_corpus(num_documents=30)
-        engine = build_engine(publish_rank_ceilings=False)
+        reference, _ = run_queries(engine, queries, execution_mode="taat")
+        assert top_k_of([frontend.search(query) for query in queries]) == reference
+        for term in touched:
+            manifest = engine.index.held_manifests()[term]
+            assert manifest.generation > generations[term]
+            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
+
+    def test_a_frontend_without_a_manifest_cache_still_reads_stamped_manifests(self):
+        # Stamping is not a property of the cache: a cache-free index holds
+        # nothing, and every manifest it resolves is stamped on the way out.
+        corpus = small_corpus()
+        engine = build_engine(posting_cache_capacity=0)
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        for manifest in engine.index.authoritative_manifests().values():
-            assert manifest.rank_version == -1
+        reference, _ = run_queries(engine, head_or_queries(corpus), execution_mode="taat")
+        pruned, skipped = run_queries(engine, head_or_queries(corpus))
+        assert pruned == reference
+        assert skipped > 0
+        assert engine.index.held_manifests() == {}
 
 
 class TestCeilingPruning:
@@ -146,20 +176,113 @@ class TestCeilingPruning:
         assert skipped > 0, "manifest ceilings never skipped a shard"
 
     def test_stale_rank_version_falls_back_without_changing_pages(self):
-        # A new rank round whose ceilings were *not* republished leaves the
-        # manifests stamped at the old version: pruning must ignore them
-        # (they bound the old vector) and pages must still match TAAT.
-        corpus = small_corpus()
-        queries = head_or_queries(corpus)
-        engine = build_engine()
-        engine.bootstrap_corpus(corpus.documents)
-        engine.compute_page_ranks()
-        engine.config.publish_rank_ceilings = False
-        engine.compute_page_ranks()  # bumps the version, stamps nothing
+        # One heavy document up front, the best-ranked one 150 ids later.
+        # The readers are stamped from an *empty* vector at version 0: ceilings
+        # that, trusted, prune the shard holding the best page.  An executor at
+        # any other version must ignore them and serve what TAAT serves.
+        postings = {"head": PostingList([Posting(0, 60)] + [Posting(d, 1) for d in range(1, 200)])}
+        ranks = {150: 0.2}
+        frontend = _bare_frontend(postings, 16, ranks)
+        wrong = RankCeilingPublisher(frontend.index)
 
-        for manifest in engine.index.authoritative_manifests().values():
-            assert manifest.rank_version == engine.rank_version() - 1
+        def fetch(term):
+            reader = frontend.index.fetch_term_sharded(term)
+            reader.manifest = wrong.stamp(reader.manifest, {}, 0)
+            return reader
 
-        reference, _ = run_queries(engine, queries, execution_mode="taat")
-        stale, _ = run_queries(engine, queries)
-        assert stale == reference
+        def best(mode, rank_version):
+            executor = QueryExecutor(
+                fetch_postings=fetch, statistics=frontend.statistics, page_ranks=ranks,
+                top_k=1, rank_version=rank_version,
+            )
+            plan = QueryPlanner(frontend.statistics.df).plan(
+                parse_query("head", frontend.analyzer)
+            )
+            return list(executor.execute(plan, mode=mode).scores.items())
+
+        reference = best(MODE_TAAT, None)
+        assert [doc_id for doc_id, _ in reference] == [150]
+        assert best(MODE_MAXSCORE, 1) == reference  # another version: ignored
+        assert best(MODE_MAXSCORE, None) == reference  # told no version: ignored
+        # The control: at the stamp's own version they are believed.
+        assert best(MODE_MAXSCORE, 0) != reference
+
+
+# -- the property: any corpus, any shard size, any rank vector ---------------------
+
+_TERMS = ("honey", "bee", "comb", "hive")
+
+
+def _bare_frontend(postings_map, shard_size, ranks):
+    """A frontend over a bare index: its own vector, version 1, no engine."""
+    simulator = Simulator(seed=7)
+    network = SimulatedNetwork(simulator, latency=ConstantLatency(10.0))
+    dht = DHTNetwork(simulator, network, k=4, alpha=2, replicate=3)
+    dht.build(8)
+    storage = DecentralizedStorage(
+        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
+    )
+    storage.build(4)
+    index = DistributedIndex(
+        dht, storage, shard_size=shard_size, cache=PostingCache(capacity=64)
+    )
+    statistics = CollectionStatistics()
+    for doc_id in sorted({d for plist in postings_map.values() for d in plist.doc_ids}):
+        frequencies = {
+            term: plist.frequencies()[doc_id]
+            for term, plist in postings_map.items()
+            if doc_id in plist.doc_ids
+        }
+        statistics.add_document(doc_id, 20 + doc_id % 7, frequencies)
+    for term, postings in sorted(postings_map.items()):
+        index.publish_term(term, postings)
+    return SearchFrontend(
+        simulator=simulator,
+        index=index,
+        analyzer=Analyzer(stem=False),
+        statistics=statistics,
+        rank_provider=lambda: ranks,
+        rank_version_provider=lambda: 1,
+    )
+
+
+_postings = st.dictionaries(
+    st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=9),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lists=st.lists(_postings, min_size=1, max_size=len(_TERMS)),
+    shard_size=st.sampled_from([2, 4, 8]),
+    # Some documents the vector does not know (they rank 0), some it knows
+    # that no term holds.
+    ranks=st.dictionaries(
+        st.integers(min_value=0, max_value=70),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        max_size=40,
+    ),
+    conjunctive=st.booleans(),
+    top_k=st.integers(min_value=1, max_value=5),
+)
+def test_any_corpus_shard_size_and_vector_stamps_exactly_and_serves_taat_pages(
+    lists, shard_size, ranks, conjunctive, top_k
+):
+    postings_map = {
+        term: PostingList([Posting(doc_id, tf) for doc_id, tf in sorted(body.items())])
+        for term, body in zip(_TERMS, lists)
+    }
+    frontend = _bare_frontend(postings_map, shard_size, ranks)
+    frontend.top_k = top_k
+    query = (" " if conjunctive else " OR ").join(postings_map)
+
+    frontend.execution_mode = MODE_TAAT
+    reference = top_k_of([frontend.search(query)])
+    frontend.execution_mode = MODE_MAXSCORE
+    assert top_k_of([frontend.search(query)]) == reference
+
+    held = frontend.index.held_manifests()
+    assert sorted(held) == sorted(postings_map)
+    for manifest in held.values():
+        assert_stamped_exactly(manifest, ranks, 1)

@@ -315,9 +315,12 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # From PR 11 (67c39dc) until then: (563841.554029, 15332, 4953783, 1208, 3624); ISSUE 17
 # left (241005.264683, 8598, 3114131, 642, 1927).  Re-recorded once more by ISSUE 18, which
 # stopped writing the url -> doc_id record nothing read: one put per document, so 20 lookups,
-# 60 rounds and 241 RPCs fewer on these 20 documents.  Everything below this tuple — pages,
-# ledger, executor work, ads — is as recorded before.
-GOLDEN_COUNTERS = (235055.949816, 8357, 3047894, 622, 1867)
+# 60 rounds and 241 RPCs fewer on these 20 documents: (235055.949816, 8357, 3047894, 622,
+# 1867).  Re-recorded a third time by ISSUE 24, whose one rank round no longer rewrites a
+# manifest per term to say what every reader computes from its rank vector: 156 terms, so 156
+# lookups, 468 rounds, 1,872 RPCs and 745,716 bytes fewer.  Everything below this tuple —
+# pages, ledger, executor work, ads — is as recorded before.
+GOLDEN_COUNTERS = (190218.392167, 6485, 2302178, 466, 1399)
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],

@@ -137,6 +137,29 @@ class TestMergeBudget:
         assert not d.dht.contains("idx:head:0")
 
 
+class TestRankRoundBudget:
+    """A rank round writes the vector (its payload's announcement, the
+    ``rank:vector`` pointer, the band manifest) and nothing per term."""
+
+    @staticmethod
+    def _round(small_corpus, documents: int):
+        engine = make_small_engine(seed=31, metadata_plane="gossip")
+        engine.bootstrap_corpus(small_corpus.documents[:documents])
+        engine.converge_metadata()
+        store = engine.gossip.node("peer-000:store")
+        lookups, keys = engine.dht.stats.lookups, len(store)
+        engine.compute_page_ranks()
+        return engine.dht.stats.lookups - lookups, len(store) - keys
+
+    def test_lookups_and_gossip_keys_do_not_grow_with_the_corpus(self, small_corpus):
+        small = self._round(small_corpus, 20)
+        large = self._round(small_corpus, 60)
+        assert small == large
+        lookups, gossip_keys = small
+        assert lookups <= 4
+        assert gossip_keys == 2  # rank:bands and rank:head
+
+
 class TestDirectoryBudget:
     def test_display_record_is_one_put_and_its_tombstone_one_more(self):
         # No url -> doc_id record beside it (nothing read it), and the
