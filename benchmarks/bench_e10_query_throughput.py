@@ -27,9 +27,9 @@ that naive path on a Zipfian repeated-query stream:
 
 All rows must return *identical* top-k pages.  A second table replays a
 disjunctive head-term workload (pairwise ORs of the heaviest terms), where
-per-shard bounds — impact bounds plus the quantized rank ceilings published
-into term manifests at rank time — prune documents that whole-list bounds
-cannot.  Results are also written to ``BENCH_E10.json`` so the perf
+per-shard bounds — impact bounds plus the rank ceilings each frontend stamps
+onto the manifests it reads, from its own rank vector — prune documents that
+whole-list bounds cannot.  Results are also written to ``BENCH_E10.json`` so the perf
 trajectory is tracked PR-over-PR.  Set the ``E10_SMOKE`` environment
 variable to run a tiny configuration (the CI smoke job does this to catch
 perf-path regressions, including sharded-vs-unsharded and gossip-vs-shared

@@ -1061,7 +1061,7 @@ class DistributedIndex:
         refreshed = replace(
             manifest,
             shards=tuple(
-                replace(info, rank_ceiling=float(ceiling))
+                replace(info, rank_ceiling=ceiling)
                 for info, ceiling in zip(manifest.shards, ceilings)
             ),
             rank_version=rank_version,

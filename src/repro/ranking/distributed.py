@@ -347,11 +347,8 @@ class RankCeilingPublisher:
     def publish(self, ranks: Mapping[int, float], rank_version: int) -> int:
         """Restamp every held manifest not already at ``rank_version``;
         returns how many were."""
-        stale = [
-            manifest
-            for _, manifest in sorted(self.index.held_manifests().items())
-            if manifest.rank_version != rank_version
-        ]
+        held = self.index.held_manifests()
+        stale = [held[term] for term in sorted(held) if held[term].rank_version != rank_version]
         for manifest in stale:
             self.stamp(manifest, ranks, rank_version)
         return len(stale)

@@ -31,6 +31,19 @@ DELETED_KNOBS = (
 )
 
 
+def assert_rank_stamps_exact(manifest, ranks, version) -> None:
+    """``manifest`` is stamped at ``version`` with, per shard, the maximum of
+    ``ranks`` over the shard's doc-id range — by linear scan, the oracle; a
+    document the vector does not know ranks 0."""
+    assert manifest.rank_version == version, manifest.term
+    for info in manifest.shards:
+        expected = max(
+            (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
+            default=0.0,
+        )
+        assert info.rank_ceiling == expected, (manifest.term, info.index)
+
+
 @pytest.fixture
 def simulator() -> Simulator:
     return Simulator(seed=42)

@@ -20,7 +20,7 @@ from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.net.faults import CrashWindow
 
-from tests.conftest import make_small_engine
+from tests.conftest import assert_rank_stamps_exact, make_small_engine
 
 
 def _plist(pairs):
@@ -283,12 +283,7 @@ class TestRankCeilingsNeedNoChannel:
     def _assert_stamped_from(frontend, terms, ranks, version):
         held = frontend.index.held_manifests()
         for term in terms:
-            assert held[term].rank_version == version
-            for info in held[term].shards:
-                assert info.rank_ceiling == max(
-                    (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
-                    default=0.0,
-                )
+            assert_rank_stamps_exact(held[term], ranks, version)
 
     def test_cached_manifest_refreshes_ceilings_without_refetch(self, small_corpus):
         engine, frontend, heads, bystander = self._deployment(small_corpus, seed=59)

@@ -33,6 +33,8 @@ from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
+from tests.conftest import assert_rank_stamps_exact
+
 
 def small_corpus(num_documents: int = 80, seed: int = 13):
     generator = CorpusGenerator(
@@ -85,18 +87,6 @@ def run_queries(engine, queries, **frontend_overrides):
     return top_k_of(pages), skipped
 
 
-def range_max(ranks, lo, hi):
-    """The oracle: a linear scan, documents the vector does not know rank 0."""
-    return max((rank for doc_id, rank in ranks.items() if lo <= doc_id <= hi), default=0.0)
-
-
-def assert_stamped_exactly(manifest, ranks, version):
-    assert manifest.rank_version == version, manifest.term
-    for info in manifest.shards:
-        expected = range_max(ranks, info.lo, info.hi) if info.count else 0.0
-        assert info.rank_ceiling == expected, (manifest.term, info.index)
-
-
 class TestStamping:
     def test_manifests_carry_version_and_conservative_ceilings(self):
         corpus = small_corpus()
@@ -109,7 +99,7 @@ class TestStamping:
             "corpus produced no multi-shard terms"
         )
         for manifest in held.values():
-            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
 
         # The next round restamps what the engine's own index holds, in
         # memory: no lookup per term, and nothing about it on the wire.
@@ -119,7 +109,7 @@ class TestStamping:
         restamped = engine.index.held_manifests()
         assert engine.index.stats.rank_ceiling_refreshes - refreshes == len(restamped)
         for term, manifest in restamped.items():
-            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
             assert '"rc"' not in engine.dht.get(f"idx:{term}")
             assert '"rv"' not in engine.dht.get(f"idx:{term}")
 
@@ -146,7 +136,7 @@ class TestStamping:
         for term in touched:
             manifest = engine.index.held_manifests()[term]
             assert manifest.generation > generations[term]
-            assert_stamped_exactly(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
 
     def test_a_frontend_without_a_manifest_cache_still_reads_stamped_manifests(self):
         # Stamping is not a property of the cache: a cache-free index holds
@@ -285,4 +275,4 @@ def test_any_corpus_shard_size_and_vector_stamps_exactly_and_serves_taat_pages(
     held = frontend.index.held_manifests()
     assert sorted(held) == sorted(postings_map)
     for manifest in held.values():
-        assert_stamped_exactly(manifest, ranks, 1)
+        assert_rank_stamps_exact(manifest, ranks, 1)
