@@ -265,9 +265,15 @@ def run_experiment() -> Dict[str, object]:
     assert derived["head_docs_scored_ratio_naive_vs_sharded"] >= 2.0, (
         "per-shard bound skipping no longer halves head-term scoring work"
     )
-    assert head_sharded["docs scored"] <= head_unsharded["docs scored"]
     assert sharded_row["shards skipped"] > 0, "shard skipping never fired"
     if not SMOKE:
+        # Not asserted in the smoke config (75 = 75 with the quantized rank
+        # ceilings manifests used to carry, 76 > 75 with exact ones): MaxScore's
+        # work is not monotone in its bounds.  A tighter rank bound demotes a
+        # list to non-essential one round sooner, and a candidate is then
+        # bounded by that list's shard maximum instead of its enumerated
+        # frequency — one document the looser bound pruned gets scored.
+        assert head_sharded["docs scored"] <= head_unsharded["docs scored"]
         # Lazy shard cursors must fetch substantially fewer bytes than the
         # whole-list path on disjunctive head queries.  (Not asserted in the
         # smoke config: with ~8-posting shards the per-shard envelope
