@@ -254,7 +254,7 @@ class TestBandedRankPublication:
         assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
 
 
-class TestRankCeilingsNeedNoChannel:
+class TestCeilingsNeedNoChannel:
     """Per-shard rank bounds move every rank round and ride no patch channel:
     a frontend derives them from the vector the banded channel delivered."""
 
