@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -296,6 +297,28 @@ class DecentralizedPageRank:
 
 # -- rank ceilings ---------------------------------------------------------------------
 
+# Geometric grid a shard's rank ceiling is rounded *up* onto, so it can only
+# over-estimate the best rank in the shard's range: pruning against it stays
+# admissible and the top-k bit-identical.  The grid is the one manifests
+# carried on the wire; stamping in memory keeps it because MaxScore's work is
+# not monotone in its bounds (a tighter one can demote a list sooner and score
+# a document the looser one pruned), so the executor's decisions stay exactly
+# what they were.  Moving to the exact maximum is a change of its own.
+RANK_CEILING_RATIO = 1.05
+
+
+def quantize_rank_ceiling(value: float, ratio: float = RANK_CEILING_RATIO) -> float:
+    """Round a rank value up to the geometric ceiling grid (conservative)."""
+    if value <= 0.0:
+        return 0.0
+    exponent = math.ceil(math.log(value) / math.log(ratio))
+    quantized = ratio ** exponent
+    # Guard the float round-trip: the grid point must never undercut the
+    # true value, or pruning against it would stop being admissible.
+    while quantized < value:
+        quantized *= ratio
+    return quantized
+
 
 class _DocRangeMax:
     """Exact max-rank-over-doc-id-range queries over one rank vector.
@@ -322,25 +345,26 @@ class _DocRangeMax:
 class RankCeilingPublisher:
     """Stamps per-shard rank ceilings onto the manifests one index holds.
 
-    A shard's ceiling is the exact maximum rank over its doc-id range in the
-    rank vector its holder scores with, and the stamp's ``rank_version`` is
-    that vector's version.  Both sides of the number — the vector and the
+    A shard's ceiling is the maximum rank over its doc-id range in the rank
+    vector its holder scores with, rounded up on the :data:`RANK_CEILING_RATIO`
+    grid, and the stamp's ``rank_version`` is that vector's version.  Both sides of the number — the vector and the
     manifest — are already in the holder's memory, so the stamp is computed
     there and never travels: the engine stamps its own index after a rank
     round (:meth:`publish`), and a frontend stamps each manifest it is about
     to read whose stamp is at another version than its own vector's
     (:meth:`stamp`) — a freshly fetched manifest, a term republished since,
     a rank round it has just adopted.  Generations are untouched, so every
-    cache stays valid.  The bound is exact *for the vector the executor
-    scores with* — also on a frontend a round behind the engine — so pruning
-    against it is admissible and pages stay bit-identical to TAAT.
+    cache stays valid.  The bound is an upper bound *for the vector the
+    executor scores with* — also on a frontend a round behind the engine — so
+    pruning against it is admissible and pages stay bit-identical to TAAT.
     """
 
     def __init__(self, index) -> None:
         # Duck-typed: needs held_manifests() + refresh_rank_ceilings().
         self.index = index
         # The range-max structure is built once per rank version, not per
-        # stamp: a version names one vector.
+        # stamp.  A version names one vector: callers hand over a consistent
+        # (vector, version) pair (SearchFrontend._resolve_term checks it).
         self._version: Optional[int] = None
         self._range_max = _DocRangeMax({})
 
@@ -361,7 +385,7 @@ class RankCeilingPublisher:
             self._version = rank_version
         range_max = self._range_max.range_max
         ceilings = [
-            range_max(info.lo, info.hi) if info.count else 0.0
+            quantize_rank_ceiling(range_max(info.lo, info.hi)) if info.count else 0.0
             for info in manifest.shards
         ]
         return self.index.refresh_rank_ceilings(manifest, ceilings, rank_version)

@@ -291,8 +291,14 @@ class SearchFrontend:
         sides of that number (its vector, its index), so a manifest stamped
         at any other version — fresh off the DHT, republished since, or from
         before the rank round this frontend just adopted — is restamped from
-        the frontend's *own* vector, in memory: exact for the vector the
-        executor is about to score with, whichever round that is.
+        the frontend's *own* vector, in memory: a bound for the vector the
+        executor is about to score with, whichever round that is.  The
+        version and the vector come from two provider calls, and a remote
+        rank client may adopt a new round in either; versions only grow, so
+        the same version read again after the vector says the vector is that
+        version's.  Otherwise the manifest keeps its old stamp, which the
+        executor (now at the newer version) ignores, and the next read
+        restamps it.
         """
         sharded = getattr(self.index, "fetch_term_sharded", None)
         if sharded is None:
@@ -301,9 +307,9 @@ class SearchFrontend:
         if self.rank_version_provider is not None:
             version = self.rank_version_provider()
             if reader.rank_version != version:
-                reader.manifest = self._ceilings.stamp(
-                    reader.manifest, self.rank_provider(), version
-                )
+                ranks = self.rank_provider()
+                if self.rank_version_provider() == version:
+                    reader.manifest = self._ceilings.stamp(reader.manifest, ranks, version)
         return reader
 
     def _run_region(self, thunks: List[Callable[[], Any]]) -> List[Any]:

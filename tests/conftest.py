@@ -15,6 +15,7 @@ from repro.core.engine import QueenBeeEngine
 from repro.dht.dht import DHTNetwork
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
+from repro.ranking.distributed import quantize_rank_ceiling
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
@@ -31,17 +32,18 @@ DELETED_KNOBS = (
 )
 
 
-def assert_rank_stamps_exact(manifest, ranks, version) -> None:
+def assert_rank_stamps_from_vector(manifest, ranks, version) -> None:
     """``manifest`` is stamped at ``version`` with, per shard, the maximum of
     ``ranks`` over the shard's doc-id range — by linear scan, the oracle; a
-    document the vector does not know ranks 0."""
+    document the vector does not know ranks 0 — rounded up on the ceiling grid."""
     assert manifest.rank_version == version, manifest.term
     for info in manifest.shards:
-        expected = max(
+        true_max = max(
             (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
             default=0.0,
         )
-        assert info.rank_ceiling == expected, (manifest.term, info.index)
+        assert info.rank_ceiling == quantize_rank_ceiling(true_max), (manifest.term, info.index)
+        assert info.rank_ceiling >= true_max
 
 
 @pytest.fixture

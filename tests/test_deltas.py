@@ -20,7 +20,7 @@ from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.net.faults import CrashWindow
 
-from tests.conftest import assert_rank_stamps_exact, make_small_engine
+from tests.conftest import assert_rank_stamps_from_vector, make_small_engine
 
 
 def _plist(pairs):
@@ -283,7 +283,7 @@ class TestCeilingsNeedNoChannel:
     def _assert_stamped_from(frontend, terms, ranks, version):
         held = frontend.index.held_manifests()
         for term in terms:
-            assert_rank_stamps_exact(held[term], ranks, version)
+            assert_rank_stamps_from_vector(held[term], ranks, version)
 
     def test_cached_manifest_refreshes_ceilings_without_refetch(self, small_corpus):
         engine, frontend, heads, bystander = self._deployment(small_corpus, seed=59)
@@ -324,8 +324,8 @@ class TestCeilingsNeedNoChannel:
         frontend.execution_mode = "maxscore"
         pages = [frontend.search(query) for query in queries]
         assert [[(hit.doc_id, hit.score) for hit in page.results] for page in pages] == reference
-        # Its stamps are exact for the vector it scores with — the one it
-        # holds, not the engine's — so being behind costs it no pruning.
+        # Its stamps come from the vector it scores with — the one it holds,
+        # not the engine's — so being behind costs it no pruning.
         self._assert_stamped_from(frontend, heads, behind, engine.rank_version() - 1)
         assert sum(page.diagnostics["shards_skipped"] for page in pages) > 0
 

@@ -1,11 +1,11 @@
 """Per-shard rank ceilings: stamped where the rank vector already is.
 
-A shard's ceiling is the exact maximum rank over its doc-id range in the
-vector its holder scores with.  Nothing about it is published: the engine
-stamps the manifests its own index holds after a rank round, a frontend
-stamps each manifest it reads from its *own* vector.  The executor prunes
-shards against matching-version ceilings (exact upper bounds, strict
-comparisons), so pages stay bit-identical to TAAT.
+A shard's ceiling is the maximum rank over its doc-id range in the vector its
+holder scores with, rounded up on a geometric grid.  Nothing about it is
+published: the engine stamps the manifests its own index holds after a rank
+round, a frontend stamps each manifest it reads from its *own* vector.  The
+executor prunes shards against matching-version ceilings (conservative upper
+bounds, strict comparisons), so pages stay bit-identical to TAAT.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
-from repro.ranking.distributed import RankCeilingPublisher
+from repro.ranking.distributed import RankCeilingPublisher, quantize_rank_ceiling
 from repro.search.executor import QueryExecutor
 from repro.search.frontend import SearchFrontend
 from repro.search.planner import MODE_MAXSCORE, MODE_TAAT, QueryPlanner
@@ -33,7 +33,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
-from tests.conftest import assert_rank_stamps_exact
+from tests.conftest import assert_rank_stamps_from_vector
 
 
 def small_corpus(num_documents: int = 80, seed: int = 13):
@@ -87,6 +87,18 @@ def run_queries(engine, queries, **frontend_overrides):
     return top_k_of(pages), skipped
 
 
+class TestQuantization:
+    def test_rounds_up_on_the_grid(self):
+        for value in (1e-6, 0.0123, 0.5, 1.0, 7.3):
+            quantized = quantize_rank_ceiling(value)
+            assert quantized >= value
+            assert quantized <= value * 1.06  # one grid step of slack
+
+    def test_non_positive_is_zero(self):
+        assert quantize_rank_ceiling(0.0) == 0.0
+        assert quantize_rank_ceiling(-1.0) == 0.0
+
+
 class TestStamping:
     def test_manifests_carry_version_and_conservative_ceilings(self):
         corpus = small_corpus()
@@ -99,7 +111,7 @@ class TestStamping:
             "corpus produced no multi-shard terms"
         )
         for manifest in held.values():
-            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_from_vector(manifest, engine.page_ranks(), engine.rank_version())
 
         # The next round restamps what the engine's own index holds, in
         # memory: no lookup per term, and nothing about it on the wire.
@@ -109,7 +121,7 @@ class TestStamping:
         restamped = engine.index.held_manifests()
         assert engine.index.stats.rank_ceiling_refreshes - refreshes == len(restamped)
         for term, manifest in restamped.items():
-            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_from_vector(manifest, engine.page_ranks(), engine.rank_version())
             assert '"rc"' not in engine.dht.get(f"idx:{term}")
             assert '"rv"' not in engine.dht.get(f"idx:{term}")
 
@@ -136,7 +148,7 @@ class TestStamping:
         for term in touched:
             manifest = engine.index.held_manifests()[term]
             assert manifest.generation > generations[term]
-            assert_rank_stamps_exact(manifest, engine.page_ranks(), engine.rank_version())
+            assert_rank_stamps_from_vector(manifest, engine.page_ranks(), engine.rank_version())
 
     def test_a_frontend_without_a_manifest_cache_still_reads_stamped_manifests(self):
         # Stamping is not a property of the cache: a cache-free index holds
@@ -198,6 +210,32 @@ class TestCeilingPruning:
         assert best(MODE_MAXSCORE, 0) != reference
 
 
+    def test_a_round_adopted_between_the_two_provider_reads_is_never_stamped_as_the_old_one(self):
+        # A remote rank client may adopt a round in any provider call.  Here
+        # it does so when the vector is read: the version read just before
+        # (1) does not name the vector handed back (2's).
+        postings = {"head": PostingList([Posting(0, 60)] + [Posting(d, 1) for d in range(1, 200)])}
+        old, new = {10: 0.9}, {150: 0.2}
+        client = {"version": 1, "ranks": old}
+
+        def read_ranks():
+            client.update(version=2, ranks=new)
+            return client["ranks"]
+
+        frontend = _bare_frontend(postings, 16, new)
+        frontend.rank_version_provider = lambda: 2
+        frontend.execution_mode = MODE_TAAT
+        reference = top_k_of([frontend.search("head")])
+
+        frontend = _bare_frontend(postings, 16, old)
+        frontend.rank_provider = read_ranks
+        frontend.rank_version_provider = lambda: client["version"]
+        assert top_k_of([frontend.search("head")]) == reference
+        assert frontend.index.held_manifests()["head"].rank_version != 1
+        assert top_k_of([frontend.search("head")]) == reference
+        assert_rank_stamps_from_vector(frontend.index.held_manifests()["head"], new, 2)
+
+
 # -- the property: any corpus, any shard size, any rank vector ---------------------
 
 _TERMS = ("honey", "bee", "comb", "hive")
@@ -256,7 +294,7 @@ _postings = st.dictionaries(
     conjunctive=st.booleans(),
     top_k=st.integers(min_value=1, max_value=5),
 )
-def test_any_corpus_shard_size_and_vector_stamps_exactly_and_serves_taat_pages(
+def test_any_corpus_shard_size_and_vector_stamps_from_it_and_serves_taat_pages(
     lists, shard_size, ranks, conjunctive, top_k
 ):
     postings_map = {
@@ -275,4 +313,4 @@ def test_any_corpus_shard_size_and_vector_stamps_exactly_and_serves_taat_pages(
     held = frontend.index.held_manifests()
     assert sorted(held) == sorted(postings_map)
     for manifest in held.values():
-        assert_rank_stamps_exact(manifest, ranks, 1)
+        assert_rank_stamps_from_vector(manifest, ranks, 1)
