@@ -299,11 +299,10 @@ class DecentralizedPageRank:
 
 # Geometric grid a shard's rank ceiling is rounded *up* onto, so it can only
 # over-estimate the best rank in the shard's range: pruning against it stays
-# admissible and the top-k bit-identical.  The grid is the one manifests
-# carried on the wire; stamping in memory keeps it because MaxScore's work is
-# not monotone in its bounds (a tighter one can demote a list sooner and score
-# a document the looser one pruned), so the executor's decisions stay exactly
-# what they were.  Moving to the exact maximum is a change of its own.
+# admissible and the top-k bit-identical.  Why a grid when the exact maximum
+# is at hand: MaxScore's work is not monotone in its bounds (a tighter one can
+# demote a list sooner and score a document the looser one pruned), and E10's
+# work gates are recorded against these values.
 RANK_CEILING_RATIO = 1.05
 
 
