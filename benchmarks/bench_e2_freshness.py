@@ -160,8 +160,6 @@ def _invalidation_row(corpus) -> Dict[str, object]:
         analyzer=engine.analyzer,
         statistics=engine.statistics,
         options=FrontendOptions(top_k=engine.config.top_k),
-        planning_strategy=engine.config.planning_strategy,
-        execution_mode=engine.config.execution_mode,
         requester="peer-002:store",
     )
 

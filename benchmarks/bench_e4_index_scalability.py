@@ -224,7 +224,7 @@ def _update_row(delta_on: bool) -> Dict[str, object]:
         shard_size=0,
         epoch_feed=_SharedEpochFeed(engine.index),
         delta_publication=delta_on,
-        delta_max_ratio=engine.config.delta_max_ratio,
+        delta_max_ratio=engine.index.delta_max_ratio,
     )
     word = _head_word(corpus, engine.analyzer)
     term = engine.analyzer.analyze(word)[0]

@@ -108,9 +108,6 @@ class QueenBeeConfig:
     # of refetching wholesale.  The full artifact is still published and
     # stays authoritative; False is the wholesale ablation E2 measures.
     delta_publication: bool = True
-    # A shard patch larger than this fraction of the full shard payload is
-    # not published (an all-docs-changed round degenerates to full fetch).
-    delta_max_ratio: float = 0.5
 
     # Metadata plane
     # How frontends learn soft metadata (index epochs, the rank head,
@@ -131,7 +128,6 @@ class QueenBeeConfig:
     rank_max_iterations: int = 30
 
     # Chain / incentives
-    block_interval: float = 1_000.0
     min_worker_stake: int = 1_000
     publish_reward: int = 10
     task_reward: int = 5
@@ -148,10 +144,6 @@ class QueenBeeConfig:
 
     # Frontend
     max_ads: int = 2
-    planning_strategy: str = "rarest_first"
-    # "maxscore" is the document-at-a-time top-k engine with pruning;
-    # "taat" is the reference term-at-a-time path (identical results).
-    execution_mode: str = "maxscore"
     # Capacity (in pages) of the frontend's top-k result cache, keyed by
     # (normalized query, term generations, rank version, stats version).
     # 0 (default) disables it: the cache is opt-in because its key tracks
@@ -185,8 +177,6 @@ class QueenBeeConfig:
         typo'd ``from_dict`` key is.
         """
         check_unknown_knobs(self.as_dict())
-        if self.execution_mode not in ("taat", "maxscore"):
-            raise ValueError(f"unknown execution_mode {self.execution_mode!r}")
         if self.rpc_timeout < 0:
             raise ValueError("rpc_timeout must be non-negative")
         if self.rpc_retries < 1:
@@ -205,8 +195,6 @@ class QueenBeeConfig:
             raise ValueError("placement_repair_grace must be non-negative")
         if self.placement_repair_budget < 0:
             raise ValueError("placement_repair_budget must be non-negative")
-        if not 0.0 < self.delta_max_ratio <= 1.0:
-            raise ValueError("delta_max_ratio must be in (0, 1]")
         if self.metadata_plane not in ("shared", "gossip"):
             raise ValueError(f"unknown metadata_plane {self.metadata_plane!r}")
         if self.gossip_interval <= 0:

@@ -275,7 +275,6 @@ class QueenBeeEngine:
             placement=self.placement,
             epoch_feed=epoch_feed,
             delta_publication=cfg.delta_publication,
-            delta_max_ratio=cfg.delta_max_ratio,
             metrics=self.metrics,
         )
         # Rank-vector publication: banded deltas against the last wholesale
@@ -639,8 +638,6 @@ class QueenBeeEngine:
             analyzer=self.analyzer,
             statistics=self.statistics,
             max_ads=self.config.max_ads,
-            planning_strategy=self.config.planning_strategy,
-            execution_mode=self.config.execution_mode,
             requester=requester,
             shard_size_hint=self.config.index_shard_size,
             options=options,
@@ -685,7 +682,6 @@ class QueenBeeEngine:
             epoch_feed=view,
             load_lookup=view.load_hint,
             delta_publication=cfg.delta_publication,
-            delta_max_ratio=cfg.delta_max_ratio,
             metrics=self.metrics,
         )
         rank_client = GossipRankClient(view, self.storage, requester, dht=self.dht)
@@ -699,8 +695,6 @@ class QueenBeeEngine:
             analyzer=Analyzer(),
             statistics=None,
             max_ads=cfg.max_ads,
-            planning_strategy=cfg.planning_strategy,
-            execution_mode=cfg.execution_mode,
             requester=requester,
             shard_size_hint=cfg.index_shard_size,
             metadata_view=view,

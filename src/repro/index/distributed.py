@@ -282,8 +282,7 @@ class ShardedPostings:
     manifest without any content fetch, and :meth:`shard` fetches (and
     memoizes) individual shard contents on demand — so shards the executor
     skips are never pulled over the network.  :meth:`materialize` rebuilds
-    the full list for consumers that need it (the TAAT reference path, the
-    publish-side merge).
+    the full list for consumers that need it (the publish-side merge).
     """
 
     def __init__(

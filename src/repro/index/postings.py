@@ -28,11 +28,11 @@ class Posting:
 
 
 class PostingList:
-    """A sorted-by-doc_id list of postings with merge and intersection support.
+    """A sorted-by-doc_id list of postings with merge, split and patch support.
 
-    Intersection uses galloping (exponential) search from the shorter list
-    into the longer one, the standard technique for skewed list sizes; the
-    query planner orders terms rarest-first to exploit it.
+    Queries do not combine lists here: the executor's cursors walk
+    :meth:`arrays` document-at-a-time, galloping from the shortest list
+    into the longer ones (see :mod:`repro.search.executor`).
     """
 
     def __init__(self, postings: Optional[Sequence[Posting]] = None) -> None:
@@ -138,9 +138,9 @@ class PostingList:
     def arrays(self) -> Tuple[List[int], List[int]]:
         """Cached parallel ``(doc_ids, term_frequencies)`` arrays.
 
-        DAAT cursors and galloping intersection consume these on every query,
-        so they are materialised once per list version and invalidated on
-        mutation.  Treat the returned lists as read-only.
+        The executor's cursors consume these on every query, so they are
+        materialised once per list version and invalidated on mutation.
+        Treat the returned lists as read-only.
         """
         if self._arrays is None:
             self._arrays = (
@@ -203,30 +203,6 @@ class PostingList:
     def frequencies(self) -> Dict[int, int]:
         """doc_id -> term frequency mapping (scorers use this)."""
         return {posting.doc_id: posting.term_frequency for posting in self._postings}
-
-    # -- set operations ----------------------------------------------------------
-
-    def intersect(self, other: "PostingList") -> "PostingList":
-        """Documents present in both lists (AND semantics)."""
-        short, long_ = (self, other) if len(self) <= len(other) else (other, self)
-        long_ids = long_.arrays()[0]
-        result = PostingList()
-        cursor = 0
-        for posting in short:
-            cursor = _gallop_to(long_ids, posting.doc_id, cursor)
-            if cursor < len(long_ids) and long_ids[cursor] == posting.doc_id:
-                own = self.get(posting.doc_id)
-                result.add(posting.doc_id, own.term_frequency if own else posting.term_frequency)
-        return result
-
-    def union(self, other: "PostingList") -> "PostingList":
-        """Documents present in either list (OR semantics)."""
-        merged = dict(other.frequencies())
-        merged.update(self.frequencies())
-        result = PostingList()
-        for doc_id in sorted(merged):
-            result.add(doc_id, merged[doc_id])
-        return result
 
     def merge(self, other: "PostingList") -> "PostingList":
         """Union where the *other* list's frequencies win on conflict.
@@ -319,38 +295,3 @@ class PostingList:
             else:
                 high = mid - 1
         return None
-
-
-def _gallop_to(sorted_ids: List[int], target: int, start: int) -> int:
-    """Index of the first element >= ``target`` at or after ``start`` (galloping)."""
-    if start >= len(sorted_ids) or sorted_ids[start] >= target:
-        return start
-    step = 1
-    low = start
-    high = start + step
-    while high < len(sorted_ids) and sorted_ids[high] < target:
-        low = high
-        step *= 2
-        high = start + step
-    high = min(high, len(sorted_ids))
-    while low < high:
-        mid = (low + high) // 2
-        if sorted_ids[mid] < target:
-            low = mid + 1
-        else:
-            high = mid
-    return low
-
-
-def intersect_many(lists: Sequence[PostingList]) -> PostingList:
-    """Intersect several posting lists, shortest first (the planner's job,
-    but done defensively here as well)."""
-    if not lists:
-        return PostingList()
-    ordered = sorted(lists, key=len)
-    result = ordered[0]
-    for other in ordered[1:]:
-        if not len(result):
-            break
-        result = result.intersect(other)
-    return result

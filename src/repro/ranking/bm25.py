@@ -1,11 +1,10 @@
-"""BM25 term-relevance scoring over posting lists and collection statistics."""
+"""BM25 term-relevance scoring from term frequencies and collection statistics."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
-from repro.index.postings import PostingList
 from repro.index.statistics import CollectionStatistics
 
 DEFAULT_K1 = 1.2
@@ -87,23 +86,3 @@ class BM25Scorer:
             denominator = tf + self.k1 * (1.0 - self.b + self.b * length / avgdl)
             score += idf * (tf * (self.k1 + 1.0)) / denominator
         return score
-
-    def score_postings(
-        self,
-        query_terms: Iterable[str],
-        postings_by_term: Mapping[str, PostingList],
-        candidate_doc_ids: Iterable[int],
-    ) -> Dict[int, float]:
-        """Score every candidate document against the query terms."""
-        candidates = list(candidate_doc_ids)
-        frequencies_by_term = {
-            term: postings.frequencies() for term, postings in postings_by_term.items()
-        }
-        scores: Dict[int, float] = {}
-        for doc_id in candidates:
-            per_doc = {
-                term: frequencies_by_term.get(term, {}).get(doc_id, 0)
-                for term in query_terms
-            }
-            scores[doc_id] = self.score_document(doc_id, per_doc)
-        return scores

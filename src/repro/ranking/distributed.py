@@ -355,7 +355,8 @@ class RankCeilingPublisher:
     a rank round it has just adopted.  Generations are untouched, so every
     cache stays valid.  The bound is an upper bound *for the vector the
     executor scores with* — also on a frontend a round behind the engine — so
-    pruning against it is admissible and pages stay bit-identical to TAAT.
+    pruning against it is admissible and pages stay bit-identical to
+    exhaustive scoring.
     """
 
     def __init__(self, index) -> None:

@@ -51,8 +51,3 @@ class CombinedScorer:
         if not page_ranks:
             return 0.0
         return self.rank_component(max(page_ranks.values()), document_count)
-
-    def top_k(self, combined: Mapping[int, float], k: int) -> Dict[int, float]:
-        """The ``k`` best documents, ties broken by doc_id for determinism."""
-        ordered = sorted(combined.items(), key=lambda item: (-item[1], item[0]))
-        return dict(ordered[:k])

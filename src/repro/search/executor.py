@@ -1,20 +1,16 @@
 """Query execution: fetch posting lists, evaluate, score, take top-k.
 
-Two execution modes share one interface:
-
-``taat`` (term-at-a-time)
-    The reference path: materialise the full intersection/union, score every
-    candidate, sort, truncate.  Simple, obviously correct, and the baseline
-    every optimisation is checked against.
-
-``maxscore`` (document-at-a-time with MaxScore pruning)
-    The production path: posting cursors advance document-at-a-time with
-    galloping skips, a bounded min-heap tracks the current top-k, and
-    per-term *max-impact* upper bounds let the executor skip scoring — or
-    stop scanning entirely — once no remaining document can enter the top-k.
-    Pruning only ever uses *strict* bound comparisons, so the returned top-k
-    (documents, scores, and tie-breaks) is bit-identical to the ``taat``
-    path.
+There is one engine: document-at-a-time evaluation with MaxScore pruning.
+Posting cursors advance document-at-a-time with galloping skips, a bounded
+min-heap tracks the current top-k, and per-term *max-impact* upper bounds
+let the executor skip scoring — or stop scanning entirely — once no
+remaining document can enter the top-k.  Pruning only ever uses *strict*
+bound comparisons, so the returned top-k (documents, scores, and
+tie-breaks) is exactly the exhaustive answer: every document of the
+intersection (AND) or union (OR) scored, sorted by ``(-score, doc_id)``,
+truncated.  The tests check it against that exhaustive model
+(``tests/reference.py``), which shares nothing with this module but the two
+scoring functions.
 
 Sharded terms
 -------------
@@ -56,7 +52,7 @@ from repro.index.postings import PostingList
 from repro.index.statistics import CollectionStatistics
 from repro.ranking.bm25 import BM25Scorer
 from repro.ranking.scoring import CombinedScorer
-from repro.search.planner import EXECUTION_MODES, MODE_MAXSCORE, MODE_TAAT, QueryPlan
+from repro.search.planner import QueryPlan
 
 # A posting fetcher resolves one term to its postings — a PostingList, or a
 # lazy ShardedPostings reader (duck-typed via .shard_infos) for sharded
@@ -75,39 +71,27 @@ _BOUND_SLACK = 1.0 + 1e-9
 class ExecutionOutcome:
     """Candidates, scores, and diagnostics from executing one plan.
 
-    In ``maxscore`` mode, ``candidates`` holds only the documents the engine
-    actually *visited* (pruned document spaces are skipped wholesale), so it
-    can be shorter than the ``taat`` candidate set; ``scores`` is identical
-    between modes.  ``postings_by_term`` holds whatever the fetcher returned
-    (materialised lists in ``taat`` mode, possibly lazy readers in
-    ``maxscore`` mode).
+    ``candidates`` holds only the documents the engine actually *visited*
+    (pruned document spaces are skipped wholesale), so it can be shorter
+    than the intersection (AND) or union (OR) of the lists.
     """
 
     candidates: List[int] = field(default_factory=list)
     scores: Dict[int, float] = field(default_factory=dict)
     page_ranks: Dict[int, float] = field(default_factory=dict)
-    postings_by_term: Dict[str, Any] = field(default_factory=dict)
     missing_terms: Tuple[str, ...] = field(default_factory=tuple)
     terms_fetched: int = 0
     postings_scanned: int = 0
     docs_scored: int = 0
     docs_pruned: int = 0
     shards_skipped: int = 0
-    # Lazy segment materializations the cursors performed (maxscore mode).
-    # Each is a shard *request* against the fetcher — served by the
-    # frontend's memoized readers or the posting cache when warm, and only
-    # otherwise by a placement-routed network fetch (the index's
-    # terms_fetched counter tracks those).
+    # Lazy segment materializations the cursors performed.  Each is a shard
+    # *request* against the fetcher — served by the frontend's memoized
+    # readers or the posting cache when warm, and only otherwise by a
+    # placement-routed network fetch (the index's terms_fetched counter
+    # tracks those).
     segments_loaded: int = 0
     early_exit: bool = False
-    mode: str = MODE_TAAT
-
-
-def _materialize(postings: Any) -> PostingList:
-    """A full PostingList from either a list or a sharded reader."""
-    if isinstance(postings, PostingList):
-        return postings
-    return postings.materialize()
 
 
 class _ShardUnreachable(Exception):
@@ -441,14 +425,11 @@ class QueryExecutor:
         bm25: Optional[BM25Scorer] = None,
         combiner: Optional[CombinedScorer] = None,
         top_k: int = 10,
-        mode: str = MODE_TAAT,
         rank_bound_provider: Optional[Callable[[], float]] = None,
         rank_version: Optional[int] = None,
     ) -> None:
         if top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {top_k!r}")
-        if mode not in EXECUTION_MODES:
-            raise ValueError(f"unknown execution mode {mode!r}")
         self.fetch_postings = fetch_postings
         self.statistics = statistics
         # Held by reference, not copied: the rank vector is corpus-sized and a
@@ -458,7 +439,6 @@ class QueryExecutor:
         self.bm25 = bm25 or BM25Scorer(statistics)
         self.combiner = combiner or CombinedScorer()
         self.top_k = top_k
-        self.mode = mode
         # Optional externally-memoized global rank upper bound.  Deriving it
         # from the rank vector is an O(corpus) max(); a caller that tracks
         # the rank-vector version (the frontend) supplies a provider so the
@@ -473,71 +453,8 @@ class QueryExecutor:
         # looser pruning, identical pages.
         self.rank_version = rank_version
 
-    def execute(self, plan: QueryPlan, mode: Optional[str] = None) -> ExecutionOutcome:
-        """Run the plan in the executor's (or an overriding) mode."""
-        mode = mode or self.mode
-        if mode not in EXECUTION_MODES:
-            raise ValueError(f"unknown execution mode {mode!r}")
-        if mode == MODE_MAXSCORE:
-            return self._execute_maxscore(plan)
-        return self._execute_taat(plan)
-
-    # -- term-at-a-time (reference) ------------------------------------------------
-
-    def _execute_taat(self, plan: QueryPlan) -> ExecutionOutcome:
-        """Fetch lists in planned order, combine fully, score, rank."""
-        outcome = ExecutionOutcome(mode=MODE_TAAT)
-        running: Optional[PostingList] = None
-        conjunctive = plan.query.is_conjunctive
-        missing: List[str] = []
-
-        for term in plan.ordered_terms:
-            try:
-                postings = _materialize(self.fetch_postings(term))
-            except TermNotFoundError:
-                missing.append(term)
-                if conjunctive:
-                    # An AND query with an unknown term cannot match anything,
-                    # but keep fetching nothing further: the result is empty.
-                    outcome.missing_terms = tuple(missing)
-                    outcome.early_exit = True
-                    return outcome
-                continue
-            outcome.terms_fetched += 1
-            outcome.postings_scanned += len(postings)
-            outcome.postings_by_term[term] = postings
-            if running is None:
-                running = postings
-            elif conjunctive:
-                running = running.intersect(postings)
-                if not len(running):
-                    outcome.early_exit = True
-                    break
-            else:
-                running = running.union(postings)
-
-        outcome.missing_terms = tuple(missing)
-        if running is None or not len(running):
-            return outcome
-
-        candidates = running.doc_ids
-        outcome.candidates = candidates
-        bm25_scores = self.bm25.score_postings(
-            list(plan.query.terms), outcome.postings_by_term, candidates
-        )
-        outcome.docs_scored = len(candidates)
-        combined = self.combiner.combine(
-            bm25_scores, self.page_ranks, self.statistics.document_count
-        )
-        top = self.combiner.top_k(combined, self.top_k)
-        outcome.scores = top
-        outcome.page_ranks = {doc_id: self.page_ranks.get(doc_id, 0.0) for doc_id in top}
-        return outcome
-
-    # -- document-at-a-time with MaxScore pruning ------------------------------------
-
-    def _execute_maxscore(self, plan: QueryPlan) -> ExecutionOutcome:
-        """Run the DAAT/MaxScore engine, degrading unreachable terms.
+    def execute(self, plan: QueryPlan) -> ExecutionOutcome:
+        """Run the plan, degrading unreachable terms.
 
         A shard that becomes unreachable *mid-execution* (lazy cursor load —
         only possible on the disjunctive path, where shard fetches are
@@ -549,20 +466,20 @@ class QueryExecutor:
         broken: set = set()
         while True:
             try:
-                return self._execute_maxscore_once(plan, broken)
+                return self._execute_once(plan, broken)
             except _ShardUnreachable as exc:
                 broken.add(exc.term)
 
-    def _execute_maxscore_once(self, plan: QueryPlan, broken: set) -> ExecutionOutcome:
-        outcome = ExecutionOutcome(mode=MODE_MAXSCORE)
+    def _execute_once(self, plan: QueryPlan, broken: set) -> ExecutionOutcome:
+        outcome = ExecutionOutcome()
         conjunctive = plan.query.is_conjunctive
         missing: List[str] = []
         cursors: List[_Cursor] = []
         # Feasible doc-id window for conjunctive queries: if a fetched list is
         # empty, or the window closes (all-lists doc-id ranges are disjoint),
         # the intersection is provably empty and the remaining fetches are
-        # skipped — recovering most of TAAT's stop-fetching-early behaviour.
-        # The window comes from manifests alone, so no shard content loads.
+        # skipped.  The window comes from manifests alone, so no shard
+        # content loads.
         window_low, window_high = 0, None
 
         for term in plan.ordered_terms:
@@ -578,7 +495,6 @@ class QueryExecutor:
                     return outcome
                 continue
             outcome.terms_fetched += 1
-            outcome.postings_by_term[term] = postings
             # The term's max impact on the *combined* score: its best BM25
             # contribution scaled by the combiner's text weight.
             scale, tf_constant = self.bm25.impact_parameters(term)
@@ -673,7 +589,8 @@ class QueryExecutor:
         return outcome
 
     def _score_exact(self, plan: QueryPlan, doc_id: int, found: Dict[str, int]) -> float:
-        """The combined score, computed with the same arithmetic as TAAT."""
+        """The combined score: BM25 over the query terms in query order, plus
+        the rank component — ``CombinedScorer.combine``'s arithmetic."""
         per_doc = {term: found.get(term, 0) for term in plan.query.terms}
         text = self.bm25.score_document(doc_id, per_doc)
         rank = self.page_ranks.get(doc_id, 0.0)
@@ -704,7 +621,7 @@ class QueryExecutor:
         The driver is clamped to the feasible window, whole driver shards
         whose range-bound cannot beat the threshold are skipped unscanned,
         and surviving candidates are pruned by their actual-frequency bound
-        — all strict comparisons, so results match TAAT exactly.
+        — all strict comparisons, so results match exhaustive scoring exactly.
         """
         cursors.sort(key=len)
         driver, others = cursors[0], cursors[1:]

@@ -52,7 +52,7 @@ from repro.ranking.bm25 import BM25Scorer
 from repro.ranking.distributed import RankCeilingPublisher
 from repro.ranking.scoring import CombinedScorer
 from repro.search.executor import QueryExecutor
-from repro.search.planner import MODE_MAXSCORE, STRATEGY_RAREST_FIRST, QueryPlanner
+from repro.search.planner import QueryPlanner
 from repro.search.query import ParsedQuery, parse_query
 from repro.search.result_cache import ResultCache
 from repro.search.results import (
@@ -188,8 +188,6 @@ class SearchFrontend:
         analyzer: Optional[Analyzer] = None,
         statistics: Optional[CollectionStatistics] = None,
         max_ads: int = 2,
-        planning_strategy: str = STRATEGY_RAREST_FIRST,
-        execution_mode: str = MODE_MAXSCORE,
         requester: Optional[str] = None,
         bm25: Optional[BM25Scorer] = None,
         combiner: Optional[CombinedScorer] = None,
@@ -209,8 +207,6 @@ class SearchFrontend:
         self._statistics = statistics
         self.top_k = options.top_k
         self.max_ads = max_ads
-        self.planning_strategy = planning_strategy
-        self.execution_mode = execution_mode
         self.requester = requester
         self.bm25 = bm25
         self.combiner = combiner or CombinedScorer()
@@ -724,12 +720,7 @@ class SearchFrontend:
             return postings
 
         statistics = self.statistics
-        planner = QueryPlanner(
-            statistics.df,
-            strategy=self.planning_strategy,
-            shard_size=self.shard_size_hint,
-        )
-        plan = planner.plan(query)
+        plan = QueryPlanner(statistics.df, shard_size=self.shard_size_hint).plan(query)
         page_ranks = self.rank_provider()
         executor = QueryExecutor(
             fetch_postings=fetch,
@@ -738,7 +729,6 @@ class SearchFrontend:
             bm25=self.bm25 or BM25Scorer(statistics),
             combiner=self.combiner,
             top_k=self.top_k,
-            mode=self.execution_mode,
             rank_bound_provider=self._rank_bound_provider(
                 page_ranks, statistics.document_count
             ),
@@ -786,8 +776,6 @@ class SearchFrontend:
             latency=latency,
             terms_missing=outcome.missing_terms,
             diagnostics={
-                "plan_strategy": plan.strategy,
-                "execution_mode": outcome.mode,
                 "terms_fetched": outcome.terms_fetched,
                 "estimated_postings": plan.estimated_postings,
                 "estimated_shard_fetches": plan.estimated_shard_fetches,

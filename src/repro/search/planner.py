@@ -1,13 +1,11 @@
-"""Query planning: the order in which term posting lists are fetched and
-intersected, plus the plan-level cost estimate the diagnostics report.
+"""Query planning: the order in which term posting lists are fetched, plus
+the plan-level cost estimate the diagnostics report.
 
-Fetching the rarest term first keeps the running intersection small, so later
-(longer) lists are galloped into rather than scanned — and for conjunctive
-queries an empty intermediate result lets the frontend skip the remaining
-fetches entirely.  The naive (query order) plan is kept as the E1 ablation.
-
-The execution-mode constants live here (rather than in the executor) so the
-executor, frontend, and config can all name them without import cycles.
+Conjunctive queries fetch their rarest term first: the executor drives the
+shortest list and gallops the longer ones, and the feasible doc-id window
+the first manifests close lets it skip the remaining fetches entirely when
+the intersection is provably empty.  Disjunctive queries keep query order —
+every list is needed, and the executor orders them by bound itself.
 """
 
 from __future__ import annotations
@@ -17,24 +15,13 @@ from typing import Callable, List, Tuple
 
 from repro.search.query import ParsedQuery
 
-STRATEGY_RAREST_FIRST = "rarest_first"
-STRATEGY_QUERY_ORDER = "query_order"
-
-# Execution modes understood by the executor.  TAAT is the reference
-# term-at-a-time intersect-then-score path; MAXSCORE is the document-at-a-time
-# top-k engine with per-term upper-bound pruning.
-MODE_TAAT = "taat"
-MODE_MAXSCORE = "maxscore"
-EXECUTION_MODES = (MODE_TAAT, MODE_MAXSCORE)
-
 
 @dataclass
 class QueryPlan:
-    """The ordered terms plus the strategy that produced the order."""
+    """The query's terms in fetch order, with their cost estimates."""
 
     query: ParsedQuery
     ordered_terms: Tuple[str, ...] = field(default_factory=tuple)
-    strategy: str = STRATEGY_RAREST_FIRST
     estimated_frequencies: Tuple[int, ...] = field(default_factory=tuple)
     # Shard fan-out estimate per ordered term (ceil(df / shard_size), 1 when
     # the deployment's shard size is unknown): the number of range-shard
@@ -43,12 +30,12 @@ class QueryPlan:
 
     @property
     def estimated_postings(self) -> int:
-        """Total postings a full term-at-a-time evaluation would score.
+        """Total postings an exhaustive evaluation would score.
 
         Reported in result-page diagnostics.  Compare it against
-        ``docs_scored`` to see what pruning saved; ``postings_scanned`` is a
-        different unit in maxscore mode (it counts cursor/gallop probes, not
-        scored postings), so it is not directly comparable to this estimate.
+        ``docs_scored`` to see what pruning saved; ``postings_scanned``
+        counts cursor/gallop probes, not scored postings, so it is not
+        directly comparable to this estimate.
         """
         return sum(self.estimated_frequencies)
 
@@ -72,29 +59,20 @@ class QueryPlanner:
     estimate each term's shard fan-out (0 = unsharded: one shard per term).
     """
 
-    def __init__(
-        self,
-        df_lookup: Callable[[str], int],
-        strategy: str = STRATEGY_RAREST_FIRST,
-        shard_size: int = 0,
-    ) -> None:
-        if strategy not in (STRATEGY_RAREST_FIRST, STRATEGY_QUERY_ORDER):
-            raise ValueError(f"unknown planning strategy {strategy!r}")
+    def __init__(self, df_lookup: Callable[[str], int], shard_size: int = 0) -> None:
         self.df_lookup = df_lookup
-        self.strategy = strategy
         self.shard_size = shard_size
 
     def plan(self, query: ParsedQuery) -> QueryPlan:
-        """Order the query's terms according to the configured strategy."""
+        """Order the query's terms: rarest first for AND, query order for OR."""
         frequencies: List[Tuple[str, int]] = [
             (term, max(0, int(self.df_lookup(term)))) for term in query.terms
         ]
-        if self.strategy == STRATEGY_RAREST_FIRST and query.is_conjunctive:
+        if query.is_conjunctive:
             frequencies.sort(key=lambda item: (item[1], item[0]))
         return QueryPlan(
             query=query,
             ordered_terms=tuple(term for term, _ in frequencies),
-            strategy=self.strategy,
             estimated_frequencies=tuple(df for _, df in frequencies),
             estimated_shards=tuple(
                 max(1, -(-df // self.shard_size)) if self.shard_size > 0 else 1

@@ -21,14 +21,14 @@ from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
 
-# The ten knobs ISSUE 18 deleted and the one ISSUE 24 did (docs/KNOBS.md has
-# each one's answer).  Named here only so tests can assert that configs and
-# lint keep rejecting them.
+# Every knob the audits deleted (docs/KNOBS.md has each one's answer).  Named
+# here only so tests can assert that configs and lint keep rejecting them.
 DELETED_KNOBS = (
     "placement_replication_factor", "placement_repair_floor", "retry_deadline",
     "detector_probe_after", "gossip_fanout", "rank_tolerance", "rank_delta_bands",
     "result_cache_loose_keys", "cache_validation", "overlapped_prefetch",
-    "publish_rank_ceilings",
+    "publish_rank_ceilings", "execution_mode", "planning_strategy", "block_interval",
+    "delta_max_ratio",
 )
 
 

@@ -21,6 +21,7 @@ from repro.index.postings import Posting, PostingList
 from repro.net.faults import CrashWindow
 
 from tests.conftest import assert_rank_stamps_from_vector, make_small_engine
+from tests.reference import frontend_reference
 
 
 def _plist(pairs):
@@ -319,9 +320,7 @@ class TestCeilingsNeedNoChannel:
         assert frontend.rank_version_provider() == engine.rank_version() - 1
         assert dict(frontend.rank_provider()) == behind != dict(engine.page_ranks())
 
-        frontend.execution_mode = "taat"
-        reference = [[(hit.doc_id, hit.score) for hit in frontend.search(q).results] for q in queries]
-        frontend.execution_mode = "maxscore"
+        reference = [frontend_reference(frontend, query) for query in queries]
         pages = [frontend.search(query) for query in queries]
         assert [[(hit.doc_id, hit.score) for hit in page.results] for page in pages] == reference
         # Its stamps come from the vector it scores with — the one it holds,

@@ -8,8 +8,12 @@ from repro import errors
 from repro.chain.consensus import RoundRobinSchedule
 from repro.index.analysis import Analyzer
 from repro.index.postings import Posting, PostingList
+from repro.index.statistics import CollectionStatistics
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
+from repro.search.executor import QueryExecutor
+from repro.search.planner import QueryPlan
+from repro.search.query import parse_query
 from repro.sim.simulator import Simulator
 from repro.errors import SimulationError
 
@@ -119,15 +123,25 @@ class TestAnalyzerEdgeCases:
         assert analyzer.term_frequencies("") == {}
 
 
+def _intersect(first: PostingList, second: PostingList):
+    """The executor's AND over two lists, ``first`` fetched first."""
+    lists = {"alpha": first, "beta": second}
+    executor = QueryExecutor(fetch_postings=lists.__getitem__, statistics=CollectionStatistics())
+    query = parse_query("alpha beta", Analyzer(stem=False))
+    return executor.execute(QueryPlan(query, ordered_terms=("alpha", "beta")))
+
+
 class TestPostingListEdgeCases:
     def test_intersection_with_empty_list(self):
         a = PostingList([Posting(1), Posting(2)])
-        assert a.intersect(PostingList()).doc_ids == []
-        assert PostingList().intersect(a).doc_ids == []
+        for first, second in ((a, PostingList()), (PostingList(), a)):
+            outcome = _intersect(first, second)
+            assert outcome.candidates == [] and outcome.scores == {}
+            assert outcome.early_exit
 
     def test_union_with_self_is_identity(self):
         a = PostingList([Posting(1, 2), Posting(5, 3)])
-        assert a.union(a).frequencies() == a.frequencies()
+        assert a.merge(a).frequencies() == a.frequencies()
 
     def test_serialization_of_empty_list(self):
         empty = PostingList()
@@ -140,8 +154,10 @@ class TestPostingListEdgeCases:
     def test_galloping_intersection_with_extreme_skew(self):
         small = PostingList([Posting(999_999)])
         big = PostingList([Posting(i) for i in range(0, 1_000_000, 7)])
-        result = small.intersect(big)
-        assert result.doc_ids == ([999_999] if 999_999 % 7 == 0 else [])
+        outcome = _intersect(small, big)
+        assert outcome.candidates == ([999_999] if 999_999 % 7 == 0 else [])
+        # The long list is galloped into, not walked.
+        assert outcome.postings_scanned < 64
 
 
 class TestConsensusMembership:

@@ -4,7 +4,7 @@ statistics, documents, and the distributed index."""
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +23,11 @@ from repro.index.compression import (
 from repro.index.distributed import DistributedIndex, term_key
 from repro.index.document import Document, DocumentStore
 from repro.index.inverted_index import LocalInvertedIndex
-from repro.index.postings import Posting, PostingList, intersect_many
+from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
+from repro.search.executor import QueryExecutor
+from repro.search.planner import QueryPlan
+from repro.search.query import parse_query
 
 
 class TestAnalysis:
@@ -174,6 +177,18 @@ class TestCompression:
         assert restored.max_term_frequency == original.max_term_frequency
 
 
+_TERMS = ("alpha", "beta", "gamma")
+
+
+def _conjunction(*lists: PostingList):
+    """The executor's AND over ``lists``, fetched in the order given — the one
+    place posting lists are intersected."""
+    by_term = dict(zip(_TERMS, lists))
+    query = parse_query(" ".join(by_term), Analyzer(stem=False))
+    executor = QueryExecutor(fetch_postings=by_term.__getitem__, statistics=CollectionStatistics())
+    return executor.execute(QueryPlan(query, ordered_terms=tuple(by_term)))
+
+
 class TestPostingList:
     def test_add_keeps_sorted_order(self):
         postings = PostingList()
@@ -197,13 +212,13 @@ class TestPostingList:
     def test_intersect_and_union(self):
         a = PostingList([Posting(1), Posting(3), Posting(5), Posting(7)])
         b = PostingList([Posting(3), Posting(4), Posting(7), Posting(9)])
-        assert a.intersect(b).doc_ids == [3, 7]
-        assert a.union(b).doc_ids == [1, 3, 4, 5, 7, 9]
+        assert _conjunction(a, b).candidates == [3, 7]
+        assert a.merge(b).doc_ids == [1, 3, 4, 5, 7, 9]
 
     def test_intersect_is_commutative_in_membership(self):
         a = PostingList([Posting(i) for i in range(0, 100, 3)])
         b = PostingList([Posting(i) for i in range(0, 100, 7)])
-        assert a.intersect(b).doc_ids == b.intersect(a).doc_ids
+        assert _conjunction(a, b).candidates == _conjunction(b, a).candidates
 
     def test_merge_prefers_new_frequencies(self):
         old = PostingList([Posting(1, 2), Posting(2, 2)])
@@ -226,8 +241,10 @@ class TestPostingList:
             PostingList([Posting(i) for i in range(0, 100, 10)]),
             PostingList([Posting(i) for i in range(0, 100, 5)]),
         ]
-        assert intersect_many(lists).doc_ids == list(range(0, 100, 10))
-        assert intersect_many([]).doc_ids == []
+        outcomes = [_conjunction(*order) for order in permutations(lists)]
+        assert all(outcome.candidates == list(range(0, 100, 10)) for outcome in outcomes)
+        # Whatever the fetch order, the shortest list drives: the same work.
+        assert len({outcome.postings_scanned for outcome in outcomes}) == 1
 
     def test_invalid_term_frequency_rejected(self):
         with pytest.raises(IndexError_):
@@ -239,8 +256,8 @@ class TestPostingList:
     def test_intersection_matches_set_semantics(self, xs, ys):
         a = PostingList([Posting(x) for x in set(xs)])
         b = PostingList([Posting(y) for y in set(ys)])
-        assert a.intersect(b).doc_ids == sorted(set(xs) & set(ys))
-        assert a.union(b).doc_ids == sorted(set(xs) | set(ys))
+        assert _conjunction(a, b).candidates == sorted(set(xs) & set(ys))
+        assert a.merge(b).doc_ids == sorted(set(xs) | set(ys))
 
 
 class TestDocumentStore:

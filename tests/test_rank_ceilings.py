@@ -5,7 +5,8 @@ holder scores with, rounded up on a geometric grid.  Nothing about it is
 published: the engine stamps the manifests its own index holds after a rank
 round, a frontend stamps each manifest it reads from its *own* vector.  The
 executor prunes shards against matching-version ceilings (conservative upper
-bounds, strict comparisons), so pages stay bit-identical to TAAT.
+bounds, strict comparisons), so pages stay bit-identical to the exhaustive
+reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from repro.net.network import SimulatedNetwork
 from repro.ranking.distributed import RankCeilingPublisher, quantize_rank_ceiling
 from repro.search.executor import QueryExecutor
 from repro.search.frontend import SearchFrontend
-from repro.search.planner import MODE_MAXSCORE, MODE_TAAT, QueryPlanner
+from repro.search.planner import QueryPlanner
 from repro.search.query import parse_query
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
 from tests.conftest import assert_rank_stamps_from_vector
+from tests.reference import frontend_reference
 
 
 def small_corpus(num_documents: int = 80, seed: int = 13):
@@ -78,13 +80,17 @@ def top_k_of(pages):
     return [[(r.doc_id, r.score) for r in page.results] for page in pages]
 
 
-def run_queries(engine, queries, **frontend_overrides):
+def run_queries(engine, queries):
     frontend = engine.create_frontend(requester="peer-001:store")
-    for attribute, value in frontend_overrides.items():
-        setattr(frontend, attribute, value)
     pages = [frontend.search(query) for query in queries]
     skipped = sum(page.diagnostics.get("shards_skipped", 0) for page in pages)
     return top_k_of(pages), skipped
+
+
+def reference_pages(engine, queries):
+    """The exhaustive pages a fresh engine frontend must serve."""
+    frontend = engine.create_frontend(requester="peer-001:store")
+    return [frontend_reference(frontend, query) for query in queries]
 
 
 class TestQuantization:
@@ -143,7 +149,7 @@ class TestStamping:
         generations = {term: engine.index.generation(term) for term in touched}
         engine.delete_document(document.doc_id)  # republishes every term it had
 
-        reference, _ = run_queries(engine, queries, execution_mode="taat")
+        reference = reference_pages(engine, queries)
         assert top_k_of([frontend.search(query) for query in queries]) == reference
         for term in touched:
             manifest = engine.index.held_manifests()[term]
@@ -157,7 +163,7 @@ class TestStamping:
         engine = build_engine(posting_cache_capacity=0)
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        reference, _ = run_queries(engine, head_or_queries(corpus), execution_mode="taat")
+        reference = reference_pages(engine, head_or_queries(corpus))
         pruned, skipped = run_queries(engine, head_or_queries(corpus))
         assert pruned == reference
         assert skipped > 0
@@ -172,7 +178,7 @@ class TestCeilingPruning:
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
 
-        reference, _ = run_queries(engine, queries, execution_mode="taat")
+        reference = reference_pages(engine, queries)
         ceilings_only, skipped = run_queries(engine, queries)
         assert ceilings_only == reference
         assert skipped > 0, "manifest ceilings never skipped a shard"
@@ -181,7 +187,7 @@ class TestCeilingPruning:
         # One heavy document up front, the best-ranked one 150 ids later.
         # The readers are stamped from an *empty* vector at version 0: ceilings
         # that, trusted, prune the shard holding the best page.  An executor at
-        # any other version must ignore them and serve what TAAT serves.
+        # any other version must ignore them and serve the reference's page.
         postings = {"head": PostingList([Posting(0, 60)] + [Posting(d, 1) for d in range(1, 200)])}
         ranks = {150: 0.2}
         frontend = _bare_frontend(postings, 16, ranks)
@@ -192,7 +198,7 @@ class TestCeilingPruning:
             reader.manifest = wrong.stamp(reader.manifest, {}, 0)
             return reader
 
-        def best(mode, rank_version):
+        def best(rank_version):
             executor = QueryExecutor(
                 fetch_postings=fetch, statistics=frontend.statistics, page_ranks=ranks,
                 top_k=1, rank_version=rank_version,
@@ -200,14 +206,15 @@ class TestCeilingPruning:
             plan = QueryPlanner(frontend.statistics.df).plan(
                 parse_query("head", frontend.analyzer)
             )
-            return list(executor.execute(plan, mode=mode).scores.items())
+            return list(executor.execute(plan).scores.items())
 
-        reference = best(MODE_TAAT, None)
+        frontend.top_k = 1
+        reference = frontend_reference(frontend, "head")
         assert [doc_id for doc_id, _ in reference] == [150]
-        assert best(MODE_MAXSCORE, 1) == reference  # another version: ignored
-        assert best(MODE_MAXSCORE, None) == reference  # told no version: ignored
+        assert best(1) == reference  # another version: ignored
+        assert best(None) == reference  # told no version: ignored
         # The control: at the stamp's own version they are believed.
-        assert best(MODE_MAXSCORE, 0) != reference
+        assert best(0) != reference
 
 
     def test_a_round_adopted_between_the_two_provider_reads_is_never_stamped_as_the_old_one(self):
@@ -222,10 +229,7 @@ class TestCeilingPruning:
             client.update(version=2, ranks=new)
             return client["ranks"]
 
-        frontend = _bare_frontend(postings, 16, new)
-        frontend.rank_version_provider = lambda: 2
-        frontend.execution_mode = MODE_TAAT
-        reference = top_k_of([frontend.search("head")])
+        reference = [frontend_reference(_bare_frontend(postings, 16, new), "head")]
 
         frontend = _bare_frontend(postings, 16, old)
         frontend.rank_provider = read_ranks
@@ -305,9 +309,7 @@ def test_any_corpus_shard_size_and_vector_stamps_from_it_and_serves_taat_pages(
     frontend.top_k = top_k
     query = (" " if conjunctive else " OR ").join(postings_map)
 
-    frontend.execution_mode = MODE_TAAT
-    reference = top_k_of([frontend.search(query)])
-    frontend.execution_mode = MODE_MAXSCORE
+    reference = [frontend_reference(frontend, query)]
     assert top_k_of([frontend.search(query)]) == reference
 
     held = frontend.index.held_manifests()

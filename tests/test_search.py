@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dht.dht import DHTNetwork
 from repro.errors import QueryParseError, TermNotFoundError
 from repro.index.analysis import Analyzer
+from repro.index.cache import PostingCache
 from repro.index.distributed import DistributedIndex
 from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
+from repro.net.latency import ConstantLatency
+from repro.net.network import SimulatedNetwork
 from repro.search.executor import QueryExecutor
-from repro.search.planner import (
-    MODE_MAXSCORE,
-    MODE_TAAT,
-    STRATEGY_QUERY_ORDER,
-    STRATEGY_RAREST_FIRST,
-    QueryPlanner,
-)
+from repro.search.planner import QueryPlanner
 from repro.search.query import MODE_AND, MODE_OR, parse_query
 from repro.search.frontend import FrontendOptions, SearchFrontend
 from repro.search.results import ResultPage, SearchResult
+from repro.sim.simulator import Simulator
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions
+
+from tests.reference import frontend_reference, reference_page
 
 
 class TestQueryParsing:
@@ -52,20 +58,11 @@ class TestQueryPlanner:
         assert plan.ordered_terms == ("rare", "medium", "common")
         assert plan.estimated_frequencies == (3, 50, 1000)
 
-    def test_query_order_strategy_preserves_input_order(self):
-        planner = QueryPlanner(lambda term: 10, strategy=STRATEGY_QUERY_ORDER)
-        plan = planner.plan(parse_query("zebra apple mango", Analyzer(stem=False)))
-        assert plan.ordered_terms == ("zebra", "apple", "mango")
-
     def test_or_queries_not_reordered(self):
         df = {"aaa": 1000, "bbb": 1}
-        planner = QueryPlanner(lambda term: df.get(term, 0), strategy=STRATEGY_RAREST_FIRST)
+        planner = QueryPlanner(lambda term: df.get(term, 0))
         plan = planner.plan(parse_query("aaa OR bbb", Analyzer(stem=False)))
         assert plan.ordered_terms == ("aaa", "bbb")
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            QueryPlanner(lambda term: 0, strategy="wild-guess")
 
 
 def build_executor(postings_map, page_ranks=None, top_k=10):
@@ -274,8 +271,69 @@ class TestSearchFrontend:
         assert len(frontend_setup.stats.latencies) == 2
 
 
+_TERMS = ("honey", "bee", "comb", "hive")
+
+
+def _random_corpus(seed):
+    """1–4 terms' lists over doc ids 0–60 and a rank vector over ids 0–70.
+
+    Drawn uniformly from ``seed``: Hypothesis' own collection strategies
+    favour tiny lists and zero ranks, where no shard is ever skipped.  Some
+    documents the vector does not know (they rank 0), some it knows that no
+    term holds.
+    """
+    rng = random.Random(seed)
+    postings_map = {
+        term: PostingList([
+            Posting(doc_id, rng.randint(1, 9))
+            for doc_id in sorted(rng.sample(range(61), rng.randint(1, 30)))
+        ])
+        for term in _TERMS[: rng.randint(1, len(_TERMS))]
+    }
+    ranks = {rng.randint(0, 70): rng.random() for _ in range(rng.randint(0, 40))}
+    return postings_map, ranks
+
+
+def _frontend_over(postings_map, shard_size, ranks, top_k):
+    """A frontend over a bare index publishing ``postings_map`` (no engine).
+
+    Document lengths vary widely, so the shards' minimum-length impact
+    bounds differ from the length-free ones; rank ceilings are stamped from
+    ``ranks`` at version 1.
+    """
+    simulator = Simulator(seed=7)
+    network = SimulatedNetwork(simulator, latency=ConstantLatency(10.0))
+    dht = DHTNetwork(simulator, network, k=4, alpha=2, replicate=3)
+    dht.build(8)
+    storage = DecentralizedStorage(
+        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
+    )
+    storage.build(4)
+    statistics = CollectionStatistics()
+    by_term = {term: plist.frequencies() for term, plist in postings_map.items()}
+    for doc_id in sorted(set().union(*by_term.values())):
+        frequencies = {term: tfs[doc_id] for term, tfs in by_term.items() if doc_id in tfs}
+        statistics.add_document(doc_id, 5 + (doc_id * 37) % 300, frequencies)
+    index = DistributedIndex(
+        dht, storage, shard_size=shard_size, cache=PostingCache(capacity=64),
+        length_lookup=statistics.length_of,
+    )
+    for term, postings in sorted(postings_map.items()):
+        index.publish_term(term, postings)
+    frontend = SearchFrontend(
+        simulator=simulator,
+        index=index,
+        analyzer=Analyzer(stem=False),
+        statistics=statistics,
+        rank_provider=lambda: ranks,
+        rank_version_provider=lambda: 1,
+        options=FrontendOptions(top_k=top_k),
+    )
+    return frontend, statistics
+
+
 class TestMaxScoreExecutor:
-    """The DAAT/MaxScore path must return exactly what the TAAT path returns."""
+    """The executor's pages are the exhaustive reference's (tests/reference.py)."""
 
     ANALYZER = Analyzer(stem=False)
 
@@ -283,22 +341,25 @@ class TestMaxScoreExecutor:
         df = df or {}
         return QueryPlanner(lambda term: df.get(term, 1)).plan(parse_query(raw, self.ANALYZER))
 
-    def _both(self, postings_map, raw, page_ranks=None, top_k=3):
-        taat = build_executor(postings_map, page_ranks=page_ranks, top_k=top_k)
-        outcome_taat = taat.execute(self._plan(raw), mode=MODE_TAAT)
-        maxscore = build_executor(postings_map, page_ranks=page_ranks, top_k=top_k)
-        outcome_max = maxscore.execute(self._plan(raw), mode=MODE_MAXSCORE)
-        return outcome_taat, outcome_max
+    def _check(self, postings_map, raw, page_ranks=None, top_k=3):
+        """Run ``raw`` on a bare executor; its page must be the reference's."""
+        executor = build_executor(postings_map, page_ranks=page_ranks, top_k=top_k)
+        outcome = executor.execute(self._plan(raw))
+        expected = reference_page(
+            parse_query(raw, self.ANALYZER),
+            {term: plist.frequencies() for term, plist in postings_map.items()},
+            executor.statistics, page_ranks or {}, top_k,
+        )
+        assert list(outcome.scores.items()) == expected.page
+        return outcome, expected
 
     def test_and_query_identical_to_taat(self):
         postings_map = {
             "honey": PostingList([Posting(i, 1 + i % 3) for i in range(0, 40, 2)]),
             "bee": PostingList([Posting(i, 1 + i % 5) for i in range(0, 40, 3)]),
         }
-        taat, maxscore = self._both(postings_map, "honey bee")
-        assert maxscore.scores == taat.scores
-        assert list(maxscore.scores) == list(taat.scores)
-        assert maxscore.candidates == taat.candidates  # full intersection enumerated
+        outcome, expected = self._check(postings_map, "honey bee")
+        assert outcome.candidates == sorted(expected.candidates)  # full intersection enumerated
 
     def test_or_query_identical_to_taat(self):
         postings_map = {
@@ -306,9 +367,7 @@ class TestMaxScoreExecutor:
             "bee": PostingList([Posting(i, 1 + i % 2) for i in range(0, 50, 5)]),
             "comb": PostingList([Posting(i, 2) for i in range(1, 50, 7)]),
         }
-        taat, maxscore = self._both(postings_map, "honey OR bee OR comb")
-        assert maxscore.scores == taat.scores
-        assert list(maxscore.scores) == list(taat.scores)
+        self._check(postings_map, "honey OR bee OR comb")
 
     def test_pruning_skips_scoring_work(self):
         # One dominant high-frequency doc per stripe; k=1 forces a high
@@ -317,13 +376,9 @@ class TestMaxScoreExecutor:
             "aa": PostingList([Posting(0, 50)] + [Posting(i, 1) for i in range(1, 200)]),
             "bb": PostingList([Posting(0, 50)] + [Posting(i, 1) for i in range(1, 200)]),
         }
-        taat = build_executor(postings_map, top_k=1)
-        outcome_taat = taat.execute(self._plan("aa bb"), mode=MODE_TAAT)
-        maxscore = build_executor(postings_map, top_k=1)
-        outcome_max = maxscore.execute(self._plan("aa bb"), mode=MODE_MAXSCORE)
-        assert outcome_max.scores == outcome_taat.scores
-        assert outcome_max.docs_pruned > 0
-        assert outcome_max.docs_scored < outcome_taat.docs_scored
+        outcome, expected = self._check(postings_map, "aa bb", top_k=1)
+        assert outcome.docs_pruned > 0
+        assert outcome.docs_scored < len(expected.candidates)
 
     def test_page_ranks_affect_both_modes_identically(self):
         postings_map = {
@@ -331,55 +386,59 @@ class TestMaxScoreExecutor:
             "other": PostingList([Posting(i, 1) for i in range(0, 30, 2)]),
         }
         ranks = {i: 1.0 / (i + 1) for i in range(30)}
-        taat, maxscore = self._both(postings_map, "term OR other", page_ranks=ranks, top_k=5)
-        assert maxscore.scores == taat.scores
-        assert maxscore.page_ranks == taat.page_ranks
+        outcome, expected = self._check(postings_map, "term OR other", page_ranks=ranks, top_k=5)
+        assert outcome.page_ranks == {doc_id: ranks[doc_id] for doc_id, _ in expected.page}
 
     def test_missing_term_behaviour_matches_taat(self):
         postings_map = {"honey": PostingList([Posting(1)])}
-        taat, maxscore = self._both(postings_map, "honey unicorn")
-        assert maxscore.scores == taat.scores == {}
-        assert maxscore.early_exit and "unicorn" in maxscore.missing_terms
-        taat_or, maxscore_or = self._both(postings_map, "honey OR unicorn")
-        assert maxscore_or.scores == taat_or.scores
+        outcome, _ = self._check(postings_map, "honey unicorn")
+        assert outcome.scores == {}
+        assert outcome.early_exit and "unicorn" in outcome.missing_terms
+        self._check(postings_map, "honey OR unicorn")
 
     def test_single_term_query(self):
         postings_map = {"solo": PostingList([Posting(i, i % 7 + 1) for i in range(25)])}
-        taat, maxscore = self._both(postings_map, "solo", top_k=4)
-        assert maxscore.scores == taat.scores
+        self._check(postings_map, "solo", top_k=4)
 
-    def test_randomized_identity_property(self):
-        import random
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shard_size=st.sampled_from([0, 2, 4, 8]),
+        conjunctive=st.booleans(),
+        top_k=st.integers(min_value=1, max_value=5),
+    )
+    def test_randomized_identity_property(self, seed, shard_size, conjunctive, top_k):
+        """Any lists, shard size, rank vector, operator and page size: the
+        frontend over the published (sharded) index and a bare executor over
+        the plain lists both serve the reference's page."""
+        postings_map, ranks = _random_corpus(seed)
+        raw = (" " if conjunctive else " OR ").join(postings_map)
+        frontend, statistics = _frontend_over(postings_map, shard_size, ranks, top_k)
+        expected = reference_page(
+            parse_query(raw, self.ANALYZER),
+            {term: plist.frequencies() for term, plist in postings_map.items()},
+            statistics, ranks, top_k,
+        )
 
-        rng = random.Random(1234)
-        vocabulary = ["t%d" % i for i in range(8)]
-        for trial in range(30):
-            postings_map = {}
-            for term in vocabulary:
-                docs = sorted(rng.sample(range(120), rng.randint(1, 60)))
-                postings_map[term] = PostingList(
-                    [Posting(d, rng.randint(1, 9)) for d in docs]
-                )
-            n_terms = rng.randint(1, 4)
-            terms = rng.sample(vocabulary, n_terms)
-            joiner = " OR " if rng.random() < 0.5 else " "
-            raw = joiner.join(terms)
-            ranks = {d: rng.random() / 50 for d in range(0, 120, 3)}
-            k = rng.choice([1, 3, 10])
-            taat, maxscore = self._both(postings_map, raw, page_ranks=ranks, top_k=k)
-            assert maxscore.scores == taat.scores, f"trial {trial}: {raw!r}"
-            assert list(maxscore.scores) == list(taat.scores), f"trial {trial}: {raw!r}"
+        page = frontend.search(raw)
+        assert [(result.doc_id, result.score) for result in page.results] == expected.page
+        assert frontend_reference(frontend, raw) == expected.page
 
-    def test_unknown_mode_rejected(self):
-        executor = build_executor({"aa": PostingList([Posting(1)])})
-        with pytest.raises(ValueError):
-            executor.execute(self._plan("aa"), mode="warp-speed")
-        with pytest.raises(ValueError):
-            QueryExecutor(
-                fetch_postings=lambda term: PostingList(),
-                statistics=CollectionStatistics(),
-                mode="warp-speed",
-            )
+        executor = QueryExecutor(
+            fetch_postings=postings_map.__getitem__, statistics=statistics,
+            page_ranks=ranks, top_k=top_k,
+        )
+        plan = QueryPlanner(statistics.df).plan(parse_query(raw, self.ANALYZER))
+        outcome = executor.execute(plan)
+        assert list(outcome.scores.items()) == expected.page
+        if conjunctive:
+            # Whole-list cursors cannot bound a document below the page
+            # before visiting it, so the whole intersection is enumerated; a
+            # sharded frontend may skip shards provably below the page.
+            assert outcome.candidates == sorted(expected.candidates)
+            assert page.total_candidates <= len(expected.candidates)
+            if shard_size == 0:
+                assert page.total_candidates == len(expected.candidates)
 
 
 class TestPlanCostEstimate:
@@ -498,7 +557,7 @@ class TestSearchBatch:
         pages = frontend.search_batch(["honey", "web"])
         for page in pages:
             assert "batch_unique_terms" in page.diagnostics
-            assert page.diagnostics["execution_mode"] == MODE_MAXSCORE
+            assert "docs_scored" in page.diagnostics
 
 
 class TestLooseResultCacheKeys:

@@ -3,7 +3,8 @@
 The invariant every test here defends: the sharded + overlapped fast path
 (range shards behind a manifest, quantized per-shard bounds, lazy shard
 cursors, overlapped prefetch, result cache) returns top-k pages that are
-*bit-identical* to the unsharded TAAT reference — the optimisations may only
+*bit-identical* to the exhaustive reference (``tests/reference.py``) — the
+optimisations may only
 change how much work (postings scanned, shards fetched, pages recomputed)
 the answer costs.
 """
@@ -28,11 +29,13 @@ from repro.index.statistics import CollectionStatistics
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.search.executor import QueryExecutor
-from repro.search.planner import MODE_MAXSCORE, MODE_TAAT, QueryPlanner
+from repro.search.planner import QueryPlanner
 from repro.search.query import parse_query
 from repro.search.result_cache import ResultCache
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
+
+from tests.reference import reference_page
 
 
 def _stack(seed: int = 7):
@@ -224,32 +227,8 @@ def _build_statistics(postings_map, lengths=None):
     return statistics
 
 
-def _build_executor(
-    index, postings_map, page_ranks=None, top_k=10, sharded=True, lengths=None,
-):
-    statistics = _build_statistics(postings_map, lengths)
-    readers = {}
-
-    def fetch(term):
-        if term not in postings_map:
-            raise TermNotFoundError(term)
-        if sharded:
-            reader = index.fetch_term_sharded(term)
-            readers[term] = reader
-            return reader
-        return index.fetch_term(term)
-
-    executor = QueryExecutor(
-        fetch_postings=fetch,
-        statistics=statistics,
-        page_ranks=page_ranks or {},
-        top_k=top_k,
-    )
-    return executor, statistics, readers
-
-
 class TestShardedExecutionEquivalence:
-    """Sharded MaxScore must return exactly what the unsharded TAAT returns."""
+    """Sharded MaxScore must return exactly the exhaustive reference's page."""
 
     ANALYZER = Analyzer(stem=False)
 
@@ -261,12 +240,12 @@ class TestShardedExecutionEquivalence:
 
     def _both(self, postings_map, raw, shard_size, page_ranks=None, top_k=3,
               lengths=None):
-        """TAAT over the local (unsharded) lists vs MaxScore over the
+        """The reference's page over the local lists, and MaxScore over the
         published sharded index — the acceptance invariant end to end.
 
         ``lengths`` wires the subtlest pruning ingredient (per-shard
-        min-length impact bounds) into the sharded side; TAAT ignores it,
-        so any inadmissible bound shows up as a scores mismatch.
+        min-length impact bounds) into the sharded side; the reference
+        ignores it, so any inadmissible bound shows up as a page mismatch.
         """
         _, dht, storage = _stack(seed=11)
         statistics = _build_statistics(postings_map, lengths)
@@ -275,26 +254,26 @@ class TestShardedExecutionEquivalence:
             length_lookup=statistics.length_of if lengths else None,
         )
         _publish_map(sharded_index, postings_map)
+        expected = reference_page(
+            parse_query(raw, self.ANALYZER),
+            {term: plist.frequencies() for term, plist in postings_map.items()},
+            statistics, page_ranks or {}, top_k,
+        ).page
 
-        taat_executor, _, _ = _build_executor(
-            sharded_index, postings_map, page_ranks, top_k, sharded=False,
-            lengths=lengths,
-        )
+        readers = {}
 
-        def local_fetch(term):
+        def fetch(term):
             if term not in postings_map:
                 raise TermNotFoundError(term)
-            return postings_map[term]
+            readers[term] = sharded_index.fetch_term_sharded(term)
+            return readers[term]
 
-        taat_executor.fetch_postings = local_fetch
-        outcome_taat = taat_executor.execute(self._plan(raw), mode=MODE_TAAT)
-
-        sharded_executor, _, readers = _build_executor(
-            sharded_index, postings_map, page_ranks, top_k, sharded=True,
-            lengths=lengths,
+        executor = QueryExecutor(
+            fetch_postings=fetch, statistics=statistics,
+            page_ranks=page_ranks or {}, top_k=top_k,
         )
-        outcome_sharded = sharded_executor.execute(self._plan(raw), mode=MODE_MAXSCORE)
-        return outcome_taat, outcome_sharded, readers
+        outcome = executor.execute(self._plan(raw))
+        return expected, list(outcome.scores.items()), outcome, readers
 
     @pytest.mark.parametrize("shard_size", [1, 4, 16])
     def test_and_query_identical_scores(self, shard_size):
@@ -302,9 +281,8 @@ class TestShardedExecutionEquivalence:
             "honey": PostingList([Posting(i, 1 + i % 3) for i in range(0, 60, 2)]),
             "bee": PostingList([Posting(i, 1 + i % 5) for i in range(0, 60, 3)]),
         }
-        taat, sharded, _ = self._both(postings_map, "honey bee", shard_size)
-        assert sharded.scores == taat.scores
-        assert list(sharded.scores) == list(taat.scores)
+        expected, page, _, _ = self._both(postings_map, "honey bee", shard_size)
+        assert page == expected
 
     @pytest.mark.parametrize("shard_size", [1, 4, 16])
     def test_or_query_identical_scores(self, shard_size):
@@ -313,9 +291,8 @@ class TestShardedExecutionEquivalence:
             "bee": PostingList([Posting(i, 1 + i % 2) for i in range(0, 70, 5)]),
             "comb": PostingList([Posting(i, 2) for i in range(1, 70, 7)]),
         }
-        taat, sharded, _ = self._both(postings_map, "honey OR bee OR comb", shard_size)
-        assert sharded.scores == taat.scores
-        assert list(sharded.scores) == list(taat.scores)
+        expected, page, _, _ = self._both(postings_map, "honey OR bee OR comb", shard_size)
+        assert page == expected
 
     def test_boundary_straddling_top_document(self):
         # The best document sits exactly at a shard boundary (first doc of
@@ -327,9 +304,9 @@ class TestShardedExecutionEquivalence:
                 + [Posting(i, 1) for i in range(5, 12)]
             ),
         }
-        taat, sharded, _ = self._both(postings_map, "term", shard_size=4, top_k=1)
-        assert list(taat.scores) == [4]
-        assert sharded.scores == taat.scores
+        expected, page, _, _ = self._both(postings_map, "term", shard_size=4, top_k=1)
+        assert [doc_id for doc_id, _ in expected] == [4]
+        assert page == expected
 
     def test_head_term_shards_are_skipped_not_fetched(self):
         # One dominant early document pushes the top-1 threshold above every
@@ -338,9 +315,11 @@ class TestShardedExecutionEquivalence:
         postings_map = {
             "head": PostingList([Posting(0, 60)] + [Posting(i, 1) for i in range(1, 200)]),
         }
-        taat, sharded, readers = self._both(postings_map, "head", shard_size=16, top_k=1)
-        assert sharded.scores == taat.scores
-        assert sharded.shards_skipped > 0
+        expected, page, outcome, readers = self._both(
+            postings_map, "head", shard_size=16, top_k=1
+        )
+        assert page == expected
+        assert outcome.shards_skipped > 0
         reader = readers["head"]
         assert reader.loaded(0)
         assert not reader.loaded(len(reader.shard_infos) - 1)
@@ -352,8 +331,8 @@ class TestShardedExecutionEquivalence:
             "low": PostingList([Posting(i, 1) for i in range(0, 64)]),
             "high": PostingList([Posting(i, 1) for i in range(56, 120)]),
         }
-        taat, sharded, readers = self._both(postings_map, "low high", shard_size=8, top_k=3)
-        assert sharded.scores == taat.scores
+        expected, page, _, readers = self._both(postings_map, "low high", shard_size=8, top_k=3)
+        assert page == expected
         low_reader = readers["low"]
         assert not low_reader.loaded(0)  # doc ids 0..7: below the window
 
@@ -363,7 +342,7 @@ class TestShardedExecutionEquivalence:
         Every trial wires heterogeneous document lengths (per-shard
         min-length impact bounds) into the sharded MaxScore side — the
         ingredient a uniform-length trial would leave untested — and
-        demands bit-identical scores vs TAAT.
+        demands the reference's page, bit for bit.
         """
         rng = random.Random(20260728)
         vocabulary = ["t%d" % i for i in range(6)]
@@ -381,12 +360,11 @@ class TestShardedExecutionEquivalence:
             lengths = {d: rng.randint(5, 400) for d in range(150)}
             top_k = rng.choice([1, 3, 10])
             shard_size = rng.choice([1, 2, 5, 13, 64])
-            taat, sharded, _ = self._both(
+            expected, page, _, _ = self._both(
                 postings_map, raw, shard_size, page_ranks=ranks, top_k=top_k,
                 lengths=lengths,
             )
-            assert sharded.scores == taat.scores, f"trial {trial}: {raw!r} size {shard_size}"
-            assert list(sharded.scores) == list(taat.scores), f"trial {trial}: {raw!r}"
+            assert page == expected, f"trial {trial}: {raw!r} size {shard_size}"
 
 
 class TestEngineShardedEquivalence:
