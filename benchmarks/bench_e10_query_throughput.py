@@ -16,15 +16,11 @@ inverted index of the corpus.  The rows measure the engine:
 * ``…+cache+batch``   — the full fast path: sharded execution plus the
                         per-shard posting cache, the frontend result cache,
                         and the batched query API with *overlapped*
-                        manifest/shard prefetch;
-* ``…+batch (gossip)``— the metadata-plane ablation: the same full fast
-                        path served by a *remote* frontend on the gossiped
-                        metadata plane (own index instance, epoch feed and
-                        load hints from its peer's gossip store, rank
-                        vector fetched from the DWeb).  Gossip staleness
-                        and the frontend's own cold caches cost extra
-                        fetches; pages must stay bit-identical — the smoke
-                        job's gossip-vs-shared assertion.
+                        manifest/shard prefetch.
+
+Every row's frontend is a remote node on the gossiped metadata plane: its
+own index instance, epoch feed and load hints from its peer's gossip store,
+rank vector and statistics fetched from the DWeb.
 
 All rows must return *identical* top-k pages (each is asserted equal to the
 unsharded ``maxscore`` row, which the tests check against the exhaustive
@@ -36,8 +32,8 @@ documents that whole-list bounds cannot.  Results are also written to
 ``BENCH_E10.json`` so the perf
 trajectory is tracked PR-over-PR.  Set the ``E10_SMOKE`` environment
 variable to run a tiny configuration (the CI smoke job does this to catch
-perf-path regressions, including sharded-vs-unsharded and gossip-vs-shared
-divergence, quickly).
+perf-path regressions, including sharded-vs-unsharded divergence,
+quickly).
 """
 
 from __future__ import annotations
@@ -74,7 +70,6 @@ def _run_system(
     cache_capacity: int = 0,
     result_cache_capacity: int = 0,
     batched: bool = False,
-    metadata_plane: str = "shared",
     label: str = "",
 ) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
     engine = build_engine(
@@ -83,14 +78,13 @@ def _run_system(
         index_shard_size=shard_size,
         posting_cache_capacity=cache_capacity,
         result_cache_capacity=result_cache_capacity,
-        metadata_plane=metadata_plane,
         seed=77,
     )
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
-    # On the gossip plane, wait for anti-entropy to deliver the publish/rank
-    # metadata before the measured stream (a deployment's steady state);
-    # scheduled rounds keep running during the stream.
+    # Wait for anti-entropy to deliver the publish/rank metadata before the
+    # measured stream (a deployment's steady state); scheduled rounds keep
+    # running during the stream.
     engine.converge_metadata()
     frontend = engine.create_frontend(requester="peer-001:store")
     frontend.index.stats.reset()
@@ -110,8 +104,7 @@ def _run_system(
     elapsed = engine.simulator.now - start
 
     top_k = [[(result.doc_id, result.score) for result in page.results] for page in pages]
-    # The frontend's own index/cache objects: the engine's shared instances
-    # on the shared plane, the remote frontend's private ones on gossip.
+    # The frontend's own index/cache objects, not the engine's.
     cache_stats = frontend.index.cache.stats if frontend.index.cache else None
     result_cache = frontend.result_cache
     row = {
@@ -209,22 +202,11 @@ def run_experiment() -> Dict[str, object]:
         cache_capacity=CACHE_CAPACITY, result_cache_capacity=RESULT_CACHE_CAPACITY,
         batched=True, label="maxscore+shards+cache+batch",
     )
-    gossip_row, gossip_top = _run_system(
-        corpus, queries, shard_size=SHARD_SIZE,
-        cache_capacity=CACHE_CAPACITY, result_cache_capacity=RESULT_CACHE_CAPACITY,
-        batched=True, metadata_plane="gossip",
-        label="maxscore+shards+cache+batch (gossip)",
-    )
 
     assert sharded_top == pruned_top, "sharding changed the top-k results"
     assert cached_top == pruned_top, "caching/batching/overlap changed the top-k results"
-    # The metadata-plane acceptance gate (also the CI smoke assertion): a
-    # frontend that learns everything through the network — gossiped epoch
-    # feed, manifest rank ceilings, DWeb-fetched rank vector and statistics
-    # — serves pages bit-identical to the shared-plane frontend.
-    assert gossip_top == cached_top, "gossip-plane top-k diverged from shared-plane"
 
-    rows = [pruned_row, sharded_row, cached_row, gossip_row]
+    rows = [pruned_row, sharded_row, cached_row]
     print_table(
         "E10: query execution engine (identical top-k, decreasing work)",
         rows,
@@ -244,11 +226,6 @@ def run_experiment() -> Dict[str, object]:
         # The naive path's scoring work: every candidate of every query.
         "candidates": candidates,
         "head_candidates": head_candidates,
-        # Gossip staleness + the remote frontend's own cold caches cost
-        # extra network fetches; pages are asserted identical above.
-        "gossip_extra_network_fetches": (
-            gossip_row["network fetches"] - cached_row["network fetches"]
-        ),
         "head_docs_scored_ratio_naive_vs_sharded": (
             head_candidates / head_sharded["docs scored"]
             if head_sharded["docs scored"]
@@ -318,9 +295,6 @@ def test_e10_query_throughput(benchmark):
     assert cached["posting cache hit"] > 0.0
     assert cached["result cache hit"] > 0.0
     assert cached["network fetches"] < pruned["network fetches"]
-    # The gossip-plane row exists and priced its staleness in fetches, not
-    # correctness (identity is asserted inside run_experiment).
-    assert "maxscore+shards+cache+batch (gossip)" in by_execution
 
 
 if __name__ == "__main__":

@@ -82,6 +82,9 @@ def _build_serving_engine():
     corpus = build_corpus(DOC_COUNT)
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
+    # Frontends are remote nodes: let anti-entropy deliver the publish/rank
+    # metadata before any query (a deployment's steady state).
+    engine.converge_metadata()
     return engine, corpus
 
 

@@ -139,6 +139,10 @@ def _run_scenario(
     engine = _chaos_engine(resilience, seed)
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
+    # Steady state before the faults: every peer's gossip view holds the
+    # rank and statistics heads, so the cold frontend below differs from
+    # the healthy one only by what the faults take away.
+    engine.converge_metadata()
     frontend = engine.create_frontend(requester="peer-000:store")
     healthy = {q: engine.search(q, frontend=frontend).doc_ids for q in queries}
 

@@ -53,6 +53,9 @@ def _queenbee_row(corpus, queries, peer_count: int) -> Dict[str, object]:
                           seed=100 + peer_count, posting_cache_capacity=0)
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
+    # The frontend is a remote node: measure it once gossip has delivered
+    # the rank and statistics heads (a deployment's steady state).
+    engine.converge_metadata()
     frontend = engine.create_frontend()
     start = engine.simulator.now
     pages = [engine.search(query, frontend=frontend) for query in queries]

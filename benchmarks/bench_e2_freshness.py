@@ -150,15 +150,18 @@ def _invalidation_row(corpus) -> Dict[str, object]:
         posting_cache_capacity=512,
     )
     engine.bootstrap_corpus(generator.initial_documents())
+    engine.converge_metadata()
     cached = engine.create_frontend(requester="peer-001:store")
+    # The reference reads what the cached frontend reads — its gossip view,
+    # rank vector and published statistics — minus the posting cache.
     reference = SearchFrontend(
         simulator=engine.simulator,
-        index=_CacheBypassIndex(engine.index),
-        rank_provider=engine.page_ranks,
-        rank_version_provider=engine.rank_version,
+        index=_CacheBypassIndex(cached.index),
+        rank_provider=cached.rank_provider,
+        rank_version_provider=cached.rank_version_provider,
         metadata_resolver=engine.directory.resolve,
-        analyzer=engine.analyzer,
-        statistics=engine.statistics,
+        analyzer=cached.analyzer,
+        metadata_view=cached.metadata_view,
         options=FrontendOptions(top_k=engine.config.top_k),
         requester="peer-002:store",
     )
@@ -186,6 +189,8 @@ def _invalidation_row(corpus) -> Dict[str, object]:
         else:
             engine.publish_document(event.document)
             updates += int(event.is_update)
+        # The cached frontend sees the new epoch once gossip delivers it.
+        engine.converge_metadata()
         for term in query_terms(event):
             cached_page = cached.search(term)
             reference_page = reference.search(term)
@@ -195,7 +200,7 @@ def _invalidation_row(corpus) -> Dict[str, object]:
             if cached_top != reference_top:
                 mismatches += 1
 
-    stats = engine.posting_cache.stats
+    stats = cached.index.cache.stats
     return {
         "cache validation": "on (epoch protocol)",
         "events (upd/del)": f"{updates}/{deletes}",
@@ -269,13 +274,13 @@ def _delta_row(corpus, delta_on: bool) -> Dict[str, object]:
     """
     engine = build_engine(
         peer_count=16, worker_count=4, seed=409,
-        metadata_plane="gossip", posting_cache_capacity=512,
+        posting_cache_capacity=512,
         delta_publication=delta_on,
     )
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
     engine.converge_metadata()
-    frontend = engine.create_gossip_frontend(requester="peer-001:store")
+    frontend = engine.create_frontend(requester="peer-001:store")
     # A second warm rank reader whose byte counter the measured phase reads
     # (the frontend's own client refreshes during the unmeasured queries).
     rank_client = GossipRankClient(

@@ -171,16 +171,14 @@ def _gossip_rows(corpus, queries) -> List[Dict[str, object]]:
     """Gossip-plane convergence under session churn (the metadata plane's E3)."""
     engine = build_engine(peer_count=32, worker_count=8, seed=800,
                           storage_replication=3, dht_replicate=4,
-                          posting_cache_capacity=0, index_shard_size=32,
-                          metadata_plane="gossip")
+                          posting_cache_capacity=0, index_shard_size=32)
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
     pre_rounds = engine.converge_metadata(max_rounds=128)
-    # The healthy reference comes from a shared-plane frontend on the same
-    # engine: the identity check below is gossip-vs-shared, not merely
-    # gossip-vs-gossip.
-    shared = engine.create_shared_frontend(requester="peer-001:store")
-    baseline_results = {q: engine.search(q, frontend=shared).doc_ids for q in queries}
+    # The healthy reference: a converged frontend on the same engine,
+    # before any churn.
+    healthy = engine.create_frontend(requester="peer-001:store")
+    baseline_results = {q: engine.search(q, frontend=healthy).doc_ids for q in queries}
 
     churn = engine.create_churn_model()
     stores = [f"{peer_id}:store" for peer_id in engine.peer_ids]
@@ -199,7 +197,7 @@ def _gossip_rows(corpus, queries) -> List[Dict[str, object]]:
     # reachable; the plane keeps its metadata fresh).
     post_rounds = engine.converge_metadata(max_rounds=128)
     survivor = next(a for a in stores if engine.network.is_online(a))
-    remote = engine.create_gossip_frontend(requester=survivor)
+    remote = engine.create_frontend(requester=survivor)
     measured = _measure(
         "QueenBee (gossip)", offline / len(stores), queries, baseline_results,
         lambda q: engine.search(q, frontend=remote),
@@ -271,7 +269,7 @@ def run_experiment() -> Dict[str, object]:
     assert repaired["recall vs healthy (%)"] >= unrepaired["recall vs healthy (%)"]
     # Gates for the metadata plane: it must actually re-converge after the
     # churn window, and a remote frontend must keep full recall against the
-    # healthy shared-plane baseline.
+    # healthy pre-churn baseline.
     gossip = gossip_rows[0]
     assert gossip["post-churn convergence rounds"] >= 0, "gossip never re-converged"
     assert gossip["recall vs healthy (%)"] >= repaired["recall vs healthy (%)"]
@@ -299,7 +297,7 @@ def test_e3_resilience(benchmark):
     assert repaired["shards repaired"] > 0
     assert repaired["recall vs healthy (%)"] >= unrepaired["recall vs healthy (%)"]
     # The metadata plane re-converges after churn and the remote frontend
-    # answers with full recall against the shared-plane baseline.
+    # answers with full recall against the healthy pre-churn baseline.
     gossip = payload["gossip_rows"][0]
     assert gossip["post-churn convergence rounds"] >= 0
     assert gossip["scheduled rounds in horizon"] > 0

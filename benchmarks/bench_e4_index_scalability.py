@@ -116,17 +116,17 @@ def _row(
     engine.bootstrap_corpus(corpus.documents)
     build_time = engine.simulator.now - wall_start
 
-    engine.dht.stats.reset()
-    engine.index.stats.reset()
+    engine.converge_metadata()
     frontend = engine.create_frontend()
+    engine.dht.stats.reset()
     pages = [engine.search(query, frontend=frontend) for query in queries]
     top_k = [[(result.doc_id, result.score) for result in page.results] for page in pages]
     # Snapshot the query-workload metrics *before* the provider-load probe:
     # _heaviest_term_load issues its own DHT lookups (one get_set per shard),
     # which must not leak into the gated 'dht rounds/lookup' number.
     mean_rounds = engine.dht.stats.mean_rounds
-    per_fetch = list(engine.index.stats.per_fetch_bytes) or [0]
-    bytes_fetched = engine.index.stats.bytes_fetched
+    per_fetch = list(frontend.index.stats.per_fetch_bytes) or [0]
+    bytes_fetched = frontend.index.stats.bytes_fetched
 
     # One local rebuild with the same analyzer serves both the heaviest-term
     # probe and the apples-to-apples index-size measurement.
@@ -181,7 +181,7 @@ def _head_word(corpus, analyzer) -> str:
 class _SharedEpochFeed:
     """Adapter letting a standalone reader index see the engine's epochs.
 
-    The shared-plane engine index learns generations from its own publishes;
+    The engine's worker-side index learns generations from its own publishes;
     a reader built next to it needs those bumps to invalidate its cached
     manifests (a real deployment gets them from the gossip plane, measured
     in E2c).

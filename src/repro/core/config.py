@@ -1,8 +1,9 @@
 """Configuration for a QueenBee deployment (one object, every knob).
 
-The fields of :class:`QueenBeeConfig` *are* the knob registry: a knob is
-declared once, here, with its type, default and comment.  :data:`KNOB_NAMES`
-is derived from them, repro-lint rule RL005 checks every ``config.<name>``
+The constructor fields of :class:`QueenBeeConfig` *are* the knob registry
+(an ``init=False`` field is a constant, not a knob): a knob is declared
+once, here, with its type, default and comment.  :data:`KNOB_NAMES` is
+derived from them, repro-lint rule RL005 checks every ``config.<name>``
 read under ``src/`` against it, and :func:`check_unknown_knobs` rejects
 dict-shaped overrides that name anything else.  ``docs/KNOBS.md`` says who
 sets each knob and why it is kept (a test keeps its table equal to the
@@ -11,7 +12,7 @@ fields).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Mapping
 
 
@@ -110,15 +111,12 @@ class QueenBeeConfig:
     delta_publication: bool = True
 
     # Metadata plane
-    # How frontends learn soft metadata (index epochs, the rank head,
-    # serving-load hints).  "shared" reads the engine's in-process objects —
-    # exactly consistent, the idealized ablation; "gossip" makes frontends
-    # real remote nodes: each peer holds a gossip store reconciled by
-    # periodic anti-entropy rounds (scheduled as simulator events), and
-    # engine.create_frontend() returns a frontend holding no reference to
-    # the engine's epoch registry, rank vector, or peer counters.  Stale
-    # gossip costs extra fetches or looser pruning, never a wrong page.
-    metadata_plane: str = "shared"
+    # Frontends learn soft metadata (index epochs, the rank and statistics
+    # heads, serving-load hints) only by gossip.  Not a knob: init=False
+    # keeps it out of the constructor and KNOB_NAMES.  It stays a field so
+    # deployment specs written while it was one (E13's names it) still
+    # load through from_dict, at this one value.
+    metadata_plane: str = field(default="gossip", init=False)
     # Ticks between scheduled gossip rounds.
     gossip_interval: float = 500.0
 
@@ -160,14 +158,19 @@ class QueenBeeConfig:
         keywords; this entry point goes through :func:`check_unknown_knobs`
         instead, so experiment scripts get an
         :class:`UnknownConfigKnobError` with a did-you-mean hint rather
-        than a bare constructor error.
+        than a bare constructor error.  A constant (an ``init=False``
+        field) is accepted only at its fixed value, and then dropped.
         """
+        knobs = dict(knobs)
+        for fixed in fields(cls):
+            if not fixed.init and knobs.get(fixed.name) == fixed.default:
+                del knobs[fixed.name]
         check_unknown_knobs(knobs)
-        return cls(**dict(knobs))
+        return cls(**knobs)
 
     def as_dict(self) -> Dict[str, object]:
         """The config as a plain ``knob -> value`` mapping."""
-        return asdict(self)
+        return {knob.name: getattr(self, knob.name) for knob in fields(self) if knob.init}
 
     def validate(self) -> None:
         """Raise ``ValueError`` on impossible combinations.
@@ -195,8 +198,6 @@ class QueenBeeConfig:
             raise ValueError("placement_repair_grace must be non-negative")
         if self.placement_repair_budget < 0:
             raise ValueError("placement_repair_budget must be non-negative")
-        if self.metadata_plane not in ("shared", "gossip"):
-            raise ValueError(f"unknown metadata_plane {self.metadata_plane!r}")
         if self.gossip_interval <= 0:
             raise ValueError("gossip_interval must be positive")
         if self.result_cache_capacity < 0:
@@ -218,7 +219,7 @@ class QueenBeeConfig:
 
 
 # The registry: one name per declared field, nothing written twice.
-KNOB_NAMES = frozenset(knob.name for knob in fields(QueenBeeConfig))
+KNOB_NAMES = frozenset(knob.name for knob in fields(QueenBeeConfig) if knob.init)
 
 
 def check_unknown_knobs(names: Iterable[str]) -> None:

@@ -80,7 +80,7 @@ class GossipRankClient:
     cache keys never get ahead of the data they describe.
     """
 
-    def __init__(self, view: GossipView, storage, requester: str, dht=None) -> None:
+    def __init__(self, view: GossipView, storage, requester: str, dht: DHTNetwork) -> None:
         self.view = view
         self.storage = storage
         self.requester = requester
@@ -101,13 +101,12 @@ class GossipRankClient:
             # Gossiped manifest failed to assemble (lagging band entries or
             # unreachable providers): retry against the authoritative DHT
             # copy before degrading to the legacy full-vector path.
-            if self.dht is not None:
-                try:
-                    authoritative = str(self.dht.get(RANK_BANDS_DHT_KEY))
-                except Exception:
-                    authoritative = None
-                if authoritative is not None and self._adopt_banded(authoritative):
-                    return
+            try:
+                authoritative = str(self.dht.get(RANK_BANDS_DHT_KEY))
+            except Exception:
+                authoritative = None
+            if authoritative is not None and self._adopt_banded(authoritative):
+                return
         head_version, cid = self.view.rank_head()
         if head_version <= self._version or cid is None:
             return
@@ -238,19 +237,9 @@ class QueenBeeEngine:
             PostingCache(cfg.posting_cache_capacity) if cfg.posting_cache_capacity > 0 else None
         )
         # The gossiped metadata plane: one store per peer, reconciled by
-        # anti-entropy rounds scheduled as simulator events.  On the
-        # "shared" plane (the idealized ablation) there is no plane object
-        # and frontends read the engine's in-process state directly.
-        if cfg.metadata_plane == "gossip":
-            self.gossip: Optional[GossipPlane] = GossipPlane(
-                self.simulator, self.network, interval=cfg.gossip_interval
-            )
-            # Epoch bumps enter the plane at the publishing peer's node;
-            # the first peer's store is the deterministic fallback origin.
-            epoch_feed = PlaneEpochFeed(self.gossip, "peer-000:store")
-        else:
-            self.gossip = None
-            epoch_feed = None
+        # anti-entropy rounds scheduled as simulator events.  Frontends
+        # learn index epochs, rank and statistics heads only through it.
+        self.gossip = GossipPlane(self.simulator, self.network, interval=cfg.gossip_interval)
         self.placement = (
             PlacementPolicy(
                 self.storage,
@@ -269,11 +258,13 @@ class QueenBeeEngine:
             shard_size=cfg.index_shard_size,
             # Published shards carry their range's quantized minimum document
             # length (tightens the per-shard MaxScore bound); the engine's
-            # shared statistics are the length source of truth.  Lazy lambda:
+            # statistics are the length source of truth.  Lazy lambda:
             # self.statistics is constructed a few lines below.
             length_lookup=lambda doc_id: self.statistics.length_of(doc_id),
             placement=self.placement,
-            epoch_feed=epoch_feed,
+            # Epoch bumps enter the plane at the publishing peer's node;
+            # the first peer's store is the deterministic fallback origin.
+            epoch_feed=PlaneEpochFeed(self.gossip, "peer-000:store"),
             delta_publication=cfg.delta_publication,
             metrics=self.metrics,
         )
@@ -310,18 +301,15 @@ class QueenBeeEngine:
         for peer_id in self.peer_ids:
             self.dht.add_node(address=f"{peer_id}:dht")
             self.storage.add_peer(address=f"{peer_id}:store")
-            if self.gossip is not None:
-                self.gossip.node(f"{peer_id}:store")
+            self.gossip.node(f"{peer_id}:store")
 
-        if self.gossip is not None:
-            # Serving-load hints piggyback on gossip: at the start of each
-            # round every peer re-publishes its own quantized served-block
-            # counter into its own store (a local read — no RPC), and the
-            # round spreads whatever buckets moved.  Remote frontends rank
-            # a shard's replica hints by these instead of reading the
-            # counters off shared peer objects.
-            self.gossip.add_refresh_hook(self._publish_load_hints)
-            self.gossip.start()
+        # Serving-load hints piggyback on gossip: at the start of each round
+        # every peer re-publishes its own quantized served-block counter into
+        # its own store (a local read — no RPC), and the round spreads
+        # whatever buckets moved.  Frontends rank a shard's replica hints by
+        # these instead of reading the counters off peer objects.
+        self.gossip.add_refresh_hook(self._publish_load_hints)
+        self.gossip.start()
 
         # Recruit worker bees from the first `worker_count` peers.
         self.workers: List[WorkerBee] = []
@@ -449,12 +437,9 @@ class QueenBeeEngine:
         """Publish the shared collection statistics to the DWeb."""
         cid = self.index.publish_statistics(self.statistics)
         self._publishes_since_stats = 0
-        if self.gossip is not None:
-            # Announce the new statistics head so remote frontends know to
-            # re-fetch (the DHT record stays authoritative).
-            self.gossip.publish(
-                "peer-000:store", STATS_HEAD_KEY, cid, self.statistics.version
-            )
+        # Announce the new statistics head so frontends know to re-fetch
+        # (the DHT record stays authoritative).
+        self.gossip.publish("peer-000:store", STATS_HEAD_KEY, cid, self.statistics.version)
 
     def _publish_load_hints(self) -> None:
         """Refresh every peer's own coarse serving-load entry (gossip hook).
@@ -491,25 +476,25 @@ class QueenBeeEngine:
         )
         if receipt.full_cid is not None:
             self._rank_cid = receipt.full_cid
-        # Restamp the per-shard rank ceilings of the manifests this engine's
-        # own index holds (what shared-plane frontends read).  In memory
-        # only: a remote frontend derives the same bounds from the vector it
-        # fetches, so the round writes nothing per term.
+        # Restamp the per-shard rank ceilings of the manifests the engine's
+        # worker-side index holds.  No frontend reads them (each stamps the
+        # manifests it reads from the vector it fetched), but this is the
+        # one caller of RankCeilingPublisher.publish, a layer boundary the
+        # E13 benchmark's spec names.  In memory only: nothing is written.
         RankCeilingPublisher(self.index).publish(self._page_ranks, self._rank_version)
-        if self.gossip is not None:
-            if receipt.manifest_json is not None:
-                # The band manifest rides the plane whole (it is small);
-                # the DHT record under the same name stays authoritative.
-                self.gossip.publish(
-                    "peer-000:store", RANK_BANDS_KEY, receipt.manifest_json, self._rank_version
-                )
-            if receipt.full_cid is not None:
-                # Announce the new full-vector head; delta rounds leave it
-                # at the anchor version on purpose (the anchor is what that
-                # CID holds), so legacy readers stay version-consistent.
-                self.gossip.publish(
-                    "peer-000:store", RANK_HEAD_KEY, self._rank_cid, self._rank_version
-                )
+        if receipt.manifest_json is not None:
+            # The band manifest rides the plane whole (it is small); the
+            # DHT record under the same name stays authoritative.
+            self.gossip.publish(
+                "peer-000:store", RANK_BANDS_KEY, receipt.manifest_json, self._rank_version
+            )
+        if receipt.full_cid is not None:
+            # Announce the new full-vector head; delta rounds leave it at the
+            # anchor version on purpose (the anchor is what that CID holds),
+            # so legacy readers stay version-consistent.
+            self.gossip.publish(
+                "peer-000:store", RANK_HEAD_KEY, self._rank_cid, self._rank_version
+            )
 
         # Reward every worker that participated, slash the ones whose answers
         # lost a majority vote (the collusion defense's enforcement arm).
@@ -602,54 +587,12 @@ class QueenBeeEngine:
         options: Optional[FrontendOptions] = None,
         **overrides,
     ) -> SearchFrontend:
-        """A search frontend running on one of the peers.
+        """A search frontend: a remote node on one of the peers.
 
         The frontend's *policy* is described by a
         :class:`~repro.search.frontend.FrontendOptions` — defaulted from the
         engine's config, with keyword ``overrides`` replacing individual
         fields (``create_frontend(top_k=3)`` still reads naturally).
-        Dispatches on the configured metadata plane: on ``"shared"`` the
-        frontend reads the engine's in-process state (the idealized
-        ablation); on ``"gossip"`` it is a real remote node — its own
-        index instance, posting cache, and gossip view, with no reference
-        to the engine's epoch registry, rank vector, or peer counters.
-        """
-        options = self._frontend_options(options, overrides)
-        if self.config.metadata_plane == "gossip":
-            return self.create_gossip_frontend(requester=requester, options=options)
-        return self.create_shared_frontend(requester=requester, options=options)
-
-    def create_shared_frontend(
-        self,
-        requester: Optional[str] = None,
-        options: Optional[FrontendOptions] = None,
-        **overrides,
-    ) -> SearchFrontend:
-        """A frontend sharing the engine's index/rank state (shared plane)."""
-        options = self._frontend_options(options, overrides)
-        requester = requester or self._rng.choice(self.storage.peer_addresses())
-        return SearchFrontend(
-            simulator=self.simulator,
-            index=self.index,
-            rank_provider=self.page_ranks,
-            rank_version_provider=self.rank_version,
-            metadata_resolver=self.directory.resolve,
-            ad_provider=self.contracts.ads_for,
-            analyzer=self.analyzer,
-            statistics=self.statistics,
-            max_ads=self.config.max_ads,
-            requester=requester,
-            shard_size_hint=self.config.index_shard_size,
-            options=options,
-        )
-
-    def create_gossip_frontend(
-        self,
-        requester: Optional[str] = None,
-        options: Optional[FrontendOptions] = None,
-        **overrides,
-    ) -> SearchFrontend:
-        """A frontend that is a genuine remote node on the gossip plane.
 
         Everything it consumes is either network-resolved (DHT lookups,
         storage fetches, the published rank vector and statistics) or read
@@ -663,10 +606,6 @@ class QueenBeeEngine:
         :meth:`converge_metadata`); staleness costs extra fetches or looser
         pruning, never a wrong page.
         """
-        if self.gossip is None:
-            raise ValueError(
-                'gossip frontends need metadata_plane="gossip" in the config'
-            )
         cfg = self.config
         options = self._frontend_options(options, overrides)
         requester = requester or self._rng.choice(self.storage.peer_addresses())
@@ -684,7 +623,7 @@ class QueenBeeEngine:
             delta_publication=cfg.delta_publication,
             metrics=self.metrics,
         )
-        rank_client = GossipRankClient(view, self.storage, requester, dht=self.dht)
+        rank_client = GossipRankClient(view, self.storage, requester, self.dht)
         return SearchFrontend(
             simulator=self.simulator,
             index=index,
@@ -733,14 +672,12 @@ class QueenBeeEngine:
     def converge_metadata(self, max_rounds: int = 64) -> int:
         """Gossip synchronously until every online peer's view agrees.
 
-        Returns the rounds needed (0 when already converged or on the
-        shared plane; -1 when ``max_rounds`` was not enough).  Benchmarks
-        and tests call this between a publish/rank phase and a measured
-        query phase, standing in for the wall-clock a deployment would
-        wait for anti-entropy to settle.
+        Returns the rounds needed (0 when already converged; -1 when
+        ``max_rounds`` was not enough).  Benchmarks and tests call this
+        between a publish/rank phase and a measured query phase, standing
+        in for the wall-clock a deployment would wait for anti-entropy to
+        settle.
         """
-        if self.gossip is None:
-            return 0
         return self.gossip.rounds_to_converge(max_rounds)
 
     def search(self, query: str, frontend: Optional[SearchFrontend] = None) -> ResultPage:

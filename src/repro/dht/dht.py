@@ -242,14 +242,6 @@ class DHTNetwork:
         """
         return result.unanswered > 0 or (result.contacted == 0 and len(self.nodes) > 1)
 
-    def contains(self, key: str, origin: Optional[KademliaNode] = None) -> bool:
-        """Whether a value or set exists under ``key`` (without raising)."""
-        try:
-            self.get(key, origin=origin)
-        except KeyNotFoundError:
-            return False
-        return True
-
     # -- introspection --------------------------------------------------------
 
     def total_stored_bytes(self) -> int:

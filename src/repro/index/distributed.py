@@ -36,15 +36,12 @@ shard an update actually touched is refetched.  Cache entries are stamped
 with the shard generation they were filled at and validate by *equality*
 against the current manifest's entry.
 
-The epoch feed has two implementations, selected by the engine's
-``metadata_plane`` config.  On the ``"shared"`` plane it is this instance's
-in-process registry — exactly consistent because publisher and readers
-share one ``DistributedIndex``, the idealized ablation.  On the
-``"gossip"`` plane it is the real thing: each publish enters the new
-generation into the publishing peer's gossip store, anti-entropy rounds
-spread it (:mod:`repro.net.gossip`), and a *remote* frontend running its
-own ``DistributedIndex`` validates its cached manifests against its own
-peer's view of the feed.  The DHT record under ``idx:<term>`` stays
+The epoch feed is the gossip plane: each publish enters the new generation
+into the publishing peer's gossip store, anti-entropy rounds spread it
+(:mod:`repro.net.gossip`), and a *remote* frontend running its own
+``DistributedIndex`` validates its cached manifests against its own peer's
+view of the feed.  A bare index (no feed) uses its in-process registry as
+the whole feed.  The DHT record under ``idx:<term>`` stays
 authoritative either way, which is what keeps staleness benign: a cached
 manifest is reused only when its generation *equals* the feed's, so a
 lagging feed forces an authoritative re-fetch (extra lookup, fresh answer)
@@ -412,7 +409,7 @@ class DistributedIndex:
         Maximum postings per shard; lists above it split into range shards.
         0 (default) publishes every term as a single shard.
     length_lookup:
-        Optional ``doc_id -> document length`` (the engine wires the shared
+        Optional ``doc_id -> document length`` (the engine wires its
         collection statistics).  When present, each shard's manifest entry
         carries the quantized-down minimum length of its documents, which
         tightens the per-shard impact bound; absent, bounds fall back to
@@ -433,13 +430,14 @@ class DistributedIndex:
         generations learned from fetched manifests are observed into it,
         and :meth:`generation` takes the max of the local registry and the
         feed — so cached manifests are validated against whatever the feed
-        has delivered.  Absent, the local registry is the whole feed (the
-        shared metadata plane).
+        has delivered.  Absent (a bare index), the local registry is the
+        whole feed.
     load_lookup:
         Optional ``address -> serving load`` used to rank a shard's hinted
         providers at fetch time.  Remote frontends pass the gossiped coarse
-        load hints; absent, the true served-block counters are read off the
-        shared peer objects (the shared-plane behaviour).
+        load hints; absent (a bare index, or the engine's worker-side one),
+        the true served-block counters are read off the simulator's peer
+        objects.
     delta_publication:
         When true (default), updates that supply the pre-update list
         (``publish_term(base_postings=...)``) also publish a per-shard
@@ -495,8 +493,7 @@ class DistributedIndex:
         # The local half of the epoch registry: term -> latest generation
         # this instance published or observed itself.  With an epoch_feed
         # attached, :meth:`generation` merges in whatever gossip delivered;
-        # without one this registry *is* the feed (exactly consistent when
-        # all participants share the engine's single index instance).
+        # on a bare index this registry *is* the feed.
         self._generations: Dict[str, int] = {}
         # Manifest cache, filled on fetch (and kept current by this
         # instance's own restamps).  An entry is served only while its
@@ -1014,8 +1011,8 @@ class DistributedIndex:
         what varies is the load signal.  Without a ``load_lookup`` it is each
         provider's *actual* serving count
         (:attr:`~repro.storage.peer.StoragePeer.blocks_served` — readable
-        here only because the simulator shares the peer objects, the
-        shared-plane idealization); with one (remote frontends) it is the
+        here only because the simulator shares the peer objects, so only a
+        bare index relies on it); with one (remote frontends) it is the
         gossiped coarse serving-load hint, so independent frontends get the
         same spread-the-replicas signal without touching any peer object.
         Either way a skewed query stream round-robins across a term's
@@ -1107,10 +1104,6 @@ class DistributedIndex:
         except Exception:
             return CollectionStatistics()
         return CollectionStatistics.from_dict(json.loads(payload))
-
-    def has_term(self, term: str) -> bool:
-        """Whether a manifest exists for ``term`` (no content fetch)."""
-        return self.dht.contains(term_key(term))
 
     # -- serialization ----------------------------------------------------------------
 

@@ -51,10 +51,10 @@ Replica routing
 ---------------
 :func:`rank_replicas` is the read-side half of placement: given a shard's
 manifest provider hints it returns the live hinted providers least-loaded
-first.  The load signal is pluggable — the shared metadata plane reads each
-peer's true served-block counter straight off the peer object, while the
-gossiped plane substitutes the coarse serving-load hints peers piggyback on
-anti-entropy rounds (see :mod:`repro.net.gossip`), which is what lets a
+first.  The load signal is pluggable — a bare index reads each peer's true
+served-block counter straight off the peer object, while a frontend uses
+the coarse serving-load hints peers piggyback on gossip's anti-entropy
+rounds (see :mod:`repro.net.gossip`), which is what lets a
 frontend with no reference to the peer objects spread a head term's load
 the same way.  Hints are routing advice, never authority: a stale load
 ranking can only mis-order the fallback chain, not lose content.
@@ -81,8 +81,8 @@ def rank_replicas(
 ) -> Optional[List[str]]:
     """Live hinted providers for one shard, least-loaded first, or ``None``.
 
-    ``load_of`` supplies each provider's serving load — exact counters on
-    the shared metadata plane, gossiped coarse hints on the gossip plane —
+    ``load_of`` supplies each provider's serving load — exact counters on a
+    bare index, gossiped coarse hints on a frontend —
     with address order breaking ties deterministically.  Returns ``None``
     when no hinted provider is live (the caller falls back to the DHT
     provider record).

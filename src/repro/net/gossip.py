@@ -4,10 +4,9 @@ QueenBee's query path needs three pieces of *soft* metadata that are cheap
 to be slightly stale about but expensive to fetch authoritatively on every
 query: the per-term index-epoch feed (which generation of a term's shard
 manifest is current), the pointer to the latest published rank vector, and
-coarse per-peer serving-load hints used by replica routing.  In the shared
-("idealized") metadata plane every frontend reads these straight off the
-engine's in-process objects; this module is the deployment-faithful
-alternative — peers hold per-node key/value stores and reconcile them with
+coarse per-peer serving-load hints used by replica routing.  Frontends are
+ordinary peers and learn them only through the network: peers hold
+per-node key/value stores and reconcile them with
 periodic **anti-entropy push/pull gossip** over the simulated network, the
 way YaCy-style peers and IPFS provider records propagate soft state.
 
@@ -25,8 +24,8 @@ Rounds
 :meth:`GossipPlane.run_round` gives every online node ``fanout`` exchanges
 with distinct random online peers.  An exchange is push/pull: both sides end
 up with the union of their entries at the per-key max version.  Rounds are
-normally scheduled as simulator events (``start()``; the engine drives this
-from the ``metadata_plane="gossip"`` config) so propagation interleaves with
+normally scheduled as simulator events (``start()``; the engine starts its
+plane at construction) so propagation interleaves with
 the workload; tests and benchmarks can also drive rounds synchronously via
 :meth:`run_rounds` / :meth:`rounds_to_converge`.  A round's clock cost is
 the slowest of its exchanges (they are logically concurrent), sampled from

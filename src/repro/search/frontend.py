@@ -172,9 +172,9 @@ class SearchFrontend:
         The deployment's shard size, used only for the planner's shard
         fan-out estimate in diagnostics (0 = unknown/unsharded).
     metadata_view:
-        The frontend's gossiped metadata view (gossip plane only): pinned
-        per batch for torn-read-free prefetches, consulted for statistics
-        freshness.  ``None`` on the shared plane.
+        The frontend's gossiped metadata view: pinned per batch for
+        torn-read-free prefetches, consulted for statistics freshness.
+        ``None`` makes a bare frontend (no plane to consult).
     """
 
     def __init__(
@@ -216,8 +216,8 @@ class SearchFrontend:
             if options.result_cache_capacity > 0
             else None
         )
-        # The gossiped metadata view this frontend reads (None on the shared
-        # plane).  Used for two things here: search_batch pins it so every
+        # The gossiped metadata view this frontend reads (None on a bare
+        # frontend).  Used for two things here: search_batch pins it so every
         # query in the batch sees one consistent metadata version, and the
         # statistics property refreshes when the gossiped stats head moves.
         self.metadata_view = metadata_view

@@ -177,9 +177,8 @@ class QueryService:
         The clock and event queue completions are scheduled on.
     frontend_factory:
         ``factory(requester=..., options=...) -> SearchFrontend`` builds
-        one replica; :meth:`QueenBeeEngine.create_frontend` fits, so the
-        metadata plane decides whether replicas are shared-state or real
-        remote nodes.
+        one replica; :meth:`QueenBeeEngine.create_frontend` fits, so every
+        replica is a remote node with its own caches and gossip view.
     options:
         The admission/limit policy (:class:`ServiceOptions`).
     frontend_options:

@@ -28,7 +28,7 @@ DELETED_KNOBS = (
     "detector_probe_after", "gossip_fanout", "rank_tolerance", "rank_delta_bands",
     "result_cache_loose_keys", "cache_validation", "overlapped_prefetch",
     "publish_rank_ceilings", "execution_mode", "planning_strategy", "block_interval",
-    "delta_max_ratio",
+    "delta_max_ratio", "metadata_plane",
 )
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.core.config import QueenBeeConfig, UnknownConfigKnobError
+from repro.core.config import KNOB_NAMES, QueenBeeConfig, UnknownConfigKnobError
 from repro.core.directory import DocumentDirectory
 from repro.core.publisher import ContentPublisher
 from repro.core.worker import WorkerBee
@@ -52,6 +52,16 @@ class TestConfigValidation:
     def test_deleted_knobs_are_rejected(self, knob):
         with pytest.raises(UnknownConfigKnobError, match=knob):
             QueenBeeConfig.from_dict({knob: 1})
+
+    def test_metadata_plane_is_a_constant_not_a_knob(self):
+        assert "metadata_plane" not in KNOB_NAMES
+        with pytest.raises(TypeError):
+            QueenBeeConfig(metadata_plane="shared")
+        with pytest.raises(UnknownConfigKnobError, match="metadata_plane"):
+            QueenBeeConfig.from_dict({"metadata_plane": "shared"})
+        config = QueenBeeConfig.from_dict({"metadata_plane": "gossip", "seed": 3})
+        assert config.metadata_plane == "gossip" and config.seed == 3
+        config.validate()
 
 
 class TestDocumentDirectory:

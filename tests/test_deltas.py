@@ -223,7 +223,7 @@ class TestBandedRankPublication:
     def test_gossip_client_adopts_delta_round_without_band_fetches(self, small_corpus):
         from repro.core.engine import GossipRankClient
 
-        engine = make_small_engine(seed=47, metadata_plane="gossip")
+        engine = make_small_engine(seed=47)
         engine.bootstrap_corpus(small_corpus.documents[:20])
         engine.compute_page_ranks()
         engine.converge_metadata()
@@ -261,7 +261,7 @@ class TestCeilingsNeedNoChannel:
 
     @staticmethod
     def _deployment(small_corpus, seed):
-        engine = make_small_engine(seed=seed, metadata_plane="gossip", index_shard_size=8)
+        engine = make_small_engine(seed=seed, index_shard_size=8)
         documents = small_corpus.documents[:30]
         engine.bootstrap_corpus(documents)
         engine.compute_page_ranks()
@@ -277,7 +277,7 @@ class TestCeilingsNeedNoChannel:
             text="bystander wanderer", owner="creator-x",
             links=(documents[3].url, documents[7].url),
         )
-        frontend = engine.create_gossip_frontend(requester="peer-004:store", top_k=2)
+        frontend = engine.create_frontend(requester="peer-004:store", top_k=2)
         return engine, frontend, heads, bystander
 
     @staticmethod

@@ -169,12 +169,6 @@ class TestDHTNetworkFacade:
         with pytest.raises(KeyNotFoundError):
             dht.get("missing")
 
-    def test_contains(self, dht_net):
-        _, _, dht = dht_net
-        dht.put("present", 1)
-        assert dht.contains("present")
-        assert not dht.contains("absent")
-
     def test_overwrite_updates_value(self, dht_net):
         _, _, dht = dht_net
         dht.put("k", "v1")

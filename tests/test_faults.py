@@ -537,7 +537,7 @@ class TestPartitionHeal:
         engine.network.partition([everyone - minority, minority])
 
     def test_gossip_reconverges_after_heal(self):
-        engine = make_small_engine(seed=13, metadata_plane="gossip", peer_count=8)
+        engine = make_small_engine(seed=13, peer_count=8)
         plane = engine.gossip
         self.split(engine)
         plane.publish("peer-000:store", EPOCH_PREFIX + "web", 3, 3)
@@ -554,7 +554,7 @@ class TestPartitionHeal:
         from repro.index.document import Document
 
         engine = make_small_engine(
-            seed=17, metadata_plane="gossip", peer_count=8,
+            seed=17, peer_count=8,
             posting_cache_capacity=64, index_shard_size=8,
         )
         engine.bootstrap_corpus(small_corpus.documents[:30])

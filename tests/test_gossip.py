@@ -10,7 +10,9 @@ Covers the properties the plane exists for:
   merge order;
 * independence — a ``SearchFrontend`` holding no reference to the engine's
   in-process epoch registry, rank vector, or peer counters serves top-k
-  pages bit-identical to the shared-plane frontend;
+  pages bit-identical to the exhaustive oracle (``tests/reference.py``);
+* bounded staleness — before convergence a cached frontend serves the old
+  generation's page, after it the fresh one;
 * snapshot isolation — ``search_batch`` pins the gossip view so every
   query in a batch sees one consistent metadata version.
 """
@@ -21,10 +23,13 @@ import pytest
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
+from repro.index.document import Document
 from repro.net.gossip import EPOCH_PREFIX, GossipPlane, GossipView, quantize_load
 from repro.sim.simulator import Simulator
 from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.queries import QueryWorkloadGenerator
+
+from tests.reference import frontend_reference
 
 
 def small_corpus(num_documents: int = 60, seed: int = 7):
@@ -115,7 +120,7 @@ class TestPropagation:
             assert plane.node(address).version_of("epoch:head") == 1
 
     def test_offline_peers_miss_rounds_and_reconcile_on_rejoin(self):
-        engine = build_engine(metadata_plane="gossip", peer_count=8)
+        engine = build_engine(peer_count=8)
         plane = engine.gossip
         engine.network.set_offline("peer-007:store")
         plane.publish("peer-000:store", EPOCH_PREFIX + "web", 3, 3)
@@ -126,7 +131,7 @@ class TestPropagation:
         assert plane.node("peer-007:store").version_of(EPOCH_PREFIX + "web") == 3
 
     def test_scheduled_rounds_fire_as_simulator_events(self):
-        engine = build_engine(metadata_plane="gossip", gossip_interval=100.0)
+        engine = build_engine(gossip_interval=100.0)
         plane = engine.gossip
         plane.publish("peer-000:store", EPOCH_PREFIX + "web", 1, 1)
         before = plane.stats.rounds
@@ -156,7 +161,7 @@ class TestGossipViewPinning:
         assert view.generation("web") == 4, "the observation must not be lost"
 
     def test_search_batch_pins_the_view(self):
-        engine = build_engine(metadata_plane="gossip")
+        engine = build_engine()
         corpus = small_corpus(30)
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
@@ -175,7 +180,7 @@ class TestGossipViewPinning:
 
 class TestGossipFrontend:
     def test_frontend_holds_no_engine_soft_state(self):
-        engine = build_engine(metadata_plane="gossip")
+        engine = build_engine()
         engine.bootstrap_corpus(small_corpus(30).documents)
         engine.compute_page_ranks()
         engine.converge_metadata()
@@ -191,35 +196,31 @@ class TestGossipFrontend:
         # Routing reads gossiped hints, not shared peer counters.
         assert frontend.index.load_lookup is not None
 
-    def test_gossip_topk_bit_identical_to_shared(self):
+    def test_gossip_topk_bit_identical_to_reference(self):
         corpus = small_corpus(60)
         queries = list(
             QueryWorkloadGenerator(corpus.documents, seed=17).generate_stream(30, 12)
         )
-        pages = {}
-        for plane in ("shared", "gossip"):
-            engine = build_engine(metadata_plane=plane, result_cache_capacity=32)
-            engine.bootstrap_corpus(corpus.documents)
-            engine.compute_page_ranks()
-            assert engine.converge_metadata() >= 0
-            frontend = engine.create_frontend(requester="peer-001:store")
-            batch = engine.search_batch(queries, frontend=frontend)
-            pages[plane] = [[(r.doc_id, r.score) for r in page.results] for page in batch]
-        assert pages["gossip"] == pages["shared"]
+        engine = build_engine(result_cache_capacity=32)
+        engine.bootstrap_corpus(corpus.documents)
+        engine.compute_page_ranks()
+        assert engine.converge_metadata() >= 0
+        frontend = engine.create_frontend(requester="peer-001:store")
+        batch = engine.search_batch(queries, frontend=frontend)
+        assert [[(r.doc_id, r.score) for r in page.results] for page in batch] == [
+            frontend_reference(frontend, query) for query in queries
+        ]
 
     def test_update_visible_after_convergence(self):
         # The freshness guarantee of the real feed: a republish becomes
         # visible to a remote frontend once gossip has delivered the epoch,
-        # and the served page then matches the shared plane's exactly.
-        from repro.index.document import Document
-
-        engine = build_engine(metadata_plane="gossip")
+        # and the served page then is the oracle's page exactly.
+        engine = build_engine()
         corpus = small_corpus(30)
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
         engine.converge_metadata()
         frontend = engine.create_frontend(requester="peer-003:store")
-        shared = engine.create_shared_frontend(requester="peer-003:store")
         term = "zymurgy"
         assert frontend.search(term).result_count == 0
 
@@ -229,35 +230,57 @@ class TestGossipFrontend:
         )
         engine.publish_document(doc)
         engine.converge_metadata()
-        fresh = frontend.search(term)
-        reference = shared.search(term)
-        assert [r.doc_id for r in fresh.results] == [r.doc_id for r in reference.results] == [10_001]
+        fresh = [(r.doc_id, r.score) for r in frontend.search(term).results]
+        assert fresh == frontend_reference(frontend, term)
+        assert [doc_id for doc_id, _ in fresh] == [10_001]
+
+    def test_cached_page_is_the_old_generation_until_convergence(self):
+        # The other half of bounded staleness: until gossip delivers a
+        # publish's epoch, a frontend's result-cache key still names the old
+        # generation, so a cached page of that generation is served.  No
+        # scheduled round fires in this test; only converge_metadata spreads.
+        engine = build_engine(gossip_interval=1e12, result_cache_capacity=8)
+        corpus = small_corpus(30)
+        engine.bootstrap_corpus(corpus.documents)
+        engine.compute_page_ranks()
+        engine.converge_metadata()
+        # Workers publish from peer-000..003; the frontend is none of them.
+        frontend = engine.create_frontend(requester="peer-009:store")
+        query = "decentralized web"
+        old = [(r.doc_id, r.score) for r in frontend.search(query).results]
+        assert old == frontend_reference(frontend, query)
+
+        engine.publish_document(Document(
+            doc_id=10_002, url="https://example.test/dweb",
+            title="dweb", text="decentralized web " * 12, owner="owner-d",
+        ))
+        stale = frontend.search(query)
+        assert stale.diagnostics["result_cache"] == "hit"
+        assert [(r.doc_id, r.score) for r in stale.results] == old
+
+        assert engine.converge_metadata() > 0
+        fresh = [(r.doc_id, r.score) for r in frontend.search(query).results]
+        assert fresh == frontend_reference(frontend, query) != old
+        assert 10_002 in [doc_id for doc_id, _ in fresh]
 
     def test_stale_gossip_costs_fetches_not_correctness(self):
         # A frontend whose gossip lags still answers authoritatively for
         # terms it has no cached manifest for: the DHT record is the source
         # of truth, the feed only gates cache reuse.  (No rank round here,
-        # so both planes serve rank version 0 and pages must match exactly;
-        # a lagging *rank head* would instead serve the previous consistent
-        # rank version — bounded staleness, never a torn page.)
-        engine = build_engine(metadata_plane="gossip")
+        # so the frontend serves rank version 0; a lagging *rank head* would
+        # instead serve the previous consistent rank version — bounded
+        # staleness, never a torn page.)
+        engine = build_engine()
         corpus = small_corpus(30)
         engine.bootstrap_corpus(corpus.documents)
         # No convergence at all: the frontend's node knows nothing.
         frontend = engine.create_frontend(requester="peer-004:store")
-        shared = engine.create_shared_frontend(requester="peer-004:store")
         query = "decentralized web"
         cold = frontend.search(query)
-        reference = shared.search(query)
         assert cold.result_count > 0
-        assert [(r.doc_id, r.score) for r in cold.results] == [
-            (r.doc_id, r.score) for r in reference.results
-        ]
-
-    def test_gossip_frontend_requires_gossip_plane(self):
-        engine = build_engine(metadata_plane="shared")
-        with pytest.raises(ValueError):
-            engine.create_gossip_frontend()
+        assert [(r.doc_id, r.score) for r in cold.results] == frontend_reference(
+            frontend, query
+        )
 
 
 class TestScheduleEvery:
@@ -337,7 +360,7 @@ class TestScheduleEvery:
     def test_gossip_rounds_survive_a_repair_storm(self):
         # End-to-end regression: heavy foreground work between rounds must
         # not starve the anti-entropy schedule (E3c's in-window rounds).
-        engine = build_engine(metadata_plane="gossip")
+        engine = build_engine()
         interval = engine.config.gossip_interval
         rounds_before = engine.gossip.stats.rounds
 

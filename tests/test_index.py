@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IndexError_, TermNotFoundError
+from repro.errors import IndexError_, KeyNotFoundError, TermNotFoundError
 from repro.index.analysis import Analyzer, light_stem, tokenize
 from repro.index.compression import (
     compress_postings,
@@ -430,11 +430,12 @@ class TestDistributedIndex:
         index = DistributedIndex(dht, storage)
         assert index.fetch_statistics().document_count == 0
 
-    def test_has_term_and_key_format(self, dht, storage):
+    def test_manifest_is_stored_under_the_term_key(self, dht, storage):
         index = DistributedIndex(dht, storage)
-        assert not index.has_term("missing")
+        with pytest.raises(KeyNotFoundError):
+            dht.get(term_key("missing"))
         index.publish_term("present", PostingList([Posting(1)]))
-        assert index.has_term("present")
+        assert json.loads(dht.get(term_key("present")))["term"] == "present"
         assert term_key("x") == "idx:x"
 
 

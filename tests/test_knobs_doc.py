@@ -1,7 +1,8 @@
 """docs/KNOBS.md cannot drift from the registry it describes.
 
-The fields of ``QueenBeeConfig`` are the one declaration of every knob; the
-audit table in ``docs/KNOBS.md`` has one row per field (in declaration order,
+The constructor fields of ``QueenBeeConfig`` are the one declaration of
+every knob (an ``init=False`` field is a constant, not a knob); the audit
+table in ``docs/KNOBS.md`` has one row per field (in declaration order,
 with the declared default) and one row per deleted knob.
 """
 
@@ -12,7 +13,7 @@ import dataclasses
 import os
 import re
 
-from repro.core.config import QueenBeeConfig
+from repro.core.config import KNOB_NAMES, QueenBeeConfig
 
 from tests.conftest import DELETED_KNOBS
 
@@ -29,7 +30,7 @@ def _section_rows(heading: str):
 
 def test_surviving_table_is_the_dataclass_fields():
     rows = _section_rows("Surviving knobs")
-    fields = dataclasses.fields(QueenBeeConfig)
+    fields = [field for field in dataclasses.fields(QueenBeeConfig) if field.init]
     assert [name for name, _ in rows] == [field.name for field in fields]
     for (name, default), field in zip(rows, fields):
         assert ast.literal_eval(default.strip().strip("`")) == field.default, name
@@ -38,4 +39,4 @@ def test_surviving_table_is_the_dataclass_fields():
 def test_deleted_section_names_exactly_the_deleted_knobs():
     deleted = [name for name, _ in _section_rows("Deleted, with the answer")]
     assert sorted(deleted) == sorted(DELETED_KNOBS)
-    assert not set(deleted) & {field.name for field in dataclasses.fields(QueenBeeConfig)}
+    assert not set(deleted) & KNOB_NAMES

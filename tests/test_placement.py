@@ -273,6 +273,7 @@ class TestRoutingAndRepair:
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
+        engine.converge_metadata()
         term = heaviest_term(corpus)
         frontend = engine.create_frontend(requester="peer-001:store")
         healthy = [(r.doc_id, r.score) for r in engine.search(term, frontend=frontend).results]
@@ -474,7 +475,7 @@ class TestRankReplicas:
         # its replica set using only gossiped load hints — no reads of the
         # shared peer objects.
         corpus = small_corpus()
-        engine = build_engine(metadata_plane="gossip", posting_cache_capacity=0)
+        engine = build_engine(posting_cache_capacity=0)
         engine.bootstrap_corpus(corpus.documents)
         engine.converge_metadata()
         term = heaviest_term(corpus)

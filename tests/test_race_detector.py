@@ -393,7 +393,6 @@ class TestEndToEndRaceSmokes:
     def test_e10_gossip_plane_batch_path_is_race_free(self, small_corpus):
         engine = make_small_engine(
             seed=37,
-            metadata_plane="gossip",
             posting_cache_capacity=64,
             result_cache_capacity=32,
             index_shard_size=8,

@@ -111,8 +111,11 @@ class TestStamping:
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        run_queries(engine, head_or_queries(corpus))  # fills the manifest cache
-        held = engine.index.held_manifests()
+        engine.converge_metadata()
+        frontend = engine.create_frontend(requester="peer-001:store")
+        for query in head_or_queries(corpus):
+            frontend.search(query)  # fills the frontend's manifest cache
+        held = frontend.index.held_manifests()
         assert any(len(manifest.shards) > 1 for manifest in held.values()), (
             "corpus produced no multi-shard terms"
         )
@@ -121,10 +124,13 @@ class TestStamping:
 
         # The next round restamps what the engine's own index holds, in
         # memory: no lookup per term, and nothing about it on the wire.
+        for term in held:
+            engine.index.fetch_term_manifest(term)
         engine.delete_document(corpus.documents[0].doc_id)  # the vector moves
         refreshes = engine.index.stats.rank_ceiling_refreshes
         engine.compute_page_ranks()
         restamped = engine.index.held_manifests()
+        assert restamped
         assert engine.index.stats.rank_ceiling_refreshes - refreshes == len(restamped)
         for term, manifest in restamped.items():
             assert_rank_stamps_from_vector(manifest, engine.page_ranks(), engine.rank_version())
@@ -137,22 +143,24 @@ class TestStamping:
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
+        engine.converge_metadata()
         frontend = engine.create_frontend(requester="peer-001:store")
         for query in queries:
             frontend.search(query)
         document = corpus.documents[0]
         touched = sorted(
             set(LocalInvertedIndex(engine.analyzer).add_document(document))
-            & set(engine.index.held_manifests())
+            & set(frontend.index.held_manifests())
         )
         assert touched
-        generations = {term: engine.index.generation(term) for term in touched}
+        generations = {term: frontend.index.generation(term) for term in touched}
         engine.delete_document(document.doc_id)  # republishes every term it had
+        engine.converge_metadata()
 
         reference = reference_pages(engine, queries)
         assert top_k_of([frontend.search(query) for query in queries]) == reference
         for term in touched:
-            manifest = engine.index.held_manifests()[term]
+            manifest = frontend.index.held_manifests()[term]
             assert manifest.generation > generations[term]
             assert_rank_stamps_from_vector(manifest, engine.page_ranks(), engine.rank_version())
 
@@ -163,11 +171,13 @@ class TestStamping:
         engine = build_engine(posting_cache_capacity=0)
         engine.bootstrap_corpus(corpus.documents)
         engine.compute_page_ranks()
-        reference = reference_pages(engine, head_or_queries(corpus))
-        pruned, skipped = run_queries(engine, head_or_queries(corpus))
-        assert pruned == reference
-        assert skipped > 0
-        assert engine.index.held_manifests() == {}
+        queries = head_or_queries(corpus)
+        reference = reference_pages(engine, queries)
+        frontend = engine.create_frontend(requester="peer-001:store")
+        pages = [frontend.search(query) for query in queries]
+        assert top_k_of(pages) == reference
+        assert sum(page.diagnostics.get("shards_skipped", 0) for page in pages) > 0
+        assert frontend.index.held_manifests() == {}
 
 
 class TestCeilingPruning:

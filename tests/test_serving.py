@@ -28,6 +28,7 @@ def make_serving_engine(seed: int = 7, **overrides):
     ).generate(30)
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()
+    engine.converge_metadata()
     return engine, corpus
 
 
@@ -51,7 +52,7 @@ class TestFrontendOptions:
             FrontendOptions.from_config(engine.config, no_such_knob=1)
 
     def test_gossip_plane_frontend_takes_the_same_options(self):
-        engine = make_small_engine(seed=9, metadata_plane="gossip")
+        engine = make_small_engine(seed=9)
         frontend = engine.create_frontend(requester="peer-001:store", top_k=3)
         assert frontend.options == FrontendOptions.from_config(engine.config, top_k=3)
 

@@ -377,6 +377,7 @@ class TestEngineShardedEquivalence:
             )
             engine.bootstrap_corpus(small_corpus.documents[:40])
             engine.compute_page_ranks()
+            engine.converge_metadata()
             frontend = engine.create_frontend(requester="peer-001:store")
             pages[shard_size] = [
                 [(r.doc_id, r.score) for r in frontend.search(q).results] for q in queries
@@ -399,8 +400,10 @@ class TestEngineShardedEquivalence:
                     text="zzsharded common words " + ("zzrareterm " if i == 5 else ""),
                 )
             )
+        engine.converge_metadata()
         assert frontend.search("zzrareterm").doc_ids == [905]
         assert engine.delete_document(905)
+        engine.converge_metadata()
         assert frontend.search("zzrareterm").results == []
         assert 905 not in frontend.search("zzsharded").doc_ids
 
@@ -594,6 +597,7 @@ class TestResultCache:
                 )
             )
         engine.compute_page_ranks()
+        engine.converge_metadata()
         return engine
 
     def test_repeat_query_served_from_result_cache(self):
@@ -617,6 +621,7 @@ class TestResultCache:
         engine.publish_document(
             Document(doc_id=600, url="dweb://rc/new", title="new", text="zzcached fresh body")
         )
+        engine.converge_metadata()
         page = frontend.search("zzcached")
         assert page.diagnostics.get("result_cache") != "hit"
         assert 600 in page.doc_ids
@@ -626,6 +631,7 @@ class TestResultCache:
         frontend = engine.create_frontend(requester="peer-001:store")
         frontend.search("zzcached")
         engine.compute_page_ranks()
+        engine.converge_metadata()
         page = frontend.search("zzcached")
         assert page.diagnostics.get("result_cache") != "hit"
 

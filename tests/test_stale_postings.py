@@ -60,6 +60,7 @@ class TestCrossWorkerUpdate:
         engine.publish_document(updated)
         second_worker = (engine._next_worker - 1) % len(engine.workers)
         assert second_worker != first_worker
+        engine.converge_metadata()
 
         # The dropped term must stop matching, the added term must match.
         assert engine.search("zzdroppedterm").results == []
@@ -89,6 +90,7 @@ class TestFirstClassDelete:
         assert [r.doc_id for r in engine.search("zzvanishing").results] == [902]
 
         assert engine.delete_document(902)
+        engine.converge_metadata()
         assert engine.search("zzvanishing").results == []
         # The shard either disappeared with its only document or survives
         # empty; in neither case may the deleted document still appear.
@@ -265,11 +267,14 @@ class TestCachedQueryPathStaysFresh:
                 text="cacheable zzpersistent words only", published_at=engine.simulator.now
             )
         )
-        # The epoch protocol invalidates the cached shard: no stale match.
+        # Once gossip delivers the new epoch, the epoch protocol invalidates
+        # the cached shard: no stale match.
+        engine.converge_metadata()
         assert frontend.search("zzephemeral").results == []
         assert [r.doc_id for r in frontend.search("zzpersistent").results] == [904]
 
         engine.delete_document(904)
+        engine.converge_metadata()
         assert frontend.search("zzpersistent").results == []
         # Invalidation counts are not asserted: with the sharded manifest
         # layout an update that empties a term short-circuits on the manifest

@@ -193,7 +193,8 @@ def test_real_dht_exchanges_are_sized_like_the_reference():
     dht.add_to_set("providers:alpha", ("peer-9:storage", 2))
     assert dht.get("term:alpha")["generation"] == 3
     assert len(dht.get_set("providers:alpha")) == 2
-    assert not dht.contains("term:never")
+    with pytest.raises(KeyNotFoundError):
+        dht.get("term:never")
 
     seen = {message.msg_type for message, _ in exchanged}
     assert {"dht.find_node", "dht.find_value", "dht.store", "dht.append"} <= seen
@@ -247,7 +248,6 @@ def test_a_lookup_nobody_answers_is_inconclusive_not_a_miss():
     for read in (dht.get, dht.get_set):
         with pytest.raises(RoutingError):
             read("term:beta")
-    assert not dht.contains("term:beta")  # still a KeyNotFoundError to "is it there?" callers
     # A write that reached nobody raises; it does not "succeed" on its own origin.
     with pytest.raises(RoutingError):
         dht.put("term:beta", "wiped", origin=origin)
@@ -354,7 +354,7 @@ def test_golden_deployment_is_unchanged():
         length_spread=10, mean_out_degree=3.0, seed=11,
     ).generate(20)
     engine = QueenBeeEngine(QueenBeeConfig.from_dict(
-        {"peer_count": 16, "worker_count": 4, "metadata_plane": "gossip", "seed": 13}
+        {"peer_count": 16, "worker_count": 4, "seed": 13}
     ))
     engine.bootstrap_corpus(corpus.documents)
     engine.compute_page_ranks()

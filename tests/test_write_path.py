@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.directory import DocumentDirectory
 from repro.dht.dht import DHTNetwork
+from repro.errors import KeyNotFoundError
 from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
 from repro.index.placement import PlacementPolicy
@@ -134,7 +135,8 @@ class TestMergeBudget:
     def test_no_shard_pointer_is_written(self):
         d = _Deployment()
         d.index.publish_term("head", _postings(5))
-        assert not d.dht.contains("idx:head:0")
+        with pytest.raises(KeyNotFoundError):
+            d.dht.get("idx:head:0")
 
 
 class TestRankRoundBudget:
@@ -143,7 +145,7 @@ class TestRankRoundBudget:
 
     @staticmethod
     def _round(small_corpus, documents: int):
-        engine = make_small_engine(seed=31, metadata_plane="gossip")
+        engine = make_small_engine(seed=31)
         engine.bootstrap_corpus(small_corpus.documents[:documents])
         engine.converge_metadata()
         store = engine.gossip.node("peer-000:store")
