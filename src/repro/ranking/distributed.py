@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -297,27 +296,6 @@ class DecentralizedPageRank:
 
 # -- rank ceilings ---------------------------------------------------------------------
 
-# Geometric grid a shard's rank ceiling is rounded *up* onto, so it can only
-# over-estimate the best rank in the shard's range: pruning against it stays
-# admissible and the top-k bit-identical.  Why a grid when the exact maximum
-# is at hand: MaxScore's work is not monotone in its bounds (a tighter one can
-# demote a list sooner and score a document the looser one pruned), and E10's
-# work gates are recorded against these values.
-RANK_CEILING_RATIO = 1.05
-
-
-def quantize_rank_ceiling(value: float, ratio: float = RANK_CEILING_RATIO) -> float:
-    """Round a rank value up to the geometric ceiling grid (conservative)."""
-    if value <= 0.0:
-        return 0.0
-    exponent = math.ceil(math.log(value) / math.log(ratio))
-    quantized = ratio ** exponent
-    # Guard the float round-trip: the grid point must never undercut the
-    # true value, or pruning against it would stop being admissible.
-    while quantized < value:
-        quantized *= ratio
-    return quantized
-
 
 class _DocRangeMax:
     """Exact max-rank-over-doc-id-range queries over one rank vector.
@@ -344,9 +322,9 @@ class _DocRangeMax:
 class RankCeilingPublisher:
     """Stamps per-shard rank ceilings onto the manifests one index holds.
 
-    A shard's ceiling is the maximum rank over its doc-id range in the rank
-    vector its holder scores with, rounded up on the :data:`RANK_CEILING_RATIO`
-    grid, and the stamp's ``rank_version`` is that vector's version.  Both sides of the number — the vector and the
+    A shard's ceiling is the exact maximum rank over its doc-id range in the
+    rank vector its holder scores with, and the stamp's ``rank_version`` is
+    that vector's version.  Both sides of the number — the vector and the
     manifest — are already in the holder's memory, so the stamp is computed
     there and never travels: the engine stamps its own index after a rank
     round (:meth:`publish`), and a frontend stamps each manifest it is about
@@ -385,7 +363,7 @@ class RankCeilingPublisher:
             self._version = rank_version
         range_max = self._range_max.range_max
         ceilings = [
-            quantize_rank_ceiling(range_max(info.lo, info.hi)) if info.count else 0.0
+            range_max(info.lo, info.hi) if info.count else 0.0
             for info in manifest.shards
         ]
         return self.index.refresh_rank_ceilings(manifest, ceilings, rank_version)

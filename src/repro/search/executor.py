@@ -1,43 +1,36 @@
 """Query execution: fetch posting lists, evaluate, score, take top-k.
 
-There is one engine: document-at-a-time evaluation with MaxScore pruning.
-Posting cursors advance document-at-a-time with galloping skips, a bounded
-min-heap tracks the current top-k, and per-term *max-impact* upper bounds
-let the executor skip scoring — or stop scanning entirely — once no
-remaining document can enter the top-k.  Pruning only ever uses *strict*
-bound comparisons, so the returned top-k (documents, scores, and
-tie-breaks) is exactly the exhaustive answer: every document of the
-intersection (AND) or union (OR) scored, sorted by ``(-score, doc_id)``,
-truncated.  The tests check it against that exhaustive model
-(``tests/reference.py``), which shares nothing with this module but the two
-scoring functions.
+There is one algorithm, for AND and OR alike: document-at-a-time block-max
+MaxScore.  Posting cursors advance document-at-a-time with galloping skips, a
+bounded min-heap tracks the current top-k, and upper bounds on what a
+document can still score let the executor skip scoring — or whole shards, or
+the rest of the scan — once no remaining document can enter the top-k.
+Pruning only ever uses *strict* bound comparisons, so the returned top-k
+(documents, scores, and tie-breaks) is exactly the exhaustive answer: every
+document of the intersection (AND) or union (OR) scored, sorted by
+``(-score, doc_id)``, truncated.  The tests check it against that exhaustive
+model (``tests/reference.py``), which shares nothing with this module but the
+two scoring functions.
 
-Sharded terms
--------------
-A fetcher may return a lazy :class:`~repro.index.distributed.ShardedPostings`
-reader instead of a materialised :class:`PostingList`.  Cursors then operate
-on *segments* — one per doc-id-range shard, with the shard's quantized
-max-impact bound from the manifest — and three extra prunings become
-available, all strictly bound-based and therefore result-preserving:
-
-* whole driver shards whose range-bound cannot reach the top-k threshold are
-  skipped without being scanned (or even fetched);
-* conjunctive evaluation is clamped to the terms' feasible doc-id window, so
-  shards outside it are never loaded;
-* disjunctive (MaxScore) essential-list selection uses each cursor's
-  *remaining* bound — the max over its unconsumed shards — instead of the
-  whole-list bound, demoting lists to non-essential as their high-impact
-  shards are consumed, and per-candidate bounds use the shard-local bound at
-  the candidate's position rather than the whole-list max.
+Blocks
+------
+A cursor walks *segments*: one per doc-id-range shard of a lazy
+:class:`~repro.index.distributed.ShardedPostings` reader, or a single one for
+a materialised :class:`PostingList`.  Each segment carries its block maxima
+from the term manifest — quantized ``max_tf``, quantized minimum document
+length, and the rank ceiling its holder stamped from the rank vector — which
+give its impact bound and its rank bound (Ding & Suel, *Faster Top-k Document
+Retrieval Using Block-Max Indexes*, SIGIR 2011).  A cursor's *remaining*
+bound is the max over its unconsumed segments, its *range* bound over doc ids
+``[lo, hi]`` the max over the segments overlapping them; neither loads a
+segment.  Segment contents load on first content access, so a shard the
+bounds skip — or an early exit never reaches — is never fetched.
 
 Lazy loads that do reach the network are placement-routed: the index behind
 the fetcher steers each shard fetch to the least-loaded live provider from
 the term manifest's replica hints (see :mod:`repro.index.placement`), so
 cursors over the same head term stop contending on one serving peer — the
 property the frontend's parallel per-query batch execution relies on.
-``segments_loaded`` in the outcome counts the per-query segment
-materializations (cache hits included; the index's own stats count the
-network fetches).
 """
 
 from __future__ import annotations
@@ -45,6 +38,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import TermNotFoundError
@@ -67,13 +61,40 @@ PostingFetcher = Callable[[str], Any]
 _BOUND_SLACK = 1.0 + 1e-9
 
 
+def _beaten(text_bound: float, rank_bound: float, threshold: Optional[float]) -> bool:
+    """The one pruning test: a text bound plus a rank bound falls strictly
+    below the top-k threshold (``None`` while the heap is not full)."""
+    return threshold is not None and text_bound * _BOUND_SLACK + rank_bound < threshold
+
+
 @dataclass
 class ExecutionOutcome:
-    """Candidates, scores, and diagnostics from executing one plan.
+    """Candidates, scores, and work counters from executing one plan.
 
-    ``candidates`` holds only the documents the engine actually *visited*
-    (pruned document spaces are skipped wholesale), so it can be shorter
-    than the intersection (AND) or union (OR) of the lists.
+    Each work counter, defined once:
+
+    * ``candidates`` — documents the essential cursors surfaced that no probe
+      rejected, in doc-id order, whether then pruned or scored.  Skipped
+      shards and an early exit leave documents out, so it can be shorter than
+      the intersection (AND) or union (OR) of the lists.
+    * ``terms_fetched`` — terms the fetcher resolved.
+    * ``postings_scanned`` — one per posting an essential cursor surfaced,
+      plus the probes of every seek (the log of the jump, not the jump).
+    * ``docs_scored`` — candidates scored exactly and offered to the heap.
+    * ``docs_pruned`` — candidates whose bound fell strictly below the
+      threshold, so they were never scored.
+    * ``shards_skipped`` — essential-cursor segments a bound retired before
+      they were entered: one shard whose range bound fell strictly below the
+      threshold, or, when the early exit fires, every one left inside the
+      feasible window.
+    * ``segments_loaded`` — segment materializations: each a shard request
+      against the fetcher, served by the frontend's memoized readers or the
+      posting cache when warm, and only otherwise by a placement-routed
+      network fetch (the index's ``terms_fetched`` counts those).
+    * ``early_exit`` — the scan stopped before its essential cursors ran out:
+      the bound over every unconsumed shard fell below the threshold, the
+      candidate passed the feasible window, or an AND term was missing or
+      closed the window.
     """
 
     candidates: List[int] = field(default_factory=list)
@@ -85,11 +106,6 @@ class ExecutionOutcome:
     docs_scored: int = 0
     docs_pruned: int = 0
     shards_skipped: int = 0
-    # Lazy segment materializations the cursors performed.  Each is a shard
-    # *request* against the fetcher — served by the frontend's memoized
-    # readers or the posting cache when warm, and only otherwise by a
-    # placement-routed network fetch (the index's terms_fetched counter
-    # tracks those).
     segments_loaded: int = 0
     early_exit: bool = False
 
@@ -123,9 +139,8 @@ class _Segment:
         self.count = count
         self.max_tf = max_tf
         self.min_len = min_len
-        # Manifest-published max rank over the shard's documents, valid at
-        # the executor's rank version (-1 = unknown: fall back to the
-        # global bound).
+        # Max rank over the shard's doc-id range, valid at the executor's
+        # rank version (-1 = unknown: fall back to the global bound).
         self.rank_ceiling = rank_ceiling
 
 
@@ -137,9 +152,7 @@ class _Cursor:
     contribution (``impact``).  Per-segment bounds evaluate the denominator
     at the segment's quantized *minimum document length* (from the shard
     manifest), which is far tighter than the length-free whole-list bound —
-    the length-free form saturates in tf almost immediately.  These bounds
-    are what shard skipping and remaining-bound demotion exploit;
-    ``upper_bound`` is their maximum.
+    the length-free form saturates in tf almost immediately.
 
     Segment contents load on first *content* access (frequencies, or
     galloping inside the segment); probes that only need a segment's first
@@ -148,8 +161,8 @@ class _Cursor:
 
     __slots__ = (
         "term", "segments", "bounds", "suffix_bounds", "suffix_ceilings",
-        "upper_bound", "scale", "tf_constant", "seg", "offset", "_arrays",
-        "_loader", "total", "_segment_los", "_on_load",
+        "scale", "tf_constant", "seg", "offset", "_arrays", "_loader", "total",
+        "_segment_los", "_on_load",
     )
 
     def __init__(
@@ -187,29 +200,22 @@ class _Cursor:
                 self._arrays = []
             self._loader: Optional[Callable[[int], PostingList]] = None
         else:
-            infos = postings.shard_infos
             # Segments keep the manifest's shard index: empty shards are
             # filtered here, so positions and shard numbers can diverge.
-            # Manifest rank ceilings are attached only when the caller
-            # verified they were stamped at the current rank version.
+            # Rank ceilings are attached only when the caller verified they
+            # were stamped at the current rank version.
             self.segments = [
                 _Segment(
-                    info.index, info.lo, info.hi, info.count, info.max_tf,
-                    info.min_len,
+                    info.index, info.lo, info.hi, info.count, info.max_tf, info.min_len,
                     rank_ceiling=(
                         getattr(info, "rank_ceiling", -1.0) if ceilings_valid else -1.0
                     ),
                 )
-                for info in infos
+                for info in postings.shard_infos
                 if info.count
             ]
             self._arrays = [None] * len(self.segments)
-            reader = postings
-
-            def load(index: int) -> PostingList:
-                return reader.shard(index)
-
-            self._loader = load
+            self._loader = postings.shard
         self.total = sum(segment.count for segment in self.segments)
         self._segment_los = [segment.lo for segment in self.segments]
         self.bounds = [
@@ -220,11 +226,10 @@ class _Cursor:
         self.suffix_bounds = list(self.bounds)
         for i in range(len(self.suffix_bounds) - 2, -1, -1):
             self.suffix_bounds[i] = max(self.suffix_bounds[i], self.suffix_bounds[i + 1])
-        self.upper_bound = self.suffix_bounds[0] if self.suffix_bounds else 0.0
-        # suffix_ceilings[i] = max manifest rank ceiling over segments[i:],
-        # or -1 when any segment in the suffix lacks a valid ceiling (the
-        # whole suffix bound is then unusable — a single unknown segment
-        # could hold an arbitrarily-ranked document).
+        # suffix_ceilings[i] = max rank ceiling over segments[i:], or -1 when
+        # any segment in the suffix lacks a valid ceiling (the whole suffix
+        # bound is then unusable — a single unknown segment could hold an
+        # arbitrarily-ranked document).
         self.suffix_ceilings = [s.rank_ceiling for s in self.segments]
         running, valid = 0.0, True
         for i in range(len(self.suffix_ceilings) - 1, -1, -1):
@@ -251,12 +256,11 @@ class _Cursor:
             constant = tf_denominator(segment.min_len)
         return self.scale * segment.max_tf / (segment.max_tf + constant)
 
-    def impact(self, term_frequency: int, tf_constant: Optional[float] = None) -> float:
+    def impact(self, term_frequency: int) -> float:
         """Best-case (shortest-document) contribution of one posting."""
         if term_frequency <= 0:
             return 0.0
-        constant = self.tf_constant if tf_constant is None else tf_constant
-        return self.scale * term_frequency / (term_frequency + constant)
+        return self.scale * term_frequency / (term_frequency + self.tf_constant)
 
     def __len__(self) -> int:
         return self.total
@@ -265,30 +269,14 @@ class _Cursor:
     def exhausted(self) -> bool:
         return self.seg >= len(self.segments)
 
-    @property
-    def min_doc_id(self) -> Optional[int]:
-        return self.segments[0].lo if self.segments else None
-
-    @property
-    def max_doc_id(self) -> Optional[int]:
-        return self.segments[-1].hi if self.segments else None
-
-    @property
-    def at_segment_start(self) -> bool:
-        return self.offset == 0
-
-    @property
-    def current_segment(self) -> _Segment:
-        return self.segments[self.seg]
-
     def _ids(self) -> List[int]:
         arrays = self._arrays[self.seg]
         if arrays is None:
             try:
                 postings = self._loader(self.segments[self.seg].index)  # type: ignore[misc]
             except TermNotFoundError as exc:
-                # Degrade like an unreachable whole term (the pre-sharding
-                # behaviour): the executor retries without this term.
+                # Degrade like an unreachable whole term: the executor
+                # retries without this term.
                 raise _ShardUnreachable(self.term) from exc
             arrays = postings.arrays()
             self._arrays[self.seg] = arrays
@@ -318,31 +306,24 @@ class _Cursor:
             self.seg += 1
             self.offset = 0
 
-    def skip_segment(self) -> int:
-        """Drop the rest of the current segment; returns postings skipped."""
-        skipped = self.segments[self.seg].count - self.offset
+    def skip_segment(self) -> None:
+        """Drop the rest of the current segment."""
         self.seg += 1
         self.offset = 0
-        return skipped
 
-    def remaining(self) -> int:
-        """Postings at or after the cursor position."""
-        if self.exhausted:
-            return 0
-        rest = sum(segment.count for segment in self.segments[self.seg + 1:])
-        return rest + self.segments[self.seg].count - self.offset
+    def unentered(self, high: Optional[int]) -> int:
+        """Segments not entered yet whose doc ids start at or below ``high``."""
+        start = self.seg + (1 if self.offset else 0)
+        return sum(1 for segment in self.segments[start:] if high is None or segment.lo <= high)
 
     def remaining_bound(self) -> float:
-        """Max impact over the postings the cursor has not consumed yet."""
-        return self.suffix_bounds[self.seg] if not self.exhausted else 0.0
+        """Max impact over the postings a live cursor has not consumed yet."""
+        return self.suffix_bounds[self.seg]
 
     def remaining_rank_ceiling(self) -> float:
-        """Max manifest rank ceiling over the unconsumed segments.
-
-        -1 when any unconsumed segment lacks a valid ceiling; 0 when the
-        cursor is exhausted (no document can surface from it anymore).
-        """
-        return self.suffix_ceilings[self.seg] if not self.exhausted else 0.0
+        """Max rank ceiling over a live cursor's unconsumed segments (-1 when
+        any of them lacks a valid ceiling)."""
+        return self.suffix_ceilings[self.seg]
 
     def range_bound(self, lo: int, hi: int) -> float:
         """Max impact over segments overlapping ``[lo, hi]`` (no loading).
@@ -446,11 +427,11 @@ class QueryExecutor:
         self.rank_bound_provider = rank_bound_provider
         # The caller's current rank-vector version.  Sharded readers whose
         # manifest was rank-ceiling-stamped at exactly this version
-        # contribute per-shard rank ceilings to the bounds below — the
-        # "prune by rank without materialising the rank vector" path any
-        # remote frontend can use.  A mismatched (stale) stamp is simply
-        # ignored, as are all stamps when no version is given (``None``):
-        # looser pruning, identical pages.
+        # contribute per-shard rank ceilings to the bounds — the "prune by
+        # rank without materialising the rank vector" path any remote
+        # frontend can use.  A mismatched (stale) stamp is simply ignored, as
+        # are all stamps when no version is given (``None``): looser pruning,
+        # identical pages.
         self.rank_version = rank_version
 
     def execute(self, plan: QueryPlan) -> ExecutionOutcome:
@@ -475,118 +456,219 @@ class QueryExecutor:
         conjunctive = plan.query.is_conjunctive
         missing: List[str] = []
         cursors: List[_Cursor] = []
-        # Feasible doc-id window for conjunctive queries: if a fetched list is
-        # empty, or the window closes (all-lists doc-id ranges are disjoint),
-        # the intersection is provably empty and the remaining fetches are
-        # skipped.  The window comes from manifests alone, so no shard
-        # content loads.
+        # The feasible doc-id window: a conjunctive result lies inside every
+        # list's doc-id range.  A missing or empty list, or a window that
+        # closes, proves the intersection empty and skips the remaining
+        # fetches.  The window comes from manifests alone, so no shard
+        # content loads.  A disjunctive query's window is (0, None).
         window_low, window_high = 0, None
-
         for term in plan.ordered_terms:
-            try:
-                if term in broken:
-                    raise TermNotFoundError(f"term {term!r} has an unreachable shard")
-                postings = self.fetch_postings(term)
-            except TermNotFoundError:
+            cursor = self._open(term, broken, outcome)
+            if cursor is None:
                 missing.append(term)
-                if conjunctive:
-                    outcome.missing_terms = tuple(missing)
-                    outcome.early_exit = True
-                    return outcome
-                continue
-            outcome.terms_fetched += 1
-            # The term's max impact on the *combined* score: its best BM25
-            # contribution scaled by the combiner's text weight.
-            scale, tf_constant = self.bm25.impact_parameters(term)
-            scale *= self.combiner.bm25_weight
-            ceilings_valid = (
-                self.rank_version is not None
-                and self.rank_version >= 0
-                and getattr(postings, "rank_version", -1) == self.rank_version
-            )
-            cursor = _Cursor(
-                term, postings, scale, tf_constant,
-                tf_denominator=self.bm25.tf_denominator,
-                on_load=lambda: setattr(
-                    outcome, "segments_loaded", outcome.segments_loaded + 1
-                ),
-                ceilings_valid=ceilings_valid,
-            )
-            if conjunctive:
-                if cursor.min_doc_id is None:
-                    outcome.missing_terms = tuple(missing)
-                    outcome.early_exit = True
-                    return outcome
-                window_low = max(window_low, cursor.min_doc_id)
-                window_high = (
-                    cursor.max_doc_id
-                    if window_high is None
-                    else min(window_high, cursor.max_doc_id)
-                )
-                if window_low > window_high:
-                    outcome.missing_terms = tuple(missing)
-                    outcome.early_exit = True
-                    return outcome
-            cursors.append(cursor)
+            else:
+                cursors.append(cursor)
+                if conjunctive and cursor.segments:
+                    window_low = max(window_low, cursor.segments[0].lo)
+                    last = cursor.segments[-1].hi
+                    window_high = last if window_high is None else min(window_high, last)
+            if conjunctive and (cursor is None or not cursor.segments or window_low > window_high):
+                outcome.missing_terms = tuple(missing)
+                outcome.early_exit = True
+                return outcome
 
         outcome.missing_terms = tuple(missing)
         if not cursors:
             return outcome
-
-        document_count = self.statistics.document_count
-        # The global rank bound needs a max() over the corpus-sized rank
-        # vector, so it is resolved lazily: only once the top-k heap is full
-        # and pruning decisions actually need it.  A rank_bound_provider
-        # (memoized against the rank-vector version by the frontend) replaces
-        # the local max() entirely.
-        rank_ub_memo: List[float] = []
-
-        def rank_bound() -> float:
-            if not rank_ub_memo:
-                if self.rank_bound_provider is not None:
-                    rank_ub_memo.append(self.rank_bound_provider())
-                else:
-                    rank_ub_memo.append(
-                        self.combiner.rank_upper_bound(self.page_ranks, document_count)
-                    )
-            return rank_ub_memo[0]
-
-        def segment_rank_bound(segment: _Segment) -> float:
-            """Rank bound for the documents *inside* one shard.
-
-            Every document in a shard's doc-id range that carries its term
-            lives in that shard, so the manifest's rank ceiling bounds the
-            rank of any document the shard can contribute.  Both the global
-            bound and the ceiling are valid upper bounds; take the tighter
-            — the ceiling is the only range-level signal there is.
-            """
-            bound = rank_bound()
-            if segment.rank_ceiling >= 0.0:
-                bound = min(
-                    bound,
-                    self.combiner.rank_component(segment.rank_ceiling, document_count),
-                )
-            return bound
-
-        # Min-heap of (score, -doc_id): the root is the weakest member of the
-        # current top-k under the same (-score, doc_id) order the reference
-        # path sorts by, so strict bound comparisons preserve exact ties.
-        heap: List[Tuple[float, int]] = []
-
-        if conjunctive:
-            self._daat_and(
-                plan, cursors, heap, rank_bound, segment_rank_bound,
-                window_low, window_high, outcome,
-            )
-        else:
-            self._daat_or(plan, cursors, heap, rank_bound, segment_rank_bound, outcome)
-
+        heap = self._daat(plan, cursors, conjunctive, window_low, window_high, outcome)
         ordered = sorted(heap, key=lambda item: (-item[0], -item[1]))
         outcome.scores = {-neg_doc_id: score for score, neg_doc_id in ordered}
         outcome.page_ranks = {
             doc_id: self.page_ranks.get(doc_id, 0.0) for doc_id in outcome.scores
         }
         return outcome
+
+    def _open(self, term: str, broken: set, outcome: ExecutionOutcome) -> Optional[_Cursor]:
+        """A cursor over ``term``'s postings; None when the term is missing."""
+        try:
+            if term in broken:
+                raise TermNotFoundError(f"term {term!r} has an unreachable shard")
+            postings = self.fetch_postings(term)
+        except TermNotFoundError:
+            return None
+        outcome.terms_fetched += 1
+        # The term's max impact on the *combined* score: its best BM25
+        # contribution scaled by the combiner's text weight.
+        scale, tf_constant = self.bm25.impact_parameters(term)
+        return _Cursor(
+            term, postings, scale * self.combiner.bm25_weight, tf_constant,
+            tf_denominator=self.bm25.tf_denominator,
+            on_load=lambda: setattr(outcome, "segments_loaded", outcome.segments_loaded + 1),
+            ceilings_valid=(
+                self.rank_version is not None
+                and self.rank_version >= 0
+                and getattr(postings, "rank_version", -1) == self.rank_version
+            ),
+        )
+
+    def _daat(
+        self,
+        plan: QueryPlan,
+        cursors: List[_Cursor],
+        conjunctive: bool,
+        window_low: int,
+        window_high: Optional[int],
+        outcome: ExecutionOutcome,
+    ) -> List[Tuple[float, int]]:
+        """Block-max MaxScore: essential cursors surface candidates, the rest
+        only confirm them.  Returns the top-k heap.
+
+        The operator decides four things and nothing else:
+
+        * **which cursors are essential.**  AND: the shortest list, which every
+          result must be in.  OR: MaxScore's essential suffix — cursors
+          ordered by remaining bound, minus the longest prefix whose summed
+          bounds (plus the rank bound) stay below the threshold, since a
+          document only there can never enter the top-k.  As cursors consume
+          their high-impact shards their remaining bounds drop, demoting them
+          sooner than whole-list bounds would;
+        * **whether a missed probe rejects the candidate** (AND), or only
+          drops that term's contribution (OR);
+        * **how per-cursor rank ceilings combine**: by ``min`` (AND: a result
+          is in every list) or ``max`` (OR: it is in some list);
+        * **the feasible doc-id window** (OR: ``(0, None)``).
+
+        Shard skip, early exit and the per-candidate bound share one formula
+        (:func:`_beaten`): impact bounds — over a shard's doc-id range, over
+        the unconsumed shards, or at the candidate — plus a rank bound, strictly
+        below the threshold.
+        """
+        document_count = self.statistics.document_count
+        rank_component = self.combiner.rank_component
+        global_rank: List[float] = []
+
+        def rank_bound(ceiling: float) -> float:
+            """The global rank bound, tightened by a rank ceiling when one is
+            valid (``>= 0``).  The global bound is a max() over the
+            corpus-sized vector, so it is resolved only once pruning needs it
+            (or comes from the caller's memoized provider)."""
+            if not global_rank:
+                global_rank.append(
+                    self.rank_bound_provider()
+                    if self.rank_bound_provider is not None
+                    else self.combiner.rank_upper_bound(self.page_ranks, document_count)
+                )
+            if ceiling < 0.0:
+                return global_rank[0]
+            return min(global_rank[0], rank_component(ceiling, document_count))
+
+        combine = min if conjunctive else max
+        by_length = sorted(cursors, key=len)
+        required = by_length[1:] if conjunctive else []
+        # Min-heap of (score, -doc_id): the root is the weakest member of the
+        # current top-k under the same (-score, doc_id) order the reference
+        # sorts by, so strict bound comparisons preserve exact ties.
+        heap: List[Tuple[float, int]] = []
+        last = window_low - 1
+
+        while True:
+            active = [cursor for cursor in cursors if not cursor.exhausted]
+            if not active:
+                return heap
+            # Remaining bounds change as shards are consumed, so the order
+            # and prefix sums are recomputed per round (query terms are few).
+            active.sort(key=_Cursor.remaining_bound)
+            prefix = list(accumulate(cursor.remaining_bound() for cursor in active))
+            threshold = heap[0][0] if len(heap) == self.top_k else None
+            essential = by_length[:1] if conjunctive else active
+            optional: List[_Cursor] = []
+            if threshold is not None:
+                ceilings = [cursor.remaining_rank_ceiling() for cursor in active]
+                rank = rank_bound(combine(ceilings) if min(ceilings) >= 0.0 else -1.0)
+                if not conjunctive:
+                    first = 0
+                    while first < len(active) - 1 and _beaten(prefix[first], rank, threshold):
+                        first += 1
+                    essential, optional = active[first:], active[:first]
+                if _beaten(prefix[-1], rank, threshold):
+                    # Not even a document in every unconsumed shard at max
+                    # impact, with the best rank they allow, can get in: the
+                    # shard skip, over all the essential shards left at once.
+                    outcome.shards_skipped += sum(
+                        cursor.unentered(window_high) for cursor in essential
+                    )
+                    outcome.early_exit = True
+                    return heap
+
+            candidate = None
+            for cursor in essential:
+                # A list promoted from non-essential may still point at an
+                # already-evaluated document; skip it forward so candidates
+                # are strictly increasing and no document is offered twice.
+                # (An AND driver's first seek is to the window's low end.)
+                if not cursor.exhausted and cursor.current <= last:
+                    outcome.postings_scanned += cursor.seek(last + 1)
+                # Shard skip: no document in this shard's doc-id range —
+                # whichever lists it appears in — can reach the top-k, so this
+                # list's postings there are never enumerated (or fetched).  A
+                # skipped document surfacing via *another* essential list is
+                # scored without this list's contribution, which is sound:
+                # the range bound proves its full score stays strictly below
+                # the threshold, so the offer is rejected either way.
+                while threshold is not None and not cursor.exhausted and cursor.offset == 0:
+                    segment = cursor.segments[cursor.seg]
+                    if (window_high is not None and segment.lo > window_high) or not _beaten(
+                        sum(other.range_bound(segment.lo, segment.hi) for other in active),
+                        rank_bound(segment.rank_ceiling),
+                        threshold,
+                    ):
+                        break
+                    cursor.skip_segment()
+                    outcome.shards_skipped += 1
+                if not cursor.exhausted and (candidate is None or cursor.current < candidate):
+                    candidate = cursor.current
+            if candidate is None:
+                return heap
+            if window_high is not None and candidate > window_high:
+                outcome.early_exit = True
+                return heap
+            last = candidate
+
+            # The candidate's text bound: each non-essential list it *might*
+            # be in contributes its block bound at the candidate's position,
+            # each list it is known to be in its actual impact.
+            text_bound = sum(cursor.range_bound(candidate, candidate) for cursor in optional)
+            found: Dict[str, int] = {}
+            for cursor in essential:
+                if not cursor.exhausted and cursor.current == candidate:
+                    found[cursor.term] = cursor.current_frequency
+                    text_bound += cursor.impact(found[cursor.term])
+                    cursor.advance()
+                    outcome.postings_scanned += 1
+            if not all(self._probe(cursor, candidate, found, outcome) for cursor in required):
+                continue
+            for cursor in required:
+                text_bound += cursor.impact(found[cursor.term])
+            outcome.candidates.append(candidate)
+            rank_part = rank_component(self.page_ranks.get(candidate, 0.0), document_count)
+            if _beaten(text_bound, rank_part, threshold):
+                outcome.docs_pruned += 1
+                continue
+            for cursor in optional:
+                self._probe(cursor, candidate, found, outcome)
+            self._offer(heap, candidate, self._score_exact(plan, candidate, found))
+            outcome.docs_scored += 1
+
+    @staticmethod
+    def _probe(
+        cursor: _Cursor, doc_id: int, found: Dict[str, int], outcome: ExecutionOutcome
+    ) -> bool:
+        """Seek ``cursor`` to ``doc_id``; record its frequency when present."""
+        outcome.postings_scanned += cursor.seek(doc_id)
+        if cursor.exhausted or cursor.current != doc_id:
+            return False
+        found[cursor.term] = cursor.current_frequency
+        return True
 
     def _score_exact(self, plan: QueryPlan, doc_id: int, found: Dict[str, int]) -> float:
         """The combined score: BM25 over the query terms in query order, plus
@@ -604,250 +686,3 @@ class QueryExecutor:
             heapq.heappush(heap, entry)
         elif entry > heap[0]:
             heapq.heapreplace(heap, entry)
-
-    def _daat_and(
-        self,
-        plan: QueryPlan,
-        cursors: List[_Cursor],
-        heap: List[Tuple[float, int]],
-        rank_bound: Callable[[], float],
-        segment_rank_bound: Callable[[_Segment], float],
-        window_low: int,
-        window_high: Optional[int],
-        outcome: ExecutionOutcome,
-    ) -> None:
-        """Drive the shortest list, gallop the others, prune by bounds.
-
-        The driver is clamped to the feasible window, whole driver shards
-        whose range-bound cannot beat the threshold are skipped unscanned,
-        and surviving candidates are pruned by their actual-frequency bound
-        — all strict comparisons, so results match exhaustive scoring exactly.
-        """
-        cursors.sort(key=len)
-        driver, others = cursors[0], cursors[1:]
-        total_ub = sum(cursor.upper_bound for cursor in cursors)
-        full = self.top_k
-
-        def remaining_rank() -> float:
-            # A conjunctive candidate appears in *every* list, so its rank
-            # is bounded by each cursor's remaining manifest ceiling — take
-            # the min, and tighten the global rank bound with it.  Usable
-            # only while every cursor's remaining ceilings are valid; an
-            # exhausted cursor bounds at 0 (the intersection is over).
-            bound = rank_bound()
-            ceilings = [cursor.remaining_rank_ceiling() for cursor in cursors]
-            if all(ceiling >= 0.0 for ceiling in ceilings):
-                bound = min(
-                    bound,
-                    self.combiner.rank_component(
-                        min(ceilings), self.statistics.document_count
-                    ),
-                )
-            return bound
-
-        if window_low > 0:
-            outcome.postings_scanned += driver.seek(window_low)
-        while not driver.exhausted:
-            doc_id = driver.current
-            if window_high is not None and doc_id > window_high:
-                outcome.docs_pruned += driver.remaining()
-                outcome.early_exit = True
-                return
-            threshold = heap[0][0] if len(heap) == full else None
-            if threshold is not None:
-                if total_ub * _BOUND_SLACK + remaining_rank() < threshold:
-                    # Even a document matching every term at max impact with
-                    # the best rank the remaining shards allow cannot
-                    # displace the current top-k.
-                    outcome.docs_pruned += driver.remaining()
-                    outcome.early_exit = True
-                    return
-                if driver.at_segment_start:
-                    # Per-shard bound over the driver shard's doc-id range:
-                    # the driver's own shard bound plus every other term's
-                    # max impact *within that range* (their overlapping
-                    # shards' quantized bounds, tighter than whole-list
-                    # max-tf), plus the shard's rank ceiling.  Below
-                    # threshold, the whole shard is skipped without scanning
-                    # — or fetching — it.
-                    segment = driver.current_segment
-                    segment_bound = driver.bounds[driver.seg] + sum(
-                        other.range_bound(segment.lo, segment.hi) for other in others
-                    )
-                    if (
-                        segment_bound * _BOUND_SLACK + segment_rank_bound(segment)
-                        < threshold
-                    ):
-                        outcome.docs_pruned += driver.skip_segment()
-                        outcome.shards_skipped += 1
-                        continue
-            outcome.postings_scanned += 1
-            frequency = driver.current_frequency
-            found = {driver.term: frequency}
-            text_bound = driver.impact(frequency)
-            present = True
-            for other in others:
-                outcome.postings_scanned += other.seek(doc_id)
-                if other.exhausted or other.current != doc_id:
-                    present = False
-                    break
-                other_frequency = other.current_frequency
-                found[other.term] = other_frequency
-                text_bound += other.impact(other_frequency)
-            if not present:
-                driver.advance()
-                continue
-            outcome.candidates.append(doc_id)
-            rank_part = self.combiner.rank_component(
-                self.page_ranks.get(doc_id, 0.0), self.statistics.document_count
-            )
-            # The document's frequencies are known here, so the bound uses its
-            # actual impacts (length-free), far tighter than the max-tf sum.
-            if (
-                len(heap) == full
-                and text_bound * _BOUND_SLACK + rank_part < heap[0][0]
-            ):
-                outcome.docs_pruned += 1
-                driver.advance()
-                continue
-            self._offer(heap, doc_id, self._score_exact(plan, doc_id, found))
-            outcome.docs_scored += 1
-            driver.advance()
-
-    def _daat_or(
-        self,
-        plan: QueryPlan,
-        cursors: List[_Cursor],
-        heap: List[Tuple[float, int]],
-        rank_bound: Callable[[], float],
-        segment_rank_bound: Callable[[_Segment], float],
-        outcome: ExecutionOutcome,
-    ) -> None:
-        """Classic MaxScore: essential lists drive, non-essential only confirm.
-
-        Cursors are ordered by their *remaining* bound (the max over their
-        unconsumed shards); the *non-essential* prefix is the longest prefix
-        whose summed bounds (plus the rank bound over the unconsumed
-        shards) stay strictly below the top-k threshold — documents appearing
-        only there can never enter the top-k, so their lists are never
-        enumerated, only probed for documents the essential lists surface.
-        As cursors consume their high-impact shards their remaining bounds
-        drop, demoting them to non-essential earlier than whole-list bounds
-        would; and an essential cursor's next shard is skipped outright when
-        every term's range bound plus the shard's rank ceiling cannot reach
-        the threshold.
-        """
-        full = self.top_k
-        last_candidate = -1
-
-        while True:
-            active = [cursor for cursor in cursors if not cursor.exhausted]
-            if not active:
-                return
-            # Remaining bounds change as shards are consumed, so the order
-            # and prefix sums are recomputed per round (query terms are few).
-            active.sort(key=lambda cursor: cursor.remaining_bound())
-            prefix: List[float] = []
-            running = 0.0
-            for cursor in active:
-                running += cursor.remaining_bound()
-                prefix.append(running)
-            threshold = heap[0][0] if len(heap) == full else None
-            first_essential = 0
-            if threshold is not None:
-                remaining_rank = rank_bound()
-                # Every future candidate surfaces from some active list, so
-                # its rank is bounded by the *max* over the active cursors'
-                # remaining manifest ceilings — usable only while every
-                # active cursor's remaining ceilings are valid (one unknown
-                # list could surface an arbitrarily-ranked document).
-                ceilings = [cursor.remaining_rank_ceiling() for cursor in active]
-                if all(ceiling >= 0.0 for ceiling in ceilings):
-                    remaining_rank = min(
-                        remaining_rank,
-                        self.combiner.rank_component(
-                            max(ceilings), self.statistics.document_count
-                        ),
-                    )
-                if prefix[-1] * _BOUND_SLACK + remaining_rank < threshold:
-                    # Even a document in every remaining shard at max impact
-                    # with the best remaining rank cannot displace the top-k.
-                    outcome.early_exit = True
-                    return
-                while (
-                    first_essential < len(active) - 1
-                    and prefix[first_essential] * _BOUND_SLACK + remaining_rank < threshold
-                ):
-                    first_essential += 1
-            essential = active[first_essential:]
-            candidate = None
-            for cursor in essential:
-                # A list promoted from non-essential may still point at an
-                # already-evaluated document; skip it forward so candidates
-                # are strictly increasing and no document is offered twice.
-                if not cursor.exhausted and cursor.current <= last_candidate:
-                    outcome.postings_scanned += cursor.seek(last_candidate + 1)
-                if threshold is not None:
-                    # Shard skip: no document in this shard's doc-id range —
-                    # whichever lists it appears in — can reach the top-k, so
-                    # this list's postings there are never enumerated.  A
-                    # skipped document surfacing via *another* essential list
-                    # is scored without this list's contribution, which is
-                    # sound: the range bound proves its full score stays
-                    # strictly below the threshold, so the offer is rejected
-                    # either way.
-                    while not cursor.exhausted and cursor.at_segment_start:
-                        segment = cursor.current_segment
-                        shard_bound = sum(
-                            other.range_bound(segment.lo, segment.hi) for other in active
-                        )
-                        if (
-                            shard_bound * _BOUND_SLACK
-                            + segment_rank_bound(segment)
-                            < threshold
-                        ):
-                            # Counted in shards_skipped only: a document can
-                            # sit in several lists' skipped segments, so
-                            # adding postings here would double-count what
-                            # docs_pruned means (documents) elsewhere.
-                            cursor.skip_segment()
-                            outcome.shards_skipped += 1
-                        else:
-                            break
-                if not cursor.exhausted:
-                    current = cursor.current
-                    if candidate is None or current < candidate:
-                        candidate = current
-            if candidate is None:
-                return
-            last_candidate = candidate
-
-            found: Dict[str, int] = {}
-            rank_part = self.combiner.rank_component(
-                self.page_ranks.get(candidate, 0.0), self.statistics.document_count
-            )
-            # Known impacts for the essential lists containing the candidate;
-            # for the non-essential lists it *might* appear in, the shard
-            # bound at the candidate's position (tighter than whole-list).
-            text_bound = sum(
-                cursor.range_bound(candidate, candidate)
-                for cursor in active[:first_essential]
-            )
-            for cursor in essential:
-                if not cursor.exhausted and cursor.current == candidate:
-                    frequency = cursor.current_frequency
-                    found[cursor.term] = frequency
-                    text_bound += cursor.impact(frequency)
-                    cursor.advance()
-                    outcome.postings_scanned += 1
-            outcome.candidates.append(candidate)
-
-            if threshold is not None and text_bound * _BOUND_SLACK + rank_part < threshold:
-                outcome.docs_pruned += 1
-                continue
-            for cursor in active[:first_essential]:
-                outcome.postings_scanned += cursor.seek(candidate)
-                if not cursor.exhausted and cursor.current == candidate:
-                    found[cursor.term] = cursor.current_frequency
-            self._offer(heap, candidate, self._score_exact(plan, candidate, found))
-            outcome.docs_scored += 1

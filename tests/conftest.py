@@ -6,6 +6,8 @@ runs in seconds; the benchmarks are where realistic sizes live.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.chain.blockchain import Blockchain
@@ -13,9 +15,14 @@ from repro.contracts.queenbee import QueenBeeContracts
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
 from repro.dht.dht import DHTNetwork
+from repro.index.analysis import Analyzer
+from repro.index.cache import PostingCache
+from repro.index.distributed import DistributedIndex
+from repro.index.postings import Posting, PostingList
+from repro.index.statistics import CollectionStatistics
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
-from repro.ranking.distributed import quantize_rank_ceiling
+from repro.search.frontend import FrontendOptions, SearchFrontend
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
@@ -33,17 +40,77 @@ DELETED_KNOBS = (
 
 
 def assert_rank_stamps_from_vector(manifest, ranks, version) -> None:
-    """``manifest`` is stamped at ``version`` with, per shard, the maximum of
-    ``ranks`` over the shard's doc-id range — by linear scan, the oracle; a
-    document the vector does not know ranks 0 — rounded up on the ceiling grid."""
+    """``manifest`` is stamped at ``version`` with, per shard, exactly the
+    maximum of ``ranks`` over the shard's doc-id range — by linear scan, the
+    oracle; a document the vector does not know ranks 0."""
     assert manifest.rank_version == version, manifest.term
     for info in manifest.shards:
         true_max = max(
             (rank for doc_id, rank in ranks.items() if info.lo <= doc_id <= info.hi),
             default=0.0,
         )
-        assert info.rank_ceiling == quantize_rank_ceiling(true_max), (manifest.term, info.index)
-        assert info.rank_ceiling >= true_max
+        assert info.rank_ceiling == true_max, (manifest.term, info.index)
+
+
+_TERMS = ("honey", "bee", "comb", "hive")
+
+
+def random_corpus(seed):
+    """1–4 terms' lists over doc ids 0–60 and a rank vector over ids 0–70.
+
+    Drawn uniformly from ``seed``: Hypothesis' own collection strategies
+    favour tiny lists and zero ranks, where no shard is ever skipped.  Some
+    documents the vector does not know (they rank 0), some it knows that no
+    term holds.
+    """
+    rng = random.Random(seed)
+    postings_map = {
+        term: PostingList([
+            Posting(doc_id, rng.randint(1, 9))
+            for doc_id in sorted(rng.sample(range(61), rng.randint(1, 30)))
+        ])
+        for term in _TERMS[: rng.randint(1, len(_TERMS))]
+    }
+    ranks = {rng.randint(0, 70): rng.random() for _ in range(rng.randint(0, 40))}
+    return postings_map, ranks
+
+
+def frontend_over(postings_map, shard_size, ranks, top_k):
+    """A frontend over a bare index publishing ``postings_map`` (no engine).
+
+    Document lengths vary widely, so the shards' minimum-length impact
+    bounds differ from the length-free ones; rank ceilings are stamped from
+    ``ranks`` at version 1.
+    """
+    simulator = Simulator(seed=7)
+    network = SimulatedNetwork(simulator, latency=ConstantLatency(10.0))
+    dht = DHTNetwork(simulator, network, k=4, alpha=2, replicate=3)
+    dht.build(8)
+    storage = DecentralizedStorage(
+        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
+    )
+    storage.build(4)
+    statistics = CollectionStatistics()
+    by_term = {term: plist.frequencies() for term, plist in postings_map.items()}
+    for doc_id in sorted(set().union(*by_term.values())):
+        frequencies = {term: tfs[doc_id] for term, tfs in by_term.items() if doc_id in tfs}
+        statistics.add_document(doc_id, 5 + (doc_id * 37) % 300, frequencies)
+    index = DistributedIndex(
+        dht, storage, shard_size=shard_size, cache=PostingCache(capacity=64),
+        length_lookup=statistics.length_of,
+    )
+    for term, postings in sorted(postings_map.items()):
+        index.publish_term(term, postings)
+    frontend = SearchFrontend(
+        simulator=simulator,
+        index=index,
+        analyzer=Analyzer(stem=False),
+        statistics=statistics,
+        rank_provider=lambda: ranks,
+        rank_version_provider=lambda: 1,
+        options=FrontendOptions(top_k=top_k),
+    )
+    return frontend, statistics
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Per-shard rank ceilings: stamped where the rank vector already is.
 
-A shard's ceiling is the maximum rank over its doc-id range in the vector its
-holder scores with, rounded up on a geometric grid.  Nothing about it is
-published: the engine stamps the manifests its own index holds after a rank
-round, a frontend stamps each manifest it reads from its *own* vector.  The
+A shard's ceiling is the exact maximum rank over its doc-id range in the
+vector its holder scores with.  Nothing about it is published: the engine
+stamps the manifests its own index holds after a rank round, a frontend
+stamps each manifest it reads from its *own* vector.  The
 executor prunes shards against matching-version ceilings (conservative upper
 bounds, strict comparisons), so pages stay bit-identical to the exhaustive
 reference (``tests/reference.py``).
@@ -25,7 +25,7 @@ from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
-from repro.ranking.distributed import RankCeilingPublisher, quantize_rank_ceiling
+from repro.ranking.distributed import RankCeilingPublisher
 from repro.search.executor import QueryExecutor
 from repro.search.frontend import SearchFrontend
 from repro.search.planner import QueryPlanner
@@ -34,7 +34,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 from repro.workloads.corpus import CorpusGenerator
 
-from tests.conftest import assert_rank_stamps_from_vector
+from tests.conftest import assert_rank_stamps_from_vector, frontend_over, random_corpus
 from tests.reference import frontend_reference
 
 
@@ -91,18 +91,6 @@ def reference_pages(engine, queries):
     """The exhaustive pages a fresh engine frontend must serve."""
     frontend = engine.create_frontend(requester="peer-001:store")
     return [frontend_reference(frontend, query) for query in queries]
-
-
-class TestQuantization:
-    def test_rounds_up_on_the_grid(self):
-        for value in (1e-6, 0.0123, 0.5, 1.0, 7.3):
-            quantized = quantize_rank_ceiling(value)
-            assert quantized >= value
-            assert quantized <= value * 1.06  # one grid step of slack
-
-    def test_non_positive_is_zero(self):
-        assert quantize_rank_ceiling(0.0) == 0.0
-        assert quantize_rank_ceiling(-1.0) == 0.0
 
 
 class TestStamping:
@@ -181,7 +169,7 @@ class TestStamping:
 
 
 class TestCeilingPruning:
-    def test_ceilings_only_pages_match_taat_and_skip_shards(self):
+    def test_ceilings_only_pages_match_reference_and_skip_shards(self):
         corpus = small_corpus()
         queries = head_or_queries(corpus)
         engine = build_engine()
@@ -250,11 +238,6 @@ class TestCeilingPruning:
         assert_rank_stamps_from_vector(frontend.index.held_manifests()["head"], new, 2)
 
 
-# -- the property: any corpus, any shard size, any rank vector ---------------------
-
-_TERMS = ("honey", "bee", "comb", "hive")
-
-
 def _bare_frontend(postings_map, shard_size, ranks):
     """A frontend over a bare index: its own vector, version 1, no engine."""
     simulator = Simulator(seed=7)
@@ -288,35 +271,22 @@ def _bare_frontend(postings_map, shard_size, ranks):
     )
 
 
-_postings = st.dictionaries(
-    st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=9),
-    min_size=1, max_size=30,
-)
-
+# -- the property: any corpus, any shard size, any rank vector ---------------------
 
 @settings(max_examples=40, deadline=None)
 @given(
-    lists=st.lists(_postings, min_size=1, max_size=len(_TERMS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
     shard_size=st.sampled_from([2, 4, 8]),
-    # Some documents the vector does not know (they rank 0), some it knows
-    # that no term holds.
-    ranks=st.dictionaries(
-        st.integers(min_value=0, max_value=70),
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        max_size=40,
-    ),
     conjunctive=st.booleans(),
     top_k=st.integers(min_value=1, max_value=5),
 )
-def test_any_corpus_shard_size_and_vector_stamps_from_it_and_serves_taat_pages(
-    lists, shard_size, ranks, conjunctive, top_k
+def test_any_corpus_shard_size_and_vector_stamps_from_it_and_serves_reference_pages(
+    seed, shard_size, conjunctive, top_k
 ):
-    postings_map = {
-        term: PostingList([Posting(doc_id, tf) for doc_id, tf in sorted(body.items())])
-        for term, body in zip(_TERMS, lists)
-    }
-    frontend = _bare_frontend(postings_map, shard_size, ranks)
-    frontend.top_k = top_k
+    """The corpus and the vector are drawn uniformly from ``seed``
+    (``tests.conftest.random_corpus``), so shards do get skipped."""
+    postings_map, ranks = random_corpus(seed)
+    frontend, _ = frontend_over(postings_map, shard_size, ranks, top_k)
     query = (" " if conjunctive else " OR ").join(postings_map)
 
     reference = [frontend_reference(frontend, query)]

@@ -2,29 +2,22 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.dht import DHTNetwork
 from repro.errors import QueryParseError, TermNotFoundError
 from repro.index.analysis import Analyzer
-from repro.index.cache import PostingCache
 from repro.index.distributed import DistributedIndex
 from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
-from repro.net.latency import ConstantLatency
-from repro.net.network import SimulatedNetwork
 from repro.search.executor import QueryExecutor
 from repro.search.planner import QueryPlanner
 from repro.search.query import MODE_AND, MODE_OR, parse_query
 from repro.search.frontend import FrontendOptions, SearchFrontend
 from repro.search.results import ResultPage, SearchResult
-from repro.sim.simulator import Simulator
-from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
+from tests.conftest import frontend_over, random_corpus
 from tests.reference import frontend_reference, reference_page
 
 
@@ -271,67 +264,6 @@ class TestSearchFrontend:
         assert len(frontend_setup.stats.latencies) == 2
 
 
-_TERMS = ("honey", "bee", "comb", "hive")
-
-
-def _random_corpus(seed):
-    """1–4 terms' lists over doc ids 0–60 and a rank vector over ids 0–70.
-
-    Drawn uniformly from ``seed``: Hypothesis' own collection strategies
-    favour tiny lists and zero ranks, where no shard is ever skipped.  Some
-    documents the vector does not know (they rank 0), some it knows that no
-    term holds.
-    """
-    rng = random.Random(seed)
-    postings_map = {
-        term: PostingList([
-            Posting(doc_id, rng.randint(1, 9))
-            for doc_id in sorted(rng.sample(range(61), rng.randint(1, 30)))
-        ])
-        for term in _TERMS[: rng.randint(1, len(_TERMS))]
-    }
-    ranks = {rng.randint(0, 70): rng.random() for _ in range(rng.randint(0, 40))}
-    return postings_map, ranks
-
-
-def _frontend_over(postings_map, shard_size, ranks, top_k):
-    """A frontend over a bare index publishing ``postings_map`` (no engine).
-
-    Document lengths vary widely, so the shards' minimum-length impact
-    bounds differ from the length-free ones; rank ceilings are stamped from
-    ``ranks`` at version 1.
-    """
-    simulator = Simulator(seed=7)
-    network = SimulatedNetwork(simulator, latency=ConstantLatency(10.0))
-    dht = DHTNetwork(simulator, network, k=4, alpha=2, replicate=3)
-    dht.build(8)
-    storage = DecentralizedStorage(
-        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
-    )
-    storage.build(4)
-    statistics = CollectionStatistics()
-    by_term = {term: plist.frequencies() for term, plist in postings_map.items()}
-    for doc_id in sorted(set().union(*by_term.values())):
-        frequencies = {term: tfs[doc_id] for term, tfs in by_term.items() if doc_id in tfs}
-        statistics.add_document(doc_id, 5 + (doc_id * 37) % 300, frequencies)
-    index = DistributedIndex(
-        dht, storage, shard_size=shard_size, cache=PostingCache(capacity=64),
-        length_lookup=statistics.length_of,
-    )
-    for term, postings in sorted(postings_map.items()):
-        index.publish_term(term, postings)
-    frontend = SearchFrontend(
-        simulator=simulator,
-        index=index,
-        analyzer=Analyzer(stem=False),
-        statistics=statistics,
-        rank_provider=lambda: ranks,
-        rank_version_provider=lambda: 1,
-        options=FrontendOptions(top_k=top_k),
-    )
-    return frontend, statistics
-
-
 class TestMaxScoreExecutor:
     """The executor's pages are the exhaustive reference's (tests/reference.py)."""
 
@@ -353,7 +285,7 @@ class TestMaxScoreExecutor:
         assert list(outcome.scores.items()) == expected.page
         return outcome, expected
 
-    def test_and_query_identical_to_taat(self):
+    def test_and_query_matches_reference(self):
         postings_map = {
             "honey": PostingList([Posting(i, 1 + i % 3) for i in range(0, 40, 2)]),
             "bee": PostingList([Posting(i, 1 + i % 5) for i in range(0, 40, 3)]),
@@ -361,7 +293,7 @@ class TestMaxScoreExecutor:
         outcome, expected = self._check(postings_map, "honey bee")
         assert outcome.candidates == sorted(expected.candidates)  # full intersection enumerated
 
-    def test_or_query_identical_to_taat(self):
+    def test_or_query_matches_reference(self):
         postings_map = {
             "honey": PostingList([Posting(i, 1 + i % 4) for i in range(0, 50, 2)]),
             "bee": PostingList([Posting(i, 1 + i % 2) for i in range(0, 50, 5)]),
@@ -380,7 +312,7 @@ class TestMaxScoreExecutor:
         assert outcome.docs_pruned > 0
         assert outcome.docs_scored < len(expected.candidates)
 
-    def test_page_ranks_affect_both_modes_identically(self):
+    def test_page_ranks_affect_order_as_in_reference(self):
         postings_map = {
             "term": PostingList([Posting(i, 1) for i in range(30)]),
             "other": PostingList([Posting(i, 1) for i in range(0, 30, 2)]),
@@ -389,7 +321,7 @@ class TestMaxScoreExecutor:
         outcome, expected = self._check(postings_map, "term OR other", page_ranks=ranks, top_k=5)
         assert outcome.page_ranks == {doc_id: ranks[doc_id] for doc_id, _ in expected.page}
 
-    def test_missing_term_behaviour_matches_taat(self):
+    def test_missing_term_behaviour_matches_reference(self):
         postings_map = {"honey": PostingList([Posting(1)])}
         outcome, _ = self._check(postings_map, "honey unicorn")
         assert outcome.scores == {}
@@ -411,9 +343,9 @@ class TestMaxScoreExecutor:
         """Any lists, shard size, rank vector, operator and page size: the
         frontend over the published (sharded) index and a bare executor over
         the plain lists both serve the reference's page."""
-        postings_map, ranks = _random_corpus(seed)
+        postings_map, ranks = random_corpus(seed)
         raw = (" " if conjunctive else " OR ").join(postings_map)
-        frontend, statistics = _frontend_over(postings_map, shard_size, ranks, top_k)
+        frontend, statistics = frontend_over(postings_map, shard_size, ranks, top_k)
         expected = reference_page(
             parse_query(raw, self.ANALYZER),
             {term: plist.frequencies() for term, plist in postings_map.items()},

@@ -310,19 +310,29 @@ class TestShardedExecutionEquivalence:
 
     def test_head_term_shards_are_skipped_not_fetched(self):
         # One dominant early document pushes the top-1 threshold above every
-        # later shard's quantized bound: those shards must be skipped AND
-        # never fetched from storage.
-        postings_map = {
-            "head": PostingList([Posting(0, 60)] + [Posting(i, 1) for i in range(1, 200)]),
-        }
+        # later shard's quantized bound: those shards must never be fetched
+        # from storage.  With nothing strong left, the early exit retires
+        # them all at once; with a strong last shard, the ones in between
+        # are skipped one by one.
+        head = [Posting(0, 60)] + [Posting(i, 1) for i in range(1, 200)]
         expected, page, outcome, readers = self._both(
-            postings_map, "head", shard_size=16, top_k=1
+            {"head": PostingList(head)}, "head", shard_size=16, top_k=1
+        )
+        assert page == expected
+        assert outcome.early_exit
+        reader = readers["head"]
+        assert reader.loaded(0)
+        assert not reader.loaded(len(reader.shard_infos) - 1)
+
+        head[-1] = Posting(199, 60)
+        expected, page, outcome, readers = self._both(
+            {"head": PostingList(head)}, "head", shard_size=16, top_k=1
         )
         assert page == expected
         assert outcome.shards_skipped > 0
         reader = readers["head"]
-        assert reader.loaded(0)
-        assert not reader.loaded(len(reader.shard_infos) - 1)
+        assert reader.loaded(0) and reader.loaded(len(reader.shard_infos) - 1)
+        assert not reader.loaded(1)
 
     def test_conjunctive_window_prunes_shards_without_fetching(self):
         # Terms live in disjoint-ish ranges: the feasible window covers only
