@@ -703,9 +703,7 @@ class QueenBeeEngine:
             self._default_frontend = self.create_frontend()
         return self._default_frontend
 
-    def _record_query_metrics(
-        self, page: ResultPage, frontend: Optional[SearchFrontend] = None
-    ) -> None:
+    def _record_query_metrics(self, page: ResultPage, frontend: SearchFrontend) -> None:
         self.stats.queries_served += 1
         self.metrics.observe("query.latency", page.latency)
         diagnostics = page.diagnostics
@@ -715,20 +713,22 @@ class QueenBeeEngine:
         self.metrics.increment("query.shards_skipped", diagnostics.get("shards_skipped", 0))
         if diagnostics.get("result_cache") == "hit":
             self.metrics.increment("query.result_cache_hits")
-        if frontend is not None and frontend.result_cache is not None:
+        if frontend.result_cache is not None:
             self.metrics.set_gauges(
                 {
                     "frontend.result_cache.hit_rate": frontend.result_cache.stats.hit_rate,
                     "frontend.result_cache.size": len(frontend.result_cache),
                 }
             )
-        if self.posting_cache is not None:
-            cache_stats = self.posting_cache.stats
+        # The querying frontend's posting cache, not the engine's (which only
+        # the write path reads).
+        cache = frontend.index.cache
+        if cache is not None:
             self.metrics.set_gauges(
                 {
-                    "index.cache.hit_rate": cache_stats.hit_rate,
-                    "index.cache.size": len(self.posting_cache),
-                    "index.cache.invalidations": cache_stats.invalidations,
+                    "index.cache.hit_rate": cache.stats.hit_rate,
+                    "index.cache.size": len(cache),
+                    "index.cache.invalidations": cache.stats.invalidations,
                 }
             )
 
