@@ -16,7 +16,6 @@ from repro.dht.routing import Contact, KBucket, RoutingTable
 from repro.dht.node import KademliaNode
 from repro.dht.lookup import LookupResult
 from repro.dht.dht import DHTNetwork
-from repro.dht.republish import Republisher
 
 __all__ = [
     "ID_BITS",
@@ -29,5 +28,4 @@ __all__ = [
     "KademliaNode",
     "LookupResult",
     "DHTNetwork",
-    "Republisher",
 ]

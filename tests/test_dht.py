@@ -1,4 +1,4 @@
-"""Tests for the Kademlia DHT: IDs, routing, lookups, the facade, republish."""
+"""Tests for the Kademlia DHT: IDs, routing, lookups, the facade."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.errors import KeyNotFoundError
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node, find_value
 from repro.dht.nodeid import ID_BITS, bucket_index, distance, id_to_hex, key_to_id, random_node_id
-from repro.dht.republish import Republisher
 from repro.dht.routing import Contact, KBucket, RoutingTable
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
@@ -247,34 +246,3 @@ class TestPeerRpcErrors:
         network.set_offline(peer.address)
         assert self.CALLS[call](caller, peer.as_contact()) is False
         assert peer.as_contact() not in caller.routing_table.closest(peer.node_id, 1)
-
-
-class TestRepublisher:
-    def test_republish_restores_lost_values(self, dht_net):
-        sim, network, dht = dht_net
-        republisher = Republisher(sim, dht, period=100.0)
-        dht.put("durable", "v")
-        republisher.track("durable", "v")
-        # Knock out the current replica holders, then republish onto survivors.
-        key = key_to_id("durable")
-        holders = [a for a, node in dht.nodes.items() if key in node.values]
-        for address in holders:
-            network.set_offline(address)
-        republisher.republish_now()
-        origin = dht.random_node()
-        assert dht.get("durable", origin=origin) == "v"
-        assert republisher.republish_count == 1
-
-    def test_periodic_republish_runs_on_schedule(self, dht_net):
-        sim, _, dht = dht_net
-        republisher = Republisher(sim, dht, period=50.0)
-        republisher.track("tick", 1)
-        republisher.start()
-        sim.run(until=sim.now + 175.0)
-        assert republisher.republish_count >= 2
-        republisher.stop()
-
-    def test_invalid_period_rejected(self, dht_net):
-        sim, _, dht = dht_net
-        with pytest.raises(ValueError):
-            Republisher(sim, dht, period=0.0)

@@ -31,7 +31,6 @@ ORDER_CRITICAL_MODULES = frozenset(
         "repro/core/publisher.py",
         "repro/core/worker.py",
         "repro/core/engine.py",
-        "repro/dht/republish.py",
     }
 )
 
