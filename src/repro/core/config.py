@@ -37,7 +37,6 @@ class QueenBeeConfig:
     worker_count: int = 8
     latency_median: float = 25.0
     latency_sigma: float = 0.45
-    loss_rate: float = 0.0
 
     # Resilience
     # Ticks a lost RPC costs the sender — the explicit timeout budget,
@@ -69,7 +68,6 @@ class QueenBeeConfig:
 
     # Storage
     storage_replication: int = 3
-    chunk_size: int = 8_192
     # Per-peer block-store medium: "memory" (dicts, the bit-identical
     # reference) or "sqlite" (single-file on-disk store; the E4 sweep's
     # 10k+-doc corpora run on it with identical sim-visible behaviour).

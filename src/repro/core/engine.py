@@ -197,7 +197,6 @@ class QueenBeeEngine:
         self.network = SimulatedNetwork(
             self.simulator,
             latency=LogNormalLatency(median=cfg.latency_median, sigma=cfg.latency_sigma),
-            loss_rate=cfg.loss_rate,
             rpc_timeout=cfg.rpc_timeout or None,
             detector=self.detector,
         )

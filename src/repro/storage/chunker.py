@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-DEFAULT_CHUNK_SIZE = 4096
+# Merkle-DAG leaf size in bytes: the value every deployment runs with.
+DEFAULT_CHUNK_SIZE = 8192
 
 
 def chunk_bytes(data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> List[bytes]:

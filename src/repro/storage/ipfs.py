@@ -54,7 +54,6 @@ class StorageOptions:
             backend=config.storage_backend,
             path=config.storage_path,
             replication=config.storage_replication,
-            chunk_size=config.chunk_size,
             hedged_fetches=config.hedged_fetches,
         )
         return replace(options, **overrides) if overrides else options

@@ -35,7 +35,7 @@ DELETED_KNOBS = (
     "detector_probe_after", "gossip_fanout", "rank_tolerance", "rank_delta_bands",
     "result_cache_loose_keys", "cache_validation", "overlapped_prefetch",
     "publish_rank_ceilings", "execution_mode", "planning_strategy", "block_interval",
-    "delta_max_ratio", "metadata_plane",
+    "delta_max_ratio", "metadata_plane", "loss_rate", "chunk_size",
 )
 
 
