@@ -10,7 +10,7 @@ inverted index of the corpus.  The rows measure the engine:
 * ``maxscore``        — document-at-a-time evaluation with per-term
                         max-impact pruning, unsharded, no caches;
 * ``maxscore+shards`` — doc-id-range shards behind per-term manifests with
-                        quantized per-shard bounds: whole shards outside the
+                        per-shard block bounds: whole shards outside the
                         conjunctive window or below the top-k threshold are
                         skipped without being fetched or scanned;
 * ``…+cache+batch``   — the full fast path: sharded execution plus the
@@ -22,18 +22,17 @@ Every row's frontend is a remote node on the gossiped metadata plane: its
 own index instance, epoch feed and load hints from its peer's gossip store,
 rank vector and statistics fetched from the DWeb.
 
-All rows must return *identical* top-k pages (each is asserted equal to the
-unsharded ``maxscore`` row, which the tests check against the exhaustive
-reference).  A second table replays a
-disjunctive head-term workload (pairwise ORs of the heaviest terms), where
-per-shard bounds — impact bounds plus the quantized rank ceilings each
-frontend stamps onto the manifests it reads, from its own rank vector — prune
-documents that whole-list bounds cannot.  Results are also written to
-``BENCH_E10.json`` so the perf
-trajectory is tracked PR-over-PR.  Set the ``E10_SMOKE`` environment
-variable to run a tiny configuration (the CI smoke job does this to catch
-perf-path regressions, including sharded-vs-unsharded divergence,
-quickly).
+All rows must return *identical* top-k pages: each unsharded ``maxscore``
+row is checked query by query against the exhaustive reference
+(``tests/reference.py:frontend_reference``), and every other row against it.
+A second table replays a disjunctive head-term workload (pairwise ORs of the
+heaviest terms), where per-shard bounds — impact bounds plus the rank
+ceilings each frontend stamps onto the manifests it reads, from its own rank
+vector — prune documents that whole-list bounds cannot.  Results are also
+written to ``BENCH_E10.json`` so the perf trajectory is tracked PR-over-PR.
+Set the ``E10_SMOKE`` environment variable to run a tiny configuration (the
+CI smoke job does this to catch perf-path regressions, including a page that
+differs from the reference, quickly).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from repro.search.query import parse_query
 from repro.workloads.queries import QueryWorkloadGenerator
 
 from benchmarks.common import build_corpus, build_engine, print_table, write_bench_json
+from tests.reference import frontend_reference
 
 SMOKE = bool(os.environ.get("E10_SMOKE"))
 DOC_COUNT = 60 if SMOKE else 350
@@ -71,6 +71,7 @@ def _run_system(
     result_cache_capacity: int = 0,
     batched: bool = False,
     label: str = "",
+    check_reference: bool = False,
 ) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
     engine = build_engine(
         peer_count=PEER_COUNT,
@@ -122,7 +123,24 @@ def _run_system(
         ),
         "throughput (q/s)": len(queries) / (elapsed / 1000.0) if elapsed else float("inf"),
     }
+    if check_reference:
+        # After the measured stream and its row, so the oracle's whole-list
+        # fetches move neither.
+        assert top_k == _reference_top_k(frontend, queries), (
+            f"{label}: a page differs from the exhaustive reference"
+        )
     return row, top_k
+
+
+def _reference_top_k(frontend, queries: List[str]) -> List[List[Tuple[int, float]]]:
+    """Each query's page from the exhaustive oracle over ``frontend``'s state."""
+    pages: Dict[str, List[Tuple[int, float]]] = {}
+    for raw in sorted(set(queries)):
+        try:
+            pages[raw] = frontend_reference(frontend, raw)
+        except QueryParseError:
+            pages[raw] = []
+    return [pages[raw] for raw in queries]
 
 
 def _candidate_count(corpus, queries: List[str]) -> int:
@@ -166,14 +184,14 @@ def run_head_term_experiment(corpus, queries: List[str]) -> List[Dict[str, objec
     """Sharded vs unsharded MaxScore on head-term OR queries.
 
     Disjunctive evaluation bounds unseen documents by the non-essential
-    lists' max impact; per-shard quantized bounds replace the whole-list
+    lists' max impact; per-shard block bounds replace the whole-list
     max with the shard-local max at each candidate, and remaining-bound
     demotion retires lists once their high-impact shards are consumed —
     so the sharded path *scores* (not just scans) measurably fewer
     documents while returning identical pages.
     """
     unsharded_row, unsharded_top = _run_system(
-        corpus, queries, shard_size=0, label="maxscore (head OR)"
+        corpus, queries, shard_size=0, label="maxscore (head OR)", check_reference=True
     )
     sharded_row, sharded_top = _run_system(
         corpus, queries, shard_size=SHARD_SIZE, label="maxscore+shards (head OR)",
@@ -193,7 +211,9 @@ def run_experiment() -> Dict[str, object]:
     generator = QueryWorkloadGenerator(corpus.documents, seed=2019)
     queries = list(generator.generate_stream(QUERY_COUNT, DISTINCT_QUERIES))
 
-    pruned_row, pruned_top = _run_system(corpus, queries, label="maxscore")
+    pruned_row, pruned_top = _run_system(
+        corpus, queries, label="maxscore", check_reference=True
+    )
     sharded_row, sharded_top = _run_system(
         corpus, queries, shard_size=SHARD_SIZE, label="maxscore+shards"
     )
