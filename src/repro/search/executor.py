@@ -262,9 +262,6 @@ class _Cursor:
             return 0.0
         return self.scale * term_frequency / (term_frequency + self.tf_constant)
 
-    def __len__(self) -> int:
-        return self.total
-
     @property
     def exhausted(self) -> bool:
         return self.seg >= len(self.segments)
@@ -470,8 +467,8 @@ class QueryExecutor:
                 cursors.append(cursor)
                 if conjunctive and cursor.segments:
                     window_low = max(window_low, cursor.segments[0].lo)
-                    last = cursor.segments[-1].hi
-                    window_high = last if window_high is None else min(window_high, last)
+                    high = cursor.segments[-1].hi
+                    window_high = high if window_high is None else min(window_high, high)
             if conjunctive and (cursor is None or not cursor.segments or window_low > window_high):
                 outcome.missing_terms = tuple(missing)
                 outcome.early_exit = True
@@ -563,50 +560,57 @@ class QueryExecutor:
             return min(global_rank[0], rank_component(ceiling, document_count))
 
         combine = min if conjunctive else max
-        by_length = sorted(cursors, key=len)
-        required = by_length[1:] if conjunctive else []
+        by_length = sorted(cursors, key=lambda cursor: cursor.total)
+        driver, required = (by_length[:1], by_length[1:]) if conjunctive else ([], [])
         # Min-heap of (score, -doc_id): the root is the weakest member of the
         # current top-k under the same (-score, doc_id) order the reference
         # sorts by, so strict bound comparisons preserve exact ties.
         heap: List[Tuple[float, int]] = []
         last = window_low - 1
+        bounds_state = None
 
         while True:
-            active = [cursor for cursor in cursors if not cursor.exhausted]
-            if not active:
-                return heap
-            # Remaining bounds change as shards are consumed, so the order
-            # and prefix sums are recomputed per round (query terms are few).
-            active.sort(key=_Cursor.remaining_bound)
-            prefix = list(accumulate(cursor.remaining_bound() for cursor in active))
             threshold = heap[0][0] if len(heap) == self.top_k else None
-            essential = by_length[:1] if conjunctive else active
-            optional: List[_Cursor] = []
-            if threshold is not None:
-                ceilings = [cursor.remaining_rank_ceiling() for cursor in active]
-                rank = rank_bound(combine(ceilings) if min(ceilings) >= 0.0 else -1.0)
-                if not conjunctive:
-                    first = 0
-                    while first < len(active) - 1 and _beaten(prefix[first], rank, threshold):
-                        first += 1
-                    essential, optional = active[first:], active[:first]
-                if _beaten(prefix[-1], rank, threshold):
-                    # Not even a document in every unconsumed shard at max
-                    # impact, with the best rank they allow, can get in: the
-                    # shard skip, over all the essential shards left at once.
-                    outcome.shards_skipped += sum(
-                        cursor.unentered(window_high) for cursor in essential
-                    )
-                    outcome.early_exit = True
+            # Which cursors are live and essential, and whether the scan can
+            # stop, depend only on the threshold and on the segment each
+            # cursor is in, so they are recomputed only when one of those moved.
+            state = (threshold, [cursor.seg for cursor in cursors])
+            if state != bounds_state:
+                bounds_state = state
+                active = [cursor for cursor in cursors if not cursor.exhausted]
+                if not active:
                     return heap
+                essential, optional = (driver if conjunctive else active), ()
+                if threshold is not None:
+                    active.sort(key=_Cursor.remaining_bound)
+                    prefix = list(accumulate(cursor.remaining_bound() for cursor in active))
+                    ceilings = [cursor.remaining_rank_ceiling() for cursor in active]
+                    rank = rank_bound(combine(ceilings) if min(ceilings) >= 0.0 else -1.0)
+                    if not conjunctive:
+                        first = 0
+                        while first < len(active) - 1 and _beaten(prefix[first], rank, threshold):
+                            first += 1
+                        essential, optional = active[first:], active[:first]
+                    if _beaten(prefix[-1], rank, threshold):
+                        # Not even a document in every unconsumed shard at max
+                        # impact, with the best rank they allow, can get in:
+                        # the shard skip, over all the essential shards left.
+                        outcome.shards_skipped += sum(
+                            cursor.unentered(window_high) for cursor in essential
+                        )
+                        outcome.early_exit = True
+                        return heap
 
             candidate = None
+            heads = []  # (cursor, doc_id under it) for each live essential cursor
             for cursor in essential:
                 # A list promoted from non-essential may still point at an
                 # already-evaluated document; skip it forward so candidates
                 # are strictly increasing and no document is offered twice.
                 # (An AND driver's first seek is to the window's low end.)
-                if not cursor.exhausted and cursor.current <= last:
+                if cursor.exhausted:
+                    continue
+                if cursor.current <= last:
                     outcome.postings_scanned += cursor.seek(last + 1)
                 # Shard skip: no document in this shard's doc-id range —
                 # whichever lists it appears in — can reach the top-k, so this
@@ -625,8 +629,11 @@ class QueryExecutor:
                         break
                     cursor.skip_segment()
                     outcome.shards_skipped += 1
-                if not cursor.exhausted and (candidate is None or cursor.current < candidate):
-                    candidate = cursor.current
+                if not cursor.exhausted:
+                    current = cursor.current
+                    heads.append((cursor, current))
+                    if candidate is None or current < candidate:
+                        candidate = current
             if candidate is None:
                 return heap
             if window_high is not None and candidate > window_high:
@@ -637,18 +644,24 @@ class QueryExecutor:
             # The candidate's text bound: each non-essential list it *might*
             # be in contributes its block bound at the candidate's position,
             # each list it is known to be in its actual impact.
-            text_bound = sum(cursor.range_bound(candidate, candidate) for cursor in optional)
+            text_bound = 0.0
+            for cursor in optional:
+                text_bound += cursor.range_bound(candidate, candidate)
             found: Dict[str, int] = {}
-            for cursor in essential:
-                if not cursor.exhausted and cursor.current == candidate:
+            for cursor, current in heads:
+                if current == candidate:
                     found[cursor.term] = cursor.current_frequency
                     text_bound += cursor.impact(found[cursor.term])
                     cursor.advance()
                     outcome.postings_scanned += 1
-            if not all(self._probe(cursor, candidate, found, outcome) for cursor in required):
-                continue
+            missed = False
             for cursor in required:
+                if not self._probe(cursor, candidate, found, outcome):
+                    missed = True
+                    break
                 text_bound += cursor.impact(found[cursor.term])
+            if missed:
+                continue
             outcome.candidates.append(candidate)
             rank_part = rank_component(self.page_ranks.get(candidate, 0.0), document_count)
             if _beaten(text_bound, rank_part, threshold):
@@ -656,7 +669,11 @@ class QueryExecutor:
                 continue
             for cursor in optional:
                 self._probe(cursor, candidate, found, outcome)
-            self._offer(heap, candidate, self._score_exact(plan, candidate, found))
+            entry = (self._score_exact(plan, candidate, found), -candidate)
+            if len(heap) < self.top_k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
             outcome.docs_scored += 1
 
     @staticmethod
@@ -679,10 +696,3 @@ class QueryExecutor:
         return self.combiner.bm25_weight * text + self.combiner.rank_component(
             rank, self.statistics.document_count
         )
-
-    def _offer(self, heap: List[Tuple[float, int]], doc_id: int, score: float) -> None:
-        entry = (score, -doc_id)
-        if len(heap) < self.top_k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)

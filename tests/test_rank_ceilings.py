@@ -3,10 +3,10 @@
 A shard's ceiling is the exact maximum rank over its doc-id range in the
 vector its holder scores with.  Nothing about it is published: the engine
 stamps the manifests its own index holds after a rank round, a frontend
-stamps each manifest it reads from its *own* vector.  The
-executor prunes shards against matching-version ceilings (conservative upper
-bounds, strict comparisons), so pages stay bit-identical to the exhaustive
-reference (``tests/reference.py``).
+stamps each manifest it reads from its *own* vector.  The executor prunes
+shards against matching-version ceilings (upper bounds, strict comparisons),
+so pages stay bit-identical to the exhaustive reference
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class TestStamping:
 
 
 class TestCeilingPruning:
-    def test_ceilings_only_pages_match_reference_and_skip_shards(self):
+    def test_ceilings_only_pages_match_oracle_and_skip_shards(self):
         corpus = small_corpus()
         queries = head_or_queries(corpus)
         engine = build_engine()
@@ -280,7 +280,7 @@ def _bare_frontend(postings_map, shard_size, ranks):
     conjunctive=st.booleans(),
     top_k=st.integers(min_value=1, max_value=5),
 )
-def test_any_corpus_shard_size_and_vector_stamps_from_it_and_serves_reference_pages(
+def test_any_seeded_corpus_stamps_from_its_vector_and_serves_reference_pages(
     seed, shard_size, conjunctive, top_k
 ):
     """The corpus and the vector are drawn uniformly from ``seed``
