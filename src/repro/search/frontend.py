@@ -120,7 +120,7 @@ class FrontendStats:
     batches: int = 0
     batch_term_occurrences: int = 0
     batch_unique_terms: int = 0
-    prefetch_regions: int = 0
+    regions: int = 0
     parallel_query_regions: int = 0
     shards_prefetched: int = 0
     shards_window_skipped: int = 0
@@ -161,7 +161,9 @@ class SearchFrontend:
         (version, corpus size) instead of recomputing the O(corpus) max()
         on every query, and result-cache keys include the version.
     metadata_resolver:
-        Callable mapping doc_id to display metadata.
+        Callable mapping doc_id to display metadata.  It runs as a branch of
+        the compose step's parallel region, so it must not raise: return
+        ``{}`` for a record it cannot read.
     ad_provider:
         Callable returning ads for a keyword (usually ``contracts.ads_for``);
         omit it to run an ad-free frontend.
@@ -309,9 +311,10 @@ class SearchFrontend:
         return reader
 
     def _run_region(self, thunks: List[Callable[[], Any]]) -> List[Any]:
-        """Run prefetch branches overlapped (a lone branch needs no region)."""
+        """Run branches overlapped (a lone branch needs no region): the
+        prefetch's manifest and shard fetches, and compose's record resolves."""
         if len(thunks) > 1:
-            self.stats.prefetch_regions += 1
+            self.stats.regions += 1
             return self.simulator.parallel_region(thunks)
         return [thunk() for thunk in thunks]
 
@@ -742,9 +745,14 @@ class SearchFrontend:
         )
         outcome = executor.execute(plan)
 
+        # Compose: the top-k display records resolve side by side, so a page
+        # costs its slowest resolve rather than their sum.
+        records = self._run_region(
+            [lambda doc_id=doc_id: self.metadata_resolver(doc_id) for doc_id in outcome.scores]
+        )
         results = []
-        for doc_id, score in outcome.scores.items():
-            metadata = self.metadata_resolver(doc_id) or {}
+        for (doc_id, score), metadata in zip(outcome.scores.items(), records):
+            metadata = metadata or {}
             results.append(
                 SearchResult(
                     doc_id=doc_id,

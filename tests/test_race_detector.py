@@ -408,6 +408,21 @@ class TestEndToEndRaceSmokes:
         assert monitor.regions_checked > 0
         assert monitor.conflicts == [], monitor.report()
 
+    def test_single_cold_search_is_race_free(self, small_corpus):
+        # One term in one shard: no prefetch region opens, so the page's only
+        # region is the compose step resolving its top-k records side by side.
+        engine = make_small_engine(seed=47)
+        engine.bootstrap_corpus(small_corpus.documents)
+        engine.compute_page_ranks()
+        engine.converge_metadata()
+        frontend = engine.create_frontend()
+        query = small_corpus.documents[0].text.split()[0]
+        with SharedStateMonitor() as monitor:
+            page = frontend.search(query)
+        assert page.result_count >= 2
+        assert monitor.regions_checked > 0
+        assert monitor.conflicts == [], monitor.report()
+
     def test_duplicate_queries_in_one_batch_do_not_race(self, small_corpus):
         # The regression this PR fixed: duplicates sharing a result-cache
         # key used to run as sibling branches, making the second's cache

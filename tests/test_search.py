@@ -243,6 +243,36 @@ class TestSearchFrontend:
                 assert len(asked) == len(set(asked)) <= len(set(occurrences))
         assert asked == ["web"]
 
+    @pytest.mark.parametrize("raw", ["honey bees", "bees OR pages"])
+    def test_page_pays_its_slowest_metadata_resolve_not_their_sum(
+        self, frontend_setup, simulator, raw
+    ):
+        """Every result's record resolves in one parallel region: a resolver
+        costing D charges a page of k >= 2 results D, and the page is the one
+        resolving them one after another would compose."""
+        frontend = frontend_setup
+        plain, ranks = frontend.metadata_resolver, frontend.rank_provider()
+        delay, starts = 25.0, []
+
+        def slow(doc_id):
+            starts.append(simulator.now)
+            simulator.advance(delay)
+            return plain(doc_id)
+
+        frontend.metadata_resolver = slow
+        page = frontend.search(raw)
+        assert page.result_count == len(starts) >= 2
+        assert len(set(starts)) == 1  # every branch starts as the region opens
+        assert simulator.now - starts[0] == delay
+        assert page.results == [
+            SearchResult(
+                doc_id=doc_id, score=score, url=plain(doc_id)["url"],
+                title=plain(doc_id)["title"], owner=plain(doc_id)["owner"],
+                page_rank=ranks[doc_id],
+            )
+            for doc_id, score in frontend_reference(frontend, raw)
+        ]
+
     def test_unknown_term_gives_empty_page(self, frontend_setup):
         page = frontend_setup.search("nonexistentterm")
         assert page.result_count == 0

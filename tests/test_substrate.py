@@ -319,8 +319,11 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # 1867).  Re-recorded a third time by ISSUE 24, whose one rank round no longer rewrites a
 # manifest per term to say what every reader computes from its rank vector: 156 terms, so 156
 # lookups, 468 rounds, 1,872 RPCs and 745,716 bytes fewer.  Everything below this tuple —
-# pages, ledger, executor work, ads — is as recorded before.
-GOLDEN_COUNTERS = (190218.392167, 6485, 2302178, 466, 1399)
+# pages, ledger, executor work, ads — is as recorded before.  The clock alone was
+# re-recorded (190218.392167 -> 181222.152062) when a page began resolving its results'
+# display records in one parallel region: the same lookups, RPCs and draws, but a page now
+# waits for its slowest resolve instead of their sum.
+GOLDEN_COUNTERS = (181222.152062, 6485, 2302178, 466, 1399)
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
