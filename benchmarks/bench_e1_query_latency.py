@@ -10,7 +10,8 @@ simulated throughput for the three systems over the same corpus and query
 workload, at two overlay sizes, and what share of the queries each system
 answered: a page with no results is cheap, so a latency is only comparable
 beside it.  (At 16 peers YaCy's p50 of 0 is its empty pages — a term held by
-a non-participating peer returns before any RPC.)
+a non-participating peer returns before any RPC.)  Results go to
+``BENCH_E1.json``, gated by ``compare_bench.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from repro.net.network import SimulatedNetwork
 from repro.search.results import ResultPage
 from repro.sim.simulator import Simulator
 
-from benchmarks.common import build_corpus, build_engine, build_queries, print_table
+from benchmarks.common import (
+    build_corpus, build_engine, build_queries, print_table, write_bench_json,
+)
 
 DOC_COUNT = 400
 QUERY_COUNT = 60
@@ -100,22 +103,31 @@ def run_experiment() -> List[Dict[str, object]]:
         rows,
         note=f"{DOC_COUNT} documents, {QUERY_COUNT} Zipfian queries per system",
     )
-    return rows
+    write_bench_json("BENCH_E1.json", {
+        "experiment": "E1",
+        "config": {"documents": DOC_COUNT, "queries": QUERY_COUNT, "peers": list(PEER_COUNTS)},
+        "rows": rows,
+    })
 
-
-def test_e1_query_latency(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    assert rows
     by_system = {(row["system"], row["peers"]): row for row in rows}
     for peers in PEER_COUNTS:
         central = by_system[("Centralized", peers)]
         queenbee = by_system[("QueenBee", peers)]
         # A healthy centralized engine answers in one round trip, so it must be
-        # faster; QueenBee should stay within an order of magnitude.
+        # faster; QueenBee stays about an order of magnitude behind it (p50
+        # 11.8x at 16 peers, 10.2x at 48).  The 20x bound leaves room for seed
+        # noise, not for a page that resolves its results one after another
+        # again (48x and 41x).
         assert central["p50 latency (ms)"] < queenbee["p50 latency (ms)"]
-        assert queenbee["p50 latency (ms)"] < central["p50 latency (ms)"] * 100
+        assert queenbee["p50 latency (ms)"] < central["p50 latency (ms)"] * 20
         # Both index the whole corpus, so both answer the same queries.
         assert queenbee["answered (%)"] == central["answered (%)"]
+    return rows
+
+
+def test_e1_query_latency(benchmark):
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    assert len(rows) == 3 * len(PEER_COUNTS)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,19 @@ from typing import Dict, Iterable, List, Optional, Tuple
 # ``higher_metrics``; ``min_abs`` suppresses noise on tiny absolute values
 # (a 0.01 -> 0.02 "regression" is not a signal).
 TRACKED: Dict[str, object] = {
+    "BENCH_E1.json": {
+        # The paper's latency claim: each system's query latency at each
+        # overlay size must not creep up, nor its answered share drop.
+        "rows_key": "rows",
+        "identity": ("system", "peers"),
+        "metrics": {
+            "p50 latency (ms)": 25.0,
+            "p90 latency (ms)": 25.0,
+        },
+        "higher_metrics": {
+            "answered (%)": 5.0,
+        },
+    },
     "BENCH_E2.json": [
         {
             # Freshness: publish-driven lag must stay flat and nothing may be
