@@ -374,10 +374,14 @@ class QueenBeeEngine:
         """Efficiently load an initial corpus that predates the measurement window.
 
         The bootstrap path batches index construction: pages are stored and
-        registered individually (so contract state and honey flows are real),
-        but posting lists are built locally by the worker bees' analyzer and
-        published once per term instead of once per term per document.
-        Freshness is not tracked for bootstrapped pages.
+        registered one after another (so contract state and honey flows are
+        real), and each page's two directory records are written side by side
+        (:meth:`WorkerBee.publish_records`).  Posting lists are built locally by
+        the worker bees' analyzer and published once per term instead of once
+        per term per document: every term in one parallel region, spread across
+        the workers, so the build waits for its slowest term, not their sum.
+        The workers are rewarded after the region, in term order.  Freshness is
+        not tracked for bootstrapped pages.
         """
         documents = list(documents)
         local = LocalInvertedIndex(self.analyzer)
@@ -394,19 +398,22 @@ class QueenBeeEngine:
             # Directory records are published even on the batch path, so the
             # first post-bootstrap update of any page can diff against its
             # bootstrapped term vector regardless of which worker handles it.
-            self.term_directory.publish(
-                document.doc_id, frequencies,
-                publisher=worker.storage_peer, prior_version=0,
-            )
-            self.directory.publish(document, receipt.cid)
+            worker.publish_records(document, receipt.cid, frequencies, prior_version=0)
             self.statistics.add_document(document.doc_id, document.length, frequencies)
             self._register_ground_truth(document)
             self.stats.documents_published += 1
 
-        # Publish each term's shard once, spreading the work across workers.
-        for term_index, term in enumerate(local.terms()):
-            worker = self.workers[term_index % len(self.workers)]
-            self.index.publish_term(term, local.postings(term), publisher=worker.storage_peer)
+        def publish_thunk(term: str, worker: WorkerBee):
+            return lambda: self.index.publish_term(
+                term, local.postings(term), publisher=worker.storage_peer
+            )
+
+        terms = local.terms()
+        term_workers = [self.workers[i % len(self.workers)] for i in range(len(terms))]
+        self.simulator.parallel_region(
+            [publish_thunk(term, worker) for term, worker in zip(terms, term_workers)]
+        )
+        for worker in term_workers:
             self.contracts.reward_worker_task(worker.address, "index")
         self.publish_statistics()
         return local.document_count

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.directory import DocumentDirectory
 from repro.index.analysis import Analyzer
@@ -146,13 +146,9 @@ class WorkerBee:
         if statistics is not None:
             statistics.add_document(document.doc_id, document.length, frequencies)
 
-        self.term_directory.publish(
-            document.doc_id,
-            frequencies,
-            publisher=self.storage_peer,
-            prior_version=prior.version if prior is not None else 0,
+        self.publish_records(
+            document, cid, frequencies, prior_version=prior.version if prior is not None else 0
         )
-        self.directory.publish(document, cid)
         self.index_tasks_completed += 1
         return IndexTaskResult(
             doc_id=document.doc_id,
@@ -189,12 +185,39 @@ class WorkerBee:
             if statistics is not None:
                 statistics.add_document(doc_id, prior_length, prior.terms)
             raise
-        self.term_directory.delete(
-            doc_id, publisher=self.storage_peer, prior_version=prior.version
-        )
-        self.directory.mark_deleted(doc_id)
+        # The two tombstones, side by side in the same order as publish_records.
+        self.index.dht.simulator.parallel_region([
+            lambda: self.term_directory.delete(
+                doc_id, publisher=self.storage_peer, prior_version=prior.version
+            ),
+            lambda: self.directory.mark_deleted(doc_id),
+        ])
         self.index_tasks_completed += 1
         return True
+
+    def publish_records(
+        self,
+        document: Document,
+        cid: str,
+        frequencies: Dict[str, int],
+        prior_version: int,
+    ) -> None:
+        """Write a document's two per-document records in one parallel region.
+
+        The first branch publishes the ``doc:<id>`` term-directory record
+        (``TermDirectory.publish``, successor of ``prior_version``), the second
+        the ``docmeta:<id>`` display record (``DocumentDirectory.publish``).
+        Neither reads what the other writes, so the write costs the slower of
+        the two.  A raise in the first branch propagates before the second
+        runs, so no display record is written without its term record.
+        """
+        self.index.dht.simulator.parallel_region([
+            lambda: self.term_directory.publish(
+                document.doc_id, frequencies,
+                publisher=self.storage_peer, prior_version=prior_version,
+            ),
+            lambda: self.directory.publish(document, cid),
+        ])
 
     def _update_shards(self, doc_id, removed_terms, merge_thunks) -> None:
         """Issue removals for ``removed_terms`` plus ``merge_thunks`` concurrently.

@@ -156,9 +156,11 @@ class Simulator:
         all branches have run, the clock lands on ``start + max(durations)``.
         This mirrors :meth:`repro.net.network.SimulatedNetwork.rpc_parallel`
         but for arbitrary multi-RPC operations — a worker bee updating all of
-        a page's term shards concurrently, a frontend prefetching every
-        manifest and range shard of a query batch in one overlapped region,
-        or a frontend composing a page by resolving its top-k records at once.
+        a page's term shards concurrently or writing a page's two directory
+        records (or tombstones) side by side, bootstrap publishing every term
+        of the corpus at once, a frontend prefetching every manifest and range
+        shard of a query batch in one overlapped region, or a frontend
+        composing a page by resolving its top-k records at once.
         Regions nest: a branch may open its own inner region (the inner
         region's cost collapses to its slowest branch, which then counts
         toward the outer branch's duration).

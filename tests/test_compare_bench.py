@@ -88,6 +88,21 @@ def test_boolean_metric_flip_is_gated(compare_bench):
     assert len(failures) == 1 and "torn" in failures[0]
 
 
+def test_e4_gates_simulated_build_throughput_as_higher_is_better(compare_bench):
+    # A build that publishes its terms one after another again (E4's rows read
+    # 0.12-0.56 docs/s that way, 0.74-0.77 with one region) must fail the gate.
+    row = {"documents": 150, "peers": 16, "codec": "delta+varint", "shard size": "-",
+           "placement": "off", "backend": "memory"}
+
+    def payload(docs_per_s):
+        return {"rows": [dict(row, **{"build docs/s (sim)": docs_per_s})]}
+
+    baseline = payload(0.75)
+    assert compare_bench.compare_file("BENCH_E4.json", baseline, payload(0.77), 0.25) == []
+    failures = compare_bench.compare_file("BENCH_E4.json", baseline, payload(0.14), 0.25)
+    assert len(failures) == 1 and "build docs/s (sim)" in failures[0]
+
+
 def test_tracked_registry_sections_are_well_formed(compare_bench):
     for name, tracked in compare_bench.TRACKED.items():
         specs = tracked if isinstance(tracked, list) else [tracked]

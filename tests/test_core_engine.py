@@ -18,6 +18,7 @@ from repro.index.document import Document
 from repro.index.statistics import CollectionStatistics
 
 from tests.conftest import DELETED_KNOBS, make_small_engine
+from tests.reference import frontend_reference
 
 
 class TestConfigValidation:
@@ -211,6 +212,110 @@ class TestEngineEndToEnd:
         page = frontend_b.search("decentralized")
         assert page.result_count <= 3
         assert frontend_a.stats.queries == 0
+
+
+# A write that takes this many ticks more than it does: large beside any real write, so a
+# path that charges it twice (or once per term) cannot pass as charging it once.
+SLOW_WRITE = 50_000.0
+
+
+def _slowed(engine, owner, name, calls):
+    """Make ``owner.<name>`` advance the clock ``SLOW_WRITE`` ticks after it returns."""
+    method = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        calls.append(name)
+        result = method(*args, **kwargs)
+        engine.simulator.clock.advance(SLOW_WRITE)
+        return result
+
+    setattr(owner, name, slow)
+
+
+def _ticks(engine, operation):
+    start = engine.simulator.now
+    operation()
+    return engine.simulator.now - start
+
+
+class TestConcurrentWritePath:
+    """The worker-side writes that read nothing of each other run in one region.
+
+    Each test runs the same operation on two engines built alike, one of whose
+    writes are slowed by ``SLOW_WRITE``: concurrent writes cost the slowed engine
+    ``SLOW_WRITE`` once, sequential ones once per write.
+    """
+
+    def test_bootstrap_charges_a_slow_term_publish_once(self, small_corpus):
+        documents = small_corpus.documents[:12]
+        plain, slow = make_small_engine(seed=26), make_small_engine(seed=26)
+        calls = []
+        _slowed(slow, slow.index, "publish_term", calls)
+        plain_ticks = _ticks(plain, lambda: plain.bootstrap_corpus(documents))
+        slow_ticks = _ticks(slow, lambda: slow.bootstrap_corpus(documents))
+        assert len(calls) >= 2
+        assert slow_ticks - plain_ticks == pytest.approx(SLOW_WRITE)
+
+        pages = []
+        for engine in (plain, slow):
+            engine.compute_page_ranks()
+            engine.converge_metadata()
+            frontend = engine.create_frontend(requester="peer-001:store")
+            queries = [" ".join(doc.text.split()[:2]) for doc in documents[:4]]
+            queries += [max(doc.text.split(), key=len) for doc in documents[4:8]]
+            served = [frontend.search(query) for query in queries]
+            for query, page in zip(queries, served):
+                expected = frontend_reference(frontend, query)
+                assert [(hit.doc_id, hit.score) for hit in page.results] == expected
+            pages.append([page.doc_ids for page in served])
+        assert any(pages[1])
+        assert pages[1] == pages[0]
+
+    def test_index_document_charges_its_two_slow_records_once(self, small_corpus):
+        plain, slow = make_small_engine(seed=27), make_small_engine(seed=27)
+        for engine in (plain, slow):
+            engine.bootstrap_corpus(small_corpus.documents[:10])
+        calls = []
+        _slowed(slow, slow.term_directory, "publish", calls)
+        _slowed(slow, slow.directory, "publish", calls)
+        document = small_corpus.documents[10]
+        plain_ticks = _ticks(plain, lambda: plain.publish_document(document))
+        slow_ticks = _ticks(slow, lambda: slow.publish_document(document))
+        assert calls == ["publish", "publish"]
+        assert slow_ticks - plain_ticks == pytest.approx(SLOW_WRITE)
+        assert slow.directory.resolve(document.doc_id)["url"] == document.url
+        assert slow.term_directory.fetch(document.doc_id).version == 1
+
+    def test_delete_document_charges_its_two_slow_tombstones_once(self, small_corpus):
+        plain, slow = make_small_engine(seed=28), make_small_engine(seed=28)
+        for engine in (plain, slow):
+            engine.bootstrap_corpus(small_corpus.documents[:10])
+        calls = []
+        _slowed(slow, slow.term_directory, "delete", calls)
+        _slowed(slow, slow.directory, "mark_deleted", calls)
+        doc_id = small_corpus.documents[3].doc_id
+        plain_ticks = _ticks(plain, lambda: plain.delete_document(doc_id))
+        slow_ticks = _ticks(slow, lambda: slow.delete_document(doc_id))
+        assert calls == ["delete", "mark_deleted"]
+        assert slow_ticks - plain_ticks == pytest.approx(SLOW_WRITE)
+        assert slow.directory.resolve(doc_id) == {}
+        assert slow.term_directory.fetch(doc_id).deleted
+
+    def test_a_failed_term_record_skips_the_display_record(self, small_corpus):
+        engine = make_small_engine(seed=29)
+        engine.bootstrap_corpus(small_corpus.documents[:10])
+        worker = engine.workers[0]
+        document = small_corpus.documents[10]
+        written = []
+
+        def failing_publish(*args, **kwargs):
+            raise RuntimeError("term record lost")
+
+        engine.term_directory.publish = failing_publish
+        engine.directory.publish = lambda *args: written.append(args)
+        with pytest.raises(RuntimeError, match="term record lost"):
+            worker.publish_records(document, "bafy" + "a" * 64, {"honey": 1}, prior_version=0)
+        assert written == []
 
 
 def test_the_library_does_not_import_numpy():

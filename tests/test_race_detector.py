@@ -3,8 +3,9 @@
 The unit half drives :class:`repro.sim.monitor.SharedStateMonitor` through
 synthetic regions and the real shared surfaces, asserting each cell of the
 conflict matrix (including the benign demotions).  The ``racecheck``-marked
-half runs the E10 batch path and the E11 serving path under an active
-monitor and asserts **zero** conflicts — the proof obligation
+half runs the write path (bootstrap, publish, update, delete), the E10
+batch path and the E11 serving path under an active monitor and asserts
+**zero** conflicts — the proof obligation
 ``Simulator.parallel_region`` takes on when it charges only the slowest
 branch.  The injection tests seed known races and assert the detector
 catches them, so a zero-conflict smoke means "checked", not "unplugged".
@@ -370,7 +371,7 @@ def _zipf_stream(corpus, count: int, distinct: int, seed: int = 5):
 
 @pytest.mark.racecheck
 class TestEndToEndRaceSmokes:
-    """The acceptance gates: zero conflicts on the E10 and E11 paths."""
+    """The acceptance gates: zero conflicts on the write, E10 and E11 paths."""
 
     def test_e10_batch_path_is_race_free(self, small_corpus):
         engine = make_small_engine(
@@ -439,6 +440,23 @@ class TestEndToEndRaceSmokes:
         assert pages[2].doc_ids == pages[0].doc_ids
         assert pages[3].doc_ids == pages[0].doc_ids
         assert [r.score for r in pages[2].results] == [r.score for r in pages[0].results]
+
+    def test_write_path_is_race_free(self, small_corpus):
+        # Bootstrap publishes its terms side by side, and every publish,
+        # update and delete writes a document's two records side by side.
+        engine = make_small_engine(seed=53, index_shard_size=8)
+        documents = small_corpus.documents
+        with SharedStateMonitor() as monitor:
+            engine.bootstrap_corpus(documents[:40])
+            bootstrap_regions = monitor.regions_checked
+            engine.publish_document(documents[40])
+            engine.publish_document(
+                documents[0].updated(text="revised honey text", published_at=engine.simulator.now)
+            )
+            assert engine.delete_document(documents[1].doc_id)
+        assert bootstrap_regions > 0
+        assert monitor.regions_checked > bootstrap_regions
+        assert monitor.conflicts == [], monitor.report()
 
     def test_e11_serving_path_is_race_free(self):
         engine = make_small_engine(seed=43, result_cache_capacity=16)

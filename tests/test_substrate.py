@@ -322,8 +322,12 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # pages, ledger, executor work, ads — is as recorded before.  The clock alone was
 # re-recorded (190218.392167 -> 181222.152062) when a page began resolving its results'
 # display records in one parallel region: the same lookups, RPCs and draws, but a page now
-# waits for its slowest resolve instead of their sum.
-GOLDEN_COUNTERS = (181222.152062, 6485, 2302178, 466, 1399)
+# waits for its slowest resolve instead of their sum.  The clock alone was re-recorded
+# again (181222.152062 -> 38491.618022) when bootstrap began publishing its terms in one
+# parallel region and each document's `doc:` and `docmeta:` records began to be written side
+# by side: the same writes, RPCs and draws in the same order, but the build now waits for its
+# slowest term and each document for the slower of its two records.
+GOLDEN_COUNTERS = (38491.618022, 6485, 2302178, 466, 1399)
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
