@@ -97,64 +97,67 @@ class WorkerBee:
         record (or term vector) that could not be read raises before anything
         is touched, rather than indexing the page as a first version.
         ``statistics`` (the shared collection statistics, owned by the engine)
-        is updated in place when provided.
+        is updated in place when provided.  The task runs in one DHT publish
+        scope, so a key it reads and then writes (the ``doc:`` record, each
+        merged term's manifest) is resolved once.
         """
-        frequencies = self.analyzer.term_frequencies(document.full_text)
-        prior = self.term_directory.fetch(document.doc_id, requester=self.storage_peer)
-        previous = prior.terms if prior is not None and not prior.deleted else {}
-        is_update = bool(previous)
-        removed_terms = [term for term in previous if term not in frequencies]
+        with self.index.dht.publish_scope():
+            frequencies = self.analyzer.term_frequencies(document.full_text)
+            prior = self.term_directory.fetch(document.doc_id, requester=self.storage_peer)
+            previous = prior.terms if prior is not None and not prior.deleted else {}
+            is_update = bool(previous)
+            removed_terms = [term for term in previous if term not in frequencies]
 
-        def merge_thunk(term: str, frequency: int):
-            def run():
-                postings = PostingList()
-                postings.add(document.doc_id, frequency)
-                if self.index_tamper is not None:
-                    postings = self.index_tamper(term, postings)
-                return self.index.merge_term(term, postings, publisher=self.storage_peer)
-            return run
+            def merge_thunk(term: str, frequency: int):
+                def run():
+                    postings = PostingList()
+                    postings.add(document.doc_id, frequency)
+                    if self.index_tamper is not None:
+                        postings = self.index_tamper(term, postings)
+                    return self.index.merge_term(term, postings, publisher=self.storage_peer)
+                return run
 
-        # Statistics are updated *before* the shard publishes: publish_term
-        # stamps each shard with its range's minimum document length (the
-        # per-shard bound ingredient), so the length source of truth must
-        # already reflect this version.  During the publishes the document's
-        # length is held at a *conservative* value — min(prior, new), or 0
-        # (length-free) for a first version — so bounds stamped by a
-        # partially-failed update stay admissible against both the
-        # rolled-back and the retried state; the true length lands after
-        # the shards commit (a pure length fix-up: df is untouched).  On
-        # failure the mutation is rolled back so a retry applies the
-        # df/length delta exactly once, not twice.
-        prior_length = statistics.length_of(document.doc_id) if statistics is not None else 0
-        conservative_length = min(prior_length, document.length) if previous else 0
-        if statistics is not None:
-            if previous:
-                statistics.remove_document(document.doc_id, previous)
-            statistics.add_document(document.doc_id, conservative_length, frequencies)
-
-        merges = [
-            merge_thunk(term, frequency) for term, frequency in sorted(frequencies.items())
-        ]
-        try:
-            self._update_shards(document.doc_id, removed_terms, merges)
-        except Exception:
+            # Statistics are updated *before* the shard publishes: publish_term
+            # stamps each shard with its range's minimum document length (the
+            # per-shard bound ingredient), so the length source of truth must
+            # already reflect this version.  During the publishes the document's
+            # length is held at a *conservative* value — min(prior, new), or 0
+            # (length-free) for a first version — so bounds stamped by a
+            # partially-failed update stay admissible against both the
+            # rolled-back and the retried state; the true length lands after
+            # the shards commit (a pure length fix-up: df is untouched).  On
+            # failure the mutation is rolled back so a retry applies the
+            # df/length delta exactly once, not twice.
+            prior_length = statistics.length_of(document.doc_id) if statistics is not None else 0
+            conservative_length = min(prior_length, document.length) if previous else 0
             if statistics is not None:
-                statistics.remove_document(document.doc_id, frequencies)
                 if previous:
-                    statistics.add_document(document.doc_id, prior_length, previous)
-            raise
-        if statistics is not None:
-            statistics.add_document(document.doc_id, document.length, frequencies)
+                    statistics.remove_document(document.doc_id, previous)
+                statistics.add_document(document.doc_id, conservative_length, frequencies)
 
-        self.publish_records(
-            document, cid, frequencies, prior_version=prior.version if prior is not None else 0
-        )
-        self.index_tasks_completed += 1
-        return IndexTaskResult(
-            doc_id=document.doc_id,
-            terms_updated=len(frequencies) + len(removed_terms),
-            is_update=is_update,
-        )
+            merges = [
+                merge_thunk(term, frequency) for term, frequency in sorted(frequencies.items())
+            ]
+            try:
+                self._update_shards(document.doc_id, removed_terms, merges)
+            except Exception:
+                if statistics is not None:
+                    statistics.remove_document(document.doc_id, frequencies)
+                    if previous:
+                        statistics.add_document(document.doc_id, prior_length, previous)
+                raise
+            if statistics is not None:
+                statistics.add_document(document.doc_id, document.length, frequencies)
+
+            self.publish_records(
+                document, cid, frequencies, prior_version=prior.version if prior is not None else 0
+            )
+            self.index_tasks_completed += 1
+            return IndexTaskResult(
+                doc_id=document.doc_id,
+                terms_updated=len(frequencies) + len(removed_terms),
+                is_update=is_update,
+            )
 
     def delete_document(
         self,
@@ -169,31 +172,33 @@ class WorkerBee:
         never indexed or is already deleted; a directory record (or term
         vector) that could not be read raises instead — "could not validate"
         is neither of those, and the caller retries when the network heals.
+        Runs in one DHT publish scope, as :meth:`index_document` does.
         """
-        prior = self.term_directory.fetch(doc_id, requester=self.storage_peer)
-        if prior is None or prior.deleted:
-            return False
-        # Same ordering rule as index_document: lengths must be current
-        # before the shard republishes stamp their min-length bounds — and
-        # the same rollback rule, so a failed delete retries cleanly.
-        prior_length = statistics.length_of(doc_id) if statistics is not None else 0
-        if statistics is not None:
-            statistics.remove_document(doc_id, prior.terms)
-        try:
-            self._update_shards(doc_id, list(prior.terms), [])
-        except Exception:
+        with self.index.dht.publish_scope():
+            prior = self.term_directory.fetch(doc_id, requester=self.storage_peer)
+            if prior is None or prior.deleted:
+                return False
+            # Same ordering rule as index_document: lengths must be current
+            # before the shard republishes stamp their min-length bounds — and
+            # the same rollback rule, so a failed delete retries cleanly.
+            prior_length = statistics.length_of(doc_id) if statistics is not None else 0
             if statistics is not None:
-                statistics.add_document(doc_id, prior_length, prior.terms)
-            raise
-        # The two tombstones, side by side in the same order as publish_records.
-        self.index.dht.simulator.parallel_region([
-            lambda: self.term_directory.delete(
-                doc_id, publisher=self.storage_peer, prior_version=prior.version
-            ),
-            lambda: self.directory.mark_deleted(doc_id),
-        ])
-        self.index_tasks_completed += 1
-        return True
+                statistics.remove_document(doc_id, prior.terms)
+            try:
+                self._update_shards(doc_id, list(prior.terms), [])
+            except Exception:
+                if statistics is not None:
+                    statistics.add_document(doc_id, prior_length, prior.terms)
+                raise
+            # The two tombstones, side by side in the same order as publish_records.
+            self.index.dht.simulator.parallel_region([
+                lambda: self.term_directory.delete(
+                    doc_id, publisher=self.storage_peer, prior_version=prior.version
+                ),
+                lambda: self.directory.mark_deleted(doc_id),
+            ])
+            self.index_tasks_completed += 1
+            return True
 
     def publish_records(
         self,

@@ -8,13 +8,15 @@ keys and never deal with individual Kademlia nodes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import KeyNotFoundError, RoutingError
 from repro.dht.lookup import LookupResult, find_node, find_value
 from repro.dht.node import APPEND, STORE, KademliaNode
 from repro.dht.nodeid import key_to_id, random_node_id
+from repro.dht.routing import Contact
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
@@ -79,6 +81,8 @@ class DHTNetwork:
         self.nodes: Dict[str, KademliaNode] = {}
         self.stats = DHTStats()
         self._rng = simulator.fork_rng("dht")
+        # key -> (origin, closest) of a conclusive read in the open publish scope.
+        self._resolved: Optional[Dict[str, Tuple[KademliaNode, List[Contact]]]] = None
 
     # -- membership ----------------------------------------------------------
 
@@ -150,6 +154,24 @@ class DHTNetwork:
 
     # -- storage facade -------------------------------------------------------
 
+    @contextmanager
+    def publish_scope(self) -> Iterator[None]:
+        """Resolve each key once for the duration of one publish.
+
+        Inside the scope a conclusive read (found, or a clean miss) records
+        its origin and the closest set its lookup converged on, and the next
+        write of that key without an explicit ``origin`` consumes the record:
+        it fans out from that origin to that set instead of looking the key up
+        again.  A fan-out that lands on no replica falls back to a fresh
+        lookup.  Records are used once and dropped when the scope exits, so
+        they never outlive the publish that made them.
+        """
+        outer, self._resolved = self._resolved, {}
+        try:
+            yield
+        finally:
+            self._resolved = outer
+
     def put(self, key: str, value: Any, origin: Optional[KademliaNode] = None) -> int:
         """Store ``value`` on the ``replicate`` nodes closest to ``key``.
 
@@ -192,35 +214,52 @@ class DHTNetwork:
         other reader can find during the outage and — being the freshest —
         the one every reader prefers after it.  Only an overlay with nobody
         to ask stores on the origin.
+
+        Inside :meth:`publish_scope`, a recorded read of ``key`` stands in
+        for the lookup, unless its fan-out stores nowhere.
         """
+        recorded = self._resolved.pop(key, None) if self._resolved and origin is None else None
+        if recorded is not None:
+            stored = self._fan_out(*recorded, key, msg_type, body)
+            if stored:
+                self.stats.stores += 1
+                return stored
         origin = origin or self.random_node()
-        target = key_to_id(key)
-        result = find_node(origin, target, k=self.k, alpha=self.alpha)
+        result = find_node(origin, key_to_id(key), k=self.k, alpha=self.alpha)
         self._record_lookup(result.rounds, result.contacted, failed=False)
-        payload = dict(origin._base_payload(), key=target, **body)
-        replicas = result.closest[: self.replicate]
-        if replicas:
-            responses = self.network.rpc_parallel(
-                origin.address, [(contact.address, msg_type, payload) for contact in replicas]
-            )
-        elif self._inconclusive(result):
+        if not result.closest and self._inconclusive(result):
             raise RoutingError(f"no peer answered the lookup for {key!r}; nothing stored")
-        else:
-            # The origin is the whole overlay: its own handler, no network.
-            replicas = [origin.as_contact()]
-            message = Message(origin.address, origin.address, msg_type, payload)
-            responses = [origin.handle_message(message)]
+        self.stats.stores += 1
+        if result.closest:
+            return self._fan_out(origin, result.closest, key, msg_type, body)
+        # The origin is the whole overlay: its own handler, no network.
+        payload = dict(origin._base_payload(), key=key_to_id(key), **body)
+        message = Message(origin.address, origin.address, msg_type, payload)
+        return int(origin.handle_message(message).ok)
+
+    def _fan_out(
+        self, origin: KademliaNode, closest: List[Contact], key: str, msg_type: str,
+        body: Dict[str, Any],
+    ) -> int:
+        """Send ``msg_type`` to the ``replicate`` first of ``closest`` in one
+        parallel round; evict the silent, return how many stored it."""
+        replicas = closest[: self.replicate]
+        payload = dict(origin._base_payload(), key=key_to_id(key), **body)
+        responses = self.network.rpc_parallel(
+            origin.address, [(contact.address, msg_type, payload) for contact in replicas]
+        )
         stored = 0
         for contact, response in zip(replicas, responses):
             if response is None:
                 origin.routing_table.remove(contact.node_id)
             elif response.ok:
                 stored += 1
-        self.stats.stores += 1
         return stored
 
     def _read(self, key: str, origin: Optional[KademliaNode]) -> LookupResult:
-        """One FIND_VALUE lookup.  A miss is returned only when it is clean."""
+        """One FIND_VALUE lookup.  A miss is returned only when it is clean;
+        inside :meth:`publish_scope` the returned (conclusive) lookup is
+        recorded for the key's next write."""
         origin = origin or self.random_node()
         result = find_value(origin, key_to_id(key), k=self.k, alpha=self.alpha)
         self._record_lookup(result.rounds, result.contacted, failed=not result.found)
@@ -229,6 +268,8 @@ class DHTNetwork:
                 f"lookup for {key!r} was inconclusive: {result.unanswered} of "
                 f"{result.contacted} contacts asked did not answer"
             )
+        if self._resolved is not None:
+            self._resolved[key] = (origin, result.closest)
         return result
 
     def _inconclusive(self, result: LookupResult) -> bool:

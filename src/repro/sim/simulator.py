@@ -158,9 +158,10 @@ class Simulator:
         but for arbitrary multi-RPC operations — a worker bee updating all of
         a page's term shards concurrently or writing a page's two directory
         records (or tombstones) side by side, bootstrap publishing every term
-        of the corpus at once, a frontend prefetching every manifest and range
-        shard of a query batch in one overlapped region, or a frontend
-        composing a page by resolving its top-k records at once.
+        of the corpus at once, a content add pushing to its replicas, a
+        frontend prefetching every manifest and range shard of a query batch
+        in one overlapped region, or a frontend composing a page by resolving
+        its top-k records at once.
         Regions nest: a branch may open its own inner region (the inner
         region's cost collapses to its slowest branch, which then counts
         toward the outer branch's duration).

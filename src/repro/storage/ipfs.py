@@ -270,36 +270,29 @@ class DecentralizedStorage:
         A peer's own pins go through the store's transactional writer, so a
         crash mid-publish leaves that peer at its previous committed state
         (old-or-new, composing with the manifest-put commit point).
+
+        The pushes to the targets are concurrent — one branch per target of
+        one parallel region, so an add costs its slowest target — while each
+        target's blocks still go one after another.  The provider announcement
+        follows the region.
         """
         origin = self.peers[publisher] if publisher is not None else self.random_peer()
         result = self.dag.build(data)
+        if not providers:
+            self._pin_locally(origin, result.blocks)
+        targets = providers or self._choose_replicas(origin.address, self.replication - 1)
+        landed = self.simulator.parallel_region([
+            (lambda target=target: self._push_dag(origin, target, result.blocks))
+            for target in targets
+        ])
         if providers:
-            holders: List[str] = []
-            for target in providers:
-                if target == origin.address:
-                    self._pin_locally(origin, result.blocks)
-                    holders.append(target)
-                    continue
-                delivered = 0
-                for block in result.blocks:
-                    if not origin.push_block_to(target, block, pin=True):
-                        break
-                    delivered += 1
-                self.stats.blocks_transferred += delivered
-                if delivered == len(result.blocks):
-                    holders.append(target)
+            holders = [target for target, whole in zip(targets, landed) if whole]
             if not holders:
                 self._pin_locally(origin, result.blocks)
                 holders = [origin.address]
             self.stats.placed_adds += 1
         else:
-            self._pin_locally(origin, result.blocks)
-            replicas = self._choose_replicas(origin.address, self.replication - 1)
-            for replica_address in replicas:
-                for block in result.blocks:
-                    if origin.push_block_to(replica_address, block, pin=True):
-                        self.stats.blocks_transferred += 1
-            holders = [origin.address] + replicas
+            holders = [origin.address] + targets
         self.dht.add_to_set(provider_key(result.root_cid), *holders)
         self.stats.adds += 1
         self.stats.bytes_added += len(data)
@@ -309,6 +302,20 @@ class DecentralizedStorage:
             size=len(data),
             placed=bool(providers),
         )
+
+    def _push_dag(self, origin: StoragePeer, target: str, blocks: Sequence[Block]) -> bool:
+        """Pin ``blocks`` on ``target`` (on ``origin`` itself, locally), one
+        push after another up to the first failure; whether all landed."""
+        if target == origin.address:
+            self._pin_locally(origin, blocks)
+            return True
+        delivered = 0
+        for block in blocks:
+            if not origin.push_block_to(target, block, pin=True):
+                break
+            delivered += 1
+        self.stats.blocks_transferred += delivered
+        return delivered == len(blocks)
 
     @staticmethod
     def _pin_locally(origin: StoragePeer, blocks: Sequence[Block]) -> None:

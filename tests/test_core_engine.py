@@ -318,6 +318,65 @@ class TestConcurrentWritePath:
         assert written == []
 
 
+class TestPublishScope:
+    """A live update and a delete each resolve a key once: the put of a key the
+    same publish read reuses that read's lookup."""
+
+    def test_an_update_and_a_delete_reuse_their_reads_and_serve_the_reference(
+        self, small_corpus
+    ):
+        engine = make_small_engine(seed=30)
+        documents = small_corpus.documents
+        engine.bootstrap_corpus(documents[:12])
+        engine.compute_page_ranks()
+        calls = []
+        for name in ("get", "put", "add_to_set", "get_set"):
+            method = getattr(engine.dht, name)
+
+            def counted(key, *args, _name=name, _method=method, **kwargs):
+                calls.append((_name, key))
+                return _method(key, *args, **kwargs)
+
+            setattr(engine.dht, name, counted)
+
+        def lookups_and_reuses(operation):
+            del calls[:]
+            before = engine.dht.stats.lookups
+            operation()
+            read, reused = set(), 0
+            for name, key in calls:
+                if name in ("get", "get_set"):
+                    read.add(key)
+                elif key in read:
+                    read.discard(key)
+                    reused += 1
+            return engine.dht.stats.lookups - before, len(calls), reused
+
+        update = documents[0].updated(
+            text="revised honey text " + documents[0].text, published_at=engine.simulator.now
+        )
+        for operation in (
+            lambda: engine.publish_document(update),
+            lambda: engine.delete_document(documents[1].doc_id),
+        ):
+            lookups, facade_calls, reused = lookups_and_reuses(operation)
+            assert reused >= 2  # at least one manifest and the doc: record
+            assert lookups == facade_calls - reused
+
+        engine.publish_statistics()
+        engine.converge_metadata()
+        frontend = engine.create_frontend(requester="peer-001:store")
+        queries = ["revised honey", documents[1].title, documents[2].title]
+        queries += [max(doc.text.split(), key=len) for doc in documents[:6]]
+        served = [frontend.search(query) for query in queries]
+        for query, page in zip(queries, served):
+            assert [(hit.doc_id, hit.score) for hit in page.results] == frontend_reference(
+                frontend, query
+            )
+        assert documents[0].doc_id in served[0].doc_ids
+        assert all(documents[1].doc_id not in page.doc_ids for page in served)
+
+
 def test_the_library_does_not_import_numpy():
     """Every device is a frontend: the engine and both baselines are plain Python.
 

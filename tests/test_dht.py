@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, RoutingError
+from repro.dht import dht as dht_module
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node, find_value
+from repro.dht.node import APPEND, FIND_VALUE, STORE
 from repro.dht.nodeid import ID_BITS, bucket_index, distance, id_to_hex, key_to_id, random_node_id
 from repro.dht.routing import Contact, KBucket, RoutingTable
+from repro.net.faults import DROP, FaultRule
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
@@ -210,6 +213,152 @@ class TestDHTNetworkFacade:
         before = sim.now
         dht.put("timed", 1)
         assert sim.now > before
+
+
+class _Silent(FaultRule):
+    """Drops every ``msg_type`` request sent to ``address``."""
+
+    def __init__(self, address: str, msg_type: str) -> None:
+        self.address, self.msg_type = address, msg_type
+
+    def intercept(self, message, now, rng):
+        silent = message.recipient == self.address and message.msg_type == self.msg_type
+        return DROP if silent else None
+
+
+def _spy(monkeypatch, dht):
+    """``(reads, writes)``: each value lookup's ``(origin, closest)`` and each
+    write fan-out's ``(origin, recipients)``, in call order."""
+    reads, writes = [], []
+    real_find_value, real_parallel = dht_module.find_value, dht.network.rpc_parallel
+
+    def spied_find_value(origin, key, **kwargs):
+        result = real_find_value(origin, key, **kwargs)
+        reads.append((origin.address, [c.address for c in result.closest]))
+        return result
+
+    def spied_parallel(src, requests):
+        if requests and requests[0][1] in (STORE, APPEND):
+            writes.append((src, [dst for dst, _, _ in requests]))
+        return real_parallel(src, requests)
+
+    monkeypatch.setattr(dht_module, "find_value", spied_find_value)
+    monkeypatch.setattr(dht.network, "rpc_parallel", spied_parallel)
+    return reads, writes
+
+
+class TestPublishScope:
+    """Inside ``publish_scope`` a write reuses the closest set its key's read located."""
+
+    def test_a_get_then_a_put_costs_one_lookup(self, dht_net, monkeypatch):
+        _, _, dht = dht_net
+        dht.put("k", "v1")
+        reads, writes = _spy(monkeypatch, dht)
+        dht.stats.reset()
+        with dht.publish_scope():
+            assert dht.get("k") == "v1"
+            assert dht.put("k", "v2") == 3
+        assert dht.stats.lookups == 1 and dht.stats.stores == 1
+        # The STORE leaves the read's origin for the read's closest set.
+        (origin, closest), = reads
+        assert writes == [(origin, closest[:3])]
+        assert dht.get("k") == "v2"
+
+    def test_a_clean_miss_seeds_the_record(self, dht_net):
+        _, _, dht = dht_net
+        dht.stats.reset()
+        with dht.publish_scope():
+            with pytest.raises(KeyNotFoundError):
+                dht.get("fresh")
+            assert dht.get_set("providers:fresh") == []
+            dht.put("fresh", 1)
+            dht.add_to_set("providers:fresh", "peer-1")
+        assert dht.stats.lookups == 2  # the two reads; neither write looks up
+        assert dht.get("fresh") == 1 and dht.get_set("providers:fresh") == ["peer-1"]
+
+    def test_an_inconclusive_read_seeds_nothing(self, dht_net):
+        _, network, dht = dht_net
+        reader = dht.random_node()
+        nearest = reader.routing_table.closest(key_to_id("fresh"), 1)[0]
+        rule = network.faults.add(_Silent(nearest.address, FIND_VALUE))
+        with dht.publish_scope():
+            with pytest.raises(RoutingError):
+                dht.get("fresh", origin=reader)
+            network.faults.remove(rule)
+            before = dht.stats.lookups
+            assert dht.put("fresh", 1) >= 1
+            assert dht.stats.lookups - before == 1  # its own lookup
+        assert dht.get("fresh") == 1
+
+    def test_a_record_is_used_once(self, dht_net):
+        _, _, dht = dht_net
+        dht.put("k", "v1")
+        before = dht.stats.lookups
+        with dht.publish_scope():
+            dht.get("k")
+            dht.put("k", "v2")
+            dht.put("k", "v3")
+        assert dht.stats.lookups - before == 2  # the read and the second put
+        assert dht.get("k") == "v3"
+
+    def test_a_record_does_not_outlive_its_scope(self, dht_net):
+        _, _, dht = dht_net
+        dht.put("k", "v1")
+        with dht.publish_scope():
+            dht.get("k")
+        with pytest.raises(RuntimeError, match="publisher died"):
+            with dht.publish_scope():
+                dht.get("k")
+                raise RuntimeError("publisher died")
+        # Neither read's record survives: outside a scope and in a fresh one,
+        # each put looks the key up again.
+        before = dht.stats.lookups
+        dht.put("k", "v2")
+        with dht.publish_scope():
+            dht.put("k", "v3")
+        assert dht.stats.lookups - before == 2
+
+    def test_a_fan_out_that_stores_nowhere_falls_back_to_a_fresh_lookup(
+        self, dht_net, monkeypatch
+    ):
+        _, network, dht = dht_net
+        dht.put("k", "v1")
+        reads, writes = _spy(monkeypatch, dht)
+        before = dht.stats.lookups
+        with dht.publish_scope():
+            dht.get("k")
+            (_, closest), = reads
+            for address in closest[:3]:
+                network.set_offline(address)
+            assert dht.put("k", "v2") >= 1
+        assert dht.stats.lookups - before == 2
+        # The recorded set first, then whatever the fresh lookup located.
+        assert len(writes) == 2 and writes[0][1] == closest[:3]
+        assert dht.get("k") == "v2"
+
+    def test_outside_a_scope_every_call_is_one_lookup(self):
+        def run(opened_a_scope: bool):
+            sim = Simulator(seed=9)
+            network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
+            dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
+            dht.build(16)
+            if opened_a_scope:
+                with dht.publish_scope():
+                    pass
+            dht.stats.reset()
+            dht.get_set("providers:x")
+            dht.add_to_set("providers:x", "peer-1")
+            with pytest.raises(KeyNotFoundError):
+                dht.get("k")
+            dht.put("k", "v")
+            dht.get("k")
+            stats, net = dht.stats, network.stats
+            return (stats.lookups, stats.stores, stats.total_rounds, net.rpc_count,
+                    net.bytes_sent, sim.now)
+
+        counters = run(opened_a_scope=False)
+        assert counters[:2] == (5, 2)
+        assert run(opened_a_scope=True) == counters
 
 
 class TestPeerRpcErrors:

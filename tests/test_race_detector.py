@@ -442,8 +442,9 @@ class TestEndToEndRaceSmokes:
         assert [r.score for r in pages[2].results] == [r.score for r in pages[0].results]
 
     def test_write_path_is_race_free(self, small_corpus):
-        # Bootstrap publishes its terms side by side, and every publish,
-        # update and delete writes a document's two records side by side.
+        # Bootstrap publishes its terms side by side, every publish, update
+        # and delete writes a document's two records side by side, and every
+        # content add pushes to its replicas side by side.
         engine = make_small_engine(seed=53, index_shard_size=8)
         documents = small_corpus.documents
         with SharedStateMonitor() as monitor:
@@ -454,8 +455,12 @@ class TestEndToEndRaceSmokes:
                 documents[0].updated(text="revised honey text", published_at=engine.simulator.now)
             )
             assert engine.delete_document(documents[1].doc_id)
+            before_add = monitor.regions_checked
+            engine.storage.add_bytes(b"honey " * 40)
+            add_regions = monitor.regions_checked - before_add
         assert bootstrap_regions > 0
         assert monitor.regions_checked > bootstrap_regions
+        assert add_regions == 1
         assert monitor.conflicts == [], monitor.report()
 
     def test_e11_serving_path_is_race_free(self):

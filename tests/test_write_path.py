@@ -1,7 +1,8 @@
 """The write path's lookup budget, and what a publisher's death may leave behind.
 
-Each ``DHTNetwork.put/get/add_to_set/get_set`` call is one full iterative
-lookup, so ``dht.stats.lookups`` deltas count the trips an operation makes.
+Outside a publish scope each ``DHTNetwork.put/get/add_to_set/get_set`` call is
+one full iterative lookup, so ``dht.stats.lookups`` deltas count the trips an
+operation makes.
 The budgets below are exact: a change that sends a message twice again — a
 provider announcement per replica, a second manifest read per merge, a shard
 pointer, an eager provider lookup — fails here before it shows up in E13.
@@ -173,6 +174,66 @@ class TestDirectoryBudget:
         assert directory.resolve(7)["url"] == "dweb://a/7"
         assert d.lookups(lambda: directory.mark_deleted(7)) == 1
         assert directory.resolve(7) == {}
+
+
+SLOW_PUSH = 1_000.0
+
+
+def _slow_pushes(d: _Deployment) -> None:
+    """Make every storage peer's ``push_block_to`` cost ``SLOW_PUSH`` more."""
+    for peer in d.storage.peers.values():
+        def slow(target, block, pin=False, push=peer.push_block_to):
+            delivered = push(target, block, pin=pin)
+            d.simulator.clock.advance(SLOW_PUSH)
+            return delivered
+
+        peer.push_block_to = slow
+
+
+class TestConcurrentPushes:
+    """An add pushes to its targets in one region, each target's blocks one after
+    another: a slowed link costs it once per block, not once per target and block."""
+
+    CHOSEN = ["store-1", "store-4", "store-6"]
+
+    @staticmethod
+    def _add(d: _Deployment, data: bytes, providers=None):
+        start = d.simulator.now
+        receipt = d.storage.add_bytes(data, publisher="store-0", providers=providers)
+        return d.simulator.now - start, receipt
+
+    @pytest.mark.parametrize("placed", [False, True])
+    def test_a_slow_link_is_paid_once_per_block(self, placed):
+        plain, slow = _Deployment(), _Deployment()
+        _slow_pushes(slow)
+        data = b"honey " * 20
+        blocks = len(plain.storage.dag.build(data).blocks)
+        providers = self.CHOSEN if placed else None
+        plain_ticks, plain_receipt = self._add(plain, data, providers)
+        slow_ticks, slow_receipt = self._add(slow, data, providers)
+        # Sequential pushes cost the slowed add 2 (replication 3) or 3 (three
+        # chosen peers) times this.
+        assert slow_ticks - plain_ticks == pytest.approx(blocks * SLOW_PUSH)
+        assert slow_receipt == plain_receipt and len(slow_receipt.providers) == 3
+        targets = 3 if placed else 2
+        assert (slow.storage.stats.blocks_transferred
+                == plain.storage.stats.blocks_transferred == targets * blocks)
+
+    def test_unreachable_providers_are_dropped_and_an_all_fail_add_pins_locally(self):
+        d = _Deployment()
+        d.network.set_offline("store-4")
+        _, receipt = self._add(d, b"honey " * 20, self.CHOSEN)
+        assert receipt.providers == ("store-1", "store-6")
+        assert d.storage.providers_of(receipt.cid) == ["store-1", "store-6"]
+        blocks = len(d.storage.dag.build(b"honey " * 20).blocks)
+        assert d.storage.stats.blocks_transferred == 2 * blocks
+        for address in ("store-1", "store-6"):
+            d.network.set_offline(address)
+        _, lost = self._add(d, b"comb " * 20, self.CHOSEN)
+        assert lost.providers == ("store-0",)
+        assert d.storage.providers_of(lost.cid) == ["store-0"]
+        assert d.storage.peers["store-0"].store.has(lost.cid)
+        assert d.storage.stats.blocks_transferred == 2 * blocks
 
 
 class TestFetchBudget:
