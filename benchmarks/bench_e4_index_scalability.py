@@ -5,8 +5,9 @@ storage (e.g., IPFS)"; for that to be viable, resolving a term must stay
 cheap as both the corpus and the overlay grow, and the index must not blow up
 in size.
 
-This bench sweeps corpus size and overlay size and reports DHT lookup rounds
-per term resolution, bytes fetched per query, the *largest single content
+This bench sweeps corpus size and overlay size and reports DHT lookup hops
+(each lookup's longest reply chain) per term resolution, bytes fetched per
+query, the *largest single content
 fetch* (the load any one serving peer must bear), total index bytes, and
 index build throughput.  The compression ablation quantifies the delta+varint
 posting codec against raw lists; the sharding rows show that doc-id-range
@@ -304,8 +305,9 @@ def run_experiment() -> Dict[str, object]:
         "E4: decentralized index scalability",
         rows,
         note=(
-            "DHT rounds are per iterative lookup; Kademlia should keep them "
-            "~logarithmic in peers.  'max fetch' is the heaviest single "
+            "DHT rounds are the hop depth of each iterative lookup's longest "
+            "reply chain; Kademlia should keep them ~logarithmic in peers.  "
+            "'max fetch' is the heaviest single "
             "content fetch — sharding caps the load any one peer serves; "
             "'max shards/provider' is the heaviest term's provider "
             "concentration — placement caps it at the anti-affinity bound "

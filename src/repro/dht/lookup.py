@@ -1,20 +1,24 @@
-"""Iterative Kademlia lookups (FIND_NODE and FIND_VALUE).
+"""Iterative Kademlia lookups (FIND_NODE and FIND_VALUE), run asynchronously.
 
-The lookup procedure is the paper-standard iterative algorithm: keep a
-shortlist of the ``k`` closest contacts seen so far, query the ``alpha``
-closest unqueried ones in parallel, merge the contacts they return, and stop
-once every contact on the shortlist has been asked (value lookups run to the
-same convergence and keep the freshest replica).  The number of rounds is
-what the scalability experiment (E4) reports as "lookup hops".
+One event-ordered :meth:`~repro.net.network.SimulatedNetwork.rpc_parallel` call
+keeps up to ``alpha`` requests in flight to the closest unqueried contacts of a
+``k``-long shortlist; each reply is merged as it lands and the flight topped
+back up, not held for the slowest (Maymounkov & Mazières, IPTPS 2002, §2.3).
+It converges once nothing is unqueried or in flight; every reply is awaited, so
+a value lookup keeps the freshest replica.  A contact that did not answer
+leaves the shortlist for good.  ``rounds`` is the longest reply chain's hop
+depth (a contact from the origin's own table is hop 1; E4's "lookup hops").
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.dht.node import FIND_NODE, FIND_VALUE, KademliaNode
 from repro.dht.routing import Contact
+from repro.net.message import Response
 
 DEFAULT_ALPHA = 3
 
@@ -58,12 +62,16 @@ class IterativeLookup:
         self.find_value = find_value
 
     def run(self) -> LookupResult:
-        origin, target, find_value = self.origin, self.target, self.find_value
-        table = origin.routing_table
+        origin, target, find_value, alpha = self.origin, self.target, self.find_value, self.alpha
+        k, table = self.k, origin.routing_table
         result = LookupResult(target=target)
-        # Sorted by distance to the target, here and after every round.
-        shortlist: List[Contact] = table.closest(target, self.k)
+        # (distance to the target, contact), sorted, at most k long.
+        shortlist: List[tuple] = [(c.node_id ^ target, c) for c in table.closest(target, k)]
+        hop: Dict[int, int] = {c.node_id: 1 for _, c in shortlist}
+        listed: Set[int] = set(hop)  # the shortlist's ids and every silent contact's
         queried: Set[str] = {origin.address}
+        asked: List[Contact] = []  # each request's contact, in the order sent
+        in_flight = 0
         msg_type = FIND_VALUE if find_value else FIND_NODE
         # Every request of the lookup says the same thing; handlers only read it.
         payload = dict(origin._base_payload(), **{"key" if find_value else "target": target})
@@ -84,67 +92,75 @@ class IterativeLookup:
                 items_found = True
                 item_union.update(origin.sets[target])
 
-        # Converged once each of the k closest contacts seen has been asked.
-        while True:
-            candidates = [c for c in shortlist if c.address not in queried][: self.alpha]
-            if not candidates:
-                break
-            result.rounds += 1
-            responses = origin.network.rpc_parallel(
-                origin.address, [(c.address, msg_type, payload) for c in candidates]
-            )
-            listed = {c.node_id for c in shortlist}
-            for contact, response in zip(candidates, responses):
-                queried.add(contact.address)
-                result.contacted += 1
-                if response is None or not response.ok:
-                    result.unanswered += 1
-                    table.remove(contact.node_id)
-                    shortlist.remove(contact)
-                    listed.discard(contact.node_id)
+        def top_up() -> List[tuple]:
+            # Requests to the closest unqueried contacts, up to ``alpha`` in flight.
+            nonlocal in_flight
+            requests = []
+            for _, contact in shortlist:
+                if in_flight >= alpha:
+                    break
+                if contact.address in queried:
                     continue
-                table.update(contact)
-                reply = response.payload
-                if find_value and reply.get("found"):
-                    if "value" in reply:
-                        value_candidates.append((reply.get("stored_at", 0.0), reply["value"]))
-                    if "items" in reply:
-                        items_found = True
-                        item_union.update(reply["items"])
-                for new_contact in reply.get("contacts", ()):
-                    if new_contact.node_id not in listed and new_contact.address != origin.address:
+                queried.add(contact.address)
+                asked.append(contact)
+                in_flight += 1
+                result.rounds = max(result.rounds, hop[contact.node_id])
+                requests.append((contact.address, msg_type, payload))
+            return requests
+
+        def on_reply(index: int, response: Optional[Response]) -> List[tuple]:
+            nonlocal in_flight, items_found
+            in_flight -= 1
+            contact = asked[index]
+            if response is None or not response.ok:
+                result.unanswered += 1
+                table.remove(contact.node_id)
+                listed.add(contact.node_id)
+                entry = (contact.node_id ^ target, contact)
+                if entry in shortlist:
+                    shortlist.remove(entry)
+                return top_up()
+            table.update(contact)
+            reply = response.payload
+            if find_value and reply.get("found"):
+                if "value" in reply:
+                    value_candidates.append((reply.get("stored_at", 0.0), reply["value"]))
+                if "items" in reply:
+                    items_found = True
+                    item_union.update(reply["items"])
+            for new_contact in reply.get("contacts", ()):
+                if new_contact.node_id not in listed and new_contact.address != origin.address:
+                    hop.setdefault(new_contact.node_id, hop[contact.node_id] + 1)
+                    distance = new_contact.node_id ^ target
+                    # Only a contact closer than the k-th is listed; a farther
+                    # one may be listed again by a later reply.
+                    if len(shortlist) < k or distance < shortlist[-1][0]:
+                        insort(shortlist, (distance, new_contact))
                         listed.add(new_contact.node_id)
-                        shortlist.append(new_contact)
-            shortlist.sort(key=lambda c: c.node_id ^ target)
-            del shortlist[self.k:]
+                        if len(shortlist) > k:
+                            listed.discard(shortlist.pop()[1].node_id)
+            return top_up()
 
-        result.closest = shortlist
-        self._finalize_value(result, value_candidates, item_union, items_found)
-        return result
-
-    @staticmethod
-    def _finalize_value(
-        result: LookupResult,
-        value_candidates: List[tuple],
-        item_union: Set[Any],
-        items_found: bool,
-    ) -> None:
-        """Fold collected replicas into the result: freshest value, unioned sets."""
+        # Converged once no shortlist contact is unqueried and nothing is in flight.
+        if first_wave := top_up():
+            origin.network.rpc_parallel(origin.address, first_wave, on_reply=on_reply)
+        result.contacted = len(asked)
+        result.closest = [contact for _, contact in shortlist]
+        # Fold the replicas heard into the result: the freshest value, the union of sets.
         if value_candidates:
             result.found = True
             result.value = max(value_candidates, key=lambda pair: pair[0])[1]
         if items_found:
             result.found = True
             result.items = sorted(item_union, key=repr)
+        return result
 
 
 def find_node(origin: KademliaNode, target: int, k: int = 20, alpha: int = DEFAULT_ALPHA) -> LookupResult:
     """Locate the ``k`` closest nodes to ``target`` starting from ``origin``."""
-    lookup = IterativeLookup(origin, target, k=k, alpha=alpha, find_value=False)
-    return lookup.run()
+    return IterativeLookup(origin, target, k=k, alpha=alpha, find_value=False).run()
 
 
 def find_value(origin: KademliaNode, key: int, k: int = 20, alpha: int = DEFAULT_ALPHA) -> LookupResult:
     """Locate the value stored under ``key`` starting from ``origin``."""
-    lookup = IterativeLookup(origin, key, k=k, alpha=alpha, find_value=True)
-    return lookup.run()
+    return IterativeLookup(origin, key, k=k, alpha=alpha, find_value=True).run()

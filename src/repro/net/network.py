@@ -27,6 +27,7 @@ bit-identical to the pre-resilience network):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -418,29 +419,48 @@ class SimulatedNetwork:
             f"{policy.attempts} attempt(s): {last_error}"
         ) from last_error
 
+    def send(
+        self, src: str, dst: str, msg_type: str, payload: Optional[dict] = None
+    ) -> Tuple[Optional[Response], float]:
+        """Deliver one request, judged at the current instant, without moving
+        the clock.  Returns ``(response, ticks)``: ``response`` is ``None`` on a
+        transport failure or an injected fault; the caller charges ``ticks``.
+        """
+        response, ticks, fault = self._deliver(
+            src, dst, msg_type, payload, self._active_faults(), serial=False
+        )
+        return (response if fault is None else None), ticks
+
     def rpc_parallel(
         self,
         src: str,
         requests: Sequence[Tuple[str, str, dict]],
+        on_reply: Optional[Callable[[int, Optional[Response]], Iterable[tuple]]] = None,
     ) -> List[Optional[Response]]:
         """Issue several RPCs "in parallel": the clock advances by the slowest
         round trip instead of the sum.
 
         ``requests`` is a sequence of ``(dst, msg_type, payload)``.  Failed
         requests yield ``None`` in the result list rather than raising, since
-        parallel fan-outs (Kademlia's alpha lookups, block fetches) tolerate
-        individual failures.
+        parallel fan-outs (STORE replicas, block fetches) tolerate individual
+        failures.  Built on :meth:`send`, the clock moving to each outcome in
+        turn.  ``on_reply(index, response)``, if given, runs at each outcome;
+        the requests it returns leave then and are appended to ``requests``.
         """
-        start = self.simulator.now
-        plane = self._active_faults()
+        clock = self.simulator.clock
         results: List[Optional[Response]] = []
-        slowest = 0.0
-        for dst, msg_type, payload in requests:
-            response, ticks, fault = self._deliver(src, dst, msg_type, payload, plane, serial=False)
-            results.append(response if fault is None else None)
-            slowest = max(slowest, ticks)
-        self.simulator.clock.advance_to(start + slowest)
-        return results
+        in_flight: List[Tuple[float, int]] = []
+        while True:
+            while len(results) < len(requests):
+                response, ticks = self.send(src, *requests[len(results)])
+                heapq.heappush(in_flight, (clock.now + ticks, len(results)))
+                results.append(response)
+            if not in_flight:
+                return results
+            done_at, index = heapq.heappop(in_flight)
+            clock.advance_to(done_at)
+            if on_reply is not None:
+                requests.extend(on_reply(index, results[index]))
 
     def rpc_hedged(
         self,

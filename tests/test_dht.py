@@ -12,10 +12,10 @@ from repro.errors import KeyNotFoundError, RoutingError
 from repro.dht import dht as dht_module
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node, find_value
-from repro.dht.node import APPEND, FIND_VALUE, STORE
+from repro.dht.node import APPEND, FIND_NODE, FIND_VALUE, STORE
 from repro.dht.nodeid import ID_BITS, bucket_index, distance, id_to_hex, key_to_id, random_node_id
 from repro.dht.routing import Contact, KBucket, RoutingTable
-from repro.net.faults import DROP, FaultRule
+from repro.net.faults import DROP, FaultRule, LinkLoss, Straggler
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
@@ -158,6 +158,138 @@ class TestLookups:
         result = find_value(origin, key_to_id("never-stored"), k=4, alpha=2)
         assert not result.found
 
+    @pytest.mark.parametrize("fault", ["offline", "loss"])
+    def test_a_contact_that_failed_is_not_in_closest(self, fault):
+        sim = Simulator(seed=31)
+        network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
+        dht = DHTNetwork(sim, network)
+        dht.build(48)
+        addresses = dht.node_addresses()
+        if fault == "offline":
+            for address in addresses[5::6]:
+                network.set_offline(address)
+        else:
+            network.faults.add(LinkLoss(probability=0.2))
+        origins = [dht.nodes[a] for a in addresses if network.is_online(a)]
+        silenced = set()
+        record_drop = network.stats.record_drop
+        network.stats.record_drop = lambda message: (
+            silenced.add(message.recipient), record_drop(message))
+        rng = random.Random(7)
+        leaked = []
+        for index in range(200):
+            silenced.clear()
+            result = find_node(origins[index % len(origins)], rng.getrandbits(ID_BITS))
+            if silenced & {contact.address for contact in result.closest}:
+                leaked.append(index)
+        assert leaked == []
+
+
+def _padded_overlay(seed: int = 9):
+    """Like ``dht_net``, with addresses no fault rule's prefix match confuses
+    (``node-01`` is not a prefix of ``node-10``)."""
+    sim = Simulator(seed=seed)
+    network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
+    dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
+    for index in range(16):
+        dht.add_node(f"node-{index:02d}")
+    return sim, network, dht
+
+
+class _SendTimes(FaultRule):
+    """Delivers everything; records when each ``msg_type`` request was judged."""
+
+    def __init__(self, msg_type: str) -> None:
+        self.msg_type, self.times = msg_type, []
+
+    def intercept(self, message, now, rng):
+        if message.msg_type == self.msg_type:
+            self.times.append(now)
+        return None
+
+
+class TestAsynchronousLookup:
+    """A lookup keeps ``alpha`` requests in flight and merges replies as they land."""
+
+    def _slowed_lookup(self, *rules):
+        sim, network, dht = _padded_overlay()
+        origin, target = dht.nodes["node-03"], key_to_id("some-key")
+        straggler = origin.routing_table.closest(target, dht.k)[0]
+        network.faults.add(Straggler(peer=straggler.address, factor=10.0))
+        network.faults.extend(rules)
+        start = sim.now
+        result = find_node(origin, target, k=dht.k, alpha=dht.alpha)
+        return result, sim.now - start
+
+    def test_a_slow_first_wave_contact_does_not_hold_back_the_rest(self):
+        result, elapsed = self._slowed_lookup()
+        # ConstantLatency(2.0): a round trip is 4 ticks, the straggler's 40.  A
+        # lock-step lookup pays the straggler's round, then 4 ticks for each
+        # later round it needs to send the other requests, alpha at a time.
+        later_rounds = -(-(result.contacted - 2) // 2)
+        assert later_rounds >= 1
+        assert elapsed < 40.0 + 4.0 * later_rounds
+
+    def test_each_request_is_judged_when_it_is_sent(self):
+        sent = _SendTimes(FIND_NODE)
+        result, _ = self._slowed_lookup(sent)
+        assert len(sent.times) == result.contacted
+        start = sent.times[0]
+        offsets = [time - start for time in sent.times]
+        # The first wave leaves together; the next request leaves when the fast
+        # reply lands, long before the straggler's.
+        assert offsets[:3] == [0.0, 0.0, 4.0]
+        assert offsets == sorted(offsets)
+
+    def test_every_request_goes_through_one_parallel_call(self, monkeypatch):
+        # A boundary that wraps rpc_parallel sees the whole lookup: every request
+        # in its request list, every response in its result.
+        sim, network, dht = _padded_overlay()
+        network.faults.add(LinkLoss(probability=0.3))
+        calls, real_parallel = [], network.rpc_parallel
+
+        def spied_parallel(src, requests, **kwargs):
+            responses = real_parallel(src, requests, **kwargs)
+            calls.append((list(requests), responses))
+            return responses
+
+        monkeypatch.setattr(network, "rpc_parallel", spied_parallel)
+        before = network.stats.rpc_count + network.stats.messages_dropped
+        result = find_node(dht.nodes["node-03"], key_to_id("some-key"), k=dht.k, alpha=dht.alpha)
+        (requests, responses), = calls
+        assert len(requests) == len(responses) == result.contacted > dht.alpha
+        assert sum(response is None for response in responses) == result.unanswered > 0
+        assert network.stats.rpc_count + network.stats.messages_dropped - before == result.contacted
+
+    def test_find_value_keeps_the_newer_of_two_versions(self):
+        sim, network, dht = _padded_overlay()
+        key = key_to_id("k")
+        assert dht.put("k", "v1") == 3
+        holders = [node for node in dht.nodes.values() if key in node.values]
+        sim.clock.advance(100.0)
+        newer = holders[-1]
+        assert holders[0].store_at(newer.as_contact(), key, "v2")
+        # The newer replica answers last: every reply in flight is awaited.
+        network.faults.add(Straggler(peer=newer.address, factor=10.0))
+        origin = next(node for node in dht.nodes.values() if key not in node.values)
+        result = find_value(origin, key, k=dht.k, alpha=dht.alpha)
+        assert result.found and result.value == "v2"
+
+    def test_two_runs_at_one_seed_are_identical(self):
+        def run():
+            sim, network, dht = _padded_overlay(seed=5)
+            network.faults.extend([LinkLoss(probability=0.2), Straggler("node-07", 6.0)])
+            outcomes = []
+            for index in range(30):
+                origin = dht.nodes[f"node-{index % 16:02d}"]
+                result = find_value(origin, key_to_id(f"key-{index % 5}"), k=dht.k, alpha=dht.alpha)
+                outcomes.append((result.rounds, result.contacted, result.unanswered,
+                                 [contact.address for contact in result.closest]))
+            stats = network.stats
+            return outcomes, stats.rpc_count, stats.messages_dropped, stats.bytes_sent, sim.now
+
+        assert run() == run()
+
 
 class TestDHTNetworkFacade:
     def test_put_get_roundtrip(self, dht_net):
@@ -237,10 +369,10 @@ def _spy(monkeypatch, dht):
         reads.append((origin.address, [c.address for c in result.closest]))
         return result
 
-    def spied_parallel(src, requests):
+    def spied_parallel(src, requests, **kwargs):
         if requests and requests[0][1] in (STORE, APPEND):
             writes.append((src, [dst for dst, _, _ in requests]))
-        return real_parallel(src, requests)
+        return real_parallel(src, requests, **kwargs)
 
     monkeypatch.setattr(dht_module, "find_value", spied_find_value)
     monkeypatch.setattr(dht.network, "rpc_parallel", spied_parallel)

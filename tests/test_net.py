@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NetworkError, NodeUnreachableError
 from repro.net.churn import ChurnModel
+from repro.net.detector import FailureDetector
 from repro.net.faults import LinkLoss
 from repro.net.latency import ConstantLatency, LogNormalLatency, UniformLatency
 from repro.net.message import Message, Response, estimate_size
@@ -146,6 +147,48 @@ class TestParallelAndBroadcast:
         responses = network.rpc_parallel("a", [("b", "ping", {}), ("c", "ping", {})])
         assert responses[0].ok
         assert responses[1] is None
+
+    def test_parallel_rpc_is_each_send_then_the_slowest(self):
+        def fan_out(by_hand: bool):
+            sim = Simulator(seed=3)
+            network = SimulatedNetwork(sim, latency=LogNormalLatency(), rpc_timeout=90.0,
+                                       detector=FailureDetector(sim))
+            for name in "abcde":
+                network.register(name, echo_handler(name))
+            network.set_offline("e")
+            network.faults.add(LinkLoss(probability=0.5, dst="c"))
+            requests = [(dst, "ping", {"n": n}) for n, dst in enumerate("bcdecb")]
+            start = sim.now
+            if by_hand:
+                sent = [network.send("a", *request) for request in requests]
+                assert sim.now == start
+                sim.clock.advance_to(start + max(ticks for _, ticks in sent))
+                responses = [response for response, _ in sent]
+            else:
+                responses = network.rpc_parallel("a", requests)
+            stats, detector = network.stats, network.detector
+            return ([response and response.payload for response in responses], stats.rpc_count,
+                    stats.messages_dropped, stats.bytes_sent, dict(stats.per_type), sim.now,
+                    detector.stats, [detector.suspicion_of(name) for name in "bcde"])
+
+        assert fan_out(by_hand=True) == fan_out(by_hand=False)
+
+    def test_a_follow_up_leaves_when_the_reply_lands(self, net):
+        sim, network = net
+        start = sim.now
+        seen = []
+
+        def on_reply(index, response):
+            seen.append((index, response.sender, sim.now - start))
+            return [("c", "ping", {})] if index == 0 else []
+
+        requests = [("b", "ping", {})]
+        responses = network.rpc_parallel("a", requests, on_reply=on_reply)
+        # ConstantLatency(5.0): each round trip is 10 ticks, the follow-up's after the first.
+        assert seen == [(0, "b", 10.0), (1, "c", 20.0)]
+        assert [dst for dst, _, _ in requests] == ["b", "c"]
+        assert [response.sender for response in responses] == ["b", "c"]
+        assert sim.now == start + 20.0
 
     def test_broadcast_reaches_all_online_peers(self, net):
         _, network = net

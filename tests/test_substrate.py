@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
 from repro.dht.dht import DHTNetwork
+from repro.dht.lookup import find_node
 from repro.dht.nodeid import ID_BITS, key_to_id
 from repro.dht.routing import Contact, RoutingTable
 from repro.errors import KeyNotFoundError, RoutingError
@@ -292,14 +293,19 @@ class _DropStoresTo(FaultRule):
 
 def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
     network, dht = _overlay()
+    twin_network, twin = _overlay()
     origin = dht.nodes["dht-5"]
     target = key_to_id("term:alpha")
     assert dht.put("term:alpha", "v1", origin=origin) == 3
-    rounds = dht.stats.total_rounds
+    assert twin.put("term:alpha", "v1", origin=twin.nodes["dht-5"]) == 3
+    # The twin times the put's lookup alone: the same find_node from the same origin.
+    started = twin_network.simulator.now
+    find_node(twin.nodes["dht-5"], target, k=twin.k, alpha=twin.alpha)
+    lookup_ticks = twin_network.simulator.now - started
     started = network.simulator.now
     assert dht.put("term:alpha", "v2", origin=origin) == 3
-    # ConstantLatency(2.0): every lookup round and the whole fan-out cost one round trip.
-    assert network.simulator.now - started == 4.0 * (dht.stats.total_rounds - rounds + 1)
+    # ConstantLatency(2.0): the whole fan-out costs one round trip after the lookup.
+    assert network.simulator.now - started == lookup_ticks + 4.0
 
     silent = next(n for n in dht.nodes.values() if n.values.get(target) == "v2")
     network.faults.add(_DropStoresTo(silent.address))
@@ -330,8 +336,12 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # re-recorded once more (38491.618022 -> 34150.312163) when a content add began pushing to
 # its replicas in one parallel region: the same pushes, RPCs and draws in the same order, but
 # an add now waits for its slowest replica.  (Bootstrap reads no key it then writes, so the
-# publish-scoped resolution introduced alongside saves no lookup here.)
-GOLDEN_COUNTERS = (34150.312163, 6485, 2302178, 466, 1399)
+# publish-scoped resolution introduced alongside saves no lookup here.)  The clock and the
+# rounds were re-recorded (34150.312163 -> 29940.441741, 1399 -> 476) when lookups began
+# keeping alpha requests in flight instead of waiting out each round: the same lookups, RPCs
+# and bytes, but a lookup no longer waits for a round's slowest reply, and `total_rounds` now
+# sums each lookup's hop depth (the longest reply chain) instead of its rounds.
+GOLDEN_COUNTERS = (29940.441741, 6485, 2302178, 466, 476)
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
