@@ -69,11 +69,7 @@ def run_experiment() -> List[Dict[str, object]]:
         rows,
         note=f"{DOC_COUNT}-page corpus, 30 creators, {EPOCHS} reward epochs; Gini 0 = even, 1 = one winner",
     )
-    return rows
 
-
-def test_e5_incentives(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     by_policy = {row["policy"]: row for row in rows}
     # Loosening the threshold rewards a larger fraction of creators.
     assert (by_policy["threshold=0.001"]["creators rewarded (%)"]
@@ -88,6 +84,11 @@ def test_e5_incentives(benchmark):
     loose = by_policy["threshold=0.001"]
     assert proportional["top-20% owners' share (%)"] > loose["top-20% owners' share (%)"]
     assert proportional["creator gini"] > loose["creator gini"]
+    return rows
+
+
+def test_e5_incentives(benchmark):
+    benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

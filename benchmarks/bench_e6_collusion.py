@@ -56,11 +56,6 @@ def run_experiment() -> List[Dict[str, object]]:
         rows,
         note=f"{WORKER_COUNT} worker bees; the cartel boosts the lowest-ranked page",
     )
-    return rows
-
-
-def test_e6_collusion(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     def cell(fraction, redundancy):
         return next(r for r in rows
@@ -87,6 +82,11 @@ def test_e6_collusion(benchmark):
         for redundancy in (3, 5):
             assert cell(fraction, redundancy)["workers slashed"] >= 1
     assert cell(0.1, 5)["rank inflation (x)"] <= cell(0.1, 1)["rank inflation (x)"]
+    return rows
+
+
+def test_e6_collusion(benchmark):
+    benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

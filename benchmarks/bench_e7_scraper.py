@@ -50,11 +50,7 @@ def run_experiment() -> List[Dict[str, object]]:
         rows,
         note=f"Scraper mirrors the top {MIRROR_COUNT} pages by page rank",
     )
-    return rows
 
-
-def test_e7_scraper(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     defended = next(r for r in rows if r["dedup defense"] == "on" and r["copies"] == "verbatim")
     undefended = next(r for r in rows if r["dedup defense"] == "off")
     evading = next(r for r in rows if r["copies"] == "perturbed")
@@ -67,6 +63,11 @@ def test_e7_scraper(benchmark):
     # Perturbation evades dedup but captures far less than the victims hold.
     assert evading["mirrors accepted"] == MIRROR_COUNT
     assert evading["scraper vs victims (%)"] < 100.0
+    return rows
+
+
+def test_e7_scraper(benchmark):
+    benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

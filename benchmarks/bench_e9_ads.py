@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.contracts.ads import CREATOR_SHARE, TREASURY_SHARE, WORKER_SHARE
 from repro.incentives.simulation import EconomySimulation
 from repro.storage.block import Block
 from repro.storage.cid import compute_cid, verify_cid
@@ -29,8 +30,7 @@ TAMPER_TRIALS = 200
 
 def _ad_economy_rows() -> List[Dict[str, object]]:
     corpus = build_corpus(DOC_COUNT, seed=1300, owner_count=25)
-    engine = build_engine(peer_count=20, worker_count=5, seed=1300,
-                          creator_share=0.6, worker_share=0.3, treasury_share=0.1)
+    engine = build_engine(peer_count=20, worker_count=5, seed=1300)
     simulation = EconomySimulation(
         engine,
         documents=corpus.documents,
@@ -57,15 +57,15 @@ def _ad_economy_rows() -> List[Dict[str, object]]:
     }, {
         "metric": "creator share (%)",
         "value": 100.0 * revenue["creators"] / total if total else 0.0,
-        "detail": "configured 60%",
+        "detail": f"configured {CREATOR_SHARE:.0%}",
     }, {
         "metric": "worker share (%)",
         "value": 100.0 * revenue["workers"] / total if total else 0.0,
-        "detail": "configured 30%",
+        "detail": f"configured {WORKER_SHARE:.0%}",
     }, {
         "metric": "treasury share (%)",
         "value": 100.0 * revenue["treasury"] / total if total else 0.0,
-        "detail": "configured 10%",
+        "detail": f"configured {TREASURY_SHARE:.0%}",
     }]
     return rows
 
@@ -102,20 +102,22 @@ def run_experiment() -> List[Dict[str, object]]:
         rows,
         note="Revenue split among creators, worker bees, and the treasury via the ad contract",
     )
+
+    by_metric = {row["metric"]: row for row in rows}
+    assert by_metric["clicks billed"]["value"] > 0
+    assert by_metric["revenue conserved"]["value"] is True
+    # The contract's split holds to within integer-rounding slack.
+    for metric, share in (("creator share (%)", CREATOR_SHARE), ("worker share (%)", WORKER_SHARE),
+                          ("treasury share (%)", TREASURY_SHARE)):
+        assert abs(by_metric[metric]["value"] - 100.0 * share) < 2.0, metric
+    # Content addressing catches every tampered page and block.
+    assert by_metric["tampered pages detected (%)"]["value"] == 100.0
+    assert by_metric["tampered blocks detected (%)"]["value"] == 100.0
     return rows
 
 
 def test_e9_ads(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    by_metric = {row["metric"]: row for row in rows}
-    assert by_metric["clicks billed"]["value"] > 0
-    assert by_metric["revenue conserved"]["value"] is True
-    # The configured 60/30/10 split holds to within integer-rounding slack.
-    assert abs(by_metric["creator share (%)"]["value"] - 60.0) < 2.0
-    assert abs(by_metric["worker share (%)"]["value"] - 30.0) < 2.0
-    # Content addressing catches every tampered page and block.
-    assert by_metric["tampered pages detected (%)"]["value"] == 100.0
-    assert by_metric["tampered blocks detected (%)"]["value"] == 100.0
+    benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ redundancy-vs-collusion trade-off E6 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.errors import AttackConfigError
 from repro.core.engine import QueenBeeEngine
 from repro.index.postings import PostingList
-from repro.ranking.distributed import RankContribution, RankTask
+from repro.ranking.distributed import DEFAULT_REDUNDANCY, RankContribution, RankTask
 from repro.ranking.pagerank import pagerank
 
 
@@ -129,7 +129,7 @@ class CollusionAttack:
 
     # -- running and measuring ------------------------------------------------------------
 
-    def run(self, redundancy: Optional[int] = None) -> CollusionOutcome:
+    def run(self, redundancy: int = DEFAULT_REDUNDANCY) -> CollusionOutcome:
         """Execute one rank round under attack and measure the damage.
 
         The honest reference rank is computed centrally on the same link
@@ -138,9 +138,7 @@ class CollusionAttack:
         """
         if not self.colluders:
             self.install()
-        honest = pagerank(
-            self.engine.link_graph, damping=self.engine.config.rank_damping
-        ).ranks.get(self.target_doc_id, 0.0)
+        honest = pagerank(self.engine.link_graph).ranks.get(self.target_doc_id, 0.0)
         slashed_before = self.engine.stats.workers_slashed
         result = self.engine.compute_page_ranks(redundancy=redundancy)
         observed = result.ranks.get(self.target_doc_id, 0.0)

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import AttackConfigError
+from repro.contracts.queenbee import WORKER_FUNDING
+from repro.contracts.workers import WORKER_STAKE
 from repro.core.engine import QueenBeeEngine
 from repro.core.worker import WorkerBee
 from repro.attacks.collusion import CollusionAttack, CollusionOutcome
+from repro.ranking.distributed import DEFAULT_REDUNDANCY
 
 
 @dataclass
@@ -52,11 +55,10 @@ class SybilAttack:
 
     def register_identities(self) -> List[str]:
         """Create, fund, stake, and register the Sybil worker identities."""
-        cfg = self.engine.config
         for i in range(self.identity_count):
             address = f"sybil-{i:03d}"
-            self.engine.chain.fund_account(address, cfg.worker_funding)
-            if not self.engine.contracts.register_worker(address, cfg.worker_stake):
+            self.engine.chain.fund_account(address, WORKER_FUNDING)
+            if not self.engine.contracts.register_worker(address, WORKER_STAKE):
                 continue
             storage_peer = self.engine.storage.peer_addresses()[
                 i % len(self.engine.storage.peer_addresses())
@@ -67,20 +69,18 @@ class SybilAttack:
                 directory=self.engine.directory,
                 analyzer=self.engine.analyzer,
                 storage_peer=storage_peer,
-                damping=cfg.rank_damping,
             )
             self.engine.workers.append(worker)
             self.identities.append(address)
         return list(self.identities)
 
-    def run(self, redundancy: Optional[int] = None) -> SybilOutcome:
+    def run(self, redundancy: int = DEFAULT_REDUNDANCY) -> SybilOutcome:
         """Register the Sybils, make them (and only them) collude, and attack."""
         if not self.identities:
             self.register_identities()
-        cfg = self.engine.config
         outcome = SybilOutcome(
             sybil_identities=list(self.identities),
-            stake_committed=cfg.worker_stake * len(self.identities),
+            stake_committed=WORKER_STAKE * len(self.identities),
         )
         attack = CollusionAttack(
             self.engine,

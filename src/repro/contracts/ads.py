@@ -1,15 +1,22 @@
 """The ad market: advertisers pay per click; revenue is shared on-chain.
 
 "Advertisers directly make advertisements through our smart contract and the
-ad revenue is shared among the content creators and worker bees."  The share
-split is a constructor parameter so the incentive experiments can sweep it.
+ad revenue is shared among the content creators and worker bees."  The split
+is part of the contract (the shares below; E9 checks where every unit ends up).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.chain.vm import CallContext, Contract
+
+# Each click's price splits among the page's creator, the worker bee and
+# the treasury; the first two cuts round down, the treasury takes the rest.
+CREATOR_SHARE = 0.6
+WORKER_SHARE = 0.3
+TREASURY_SHARE = 0.1
+TREASURY = "queenbee-treasury"
 
 
 class AdMarket(Contract):
@@ -24,22 +31,6 @@ class AdMarket(Contract):
     """
 
     name = "ads"
-
-    def __init__(
-        self,
-        creator_share: float = 0.6,
-        worker_share: float = 0.3,
-        treasury_share: float = 0.1,
-        treasury: str = "queenbee-treasury",
-    ) -> None:
-        super().__init__()
-        total = creator_share + worker_share + treasury_share
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"revenue shares must sum to 1.0, got {total!r}")
-        self.creator_share = creator_share
-        self.worker_share = worker_share
-        self.treasury_share = treasury_share
-        self.treasury = treasury
 
     def _ads(self) -> Dict[int, Dict[str, Any]]:
         return self.storage.setdefault("ads", {})
@@ -97,8 +88,8 @@ class AdMarket(Contract):
         ad["clicks"] += 1
         if ad["budget"] - ad["spent"] < price:
             ad["active"] = False
-        creator_cut = int(price * self.creator_share)
-        worker_cut = int(price * self.worker_share)
+        creator_cut = int(price * CREATOR_SHARE)
+        worker_cut = int(price * WORKER_SHARE)
         treasury_cut = price - creator_cut - worker_cut
         escrow = self._escrow_address()
         if creator_cut:
@@ -106,7 +97,7 @@ class AdMarket(Contract):
         if worker_cut:
             self.state.transfer(escrow, worker, worker_cut)
         if treasury_cut:
-            self.state.transfer(escrow, self.treasury, treasury_cut)
+            self.state.transfer(escrow, TREASURY, treasury_cut)
         revenue = self._revenue()
         revenue["creators"] += creator_cut
         revenue["workers"] += worker_cut

@@ -13,6 +13,11 @@ from repro.contracts.rewards import RewardScheme
 from repro.contracts.workers import WorkerRegistry
 
 DEFAULT_ADMIN = "queenbee-admin"
+# Native currency each account starts with, so every action can pay its gas
+# (and a worker bee its stake).
+ADMIN_FUNDING = 10**12
+CREATOR_FUNDING = 10**9
+WORKER_FUNDING = 10**7
 
 
 @dataclass
@@ -40,31 +45,18 @@ class QueenBeeContracts:
         chain: Blockchain,
         admin: str = DEFAULT_ADMIN,
         dedup_enabled: bool = True,
-        min_stake: int = 1_000,
-        publish_reward: int = 10,
-        task_reward: int = 5,
         popularity_policy: str = "threshold",
         rank_threshold: float = 0.001,
         popularity_budget: int = 10_000,
-        creator_share: float = 0.6,
-        worker_share: float = 0.3,
-        treasury_share: float = 0.1,
-        admin_funding: int = 10**12,
     ) -> "QueenBeeContracts":
         """Deploy every contract, authorize minters, and fund the admin account."""
-        chain.fund_account(admin, admin_funding)
+        chain.fund_account(admin, ADMIN_FUNDING)
         honey = HoneyToken(admin=admin)
         registry = ContentRegistry(dedup_enabled=dedup_enabled)
-        workers = WorkerRegistry(admin=admin, min_stake=min_stake)
-        ads = AdMarket(
-            creator_share=creator_share,
-            worker_share=worker_share,
-            treasury_share=treasury_share,
-        )
+        workers = WorkerRegistry(admin=admin)
+        ads = AdMarket()
         rewards = RewardScheme(
             admin=admin,
-            publish_reward=publish_reward,
-            task_reward=task_reward,
             popularity_policy=popularity_policy,
             rank_threshold=rank_threshold,
             popularity_budget=popularity_budget,

@@ -10,12 +10,16 @@ worker-bee index/rank tasks.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.chain.vm import CallContext, Contract
 
 POLICY_THRESHOLD = "threshold"
 POLICY_PROPORTIONAL = "proportional"
+# Honey minted to a creator for each publish/update.
+PUBLISH_REWARD = 10
+# Honey minted to a worker bee for each completed index or rank task.
+TASK_REWARD = 5
 
 
 class RewardScheme(Contract):
@@ -26,10 +30,6 @@ class RewardScheme(Contract):
     admin:
         The only address allowed to trigger reward rounds (in deployment this
         is the coordinator driven by the epoch logic in ``repro.core``).
-    publish_reward:
-        Honey minted to a creator for each publish/update.
-    task_reward:
-        Honey minted to a worker bee for each completed index or rank task.
     popularity_policy:
         ``"threshold"`` (the paper's suggestion) or ``"proportional"``.
     rank_threshold:
@@ -46,8 +46,6 @@ class RewardScheme(Contract):
     def __init__(
         self,
         admin: str,
-        publish_reward: int = 10,
-        task_reward: int = 5,
         popularity_policy: str = POLICY_THRESHOLD,
         rank_threshold: float = 0.001,
         popularity_budget: int = 10_000,
@@ -56,8 +54,6 @@ class RewardScheme(Contract):
         if popularity_policy not in (POLICY_THRESHOLD, POLICY_PROPORTIONAL):
             raise ValueError(f"unknown popularity policy {popularity_policy!r}")
         self._admin = admin
-        self.publish_reward = publish_reward
-        self.task_reward = task_reward
         self.popularity_policy = popularity_policy
         self.rank_threshold = rank_threshold
         self.popularity_budget = popularity_budget
@@ -67,20 +63,17 @@ class RewardScheme(Contract):
     def reward_publish(self, ctx: CallContext, creator: str) -> int:
         """Mint the flat publish reward to ``creator`` (admin only)."""
         self._only_admin(ctx)
-        if self.publish_reward <= 0:
-            return 0
-        self.call_contract("honey", "mint", self._as_self(ctx), to=creator, amount=self.publish_reward)
-        self.emit("PublishRewarded", creator=creator, amount=self.publish_reward)
-        return self.publish_reward
+        self.call_contract("honey", "mint", self._as_self(ctx), to=creator, amount=PUBLISH_REWARD)
+        self.emit("PublishRewarded", creator=creator, amount=PUBLISH_REWARD)
+        return PUBLISH_REWARD
 
     def reward_task(self, ctx: CallContext, worker: str, task_type: str) -> int:
         """Mint the per-task reward to ``worker`` and record the task (admin only)."""
         self._only_admin(ctx)
-        if self.task_reward > 0:
-            self.call_contract("honey", "mint", self._as_self(ctx), to=worker, amount=self.task_reward)
+        self.call_contract("honey", "mint", self._as_self(ctx), to=worker, amount=TASK_REWARD)
         self.call_contract("workers", "record_task", self._as_self(ctx), worker=worker, task_type=task_type)
-        self.emit("TaskRewarded", worker=worker, task_type=task_type, amount=self.task_reward)
-        return self.task_reward
+        self.emit("TaskRewarded", worker=worker, task_type=task_type, amount=TASK_REWARD)
+        return TASK_REWARD
 
     def reward_popularity(self, ctx: CallContext, owner_ranks: Dict[str, float]) -> Dict[str, int]:
         """Distribute the popularity budget over content owners by page rank.

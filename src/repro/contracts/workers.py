@@ -6,6 +6,11 @@ from typing import Any, Dict, List
 
 from repro.chain.vm import CallContext, Contract
 
+# The least a worker bee may stake to register (and keep to stay active).
+MIN_WORKER_STAKE = 1_000
+# What each worker bee stakes, and what a rejected rank answer forfeits.
+WORKER_STAKE = 2_000
+
 
 class WorkerRegistry(Contract):
     """On-chain roster of worker bees.
@@ -23,10 +28,9 @@ class WorkerRegistry(Contract):
 
     name = "workers"
 
-    def __init__(self, admin: str, min_stake: int = 1_000) -> None:
+    def __init__(self, admin: str) -> None:
         super().__init__()
         self._admin = admin
-        self.min_stake = min_stake
 
     def _workers(self) -> Dict[str, Dict[str, Any]]:
         return self.storage.setdefault("workers", {})
@@ -35,7 +39,7 @@ class WorkerRegistry(Contract):
 
     def register(self, ctx: CallContext) -> Dict[str, Any]:
         """Register the sender as a worker bee, staking the attached value."""
-        self.require(ctx.value >= self.min_stake, f"stake of at least {self.min_stake} required")
+        self.require(ctx.value >= MIN_WORKER_STAKE, f"stake of at least {MIN_WORKER_STAKE} required")
         workers = self._workers()
         self.require(ctx.sender not in workers or not workers[ctx.sender]["active"],
                      f"{ctx.sender} is already registered")
@@ -86,7 +90,7 @@ class WorkerRegistry(Contract):
         if penalty > 0:
             # Slashed funds go to the admin (protocol treasury).
             self.state.transfer(self._escrow_address(), self._admin, penalty)
-        if record["stake"] < self.min_stake:
+        if record["stake"] < MIN_WORKER_STAKE:
             record["active"] = False
         self.emit("WorkerSlashed", worker=worker, amount=penalty, reason=reason)
         return penalty

@@ -58,8 +58,6 @@ class QueenBeeConfig:
     # on the fetch path — the ablation that quantifies what an omniscient
     # membership view would buy.
     failure_detector: bool = True
-    # Net failures before a peer is suspected (avoided by routing).
-    detector_threshold: int = 3
 
     # DHT
     dht_k: int = 8
@@ -119,27 +117,15 @@ class QueenBeeConfig:
     gossip_interval: float = 500.0
 
     # Ranking
-    rank_redundancy: int = 3
-    rank_damping: float = 0.85
     rank_max_iterations: int = 30
 
     # Chain / incentives
-    min_worker_stake: int = 1_000
-    publish_reward: int = 10
-    task_reward: int = 5
     popularity_policy: str = "threshold"
     rank_threshold: float = 0.001
     popularity_budget: int = 10_000
-    creator_share: float = 0.6
-    worker_share: float = 0.3
-    treasury_share: float = 0.1
     dedup_enabled: bool = True
-    creator_funding: int = 10**9
-    worker_funding: int = 10**7
-    worker_stake: int = 2_000
 
     # Frontend
-    max_ads: int = 2
     # Capacity (in pages) of the frontend's top-k result cache, keyed by
     # (normalized query, term generations, rank version, stats version).
     # 0 (default) disables it: the cache is opt-in because its key tracks
@@ -186,8 +172,6 @@ class QueenBeeConfig:
             raise ValueError("retry_backoff must be non-negative")
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ValueError("retry_jitter must be in [0, 1]")
-        if self.detector_threshold < 1:
-            raise ValueError("detector_threshold must be at least 1")
         if self.posting_cache_capacity < 0:
             raise ValueError("posting_cache_capacity must be non-negative")
         if self.index_shard_size < 0:
@@ -210,10 +194,6 @@ class QueenBeeConfig:
             raise ValueError("storage_replication must be at least 1")
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown storage_backend {self.storage_backend!r}")
-        if self.rank_redundancy < 1:
-            raise ValueError("rank_redundancy must be at least 1")
-        if self.worker_stake < self.min_worker_stake:
-            raise ValueError("worker_stake must cover min_worker_stake")
 
 
 # The registry: one name per declared field, nothing written twice.

@@ -15,13 +15,15 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.chain.blockchain import Blockchain
-from repro.contracts.queenbee import QueenBeeContracts
+from repro.contracts.queenbee import CREATOR_FUNDING, WORKER_FUNDING, QueenBeeContracts
+from repro.contracts.workers import WORKER_STAKE
 from repro.core.config import QueenBeeConfig
 from repro.core.directory import DocumentDirectory
 from repro.core.freshness import FreshnessTracker
 from repro.core.publisher import ContentPublisher, PublishReceipt
 from repro.core.worker import WorkerBee
 from repro.dht.dht import DHTNetwork
+from repro.errors import ContractError
 from repro.index.analysis import Analyzer
 from repro.index.cache import PostingCache
 from repro.index.directory import TermDirectory
@@ -46,6 +48,7 @@ from repro.net.detector import FailureDetector
 from repro.net.latency import LogNormalLatency
 from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.ranking.distributed import (
+    DEFAULT_REDUNDANCY,
     DecentralizedPageRank,
     RANK_BANDS_DHT_KEY,
     RANK_DELTA_BANDS,
@@ -189,11 +192,7 @@ class QueenBeeEngine:
         # observes and replaces the is_online oracle on the fetch/routing
         # path.  On a healthy network it never suspects anyone, so wiring
         # it by default keeps the happy path bit-identical.
-        self.detector = (
-            FailureDetector(self.simulator, suspicion_threshold=cfg.detector_threshold)
-            if cfg.failure_detector
-            else None
-        )
+        self.detector = FailureDetector(self.simulator) if cfg.failure_detector else None
         self.network = SimulatedNetwork(
             self.simulator,
             latency=LogNormalLatency(median=cfg.latency_median, sigma=cfg.latency_sigma),
@@ -217,15 +216,9 @@ class QueenBeeEngine:
         self.contracts = QueenBeeContracts.deploy(
             self.chain,
             dedup_enabled=cfg.dedup_enabled,
-            min_stake=cfg.min_worker_stake,
-            publish_reward=cfg.publish_reward,
-            task_reward=cfg.task_reward,
             popularity_policy=cfg.popularity_policy,
             rank_threshold=cfg.rank_threshold,
             popularity_budget=cfg.popularity_budget,
-            creator_share=cfg.creator_share,
-            worker_share=cfg.worker_share,
-            treasury_share=cfg.treasury_share,
         )
 
         self.analyzer = Analyzer()
@@ -314,8 +307,10 @@ class QueenBeeEngine:
         self.workers: List[WorkerBee] = []
         for i in range(cfg.worker_count):
             worker_account = f"worker-{i:03d}"
-            self.chain.fund_account(worker_account, cfg.worker_funding)
-            self.contracts.register_worker(worker_account, cfg.worker_stake)
+            self.chain.fund_account(worker_account, WORKER_FUNDING)
+            # A worker without a stake could not be slashed for a bad answer.
+            if not self.contracts.register_worker(worker_account, WORKER_STAKE):
+                raise ContractError(f"worker registry refused {worker_account}'s stake")
             self.workers.append(
                 WorkerBee(
                     address=worker_account,
@@ -323,7 +318,6 @@ class QueenBeeEngine:
                     directory=self.directory,
                     analyzer=self.analyzer,
                     storage_peer=f"{self.peer_ids[i]}:store",
-                    damping=cfg.rank_damping,
                     term_directory=self.term_directory,
                 )
             )
@@ -335,7 +329,7 @@ class QueenBeeEngine:
         """The (lazily created and funded) publisher device of ``owner``."""
         publisher = self._publishers.get(owner)
         if publisher is None:
-            self.chain.fund_account(owner, self.config.creator_funding)
+            self.chain.fund_account(owner, CREATOR_FUNDING)
             storage_peer = self._rng.choice(self.storage.peer_addresses())
             publisher = ContentPublisher(owner, self.storage, self.contracts, storage_peer=storage_peer)
             self._publishers[owner] = publisher
@@ -461,15 +455,13 @@ class QueenBeeEngine:
 
     # -- ranking ---------------------------------------------------------------------
 
-    def compute_page_ranks(self, redundancy: Optional[int] = None) -> PageRankResult:
+    def compute_page_ranks(self, redundancy: int = DEFAULT_REDUNDANCY) -> PageRankResult:
         """One decentralized PageRank round: compute, publish, reward, slash."""
-        cfg = self.config
         worker_fns = {worker.address: worker.rank_worker_fn() for worker in self.workers}
         coordinator = DecentralizedPageRank(
             workers=worker_fns,
-            damping=cfg.rank_damping,
-            redundancy=redundancy if redundancy is not None else cfg.rank_redundancy,
-            max_iterations=cfg.rank_max_iterations,
+            redundancy=redundancy,
+            max_iterations=self.config.rank_max_iterations,
             rng=self.simulator.fork_rng("rank-round"),
         )
         result = coordinator.compute(self.link_graph)
@@ -507,7 +499,7 @@ class QueenBeeEngine:
         for worker in self.workers:
             self.contracts.reward_worker_task(worker.address, "rank")
         for dissenting in coordinator.dissenting_workers():
-            self.contracts.slash_worker(dissenting, self.config.worker_stake, "rank result rejected by vote")
+            self.contracts.slash_worker(dissenting, WORKER_STAKE, "rank result rejected by vote")
             self.stats.workers_slashed += 1
 
         self.last_popularity_payouts = self.contracts.distribute_popularity_rewards(
@@ -639,7 +631,6 @@ class QueenBeeEngine:
             ad_provider=self.contracts.ads_for,
             analyzer=Analyzer(),
             statistics=None,
-            max_ads=cfg.max_ads,
             requester=requester,
             shard_size_hint=cfg.index_shard_size,
             metadata_view=view,

@@ -57,7 +57,6 @@ class WorkerBee:
         directory: DocumentDirectory,
         analyzer: Optional[Analyzer] = None,
         storage_peer: Optional[str] = None,
-        damping: float = 0.85,
         index_tamper: Optional[Callable[[str, PostingList], PostingList]] = None,
         rank_tamper: Optional[Callable[[RankTask, RankContribution], RankContribution]] = None,
         term_directory: Optional[TermDirectory] = None,
@@ -67,7 +66,6 @@ class WorkerBee:
         self.directory = directory
         self.analyzer = analyzer or Analyzer()
         self.storage_peer = storage_peer
-        self.damping = damping
         self.index_tamper = index_tamper
         self.rank_tamper = rank_tamper
         # Workers sharing a DHT share directory state by construction, so a
@@ -247,7 +245,7 @@ class WorkerBee:
         """The callable the decentralized PageRank coordinator invokes."""
 
         def run(task: RankTask) -> RankContribution:
-            contribution = compute_honest_contribution(task, damping=self.damping)
+            contribution = compute_honest_contribution(task)
             if self.rank_tamper is not None:
                 contribution = self.rank_tamper(task, contribution)
             self.rank_tasks_completed += 1

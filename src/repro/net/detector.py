@@ -34,6 +34,9 @@ from typing import Dict, List
 
 from repro.sim.simulator import Simulator
 
+# Failures (net of decay) before a peer is suspected.
+DEFAULT_SUSPICION_THRESHOLD = 3
+
 
 @dataclass
 class DetectorStats:
@@ -70,7 +73,7 @@ class FailureDetector:
     def __init__(
         self,
         simulator: Simulator,
-        suspicion_threshold: int = 3,
+        suspicion_threshold: int = DEFAULT_SUSPICION_THRESHOLD,
         probe_after: float = 2000.0,
     ) -> None:
         if suspicion_threshold < 1:

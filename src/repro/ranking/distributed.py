@@ -36,6 +36,10 @@ from repro.ranking.graph import LinkGraph
 from repro.ranking.pagerank import DEFAULT_DAMPING, PageRankResult
 from repro.storage.cid import compute_cid
 
+# Workers assigned to each rank task: the collusion defence's default (E6
+# sweeps it per round).
+DEFAULT_REDUNDANCY = 3
+
 
 @dataclass
 class RankTask:
@@ -139,7 +143,7 @@ class DecentralizedPageRank:
         workers: Dict[str, RankWorkerFn],
         damping: float = DEFAULT_DAMPING,
         partitions: Optional[int] = None,
-        redundancy: int = 3,
+        redundancy: int = DEFAULT_REDUNDANCY,
         tolerance: float = 1e-6,
         max_iterations: int = 50,
         rng: Optional[random.Random] = None,

@@ -77,6 +77,8 @@ RankProvider = Callable[[], Mapping[int, float]]
 RankVersionProvider = Callable[[], int]
 # Returns active ads for a keyword (list of dicts like AdMarket.ads_for).
 AdProvider = Callable[[str], List[Dict[str, Any]]]
+# Ad slots per page, the paper's ad model (E9).
+MAX_ADS = 2
 
 @dataclass
 class FrontendOptions:
@@ -189,7 +191,7 @@ class SearchFrontend:
         ad_provider: Optional[AdProvider] = None,
         analyzer: Optional[Analyzer] = None,
         statistics: Optional[CollectionStatistics] = None,
-        max_ads: int = 2,
+        max_ads: int = MAX_ADS,
         requester: Optional[str] = None,
         bm25: Optional[BM25Scorer] = None,
         combiner: Optional[CombinedScorer] = None,

@@ -35,7 +35,10 @@ DELETED_KNOBS = (
     "detector_probe_after", "gossip_fanout", "rank_tolerance", "rank_delta_bands",
     "result_cache_loose_keys", "cache_validation", "overlapped_prefetch",
     "publish_rank_ceilings", "execution_mode", "planning_strategy", "block_interval",
-    "delta_max_ratio", "metadata_plane", "loss_rate", "chunk_size",
+    "delta_max_ratio", "metadata_plane", "loss_rate", "chunk_size", "detector_threshold",
+    "rank_redundancy", "rank_damping", "min_worker_stake", "worker_stake", "publish_reward",
+    "task_reward", "creator_share", "worker_share", "treasury_share", "creator_funding",
+    "worker_funding", "max_ads",
 )
 
 

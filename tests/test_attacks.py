@@ -9,6 +9,8 @@ from repro.attacks.collusion import CollusionAttack
 from repro.attacks.defenses import DefenseEvaluation, success_rate_by_redundancy
 from repro.attacks.scraper import ScraperAttack
 from repro.attacks.sybil import SybilAttack
+from repro.contracts.rewards import PUBLISH_REWARD
+from repro.contracts.workers import WORKER_STAKE
 
 from tests.conftest import make_small_engine
 
@@ -95,7 +97,7 @@ class TestScraperAttack:
         attack = ScraperAttack(engine, mirror_count=5, perturb=True)
         outcome = attack.run(recompute_ranks=True)
         assert outcome.pages_accepted == 5
-        assert outcome.publish_honey_earned == 5 * engine.config.publish_reward
+        assert outcome.publish_honey_earned == 5 * PUBLISH_REWARD
         # Mirrors have no in-links, so the scraper should not capture the
         # popularity rewards of the originals.
         victim_total = sum(outcome.victim_honey.values())
@@ -108,7 +110,7 @@ class TestScraperAttack:
         attack = ScraperAttack(engine, mirror_count=3, perturb=False)
         outcome = attack.run(recompute_ranks=False)
         assert outcome.pages_accepted == 3
-        assert outcome.publish_honey_earned == 3 * engine.config.publish_reward
+        assert outcome.publish_honey_earned == 3 * PUBLISH_REWARD
 
     def test_invalid_mirror_count_rejected(self, corpus):
         engine = attacked_engine(corpus, seed=40)
@@ -132,7 +134,7 @@ class TestSybilAttack:
         attack = SybilAttack(engine, identity_count=5, target_doc_id=target, boost=0.2)
         outcome = attack.run(redundancy=1)
         assert outcome.collusion is not None
-        assert outcome.stake_committed == 5 * engine.config.worker_stake
+        assert outcome.stake_committed == 5 * WORKER_STAKE
         # With redundancy 1 nothing is cross-checked, so nothing is slashed.
         assert outcome.stake_lost == 0
 

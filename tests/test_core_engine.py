@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
+from repro.contracts.queenbee import QueenBeeContracts
 from repro.core.config import KNOB_NAMES, QueenBeeConfig, UnknownConfigKnobError
 from repro.core.directory import DocumentDirectory
 from repro.core.publisher import ContentPublisher
 from repro.core.worker import WorkerBee
+from repro.errors import ContractError
 from repro.index.analysis import Analyzer
 from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
@@ -31,8 +33,6 @@ class TestConfigValidation:
         {"worker_count": 100, "peer_count": 10},
         {"dht_k": 0},
         {"storage_replication": 0},
-        {"rank_redundancy": 0},
-        {"worker_stake": 10, "min_worker_stake": 1_000},
     ])
     def test_invalid_configs_rejected(self, overrides):
         config = QueenBeeConfig()
@@ -40,6 +40,13 @@ class TestConfigValidation:
             setattr(config, key, value)
         with pytest.raises(ValueError):
             config.validate()
+
+    def test_refused_worker_registration_raises(self, monkeypatch):
+        # A recruited worker whose stake the registry refuses holds nothing
+        # slashing could take, so the deployment must not start with it.
+        monkeypatch.setattr(QueenBeeContracts, "register_worker", lambda *args: False)
+        with pytest.raises(ContractError, match="worker-000"):
+            make_small_engine()
 
     def test_benchmark_build_engine_rejects_misspelt_knob(self):
         from benchmarks.common import build_engine

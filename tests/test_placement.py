@@ -219,13 +219,13 @@ class TestRoutingAndRepair:
         # that just died stays hinted until this node *observes* failures.
         engine.network.set_offline(providers[-1])
         assert providers[-1] in engine.index._route_providers(info)
-        for _ in range(engine.config.detector_threshold):
+        for _ in range(engine.detector.suspicion_threshold):
             engine.detector.record_failure(providers[-1])
         assert providers[-1] not in engine.index._route_providers(info)
         # Everyone suspected disables the hint entirely (the fetch path
         # then falls back to the raw provider record).
         for provider in providers:
-            for _ in range(engine.config.detector_threshold):
+            for _ in range(engine.detector.suspicion_threshold):
                 engine.detector.record_failure(provider)
         assert engine.index._route_providers(info) is None
 
