@@ -88,8 +88,9 @@ TRACKED: Dict[str, object] = {
                 "dht rounds/lookup": 1.0,
             },
             "higher_metrics": {
-                # Simulated build throughput: a bootstrap that publishes its
-                # terms one after another again falls to a fraction of it.
+                # Simulated build throughput: a bootstrap that stores its pages
+                # or publishes its terms one after another again falls to a
+                # fraction of it.
                 "build docs/s (sim)": 0.05,
             },
         },

@@ -165,14 +165,23 @@ class Blockchain:
         return self.blocks[-1].block_hash if self.blocks else GENESIS_HASH
 
     def produce_block(self, max_transactions: Optional[int] = None) -> ChainBlock:
-        """Execute pending transactions (in submission order) into a new block."""
+        """Execute pending transactions (in submission order) into a new block.
+
+        The block, and its transactions' ``block_time``, is stamped with the
+        simulated time, but never before its parent: a call from a
+        parallel-region branch runs on a clock rewound to the region's start,
+        which may be earlier than a block a sibling branch already produced.
+        """
         number = self.height
+        timestamp = self.simulator.now
+        if self.blocks:
+            timestamp = max(timestamp, self.blocks[-1].timestamp)
         producer = self.schedule.producer_for(number)
         batch = self.pending if max_transactions is None else self.pending[:max_transactions]
         remaining = [] if max_transactions is None else self.pending[max_transactions:]
         executed: List[Transaction] = []
         for tx in batch:
-            receipt = self._execute(tx, number, producer)
+            receipt = self._execute(tx, number, producer, timestamp)
             self.receipts[tx.tx_id] = receipt
             executed.append(tx)
         self.pending = remaining
@@ -180,7 +189,7 @@ class Blockchain:
             number=number,
             previous_hash=self.head_hash,
             producer=producer,
-            timestamp=self.simulator.now,
+            timestamp=timestamp,
             transactions=tuple(executed),
         )
         self.blocks.append(block)
@@ -234,13 +243,15 @@ class Blockchain:
     def _pending_count(self, sender: str) -> int:
         return sum(1 for tx in self.pending if tx.sender == sender)
 
-    def _execute(self, tx: Transaction, block_number: int, producer: str) -> ExecutionReceipt:
+    def _execute(
+        self, tx: Transaction, block_number: int, producer: str, block_time: float
+    ) -> ExecutionReceipt:
         fee = fee_for(tx)
         ctx = CallContext(
             sender=tx.sender,
             value=tx.value,
             block_number=block_number,
-            block_time=self.simulator.now,
+            block_time=block_time,
             tx_id=tx.tx_id,
         )
         # Fee and nonce are consumed whether or not the call reverts, as on

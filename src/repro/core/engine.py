@@ -9,6 +9,7 @@ storage), the smart contracts, the worker bees, and the search frontend.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -367,35 +368,41 @@ class QueenBeeEngine:
     def bootstrap_corpus(self, documents: Iterable[Document]) -> int:
         """Efficiently load an initial corpus that predates the measurement window.
 
-        The bootstrap path batches index construction: pages are stored and
-        registered one after another (so contract state and honey flows are
-        real), and each page's two directory records are written side by side
-        (:meth:`WorkerBee.publish_records`).  Posting lists are built locally by
-        the worker bees' analyzer and published once per term instead of once
-        per term per document: every term in one parallel region, spread across
-        the workers, so the build waits for its slowest term, not their sum.
-        The workers are rewarded after the region, in term order.  Freshness is
-        not tracked for bootstrapped pages.
+        Creators publish on their own, so every page is one branch of one
+        parallel region, in corpus order: its publisher stores and registers
+        it (contract state and honey flows are real; a page the dedup defense
+        rejects stops there), and a worker bee writes its two directory records
+        side by side (:meth:`WorkerBee.publish_records`).  Posting lists are
+        built locally by the worker bees' analyzer and published once per term
+        instead of once per term per document: after every page is registered,
+        every term in a second region, spread across the workers, beside the
+        collection statistics.  So the build waits for its slowest page and then
+        its slowest term, not their sums.  The workers are rewarded after the
+        terms, in term order.  Freshness is not tracked for bootstrapped pages.
         """
-        documents = list(documents)
         local = LocalInvertedIndex(self.analyzer)
-        worker_cycle = 0
-        for document in documents:
-            publisher = self.publisher_for(document.owner)
-            receipt = publisher.publish(document)
-            if not receipt.accepted:
-                self.stats.publishes_rejected += 1
-                continue
-            frequencies = local.add_document(document)
-            worker = self.workers[worker_cycle % len(self.workers)]
-            worker_cycle += 1
-            # Directory records are published even on the batch path, so the
-            # first post-bootstrap update of any page can diff against its
-            # bootstrapped term vector regardless of which worker handles it.
-            worker.publish_records(document, receipt.cid, frequencies, prior_version=0)
-            self.statistics.add_document(document.doc_id, document.length, frequencies)
-            self._register_ground_truth(document)
-            self.stats.documents_published += 1
+        page_workers = itertools.cycle(self.workers)
+
+        def page_thunk(document: Document):
+            def publish_page() -> None:
+                receipt = self.publisher_for(document.owner).publish(document)
+                if not receipt.accepted:
+                    self.stats.publishes_rejected += 1
+                    return
+                frequencies = local.add_document(document)
+                # Directory records are published even on the batch path, so the
+                # first post-bootstrap update of any page can diff against its
+                # bootstrapped term vector regardless of which worker handles it.
+                next(page_workers).publish_records(
+                    document, receipt.cid, frequencies, prior_version=0
+                )
+                self.statistics.add_document(document.doc_id, document.length, frequencies)
+                self._register_ground_truth(document)
+                self.stats.documents_published += 1
+
+            return publish_page
+
+        self.simulator.parallel_region([page_thunk(document) for document in documents])
 
         def publish_thunk(term: str, worker: WorkerBee):
             return lambda: self.index.publish_term(
@@ -406,10 +413,10 @@ class QueenBeeEngine:
         term_workers = [self.workers[i % len(self.workers)] for i in range(len(terms))]
         self.simulator.parallel_region(
             [publish_thunk(term, worker) for term, worker in zip(terms, term_workers)]
+            + [self.publish_statistics]
         )
         for worker in term_workers:
             self.contracts.reward_worker_task(worker.address, "index")
-        self.publish_statistics()
         return local.document_count
 
     def delete_document(self, doc_id: int) -> bool:

@@ -148,8 +148,10 @@ class GossipNode:
         return self._entries.values()
 
     def digest(self) -> Dict[str, int]:
-        """``key -> version`` summary used to compare node states."""
-        return {key: entry.version for key, entry in sorted(self._entries.items())}
+        """``key -> version`` summary used to compare node states (as a dict:
+        equality ignores order, so it is built in store order, unsorted)."""
+        # repro-lint: disable=RL004 -- compared by dict equality only, which is order-free
+        return {key: entry.version for key, entry in self._entries.items()}
 
     def snapshot(self) -> Dict[str, GossipEntry]:
         """A frozen copy of the store (the batch-snapshot primitive)."""
@@ -403,9 +405,12 @@ class GossipPlane:
         a, b = self.node(src), self.node(dst)
         accepted = 0
         for source, sink in ((a, b), (b, a)):
-            sink_digest = sink.digest()
+            # The sink's versions are read in place: a put in this pass only
+            # touches the key being sent, so no later comparison sees it.
+            held = sink._entries
             for entry in list(source.entries()):
-                if entry.version > sink_digest.get(entry.key, 0):
+                current = held.get(entry.key)
+                if entry.version > (current.version if current is not None else 0):
                     self.stats.entries_sent += 1
                     if sink.put(entry.key, entry.value, entry.version):
                         accepted += 1

@@ -157,11 +157,14 @@ class Simulator:
         This mirrors :meth:`repro.net.network.SimulatedNetwork.rpc_parallel`
         but for arbitrary multi-RPC operations — a worker bee updating all of
         a page's term shards concurrently or writing a page's two directory
-        records (or tombstones) side by side, bootstrap publishing every term
-        of the corpus at once, a content add pushing to its replicas, a
-        frontend prefetching every manifest and range shard of a query batch
-        in one overlapped region, or a frontend composing a page by resolving
-        its top-k records at once.
+        records (or tombstones) side by side, bootstrap storing, registering
+        and recording every page of the corpus at once and then publishing
+        every term (beside the collection statistics) at once, a content add
+        pushing to its replicas, a frontend prefetching every manifest and
+        range shard of a query batch in one overlapped region, or a frontend
+        composing a page by resolving its top-k records at once.  A branch
+        that calls the chain gets a block no earlier than the chain's head
+        (:meth:`repro.chain.blockchain.Blockchain.produce_block`).
         Regions nest: a branch may open its own inner region (the inner
         region's cost collapses to its slowest branch, which then counts
         toward the outer branch's duration).

@@ -32,6 +32,9 @@ class Counter(Contract):
     def value(self, ctx: CallContext) -> int:
         return self.storage.get("value", 0)
 
+    def block_time(self, ctx: CallContext) -> float:
+        return ctx.block_time
+
     def pay_and_increment(self, ctx: CallContext) -> int:
         self.require(ctx.value >= 10, "attach at least 10 wei")
         self.state.transfer(ctx.sender, "counter-escrow", ctx.value)
@@ -271,6 +274,25 @@ class TestBlockchain:
         for _ in range(3):
             assert chain_with_counter.call("alice", "counter", "increment").success
         assert hashed == [0, 1, 2]
+
+    def test_a_block_is_never_stamped_before_its_parent(self, chain_with_counter, simulator):
+        # A parallel-region branch runs with the clock rewound to the region's
+        # start, so a later branch's call sees an earlier clock than the block
+        # its sibling already produced.  Its block takes the parent's stamp.
+        chain = chain_with_counter
+
+        def call_after(ticks):
+            def branch():
+                simulator.clock.advance(ticks)
+                return chain.call("alice", "counter", "block_time")
+            return branch
+
+        receipts = simulator.parallel_region([call_after(100.0), call_after(10.0)])
+        parent, child = chain.blocks[-2:]
+        assert (parent.timestamp, child.timestamp) == (100.0, 100.0)
+        assert [receipt.result for receipt in receipts] == [100.0, 100.0]
+        assert chain.query("counter", "block_time") == simulator.now == 100.0
+        assert chain.verify_integrity()
 
     def test_manual_block_production_batches_pending(self, simulator):
         chain = Blockchain(simulator, auto_mine=False)

@@ -245,6 +245,28 @@ def _ticks(engine, operation):
     return engine.simulator.now - start
 
 
+def _queries(documents):
+    queries = [" ".join(doc.text.split()[:2]) for doc in documents[:4]]
+    return queries + [max(doc.text.split(), key=len) for doc in documents[4:8]]
+
+
+def _served_pages(engine, queries):
+    """Rank, converge and serve ``queries`` from a remote frontend, checking each
+    page against the exhaustive reference; returns the pages' doc ids."""
+    engine.compute_page_ranks()
+    engine.converge_metadata()
+    frontend = engine.create_frontend(requester="peer-001:store")
+    pages = []
+    for query in queries:
+        page = frontend.search(query)
+        assert [(hit.doc_id, hit.score) for hit in page.results] == frontend_reference(
+            frontend, query
+        )
+        pages.append(page.doc_ids)
+    assert any(pages)
+    return pages
+
+
 class TestConcurrentWritePath:
     """The worker-side writes that read nothing of each other run in one region.
 
@@ -277,6 +299,64 @@ class TestConcurrentWritePath:
             pages.append([page.doc_ids for page in served])
         assert any(pages[1])
         assert pages[1] == pages[0]
+
+    @pytest.mark.parametrize("slowed", ["page-stores", "record-pairs"])
+    def test_bootstrap_charges_slow_page_writes_once(self, small_corpus, slowed):
+        # Every page's store (content add and registration) or every page's
+        # record pair is slowed: the pages are one region, so once, not per page.
+        documents = small_corpus.documents[:12]
+        plain, slow = make_small_engine(seed=30), make_small_engine(seed=30)
+        calls = []
+        if slowed == "page-stores":
+            publisher_for = slow.publisher_for
+
+            def slowed_publisher_for(owner):
+                publisher = publisher_for(owner)
+                if "publish" not in vars(publisher):
+                    _slowed(slow, publisher, "publish", calls)
+                return publisher
+
+            slow.publisher_for = slowed_publisher_for
+        else:
+            for worker in slow.workers:
+                _slowed(slow, worker, "publish_records", calls)
+        plain_ticks = _ticks(plain, lambda: plain.bootstrap_corpus(documents))
+        slow_ticks = _ticks(slow, lambda: slow.bootstrap_corpus(documents))
+        assert len(calls) == len(documents)
+        assert slow_ticks - plain_ticks == pytest.approx(SLOW_WRITE)
+        queries = _queries(documents)
+        assert _served_pages(slow, queries) == _served_pages(plain, queries)
+
+    def test_mirrored_pages_in_one_bootstrap_keep_the_first(self, small_corpus):
+        # The dedup decision follows corpus order inside the page region: the
+        # original is registered and indexed, its later mirror is neither.
+        engine = make_small_engine(seed=31)
+        documents = small_corpus.documents[:12]
+        original = documents[3]
+        mirror = Document(doc_id=555, url="dweb://scraper/mirror", title=original.title,
+                          text=original.text, owner="scraper")
+        assert engine.bootstrap_corpus(documents[:6] + [mirror] + documents[6:]) == 12
+        assert engine.stats.publishes_rejected == 1
+        assert engine.stats.documents_published == 12
+        assert engine.term_directory.fetch(mirror.doc_id) is None
+        assert engine.directory.resolve(mirror.doc_id) == {}
+        assert engine.term_directory.fetch(original.doc_id).version == 1
+        terms = {term for doc in documents for term in engine.analyzer.unique_terms(doc.text)}
+        posted = set()
+        for term in sorted(terms):
+            doc_ids = engine.index.fetch_term(term, use_cache=False).doc_ids
+            assert mirror.doc_id not in doc_ids
+            posted.update(doc_ids)
+        assert posted == {doc.doc_id for doc in documents}
+        queries = _queries(documents) + [" ".join(original.text.split()[:2])]
+        assert any(original.doc_id in page for page in _served_pages(engine, queries))
+
+    def test_block_timestamps_never_decrease_across_a_bootstrap(self, small_corpus):
+        engine = make_small_engine(seed=32)
+        engine.bootstrap_corpus(small_corpus.documents[:12])
+        stamps = [block.timestamp for block in engine.chain.blocks]
+        assert stamps == sorted(stamps)
+        assert engine.chain.verify_integrity()
 
     def test_index_document_charges_its_two_slow_records_once(self, small_corpus):
         plain, slow = make_small_engine(seed=27), make_small_engine(seed=27)

@@ -442,14 +442,32 @@ class TestEndToEndRaceSmokes:
         assert [r.score for r in pages[2].results] == [r.score for r in pages[0].results]
 
     def test_write_path_is_race_free(self, small_corpus):
-        # Bootstrap publishes its terms side by side, every publish, update
-        # and delete writes a document's two records side by side, and every
+        # Bootstrap stores, registers and records its pages side by side and
+        # then publishes its terms side by side, every publish, update and
+        # delete writes a document's two records side by side, and every
         # content add pushes to its replicas side by side.
         engine = make_small_engine(seed=53, index_shard_size=8)
         documents = small_corpus.documents
+        outer_regions = []  # branch counts of the regions bootstrap itself opens
+        parallel_region = engine.simulator.parallel_region
+        depth = 0
+
+        def recording_region(thunks):
+            nonlocal depth
+            thunks = list(thunks)
+            if depth == 0:
+                outer_regions.append(len(thunks))
+            depth += 1
+            try:
+                return parallel_region(thunks)
+            finally:
+                depth -= 1
+
+        engine.simulator.parallel_region = recording_region
         with SharedStateMonitor() as monitor:
             engine.bootstrap_corpus(documents[:40])
             bootstrap_regions = monitor.regions_checked
+            engine.simulator.parallel_region = parallel_region
             engine.publish_document(documents[40])
             engine.publish_document(
                 documents[0].updated(text="revised honey text", published_at=engine.simulator.now)
@@ -458,7 +476,10 @@ class TestEndToEndRaceSmokes:
             before_add = monitor.regions_checked
             engine.storage.add_bytes(b"honey " * 40)
             add_regions = monitor.regions_checked - before_add
-        assert bootstrap_regions > 0
+        # The page region (one branch per page) and the term region (one per
+        # term, plus the statistics) both ran under the monitor.
+        assert len(outer_regions) == 2 and outer_regions[0] == 40
+        assert bootstrap_regions > 2
         assert monitor.regions_checked > bootstrap_regions
         assert add_regions == 1
         assert monitor.conflicts == [], monitor.report()
