@@ -9,33 +9,33 @@ This bench sweeps corpus size and overlay size and reports DHT lookup hops
 (each lookup's longest reply chain) per term resolution, bytes fetched per
 query, the *largest single content
 fetch* (the load any one serving peer must bear), total index bytes, and
-index build throughput.  The compression ablation quantifies the delta+varint
-posting codec against raw lists; the sharding rows show that doc-id-range
-shards cap the largest fetch near the shard payload size while the unsharded
-layout's heaviest fetch keeps growing with the corpus.
+index build throughput.  Posting lists always travel in the delta+varint
+codec.  The sharding rows show that doc-id-range shards cap the largest
+fetch near the shard payload size while the unsharded layout's heaviest
+fetch keeps growing with the corpus.
 
-The **placement rows** finish that load-spreading story: sharding splits a
-head term across shard *keys*, but an unsteered publish pins every shard on
-the publishing peer — the "max shards/provider" column shows the heaviest
-term's whole shard set concentrated on one provider.  With provider-record-
-aware placement on, the same column must fall to at most the anti-affinity
-bound ``ceil(shards/replication)`` (and in a healthy overlay to ~1), while
-the returned top-k pages stay bit-identical.
+Every row runs with provider-record-aware placement, which finishes that
+load-spreading story: sharding splits a head term across shard *keys*, and
+placement spreads those shards over the overlay.  The "max shards/provider"
+column — the heaviest term's provider concentration — must stay at or below
+the anti-affinity bound ``ceil(shards/replication)`` (in a healthy overlay,
+~1), and every page must equal the exhaustive reference
+(``tests/reference.py:frontend_reference``).
 
 The **backend rows** scale the corpus to 10k documents on the pluggable
 storage backends: the same build and query workload runs on the in-memory
 and the on-disk (sqlite) block stores, and the top-k pages must match
 exactly — the on-disk medium is sim-invisible.
 
-The **update rows** measure the bytes-on-the-wire cost of keeping a warm
-reader current through incremental update rounds: with delta publication on,
-a superseded cached shard costs one patch fetch (bounded at half the shard
-payload by ``delta_max_ratio``) instead of a wholesale shard refetch, so the
-per-round refetch bytes must at least halve versus the
-``delta_publication=False`` ablation.  Results are also written to
-``BENCH_E4.json`` for PR-over-PR tracking; ``E4_SMOKE=1`` runs a tiny
-configuration asserting the placement invariant and both top-k identities
-(the CI smoke job).
+The **update row** measures the bytes-on-the-wire cost of keeping a warm
+reader current through incremental update rounds: a superseded cached shard
+costs one patch fetch (bounded at half the shard payload by
+``delta_max_ratio``) instead of a wholesale shard refetch, so each round
+must move at most half the bytes of the full shard the reader warmed up
+with.  Results are also written to ``BENCH_E4.json``, which
+``compare_bench.py`` gates; ``E4_SMOKE=1`` runs a tiny configuration asserting the placement
+invariant, the reference pages and the sqlite ≡ memory identity (the CI
+smoke job).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from benchmarks.common import (
     print_table,
     write_bench_json,
 )
+from tests.reference import frontend_reference
 
 SMOKE = bool(os.environ.get("E4_SMOKE"))
 SWEEP = (
@@ -75,7 +76,7 @@ SHARD_SIZE = 16 if SMOKE else 64
 BACKEND_POINT = (90, 12) if SMOKE else (10_000, 16)  # (documents, peers)
 BACKEND_SHARD_SIZE = 16 if SMOKE else 256
 # The update-round section: incremental text-only updates against a warm
-# publisher-side posting cache, delta publication on vs off.
+# reader's posting cache.
 UPDATE_ROUNDS = 4 if SMOKE else 10
 
 
@@ -102,16 +103,13 @@ def _heaviest_term_load(engine, local: LocalInvertedIndex) -> Tuple[str, int, in
 def _row(
     doc_count: int,
     peer_count: int,
-    compress: bool,
     shard_size: int = 0,
-    placement: bool = False,
     backend: str = "memory",
 ) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
     corpus = build_corpus(doc_count, seed=900 + doc_count)
     queries = build_queries(corpus, QUERY_COUNT, seed=doc_count)
     engine = build_engine(peer_count=peer_count, worker_count=max(4, peer_count // 8),
-                          compress_index=compress, index_shard_size=shard_size,
-                          index_placement=placement, seed=900 + doc_count,
+                          index_shard_size=shard_size, seed=900 + doc_count,
                           storage_backend=backend)
     wall_start = engine.simulator.now
     engine.bootstrap_corpus(corpus.documents)
@@ -144,9 +142,10 @@ def _row(
     row = {
         "documents": doc_count,
         "peers": peer_count,
-        "codec": "delta+varint" if compress else "raw",
+        # Constant columns: they name the row in compare_bench's identity.
+        "codec": "delta+varint",
         "shard size": shard_size or "-",
-        "placement": "on" if placement else "off",
+        "placement": "on",
         "backend": backend,
         "dht rounds/lookup": mean_rounds,
         "bytes/term fetch": sum(per_fetch) / len(per_fetch),
@@ -155,9 +154,16 @@ def _row(
         "head shards": head_shards,
         "max shards/provider": head_max_load,
         "aa bound": math.ceil(head_shards / replication) if shard_size else "-",
-        "index size (KiB)": local.index_size_bytes(compressed=compress) / 1024.0,
+        "index size (KiB)": local.index_size_bytes() / 1024.0,
         "build docs/s (sim)": doc_count / (build_time / 1000.0) if build_time else 0.0,
     }
+    # Checked last: the reference reads every posting of each query term,
+    # which must not leak into any measured column.
+    for query, page in zip(queries, top_k):
+        assert page == frontend_reference(frontend, query), (
+            f"a page differs from the exhaustive reference at ({doc_count}, {peer_count}, "
+            f"shard size {shard_size or '-'}, {backend}): {query!r}"
+        )
     engine.storage.close()
     return row, top_k
 
@@ -198,33 +204,31 @@ class _SharedEpochFeed:
         pass
 
 
-def _update_row(delta_on: bool) -> Dict[str, object]:
-    """Refetch bytes per update round with delta publication on or off.
+def _update_row() -> Tuple[Dict[str, object], int]:
+    """Refetch bytes per update round, and the bytes of the full shard.
 
     A separate warm reader index (own posting cache — the publish path's
     own merge fetches must not pollute the measurement) holds the head
     term's postings; each round a text-only update bumps that term's
     posting (one more occurrence of the word), superseding the cached
     entry.  The measured quantity is the content bytes the reader moves to
-    get current again — one patch with the delta channel, the full artifact
-    without — with manifest bytes (identical in both configurations) broken
-    out separately.
+    get current again — one patch — with manifest bytes broken out
+    separately.  The second value is the full shard payload the warm-up
+    fetched: what a wholesale refetch would move.
     """
     docs, peers = SWEEP[0]
     corpus = build_corpus(docs, seed=900 + docs)
     # Unsharded on purpose: the head term's whole posting list is one
-    # content object, so the wholesale-vs-patch gap is the full artifact
-    # size (the sharded rows above already bound per-shard fetch load).
+    # content object, so a wholesale refetch would move the full artifact
+    # (the sharded rows above already bound per-shard fetch load).
     engine = build_engine(peer_count=peers, worker_count=max(4, peers // 8),
-                          compress_index=True, index_shard_size=0,
-                          posting_cache_capacity=256, seed=900 + docs,
-                          delta_publication=delta_on)
+                          index_shard_size=0, posting_cache_capacity=256,
+                          seed=900 + docs)
     engine.bootstrap_corpus(corpus.documents)
     reader = DistributedIndex(
-        engine.dht, engine.storage, compress=True, cache=PostingCache(64),
+        engine.dht, engine.storage, cache=PostingCache(64),
         shard_size=0,
         epoch_feed=_SharedEpochFeed(engine.index),
-        delta_publication=delta_on,
         delta_max_ratio=engine.index.delta_max_ratio,
     )
     word = _head_word(corpus, engine.analyzer)
@@ -233,6 +237,7 @@ def _update_row(delta_on: bool) -> Dict[str, object]:
     victim = next(d for d in corpus.documents if word in d.full_text.split())
 
     stats = reader.stats
+    full_shard_bytes = stats.bytes_fetched
     before_fetch = stats.bytes_fetched
     before_manifest = stats.manifest_bytes_fetched
     for _ in range(UPDATE_ROUNDS):
@@ -245,43 +250,28 @@ def _update_row(delta_on: bool) -> Dict[str, object]:
     manifest_bytes = stats.manifest_bytes_fetched - before_manifest
     cache_stats = reader.cache.stats
     engine.storage.close()
-    return {
-        "delta publication": "on" if delta_on else "off (wholesale)",
+    row = {
+        # A constant column: it names the row in compare_bench's identity.
+        "delta publication": "on",
         "update rounds": UPDATE_ROUNDS,
         "refetch KiB/round": refetch_bytes / 1024.0 / UPDATE_ROUNDS,
         "manifest KiB/round": manifest_bytes / 1024.0 / UPDATE_ROUNDS,
         "patched in place": cache_stats.patched_in_place,
         "delta fallbacks": cache_stats.delta_fallbacks,
     }
+    return row, full_shard_bytes
 
 
 def run_experiment() -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
-    placement_pairs = []  # (unplaced row, placed row) per sweep point
     if not SMOKE:
-        rows.extend(
-            _row(docs, peers, compress=True)[0] for docs, peers in SWEEP
-        )
-    # Sharded rows at every sweep point, with and without placement: the
-    # heaviest single fetch must stay capped near the shard payload instead
-    # of growing with the corpus, and placement must additionally cap how
-    # many of one term's shards any single peer provides — with identical
-    # top-k pages.
-    for docs, peers in SWEEP:
-        unplaced_row, unplaced_top = _row(
-            docs, peers, compress=True, shard_size=SHARD_SIZE, placement=False
-        )
-        placed_row, placed_top = _row(
-            docs, peers, compress=True, shard_size=SHARD_SIZE, placement=True
-        )
-        assert placed_top == unplaced_top, (
-            f"placement changed top-k pages at sweep point ({docs}, {peers})"
-        )
-        rows.extend([unplaced_row, placed_row])
-        placement_pairs.append((unplaced_row, placed_row))
-    if not SMOKE:
-        # Compression ablation at the middle point.
-        rows.append(_row(SWEEP[1][0], SWEEP[1][1], compress=False)[0])
+        rows.extend(_row(docs, peers)[0] for docs, peers in SWEEP)
+    # Sharded rows at every sweep point: the heaviest single fetch must stay
+    # capped near the shard payload instead of growing with the corpus, and
+    # placement must cap how many of one term's shards any single peer
+    # provides.
+    placed_rows = [_row(docs, peers, shard_size=SHARD_SIZE)[0] for docs, peers in SWEEP]
+    rows.extend(placed_rows)
     # Storage-backend scale section: the identical configuration on the
     # in-memory and the on-disk block stores.  The sqlite backend must be
     # sim-indistinguishable — same top-k pages — while carrying a corpus
@@ -289,18 +279,17 @@ def run_experiment() -> Dict[str, object]:
     # hold per peer.
     backend_docs, backend_peers = BACKEND_POINT
     memory_row, memory_top = _row(
-        backend_docs, backend_peers, compress=True,
-        shard_size=BACKEND_SHARD_SIZE, placement=True, backend="memory",
+        backend_docs, backend_peers, shard_size=BACKEND_SHARD_SIZE, backend="memory",
     )
     sqlite_row, sqlite_top = _row(
-        backend_docs, backend_peers, compress=True,
-        shard_size=BACKEND_SHARD_SIZE, placement=True, backend="sqlite",
+        backend_docs, backend_peers, shard_size=BACKEND_SHARD_SIZE, backend="sqlite",
     )
     assert sqlite_top == memory_top, (
         f"sqlite backend changed top-k pages at {BACKEND_POINT}"
     )
     rows.extend([memory_row, sqlite_row])
-    update_rows = [_update_row(delta_on=True), _update_row(delta_on=False)]
+    update_row, full_shard_bytes = _update_row()
+    update_rows = [update_row]
     print_table(
         "E4: decentralized index scalability",
         rows,
@@ -315,37 +304,24 @@ def run_experiment() -> Dict[str, object]:
         ),
     )
     print_table(
-        "E4: update-round bytes — patch refetch vs wholesale refetch",
+        "E4: update-round bytes — patch refetch",
         update_rows,
         note=(
             f"{UPDATE_ROUNDS} text-only update rounds of the head term's "
-            "hottest document against a warm posting cache; manifest bytes "
-            "are identical in both configurations"
+            "hottest document against a warm posting cache; a wholesale "
+            f"refetch would move the full {full_shard_bytes / 1024.0:.3f} KiB shard"
         ),
     )
 
     derived = {}
-    for unplaced_row, placed_row in placement_pairs:
+    for placed_row in placed_rows:
         docs = placed_row["documents"]
-        derived[f"max_shards_per_provider_unplaced_{docs}"] = unplaced_row["max shards/provider"]
         derived[f"max_shards_per_provider_placed_{docs}"] = placed_row["max shards/provider"]
-    biggest_unplaced, biggest_placed = placement_pairs[-1]
-    derived["placement_load_reduction"] = (
-        biggest_unplaced["max shards/provider"] / biggest_placed["max shards/provider"]
-        if biggest_placed["max shards/provider"]
-        else float("inf")
-    )
     # Backend identity gate: 0 top-k mismatches between media (the assert
     # above already enforced it; the metric makes the gate visible in the
     # tracked baseline).
     derived["backend_topk_mismatches"] = 0.0
     derived["backend_scale_documents"] = float(backend_docs)
-    delta_update, wholesale_update = update_rows
-    derived["update_refetch_reduction"] = (
-        wholesale_update["refetch KiB/round"] / delta_update["refetch KiB/round"]
-        if delta_update["refetch KiB/round"]
-        else float("inf")
-    )
 
     payload = {
         "experiment": "E4",
@@ -367,26 +343,23 @@ def run_experiment() -> Dict[str, object]:
     write_bench_json("BENCH_E4.smoke.json" if SMOKE else "BENCH_E4.json", payload)
 
     # The placement acceptance gates, enforced in the CI smoke job as well
-    # as the full run: the heaviest term's provider concentration must fall
-    # to the anti-affinity bound (the unsteered baseline concentrates the
-    # whole shard set on the publishing peer).
-    for unplaced_row, placed_row in placement_pairs:
+    # as the full run: the head term shards over several peers, and its
+    # provider concentration stays at the anti-affinity bound.
+    for placed_row in placed_rows:
         assert placed_row["head shards"] > 1, "head term did not shard; raise the corpus size"
         assert placed_row["max shards/provider"] <= placed_row["aa bound"], (
             "placement violated the anti-affinity bound"
         )
-        assert placed_row["max shards/provider"] < unplaced_row["max shards/provider"], (
-            "placement did not reduce the heaviest term's provider concentration"
-        )
     # The delta-publication acceptance gates: update rounds must patch in
-    # place (never fall back on this clean stream) and the refetch bytes
-    # must at least halve — the delta_max_ratio publication gate guarantees
-    # a published patch is at most half its shard's payload.
-    assert delta_update["patched in place"] > 0, "update rounds never patched the cache"
-    assert delta_update["delta fallbacks"] == 0, "clean stream should never fall back"
-    assert derived["update_refetch_reduction"] >= 2.0, (
-        f"update-round refetch bytes only improved "
-        f"{derived['update_refetch_reduction']:.2f}x (< 2x)"
+    # place (never fall back on this clean stream) and move at most half
+    # the full shard per round — the delta_max_ratio publication gate
+    # guarantees a published patch is at most half its shard's payload.
+    assert update_row["patched in place"] > 0, "update rounds never patched the cache"
+    assert update_row["delta fallbacks"] == 0, "clean stream should never fall back"
+    refetch_bytes = update_row["refetch KiB/round"] * 1024.0
+    assert 2 * refetch_bytes <= full_shard_bytes, (
+        f"update rounds refetched {refetch_bytes:.0f} B/round of a "
+        f"{full_shard_bytes} B shard (more than half)"
     )
     return payload
 
@@ -394,20 +367,16 @@ def run_experiment() -> Dict[str, object]:
 def test_e4_index_scalability(benchmark):
     payload = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     rows = payload["rows"]
-    unsharded = [
-        r for r in rows if r["codec"] == "delta+varint" and r["shard size"] == "-"
+    unsharded = [r for r in rows if r["shard size"] == "-"]
+    sharded = [
+        r for r in rows
+        if r["shard size"] == SHARD_SIZE and (r["documents"], r["peers"]) in SWEEP
     ]
-    sharded = [r for r in rows if r["shard size"] != "-" and r["placement"] == "off"]
-    placed = [r for r in rows if r["shard size"] != "-" and r["placement"] == "on"]
     # Lookup cost grows far slower than the overlay: ~log(n) rounds.
-    assert all(r["dht rounds/lookup"] < 8 for r in unsharded + sharded + placed)
+    assert all(r["dht rounds/lookup"] < 8 for r in rows)
     # Index size grows with the corpus.
     sizes = [r["index size (KiB)"] for r in unsharded]
     assert sizes == sorted(sizes)
-    # The codec saves space versus raw posting lists at the same design point.
-    raw = next(r for r in rows if r["codec"] == "raw")
-    same_point = next(r for r in unsharded if r["documents"] == raw["documents"])
-    assert same_point["index size (KiB)"] < raw["index size (KiB)"]
     # Sharding bounds the heaviest fetch: at the largest sweep point the
     # unsharded head-term fetch dwarfs the sharded cap, and the sharded cap
     # stays roughly flat as the corpus quintuples.
@@ -419,10 +388,10 @@ def test_e4_index_scalability(benchmark):
         r["max fetch (bytes)"] for r in sorted(sharded, key=lambda r: r["documents"])
     ]
     assert sharded_caps[-1] < sharded_caps[0] * 3
-    # Placement bounds provider concentration at every sweep point.
-    for row in placed:
-        assert row["max shards/provider"] <= row["aa bound"]
-    assert payload["derived"]["placement_load_reduction"] > 1.0
+    # Placement bounds provider concentration at every sharded point.
+    for row in rows:
+        if row["shard size"] != "-":
+            assert row["max shards/provider"] <= row["aa bound"]
 
 
 if __name__ == "__main__":

@@ -65,8 +65,9 @@ TRACKED: Dict[str, object] = {
         },
         {
             # Delta publication: bytes-on-the-wire per update round must not
-            # creep back up, patched state must stay bit-identical (zero
-            # mismatches, zero fingerprint fallbacks on a clean stream).
+            # creep back up, and patched state must serve the exhaustive
+            # reference's pages (zero mismatches, zero fingerprint
+            # fallbacks on a clean stream).
             "rows_key": "delta_rows",
             "identity": ("delta publication",),
             "metrics": {
@@ -95,9 +96,9 @@ TRACKED: Dict[str, object] = {
             },
         },
         {
-            # Update-round refetch bytes: the patch path must keep beating
-            # the wholesale refetch, and a fingerprint fallback on the clean
-            # stream (baseline 0) is an infinite relative regression.
+            # Update-round refetch bytes: the patch a warm reader fetches per
+            # round must not creep back up, and a fingerprint fallback on the
+            # clean stream (baseline 0) is an infinite relative regression.
             "rows_key": "update_rows",
             "identity": ("delta publication",),
             "metrics": {

@@ -17,7 +17,7 @@ is what the E7 bench quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import AttackConfigError
 from repro.core.engine import QueenBeeEngine
@@ -39,12 +39,6 @@ class ScraperOutcome:
     @property
     def total_honey_earned(self) -> int:
         return self.publish_honey_earned + self.popularity_honey_earned
-
-    @property
-    def acceptance_rate(self) -> float:
-        if not self.pages_attempted:
-            return 0.0
-        return self.pages_accepted / self.pages_attempted
 
 
 class ScraperAttack:

@@ -30,10 +30,6 @@ class SybilOutcome:
     stake_lost: int = 0
     collusion: Optional[CollusionOutcome] = None
 
-    @property
-    def net_cost(self) -> int:
-        return self.stake_lost
-
 
 class SybilAttack:
     """Registers ``identity_count`` extra (malicious) worker bees and colludes."""

@@ -74,7 +74,6 @@ class QueenBeeConfig:
     storage_path: str = ""
 
     # Index
-    compress_index: bool = True
     top_k: int = 10
     # Capacity (in shards) of the LRU posting cache in front of
     # decentralized storage; 0 disables caching entirely.
@@ -85,13 +84,6 @@ class QueenBeeConfig:
     # pruning.  0 publishes every term as a single shard (the pre-sharding
     # layout).
     index_shard_size: int = 128
-    # Provider-record-aware shard placement: publish each term's range
-    # shards onto spread-maximizing replica sets (anti-affinity: no peer
-    # provides more than ceil(shards/replication) shards of one term),
-    # record the replica set as manifest routing hints, and repair shards
-    # that churn drops below the replication floor.  False restores the
-    # unsteered publisher-pins-everything path (the E4 placement ablation).
-    index_placement: bool = True
     # Grace period (ticks) before a departed provider's shards are repaired:
     # a peer that rejoins inside the window triggers zero repairs (flap
     # debounce).  0 repairs immediately on departure.
@@ -100,11 +92,6 @@ class QueenBeeConfig:
     # per churn event; overflow is recorded as a deficit and retried on the
     # next join/audit.  0 = unbounded.
     placement_repair_budget: int = 0
-    # Publish per-generation patches (posting deltas, banded rank deltas)
-    # next to every full artifact, so warm readers patch in place instead
-    # of refetching wholesale.  The full artifact is still published and
-    # stays authoritative; False is the wholesale ablation E2 measures.
-    delta_publication: bool = True
 
     # Metadata plane
     # Frontends learn soft metadata (index epochs, the rank and statistics

@@ -52,7 +52,6 @@ from repro.ranking.distributed import (
     DEFAULT_REDUNDANCY,
     DecentralizedPageRank,
     RANK_BANDS_DHT_KEY,
-    RANK_DELTA_BANDS,
     RankCeilingPublisher,
     RankVectorPublisher,
     assemble_banded_ranks,
@@ -233,21 +232,17 @@ class QueenBeeEngine:
         # anti-entropy rounds scheduled as simulator events.  Frontends
         # learn index epochs, rank and statistics heads only through it.
         self.gossip = GossipPlane(self.simulator, self.network, interval=cfg.gossip_interval)
-        self.placement = (
-            PlacementPolicy(
-                self.storage,
-                # Placed and unsteered content survive the same churn; repair
-                # kicks in on any departure (the floor defaults to the factor).
-                replication_factor=cfg.storage_replication,
-                repair_grace=cfg.placement_repair_grace,
-                repair_budget=cfg.placement_repair_budget or None,
-                simulator=self.simulator,
-            )
-            if cfg.index_placement
-            else None
+        self.placement = PlacementPolicy(
+            self.storage,
+            # Placed and unplaced content survive the same churn; repair
+            # kicks in on any departure (the floor defaults to the factor).
+            replication_factor=cfg.storage_replication,
+            repair_grace=cfg.placement_repair_grace,
+            repair_budget=cfg.placement_repair_budget or None,
+            simulator=self.simulator,
         )
         self.index = DistributedIndex(
-            self.dht, self.storage, compress=cfg.compress_index, cache=self.posting_cache,
+            self.dht, self.storage, cache=self.posting_cache,
             shard_size=cfg.index_shard_size,
             # Published shards carry their range's quantized minimum document
             # length (tightens the per-shard MaxScore bound); the engine's
@@ -258,16 +253,11 @@ class QueenBeeEngine:
             # Epoch bumps enter the plane at the publishing peer's node;
             # the first peer's store is the deterministic fallback origin.
             epoch_feed=PlaneEpochFeed(self.gossip, "peer-000:store"),
-            delta_publication=cfg.delta_publication,
             metrics=self.metrics,
         )
         # Rank-vector publication: banded deltas against the last wholesale
-        # anchor when delta publication is on, pure wholesale otherwise.
-        self._rank_publisher = RankVectorPublisher(
-            self.storage, self.dht,
-            bands=RANK_DELTA_BANDS if cfg.delta_publication else 0,
-            metrics=self.metrics,
-        )
+        # anchor.
+        self._rank_publisher = RankVectorPublisher(self.storage, self.dht, metrics=self.metrics)
         self.directory = DocumentDirectory(self.dht)
         self.term_directory = TermDirectory(self.dht, self.storage)
         self.statistics = CollectionStatistics()
@@ -620,12 +610,12 @@ class QueenBeeEngine:
             if cfg.posting_cache_capacity > 0
             else None
         )
+        # No placement: a frontend reads shards, it never publishes them.
         index = DistributedIndex(
-            self.dht, self.storage, compress=cfg.compress_index, cache=cache,
+            self.dht, self.storage, cache=cache,
             shard_size=cfg.index_shard_size,
             epoch_feed=view,
             load_lookup=view.load_hint,
-            delta_publication=cfg.delta_publication,
             metrics=self.metrics,
         )
         rank_client = GossipRankClient(view, self.storage, requester, self.dht)
@@ -747,13 +737,11 @@ class QueenBeeEngine:
         live providers drop below the replication floor are re-replicated
         onto fresh peers and the term manifests' provider hints refreshed —
         and every arrival retries repairs that previously found no live
-        source.  With placement disabled the model drives bare connectivity
-        churn, exactly as constructing :class:`ChurnModel` directly would.
+        source.
         """
         churn = ChurnModel(self.simulator, self.network)
-        if self.placement is not None:
-            churn.add_leave_listener(self.placement.on_peer_down)
-            churn.add_join_listener(self.placement.on_peer_up)
+        churn.add_leave_listener(self.placement.on_peer_down)
+        churn.add_join_listener(self.placement.on_peer_up)
         return churn
 
     def fail_peers(self, fraction: float) -> List[str]:

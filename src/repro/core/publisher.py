@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.contracts.queenbee import QueenBeeContracts
 from repro.index.document import Document
@@ -45,7 +45,6 @@ class ContentPublisher:
         self.storage = storage
         self.contracts = contracts
         self.storage_peer = storage_peer
-        self.receipts: List[PublishReceipt] = []
 
     def publish(self, document: Document) -> PublishReceipt:
         """Publish one document version.  Never raises: rejected publishes
@@ -65,17 +64,5 @@ class ContentPublisher:
             published_at=record.get("published_at", 0.0) if accepted else 0.0,
             error=record.get("error", "") if not accepted else "",
         )
-        self.receipts.append(receipt)
         return receipt
 
-    @property
-    def accepted_count(self) -> int:
-        return sum(1 for receipt in self.receipts if receipt.accepted)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(1 for receipt in self.receipts if not receipt.accepted)
-
-    def honey_earned(self) -> int:
-        """The creator's current honey balance."""
-        return self.contracts.honey_balance(self.owner)

@@ -283,11 +283,6 @@ class DHTNetwork:
         """
         return result.unanswered > 0 or (result.contacted == 0 and len(self.nodes) > 1)
 
-    # -- introspection --------------------------------------------------------
-
-    def total_stored_bytes(self) -> int:
-        return sum(node.storage_bytes() for node in self.nodes.values())
-
     def _record_lookup(self, rounds: int, contacted: int, failed: bool) -> None:
         self.stats.lookups += 1
         self.stats.total_rounds += rounds

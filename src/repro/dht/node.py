@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set
 
-from repro.dht.nodeid import key_to_id
 from repro.dht.routing import Contact, RoutingTable
 from repro.errors import NetworkError
-from repro.net.message import Message, Response, estimate_size
+from repro.net.message import Message, Response
 from repro.net.network import SimulatedNetwork
 
 # RPC message types understood by every Kademlia node.
@@ -138,18 +137,8 @@ class KademliaNode:
         """Every key this node holds in either slot."""
         return sorted(set(self.values) | set(self.sets))
 
-    def storage_bytes(self) -> int:
-        """Rough size of everything stored locally (for the scalability tables)."""
-        stored = list(self.values.values()) + list(self.sets.values())
-        return sum(estimate_size(entry) for entry in stored)
-
     def as_contact(self) -> Contact:
         return Contact(self.node_id, self.address)
 
     def __repr__(self) -> str:
         return f"KademliaNode(address={self.address!r}, keys={len(self.stored_keys())})"
-
-
-def key_for(value: Any) -> int:
-    """Convenience wrapper so callers don't import :func:`key_to_id` separately."""
-    return key_to_id(value)

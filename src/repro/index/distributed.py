@@ -396,10 +396,8 @@ class DistributedIndex:
     Parameters
     ----------
     dht / storage:
-        The lookup and content substrates.
-    compress:
-        When true (default), posting lists use the delta+varint codec; the E4
-        ablation disables it to quantify the saving.
+        The lookup and content substrates.  Shard payloads always carry
+        their postings in the delta+varint codec.
     cache:
         Optional :class:`~repro.index.cache.PostingCache` consulted before
         the DHT.  Entries are **per shard** (keyed by :func:`shard_key`) and
@@ -420,8 +418,9 @@ class DistributedIndex:
         (pinned placement, provider hints in the manifest) and shard fetches
         are routed to the least-loaded live hinted provider; the index binds
         itself as the policy's manifest updater so churn repairs refresh the
-        published hints.  Absent, publishes and fetches use the unsteered
-        random-replica path (the E4 placement ablation).
+        published hints.  The engine's publishing index always has one; a
+        reader (a frontend, a bare test index) has none, and what it
+        publishes, if anything, lands on storage's default replicas.
     epoch_feed:
         Optional gossiped epoch feed (``generation(term)`` / ``publish`` /
         ``observe`` — a :class:`~repro.net.gossip.GossipView` on a remote
@@ -438,18 +437,16 @@ class DistributedIndex:
         load hints; absent (a bare index, or the engine's worker-side one),
         the true served-block counters are read off the simulator's peer
         objects.
-    delta_publication:
-        When true (default), updates that supply the pre-update list
+    delta_max_ratio:
+        Updates that supply the pre-update list
         (``publish_term(base_postings=...)``) also publish a per-shard
         *patch* through the :class:`~repro.storage.patches.PatchChannel`,
         keyed by the previous shard's content fingerprint, and fetches
         patch superseded cache entries in place instead of refetching the
-        full shard.  False is the wholesale ablation (E2).  The full shard
-        payload is always published either way — patches are an overlay,
-        never the authority.
-    delta_max_ratio:
-        A patch larger than this fraction of the full shard payload is not
-        published (an all-docs-changed round degenerates to full fetch).
+        full shard.  A patch larger than this fraction of the full shard
+        payload is not published (an all-docs-changed round degenerates to
+        full fetch).  The full shard payload is always published — patches
+        are an overlay, never the authority.
     metrics:
         Optional :class:`~repro.metrics.collector.MetricsCollector`; the
         delta channel's byte counters (``publish.delta_bytes`` /
@@ -461,14 +458,12 @@ class DistributedIndex:
         self,
         dht: DHTNetwork,
         storage: DecentralizedStorage,
-        compress: bool = True,
         cache: Optional[PostingCache] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         length_lookup: Optional[Callable[[int], int]] = None,
         placement: Optional[PlacementPolicy] = None,
         epoch_feed: Optional[object] = None,
         load_lookup: Optional[Callable[[str], int]] = None,
-        delta_publication: bool = True,
         delta_max_ratio: float = 0.5,
         metrics: Optional[object] = None,
     ) -> None:
@@ -476,14 +471,12 @@ class DistributedIndex:
             raise ValueError(f"shard_size must be non-negative, got {shard_size!r}")
         self.dht = dht
         self.storage = storage
-        self.compress = compress
         self.cache = cache
         self.shard_size = shard_size
         self.length_lookup = length_lookup
         self.placement = placement
         self.epoch_feed = epoch_feed
         self.load_lookup = load_lookup
-        self.delta_publication = delta_publication
         self.delta_max_ratio = delta_max_ratio
         self.metrics = metrics
         self.patches = PatchChannel(storage, metrics=metrics)
@@ -540,12 +533,12 @@ class DistributedIndex:
         """Publish ``postings`` as the authoritative shards for ``term``.
 
         ``base_postings`` is the authoritative pre-update list the caller
-        already holds (the merge/remove paths fetch it anyway); when given
-        and ``delta_publication`` is on, each changed shard also publishes a
-        patch against its previous content so warm caches update in place.
-        Patches are best-effort — a base that does not re-fingerprint to the
-        previous manifest entry, or a patch bigger than
-        ``delta_max_ratio`` of the full payload, simply ships no patch.
+        already holds (the merge/remove paths fetch it anyway); when given,
+        each changed shard also publishes a patch against its previous
+        content so warm caches update in place.  Patches are best-effort — a
+        base that does not re-fingerprint to the previous manifest entry, or
+        a patch bigger than ``delta_max_ratio`` of the full payload, simply
+        ships no patch.
 
         ``previous`` is the authoritative manifest that read came with.  A
         caller that passes none pays one lookup for it here — unless this is
@@ -591,7 +584,7 @@ class DistributedIndex:
         # a base that missed a generation or drifted across a re-split can
         # only suppress a patch, never produce a wrong one.
         base_chunks: Optional[List[PostingList]] = None
-        if self.delta_publication and base_postings is not None and previous is not None:
+        if base_postings is not None and previous is not None:
             if len(previous.shards) > 1:
                 base_chunks = base_postings.split_at(
                     [shard.hi for shard in previous.shards[:-1]]
@@ -943,7 +936,7 @@ class DistributedIndex:
         self.stats.terms_fetched += 1
         self.stats.bytes_fetched += len(payload)
         self.stats.per_fetch_bytes.append(len(payload))
-        postings, generation = self._decode_shard(payload)
+        postings, generation = self._decode_shard(manifest.term, index, payload)
         if self.cache is not None and use_cache:
             # Stamp the entry with the manifest's content fingerprint so a
             # later republish's patch (keyed by this fingerprint) can apply.
@@ -1176,30 +1169,31 @@ class DistributedIndex:
         # fingerprint hashes, so an unchanged shard republished under a new
         # term generation still fingerprints identically — and a change to
         # any bound ingredient (postings, min_len) forces a republish.
-        if self.compress:
-            return {
-                "term": term,
-                "shard": index,
-                "encoding": "delta-varint",
-                "max_tf": postings.max_term_frequency,
-                "min_len": min_len,
-                "postings": postings.to_payload(),
-            }
         return {
             "term": term,
             "shard": index,
-            "encoding": "raw",
+            "encoding": "delta-varint",
             "max_tf": postings.max_term_frequency,
             "min_len": min_len,
-            "postings": [[p.doc_id, p.term_frequency] for p in postings],
+            "postings": postings.to_payload(),
         }
 
-    def _decode_shard(self, payload: str) -> Tuple[PostingList, int]:
-        body = json.loads(payload)
-        generation = int(body.get("gen", 0))
-        if body.get("encoding") == "delta-varint":
-            return PostingList.from_payload(body["postings"]), generation
-        result = PostingList()
-        for doc_id, frequency in body.get("postings", []):
-            result.add(int(doc_id), int(frequency))
-        return result, generation
+    def _decode_shard(self, term: str, index: int, payload: str) -> Tuple[PostingList, int]:
+        """Parse the payload shard ``index`` of ``term`` names.
+
+        Anything but that shard's body — a patch payload, another shard's
+        body, something that is not JSON — is malformed outside input and
+        is rejected with :class:`TermNotFoundError`, the rule
+        :meth:`_decode_manifest` applies; it is never read as an empty list.
+        """
+        try:
+            body = json.loads(payload)
+            if (body.get("encoding"), body.get("term"), body.get("shard")) != (
+                "delta-varint", term, index
+            ):
+                raise ValueError("not this shard's body")
+            return PostingList.from_payload(body["postings"]), int(body.get("gen", 0))
+        except (AttributeError, TypeError, ValueError, KeyError, ReproError) as exc:
+            raise TermNotFoundError(
+                f"the payload of shard {index} of term {term!r} is not a shard body"
+            ) from exc

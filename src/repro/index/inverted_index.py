@@ -117,10 +117,6 @@ class LocalInvertedIndex:
     def doc_ids(self) -> List[int]:
         return sorted(self._doc_terms)
 
-    def term_frequencies_of(self, doc_id: int) -> Dict[str, int]:
-        """The indexed term frequencies of one document (empty if unknown)."""
-        return dict(self._doc_terms.get(doc_id, {}))
-
     def index_size_bytes(self, compressed: bool = True) -> int:
         """Total size of every posting list (the E4 storage column)."""
         if compressed:

@@ -384,18 +384,14 @@ RANK_BANDS_DHT_KEY = "rank:bands"
 
 RANK_BAND_MANIFEST_KIND = "qb-rank-bands"
 
-# Doc-id bands a delta-publishing RankVectorPublisher cuts the vector into;
-# remote frontends refetch only the bands whose fingerprint moved.  (Wholesale
-# publication is ``bands=0``, which the engine selects with
-# ``delta_publication=False``.)
+# Doc-id bands RankVectorPublisher cuts the vector into; remote frontends
+# refetch only the bands whose fingerprint moved.
 RANK_DELTA_BANDS = 8
 
 
-def rank_band_width(max_doc_id: int, bands: int) -> int:
+def rank_band_width(max_doc_id: int) -> int:
     """The fixed doc-id width of each band for this round's vector."""
-    if bands < 1:
-        raise ValueError(f"band count must be positive, got {bands!r}")
-    return max(1, -(-(max_doc_id + 1) // bands))
+    return max(1, -(-(max_doc_id + 1) // RANK_DELTA_BANDS))
 
 
 def rank_band_payload(ranks: Mapping[int, float], lo: int, hi: int) -> str:
@@ -433,7 +429,7 @@ class RankPublishReceipt:
 
     version: int
     wholesale: bool
-    # Band manifest JSON (None when banding is disabled: pure wholesale).
+    # Band manifest JSON (None for an empty vector, which has no bands).
     manifest_json: Optional[str] = None
     # CID of the full vector stored this round (wholesale rounds only).
     full_cid: Optional[str] = None
@@ -457,32 +453,30 @@ class _BandState:
 class RankVectorPublisher:
     """Publishes the rank vector wholesale or as banded deltas.
 
-    The doc-id space is cut into ``bands`` fixed-width bands; each band's
-    canonical payload is fingerprinted, and a round whose vector moved only
-    a few bands stores just those bands plus a small **band manifest** —
-    remote frontends holding the previous vector then fetch only the moved
-    bands.  The last wholesale full vector stays published as the resync
-    anchor; the invariant (held by induction across delta rounds) is that a
-    band whose manifest entry carries no CID is bit-identical to its slice
-    of the anchor, so any reader can always reconstruct the *current*
-    vector as anchor + CID-carrying bands.
+    The doc-id space is cut into :data:`RANK_DELTA_BANDS` fixed-width
+    bands; each band's canonical payload is fingerprinted, and a round whose
+    vector moved only a few bands stores just those bands plus a small
+    **band manifest** — remote frontends holding the previous vector then
+    fetch only the moved bands.  The last wholesale full vector stays
+    published as the resync anchor; the invariant (held by induction across
+    delta rounds) is that a band whose manifest entry carries no CID is
+    bit-identical to its slice of the anchor, so any reader can always
+    reconstruct the *current* vector as anchor + CID-carrying bands.
 
     Fallback to wholesale is automatic whenever deltas stop paying: no
     previous round, the band width changed (doc-id space grew past the old
     grid), or more than half the bands moved (a link-graph change ripples
-    PageRank globally; text-only updates leave it bit-identical).  With
-    ``bands=0`` every round is wholesale and no manifest is published —
-    the ``delta_publication=False`` ablation is exactly the legacy path.
+    PageRank globally; text-only updates leave it bit-identical).  An
+    empty vector is stored wholesale with no manifest.
 
     The manifest is ``dht.put`` under :data:`RANK_BANDS_DHT_KEY`
     (authoritative); the engine additionally gossips it so frontends skip
     the DHT lookup on the happy path.
     """
 
-    def __init__(self, storage, dht, bands: int, metrics=None) -> None:
+    def __init__(self, storage, dht, metrics=None) -> None:
         self.storage = storage
         self.dht = dht
-        self.bands = bands
         self.metrics = metrics
         self._previous: Optional[_BandState] = None
 
@@ -493,7 +487,7 @@ class RankVectorPublisher:
         publisher: Optional[str] = None,
     ) -> RankPublishReceipt:
         """Ship ``ranks`` at ``version``; returns what went on the wire."""
-        if self.bands < 1 or not ranks:
+        if not ranks:
             full_cid, nbytes = self._store_full(ranks, version, publisher)
             self._previous = None
             return RankPublishReceipt(
@@ -501,7 +495,7 @@ class RankVectorPublisher:
                 bytes_published=nbytes,
             )
 
-        width = rank_band_width(max(ranks), self.bands)
+        width = rank_band_width(max(ranks))
         bounds = self._band_bounds(max(ranks), width)
         fingerprints = [
             compute_cid(rank_band_payload(ranks, lo, hi)) for lo, hi in bounds

@@ -25,17 +25,11 @@ class Simulator:
         self.events = EventQueue()
         self.rng = random.Random(seed)
         self.seed = seed
-        self._events_processed = 0
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self.clock.now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far (useful for progress assertions)."""
-        return self._events_processed
 
     def schedule(self, delay: float, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` to run ``delay`` ticks from now."""
@@ -122,7 +116,6 @@ class Simulator:
         if event.time > self.clock.now:
             self.clock.advance_to(event.time)
         event.callback()
-        self._events_processed += 1
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

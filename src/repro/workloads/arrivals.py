@@ -55,12 +55,6 @@ class ArrivalWorkload:
         """The last arrival time (0.0 when empty)."""
         return self.arrivals[-1][0] if self.arrivals else 0.0
 
-    def offered_rate(self) -> float:
-        """Arrivals per tick over the realised horizon (0.0 when degenerate)."""
-        if len(self.arrivals) < 2 or self.horizon <= 0:
-            return 0.0
-        return len(self.arrivals) / self.horizon
-
 
 class _ArrivalProcess:
     """Shared machinery: a Zipf-repeated query pool + time generation."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import WorkloadError
 from repro.index.document import Document
@@ -41,9 +41,6 @@ class GeneratedCorpus:
         for document in self.documents:
             grouped.setdefault(document.owner, []).append(document)
         return grouped
-
-    def document_by_id(self, doc_id: int) -> Document:
-        return self.documents[doc_id]
 
 
 class CorpusGenerator:

@@ -38,7 +38,7 @@ DELETED_KNOBS = (
     "delta_max_ratio", "metadata_plane", "loss_rate", "chunk_size", "detector_threshold",
     "rank_redundancy", "rank_damping", "min_worker_stake", "worker_stake", "publish_reward",
     "task_reward", "creator_share", "worker_share", "treasury_share", "creator_funding",
-    "worker_funding", "max_ads",
+    "worker_funding", "max_ads", "compress_index", "index_placement", "delta_publication",
 )
 
 

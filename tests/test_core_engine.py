@@ -60,6 +60,8 @@ class TestConfigValidation:
     def test_deleted_knobs_are_rejected(self, knob):
         with pytest.raises(UnknownConfigKnobError, match=knob):
             QueenBeeConfig.from_dict({knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            QueenBeeConfig(**{knob: 1})
 
     def test_metadata_plane_is_a_constant_not_a_knob(self):
         assert "metadata_plane" not in KNOB_NAMES

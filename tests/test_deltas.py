@@ -9,9 +9,13 @@ wrong page.  See docs/DELTAS.md for the format and the fallback ladder.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import IndexError_
+from repro.core.engine import GossipRankClient
+from repro.errors import BlockNotFoundError, IndexError_
 from repro.index.compression import apply_posting_delta, encode_posting_delta
 from repro.index.distributed import DistributedIndex
 from repro.index.cache import PostingCache
@@ -19,6 +23,7 @@ from repro.index.document import Document
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.net.faults import CrashWindow
+from repro.ranking.distributed import RANK_BANDS_DHT_KEY, DecentralizedPageRank
 
 from tests.conftest import assert_rank_stamps_from_vector, make_small_engine
 from tests.reference import frontend_reference
@@ -173,17 +178,6 @@ class TestPatchedCacheBitIdentity:
         assert 11 not in fetched.doc_ids
         assert fetched.arrays() == h.index.fetch_term("epsilon", use_cache=False).arrays()
 
-    def test_ablation_publishes_no_patches(self, dht, storage):
-        h = _IndexHarness(dht, storage, delta_publication=False)
-        base = _plist([(1, 1), (2, 1)])
-        h.index.publish_term("zeta", base)
-        updated = base.copy()
-        updated.add(3, 1)
-        h.index.publish_term("zeta", updated, base_postings=base)
-        assert h.index.stats.deltas_published == 0
-        manifest = h.index.fetch_term_manifest("zeta", use_cache=False)
-        assert all(info.patch is None for info in manifest.shards)
-
 
 class TestBandedRankPublication:
     def test_unchanged_recompute_ships_no_bands(self, small_corpus):
@@ -221,8 +215,6 @@ class TestBandedRankPublication:
         assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
 
     def test_gossip_client_adopts_delta_round_without_band_fetches(self, small_corpus):
-        from repro.core.engine import GossipRankClient
-
         engine = make_small_engine(seed=47)
         engine.bootstrap_corpus(small_corpus.documents[:20])
         engine.compute_page_ranks()
@@ -243,16 +235,93 @@ class TestBandedRankPublication:
         # Every band it already held re-fingerprinted clean: no content fetch.
         assert client.band_fetches == fetches_after_adopt
 
-    def test_bands_disabled_is_the_legacy_wholesale_path(self, small_corpus):
-        engine = make_small_engine(seed=53, delta_publication=False)  # bands=0
+
+class _UnreachableCids:
+    """The storage facade a rank client reads through, minus some CIDs."""
+
+    def __init__(self, storage, cids) -> None:
+        self._storage = storage
+        self.cids = set(cids)
+
+    def get_text(self, cid, requester=None):
+        if cid in self.cids:
+            raise BlockNotFoundError(f"{cid} is unreachable")
+        return self._storage.get_text(cid, requester=requester)
+
+
+class TestRankFallbackLadder:
+    """A band the client cannot fetch fails banded assembly (gossiped and
+    authoritative manifest alike).  The client then takes the ``rank:head``
+    rung — the wholesale anchor — when that is newer than what it serves,
+    and otherwise keeps its previous (version, vector) pair."""
+
+    @staticmethod
+    def _one_band_delta_round(engine, monkeypatch):
+        """Rank round 2 moves exactly one band: the last document's rank.
+
+        Text-only updates leave PageRank bit-identical and a link change
+        moves every band, so the one-band round is made by hand."""
+        compute = DecentralizedPageRank.compute
+
+        def one_band_moved(coordinator, graph):
+            result = compute(coordinator, graph)
+            ranks = dict(result.ranks)
+            ranks[max(ranks)] *= 2.0
+            return replace(result, ranks=ranks)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(DecentralizedPageRank, "compute", one_band_moved)
+            engine.compute_page_ranks()
+        engine.converge_metadata()
+        manifest = json.loads(engine.dht.get(RANK_BANDS_DHT_KEY))
+        assert (manifest["v"], manifest["anchor"]["v"]) == (2, 1)
+        moved = [band["cid"] for band in manifest["bands"] if band["cid"] is not None]
+        assert len(moved) == 1
+        return moved[0]
+
+    @staticmethod
+    def _served(client):
+        """(version, ranks) in both call orders; both must name one vector."""
+        version = client.version()
+        ranks = dict(client.ranks())
+        assert client.version() == version
+        return version, ranks
+
+    def test_an_unreachable_band_falls_back_to_the_anchor_or_the_served_pair(
+        self, small_corpus, monkeypatch
+    ):
+        engine = make_small_engine(seed=59)
         engine.bootstrap_corpus(small_corpus.documents[:20])
         engine.compute_page_ranks()
-        engine.compute_page_ranks()
-        # Two rounds, two full vectors, no band manifest anywhere.
-        assert engine.metrics.counter("publish.delta_bytes") == 0
-        with pytest.raises(Exception):
-            engine.dht.get("rank:bands")
-        assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
+        engine.converge_metadata()
+        published = {1: dict(engine.page_ranks())}
+
+        requester = "peer-003:store"
+        warm_storage = _UnreachableCids(engine.storage, ())
+        warm = GossipRankClient(
+            engine.gossip.view(requester), warm_storage, requester, dht=engine.dht
+        )
+        assert self._served(warm) == (1, published[1])
+
+        band_cid = self._one_band_delta_round(engine, monkeypatch)
+        published[2] = dict(engine.page_ranks())
+        assert published[2] != published[1]
+        warm_storage.cids.add(band_cid)
+        cold = GossipRankClient(
+            engine.gossip.view(requester), _UnreachableCids(engine.storage, [band_cid]),
+            requester, dht=engine.dht,
+        )
+
+        # The warm client already serves the anchor's version: it keeps the
+        # pair it had.  The cold one adopts the anchor through rank:head.
+        assert self._served(warm) == (1, published[1])
+        assert self._served(cold) == (1, published[1])
+        assert cold.band_refreshes == 0
+
+        # Once the band is reachable, both assemble the current vector.
+        warm_storage.cids.clear()
+        assert self._served(warm) == (2, published[2])
+        assert warm.band_refreshes == 2
 
 
 class TestCeilingsNeedNoChannel:

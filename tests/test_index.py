@@ -29,6 +29,8 @@ from repro.search.executor import QueryExecutor
 from repro.search.planner import QueryPlan
 from repro.search.query import parse_query
 
+from tests.conftest import frontend_over
+
 
 class TestAnalysis:
     def test_tokenize_lowercases_and_splits(self):
@@ -412,11 +414,33 @@ class TestDistributedIndex:
         assert index.fetch_term("bee").doc_ids == [2]
         assert not index.remove_document("ghost-term", 1)
 
-    def test_uncompressed_mode_roundtrip(self, dht, storage):
-        index = DistributedIndex(dht, storage, compress=False)
-        postings = PostingList([Posting(3, 4)])
-        index.publish_term("raw", postings)
-        assert index.fetch_term("raw") == postings
+    @pytest.mark.parametrize("payload", ["patch", "not-json"])
+    def test_a_payload_that_is_no_shard_body_is_rejected(self, payload):
+        # The payload a manifest entry names is outside input too.  A patch
+        # payload must not read back as an empty list (the page would
+        # silently lose the term's documents), nor may a payload that is not
+        # JSON escape the frontend's per-term TermNotFoundError handling.
+        base = PostingList([Posting(doc_id, 1 + doc_id % 3) for doc_id in range(300)])
+        frontend, _ = frontend_over({"bee": base}, shard_size=0, ranks={}, top_k=5)
+        index = frontend.index
+        updated = base.copy()
+        updated.add(500, 2)
+        index.publish_term("bee", updated, base_postings=base)
+        body = json.loads(index.dht.get(term_key("bee")))
+        shard = body["shards"][0]
+        if payload == "patch":
+            shard["cid"] = shard["patch"]["cid"]
+        else:
+            shard["cid"] = index.storage.add_text("postings: 1, 2, 3").cid
+        forged = json.dumps(body, sort_keys=True)
+        index.dht.put(term_key("bee"), forged)
+
+        assert frontend.search("bee").results == []
+        with pytest.raises(TermNotFoundError, match="not a shard body"):
+            index.fetch_term("bee")
+        with pytest.raises(TermNotFoundError, match="not a shard body"):
+            index.merge_term("bee", PostingList([Posting(60, 1)]))
+        assert index.dht.get(term_key("bee")) == forged
 
     def test_statistics_roundtrip(self, dht, storage):
         index = DistributedIndex(dht, storage)

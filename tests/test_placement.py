@@ -24,6 +24,8 @@ from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.placement import PlacementPolicy, anti_affinity_bound
 from repro.workloads.corpus import CorpusGenerator
 
+from tests.reference import frontend_reference
+
 
 def small_corpus(num_documents: int = 80, seed: int = 11):
     generator = CorpusGenerator(
@@ -116,48 +118,37 @@ class TestAssignment:
         assert checked_multi_shard > 0, "corpus produced no multi-shard terms"
 
     def test_publisher_is_not_an_implicit_provider(self):
-        # The hot-spot the policy removes: without placement the publishing
-        # peer provides every shard of every term it publishes.
+        # The hot-spot the policy removes: a publisher that pins what it
+        # publishes provides every shard of every term.  Placed, each shard's
+        # provider record names exactly the replica set the manifest hints.
         corpus = small_corpus()
-        steered = build_engine()
-        steered.bootstrap_corpus(corpus.documents)
-        term = heaviest_term(corpus)
-        unsteered = build_engine(index_placement=False)
-        unsteered.bootstrap_corpus(corpus.documents)
+        engine = build_engine()
+        engine.bootstrap_corpus(corpus.documents)
+        manifest = engine.index.fetch_term_manifest(heaviest_term(corpus))
+        shards = [info for info in manifest.shards if info.count]
+        assert len(shards) > 1
+        counts = {}
+        for info in shards:
+            providers = engine.storage.providers_of(info.cid)
+            assert providers == sorted(info.providers), info.index
+            for provider in providers:
+                counts[provider] = counts.get(provider, 0) + 1
+        assert max(counts.values()) <= anti_affinity_bound(
+            len(shards), engine.config.storage_replication
+        ) < len(shards)
 
-        def max_load(engine):
-            manifest = engine.index.fetch_term_manifest(term)
-            counts = {}
-            for info in manifest.shards:
-                if not info.count:
-                    continue
-                for provider in engine.storage.providers_of(info.cid):
-                    counts[provider] = counts.get(provider, 0) + 1
-            return max(counts.values())
-
-        shard_count = sum(
-            1 for info in steered.index.fetch_term_manifest(term).shards if info.count
-        )
-        assert shard_count > 1
-        assert max_load(unsteered) == shard_count  # publisher pinned them all
-        assert max_load(steered) <= anti_affinity_bound(
-            shard_count, steered.config.storage_replication
-        )
-
-    def test_top_k_identical_with_and_without_placement(self):
+    def test_top_k_with_placement_equals_the_reference(self):
         corpus = small_corpus()
-        queries = ["decentralized web", "honey OR web", "content network"]
-        pages = {}
-        for placement in (False, True):
-            engine = build_engine(index_placement=placement)
-            engine.bootstrap_corpus(corpus.documents)
-            engine.compute_page_ranks()
-            frontend = engine.create_frontend(requester="peer-001:store")
-            pages[placement] = [
-                [(r.doc_id, r.score) for r in engine.search(q, frontend=frontend).results]
-                for q in queries
-            ]
-        assert pages[True] == pages[False]
+        engine = build_engine()
+        engine.bootstrap_corpus(corpus.documents)
+        engine.compute_page_ranks()
+        frontend = engine.create_frontend(requester="peer-001:store")
+        for query in ["decentralized web", "honey OR web", "content network"]:
+            page = engine.search(query, frontend=frontend)
+            assert page.results, query
+            assert [(r.doc_id, r.score) for r in page.results] == frontend_reference(
+                frontend, query
+            ), query
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -100,7 +100,8 @@ class TestMergeBudget:
         assert d.index.fetch_term("head").doc_ids == list(range(300)) + [900]
 
     def test_merge_without_a_patch_costs_three(self):
-        d = _Deployment(delta_publication=False)
+        # A ratio gate of 0 suppresses every patch.
+        d = _Deployment(delta_max_ratio=0.0)
         d.index.publish_term("head", _postings(300))
         assert d.lookups(
             lambda: d.index.merge_term("head", PostingList([Posting(900, 2)]))
@@ -120,7 +121,7 @@ class TestMergeBudget:
         d.index.publish_term("head", _postings(300))
         assert d.lookups(lambda: d.index.remove_document("head", 7)) == 4
         assert d.index.stats.deltas_published == 1
-        plain = _Deployment(delta_publication=False)
+        plain = _Deployment(delta_max_ratio=0.0)
         plain.index.publish_term("head", _postings(300))
         assert plain.lookups(lambda: plain.index.remove_document("head", 7)) == 3
         # A document the term does not hold, and a term nobody published:
