@@ -98,6 +98,13 @@ class WorkerBee:
         is updated in place when provided.  The task runs in one DHT publish
         scope, so a key it reads and then writes (the ``doc:`` record, each
         merged term's manifest) is resolved once.
+
+        The shard updates run in one parallel region, with the new version's
+        content-addressed term vector stored as its last branch: nothing can
+        see the vector until the ``doc:`` record names it, and that record
+        (:meth:`publish_records`) is written only after every shard's manifest
+        put, the commit point, has landed.  A vector that could not be stored
+        fails the region and rolls the statistics back like a failed merge.
         """
         with self.index.dht.publish_scope():
             frequencies = self.analyzer.term_frequencies(document.full_text)
@@ -133,11 +140,16 @@ class WorkerBee:
                     statistics.remove_document(document.doc_id, previous)
                 statistics.add_document(document.doc_id, conservative_length, frequencies)
 
-            merges = [
+            prior_version = prior.version if prior is not None else 0
+            branches = [
                 merge_thunk(term, frequency) for term, frequency in sorted(frequencies.items())
             ]
+            branches.append(lambda: self.term_directory.store_terms(
+                document.doc_id, frequencies,
+                publisher=self.storage_peer, prior_version=prior_version,
+            ))
             try:
-                self._update_shards(document.doc_id, removed_terms, merges)
+                terms_cid = self._update_shards(document.doc_id, removed_terms, branches)[-1]
             except Exception:
                 if statistics is not None:
                     statistics.remove_document(document.doc_id, frequencies)
@@ -148,7 +160,7 @@ class WorkerBee:
                 statistics.add_document(document.doc_id, document.length, frequencies)
 
             self.publish_records(
-                document, cid, frequencies, prior_version=prior.version if prior is not None else 0
+                document, cid, frequencies, prior_version=prior_version, terms_cid=terms_cid
             )
             self.index_tasks_completed += 1
             return IndexTaskResult(
@@ -204,40 +216,44 @@ class WorkerBee:
         cid: str,
         frequencies: Dict[str, int],
         prior_version: int,
+        terms_cid: Optional[str] = None,
     ) -> None:
         """Write a document's two per-document records in one parallel region.
 
         The first branch publishes the ``doc:<id>`` term-directory record
         (``TermDirectory.publish``, successor of ``prior_version``), the second
         the ``docmeta:<id>`` display record (``DocumentDirectory.publish``).
-        Neither reads what the other writes, so the write costs the slower of
-        the two.  A raise in the first branch propagates before the second
-        runs, so no display record is written without its term record.
+        ``terms_cid`` names a term vector already stored
+        (:meth:`index_document` stores it beside the shard updates); without
+        one, as on the bootstrap path, the first branch stores the vector
+        before its record.  Neither branch reads what the other writes, so the
+        write costs the slower of the two.  A raise in the first branch
+        propagates before the second runs, so no display record is written
+        without its term record.
         """
         self.index.dht.simulator.parallel_region([
             lambda: self.term_directory.publish(
-                document.doc_id, frequencies,
-                publisher=self.storage_peer, prior_version=prior_version,
+                document.doc_id, frequencies, publisher=self.storage_peer,
+                prior_version=prior_version, terms_cid=terms_cid,
             ),
             lambda: self.directory.publish(document, cid),
         ])
 
-    def _update_shards(self, doc_id, removed_terms, merge_thunks) -> None:
-        """Issue removals for ``removed_terms`` plus ``merge_thunks`` concurrently.
+    def _update_shards(self, doc_id, removed_terms, thunks) -> list:
+        """Issue removals for ``removed_terms`` plus ``thunks`` concurrently.
 
         Per-term shard updates are independent of each other, so the worker
         runs them in one parallel region: the simulated cost is the slowest
-        update, not the sum (cf. Simulator.parallel_region).
+        update, not the sum (cf. Simulator.parallel_region).  Returns the
+        branches' results, removals first, in order.
         """
 
         def removal_thunk(term: str):
             return lambda: self.index.remove_document(term, doc_id,
                                                       publisher=self.storage_peer)
 
-        thunks = [removal_thunk(term) for term in removed_terms]
-        thunks.extend(merge_thunks)
-        if thunks:
-            self.index.dht.simulator.parallel_region(thunks)
+        branches = [removal_thunk(term) for term in removed_terms] + list(thunks)
+        return self.index.dht.simulator.parallel_region(branches) if branches else []
 
     # -- ranking ---------------------------------------------------------------------
 

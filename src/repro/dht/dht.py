@@ -48,6 +48,22 @@ class DHTStats:
         self.stores = 0
 
 
+@dataclass(frozen=True)
+class WriteTarget:
+    """Where a write of ``key`` fans out: the outcome of :meth:`DHTNetwork.locate`.
+
+    ``recorded`` marks a publish-scope record standing in for the lookup;
+    ``inconclusive`` a lookup that reached nobody, which the fan-out half
+    turns into :class:`RoutingError`.
+    """
+
+    key: str
+    origin: KademliaNode
+    closest: List[Contact]
+    recorded: bool = False
+    inconclusive: bool = False
+
+
 class DHTNetwork:
     """A set of Kademlia nodes sharing one simulated network.
 
@@ -177,7 +193,7 @@ class DHTNetwork:
 
         Returns the number of replicas successfully written.
         """
-        return self._write(key, STORE, {"value": value}, origin)
+        return self._write_at(self.locate(key, origin), STORE, {"value": value})
 
     def get(self, key: str, origin: Optional[KademliaNode] = None) -> Any:
         """Fetch the value stored under ``key``.
@@ -190,50 +206,75 @@ class DHTNetwork:
             raise KeyNotFoundError(f"key {key!r} not found in the DHT")
         return result.value
 
-    def add_to_set(self, key: str, *items: Any, origin: Optional[KademliaNode] = None) -> int:
+    def add_to_set(
+        self,
+        key: str,
+        *items: Any,
+        origin: Optional[KademliaNode] = None,
+        target: Optional[WriteTarget] = None,
+    ) -> int:
         """Add ``items`` to the multi-writer set stored under ``key``.
 
         One lookup and one APPEND per replica however many items there are.
-        Returns the number of replicas successfully written.
+        A caller that already ran the lookup half (:meth:`locate`) passes its
+        ``target`` and pays only the fan-out.  Returns the number of replicas
+        successfully written.
         """
-        return self._write(key, APPEND, {"items": list(items)}, origin)
+        if target is None:
+            target = self.locate(key, origin)
+        return self._write_at(target, APPEND, {"items": list(items)})
 
     def get_set(self, key: str, origin: Optional[KademliaNode] = None) -> List[Any]:
         """Fetch the set stored under ``key`` (empty list on a clean miss;
         :class:`RoutingError` on an inconclusive one)."""
         return list(self._read(key, origin).items or [])
 
-    def _write(
-        self, key: str, msg_type: str, body: Dict[str, Any], origin: Optional[KademliaNode]
-    ) -> int:
-        """Resolve ``key``'s closest set once, then send ``msg_type`` to its
-        ``replicate`` closest nodes in one parallel fan-out.
+    def locate(self, key: str, origin: Optional[KademliaNode] = None) -> WriteTarget:
+        """The lookup half of a write of ``key``: where its fan-out will go.
+
+        Inside :meth:`publish_scope`, a recorded read of ``key`` stands in for
+        the lookup (and is consumed).  Otherwise one ``find_node`` runs from
+        ``origin`` (a random online node by default).  An inconclusive lookup
+        does not raise here: it is carried to the fan-out half
+        (``add_to_set(..., target=)``), so a caller can run this half beside
+        other work and still fail after it.
+        """
+        recorded = self._resolved.pop(key, None) if self._resolved and origin is None else None
+        if recorded is not None:
+            return WriteTarget(key, *recorded, recorded=True)
+        origin = origin or self.random_node()
+        result = find_node(origin, key_to_id(key), k=self.k, alpha=self.alpha)
+        self._record_lookup(result.rounds, result.contacted, failed=False)
+        return WriteTarget(
+            key, origin, result.closest,
+            inconclusive=not result.closest and self._inconclusive(result),
+        )
+
+    def _write_at(self, target: WriteTarget, msg_type: str, body: Dict[str, Any]) -> int:
+        """The fan-out half of a write: send ``msg_type`` to ``target``'s ``replicate``
+        closest nodes in one parallel round; returns how many stored it.
 
         A lookup that reached nobody raises :class:`RoutingError` instead of
         falling back to the origin's own store: that copy would be one no
         other reader can find during the outage and — being the freshest —
         the one every reader prefers after it.  Only an overlay with nobody
-        to ask stores on the origin.
-
-        Inside :meth:`publish_scope`, a recorded read of ``key`` stands in
-        for the lookup, unless its fan-out stores nowhere.
+        to ask stores on the origin.  A recorded target whose fan-out stores
+        nowhere falls back to a fresh lookup.
         """
-        recorded = self._resolved.pop(key, None) if self._resolved and origin is None else None
-        if recorded is not None:
-            stored = self._fan_out(*recorded, key, msg_type, body)
+        if target.recorded:
+            stored = self._fan_out(target.origin, target.closest, target.key, msg_type, body)
             if stored:
                 self.stats.stores += 1
                 return stored
-        origin = origin or self.random_node()
-        result = find_node(origin, key_to_id(key), k=self.k, alpha=self.alpha)
-        self._record_lookup(result.rounds, result.contacted, failed=False)
-        if not result.closest and self._inconclusive(result):
-            raise RoutingError(f"no peer answered the lookup for {key!r}; nothing stored")
+            target = self.locate(target.key)
+        if target.inconclusive:
+            raise RoutingError(f"no peer answered the lookup for {target.key!r}; nothing stored")
         self.stats.stores += 1
-        if result.closest:
-            return self._fan_out(origin, result.closest, key, msg_type, body)
+        origin = target.origin
+        if target.closest:
+            return self._fan_out(origin, target.closest, target.key, msg_type, body)
         # The origin is the whole overlay: its own handler, no network.
-        payload = dict(origin._base_payload(), key=key_to_id(key), **body)
+        payload = dict(origin._base_payload(), key=key_to_id(target.key), **body)
         message = Message(origin.address, origin.address, msg_type, payload)
         return int(origin.handle_message(message).ok)
 

@@ -95,27 +95,47 @@ class TermDirectory:
 
     # -- publishing (worker-bee side) ------------------------------------------------
 
+    def store_terms(
+        self,
+        doc_id: int,
+        terms: Dict[str, int],
+        publisher: Optional[str] = None,
+        prior_version: Optional[int] = None,
+    ) -> str:
+        """Store the term vector of ``doc_id``'s next version; returns its CID.
+
+        The blob is content-addressed, so it is invisible until a ``doc:``
+        record (:meth:`publish`) names it: a worker may store it beside its
+        shard writes.
+        """
+        version = self._next_version(doc_id, prior_version)
+        payload = json.dumps(
+            {"doc_id": doc_id, "version": version, "terms": terms}, sort_keys=True
+        )
+        return self.storage.add_text(payload, publisher=publisher).cid
+
     def publish(
         self,
         doc_id: int,
         terms: Dict[str, int],
         publisher: Optional[str] = None,
         prior_version: Optional[int] = None,
+        terms_cid: Optional[str] = None,
     ) -> TermDirectoryRecord:
         """Publish ``terms`` as the authoritative term vector for ``doc_id``.
 
         ``prior_version`` is the directory version the caller observed before
         computing its diff (0 for a brand-new document); passing it skips the
         extra DHT read.  When omitted, the current pointer is read so the
-        successor version is still monotonic.
+        successor version is still monotonic.  ``terms_cid`` names the vector
+        when :meth:`store_terms` already stored it; without it the vector is
+        stored first.
         """
         version = self._next_version(doc_id, prior_version)
-        payload = json.dumps(
-            {"doc_id": doc_id, "version": version, "terms": terms}, sort_keys=True
-        )
-        cid = self.storage.add_text(payload, publisher=publisher).cid
+        if terms_cid is None:
+            terms_cid = self.store_terms(doc_id, terms, publisher, prior_version=version - 1)
         record = TermDirectoryRecord(
-            doc_id=doc_id, version=version, terms_cid=cid, terms=dict(terms)
+            doc_id=doc_id, version=version, terms_cid=terms_cid, terms=dict(terms)
         )
         self.dht.put(doc_terms_key(doc_id), record.to_pointer())
         self.stats.records_published += 1

@@ -90,6 +90,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DHTError, KeyNotFoundError, ReproError, RoutingError, TermNotFoundError
@@ -552,7 +553,9 @@ class DistributedIndex:
         ``idx:<term>``.  Old shard payloads stay in storage — content
         addressing makes them immutable — but the manifest is what readers
         resolve.  Returns the CID of the first shard (the whole list's CID
-        in the common single-shard case).
+        in the common single-shard case).  Every changed shard's patch and
+        body are stored in one parallel region (per shard, the patch branch
+        first), so the stores cost the slowest of them, not their sum.
 
         **Crash ordering.**  Three steps, sequenced so the ``idx:<term>``
         manifest write is the commit point: (1) shard and patch payloads
@@ -627,6 +630,28 @@ class DistributedIndex:
                 changed,
             )
 
+        # Every changed shard's patch and body go up in one region, in index
+        # order, each shard's patch branch before its body branch: none reads
+        # what another stores.  The bookkeeping follows, in index order.
+        patchable = range(len(base_chunks)) if base_chunks is not None else range(0)
+        payloads: Dict[int, str] = {}
+        branches: List[Callable[[], object]] = []
+        for index in changed:
+            chunk, body, _, _ = prepared[index]
+            body["gen"] = generation
+            payloads[index] = json.dumps(body, sort_keys=True)
+            if index in patchable:
+                prior = previous.shards[index] if index < len(previous.shards) else None
+                branches.append(partial(
+                    self._publish_shard_patch, term, index, base_chunks[index], chunk, prior,
+                    payloads[index], publisher,
+                ))
+            branches.append(partial(
+                self.storage.add_text, payloads[index], publisher=publisher,
+                providers=placements.get(index) or None,
+            ))
+        outcomes = iter(self.dht.simulator.parallel_region(branches))
+
         infos: List[ShardInfo] = []
         for index, (chunk, body, fingerprint, min_len) in enumerate(prepared):
             prior = carried.get(index)
@@ -636,28 +661,15 @@ class DistributedIndex:
                 if self.placement is not None:
                     self.placement.record(term, index, prior.cid, prior.providers)
                 continue
-            body["gen"] = generation
-            payload = json.dumps(body, sort_keys=True)
-            patch = None
-            if base_chunks is not None and index < len(base_chunks):
-                prior = (
-                    previous.shards[index]
-                    if previous is not None and index < len(previous.shards)
-                    else None
-                )
-                patch = self._publish_shard_patch(
-                    term, index, base_chunks[index], chunk, prior, payload, publisher
-                )
-            requested = placements.get(index, ())
-            receipt = self.storage.add_text(
-                payload, publisher=publisher, providers=requested or None
-            )
+            patch = next(outcomes) if index in patchable else None
+            receipt = next(outcomes)
+            payload = payloads[index]
             cid = receipt.cid
             # Hints and the repair registry record the providers the push
             # actually reached (a chosen peer lost at push time is dropped;
             # the publisher fallback is announced) — a hint naming a peer
             # without the content would defeat the repair floor check.
-            achieved = receipt.providers if requested else ()
+            achieved = receipt.providers if placements.get(index) else ()
             self.stats.shards_published += 1
             self.stats.bytes_published += len(payload)
             if self.metrics is not None:

@@ -29,6 +29,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AttackConfigError
@@ -471,7 +472,10 @@ class RankVectorPublisher:
 
     The manifest is ``dht.put`` under :data:`RANK_BANDS_DHT_KEY`
     (authoritative); the engine additionally gossips it so frontends skip
-    the DHT lookup on the happy path.
+    the DHT lookup on the happy path.  A wholesale round stores the anchor
+    and then puts its ``rank:vector`` pointer and the manifest in one
+    parallel region; a delta round stores its changed bands in one region
+    and then puts the manifest.
     """
 
     def __init__(self, storage, dht, metrics=None) -> None:
@@ -489,6 +493,7 @@ class RankVectorPublisher:
         """Ship ``ranks`` at ``version``; returns what went on the wire."""
         if not ranks:
             full_cid, nbytes = self._store_full(ranks, version, publisher)
+            self.dht.put(RANK_VECTOR_DHT_KEY, full_cid)
             self._previous = None
             return RankPublishReceipt(
                 version=version, wholesale=True, full_cid=full_cid,
@@ -531,7 +536,12 @@ class RankVectorPublisher:
             version=version, width=width, fingerprints=fingerprints, cids=cids,
             anchor_cid=full_cid, anchor_version=version,
         )
-        manifest_json = self._put_manifest(ranks, state, bounds)
+        # The two head records name the stored anchor and nothing of each
+        # other's, so they go up side by side.
+        _, manifest_json = self.dht.simulator.parallel_region([
+            lambda: self.dht.put(RANK_VECTOR_DHT_KEY, full_cid),
+            lambda: self._put_manifest(ranks, state, bounds),
+        ])
         self._previous = state
         return RankPublishReceipt(
             version=version, wholesale=True, manifest_json=manifest_json,
@@ -546,14 +556,17 @@ class RankVectorPublisher:
             previous.cids[index] if index < len(previous.cids) else None
             for index in range(len(bounds))
         ]
+        payloads = {index: rank_band_payload(ranks, *bounds[index]) for index in changed}
+        stored = self.dht.simulator.parallel_region([
+            partial(self.storage.add_text, payloads[index], publisher=publisher)
+            for index in changed
+        ])
         nbytes = 0
-        for index in changed:
-            lo, hi = bounds[index]
-            payload = rank_band_payload(ranks, lo, hi)
-            cids[index] = self.storage.add_text(payload, publisher=publisher).cid
-            nbytes += len(payload)
+        for index, receipt in zip(changed, stored):
+            cids[index] = receipt.cid
+            nbytes += len(payloads[index])
             if self.metrics is not None:
-                self.metrics.increment("publish.delta_bytes", len(payload))
+                self.metrics.increment("publish.delta_bytes", len(payloads[index]))
         state = _BandState(
             version=version, width=width, fingerprints=fingerprints, cids=cids,
             anchor_cid=previous.anchor_cid, anchor_version=previous.anchor_version,
@@ -567,7 +580,8 @@ class RankVectorPublisher:
         )
 
     def _store_full(self, ranks, version, publisher) -> Tuple[str, int]:
-        """Store the full versioned vector (the legacy/anchor artifact)."""
+        """Store the full versioned vector (the legacy/anchor artifact); its
+        ``rank:vector`` pointer is the caller's to put."""
         payload = json.dumps(
             {
                 "version": version,
@@ -577,7 +591,6 @@ class RankVectorPublisher:
             sort_keys=True,
         )
         cid = self.storage.add_text(payload, publisher=publisher).cid
-        self.dht.put(RANK_VECTOR_DHT_KEY, cid)
         if self.metrics is not None:
             self.metrics.increment("publish.full_bytes", len(payload))
         return cid, len(payload)

@@ -149,11 +149,15 @@ class Simulator:
         all branches have run, the clock lands on ``start + max(durations)``.
         This mirrors :meth:`repro.net.network.SimulatedNetwork.rpc_parallel`
         but for arbitrary multi-RPC operations — a worker bee updating all of
-        a page's term shards concurrently or writing a page's two directory
-        records (or tombstones) side by side, bootstrap storing, registering
-        and recording every page of the corpus at once and then publishing
-        every term (beside the collection statistics) at once, a content add
-        pushing to its replicas, a frontend prefetching every manifest and
+        a page's term shards concurrently (with the page's term vector stored
+        beside them) or writing a page's two directory records (or
+        tombstones) side by side, a term publish storing every changed
+        shard's patch and body at once, bootstrap storing, registering and
+        recording every page of the corpus at once and then publishing every
+        term (beside the collection statistics) at once, a content add
+        pushing to its replicas while it looks up its provider key, a rank
+        round putting its vector pointer beside its band manifest (or storing
+        its changed bands at once), a frontend prefetching every manifest and
         range shard of a query batch in one overlapped region, or a frontend
         composing a page by resolving its top-k records at once.  A branch
         that calls the chain gets a block no earlier than the chain's head

@@ -11,6 +11,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BlockNotFoundError, KeyNotFoundError
@@ -272,19 +273,25 @@ class DecentralizedStorage:
         (old-or-new, composing with the manifest-put commit point).
 
         The pushes to the targets are concurrent — one branch per target of
-        one parallel region, so an add costs its slowest target — while each
-        target's blocks still go one after another.  The provider announcement
-        follows the region.
+        one parallel region — while each target's blocks still go one after
+        another.  The provider key's lookup (``DHTNetwork.locate``: a
+        ``find_node``, or the open publish scope's record of the key) needs
+        nothing from the pushes, so it is the region's last branch; the
+        APPEND fan-out follows the region, to that closest set with the
+        holders the pushes achieved.  So an add costs the slower of its
+        slowest push and its lookup, plus one fan-out.  A lookup that reached
+        nobody raises :class:`~repro.errors.RoutingError` there, after the
+        pushes have landed.
         """
         origin = self.peers[publisher] if publisher is not None else self.random_peer()
         result = self.dag.build(data)
         if not providers:
             self._pin_locally(origin, result.blocks)
         targets = providers or self._choose_replicas(origin.address, self.replication - 1)
-        landed = self.simulator.parallel_region([
-            (lambda target=target: self._push_dag(origin, target, result.blocks))
-            for target in targets
-        ])
+        *landed, announce = self.simulator.parallel_region(
+            [partial(self._push_dag, origin, target, result.blocks) for target in targets]
+            + [partial(self.dht.locate, provider_key(result.root_cid))]
+        )
         if providers:
             holders = [target for target, whole in zip(targets, landed) if whole]
             if not holders:
@@ -293,7 +300,7 @@ class DecentralizedStorage:
             self.stats.placed_adds += 1
         else:
             holders = [origin.address] + targets
-        self.dht.add_to_set(provider_key(result.root_cid), *holders)
+        self.dht.add_to_set(announce.key, *holders, target=announce)
         self.stats.adds += 1
         self.stats.bytes_added += len(data)
         return StoreReceipt(

@@ -10,6 +10,7 @@ simulation fails on every test run, not only when E13 is compared.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict, namedtuple
 from typing import Any, List
 
@@ -344,7 +345,16 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # alone was re-recorded (29940.441741 -> 10509.413537) when bootstrap began storing,
 # registering and recording every page in one parallel region: the same writes, RPCs and
 # draws in the same order, but the pages now cost the build their slowest page, not their sum.
-GOLDEN_COUNTERS = (10509.413537, 6485, 2302178, 466, 476)
+# The clock alone was re-recorded (10509.413537 -> 9719.11863) when a content add began
+# looking up its provider key beside its pushes, a term publish began storing its shards'
+# patches and bodies at once and a rank round began putting its vector pointer beside its band
+# manifest: the same sends in the same order (GOLDEN_SENDS), but each of those writes now
+# waits for its slowest step instead of their sum.
+GOLDEN_COUNTERS = (9719.11863, 6485, 2302178, 466, 476)
+# Every send of the same deployment, construction included, as (msg_type, sender,
+# recipient) in host order: the SHA-256 of those lines.  Recorded on the commit before the
+# clock's last re-recording below, which left this sequence as it was.
+GOLDEN_SENDS = "200f252722066415054d08095b51837d43cdc4b883e5e2367586c2a28df8845b"
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
@@ -375,7 +385,15 @@ GOLDEN_ADS = [  # (ad_id, advertiser, keyword) beside each of the ten pages
 ]
 
 
-def test_golden_deployment_is_unchanged():
+def test_golden_deployment_is_unchanged(monkeypatch):
+    sends = []
+    deliver = SimulatedNetwork._deliver
+
+    def recorded(network, src, dst, msg_type, *args, **kwargs):
+        sends.append(f"{msg_type} {src} {dst}")
+        return deliver(network, src, dst, msg_type, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedNetwork, "_deliver", recorded)
     corpus = CorpusGenerator(
         vocabulary_size=200, owner_count=8, mean_document_length=40,
         length_spread=10, mean_out_degree=3.0, seed=11,
@@ -407,6 +425,7 @@ def test_golden_deployment_is_unchanged():
     counters = (round(engine.simulator.now, 6), net.rpc_count, net.bytes_sent,
                 dht.lookups, dht.total_rounds)
     assert counters == GOLDEN_COUNTERS
+    assert hashlib.sha256("\n".join(sends).encode()).hexdigest() == GOLDEN_SENDS
     assert pages == GOLDEN_PAGES
     assert {
         name: sum(page.diagnostics[name] for page in served) for name in GOLDEN_QUERY_WORK

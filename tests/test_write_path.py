@@ -10,21 +10,28 @@ pointer, an eager provider lookup — fails here before it shows up in E13.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import List
+
 import pytest
 
 from repro.core.directory import DocumentDirectory
 from repro.dht.dht import DHTNetwork
-from repro.errors import KeyNotFoundError
-from repro.index.distributed import DistributedIndex
+from repro.dht.lookup import find_node
+from repro.dht.node import STORE
+from repro.dht.nodeid import key_to_id
+from repro.errors import KeyNotFoundError, RoutingError
+from repro.index.distributed import DistributedIndex, term_key
 from repro.index.document import Document
 from repro.index.placement import PlacementPolicy
 from repro.index.postings import Posting, PostingList
 from repro.net.detector import FailureDetector
-from repro.net.faults import CrashWindow
+from repro.net.faults import CrashWindow, FaultRule
 from repro.net.latency import ConstantLatency
+from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
-from repro.storage.ipfs import DecentralizedStorage, StorageOptions
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
 
 from tests.conftest import make_small_engine
 
@@ -237,6 +244,65 @@ class TestConcurrentPushes:
         assert d.storage.stats.blocks_transferred == 2 * blocks
 
 
+class TestProviderLookupBesidePushes:
+    """An add looks its provider key up as the last branch of its push region and
+    sends the APPEND fan-out after both: under ``ConstantLatency`` it costs
+    max(pushes, lookup) + one round trip, not their sum."""
+
+    CHOSEN = ["store-1", "store-4", "store-6"]
+    ROUND_TRIP = 20.0  # ConstantLatency(10.0)
+
+    @staticmethod
+    def _lookup_ticks(twin: _Deployment, cid: str) -> float:
+        """The provider lookup alone, on a twin in the same state: the origin the
+        add draws, the same ``find_node``."""
+        origin = twin.dht.random_node()
+        start = twin.simulator.now
+        find_node(origin, key_to_id(provider_key(cid)), k=twin.dht.k, alpha=twin.dht.alpha)
+        return twin.simulator.now - start
+
+    @pytest.mark.parametrize("placed", [False, True])
+    @pytest.mark.parametrize("size", [10, 1_200])  # lookup-bound, push-bound
+    def test_an_add_waits_for_the_slower_of_its_pushes_and_its_lookup(self, placed, size):
+        d, twin = _Deployment(), _Deployment()
+        data = b"h" * size
+        built = d.storage.dag.build(data)
+        lookup = self._lookup_ticks(twin, built.root_cid)
+        pushes = len(built.blocks) * self.ROUND_TRIP  # each target's blocks in turn
+        start = d.simulator.now
+        d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN if placed else None)
+        assert lookup > 0
+        assert d.simulator.now - start == pytest.approx(max(pushes, lookup) + self.ROUND_TRIP)
+
+    def test_a_lookup_that_reaches_nobody_raises_with_the_dag_pinned_on_its_targets(self):
+        d = _Deployment()
+        # The one DHT node left online draws every lookup, and its contacts are all down.
+        for address in sorted(d.dht.nodes)[1:]:
+            d.network.set_offline(address)
+        data = b"honey " * 20
+        built = d.storage.dag.build(data)
+        with pytest.raises(RoutingError):
+            d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN)
+        for address in self.CHOSEN:
+            store = d.storage.peers[address].store
+            assert all(store.has(block.cid) for block in built.blocks), address
+
+    def test_a_recorded_provider_key_costs_no_lookup(self):
+        d = _Deployment()
+        data = b"honey " * 20
+        built = d.storage.dag.build(data)
+        with d.dht.publish_scope():
+            assert d.dht.get_set(provider_key(built.root_cid)) == []
+            start = d.simulator.now
+            spent, receipt = d.run(
+                lambda: d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN)
+            )
+            ticks = d.simulator.now - start
+        assert spent == 0 and d.storage.providers_of(receipt.cid) == self.CHOSEN
+        # The recorded closest set stands in for the lookup: pushes, then the fan-out.
+        assert ticks == pytest.approx(len(built.blocks) * self.ROUND_TRIP + self.ROUND_TRIP)
+
+
 class TestFetchBudget:
     def _published(self, d: _Deployment, holders):
         return d.storage.add_bytes(b"content " * 50, publisher=holders[0], providers=holders)
@@ -295,8 +361,53 @@ class TestFetchBudget:
 
 # -- a publisher that dies mid-update -----------------------------------------------------
 
-CRASH_POINTS = (0, 2, 6, 15, 34, 40)  # 34 lands inside the manifest put's fan-out
+MANIFEST_STORE = "manifest-store"
+CRASH_POINTS = (0, 2, 6, 15, 34, 40, MANIFEST_STORE)
 CRASH_SEEDS = range(20, 40)
+TERM = "queenbee"
+
+
+@dataclass
+class _SendLog(FaultRule):
+    """Lets every message through and keeps it, in send order."""
+
+    sends: List[Message] = field(default_factory=list)
+
+    def intercept(self, message, now, rng):
+        self.sends.append(message)
+        return None
+
+
+def _first_version(corpus, seed: int):
+    engine = make_small_engine(seed=seed, index_shard_size=8)
+    engine.bootstrap_corpus(corpus.documents[:3])
+    engine.publish_document(Document(
+        doc_id=30_001, url="https://example.test/d1", title=TERM,
+        text=(TERM + " ") * 12, owner="owner-d",
+    ))
+    return engine
+
+
+def _publish_second_version(engine) -> None:
+    engine.publish_document(Document(
+        doc_id=30_002, url="https://example.test/d2", title=TERM,
+        text=(TERM + " ") * 15, owner="owner-d",
+    ))
+
+
+def _manifest_store_crash_point(corpus, seed: int) -> int:
+    """The sends an uncrashed twin makes up to and including its first STORE of
+    the ``idx:queenbee`` manifest; a crash there tears the manifest fan-out."""
+    twin = _first_version(corpus, seed)
+    log = twin.network.faults.add(_SendLog())
+    _publish_second_version(twin)
+    manifest_key = key_to_id(term_key(TERM))
+    stores = [
+        position for position, message in enumerate(log.sends)
+        if message.msg_type == STORE and message.payload.get("key") == manifest_key
+    ]
+    assert len(stores) > 1 and stores == list(range(stores[0], stores[0] + len(stores)))
+    return stores[0] + 1
 
 
 @pytest.mark.parametrize("after_sends", CRASH_POINTS)
@@ -308,33 +419,32 @@ def test_crash_mid_update_leaves_old_or_new_never_a_wiped_term(small_corpus, aft
     ISSUE 17 an unanswered lookup read as "no such term" and an unreachable
     put stored on its own origin, so the term came back as ``[30002]`` alone,
     or unchanged under an accepted receipt, in most of these runs.
-    """
-    term = "queenbee"
-    for seed in CRASH_SEEDS:
-        engine = make_small_engine(seed=seed, index_shard_size=8)
-        engine.bootstrap_corpus(small_corpus.documents[:3])
-        engine.publish_document(Document(
-            doc_id=30_001, url="https://example.test/d1", title=term,
-            text=(term + " ") * 12, owner="owner-d",
-        ))
-        baseline = engine.index.fetch_term(term, use_cache=False)
-        old_generation = engine.index.generation(term)
 
-        window = engine.network.faults.add(CrashWindow(after_sends=after_sends))
+    ``MANIFEST_STORE`` crashes each seed just after the first of the manifest
+    put's STOREs, located by an uncrashed twin of the same seed, so one point
+    of the sweep always lands inside that fan-out.
+    """
+    for seed in CRASH_SEEDS:
+        crash_at = (
+            _manifest_store_crash_point(small_corpus, seed)
+            if after_sends == MANIFEST_STORE else after_sends
+        )
+        engine = _first_version(small_corpus, seed)
+        baseline = engine.index.fetch_term(TERM, use_cache=False)
+        old_generation = engine.index.generation(TERM)
+
+        window = engine.network.faults.add(CrashWindow(after_sends=crash_at))
         raised = False
         try:
-            engine.publish_document(Document(
-                doc_id=30_002, url="https://example.test/d2", title=term,
-                text=(term + " ") * 15, owner="owner-d",
-            ))
+            _publish_second_version(engine)
         except Exception:
             raised = True  # the publisher died mid-publish; that is the scenario
         window.heal()
         engine.dht.refresh_routing()
 
-        where = f"seed {seed}, crash after {after_sends} sends"
-        manifest = engine.index.fetch_term_manifest(term, use_cache=False)
-        survivors = engine.index.fetch_term(term, use_cache=False)
+        where = f"seed {seed}, crash after {crash_at} sends"
+        manifest = engine.index.fetch_term_manifest(TERM, use_cache=False)
+        survivors = engine.index.fetch_term(TERM, use_cache=False)
         if manifest.generation == old_generation:
             assert survivors.arrays() == baseline.arrays(), f"old generation moved ({where})"
             assert raised, f"update lost under an accepted receipt ({where})"
