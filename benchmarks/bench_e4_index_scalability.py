@@ -22,10 +22,9 @@ the anti-affinity bound ``ceil(shards/replication)`` (in a healthy overlay,
 ~1), and every page must equal the exhaustive reference
 (``tests/reference.py:frontend_reference``).
 
-The **backend rows** scale the corpus to 10k documents on the pluggable
-storage backends: the same build and query workload runs on the in-memory
-and the on-disk (sqlite) block stores, and the top-k pages must match
-exactly — the on-disk medium is sim-invisible.
+The **scale row** pushes the corpus to 10k documents on a leaner overlay
+with coarser shards; its pages, like every row's, must equal the exhaustive
+reference.
 
 The **update row** measures the bytes-on-the-wire cost of keeping a warm
 reader current through incremental update rounds: a superseded cached shard
@@ -34,8 +33,7 @@ costs one patch fetch (bounded at half the shard payload by
 must move at most half the bytes of the full shard the reader warmed up
 with.  Results are also written to ``BENCH_E4.json``, which
 ``compare_bench.py`` gates; ``E4_SMOKE=1`` runs a tiny configuration asserting the placement
-invariant, the reference pages and the sqlite ≡ memory identity (the CI
-smoke job).
+invariant and the reference pages (the CI smoke job).
 """
 
 from __future__ import annotations
@@ -67,12 +65,10 @@ SWEEP = (
 )
 QUERY_COUNT = 15 if SMOKE else 30
 SHARD_SIZE = 16 if SMOKE else 64
-# The storage-backend scale section: the same corpus built and queried on
-# the in-memory and the on-disk (sqlite) block stores, asserting identical
-# top-k pages.  The full run pushes the corpus to 10k documents — the scale
-# the sqlite backend exists for — on a leaner overlay and coarser shards so
-# the build stays tractable; the smoke run keeps the identity assertion on
-# the tiny configuration.
+# The scale section: the full run pushes the corpus to 10k documents on a
+# leaner overlay and coarser shards so the build stays tractable; the smoke
+# run keeps it on the tiny configuration.  (The names keep their "backend"
+# prefix: they are keys of the committed baseline.)
 BACKEND_POINT = (90, 12) if SMOKE else (10_000, 16)  # (documents, peers)
 BACKEND_SHARD_SIZE = 16 if SMOKE else 256
 # The update-round section: incremental text-only updates against a warm
@@ -104,13 +100,11 @@ def _row(
     doc_count: int,
     peer_count: int,
     shard_size: int = 0,
-    backend: str = "memory",
-) -> Tuple[Dict[str, object], List[List[Tuple[int, float]]]]:
+) -> Dict[str, object]:
     corpus = build_corpus(doc_count, seed=900 + doc_count)
     queries = build_queries(corpus, QUERY_COUNT, seed=doc_count)
     engine = build_engine(peer_count=peer_count, worker_count=max(4, peer_count // 8),
-                          index_shard_size=shard_size, seed=900 + doc_count,
-                          storage_backend=backend)
+                          index_shard_size=shard_size, seed=900 + doc_count)
     wall_start = engine.simulator.now
     engine.bootstrap_corpus(corpus.documents)
     build_time = engine.simulator.now - wall_start
@@ -146,7 +140,7 @@ def _row(
         "codec": "delta+varint",
         "shard size": shard_size or "-",
         "placement": "on",
-        "backend": backend,
+        "backend": "memory",
         "dht rounds/lookup": mean_rounds,
         "bytes/term fetch": sum(per_fetch) / len(per_fetch),
         "max fetch (bytes)": max(per_fetch),
@@ -162,10 +156,9 @@ def _row(
     for query, page in zip(queries, top_k):
         assert page == frontend_reference(frontend, query), (
             f"a page differs from the exhaustive reference at ({doc_count}, {peer_count}, "
-            f"shard size {shard_size or '-'}, {backend}): {query!r}"
+            f"shard size {shard_size or '-'}): {query!r}"
         )
-    engine.storage.close()
-    return row, top_k
+    return row
 
 
 def _head_word(corpus, analyzer) -> str:
@@ -249,7 +242,6 @@ def _update_row() -> Tuple[Dict[str, object], int]:
     refetch_bytes = stats.bytes_fetched - before_fetch
     manifest_bytes = stats.manifest_bytes_fetched - before_manifest
     cache_stats = reader.cache.stats
-    engine.storage.close()
     row = {
         # A constant column: it names the row in compare_bench's identity.
         "delta publication": "on",
@@ -265,29 +257,15 @@ def _update_row() -> Tuple[Dict[str, object], int]:
 def run_experiment() -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
     if not SMOKE:
-        rows.extend(_row(docs, peers)[0] for docs, peers in SWEEP)
+        rows.extend(_row(docs, peers) for docs, peers in SWEEP)
     # Sharded rows at every sweep point: the heaviest single fetch must stay
     # capped near the shard payload instead of growing with the corpus, and
     # placement must cap how many of one term's shards any single peer
     # provides.
-    placed_rows = [_row(docs, peers, shard_size=SHARD_SIZE)[0] for docs, peers in SWEEP]
+    placed_rows = [_row(docs, peers, shard_size=SHARD_SIZE) for docs, peers in SWEEP]
     rows.extend(placed_rows)
-    # Storage-backend scale section: the identical configuration on the
-    # in-memory and the on-disk block stores.  The sqlite backend must be
-    # sim-indistinguishable — same top-k pages — while carrying a corpus
-    # (10k documents in the full run) the memory layout was never asked to
-    # hold per peer.
     backend_docs, backend_peers = BACKEND_POINT
-    memory_row, memory_top = _row(
-        backend_docs, backend_peers, shard_size=BACKEND_SHARD_SIZE, backend="memory",
-    )
-    sqlite_row, sqlite_top = _row(
-        backend_docs, backend_peers, shard_size=BACKEND_SHARD_SIZE, backend="sqlite",
-    )
-    assert sqlite_top == memory_top, (
-        f"sqlite backend changed top-k pages at {BACKEND_POINT}"
-    )
-    rows.extend([memory_row, sqlite_row])
+    rows.append(_row(backend_docs, backend_peers, shard_size=BACKEND_SHARD_SIZE))
     update_row, full_shard_bytes = _update_row()
     update_rows = [update_row]
     print_table(
@@ -317,10 +295,6 @@ def run_experiment() -> Dict[str, object]:
     for placed_row in placed_rows:
         docs = placed_row["documents"]
         derived[f"max_shards_per_provider_placed_{docs}"] = placed_row["max shards/provider"]
-    # Backend identity gate: 0 top-k mismatches between media (the assert
-    # above already enforced it; the metric makes the gate visible in the
-    # tracked baseline).
-    derived["backend_topk_mismatches"] = 0.0
     derived["backend_scale_documents"] = float(backend_docs)
 
     payload = {

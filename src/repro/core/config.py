@@ -66,12 +66,6 @@ class QueenBeeConfig:
 
     # Storage
     storage_replication: int = 3
-    # Per-peer block-store medium: "memory" (dicts, the bit-identical
-    # reference) or "sqlite" (single-file on-disk store; the E4 sweep's
-    # 10k+-doc corpora run on it with identical sim-visible behaviour).
-    storage_backend: str = "memory"
-    # Directory for on-disk backend files; "" allocates a per-run temp dir.
-    storage_path: str = ""
 
     # Index
     top_k: int = 10
@@ -179,8 +173,6 @@ class QueenBeeConfig:
             raise ValueError("dht_k and dht_alpha must be positive")
         if self.storage_replication < 1:
             raise ValueError("storage_replication must be at least 1")
-        if self.storage_backend not in ("memory", "sqlite"):
-            raise ValueError(f"unknown storage_backend {self.storage_backend!r}")
 
 
 # The registry: one name per declared field, nothing written twice.

@@ -7,7 +7,8 @@ QueenBee depends on:
 * :mod:`repro.storage.cid` — content identifiers (SHA-256 based).
 * :mod:`repro.storage.block` / :mod:`repro.storage.chunker` /
   :mod:`repro.storage.dag` — blocks, chunking, and Merkle-DAG files.
-* :mod:`repro.storage.blockstore` — per-peer local block storage.
+* :mod:`repro.storage.blockstore` — per-peer local block storage: one
+  in-memory LRU store with pinning and a transactional ``writer()``.
 * :mod:`repro.storage.peer` — a storage peer serving blocks over the network.
 * :mod:`repro.storage.ipfs` — :class:`DecentralizedStorage`, the add/get
   facade with provider records on the DHT and replication.
@@ -17,12 +18,6 @@ from repro.storage.cid import compute_cid, verify_cid
 from repro.storage.block import Block
 from repro.storage.chunker import chunk_bytes
 from repro.storage.dag import MerkleDAG
-from repro.storage.backend import (
-    MemoryBackend,
-    SqliteBackend,
-    StorageBackend,
-    create_backend,
-)
 from repro.storage.blockstore import BlockStore
 from repro.storage.peer import StoragePeer
 from repro.storage.ipfs import (
@@ -38,10 +33,6 @@ __all__ = [
     "Block",
     "chunk_bytes",
     "MerkleDAG",
-    "StorageBackend",
-    "MemoryBackend",
-    "SqliteBackend",
-    "create_backend",
     "BlockStore",
     "StoragePeer",
     "DecentralizedStorage",

@@ -7,9 +7,6 @@ QueenBee stores page contents, index shards, and page-rank vectors here.
 
 from __future__ import annotations
 
-import os
-import re
-import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,7 +16,6 @@ from repro.dht.dht import DHTNetwork
 from repro.net.detector import FailureDetector
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
-from repro.storage.backend import StorageBackend, create_backend
 from repro.storage.block import Block
 from repro.storage.chunker import DEFAULT_CHUNK_SIZE
 from repro.storage.dag import MerkleDAG
@@ -35,10 +31,6 @@ def provider_key(cid: str) -> str:
 class StorageOptions:
     """Storage-layer policy in one bag (mirrors ``FrontendOptions``)."""
 
-    #: Block-store medium per peer: ``"memory"`` or ``"sqlite"``.
-    backend: str = "memory"
-    #: Directory for on-disk backend files ("" = per-run temp directory).
-    path: str = ""
     #: Peers (incl. the publisher) each add is pushed to (E3's knob).
     replication: int = 3
     #: Merkle-DAG leaf size in bytes.
@@ -52,8 +44,6 @@ class StorageOptions:
     def from_config(cls, config, **overrides) -> "StorageOptions":
         """Build from a :class:`~repro.core.config.QueenBeeConfig`."""
         options = cls(
-            backend=config.storage_backend,
-            path=config.storage_path,
             replication=config.storage_replication,
             hedged_fetches=config.hedged_fetches,
         )
@@ -150,7 +140,7 @@ class DecentralizedStorage:
     simulator / network / dht:
         Shared simulation substrate.  The DHT holds provider records.
     options:
-        A :class:`StorageOptions` bag (backend medium, replication factor,
+        A :class:`StorageOptions` bag (replication factor, cache budget,
         chunk size, hedging); the engine passes
         ``StorageOptions.from_config(config)``.
     liveness:
@@ -182,7 +172,6 @@ class DecentralizedStorage:
         self.peers: Dict[str, StoragePeer] = {}
         self.stats = StorageStats()
         self._rng = simulator.fork_rng("storage")
-        self._backend_dir: Optional[str] = None
 
     # -- membership -----------------------------------------------------------
 
@@ -190,47 +179,22 @@ class DecentralizedStorage:
         self,
         address: Optional[str] = None,
         capacity_bytes: Optional[int] = None,
-        backend: Optional[StorageBackend] = None,
     ) -> StoragePeer:
-        """Create a storage peer and register it on the network.
-
-        The peer's block-store medium follows ``options.backend`` unless an
-        explicit ``backend`` instance is supplied (tests use this to mix
-        media inside one overlay).
-        """
+        """Create a storage peer and register it on the network."""
         if address is None:
             address = f"store-{len(self.peers)}"
-        if backend is None:
-            backend = self._make_backend(address)
         if capacity_bytes is None:
             capacity_bytes = self.options.capacity_bytes
-        peer = StoragePeer(
-            address, self.network, capacity_bytes=capacity_bytes, backend=backend
-        )
+        peer = StoragePeer(address, self.network, capacity_bytes=capacity_bytes)
         self.peers[address] = peer
         return peer
 
-    def _make_backend(self, address: str) -> StorageBackend:
-        if self.options.backend == "memory":
-            return create_backend("memory")
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", address)
-        return create_backend(
-            self.options.backend, os.path.join(self._backend_directory(), f"{safe}.db")
-        )
-
-    def _backend_directory(self) -> str:
-        if self._backend_dir is None:
-            if self.options.path:
-                os.makedirs(self.options.path, exist_ok=True)
-                self._backend_dir = self.options.path
-            else:
-                self._backend_dir = tempfile.mkdtemp(prefix="queenbee-blocks-")
-        return self._backend_dir
-
     def close(self) -> None:
-        """Release every peer's backend resources (on-disk file handles)."""
-        for address in sorted(self.peers):
-            self.peers[address].store.close()
+        """Do nothing: the block stores hold no resources beyond memory.
+
+        Kept so that harnesses which close an engine's storage when they
+        are done with it keep working.
+        """
 
     def build(self, count: int) -> List[StoragePeer]:
         return [self.add_peer() for _ in range(count)]

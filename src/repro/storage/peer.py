@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.net.message import Message, Response
 from repro.net.network import SimulatedNetwork
-from repro.storage.backend import StorageBackend
 from repro.storage.block import Block
 from repro.storage.blockstore import BlockStore
 
@@ -47,11 +46,10 @@ class StoragePeer:
         address: str,
         network: SimulatedNetwork,
         capacity_bytes: Optional[int] = None,
-        backend: Optional[StorageBackend] = None,
     ) -> None:
         self.address = address
         self.network = network
-        self.store = BlockStore(capacity_bytes=capacity_bytes, backend=backend)
+        self.store = BlockStore(capacity_bytes=capacity_bytes)
         self.blocks_served = 0
         self.blocks_received = 0
         network.register(address, self.handle_message)
