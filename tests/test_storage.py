@@ -123,21 +123,32 @@ class TestBlockStore:
         store.put(block)
         assert block.cid in store
         assert store.get(block.cid).data == b"abc"
-        # A block's links survive the round trip, and the CID (which commits
-        # to data *and* links) still verifies.
-        parent = Block.create(b"parent", links=(block.cid,))
+
+    def test_round_trip_preserves_data_and_links(self):
+        store = BlockStore()
+        child = Block.create(b"child")
+        parent = Block.create(b"parent", links=(child.cid,))
+        store.put(child)
         store.put(parent)
         fetched = store.get(parent.cid)
         assert fetched.data == b"parent"
-        assert fetched.links == (block.cid,)
+        assert fetched.links == (child.cid,)
+        # The stored block still passes content verification (the CID
+        # commits to data *and* links, so mangling either would fail).
         assert fetched.verify()
-        assert store.get(block.cid).links == ()
+        assert store.get(child.cid).links == ()
 
     def test_get_missing_raises(self):
+        with pytest.raises(BlockNotFoundError):
+            BlockStore().get(compute_cid("missing"))
+
+    def test_missing_blocks_raise(self):
         store = BlockStore()
-        orphan = compute_cid("missing")
+        orphan = compute_cid("never stored")
         with pytest.raises(BlockNotFoundError):
             store.get(orphan)
+        with pytest.raises(BlockNotFoundError):
+            store.pin(orphan)
         assert not store.has(orphan)
         assert not store.remove(orphan)
 
