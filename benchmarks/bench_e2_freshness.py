@@ -209,7 +209,7 @@ def _invalidation_row(corpus) -> Dict[str, object]:
         "queries": queries,
         "cache hit rate": stats.hit_rate,
         "invalidations": stats.invalidations,
-        "patched in place": stats.patched_in_place,
+        "patched in place": cached.index.stats.shards_patched,
         "top-k mismatches": mismatches,
     }
 
@@ -346,8 +346,8 @@ def _delta_row(corpus) -> Dict[str, object]:
         "reader KiB/round": reader_bytes / DELTA_ROUNDS / 1024.0,
         "patch KiB stored": metrics.counter("publish.delta_bytes") / 1024.0,
         "full KiB stored": metrics.counter("publish.full_bytes") / 1024.0,
-        "patched in place": int(metrics.counter("cache.patched_in_place")),
-        "delta fallbacks": int(metrics.counter("cache.delta_fallbacks")),
+        "patched in place": idx_stats.shards_patched,
+        "delta fallbacks": idx_stats.delta_fallbacks,
         "top-k mismatches": mismatches,
     }
 

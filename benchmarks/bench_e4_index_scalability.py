@@ -241,15 +241,14 @@ def _update_row() -> Tuple[Dict[str, object], int]:
         reader.fetch_term(term)
     refetch_bytes = stats.bytes_fetched - before_fetch
     manifest_bytes = stats.manifest_bytes_fetched - before_manifest
-    cache_stats = reader.cache.stats
     row = {
         # A constant column: it names the row in compare_bench's identity.
         "delta publication": "on",
         "update rounds": UPDATE_ROUNDS,
         "refetch KiB/round": refetch_bytes / 1024.0 / UPDATE_ROUNDS,
         "manifest KiB/round": manifest_bytes / 1024.0 / UPDATE_ROUNDS,
-        "patched in place": cache_stats.patched_in_place,
-        "delta fallbacks": cache_stats.delta_fallbacks,
+        "patched in place": stats.shards_patched,
+        "delta fallbacks": stats.delta_fallbacks,
     }
     return row, full_shard_bytes
 

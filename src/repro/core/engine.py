@@ -176,7 +176,6 @@ class EngineStats:
     publishes_rejected: int = 0
     rank_rounds: int = 0
     workers_slashed: int = 0
-    queries_served: int = 0
 
 
 class QueenBeeEngine:
@@ -222,8 +221,8 @@ class QueenBeeEngine:
         )
 
         self.analyzer = Analyzer()
-        # Constructed before the index: the delta patch channel reports its
-        # byte counters through the engine's collector.
+        # Constructed before the index and the rank publisher, which credit
+        # the bytes they publish (full and patch) to the engine's collector.
         self.metrics = MetricsCollector()
         self.posting_cache = (
             PostingCache(cfg.posting_cache_capacity) if cfg.posting_cache_capacity > 0 else None
@@ -424,7 +423,6 @@ class QueenBeeEngine:
         self.documents.remove(doc_id)
         self.link_graph.remove_node(doc_id)
         self.stats.documents_deleted += 1
-        self.metrics.increment("publish.deletes")
         self._publishes_since_stats += 1
         if self._publishes_since_stats >= self.stats_publish_interval:
             self.publish_statistics()
@@ -503,7 +501,6 @@ class QueenBeeEngine:
             self.owner_rank_mass()
         )
         self.stats.rank_rounds += 1
-        self.metrics.increment("rank.rounds")
         return result
 
     def owner_rank_mass(self) -> Dict[str, float]:
@@ -645,13 +642,9 @@ class QueenBeeEngine:
         The service itself holds no engine reference (the serving plane is
         isolated, repro-lint rule RL003); this wires it the narrow
         dependencies it needs — the simulator, :meth:`create_frontend` as
-        the replica factory, and the engine's metrics collector — plus a
-        callback so fully-served requests count in ``stats.queries_served``.
+        the replica factory, and the engine's metrics collector.
         """
         from repro.serve.service import QueryService
-
-        def count_served() -> None:
-            self.stats.queries_served += 1
 
         return QueryService(
             simulator=self.simulator,
@@ -660,7 +653,6 @@ class QueenBeeEngine:
             frontend_options=frontend_options,
             requesters=requesters,
             metrics=self.metrics,
-            on_served=count_served,
         )
 
     def converge_metadata(self, max_rounds: int = 64) -> int:
@@ -678,7 +670,7 @@ class QueenBeeEngine:
         """Answer one query (convenience wrapper around a default frontend)."""
         frontend = frontend or self._frontend()
         page = frontend.search(query)
-        self._record_query_metrics(page, frontend)
+        self._record_query_metrics(page)
         return page
 
     def search_batch(
@@ -688,8 +680,7 @@ class QueenBeeEngine:
         frontend = frontend or self._frontend()
         pages = frontend.search_batch(list(queries))
         for page in pages:
-            self._record_query_metrics(page, frontend)
-        self.metrics.increment("query.batches")
+            self._record_query_metrics(page)
         return pages
 
     def _frontend(self) -> SearchFrontend:
@@ -697,34 +688,12 @@ class QueenBeeEngine:
             self._default_frontend = self.create_frontend()
         return self._default_frontend
 
-    def _record_query_metrics(self, page: ResultPage, frontend: SearchFrontend) -> None:
-        self.stats.queries_served += 1
-        self.metrics.observe("query.latency", page.latency)
+    def _record_query_metrics(self, page: ResultPage) -> None:
         diagnostics = page.diagnostics
         self.metrics.increment("query.postings_scanned", diagnostics.get("postings_scanned", 0))
         self.metrics.increment("query.docs_scored", diagnostics.get("docs_scored", 0))
         self.metrics.increment("query.docs_pruned", diagnostics.get("docs_pruned", 0))
         self.metrics.increment("query.shards_skipped", diagnostics.get("shards_skipped", 0))
-        if diagnostics.get("result_cache") == "hit":
-            self.metrics.increment("query.result_cache_hits")
-        if frontend.result_cache is not None:
-            self.metrics.set_gauges(
-                {
-                    "frontend.result_cache.hit_rate": frontend.result_cache.stats.hit_rate,
-                    "frontend.result_cache.size": len(frontend.result_cache),
-                }
-            )
-        # The querying frontend's posting cache, not the engine's (which only
-        # the write path reads).
-        cache = frontend.index.cache
-        if cache is not None:
-            self.metrics.set_gauges(
-                {
-                    "index.cache.hit_rate": cache.stats.hit_rate,
-                    "index.cache.size": len(cache),
-                    "index.cache.invalidations": cache.stats.invalidations,
-                }
-            )
 
     # -- fault injection (used by the resilience experiment) ----------------------------
 

@@ -29,7 +29,6 @@ class DHTStats:
     lookups: int = 0
     total_rounds: int = 0
     total_contacted: int = 0
-    failed_lookups: int = 0
     stores: int = 0
 
     @property
@@ -44,7 +43,6 @@ class DHTStats:
         self.lookups = 0
         self.total_rounds = 0
         self.total_contacted = 0
-        self.failed_lookups = 0
         self.stores = 0
 
 
@@ -244,7 +242,7 @@ class DHTNetwork:
             return WriteTarget(key, *recorded, recorded=True)
         origin = origin or self.random_node()
         result = find_node(origin, key_to_id(key), k=self.k, alpha=self.alpha)
-        self._record_lookup(result.rounds, result.contacted, failed=False)
+        self._record_lookup(result.rounds, result.contacted)
         return WriteTarget(
             key, origin, result.closest,
             inconclusive=not result.closest and self._inconclusive(result),
@@ -303,7 +301,7 @@ class DHTNetwork:
         recorded for the key's next write."""
         origin = origin or self.random_node()
         result = find_value(origin, key_to_id(key), k=self.k, alpha=self.alpha)
-        self._record_lookup(result.rounds, result.contacted, failed=not result.found)
+        self._record_lookup(result.rounds, result.contacted)
         if not result.found and self._inconclusive(result):
             raise RoutingError(
                 f"lookup for {key!r} was inconclusive: {result.unanswered} of "
@@ -324,9 +322,7 @@ class DHTNetwork:
         """
         return result.unanswered > 0 or (result.contacted == 0 and len(self.nodes) > 1)
 
-    def _record_lookup(self, rounds: int, contacted: int, failed: bool) -> None:
+    def _record_lookup(self, rounds: int, contacted: int) -> None:
         self.stats.lookups += 1
         self.stats.total_rounds += rounds
         self.stats.total_contacted += contacted
-        if failed:
-            self.stats.failed_lookups += 1

@@ -40,12 +40,6 @@ class PostingCacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    # Stale entries brought current by applying a published patch instead
-    # of refetching the full shard (the delta channel's cache-side win).
-    patched_in_place: int = 0
-    # Patch attempts that fell back to a full fetch (base fingerprint
-    # mismatch, unreachable patch, or failed post-patch verification).
-    delta_fallbacks: int = 0
 
     @property
     def lookups(self) -> int:
@@ -61,8 +55,6 @@ class PostingCacheStats:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.patched_in_place = 0
-        self.delta_fallbacks = 0
 
 
 class PostingCache:

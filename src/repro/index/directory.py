@@ -73,8 +73,6 @@ class TermDirectoryStats:
     """Counters for the freshness/invalidation experiments."""
 
     records_published: int = 0
-    tombstones_published: int = 0
-    records_fetched: int = 0
     fetch_misses: int = 0
     unreachable_vectors: int = 0
 
@@ -151,7 +149,6 @@ class TermDirectory:
         version = self._next_version(doc_id, prior_version)
         record = TermDirectoryRecord(doc_id=doc_id, version=version, deleted=True)
         self.dht.put(doc_terms_key(doc_id), record.to_pointer())
-        self.stats.tombstones_published += 1
         return record
 
     # -- fetching (any worker / auditor) ---------------------------------------------
@@ -176,7 +173,6 @@ class TermDirectory:
             deleted=bool(pointer.get("deleted", False)),
         )
         if record.deleted or record.terms_cid is None:
-            self.stats.records_fetched += 1
             return record
         try:
             payload = self.storage.get_text(record.terms_cid, requester=requester)
@@ -185,7 +181,6 @@ class TermDirectory:
             raise
         body = json.loads(payload)
         record.terms = {str(term): int(tf) for term, tf in body.get("terms", {}).items()}
-        self.stats.records_fetched += 1
         return record
 
     def version_of(self, doc_id: int) -> int:

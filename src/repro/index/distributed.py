@@ -351,11 +351,9 @@ class DistributedIndexStats:
     terms_published: int = 0
     terms_fetched: int = 0
     fetch_misses: int = 0
-    bytes_published: int = 0
     bytes_fetched: int = 0
     manifest_fetches: int = 0
     manifest_bytes_fetched: int = 0
-    shards_published: int = 0
     shards_unchanged: int = 0
     rank_ceiling_refreshes: int = 0
     # Patch channel (the delta publication path).  ``shards_patched`` counts
@@ -363,31 +361,25 @@ class DistributedIndexStats:
     # replaced would have cost the full shard payload); ``delta_fallbacks``
     # counts patch attempts that degraded to a full fetch.  Patch payload
     # bytes are folded into ``bytes_fetched``/``per_fetch_bytes`` (they are
-    # real wire bytes) and broken out in ``delta_bytes_fetched``;
-    # ``terms_fetched`` still counts only full shard content fetches.
+    # real wire bytes); ``terms_fetched`` still counts only full shard
+    # content fetches.
     deltas_published: int = 0
-    delta_bytes_published: int = 0
     shards_patched: int = 0
     delta_fallbacks: int = 0
-    delta_bytes_fetched: int = 0
     per_fetch_bytes: List[int] = field(default_factory=list)
 
     def reset(self) -> None:
         self.terms_published = 0
         self.terms_fetched = 0
         self.fetch_misses = 0
-        self.bytes_published = 0
         self.bytes_fetched = 0
         self.manifest_fetches = 0
         self.manifest_bytes_fetched = 0
-        self.shards_published = 0
         self.shards_unchanged = 0
         self.rank_ceiling_refreshes = 0
         self.deltas_published = 0
-        self.delta_bytes_published = 0
         self.shards_patched = 0
         self.delta_fallbacks = 0
-        self.delta_bytes_fetched = 0
         self.per_fetch_bytes.clear()
 
 
@@ -449,10 +441,11 @@ class DistributedIndex:
         full fetch).  The full shard payload is always published — patches
         are an overlay, never the authority.
     metrics:
-        Optional :class:`~repro.metrics.collector.MetricsCollector`; the
-        delta channel's byte counters (``publish.delta_bytes`` /
-        ``publish.full_bytes`` / ``cache.patched_in_place`` /
-        ``cache.delta_fallbacks``) land here when present.
+        Optional :class:`~repro.metrics.collector.MetricsCollector`; each
+        published shard body's bytes are counted once in
+        ``publish.full_bytes`` and each published patch's in
+        ``publish.delta_bytes``.  Patch application and fallbacks are
+        counted in :attr:`stats` (``shards_patched`` / ``delta_fallbacks``).
     """
 
     def __init__(
@@ -480,7 +473,7 @@ class DistributedIndex:
         self.load_lookup = load_lookup
         self.delta_max_ratio = delta_max_ratio
         self.metrics = metrics
-        self.patches = PatchChannel(storage, metrics=metrics)
+        self.patches = PatchChannel(storage)
         if placement is not None:
             placement.manifest_updater = self.refresh_shard_providers
         self.stats = DistributedIndexStats()
@@ -670,8 +663,6 @@ class DistributedIndex:
             # the publisher fallback is announced) — a hint naming a peer
             # without the content would defeat the repair floor check.
             achieved = receipt.providers if placements.get(index) else ()
-            self.stats.shards_published += 1
-            self.stats.bytes_published += len(payload)
             if self.metrics is not None:
                 self.metrics.increment("publish.full_bytes", len(payload))
             lo = chunk.min_doc_id if len(chunk) else 0
@@ -699,7 +690,6 @@ class DistributedIndex:
             # Announce the epoch on the feed at the peer that published it.
             self.epoch_feed.publish(term, generation, origin=publisher)
         self.stats.terms_published += 1
-        self.stats.bytes_published += len(manifest_json)
         if previous is not None:
             # Shard keys beyond the new shard count can never validate again;
             # drop them eagerly instead of waiting for LRU pressure, and
@@ -750,7 +740,6 @@ class DistributedIndex:
             return None
         info = self.patches.publish(payload, prior.fingerprint, publisher=publisher)
         self.stats.deltas_published += 1
-        self.stats.delta_bytes_published += info.size
         if self.metrics is not None:
             self.metrics.increment("publish.delta_bytes", info.size)
         return info
@@ -843,7 +832,6 @@ class DistributedIndex:
         payload = json.dumps(statistics.to_dict(), sort_keys=True)
         cid = self.storage.add_text(payload, publisher=publisher).cid
         self.dht.put(STATS_KEY, cid)
-        self.stats.bytes_published += len(payload)
         return cid
 
     # -- fetching (frontend side) -----------------------------------------------------
@@ -991,22 +979,14 @@ class DistributedIndex:
         if compute_cid(json.dumps(check, sort_keys=True)) != info.fingerprint:
             return self._delta_fallback()
         self.stats.shards_patched += 1
-        self.stats.delta_bytes_fetched += len(payload)
         self.stats.bytes_fetched += len(payload)
         self.stats.per_fetch_bytes.append(len(payload))
-        self.cache.stats.patched_in_place += 1
         self.cache.put(key, patched, generation=info.generation, fingerprint=info.fingerprint)
-        if self.metrics is not None:
-            self.metrics.increment("cache.patched_in_place")
         return patched
 
     def _delta_fallback(self) -> None:
         """Count one patch attempt degrading to a full fetch; returns None."""
         self.stats.delta_fallbacks += 1
-        if self.cache is not None:
-            self.cache.stats.delta_fallbacks += 1
-        if self.metrics is not None:
-            self.metrics.increment("cache.delta_fallbacks")
         return None
 
     def _route_providers(self, info: ShardInfo) -> Optional[List[str]]:

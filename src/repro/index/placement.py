@@ -121,9 +121,6 @@ class PlacementStats:
     """Counters for the placement/repair experiments (E4 placement rows,
     E3 shard-repair-under-churn)."""
 
-    terms_placed: int = 0
-    shards_placed: int = 0
-    cap_overflows: int = 0
     repairs_triggered: int = 0
     shards_repaired: int = 0
     repairs_failed: int = 0
@@ -133,17 +130,6 @@ class PlacementStats:
     repairs_debounced: int = 0
     # Shards a churn event's repair budget pushed to the deficit queue.
     budget_deferrals: int = 0
-
-    def reset(self) -> None:
-        self.terms_placed = 0
-        self.shards_placed = 0
-        self.cap_overflows = 0
-        self.repairs_triggered = 0
-        self.shards_repaired = 0
-        self.repairs_failed = 0
-        self.manifest_refreshes = 0
-        self.repairs_debounced = 0
-        self.budget_deferrals = 0
 
 
 class PlacementPolicy:
@@ -247,12 +233,9 @@ class PlacementPolicy:
             want = min(self.replication_factor, len(online))
             replicas: List[str] = []
             for _ in range(want):
-                pool = [address for address in online if address not in replicas]
-                under_cap = [a for a in pool if term_load.get(a, 0) < bound]
-                if under_cap:
-                    pool = under_cap
-                else:
-                    self.stats.cap_overflows += 1
+                candidates = [address for address in online if address not in replicas]
+                under_cap = [a for a in candidates if term_load.get(a, 0) < bound]
+                pool = under_cap or candidates
                 choice = min(
                     pool,
                     key=lambda a: (
@@ -264,8 +247,6 @@ class PlacementPolicy:
                 replicas.append(choice)
                 term_load[choice] = term_load.get(choice, 0) + 1
             assignments[index] = tuple(replicas)
-        self.stats.terms_placed += 1
-        self.stats.shards_placed += len(assignments)
         return assignments
 
     # -- registry ----------------------------------------------------------------

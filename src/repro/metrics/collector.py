@@ -13,13 +13,16 @@ class MetricsCollector:
 
     Experiments create one collector, hand it to the components they measure,
     and read summaries back out at the end.  Everything is in-memory and
-    deterministic; there is no background aggregation.
+    deterministic; there is no background aggregation.  It holds only the
+    totals that span components (bytes published, executor work, serving
+    outcomes); what one component counts on its own lives in that
+    component's ``stats``.  The declared names are in
+    :mod:`repro.metrics.names`.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._samples: Dict[str, List[float]] = {}
-        self._gauges: Dict[str, float] = {}
 
     # -- counters ------------------------------------------------------------------
 
@@ -35,32 +38,6 @@ class MetricsCollector:
 
     def counters(self) -> Dict[str, float]:
         return dict(self._counters)
-
-    # -- gauges -----------------------------------------------------------------------
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the latest value of ``name`` (overwrites, never accumulates)."""
-        state_monitor.record_write(
-            "metrics", self, ("gauge", name), float(value),
-            replaced=self._gauges.get(name, state_monitor.ABSENT),
-        )
-        self._gauges[name] = float(value)
-
-    def set_gauges(self, values: Dict[str, float]) -> None:
-        """Record a batch of gauges at once (cache hit/invalidation snapshots)."""
-        for name, value in values.items():
-            state_monitor.record_write(
-                "metrics", self, ("gauge", name), float(value),
-                replaced=self._gauges.get(name, state_monitor.ABSENT),
-            )
-            self._gauges[name] = float(value)
-
-    def gauge(self, name: str) -> float:
-        state_monitor.record_read("metrics", self, ("gauge", name), self._gauges.get(name, 0.0))
-        return self._gauges.get(name, 0.0)
-
-    def gauges(self) -> Dict[str, float]:
-        return dict(self._gauges)
 
     # -- samples ----------------------------------------------------------------------
 
@@ -106,4 +83,3 @@ class MetricsCollector:
     def reset(self) -> None:
         self._counters.clear()
         self._samples.clear()
-        self._gauges.clear()

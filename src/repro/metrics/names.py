@@ -4,13 +4,14 @@
 *by name* from the engine's :class:`~repro.metrics.collector.MetricsCollector`.
 A typo'd name on either side silently reads 0.0, so a baseline can drift
 without any test failing.  This registry closes the namespace: every
-counter/gauge/sample name written or read in ``src/repro`` must be
-declared here (exactly, or via a declared dynamic prefix for families
-whose tail is data-dependent, like ``serve.<outcome>``).
+counter/sample name written or read in ``src/repro`` must be declared here
+(exactly, or via a declared dynamic prefix for families whose tail is
+data-dependent, like ``serve.<outcome>``).
 
-Adding a metric is a one-line change here — the point is not ceremony but
-that the write site, the read site, and the benchmark baseline must agree
-on a spelling that exists.
+The collector holds only totals that span components and that a benchmark
+or test reads back.  An event one component already counts in its own
+``*Stats`` (cache patches, rank rounds, batches, deletes) is read from that
+component, not mirrored here.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from __future__ import annotations
 #: Monotonic counters (MetricsCollector.increment / .counter).
 COUNTERS = frozenset(
     {
-        "publish.deletes",
+        # Bytes published wholesale vs as patches, over the index and the
+        # rank vector (E2, test_deltas).
         "publish.delta_bytes",
         "publish.full_bytes",
-        "cache.patched_in_place",
-        "cache.delta_fallbacks",
-        "rank.rounds",
-        "query.batches",
+        # Executor work summed over every query the engine answered (E10).
         "query.postings_scanned",
         "query.docs_scored",
         "query.docs_pruned",
         "query.shards_skipped",
-        "query.result_cache_hits",
         # Serving outcomes (the serve.<outcome> family, one per
         # ServingDiagnostics.served_from value).
         "serve.full",
@@ -39,21 +37,9 @@ COUNTERS = frozenset(
     }
 )
 
-#: Last-value gauges (MetricsCollector.set_gauge(s) / .gauge).
-GAUGES = frozenset(
-    {
-        "frontend.result_cache.hit_rate",
-        "frontend.result_cache.size",
-        "index.cache.hit_rate",
-        "index.cache.size",
-        "index.cache.invalidations",
-    }
-)
-
 #: Distribution samples (MetricsCollector.observe / .sample / .percentile).
 SAMPLES = frozenset(
     {
-        "query.latency",
         "serve.latency",
         "serve.queue_delay",
     }
@@ -64,8 +50,8 @@ SAMPLES = frozenset(
 #: name cannot be checked against the baseline by grep alone.
 DYNAMIC_PREFIXES = ("serve.",)
 
-_BY_KIND = {"counter": COUNTERS, "gauge": GAUGES, "sample": SAMPLES}
-ALL_NAMES = COUNTERS | GAUGES | SAMPLES
+_BY_KIND = {"counter": COUNTERS, "sample": SAMPLES}
+ALL_NAMES = COUNTERS | SAMPLES
 
 
 def is_registered(name: str, kind: str = "") -> bool:

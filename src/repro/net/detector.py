@@ -43,13 +43,11 @@ class DetectorStats:
     """Counters over everything the detector observed and decided."""
 
     successes: int = 0
-    failures: int = 0
     suspicions_raised: int = 0
     probes_granted: int = 0
 
     def reset(self) -> None:
         self.successes = 0
-        self.failures = 0
         self.suspicions_raised = 0
         self.probes_granted = 0
 
@@ -104,7 +102,6 @@ class FailureDetector:
 
     def record_failure(self, address: str) -> None:
         """A transport-level failure: unreachable, lost, or injected-flaky."""
-        self.stats.failures += 1
         suspicion = self._suspicion.get(address, 0) + 1
         self._suspicion[address] = suspicion
         self._last_failure[address] = self.simulator.now

@@ -270,11 +270,6 @@ class FaultStats:
     def injected(self) -> int:
         return self.blocked + self.dropped + self.flaky
 
-    def reset(self) -> None:
-        self.blocked = 0
-        self.dropped = 0
-        self.flaky = 0
-
 
 class FaultPlane:
     """The rule registry the network consults on every send (when active).

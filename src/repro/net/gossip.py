@@ -88,20 +88,10 @@ class GossipStats:
 
     rounds: int = 0
     exchanges: int = 0
-    messages: int = 0
     entries_sent: int = 0
-    entries_accepted: int = 0
     # Rounds the most recent rounds_to_converge() call needed; -1 = never
     # measured (or did not converge within its budget).
     last_convergence_rounds: int = -1
-
-    def reset(self) -> None:
-        self.rounds = 0
-        self.exchanges = 0
-        self.messages = 0
-        self.entries_sent = 0
-        self.entries_accepted = 0
-        self.last_convergence_rounds = -1
 
 
 class GossipNode:
@@ -400,8 +390,6 @@ class GossipPlane:
     def _exchange(self, src: str, dst: str) -> int:
         """Push/pull reconciliation of two stores; returns entries accepted."""
         self.stats.exchanges += 1
-        # One digest each way plus one delta each way.
-        self.stats.messages += 4
         a, b = self.node(src), self.node(dst)
         accepted = 0
         for source, sink in ((a, b), (b, a)):
@@ -414,7 +402,6 @@ class GossipPlane:
                     self.stats.entries_sent += 1
                     if sink.put(entry.key, entry.value, entry.version):
                         accepted += 1
-                        self.stats.entries_accepted += 1
         return accepted
 
     def run_rounds(self, count: int) -> int:

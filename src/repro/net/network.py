@@ -48,7 +48,7 @@ Handler = Callable[[Message], Response]
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic counters, reset per experiment phase as needed."""
+    """Aggregate traffic counters over the network's lifetime."""
 
     messages_sent: int = 0
     messages_dropped: int = 0
@@ -69,15 +69,6 @@ class NetworkStats:
     def record_drop(self, message: Message) -> None:
         self.messages_dropped += 1
         self.per_type[message.msg_type] = self.per_type.get(message.msg_type, 0) + 1
-
-    def reset(self) -> None:
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.rpc_count = 0
-        self.retries = 0
-        self.hedges = 0
-        self.per_type.clear()
 
 
 @dataclass(frozen=True)

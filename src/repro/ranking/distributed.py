@@ -105,7 +105,6 @@ class DecentralizedRankStats:
     """Counters for the PageRank accuracy (E8) and collusion (E6) experiments."""
 
     iterations: int = 0
-    tasks_issued: int = 0
     task_executions: int = 0
     disputes_detected: int = 0
     dissent_events: Dict[str, int] = field(default_factory=dict)
@@ -228,7 +227,6 @@ class DecentralizedPageRank:
         return [p for p in partitions if p] or [list(nodes)]
 
     def _execute_with_voting(self, task: RankTask) -> VoteOutcome:
-        self.stats.tasks_issued += 1
         assigned = self._assign_workers(task)
         answers: List[Tuple[str, RankContribution]] = []
         rejected: List[str] = []

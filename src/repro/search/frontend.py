@@ -118,23 +118,16 @@ class FrontendStats:
 
     queries: int = 0
     failed_queries: int = 0
-    empty_result_queries: int = 0
-    batches: int = 0
     batch_term_occurrences: int = 0
     batch_unique_terms: int = 0
     regions: int = 0
     parallel_query_regions: int = 0
-    shards_prefetched: int = 0
-    shards_window_skipped: int = 0
     result_cache_hits: int = 0
-    result_cache_misses: int = 0
     latencies: List[float] = field(default_factory=list)
 
-    def record(self, latency: float, result_count: int) -> None:
+    def record(self, latency: float) -> None:
         self.queries += 1
         self.latencies.append(latency)
-        if result_count == 0:
-            self.empty_result_queries += 1
 
     @property
     def batch_fetches_amortized(self) -> int:
@@ -402,7 +395,6 @@ class SearchFrontend:
                 if not info.count:
                     continue  # empty shard (kept for numbering): nothing to fetch
                 if window is not None and (info.hi < window[0] or info.lo > window[1]):
-                    self.stats.shards_window_skipped += 1
                     continue
                 if not reader.loaded(info.index):
                     shard_thunks.append(shard_thunk(term, reader, info.index))
@@ -411,7 +403,6 @@ class SearchFrontend:
                 if failed_term is not None:
                     readers.pop(failed_term, None)
                     missing.add(failed_term)
-            self.stats.shards_prefetched += len(shard_thunks)
         return readers, missing
 
     # -- result cache ------------------------------------------------------------
@@ -473,7 +464,7 @@ class SearchFrontend:
             diagnostics=diagnostics,
             serving=ServingDiagnostics(served_from=SERVED_RESULT_CACHE, latency=latency),
         )
-        self.stats.record(latency, page.result_count)
+        self.stats.record(latency)
         return page
 
     # -- the main entry point --------------------------------------------------------
@@ -623,7 +614,6 @@ class SearchFrontend:
 
         readers, missing = self._prefetch_terms(sorted(wanted))
 
-        self.stats.batches += 1
         self.stats.batch_term_occurrences += term_occurrences
         self.stats.batch_unique_terms += len(wanted)
         parsed_count = sum(1 for query in parsed if query is not None)
@@ -699,7 +689,6 @@ class SearchFrontend:
             if template is not None:
                 self.stats.result_cache_hits += 1
                 return self._page_from_cache(template, raw_query, started, extra_latency)
-            self.stats.result_cache_misses += 1
 
         if readers is None:
             # Conjunctive queries need their (window-restricted) shards for
@@ -816,7 +805,7 @@ class SearchFrontend:
                 ),
                 fingerprint=self._result_cache_fingerprint(query),
             )
-        self.stats.record(latency, page.result_count)
+        self.stats.record(latency)
         return page
 
     # -- ads -----------------------------------------------------------------------------

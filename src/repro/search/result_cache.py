@@ -51,10 +51,6 @@ class ResultCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    # Freshness-ignoring fingerprint lookups that found a page (the serving
-    # layer's degraded-mode source); not part of hits/misses because they
-    # bypass the freshness key entirely.
-    stale_serves: int = 0
 
     @property
     def lookups(self) -> int:
@@ -64,12 +60,6 @@ class ResultCacheStats:
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stale_serves = 0
 
 
 class ResultCache:
@@ -150,7 +140,6 @@ class ResultCache:
             # The LRU evicted the entry after the fingerprint pointed at it.
             del self._latest_by_fingerprint[fingerprint]
             return None
-        self.stats.stale_serves += 1
         state_monitor.record_read("result_cache", self, key, page)
         return page
 

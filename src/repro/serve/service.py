@@ -134,12 +134,9 @@ class ServedRequest:
 class ServiceStats:
     """Outcome counters over the service's lifetime."""
 
-    submitted: int = 0
     admitted: int = 0
     degraded: int = 0
     shed: int = 0
-    completed: int = 0
-    queued: int = 0
 
     @property
     def rejected(self) -> int:
@@ -191,9 +188,6 @@ class QueryService:
     metrics:
         Optional collector the ``serve.*`` outcome counters and latency
         samples are recorded into.
-    on_served:
-        Optional zero-argument callback invoked once per fully-served
-        request (the engine counts these in its own stats).
     """
 
     def __init__(
@@ -204,11 +198,9 @@ class QueryService:
         frontend_options: Optional[FrontendOptions] = None,
         requesters: Optional[List[str]] = None,
         metrics: Optional[MetricsCollector] = None,
-        on_served: Optional[Callable[[], None]] = None,
     ) -> None:
         self.simulator = simulator
         self.metrics = metrics
-        self.on_served = on_served
         self.options = options or ServiceOptions()
         self.options.validate()
         if requesters is not None and len(requesters) != self.options.replicas:
@@ -239,7 +231,6 @@ class QueryService:
             arrival_time=self.simulator.now,
         )
         self._next_request_id += 1
-        self.stats.submitted += 1
         self.responses.append(request)
 
         replica = min(self.replicas, key=lambda r: (r.load, r.index))
@@ -253,7 +244,6 @@ class QueryService:
         if self.options.concurrency is None or replica.busy < self.options.concurrency:
             self._dispatch(replica, request)
         else:
-            self.stats.queued += 1
             replica.queue.append(request)
         return request
 
@@ -351,7 +341,6 @@ class QueryService:
             page.serving.queue_delay = queue_delay
             page.serving.latency = queue_delay + duration
             request.page = page
-            self.stats.completed += 1
             self._observe(request)
             if replica.queue and (
                 self.options.concurrency is None or replica.busy < self.options.concurrency
@@ -363,13 +352,11 @@ class QueryService:
     # -- accounting ---------------------------------------------------------------
 
     def _observe(self, request: ServedRequest) -> None:
+        if self.metrics is None:
+            return
         serving = request.page.serving
-        if self.metrics is not None:
-            self.metrics.increment(f"serve.{serving.served_from}")
-            if serving.answered:
-                self.metrics.observe("serve.latency", serving.latency)
+        self.metrics.increment(f"serve.{serving.served_from}")
+        if serving.answered:
+            self.metrics.observe("serve.latency", serving.latency)
         if serving.served_from not in (SERVED_SHED, SERVED_DEGRADED):
-            if self.metrics is not None:
-                self.metrics.observe("serve.queue_delay", serving.queue_delay)
-            if self.on_served is not None:
-                self.on_served()
+            self.metrics.observe("serve.queue_delay", serving.queue_delay)

@@ -116,20 +116,7 @@ class StorageStats:
     gets: int = 0
     failed_gets: int = 0
     blocks_transferred: int = 0
-    bytes_added: int = 0
-    placed_adds: int = 0
-    replications: int = 0
     hedged_gets: int = 0
-
-    def reset(self) -> None:
-        self.adds = 0
-        self.gets = 0
-        self.failed_gets = 0
-        self.blocks_transferred = 0
-        self.bytes_added = 0
-        self.placed_adds = 0
-        self.replications = 0
-        self.hedged_gets = 0
 
 
 class DecentralizedStorage:
@@ -261,12 +248,10 @@ class DecentralizedStorage:
             if not holders:
                 self._pin_locally(origin, result.blocks)
                 holders = [origin.address]
-            self.stats.placed_adds += 1
         else:
             holders = [origin.address] + targets
         self.dht.add_to_set(announce.key, *holders, target=announce)
         self.stats.adds += 1
-        self.stats.bytes_added += len(data)
         return StoreReceipt(
             cid=result.root_cid,
             providers=tuple(holders),
@@ -445,7 +430,6 @@ class DecentralizedStorage:
                     remaining.remove(target)
         if supplied:
             self.dht.add_to_set(provider_key(cid), *supplied)
-            self.stats.replications += 1
         return supplied
 
     # -- liveness -------------------------------------------------------------

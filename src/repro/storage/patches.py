@@ -19,7 +19,7 @@ never to wrong bytes.  See ``docs/DELTAS.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ReproError
@@ -53,38 +53,20 @@ class PatchInfo:
 
 
 @dataclass
-class PatchChannelStats:
-    """Wire accounting for one patch channel."""
-
-    published: int = 0
-    bytes_published: int = 0
-    fetched: int = 0
-    bytes_fetched: int = 0
-    fetch_failures: int = 0
-
-    def reset(self) -> None:
-        self.published = 0
-        self.bytes_published = 0
-        self.fetched = 0
-        self.bytes_fetched = 0
-        self.fetch_failures = 0
-
-
-@dataclass
 class PatchChannel:
-    """Publish/fetch helper shared by the index and rank delta paths.
+    """Publish/fetch helper of the index's delta path.
 
     Thin by design: the channel stores opaque text payloads and hands back
     :class:`PatchInfo` pointers; *what* a patch contains and *how* it is
     verified after application belongs to the artifact's own publisher and
     reader.  ``fetch`` never raises — a missing or unreachable patch is an
     expected rung on the fallback ladder (patch -> full fetch ->
-    authoritative DHT), so it returns ``None`` and counts the failure.
+    authoritative DHT), so it returns ``None``.  The channel counts nothing
+    itself: the artifact's publisher credits the bytes it publishes to
+    ``publish.delta_bytes``, and the reader counts its own fallbacks.
     """
 
     storage: DecentralizedStorage
-    metrics: Optional[object] = None
-    stats: PatchChannelStats = field(default_factory=PatchChannelStats)
 
     def publish(
         self,
@@ -96,10 +78,6 @@ class PatchChannel:
         """Store one patch payload; returns the manifest-embeddable pointer."""
         receipt = self.storage.add_text(payload, publisher=publisher, providers=providers)
         size = len(payload.encode("utf-8"))
-        self.stats.published += 1
-        self.stats.bytes_published += size
-        if self.metrics is not None:
-            self.metrics.increment("publish.delta_bytes", size)
         return PatchInfo(base_fp=base_fp, cid=receipt.cid, size=size)
 
     def fetch(
@@ -110,10 +88,6 @@ class PatchChannel:
     ) -> Optional[str]:
         """The patch payload behind ``info``, or ``None`` when unreachable."""
         try:
-            payload = self.storage.get_text(info.cid, requester=requester, preferred=preferred)
+            return self.storage.get_text(info.cid, requester=requester, preferred=preferred)
         except ReproError:
-            self.stats.fetch_failures += 1
             return None
-        self.stats.fetched += 1
-        self.stats.bytes_fetched += len(payload.encode("utf-8"))
-        return payload

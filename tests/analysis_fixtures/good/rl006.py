@@ -2,6 +2,6 @@
 
 
 def record(metrics, latency: float, outcome: str) -> None:
-    metrics.increment("query.batches")
-    metrics.observe("query.latency", latency)
+    metrics.increment("query.docs_scored")
+    metrics.observe("serve.latency", latency)
     metrics.increment(f"serve.{outcome}")  # "serve." is a declared prefix

@@ -198,22 +198,6 @@ class TestEngineEndToEnd:
         assert degraded.result_count <= max(baseline.result_count, engine.config.top_k)
         engine.restore_peers(victims)
 
-    def test_index_cache_gauges_describe_the_querying_frontends_cache(self, small_corpus):
-        # Every query runs through a frontend with its own posting cache; the
-        # engine's is the write side's.  The gauges must describe the former.
-        engine = make_small_engine(seed=25)
-        engine.bootstrap_corpus(small_corpus.documents[:20])
-        engine.compute_page_ranks()
-        engine.converge_metadata()
-        frontend = engine.create_frontend(result_cache_capacity=0)
-        query = max(small_corpus.documents[0].text.split(), key=len)
-        for _ in range(2):
-            engine.search(query, frontend=frontend)
-        cache = frontend.index.cache
-        assert engine.metrics.gauge("index.cache.hit_rate") == cache.stats.hit_rate > 0
-        assert engine.metrics.gauge("index.cache.size") == len(cache)
-        assert engine.metrics.gauge("index.cache.invalidations") == cache.stats.invalidations
-
     def test_frontends_are_independent(self, bootstrapped_engine):
         engine = bootstrapped_engine
         frontend_a = engine.create_frontend()

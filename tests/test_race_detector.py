@@ -334,15 +334,15 @@ class TestRealSurfaceInjection:
         with SharedStateMonitor() as monitor:
             run_region(
                 sim,
-                lambda: metrics.increment("query.batches"),
-                lambda: metrics.increment("query.batches"),
+                lambda: metrics.increment("query.docs_scored"),
+                lambda: metrics.increment("query.docs_scored"),
             )
         assert monitor.conflicts == []
         with SharedStateMonitor() as monitor:
             run_region(
                 sim,
-                lambda: metrics.increment("query.batches"),
-                lambda: metrics.counter("query.batches"),
+                lambda: metrics.increment("query.docs_scored"),
+                lambda: metrics.counter("query.docs_scored"),
             )
         assert [c.kind for c in monitor.conflicts] == ["accum"]
 

@@ -580,7 +580,7 @@ class UndeclaredConfigKnob(Rule):
 
 
 class UndeclaredMetricName(Rule):
-    """Counter/gauge/sample names must be declared in repro/metrics/names.py.
+    """Counter/sample names must be declared in repro/metrics/names.py.
 
     ``compare_bench.py`` gates on metric values read back by name; a typo'd
     name silently reads 0.0 and the baseline drifts without failing.  The
@@ -593,7 +593,6 @@ class UndeclaredMetricName(Rule):
     title = "undeclared metric name"
 
     _WRITE_COUNTER = frozenset({"increment", "counter"})
-    _WRITE_GAUGE = frozenset({"set_gauge", "gauge"})
     _WRITE_SAMPLE = frozenset({"observe", "sample", "percentile", "quantiles", "summary"})
     _RECEIVERS = frozenset({"metrics", "collector", "_metrics"})
 
@@ -626,25 +625,13 @@ class UndeclaredMetricName(Rule):
                 continue
             if method in self._WRITE_COUNTER:
                 kind = "counter"
-            elif method in self._WRITE_GAUGE:
-                kind = "gauge"
             elif method in self._WRITE_SAMPLE:
                 kind = "sample"
-            elif method == "set_gauges":
-                yield from self._check_gauges_dict(module, node, registry)
-                continue
             else:
                 continue
             if not node.args:
                 continue
             yield from self._check_name_arg(module, node.args[0], kind, registry)
-
-    def _check_gauges_dict(self, module: Module, node: ast.Call, registry) -> Iterator[Finding]:
-        if not node.args or not isinstance(node.args[0], ast.Dict):
-            return
-        for key in node.args[0].keys:
-            if key is not None:
-                yield from self._check_name_arg(module, key, "gauge", registry)
 
     def _check_name_arg(
         self, module: Module, arg: ast.AST, kind: str, registry
