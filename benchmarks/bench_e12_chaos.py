@@ -26,8 +26,10 @@ Four sections, all written to ``BENCH_E12.json``:
 
 from __future__ import annotations
 
+import hashlib
 import os
-from typing import Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.net.faults import (
     CrashWindow,
@@ -37,6 +39,7 @@ from repro.net.faults import (
     PartitionWindow,
     Straggler,
 )
+from repro.net.network import SimulatedNetwork
 
 from benchmarks.common import (
     build_corpus,
@@ -217,21 +220,41 @@ def _determinism_check(corpus, queries) -> Dict[str, object]:
     }
 
 
+@contextmanager
+def _send_digest() -> Iterator["hashlib._Hash"]:
+    """SHA-256 over every delivery's ``msg_type src dst`` while the block runs."""
+    digest = hashlib.sha256()
+    deliver = SimulatedNetwork._deliver
+
+    def recorded(network, src, dst, msg_type, *args, **kwargs):
+        digest.update(f"{msg_type} {src} {dst}\n".encode())
+        return deliver(network, src, dst, msg_type, *args, **kwargs)
+
+    SimulatedNetwork._deliver = recorded
+    try:
+        yield digest
+    finally:
+        SimulatedNetwork._deliver = deliver
+
+
 def _identity_check(corpus, queries) -> Dict[str, object]:
-    """An instantiated-but-empty fault plane must be bit-inert."""
+    """An instantiated-but-empty fault plane must be bit-inert: same pages, same
+    clock, the same sends in the same order."""
     pages = []
     for touch_plane in (False, True):
-        engine = _chaos_engine(RESILIENCE_OFF, seed=1300)
-        if touch_plane:
-            assert not engine.network.faults.active
-        engine.bootstrap_corpus(corpus.documents)
-        engine.compute_page_ranks()
-        frontend = engine.create_frontend(requester="peer-000:store")
-        served = [
-            [(r.doc_id, r.score) for r in engine.search(q, frontend=frontend).results]
-            for q in queries
-        ]
-        pages.append((served, engine.simulator.now, engine.network.stats.bytes_sent))
+        with _send_digest() as sends:
+            engine = _chaos_engine(RESILIENCE_OFF, seed=1300)
+            if touch_plane:
+                assert not engine.network.faults.active
+            engine.bootstrap_corpus(corpus.documents)
+            engine.compute_page_ranks()
+            frontend = engine.create_frontend(requester="peer-000:store")
+            served = [
+                [(r.doc_id, r.score) for r in engine.search(q, frontend=frontend).results]
+                for q in queries
+            ]
+        pages.append((served, engine.simulator.now, sends.hexdigest(),
+                      engine.network.stats.rpc_count))
     assert pages[0] == pages[1], "an empty fault plane perturbed the engine"
     return {"bit_identical": pages[0] == pages[1]}
 
@@ -327,7 +350,7 @@ def run_experiment() -> Dict[str, object]:
             {
                 "check": "empty plane bit-identity",
                 "ok": identity["bit_identical"],
-                "detail": "pages, clock, and bytes equal",
+                "detail": "pages, clock, and sends equal",
             },
         ],
     )

@@ -2,30 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.dht.nodeid import bucket_index, id_to_hex
-from repro.net.message import estimate_size
 
 DEFAULT_K = 20
 
 
 @dataclass(frozen=True)
 class Contact:
-    """A known peer: its DHT identifier and its network address.
-
-    ``wire_size`` is what the ``(node_id, address)`` pair costs inside a
-    message payload, taken once so a reply listing contacts is sized by
-    addition (see :func:`repro.net.message.estimate_size`).
-    """
+    """A known peer: its DHT identifier and its network address."""
 
     node_id: int
     address: str
-    wire_size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wire_size", estimate_size((self.node_id, self.address)))
 
     def __repr__(self) -> str:
         return f"Contact({id_to_hex(self.node_id)[:8]}…, {self.address!r})"

@@ -50,20 +50,14 @@ Handler = Callable[[Message], Response]
 class NetworkStats:
     """Aggregate traffic counters over the network's lifetime."""
 
-    messages_sent: int = 0
     messages_dropped: int = 0
-    bytes_sent: int = 0
     rpc_count: int = 0
     retries: int = 0
     hedges: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, message: Message, response: Optional[Response]) -> None:
-        self.messages_sent += 1
+    def record(self, message: Message) -> None:
         self.rpc_count += 1
-        self.bytes_sent += message.size_bytes
-        if response is not None:
-            self.bytes_sent += response.size_bytes
         self.per_type[message.msg_type] = self.per_type.get(message.msg_type, 0) + 1
 
     def record_drop(self, message: Message) -> None:
@@ -330,7 +324,7 @@ class SimulatedNetwork:
             response = self._handlers[dst](message)
         if serial:
             clock.advance(sample(rng, dst, src) * factor)
-        self.stats.record(message, response)
+        self.stats.record(message)
         if verdict == FLAKY:
             # A gray failure: the peer "answered", but uselessly — that is a
             # failure observation (an app-level error from a real handler is

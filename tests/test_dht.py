@@ -20,6 +20,8 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 
+from tests.traffic import watch_traffic
+
 
 class TestNodeIDs:
     def test_key_to_id_is_deterministic_and_in_range(self):
@@ -277,16 +279,19 @@ class TestAsynchronousLookup:
 
     def test_two_runs_at_one_seed_are_identical(self):
         def run():
-            sim, network, dht = _padded_overlay(seed=5)
-            network.faults.extend([LinkLoss(probability=0.2), Straggler("node-07", 6.0)])
             outcomes = []
-            for index in range(30):
-                origin = dht.nodes[f"node-{index % 16:02d}"]
-                result = find_value(origin, key_to_id(f"key-{index % 5}"), k=dht.k, alpha=dht.alpha)
-                outcomes.append((result.rounds, result.contacted, result.unanswered,
-                                 [contact.address for contact in result.closest]))
+            with watch_traffic() as traffic:
+                sim, network, dht = _padded_overlay(seed=5)
+                network.faults.extend([LinkLoss(probability=0.2), Straggler("node-07", 6.0)])
+                for index in range(30):
+                    origin = dht.nodes[f"node-{index % 16:02d}"]
+                    result = find_value(origin, key_to_id(f"key-{index % 5}"), k=dht.k,
+                                        alpha=dht.alpha)
+                    outcomes.append((result.rounds, result.contacted, result.unanswered,
+                                     [contact.address for contact in result.closest]))
             stats = network.stats
-            return outcomes, stats.rpc_count, stats.messages_dropped, stats.bytes_sent, sim.now
+            return (outcomes, stats.rpc_count, stats.messages_dropped, traffic.sends,
+                    traffic.bytes, sim.now)
 
         assert run() == run()
 
@@ -473,20 +478,21 @@ class TestPublishScope:
             sim = Simulator(seed=9)
             network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
             dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
-            dht.build(16)
-            if opened_a_scope:
-                with dht.publish_scope():
-                    pass
-            dht.stats.reset()
-            dht.get_set("providers:x")
-            dht.add_to_set("providers:x", "peer-1")
-            with pytest.raises(KeyNotFoundError):
+            with watch_traffic() as traffic:
+                dht.build(16)
+                if opened_a_scope:
+                    with dht.publish_scope():
+                        pass
+                dht.stats.reset()
+                dht.get_set("providers:x")
+                dht.add_to_set("providers:x", "peer-1")
+                with pytest.raises(KeyNotFoundError):
+                    dht.get("k")
+                dht.put("k", "v")
                 dht.get("k")
-            dht.put("k", "v")
-            dht.get("k")
             stats, net = dht.stats, network.stats
             return (stats.lookups, stats.stores, stats.total_rounds, net.rpc_count,
-                    net.bytes_sent, sim.now)
+                    traffic.sends, traffic.bytes, sim.now)
 
         counters = run(opened_a_scope=False)
         assert counters[:2] == (5, 2)

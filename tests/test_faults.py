@@ -46,6 +46,7 @@ from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.sim import SharedStateMonitor, Simulator
 
 from tests.conftest import make_small_engine
+from tests.traffic import watch_traffic
 
 
 def echo_handler(address):
@@ -186,8 +187,9 @@ class TestPlaneDeterminism:
             )
             if touch_plane:
                 assert not network.faults.active
-            responses = [network.rpc("a", "b", "ping").payload for _ in range(20)]
-            return responses, sim.now, network.stats.bytes_sent
+            with watch_traffic() as traffic:
+                responses = [network.rpc("a", "b", "ping").payload for _ in range(20)]
+            return responses, sim.now, traffic.sends, traffic.bytes
 
         assert drive(True) == drive(False)
 
@@ -312,7 +314,7 @@ class TestHedgedRequests:
         assert sim.now == before + 10.0, "clock pays the winner only"
         assert served == ["c", "b"], "both replicas really served the request"
         assert network.stats.hedges == 1
-        assert network.stats.messages_sent == 2
+        assert network.stats.rpc_count == 2
 
     def test_all_failed_charges_slowest_failure(self):
         sim, network = make_net(rpc_timeout=40.0)

@@ -11,9 +11,11 @@ from repro.net.churn import ChurnModel
 from repro.net.detector import FailureDetector
 from repro.net.faults import LinkLoss
 from repro.net.latency import ConstantLatency, LogNormalLatency, UniformLatency
-from repro.net.message import Message, Response, estimate_size
+from repro.net.message import Message, Response
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
+
+from tests.traffic import envelope_size, reference_estimate_size, watch_traffic
 
 
 def echo_handler(address):
@@ -32,17 +34,18 @@ def net():
 
 
 class TestMessageSizes:
+    """The test-side sizer (``tests/traffic.py``) the traffic checks charge with."""
+
     def test_estimate_size_handles_scalars_and_containers(self):
-        assert estimate_size(None) == 1
-        assert estimate_size(7) == 8
-        assert estimate_size("abcd") == 4
-        assert estimate_size(b"abcd") == 4
-        assert estimate_size({"k": "vv"}) == 1 + 2 + 2
-        assert estimate_size([1, 2, 3]) == 26
+        assert reference_estimate_size(None) == 1
+        assert reference_estimate_size(7) == 8
+        assert reference_estimate_size("abcd") == 4
+        assert reference_estimate_size(b"abcd") == 4
+        assert reference_estimate_size({"k": "vv"}) == 1 + 2 + 2
+        assert reference_estimate_size([1, 2, 3]) == 26
 
     def test_message_and_response_sizes_include_overhead(self):
-        message = Message("a", "b", "ping", {"x": 1})
-        assert message.size_bytes > estimate_size({"x": 1})
+        assert envelope_size("ping", {"x": 1}) == 4 + reference_estimate_size({"x": 1}) + 40
         response = Response.failure("b", "ping", "boom")
         assert not response.ok and response.error == "boom"
 
@@ -105,11 +108,16 @@ class TestRPC:
 
     def test_stats_track_messages_and_bytes(self, net):
         _, network = net
-        network.rpc("a", "b", "ping", {"k": "v"})
-        network.rpc("a", "c", "pong")
+        with watch_traffic() as traffic:
+            network.rpc("a", "b", "ping", {"k": "v"})
+            network.rpc("a", "c", "pong")
         assert network.stats.rpc_count == 2
-        assert network.stats.bytes_sent > 0
         assert network.stats.per_type == {"ping": 1, "pong": 1}
+        assert traffic.sends == [("ping", "a", "b"), ("pong", "a", "c")]
+        # Each envelope: its type, its payload, 40 bytes of framing.
+        ping = (4 + (2 + 1 + 1) + 40) + (4 + (2 + 4 + (2 + 1 + 1)) + 40)
+        pong = (4 + 2 + 40) + (4 + (2 + 4 + 2) + 40)
+        assert traffic.bytes == ping + pong == 200
 
     def test_loss_rate_drops_messages(self):
         sim = Simulator(seed=3)
@@ -159,17 +167,18 @@ class TestParallelAndBroadcast:
             network.faults.add(LinkLoss(probability=0.5, dst="c"))
             requests = [(dst, "ping", {"n": n}) for n, dst in enumerate("bcdecb")]
             start = sim.now
-            if by_hand:
-                sent = [network.send("a", *request) for request in requests]
-                assert sim.now == start
-                sim.clock.advance_to(start + max(ticks for _, ticks in sent))
-                responses = [response for response, _ in sent]
-            else:
-                responses = network.rpc_parallel("a", requests)
+            with watch_traffic() as traffic:
+                if by_hand:
+                    sent = [network.send("a", *request) for request in requests]
+                    assert sim.now == start
+                    sim.clock.advance_to(start + max(ticks for _, ticks in sent))
+                    responses = [response for response, _ in sent]
+                else:
+                    responses = network.rpc_parallel("a", requests)
             stats, detector = network.stats, network.detector
             return ([response and response.payload for response in responses], stats.rpc_count,
-                    stats.messages_dropped, stats.bytes_sent, dict(stats.per_type), sim.now,
-                    detector.stats, [detector.suspicion_of(name) for name in "bcde"])
+                    stats.messages_dropped, traffic.sends, traffic.bytes, dict(stats.per_type),
+                    sim.now, detector.stats, [detector.suspicion_of(name) for name in "bcde"])
 
         assert fan_out(by_hand=True) == fan_out(by_hand=False)
 

@@ -1,18 +1,17 @@
 """The simulation substrate against its slow references.
 
-``RoutingTable.closest`` and the envelope sizer were rewritten for host speed
-(ISSUE 13); the implementations they replaced live on here as oracles.  The
-golden deployment at the end pins what the simulated system does — clock,
-RPCs, bytes, lookups, served pages, and (since ISSUE 15 journaled the chain
+``RoutingTable.closest`` was rewritten for host speed (ISSUE 13); the
+implementation it replaced lives on here as an oracle.  The golden deployment
+at the end pins what the simulated system does — clock, RPCs, the bytes its
+exchanges carry (sized here, by ``tests/traffic.py``: the program keeps no
+byte count), lookups, served pages, and (since ISSUE 15 journaled the chain
 state) the ledger and the ads beside those pages — so a change that alters the
 simulation fails on every test run, not only when E13 is compared.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict, namedtuple
-from typing import Any, List
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +26,12 @@ from repro.dht.routing import Contact, RoutingTable
 from repro.errors import KeyNotFoundError, RoutingError
 from repro.net.faults import DROP, CrashWindow, FaultRule
 from repro.net.latency import ConstantLatency
-from repro.net.message import Message, Response, estimate_size
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.queries import QueryWorkloadGenerator
+
+from tests.traffic import envelope_size, watch_traffic
 
 # -- RoutingTable.closest ---------------------------------------------------------------
 
@@ -74,140 +74,33 @@ def test_closest_matches_flatten_and_sort(own_id, ops, targets):
         assert table.closest(target) == reference_closest(table, target, table.k)
 
 
-# -- envelope sizes -----------------------------------------------------------------------
-
-
-def reference_estimate_size(payload: Any) -> int:
-    """The replaced recursive sizer, verbatim."""
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return 8
-    if isinstance(payload, float):
-        return 8
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, dict):
-        return sum(
-            reference_estimate_size(k) + reference_estimate_size(v) for k, v in payload.items()
-        ) + 2
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(reference_estimate_size(item) for item in payload) + 2
-    return 16
-
-
-def wire_form(payload: Any) -> Any:
-    """What the payload was on the wire before contacts travelled as objects:
-    each :class:`Contact` is the ``(node_id, address)`` pair it declares the size of."""
-    if isinstance(payload, Contact):
-        return (payload.node_id, payload.address)
-    if isinstance(payload, dict):
-        return {key: wire_form(value) for key, value in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return [wire_form(item) for item in payload]
-    return payload
-
-
-class Opaque:
-    """An object the sizer knows nothing about."""
-
-
-class Code(int):
-    pass
-
-
-class Label(str):
-    pass
-
-
-Pair = namedtuple("Pair", "left right")
-
-scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(allow_nan=False),
-    st.text(max_size=12),  # the default alphabet is mostly non-ASCII
-    st.text(alphabet="abcxyz:-_0123456789", max_size=12),
-    st.binary(max_size=12),
-    st.builds(Code, st.integers()),
-    st.builds(Label, st.text(max_size=6)),
-)
-leaves = st.one_of(scalars, st.builds(Opaque), st.builds(object))
-payloads = st.recursive(
-    leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
-        st.tuples(inner, inner).map(lambda pair: Pair(*pair)),
-        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(), st.booleans()), inner,
-                        max_size=4),
-        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(OrderedDict),
-        st.sets(scalars, max_size=4),
-        st.frozensets(scalars, max_size=4),
-    ),
-    max_leaves=25,
-)
-
-
-@given(payload=payloads)
-@settings(max_examples=300, deadline=None)
-def test_estimate_size_matches_recursive_reference(payload):
-    assert estimate_size(payload) == reference_estimate_size(payload)
-
-
-@given(payload=st.dictionaries(st.text(max_size=6), payloads, max_size=4),
-       msg_type=st.text(max_size=10))
-@settings(max_examples=100, deadline=None)
-def test_envelope_size_is_reference_plus_framing(payload, msg_type):
-    expected = len(msg_type) + reference_estimate_size(payload) + 40
-    message = Message("a", "b", msg_type, payload)
-    response = Response("b", msg_type, payload)
-    assert message.size_bytes == response.size_bytes == expected
-    assert message.size_bytes == expected  # the kept value, read again
-
-
-def test_contact_declares_the_size_of_its_pair():
-    for address in ("peer-3:dht", "pär-3:dht", ""):
-        contact = Contact(1 << 150, address)
-        assert contact.wire_size == reference_estimate_size((contact.node_id, address))
-        assert estimate_size([contact, contact]) == 2 + 2 * contact.wire_size
-    assert Contact(5, "a") == Contact(5, "a") and hash(Contact(5, "a")) == hash(Contact(5, "a"))
+# -- the test-side sizer on real exchanges -----------------------------------------------
 
 
 def test_real_dht_exchanges_are_sized_like_the_reference():
     sim = Simulator(seed=21)
     network = SimulatedNetwork(sim, latency=ConstantLatency(2.0))
     dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
-    dht.build(14)
-    exchanged = []
-    record = network.stats.record
-    network.stats.record = lambda message, response: (
-        exchanged.append((message, response)), record(message, response))
-    before = network.stats.bytes_sent
+    with watch_traffic() as built:
+        dht.build(14)
+    with watch_traffic() as traffic:
+        dht.put("term:alpha", {"cid": "bafy-ä", "generation": 3, "shards": [1, 2, 3]})
+        dht.add_to_set("providers:alpha", "peer-7:storage")
+        dht.add_to_set("providers:alpha", ("peer-9:storage", 2))
+        assert dht.get("term:alpha")["generation"] == 3
+        assert len(dht.get_set("providers:alpha")) == 2
+        with pytest.raises(KeyNotFoundError):
+            dht.get("term:never")
 
-    dht.put("term:alpha", {"cid": "bafy-ä", "generation": 3, "shards": [1, 2, 3]})
-    dht.add_to_set("providers:alpha", "peer-7:storage")
-    dht.add_to_set("providers:alpha", ("peer-9:storage", 2))
-    assert dht.get("term:alpha")["generation"] == 3
-    assert len(dht.get_set("providers:alpha")) == 2
-    with pytest.raises(KeyNotFoundError):
-        dht.get("term:never")
-
-    seen = {message.msg_type for message, _ in exchanged}
-    assert {"dht.find_node", "dht.find_value", "dht.store", "dht.append"} <= seen
-    expected_total = 0
-    for message, response in exchanged:
-        for envelope in (message, response):
-            expected = (len(envelope.msg_type)
-                        + reference_estimate_size(wire_form(envelope.payload)) + 40)
-            assert envelope.size_bytes == expected
-            expected_total += expected
-    assert network.stats.bytes_sent - before == expected_total
+    assert {msg_type for msg_type, _, _ in traffic.sends} == {
+        "dht.find_node", "dht.find_value", "dht.store", "dht.append"}
+    assert len(traffic.sends) == 33
+    # What the network's own byte counter read for these exchanges when the
+    # program still sized its messages; a FIND_NODE reply's contacts count as pairs.
+    assert (built.bytes, traffic.bytes) == (10846, 7184)
+    contact = Contact(1 << 150, "pär-3:dht")
+    assert envelope_size("r", {"c": [contact]}) == 1 + (2 + 1 + (2 + (2 + 8 + 10))) + 40
+    assert Contact(5, "a") == Contact(5, "a") and hash(Contact(5, "a")) == hash(Contact(5, "a"))
 
 
 # -- one message per replica, and the third answer a lookup can give -----------------------
@@ -349,7 +242,9 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # looking up its provider key beside its pushes, a term publish began storing its shards'
 # patches and bodies at once and a rank round began putting its vector pointer beside its band
 # manifest: the same sends in the same order (GOLDEN_SENDS), but each of those writes now
-# waits for its slowest step instead of their sum.
+# waits for its slowest step instead of their sum.  The bytes have been the test-side total
+# (`tests/traffic.py`) since the program stopped sizing its messages; it is the value the
+# network's own counter read, unchanged.
 GOLDEN_COUNTERS = (9719.11863, 6485, 2302178, 466, 476)
 # Every send of the same deployment, construction included, as (msg_type, sender,
 # recipient) in host order: the SHA-256 of those lines.  Recorded on the commit before the
@@ -385,47 +280,40 @@ GOLDEN_ADS = [  # (ad_id, advertiser, keyword) beside each of the ten pages
 ]
 
 
-def test_golden_deployment_is_unchanged(monkeypatch):
-    sends = []
-    deliver = SimulatedNetwork._deliver
-
-    def recorded(network, src, dst, msg_type, *args, **kwargs):
-        sends.append(f"{msg_type} {src} {dst}")
-        return deliver(network, src, dst, msg_type, *args, **kwargs)
-
-    monkeypatch.setattr(SimulatedNetwork, "_deliver", recorded)
+def test_golden_deployment_is_unchanged():
     corpus = CorpusGenerator(
         vocabulary_size=200, owner_count=8, mean_document_length=40,
         length_spread=10, mean_out_degree=3.0, seed=11,
     ).generate(20)
-    engine = QueenBeeEngine(QueenBeeConfig.from_dict(
-        {"peer_count": 16, "worker_count": 4, "seed": 13}
-    ))
-    engine.bootstrap_corpus(corpus.documents)
-    engine.compute_page_ranks()
-    engine.converge_metadata()
-    frontend = engine.create_frontend()
-    queries = list(QueryWorkloadGenerator(corpus.documents, seed=13).generate(10))
-    # Three campaigns, the third spent by its one click; the chain touches neither the
-    # clock nor an RNG, so the counters below are the ones recorded without any ad.
-    for advertiser in ("advertiser-a", "advertiser-b"):
-        engine.chain.fund_account(advertiser, 10**6)
-    contracts = engine.contracts
-    assert contracts.place_ad("advertiser-a", ["advert", "crypto", "data"], 5_000, 50) == 1
-    assert contracts.place_ad("advertiser-b", ["crypto", "data", "decentralized", "engine"],
-                              9_000, 70) == 2
-    assert contracts.place_ad("advertiser-a", ["term00121"], 100, 100) == 3
-    assert contracts.click_ad(3, creator="owner-0", worker="worker-0")["creator"] == 60
-    served = [frontend.search(query) for query in queries]
+    with watch_traffic() as traffic:
+        engine = QueenBeeEngine(QueenBeeConfig.from_dict(
+            {"peer_count": 16, "worker_count": 4, "seed": 13}
+        ))
+        engine.bootstrap_corpus(corpus.documents)
+        engine.compute_page_ranks()
+        engine.converge_metadata()
+        frontend = engine.create_frontend()
+        queries = list(QueryWorkloadGenerator(corpus.documents, seed=13).generate(10))
+        # Three campaigns, the third spent by its one click; the chain touches neither the
+        # clock nor an RNG, so the counters below are the ones recorded without any ad.
+        for advertiser in ("advertiser-a", "advertiser-b"):
+            engine.chain.fund_account(advertiser, 10**6)
+        contracts = engine.contracts
+        assert contracts.place_ad("advertiser-a", ["advert", "crypto", "data"], 5_000, 50) == 1
+        assert contracts.place_ad("advertiser-b", ["crypto", "data", "decentralized", "engine"],
+                                  9_000, 70) == 2
+        assert contracts.place_ad("advertiser-a", ["term00121"], 100, 100) == 3
+        assert contracts.click_ad(3, creator="owner-0", worker="worker-0")["creator"] == 60
+        served = [frontend.search(query) for query in queries]
     pages = [[hit.doc_id for hit in page.results] for page in served]
 
     net, dht = engine.network.stats, engine.dht.stats
     # The clock is a sum of ~15k libm-sampled latencies: rounded so a last-bit
     # difference between platforms passes while one draw more or fewer cannot.
-    counters = (round(engine.simulator.now, 6), net.rpc_count, net.bytes_sent,
+    counters = (round(engine.simulator.now, 6), net.rpc_count, traffic.bytes,
                 dht.lookups, dht.total_rounds)
     assert counters == GOLDEN_COUNTERS
-    assert hashlib.sha256("\n".join(sends).encode()).hexdigest() == GOLDEN_SENDS
+    assert traffic.digest() == GOLDEN_SENDS
     assert pages == GOLDEN_PAGES
     assert {
         name: sum(page.diagnostics[name] for page in served) for name in GOLDEN_QUERY_WORK

@@ -9,15 +9,19 @@ its record to ``parent.seed<N>.json`` / ``change.seed<N>.json`` under
 ``--out-dir``.  Then prints, per workload, one markdown row per end-to-end
 metric: both medians with quartiles, change / parent, pairs won, and a verdict
 against the metric's bound in the change checkout's ``BENCHMARK.json`` — the
-shape of ``docs/PERFORMANCE.md`` section 4.1.  ``--pairs 0`` only prints the
-table from records already in ``--out-dir``.  The rule the table serves
-(at least ten pairs, nine tenths won, medians apart by more than the parent's
-interquartile range) is in ``docs/PERFORMANCE.md`` section 1.
+shape of ``docs/PERFORMANCE.md`` section 4.1.  Each workload's header also says
+whether the two checkouts run the same harness (``BENCHMARK.json`` and
+``benchmarks/e13/**/*.py``): pairs from different harnesses do not compare.
+``--pairs 0`` only prints the table from records already in ``--out-dir``.
+The rule the table serves (at least ten pairs, nine tenths won, medians apart
+by more than the parent's interquartile range) is in ``docs/PERFORMANCE.md``
+section 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -40,6 +44,24 @@ def run_pairs(checkouts: Dict[str, Path], outs: Dict[str, Path], pairs: int, see
                  "--seed", str(seed), "--out", str(outs[side].resolve())],
                 cwd=checkouts[side], check=True, stdout=subprocess.DEVNULL,
             )
+
+
+def harness_hash(checkout: Path) -> str:
+    """SHA-256 (first 16 hex digits) of ``BENCHMARK.json`` and every ``benchmarks/e13``
+    source file, each under its path relative to ``checkout``."""
+    digest = hashlib.sha256()
+    files = [checkout / "BENCHMARK.json", *sorted((checkout / "benchmarks" / "e13").rglob("*.py"))]
+    for path in files:
+        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+def harness_line(parent: Path, change: Path) -> str:
+    hashes = {side: harness_hash(checkout) for side, checkout in zip(SIDES, (parent, change))}
+    if hashes["parent"] == hashes["change"]:
+        return f"harness identical: {hashes['parent']}"
+    return f"harness DIFFERENT: {hashes}"
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -76,7 +98,8 @@ def metric_row(metric: dict, parent: Sequence[float], change: Sequence[float]) -
             f"| {ratio:.3f} | {won} | {verdict} |")
 
 
-def table(records: Dict[str, List[dict]], metrics: List[dict], workload: str) -> List[str]:
+def table(records: Dict[str, List[dict]], metrics: List[dict], workload: str,
+          harness: str) -> List[str]:
     sets = {side: [r for r in records[side] if r["workload"] == workload] for side in SIDES}
     if not all(sets.values()):
         return []
@@ -86,8 +109,8 @@ def table(records: Dict[str, List[dict]], metrics: List[dict], workload: str) ->
     count = {key: "/".join(str(sum(int(r[key]) for r in sets[side])) for side in SIDES)
              for key in ("failed", "noisy")}
     lines = [
-        f"**`{workload}`** — {min(map(len, sets.values()))} pairs, sim_fingerprint {sim}, "
-        f"failed {count['failed']}, noisy runs {count['noisy']}",
+        f"**`{workload}`** — {min(map(len, sets.values()))} pairs, {harness}, "
+        f"sim_fingerprint {sim}, failed {count['failed']}, noisy runs {count['noisy']}",
         "",
         "| metric | unit | parent median (q1–q3) | change median (q1–q3) "
         "| change ÷ parent | pairs won | verdict |",
@@ -123,9 +146,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     records = {side: json.loads(outs[side].read_text(encoding="utf-8")) for side in SIDES}
     workloads = [w["name"] for w in benchmark["workloads"] if args.workload in ("all", w["name"])]
+    harness = harness_line(args.parent, args.change)
     print(f"seed {args.seed}, records in {out_dir}\n")
     for workload in workloads:
-        print("\n".join(table(records, benchmark["end_to_end"], workload)))
+        print("\n".join(table(records, benchmark["end_to_end"], workload, harness)))
     return 0
 
 
