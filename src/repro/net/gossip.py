@@ -22,14 +22,35 @@ when its version is strictly newer than what it holds.
 Rounds
 ------
 :meth:`GossipPlane.run_round` gives every online node ``fanout`` exchanges
-with distinct random online peers.  An exchange is push/pull: both sides end
-up with the union of their entries at the per-key max version.  Rounds are
-normally scheduled as simulator events (``start()``; the engine starts its
-plane at construction) so propagation interleaves with
-the workload; tests and benchmarks can also drive rounds synchronously via
-:meth:`run_rounds` / :meth:`rounds_to_converge`.  A round's clock cost is
-the slowest of its exchanges (they are logically concurrent), sampled from
-the network's latency model; offline peers neither initiate nor receive.
+with distinct random online peers.  Rounds are normally scheduled as
+simulator events (``start()``; the engine starts its plane at construction)
+so propagation interleaves with the workload; tests and benchmarks can also
+drive rounds synchronously via :meth:`run_rounds` / :meth:`rounds_to_converge`.
+A round's clock cost is the slowest of its exchanges (they are logically
+concurrent), sampled from the network's latency model; offline peers
+neither initiate nor receive.
+
+An exchange is push/pull over per-origin digests (as in Scuttlebutt): each
+side sends only the entries the other has not seen.  An entry is stamped
+where it enters the plane with its ``origin`` node and that node's next
+``seq``; a relayed entry keeps its stamp and is stored as the same object.
+Each node keeps ``seen`` (origin -> highest seq it has seen) and its held
+entries grouped per origin in ascending seq.  In each direction the source
+offers its entries whose seq exceeds the sink's ``seen`` of their origin,
+the sink accepts each one strictly newer than what it holds, and the sink's
+``seen`` then takes the per-origin max.  An exchange costs what changed,
+not the size of the two stores.
+
+This is exact.  Invariant: a node holds, for every key, at least the
+version of every entry it has seen.  An entry the source does not offer has
+been seen by the sink, which therefore already matches or beats it, so a
+scan of the source's whole store would not have sent it either; every entry
+that scan would send is offered and judged by the same rule.  After each
+exchange the sink's ``key -> (value, version)`` map is what the full scan
+leaves, the same entries are accepted and the same counters move, and the
+invariant holds again: each entry the source had seen is matched at the
+sink by an entry it just received or had already seen.  No RNG draw, peer
+choice or clock charge depends on how an exchange finds its entries.
 
 Staleness and correctness
 -------------------------
@@ -43,8 +64,8 @@ wrong answer (see the consuming modules for the per-key argument).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.network import SimulatedNetwork
 from repro.sim import monitor as state_monitor
@@ -80,6 +101,10 @@ class GossipEntry:
     key: str
     value: object
     version: int
+    # Where the entry entered the plane and that node's counter there: the
+    # digest exchange's coordinates, not part of the fact.
+    origin: str = field(compare=False)
+    seq: int = field(compare=False)
 
 
 @dataclass
@@ -100,6 +125,10 @@ class GossipNode:
     def __init__(self, address: str) -> None:
         self.address = address
         self._entries: Dict[str, GossipEntry] = {}
+        # origin -> {seq: entry} of the held entries, in ascending seq.
+        self._by_origin: Dict[str, Dict[int, GossipEntry]] = {}
+        # origin -> the highest seq of that origin this node has seen.
+        self.seen: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,16 +155,45 @@ class GossipNode:
         return entry.version if entry is not None else 0
 
     def put(self, key: str, value: object, version: int) -> bool:
-        """Merge one entry; accepted only when strictly newer (no regress)."""
+        """Merge one entry; accepted only when strictly newer (no regress).
+
+        An accepted entry enters the plane here: it is stamped with this
+        node's address and next seq.
+        """
         state_monitor.record_merge("gossip", self, key, version, value)
         current = self._entries.get(key)
         if current is not None and version <= current.version:
             return False
-        self._entries[key] = GossipEntry(key=key, value=value, version=version)
+        seq = self.seen.get(self.address, 0) + 1
+        self.seen[self.address] = seq
+        self._hold(GossipEntry(key, value, version, self.address, seq), current)
         return True
 
-    def entries(self) -> Iterable[GossipEntry]:
-        return self._entries.values()
+    def _relay(self, entry: GossipEntry) -> None:
+        """Store a strictly newer entry from a peer as the same object."""
+        state_monitor.record_merge("gossip", self, entry.key, entry.version, entry.value)
+        self._hold(entry, self._entries.get(entry.key))
+
+    def _hold(self, entry: GossipEntry, current: Optional[GossipEntry]) -> None:
+        if current is not None:
+            del self._by_origin[current.origin][current.seq]
+        self._entries[entry.key] = entry
+        group = self._by_origin.get(entry.origin)
+        if group is None:
+            group = self._by_origin[entry.origin] = {}
+        group[entry.seq] = entry
+
+    def newer_than(self, origin: str, floor: int) -> List[GossipEntry]:
+        """The held entries ``origin`` stamped after seq ``floor``, ascending."""
+        group = self._by_origin.get(origin)
+        newer: List[GossipEntry] = []
+        if group:
+            for seq in reversed(group):
+                if seq <= floor:
+                    break
+                newer.append(group[seq])
+            newer.reverse()
+        return newer
 
     def digest(self) -> Dict[str, int]:
         """``key -> version`` summary used to compare node states (as a dict:
@@ -388,20 +446,27 @@ class GossipPlane:
         return accepted
 
     def _exchange(self, src: str, dst: str) -> int:
-        """Push/pull reconciliation of two stores; returns entries accepted."""
+        """Push/pull digest exchange of two stores; returns entries accepted.
+
+        Each side sends only the entries the other has not seen; the module
+        docstring's "Rounds" section says why that is exact.
+        """
         self.stats.exchanges += 1
         a, b = self.node(src), self.node(dst)
         accepted = 0
         for source, sink in ((a, b), (b, a)):
-            # The sink's versions are read in place: a put in this pass only
-            # touches the key being sent, so no later comparison sees it.
-            held = sink._entries
-            for entry in list(source.entries()):
-                current = held.get(entry.key)
-                if entry.version > (current.version if current is not None else 0):
-                    self.stats.entries_sent += 1
-                    if sink.put(entry.key, entry.value, entry.version):
+            held, seen = sink._entries, sink.seen
+            for origin in sorted(source.seen):
+                top, floor = source.seen[origin], seen.get(origin, 0)
+                if top <= floor:
+                    continue
+                for entry in source.newer_than(origin, floor):
+                    current = held.get(entry.key)
+                    if entry.version > (current.version if current is not None else 0):
+                        self.stats.entries_sent += 1
+                        sink._relay(entry)
                         accepted += 1
+                seen[origin] = top
         return accepted
 
     def run_rounds(self, count: int) -> int:
@@ -433,15 +498,16 @@ class GossipPlane:
         keep churn-time convergence permanently false; they reconcile on
         rejoin (the next rounds they participate in).
         """
-        digests = [
-            self._nodes[address].digest()
-            for address in self.addresses()
-            if self._online(address)
-        ]
-        if len(digests) < 2:
-            return True
-        first = digests[0]
-        return all(digest == first for digest in digests[1:])
+        first: Optional[Dict[str, int]] = None
+        for address in self.addresses():
+            if not self._online(address):
+                continue
+            digest = self._nodes[address].digest()
+            if first is None:
+                first = digest
+            elif digest != first:
+                return False
+        return True
 
     def rounds_to_converge(self, max_rounds: int = 64) -> int:
         """Rounds of synchronous gossip until convergence (-1 = budget hit).

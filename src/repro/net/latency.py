@@ -57,7 +57,7 @@ class LogNormalLatency(LatencyModel):
         self.median = float(median)
         self.sigma = float(sigma)
         self.cap = float(cap)
+        self._mu = math.log(self.median)
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        mu = math.log(self.median)
-        return min(rng.lognormvariate(mu, self.sigma), self.cap)
+        return min(rng.lognormvariate(self._mu, self.sigma), self.cap)

@@ -245,15 +245,16 @@ class DecentralizedPageRank:
             fallback = compute_honest_contribution(task, damping=self.damping)
             return VoteOutcome(accepted=fallback, agreeing_workers=[],
                                dissenting_workers=sorted(rejected), unanimous=False)
-        # Group identical answers by fingerprint and accept the plurality.
+        # Group identical answers by fingerprint (one per answer) and accept
+        # the plurality; a tie goes to the answer given first.
+        fingerprints = [contribution.fingerprint() for _, contribution in answers]
         groups: Dict[str, List[str]] = {}
         by_fingerprint: Dict[str, RankContribution] = {}
-        for worker_address, contribution in answers:
-            fingerprint = contribution.fingerprint()
+        for (worker_address, contribution), fingerprint in zip(answers, fingerprints):
             groups.setdefault(fingerprint, []).append(worker_address)
             by_fingerprint[fingerprint] = contribution
         winning_fingerprint = max(
-            groups, key=lambda fp: (len(groups[fp]), -self._first_index(answers, fp))
+            groups, key=lambda fp: (len(groups[fp]), -fingerprints.index(fp))
         )
         agreeing = groups[winning_fingerprint]
         dissenting = [
@@ -288,13 +289,6 @@ class DecentralizedPageRank:
         # reruns of an experiment assign identically.
         task_rng = random.Random((task.iteration, task.partition, self.rng.random()).__hash__())
         return task_rng.sample(addresses, self.redundancy)
-
-    @staticmethod
-    def _first_index(answers: List[Tuple[str, RankContribution]], fingerprint: str) -> int:
-        for index, (_, contribution) in enumerate(answers):
-            if contribution.fingerprint() == fingerprint:
-                return index
-        return len(answers)
 
 
 # -- rank ceilings ---------------------------------------------------------------------

@@ -14,17 +14,26 @@ Covers the properties the plane exists for:
 * bounded staleness — before convergence a cached frontend serves the old
   generation's page, after it the fresh one;
 * snapshot isolation — ``search_batch`` pins the gossip view so every
-  query in a batch sees one consistent metadata version.
+  query in a batch sees one consistent metadata version;
+* exactness — the digest exchange leaves every store, return value and
+  counter where a scan of both whole stores (kept here as the reference)
+  leaves them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
 from repro.index.document import Document
 from repro.net.gossip import EPOCH_PREFIX, GossipPlane, GossipView, quantize_load
+from repro.net.latency import LogNormalLatency
+from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.queries import QueryWorkloadGenerator
@@ -138,6 +147,140 @@ class TestPropagation:
         engine.simulator.advance(1_000.0)
         assert plane.stats.rounds > before
         assert plane.converged()
+
+
+def full_scan_exchange(plane: GossipPlane, src: str, dst: str) -> int:
+    """The exchange the digest exchange replaced: each side walks the other's
+    whole store and sends every entry strictly newer than the peer's."""
+    plane.stats.exchanges += 1
+    a, b = plane.node(src), plane.node(dst)
+    accepted = 0
+    for source, sink in ((a, b), (b, a)):
+        for entry in list(source.snapshot().values()):
+            if entry.version > sink.version_of(entry.key):
+                plane.stats.entries_sent += 1
+                if sink.put(entry.key, entry.value, entry.version):
+                    accepted += 1
+    return accepted
+
+
+def store_maps(plane: GossipPlane):
+    return {
+        address: {key: (entry.value, entry.version)
+                  for key, entry in plane.node(address).snapshot().items()}
+        for address in plane.addresses()
+    }
+
+
+class TracedPlane(GossipPlane):
+    """A plane that records, after every exchange, what it returned, every
+    store's ``key -> (value, version)`` map and the plane's counters."""
+
+    reconcile = GossipPlane._exchange
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.trace = []
+
+    def _exchange(self, src: str, dst: str) -> int:
+        accepted = self.reconcile(src, dst)
+        self.trace.append(
+            (src, dst, accepted, store_maps(self), dataclasses.astuple(self.stats))
+        )
+        return accepted
+
+
+class FullScanPlane(TracedPlane):
+    reconcile = full_scan_exchange
+
+
+TWIN_NODES = [f"peer-{i:03d}:store" for i in range(5)]
+_node = st.integers(0, len(TWIN_NODES) - 1)
+_gossip_op = st.one_of(
+    st.tuples(st.just("publish"), _node, st.sampled_from(["k0", "k1", "k2", "k3"]),
+              st.sampled_from(["a", "b"]), st.integers(1, 5)),
+    st.tuples(st.just("exchange"), _node, _node).filter(lambda op: op[1] != op[2]),
+    st.tuples(st.just("round")),
+    st.tuples(st.just("flip"), _node),
+    st.tuples(st.just("partition"), st.integers(0, len(TWIN_NODES) - 1)),
+)
+# Every program starts from the same three situations: one version under
+# two values from two origins; an entry that travels 2 -> 3 -> 4 and back to
+# its origin; and node 4 relaying to node 3 a run of node 0's entries of
+# which node 3 has seen only the first part.
+_PREAMBLE = [
+    ("publish", 0, "k0", "a", 3), ("publish", 1, "k0", "b", 3), ("exchange", 0, 1),
+    ("publish", 2, "k1", "a", 1), ("exchange", 2, 3), ("exchange", 3, 4), ("exchange", 4, 2),
+    ("publish", 0, "k2", "a", 1), ("exchange", 0, 3), ("publish", 0, "k3", "a", 1),
+    ("exchange", 0, 4), ("exchange", 4, 3),
+]
+
+
+def _twin(plane_class):
+    simulator = Simulator(seed=3)
+    network = SimulatedNetwork(simulator, latency=LogNormalLatency())
+    for address in TWIN_NODES:
+        network.register(address, lambda message: None)
+    return plane_class(simulator, network, fanout=2), network
+
+
+class TestDigestExchange:
+    @given(st.lists(_gossip_op, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_digest_exchange_matches_the_full_scan(self, program):
+        twins = [_twin(TracedPlane), _twin(FullScanPlane)]
+        for op in _PREAMBLE + program:
+            kind = op[0]
+            returned = []
+            for plane, network in twins:
+                if kind == "publish":
+                    _, node, key, value, version = op
+                    returned.append(plane.publish(TWIN_NODES[node], key, value, version))
+                elif kind == "exchange":
+                    returned.append(plane._exchange(TWIN_NODES[op[1]], TWIN_NODES[op[2]]))
+                elif kind == "round":
+                    returned.append(plane.run_round())
+                else:
+                    returned.append(None)
+                    address = TWIN_NODES[op[1]]
+                    if kind == "flip" and network.is_online(address):
+                        network.set_offline(address)
+                    elif kind == "flip":
+                        network.set_online(address)
+                    elif op[1]:
+                        network.partition([TWIN_NODES[:op[1]], TWIN_NODES[op[1]:]])
+                    else:
+                        network.heal_partition()
+            (ours, _), (reference, _) = twins
+            assert returned[0] == returned[1], op
+            assert ours.trace == reference.trace, op
+            assert store_maps(ours) == store_maps(reference)
+            assert ours.stats == reference.stats
+            assert ours.converged() == reference.converged()
+            assert ours.simulator.now == reference.simulator.now
+            ours.trace.clear()
+            reference.trace.clear()
+
+    def test_a_relayed_entry_is_shared_not_copied(self):
+        plane = bare_plane(3, fanout=2)
+        plane.publish("peer-000:store", "rank:head", "cid-1", 1)
+        plane.run_rounds(2)
+        held = {id(plane.node(address).entry("rank:head")) for address in plane.addresses()}
+        assert len(held) == 1
+
+    def test_an_exchange_offers_only_what_the_peer_has_not_seen(self):
+        plane = bare_plane(2)
+        a, b = plane.node("peer-000:store"), plane.node("peer-001:store")
+        for i in range(50):
+            a.put(f"epoch:t{i}", i + 1, i + 1)
+        plane._exchange(a.address, b.address)
+        assert plane.stats.entries_sent == 50
+        assert b.seen == a.seen == {a.address: 50}
+        a.put("epoch:t0", 9, 9)
+        assert a.newer_than(a.address, b.seen[a.address]) == [a.entry("epoch:t0")]
+        plane._exchange(b.address, a.address)
+        assert plane.stats.entries_sent == 51
+        assert b.version_of("epoch:t0") == 9
 
 
 class TestGossipViewPinning:

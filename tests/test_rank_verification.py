@@ -111,3 +111,31 @@ class TestMassConservationDefense:
         result = coordinator.compute(graph)
         honest = pagerank(graph, max_iterations=30, tolerance=1e-12)
         assert result.ranks[target] > honest.ranks[target]
+
+
+class TestVoting:
+    def test_one_dissenter_is_outvoted_and_each_answer_is_fingerprinted_once(
+        self, graph, monkeypatch
+    ):
+        target = 0
+        workers = {f"w{i}": compute_honest_contribution for i in range(3)}
+        workers["mallory"] = shifting_worker(target)
+        coordinator = DecentralizedPageRank(workers, redundancy=4, verify_conservation=True)
+        task = RankTask(
+            iteration=1, partition=0,
+            node_states={node: (1.0 / 60, tuple(graph.out_links(node))) for node in range(0, 60, 2)},
+        )
+        calls = {}
+        fingerprint = RankContribution.fingerprint
+
+        def counted(contribution):
+            calls[id(contribution)] = calls.get(id(contribution), 0) + 1
+            return fingerprint(contribution)
+
+        monkeypatch.setattr(RankContribution, "fingerprint", counted)
+        outcome = coordinator._execute_with_voting(task)
+        assert outcome.accepted == compute_honest_contribution(task)
+        assert outcome.agreeing_workers == ["w0", "w1", "w2"]
+        assert outcome.dissenting_workers == ["mallory"]
+        assert outcome.unanimous is False
+        assert sorted(calls.values()) == [1, 1, 1, 1]

@@ -11,6 +11,9 @@ simulation fails on every test run, not only when E13 is compared.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from typing import List
 
 import pytest
@@ -24,6 +27,7 @@ from repro.dht.lookup import find_node
 from repro.dht.nodeid import ID_BITS, key_to_id
 from repro.dht.routing import Contact, RoutingTable
 from repro.errors import KeyNotFoundError, RoutingError
+from repro.index.document import Document
 from repro.net.faults import DROP, CrashWindow, FaultRule
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
@@ -271,6 +275,10 @@ GOLDEN_CHAIN = {
 GOLDEN_QUERY_WORK = {
     "docs_scored": 71, "docs_pruned": 7, "postings_scanned": 109, "shards_skipped": 0,
 }
+# The metadata plane's counters at the end of the same deployment, as GossipStats fields
+# (rounds, exchanges, entries_sent, last_convergence_rounds), recorded on the commit before
+# exchanges became per-origin digests (eb7ba20): what a scan of both whole stores sent.
+GOLDEN_GOSSIP = (1, 48, 2385, 1)
 GOLDEN_ADS = [  # (ad_id, advertiser, keyword) beside each of the ten pages
     [], [], [(2, "advertiser-b", "decentralized")],
     [(2, "advertiser-b", "data"), (1, "advertiser-a", "data")],
@@ -314,6 +322,7 @@ def test_golden_deployment_is_unchanged():
                 dht.lookups, dht.total_rounds)
     assert counters == GOLDEN_COUNTERS
     assert traffic.digest() == GOLDEN_SENDS
+    assert dataclasses.astuple(engine.gossip.stats) == GOLDEN_GOSSIP
     assert pages == GOLDEN_PAGES
     assert {
         name: sum(page.diagnostics[name] for page in served) for name in GOLDEN_QUERY_WORK
@@ -329,3 +338,50 @@ def test_golden_deployment_is_unchanged():
         "native_supply": chain.state.total_native_supply(),
     } == GOLDEN_CHAIN
     assert chain.verify_integrity()
+
+
+# The same deployment's gossip under churn: three publishes, each followed by two rounds with
+# two peers offline, then every peer back and a settle.  Recorded on the commit before
+# exchanges became per-origin digests (eb7ba20): rounds, exchanges, entries_sent and
+# last_convergence_rounds; the clock; and the SHA-256 of every node's sorted
+# (key, version, repr(value)) triples.
+GOLDEN_CHURN_GOSSIP = (
+    (8, 348, 2471, 1), 9361.833961,
+    "34303a1f19804e3946abd8cdf4fae3ff9a013b859c85c7e17aca97d01b062ea0",
+)
+
+
+def test_golden_gossip_under_churn_is_unchanged():
+    corpus = CorpusGenerator(
+        vocabulary_size=200, owner_count=8, mean_document_length=40,
+        length_spread=10, mean_out_degree=3.0, seed=11,
+    ).generate(20)
+    engine = QueenBeeEngine(QueenBeeConfig.from_dict(
+        {"peer_count": 16, "worker_count": 4, "seed": 13}
+    ))
+    engine.bootstrap_corpus(corpus.documents)
+    engine.compute_page_ranks()
+    engine.converge_metadata()
+    plane = engine.gossip
+    peers = plane.addresses()
+    for step in range(3):
+        away = [peers[(5 * step + 4) % 16], peers[(5 * step + 11) % 16]]
+        for address in away:
+            engine.network.set_offline(address)
+        engine.publish_document(Document(
+            doc_id=10_000 + step, url=f"https://example.test/{step}", title="zymurgy",
+            text="zymurgy mead " * (8 + step), owner="owner-z",
+        ))
+        plane.run_rounds(2)
+        for address in away:
+            engine.network.set_online(address)
+    assert engine.converge_metadata() == 1
+    stores = [
+        [address, sorted((key, entry.version, repr(entry.value))
+                         for key, entry in plane.node(address).snapshot().items())]
+        for address in plane.addresses()
+    ]
+    assert (
+        dataclasses.astuple(plane.stats), round(engine.simulator.now, 6),
+        hashlib.sha256(json.dumps(stores).encode()).hexdigest(),
+    ) == GOLDEN_CHURN_GOSSIP
