@@ -79,8 +79,9 @@ UPDATE_ROUNDS = 4 if SMOKE else 10
 def _heaviest_term_load(engine, local: LocalInvertedIndex) -> Tuple[str, int, int]:
     """(term, shard count, max shards-per-provider) for the heaviest term.
 
-    Load is measured from the DHT provider records of the term's current
-    shard CIDs — the ground truth a fetch routes against, independent of the
+    Load is measured from the provider hints in the term's current manifest
+    — the holders a fetch routes against, and the only public record of them
+    (a placed shard has no DHT provider record) — independent of the
     placement policy's own bookkeeping.
     """
     term = local.heaviest_terms(1)[0]
@@ -91,7 +92,7 @@ def _heaviest_term_load(engine, local: LocalInvertedIndex) -> Tuple[str, int, in
         if not info.count:
             continue
         shards += 1
-        for provider in engine.storage.providers_of(info.cid):
+        for provider in info.providers:
             counts[provider] = counts.get(provider, 0) + 1
     return term, shards, max(counts.values()) if counts else 0
 
@@ -115,7 +116,7 @@ def _row(
     pages = [engine.search(query, frontend=frontend) for query in queries]
     top_k = [[(result.doc_id, result.score) for result in page.results] for page in pages]
     # Snapshot the query-workload metrics *before* the provider-load probe:
-    # _heaviest_term_load issues its own DHT lookups (one get_set per shard),
+    # _heaviest_term_load issues its own DHT lookup (the manifest read),
     # which must not leak into the gated 'dht rounds/lookup' number.
     mean_rounds = engine.dht.stats.mean_rounds
     per_fetch = list(frontend.index.stats.per_fetch_bytes) or [0]

@@ -75,14 +75,17 @@ onto exactly those peers, and records the chosen providers in the shard's
 manifest entry (``prov``).  The query path uses those hints as a routing
 table: each shard fetch is steered to the **least-loaded live** hinted
 provider (ranked by blocks actually served), falling back to the remaining
-hinted peers and then to the DHT provider record on failure — so a head
-term's serving load stays spread even under a skewed query stream.
+live hints and then to the suspected ones — so a head term's serving load
+stays spread even under a skewed query stream.  A shard's patch goes to the
+same replica set, and neither has a DHT provider record: the hints are
+their one public locator.
 Carried-forward shards keep their placement along with their CID and
 generation.  When churn drops a shard below the replication floor, the
 policy re-replicates it and calls back into
 :meth:`DistributedIndex.refresh_shard_providers` to update the manifest's
 hints *in place* (same generations — content is untouched, caches stay
-valid).
+valid).  So a reader whose every hint missed re-reads the manifest once,
+past its manifest cache, and retries with the hints it names now.
 """
 
 from __future__ import annotations
@@ -178,10 +181,10 @@ class ShardInfo:
     # length-free fallback).  Evaluating BM25's length normalization at this
     # floor upper-bounds every contribution the shard can make.
     min_len: int = 0
-    # Provider hints: the replica set the placement policy pushed this
-    # shard's content onto (empty = unsteered publish, route via the DHT
-    # provider record only).  Hints are routing advice, never authority —
-    # a fetch falls back to the provider record when every hint fails.
+    # Provider hints: the holders the placement policy's pushes of this
+    # shard's content (and patch) reached — the only record of where placed
+    # content lives besides the policy's own.  Empty = unplaced publish,
+    # found through its DHT provider record like any other content.
     providers: Tuple[str, ...] = ()
     # Maximum PageRank of any document in [lo, hi] in the holder's rank
     # vector, valid only at the manifest's rank_version (-1 = unknown; the
@@ -369,18 +372,7 @@ class DistributedIndexStats:
     per_fetch_bytes: List[int] = field(default_factory=list)
 
     def reset(self) -> None:
-        self.terms_published = 0
-        self.terms_fetched = 0
-        self.fetch_misses = 0
-        self.bytes_fetched = 0
-        self.manifest_fetches = 0
-        self.manifest_bytes_fetched = 0
-        self.shards_unchanged = 0
-        self.rank_ceiling_refreshes = 0
-        self.deltas_published = 0
-        self.shards_patched = 0
-        self.delta_fallbacks = 0
-        self.per_fetch_bytes.clear()
+        self.__init__()
 
 
 class DistributedIndex:
@@ -552,7 +544,7 @@ class DistributedIndex:
 
         **Crash ordering.**  Three steps, sequenced so the ``idx:<term>``
         manifest write is the commit point: (1) shard and patch payloads
-        are stored and their holders announced; (2) the manifest is put —
+        are stored; (2) the manifest is put —
         and must land on at least one replica, else the publish raises;
         (3) only then does this publisher's own generation registry (and
         epoch-feed announcement) advance.  A publisher that dies anywhere
@@ -637,11 +629,11 @@ class DistributedIndex:
                 prior = previous.shards[index] if index < len(previous.shards) else None
                 branches.append(partial(
                     self._publish_shard_patch, term, index, base_chunks[index], chunk, prior,
-                    payloads[index], publisher,
+                    payloads[index], publisher, placements.get(index),
                 ))
             branches.append(partial(
                 self.storage.add_text, payloads[index], publisher=publisher,
-                providers=placements.get(index) or None,
+                providers=placements.get(index),
             ))
         outcomes = iter(self.dht.simulator.parallel_region(branches))
 
@@ -660,7 +652,7 @@ class DistributedIndex:
             cid = receipt.cid
             # Hints and the repair registry record the providers the push
             # actually reached (a chosen peer lost at push time is dropped;
-            # the publisher fallback is announced) — a hint naming a peer
+            # the publisher fallback is named) — a hint naming a peer
             # without the content would defeat the repair floor check.
             achieved = receipt.providers if placements.get(index) else ()
             if self.metrics is not None:
@@ -710,9 +702,12 @@ class DistributedIndex:
         prior: Optional[ShardInfo],
         full_payload: str,
         publisher: Optional[str],
+        providers: Optional[Tuple[str, ...]],
     ) -> Optional[PatchInfo]:
         """Publish the patch rewriting shard ``index``'s previous content
-        into ``chunk``, when one is worth shipping (else ``None``).
+        into ``chunk``, when one is worth shipping (else ``None``).  It is
+        placed on ``providers``, the replica set of the shard body it
+        patches, so the body's manifest hints route it too.
 
         The recovered base must re-encode to exactly the previous manifest
         entry's fingerprint — anything else (missed generation, boundary
@@ -738,7 +733,9 @@ class DistributedIndex:
         )
         if len(payload) > self.delta_max_ratio * len(full_payload):
             return None
-        info = self.patches.publish(payload, prior.fingerprint, publisher=publisher)
+        info = self.patches.publish(
+            payload, prior.fingerprint, publisher=publisher, providers=providers
+        )
         self.stats.deltas_published += 1
         if self.metrics is not None:
             self.metrics.increment("publish.delta_bytes", info.size)
@@ -924,15 +921,10 @@ class DistributedIndex:
             cached = self.cache.get(key, generation=info.generation)
             if cached is not None:
                 return cached
-        try:
-            payload = self.storage.get_text(
-                info.cid, requester=requester, preferred=self._route_providers(info)
-            )
-        except Exception as exc:
-            self.stats.fetch_misses += 1
-            raise TermNotFoundError(
-                f"shard {index} of term {manifest.term!r} is unreachable"
-            ) from exc
+        payload = self._read_shard_payload(
+            manifest.term, info, requester,
+            from_cache=self.cache is not None and use_cache,
+        )
         self.stats.terms_fetched += 1
         self.stats.bytes_fetched += len(payload)
         self.stats.per_fetch_bytes.append(len(payload))
@@ -942,6 +934,42 @@ class DistributedIndex:
             # later republish's patch (keyed by this fingerprint) can apply.
             self.cache.put(key, postings, generation=generation, fingerprint=info.fingerprint)
         return postings
+
+    def _read_shard_payload(
+        self, term: str, info: ShardInfo, requester: Optional[str], from_cache: bool
+    ) -> str:
+        """One shard body's payload, read through its hints.  A repair
+        rewrites hints at the same generation, which no epoch tells a cached
+        manifest, so when every hint of one that came ``from_cache`` misses,
+        the record is re-read once and the read retried with its hints."""
+        entry: Optional[ShardInfo] = info
+        while entry is not None:
+            try:
+                return self.storage.get_text(
+                    info.cid, requester=requester, preferred=self._hints(entry)
+                )
+            except Exception as exc:
+                missed = exc
+            first = entry is info and from_cache and bool(info.providers)
+            entry = self._moved(term, info) if first else None
+        self.stats.fetch_misses += 1
+        raise TermNotFoundError(f"shard {info.index} of term {term!r} is unreachable") from missed
+
+    def _moved(self, term: str, info: ShardInfo) -> Optional[ShardInfo]:
+        """``info``'s entry in a fresh read of the manifest when it names the
+        same content under other holders, else ``None``."""
+        try:
+            current = self.fetch_term_manifest(term, use_cache=False)
+        except TermNotFoundError:
+            return None
+        if info.index >= len(current.shards):
+            return None
+        moved = current.shards[info.index]
+        if moved.cid != info.cid or moved.providers == info.providers:
+            return None
+        if self._manifests.get(term, current).generation == current.generation:
+            self._manifests[term] = current
+        return moved
 
     def _patch_cached_shard(
         self,
@@ -965,9 +993,7 @@ class DistributedIndex:
         patch = info.patch
         if not fingerprint or fingerprint != patch.base_fp:
             return self._delta_fallback()
-        payload = self.patches.fetch(
-            patch, requester=requester, preferred=self._route_providers(info)
-        )
+        payload = self.patches.fetch(patch, requester=requester, preferred=self._hints(info))
         if payload is None:
             return self._delta_fallback()
         try:
@@ -1017,9 +1043,17 @@ class DistributedIndex:
         # Liveness comes from the storage facade's presumed_alive — the
         # local failure detector when one is attached, never the global
         # oracle directly (RL007).  A wrongly-suspected provider drops out
-        # of the *hint* only; the fetch path still falls through to the
-        # full announced provider set.
+        # of the *ranking* only; :meth:`_hints` still asks it once the live
+        # ones miss.
         return rank_replicas(info.providers, self.storage.presumed_alive, load_of)
+
+    def _hints(self, info: ShardInfo) -> Optional[List[str]]:
+        """``info``'s holders in asking order — the ranked live hints, then
+        the suspected ones — or ``None`` for an unplaced shard."""
+        if not info.providers:
+            return None
+        live = self._route_providers(info) or []
+        return live + [address for address in info.providers if address not in live]
 
     def held_manifests(self) -> Dict[str, TermManifest]:
         """The manifests in this instance's manifest cache, per term (a copy)."""

@@ -1,14 +1,16 @@
-"""Provider-record-aware placement and replication of index shards.
+"""Placement and replication of index shards.
 
 Why placement exists
 --------------------
-Doc-id-range sharding (PR 3) spreads a head term's postings across shard
-*keys*, but shards were published like any other content: the publishing
-peer pinned every block and announced itself as a provider, so one peer
-routinely ended up providing *every* shard of a head term — exactly the
-hot-spot the decentralized design is meant to avoid.  :class:`PlacementPolicy`
-closes that gap: at publish time it consults the current provider records and
-steers each term's range shards onto a spread-maximizing replica set.
+Doc-id-range sharding spreads a head term's postings across shard *keys*,
+but a shard published like any other content is pinned by its publishing
+peer, so one peer would end up providing *every* shard of a head term —
+exactly the hot-spot the decentralized design is meant to avoid.
+:class:`PlacementPolicy` closes that gap: at publish time it steers each
+term's range shards onto a spread-maximizing replica set.  Its own record
+and the term manifest's hints are the only places a shard's holders are
+written down: a placed shard, reached only through its manifest, has no DHT
+provider record.
 
 The policy enforces two properties:
 
@@ -32,9 +34,9 @@ provider leaves (a :class:`~repro.net.churn.ChurnModel` leave listener, see
 ``QueenBeeEngine.create_churn_model``), every shard the peer provided is
 checked against the **replication floor**; shards that dropped below it are
 re-replicated onto fresh peers via
-:meth:`~repro.storage.ipfs.DecentralizedStorage.replicate_to`, the provider
-records are extended, and the term manifests' provider hints are refreshed in
-place (same generation — content is untouched, so caches stay valid).  A
+:meth:`~repro.storage.ipfs.DecentralizedStorage.replicate_to` (sourced from
+the record's holders), and the term manifests' provider hints are refreshed
+in place (same generation — content is untouched, so caches stay valid).  A
 repair that finds no live source is recorded as a deficit and retried when a
 peer rejoins.
 
@@ -223,6 +225,8 @@ class PlacementPolicy:
         if not online or not needed:
             return {}
         bound = anti_affinity_bound(shard_count, self.replication_factor)
+        # A tie-break depends only on (term, peer): hash each peer once.
+        tiebreaks = {address: self._tiebreak(term, address) for address in online}
         term_load: Dict[str, int] = {}
         # repro-lint: disable=RL004 -- commutative integer counting, order-free result
         for providers in existing.values():
@@ -230,20 +234,13 @@ class PlacementPolicy:
                 term_load[provider] = term_load.get(provider, 0) + 1
         assignments: Dict[int, Tuple[str, ...]] = {}
         for index in sorted(needed):
-            want = min(self.replication_factor, len(online))
             replicas: List[str] = []
-            for _ in range(want):
+            for _ in range(min(self.replication_factor, len(online))):
                 candidates = [address for address in online if address not in replicas]
-                under_cap = [a for a in candidates if term_load.get(a, 0) < bound]
-                pool = under_cap or candidates
-                choice = min(
-                    pool,
-                    key=lambda a: (
-                        term_load.get(a, 0),
-                        self._peer_shards.get(a, 0),
-                        self._tiebreak(term, a),
-                    ),
-                )
+                pool = [a for a in candidates if term_load.get(a, 0) < bound] or candidates
+                choice = min(pool, key=lambda a: (
+                    term_load.get(a, 0), self._peer_shards.get(a, 0), tiebreaks[a]
+                ))
                 replicas.append(choice)
                 term_load[choice] = term_load.get(choice, 0) + 1
             assignments[index] = tuple(replicas)
@@ -416,24 +413,21 @@ class PlacementPolicy:
             len(self._placements.get(term, {})), self.replication_factor
         )
         candidates = [a for a in online if a not in placed.providers]
-        under_cap = [a for a in candidates if term_load.get(a, 0) < bound]
-        pool = under_cap or candidates
-        pool.sort(
-            key=lambda a: (
-                term_load.get(a, 0),
-                self._peer_shards.get(a, 0),
-                self._tiebreak(term, a),
-            )
-        )
+        pool = [a for a in candidates if term_load.get(a, 0) < bound] or candidates
+        pool.sort(key=lambda a: (
+            term_load.get(a, 0), self._peer_shards.get(a, 0), self._tiebreak(term, a)
+        ))
         targets = pool[:needed]
-        pushed = self.storage.replicate_to(placed.cid, targets) if targets else []
+        pushed = (
+            self.storage.replicate_to(placed.cid, targets, sources=placed.providers)
+            if targets else []
+        )
         if not pushed:
             self.stats.repairs_failed += 1
             self._deficits.add((term, index))
             return None
-        # Dead providers drop out of the hint set (their pinned copy and DHT
-        # provider record survive for when they return); live + new is the
-        # routable set.
+        # Dead providers drop out of the record and the hints (their pinned
+        # copy survives, unnamed); live + new is the routable set.
         providers = tuple(live + pushed)
         self.record(term, index, placed.cid, providers)
         self.stats.shards_repaired += 1

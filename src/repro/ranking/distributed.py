@@ -25,7 +25,6 @@ can compute them, so a rank round writes only the vector.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -63,13 +62,21 @@ class RankContribution:
     contributions: Dict[int, float] = field(default_factory=dict)
     dangling_mass: float = 0.0
 
-    def fingerprint(self) -> str:
-        """A canonical hash used for majority voting across replicas."""
-        canonical = {
-            "contributions": {str(k): round(v, 10) for k, v in sorted(self.contributions.items())},
-            "dangling_mass": round(self.dangling_mass, 10),
-        }
-        return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode("utf-8")).hexdigest()
+    def fingerprint(self) -> Tuple[Tuple[Tuple[int, object], ...], object]:
+        """The answer as majority voting compares it: the sorted ``(node,
+        contribution)`` pairs and the dangling mass, each rounded to 10
+        places.  Two answers group together exactly when these agree."""
+        pairs = tuple(
+            (node, _vote_value(self.contributions[node])) for node in sorted(self.contributions)
+        )
+        return pairs, _vote_value(self.dangling_mass)
+
+
+def _vote_value(value: float) -> object:
+    """``value`` rounded to 10 places; a zero or NaN as its text, so ``-0.0``
+    and ``0.0`` stay two answers and every NaN is one."""
+    rounded = round(value, 10)
+    return rounded if rounded and rounded == rounded else repr(rounded)
 
 
 def compute_honest_contribution(task: RankTask, damping: float = DEFAULT_DAMPING) -> RankContribution:
@@ -245,27 +252,23 @@ class DecentralizedPageRank:
             fallback = compute_honest_contribution(task, damping=self.damping)
             return VoteOutcome(accepted=fallback, agreeing_workers=[],
                                dissenting_workers=sorted(rejected), unanimous=False)
-        # Group identical answers by fingerprint (one per answer) and accept
-        # the plurality; a tie goes to the answer given first.
-        fingerprints = [contribution.fingerprint() for _, contribution in answers]
-        groups: Dict[str, List[str]] = {}
-        by_fingerprint: Dict[str, RankContribution] = {}
-        for (worker_address, contribution), fingerprint in zip(answers, fingerprints):
-            groups.setdefault(fingerprint, []).append(worker_address)
-            by_fingerprint[fingerprint] = contribution
-        winning_fingerprint = max(
-            groups, key=lambda fp: (len(groups[fp]), -fingerprints.index(fp))
-        )
-        agreeing = groups[winning_fingerprint]
-        dissenting = [
-            w for fp, ws in sorted(groups.items()) if fp != winning_fingerprint for w in ws
-        ]
+        # Group equal answers (first-seen order) and accept the plurality; a
+        # tie goes to the answer given first, which max() keeps.
+        groups: Dict[object, List[str]] = {}
+        by_key: Dict[object, RankContribution] = {}
+        for worker_address, contribution in answers:
+            key = contribution.fingerprint()
+            groups.setdefault(key, []).append(worker_address)
+            by_key[key] = contribution
+        winning_key = max(groups, key=lambda key: len(groups[key]))
+        agreeing = groups[winning_key]
+        dissenting = sorted(worker for worker, _ in answers if worker not in agreeing)
         for worker_address in dissenting:
             self.stats.record_dissent(worker_address)
         return VoteOutcome(
-            accepted=by_fingerprint[winning_fingerprint],
+            accepted=by_key[winning_key],
             agreeing_workers=sorted(agreeing),
-            dissenting_workers=sorted(dissenting),
+            dissenting_workers=dissenting,
             unanimous=not dissenting,
         )
 

@@ -11,7 +11,8 @@ QueenBee depends on:
   in-memory LRU store with pinning and a transactional ``writer()``.
 * :mod:`repro.storage.peer` — a storage peer serving blocks over the network.
 * :mod:`repro.storage.ipfs` — :class:`DecentralizedStorage`, the add/get
-  facade with provider records on the DHT and replication.
+  facade with replication; unplaced content is announced in DHT provider
+  records, placed index shards only in their term manifests.
 """
 
 from repro.storage.cid import compute_cid, verify_cid

@@ -1,8 +1,11 @@
-"""The decentralized-storage facade: add/get content by CID with provider
-records on the DHT and replication across peers.
+"""The decentralized-storage facade: add/get content by CID, replicated
+across peers.
 
 This is the component the paper calls "a decentralized storage (e.g. IPFS)":
 QueenBee stores page contents, index shards, and page-rank vectors here.
+Content has one locator: a DHT provider record for what a reader knows only
+by its CID (pages, term vectors, rank and statistics blobs), and the term
+manifest's hints for placed index shards and their patches, which have none.
 """
 
 from __future__ import annotations
@@ -54,17 +57,14 @@ class StorageOptions:
 class StoreReceipt:
     """Structured result of an ``add``: what was stored, where it landed.
 
-    ``providers`` is what actually got announced on the DHT — with pinned
-    placement, chosen peers that could not be reached at push time are
-    already dropped, so callers recording placements use this, not the
-    request.
+    ``providers`` is the holders the pushes reached (an unplaced add also
+    announces them).  A chosen peer lost at push time is already dropped, so
+    callers recording placements use this, not the request.
     """
 
     cid: str
     providers: Tuple[str, ...]
     size: int
-    #: Whether an explicit provider set was requested (placement path).
-    placed: bool = False
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,18 @@ class DecentralizedStorage:
         """Publish ``data``; returns a :class:`StoreReceipt`.
 
         Without ``providers`` (the default path), the publisher pins every
-        block and replicates to ``replication - 1`` random online peers; the
-        publisher plus the replicas become the provider set.
+        block and replicates to ``replication - 1`` random online peers, and
+        the publisher plus the replicas are announced in a DHT provider
+        record: a reader that knows only the CID finds them there.
 
         With ``providers`` (pinned replica placement — the index placement
         layer uses this), the content is pushed and pinned onto *exactly*
-        those peers and only they are announced: the publisher does not
-        become an implicit provider, which is what lets a placement policy
-        bound any single peer's serving load.  Chosen peers that cannot be
-        reached at push time are dropped from the announcement; if every one
-        fails, the publisher pins and announces itself so the content is
-        never lost.  ``receipt.providers`` is what actually got announced —
-        callers recording placements must use it, not the request.
+        those peers and nothing is announced: placed content is reached only
+        through its term manifest, whose hints name its holders.  The
+        publisher does not become an implicit holder, which is what lets a
+        placement policy bound any single peer's serving load.  Chosen peers
+        that cannot be reached at push time are dropped; if every one fails,
+        the publisher pins the content itself so it is never lost.
 
         A peer's own pins go through the store's transactional writer, so a
         crash mid-publish leaves that peer at its previous committed state
@@ -225,39 +225,37 @@ class DecentralizedStorage:
 
         The pushes to the targets are concurrent — one branch per target of
         one parallel region — while each target's blocks still go one after
-        another.  The provider key's lookup (``DHTNetwork.locate``: a
-        ``find_node``, or the open publish scope's record of the key) needs
-        nothing from the pushes, so it is the region's last branch; the
-        APPEND fan-out follows the region, to that closest set with the
-        holders the pushes achieved.  So an add costs the slower of its
-        slowest push and its lookup, plus one fan-out.  A lookup that reached
-        nobody raises :class:`~repro.errors.RoutingError` there, after the
-        pushes have landed.
+        another.  An unplaced add's provider-key lookup
+        (``DHTNetwork.locate``: a ``find_node``, or the open publish scope's
+        record of the key) needs nothing from the pushes, so it is the
+        region's last branch; the APPEND fan-out follows the region.  So an
+        unplaced add costs the slower of its slowest push and its lookup, plus
+        one fan-out, and a placed add its slowest push.  A lookup that
+        reached nobody raises :class:`~repro.errors.RoutingError` there, after
+        the pushes have landed.
         """
         origin = self.peers[publisher] if publisher is not None else self.random_peer()
         result = self.dag.build(data)
-        if not providers:
-            self._pin_locally(origin, result.blocks)
-        targets = providers or self._choose_replicas(origin.address, self.replication - 1)
-        *landed, announce = self.simulator.parallel_region(
-            [partial(self._push_dag, origin, target, result.blocks) for target in targets]
-            + [partial(self.dht.locate, provider_key(result.root_cid))]
-        )
         if providers:
-            holders = [target for target, whole in zip(targets, landed) if whole]
+            landed = self.simulator.parallel_region(
+                [partial(self._push_dag, origin, target, result.blocks) for target in providers]
+            )
+            holders = [target for target, whole in zip(providers, landed) if whole]
             if not holders:
                 self._pin_locally(origin, result.blocks)
                 holders = [origin.address]
-        else:
-            holders = [origin.address] + targets
+            self.stats.adds += 1
+            return StoreReceipt(cid=result.root_cid, providers=tuple(holders), size=len(data))
+        self._pin_locally(origin, result.blocks)
+        targets = self._choose_replicas(origin.address, self.replication - 1)
+        *_, announce = self.simulator.parallel_region(
+            [partial(self._push_dag, origin, target, result.blocks) for target in targets]
+            + [partial(self.dht.locate, provider_key(result.root_cid))]
+        )
+        holders = [origin.address] + targets
         self.dht.add_to_set(announce.key, *holders, target=announce)
         self.stats.adds += 1
-        return StoreReceipt(
-            cid=result.root_cid,
-            providers=tuple(holders),
-            size=len(data),
-            placed=bool(providers),
-        )
+        return StoreReceipt(cid=result.root_cid, providers=tuple(holders), size=len(data))
 
     def _push_dag(self, origin: StoragePeer, target: str, blocks: Sequence[Block]) -> bool:
         """Pin ``blocks`` on ``target`` (on ``origin`` itself, locally), one
@@ -314,14 +312,13 @@ class DecentralizedStorage:
         were reached (blocks pulled remotely, attempts, hedging).  Callers
         that only want the payload read ``.data``/``.text``.
 
-        Each block is looked for in the requester's own store, then on the
-        live ``preferred`` peers — an ordered routing hint (the index passes
-        the manifest's provider set ranked least-loaded-first) — and only
-        when those miss is the DHT provider record resolved, once per call:
-        suspected hints and every announced provider then get their turn in
-        :meth:`_route_candidates` order.  The hint can redirect load and save
-        the lookup but never lose reachable content; a read served locally or
-        by a live hint costs no lookup at all.
+        Each block is looked for in the requester's own store first.  A
+        *hinted* read (``preferred``: a placed shard's manifest hints) then
+        asks the presumed-alive hints in order, then the suspected ones, and
+        never resolves a provider record; an unhinted read resolves the
+        provider record once per call and asks the announced providers in
+        :meth:`_route_candidates` order.  So a read served locally or by a
+        hint costs no lookup at all.
 
         Raises :class:`BlockNotFoundError` when no reachable provider holds
         the content (the failure mode counted by the resilience experiment).
@@ -329,23 +326,21 @@ class DecentralizedStorage:
         peer = self.peers[requester] if requester is not None else self.random_peer()
         self.stats.gets += 1
         trace = _FetchTrace()
-        hinted = [
-            a for a in dict.fromkeys(preferred or ())
-            if a != peer.address and self.presumed_alive(a)
-        ]
+        hinted = [a for a in dict.fromkeys(preferred or ()) if a != peer.address]
+        live = [a for a in hinted if self.presumed_alive(a)]
         rest: Optional[List[str]] = None
 
         def fetch(block_cid: str, what: str) -> Block:
             nonlocal rest
             if peer.store.has(block_cid):
                 return peer.store.get(block_cid)
-            block = self._fetch_from_any(peer, hinted, block_cid, trace)
+            block = self._fetch_from_any(peer, live, block_cid, trace)
             if block is None:
                 if rest is None:
-                    order = self._route_candidates(
-                        self._announced(cid), preferred, exclude=peer.address
+                    rest = (
+                        [a for a in hinted if a not in live] if preferred
+                        else self._route_candidates(self._announced(cid), exclude=peer.address)
                     )
-                    rest = [a for a in order if a not in hinted]
                 block = self._fetch_from_any(peer, rest, block_cid, trace)
             if block is None:
                 self.stats.failed_gets += 1
@@ -374,7 +369,8 @@ class DecentralizedStorage:
         return self.get_bytes(cid, requester=requester, preferred=preferred).text
 
     def providers_of(self, cid: str) -> List[str]:
-        """The peers currently announced as providers of ``cid``."""
+        """The peers announced as providers of ``cid`` (none for placed
+        content, whose holders only its manifest names)."""
         return sorted(self._announced(cid))
 
     def _announced(self, cid: str) -> List[str]:
@@ -386,50 +382,37 @@ class DecentralizedStorage:
             return []
         return [p for p in record if isinstance(p, str)]
 
-    def replicate_to(self, cid: str, targets: Sequence[str]) -> List[str]:
-        """Re-replicate already-published content onto ``targets`` (repair).
+    def replicate_to(
+        self, cid: str, targets: Sequence[str], sources: Sequence[str]
+    ) -> List[str]:
+        """Re-replicate placed content onto ``targets`` (repair).
 
-        A live announced provider that still holds the full DAG pushes every
-        block (pinned) to each target; successfully supplied targets are
-        announced as new providers.  Returns the targets that now hold the
-        content — empty when no reachable source held the complete DAG (the
-        caller records the deficit and retries after the next join).
+        A live one of ``sources`` (the placement record's holders) that still
+        holds the full DAG pushes every block (pinned) to each target; nothing
+        is announced, the caller rewrites the manifest hints.  Returns the
+        targets that now hold the content — empty when no reachable source
+        held the complete DAG (the caller records a deficit and retries).
         """
-        sources = [
-            p
-            for p in self._announced(cid)
-            if self.network.is_online(p) and p in self.peers and self.peers[p].store.has(cid)
-        ]
         supplied: List[str] = []
         remaining = list(dict.fromkeys(targets))
         # Every complete source gets a chance at the targets still missing
         # the content, so one lossy push does not sink the whole repair.
-        for source_address in sources:
+        live = [
+            p for p in sources
+            if self.network.is_online(p) and p in self.peers and self.peers[p].store.has(cid)
+        ]
+        for address in live:
             if not remaining:
                 break
-            source = self.peers[source_address]
+            source = self.peers[address]
             root = source.store.get(cid)
             if not all(source.store.has(link) for link in root.links):
                 continue
             blocks = [root] + [source.store.get(link) for link in root.links]
             for target in list(remaining):
-                if target == source_address:
-                    # Already a live holder: nothing to transfer, just make
-                    # sure it is announced and report it as supplied.
+                if self._push_dag(source, target, blocks):
                     supplied.append(target)
                     remaining.remove(target)
-                    continue
-                delivered = 0
-                for block in blocks:
-                    if not source.push_block_to(target, block, pin=True):
-                        break
-                    delivered += 1
-                self.stats.blocks_transferred += delivered
-                if delivered == len(blocks):
-                    supplied.append(target)
-                    remaining.remove(target)
-        if supplied:
-            self.dht.add_to_set(provider_key(cid), *supplied)
         return supplied
 
     # -- liveness -------------------------------------------------------------
@@ -445,27 +428,11 @@ class DecentralizedStorage:
             return self.liveness.is_alive(address)
         return self.network.is_online(address)
 
-    def _route_candidates(
-        self,
-        providers: Sequence[str],
-        preferred: Optional[Sequence[str]],
-        exclude: str,
-    ) -> List[str]:
-        """Provider fetch order: preferred hint first, suspected peers last.
-
-        Unlike the old oracle filter, a suspected peer is demoted to the
-        *end* of the order rather than removed: the detector can be wrong,
-        and a fetch must never fail without having tried every announced
-        provider.  (Trying a truly-dead peer is free — the network raises
-        immediately with no clock charge.)
-        """
-        ordered: List[str] = []
-        seen = set()
-        for address in list(preferred or []) + list(providers):
-            if address == exclude or address in seen:
-                continue
-            seen.add(address)
-            ordered.append(address)
+    def _route_candidates(self, providers: Sequence[str], exclude: str) -> List[str]:
+        """Announced-provider fetch order: suspected peers demoted to the end,
+        never removed — the detector can be wrong, and trying a truly-dead
+        peer is free (the network raises with no clock charge)."""
+        ordered = [a for a in dict.fromkeys(providers) if a != exclude]
         alive = [a for a in ordered if self.presumed_alive(a)]
         suspect = [a for a in ordered if not self.presumed_alive(a)]
         return alive + suspect

@@ -432,7 +432,7 @@ class TestDetectorRouting:
         for _ in range(2):
             detector.record_failure(victim)
         assert not storage.presumed_alive(victim)
-        order = storage._route_candidates(providers, preferred=None, exclude="nobody")
+        order = storage._route_candidates(providers, exclude="nobody")
         assert order[-1] == victim, "suspected peer moves to the back of the line"
         assert set(order) == set(providers), "…but is never dropped"
 

@@ -22,9 +22,11 @@ from repro.core.engine import QueenBeeEngine
 from repro.index.analysis import Analyzer
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.placement import PlacementPolicy, anti_affinity_bound
+from repro.storage.ipfs import provider_key
 from repro.workloads.corpus import CorpusGenerator
 
 from tests.reference import frontend_reference
+from tests.traffic import watch_traffic
 
 
 def small_corpus(num_documents: int = 80, seed: int = 11):
@@ -119,8 +121,9 @@ class TestAssignment:
 
     def test_publisher_is_not_an_implicit_provider(self):
         # The hot-spot the policy removes: a publisher that pins what it
-        # publishes provides every shard of every term.  Placed, each shard's
-        # provider record names exactly the replica set the manifest hints.
+        # publishes provides every shard of every term.  Placed, each shard
+        # is held by exactly the replica set the manifest hints, and only
+        # the hints name it: there is no provider record to disagree.
         corpus = small_corpus()
         engine = build_engine()
         engine.bootstrap_corpus(corpus.documents)
@@ -129,9 +132,13 @@ class TestAssignment:
         assert len(shards) > 1
         counts = {}
         for info in shards:
-            providers = engine.storage.providers_of(info.cid)
-            assert providers == sorted(info.providers), info.index
-            for provider in providers:
+            holders = [
+                address for address, peer in sorted(engine.storage.peers.items())
+                if peer.store.has(info.cid)
+            ]
+            assert holders == sorted(info.providers), info.index
+            assert engine.storage.providers_of(info.cid) == []
+            for provider in holders:
                 counts[provider] = counts.get(provider, 0) + 1
         assert max(counts.values()) <= anti_affinity_bound(
             len(shards), engine.config.storage_replication
@@ -213,8 +220,8 @@ class TestRoutingAndRepair:
         for _ in range(engine.detector.suspicion_threshold):
             engine.detector.record_failure(providers[-1])
         assert providers[-1] not in engine.index._route_providers(info)
-        # Everyone suspected disables the hint entirely (the fetch path
-        # then falls back to the raw provider record).
+        # Everyone suspected leaves no live hint to rank (the fetch then asks
+        # the suspected hints, in manifest order: ``_hints``).
         for provider in providers:
             for _ in range(engine.detector.suspicion_threshold):
                 engine.detector.record_failure(provider)
@@ -288,6 +295,37 @@ class TestRoutingAndRepair:
         assert all(victim not in info.providers for info in manifest.shards)
         page = engine.search(term, frontend=frontend)
         assert [(r.doc_id, r.score) for r in page.results] == healthy
+
+    def test_a_warm_frontend_reads_a_moved_shard_through_a_manifest_re_read(self):
+        # Repair rewrites a shard's hints in place, at the same generation, so
+        # a frontend's cached manifest keeps naming the holders that left.
+        corpus = small_corpus()
+        engine = build_engine(posting_cache_capacity=64)
+        engine.bootstrap_corpus(corpus.documents)
+        engine.converge_metadata()
+        term = heaviest_term(corpus)
+        reader = "peer-001:store"
+        index = engine.create_frontend(requester=reader).index
+        cached = index.fetch_term_manifest(term)
+        info = next(i for i in cached.shards if i.count and reader not in i.providers)
+
+        churn = engine.create_churn_model()
+        for holder in info.providers:
+            churn.schedule_leave(holder, 1.0)
+            engine.simulator.advance(10.0)
+        moved = engine.placement.placements_for(term)[info.index]
+        assert moved.cid == info.cid
+        assert not set(moved.providers) & set(info.providers) and reader not in moved.providers
+        assert index.fetch_term_manifest(term) is cached
+
+        reads = index.stats.manifest_fetches
+        with watch_traffic() as traffic:
+            postings = index.fetch_term_sharded(term).shard(info.index)
+        expected = engine.index.fetch_term_sharded(term, use_cache=False).shard(info.index)
+        assert postings.arrays() == expected.arrays()
+        assert traffic.sends_for(provider_key(info.cid)) == []
+        assert index.stats.manifest_fetches == reads + 1
+        assert index.fetch_term_manifest(term).shards[info.index].providers == moved.providers
 
     def test_failed_repair_is_retried_on_rejoin(self):
         corpus = small_corpus(num_documents=30)

@@ -3,6 +3,8 @@ and combined scoring."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -214,7 +216,59 @@ class TestDecentralizedPageRank:
     def test_fingerprint_detects_manipulation(self):
         honest = RankContribution(contributions={1: 0.4}, dangling_mass=0.0)
         tampered = RankContribution(contributions={1: 0.4 + 0.05}, dangling_mass=0.0)
+        noisy = RankContribution(contributions={1: 0.4 + 1e-13}, dangling_mass=0.0)
         assert honest.fingerprint() != tampered.fingerprint()
+        # Float noise below the 10 rounded places is the same answer.
+        assert honest.fingerprint() == noisy.fingerprint()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fingerprint_groups_answers_as_the_sha256_digest_did(self, data):
+        # The voting's former identity of an answer: SHA-256 of the JSON of its
+        # rounded contributions.  The fingerprint must group random answers the
+        # same way, and a vote over them must come out the same.
+        def sha256_fingerprint(answer: RankContribution) -> str:
+            canonical = {
+                "contributions": {
+                    str(k): round(v, 10) for k, v in sorted(answer.contributions.items())
+                },
+                "dangling_mass": round(answer.dangling_mass, 10),
+            }
+            return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
+
+        # A small pool, so answers collide: signed zeros, NaN, infinities and
+        # values that differ only beyond (or right at) the 10th place.
+        values = st.sampled_from([
+            0.0, -0.0, 1e-11, -1e-11, 0.25, 0.25 + 1e-12, 0.25 + 1e-9, 1 / 3,
+            float("nan"), float("inf"), -float("inf"), 5e-11, 4.9e-11,
+        ]) | st.floats(min_value=-1.0, max_value=1.0)
+        answer = st.builds(
+            RankContribution,
+            contributions=st.dictionaries(st.integers(0, 3), values, max_size=3),
+            dangling_mass=values,
+        )
+        answers = data.draw(st.lists(answer, min_size=1, max_size=6))
+        for first in answers:
+            for second in answers:
+                assert (sha256_fingerprint(first) == sha256_fingerprint(second)) == (
+                    first.fingerprint() == second.fingerprint()
+                )
+
+        # The vote: plurality by fingerprint, a tie to the answer given first.
+        workers = {f"w{i}": (lambda task, a=a: a) for i, a in enumerate(answers)}
+        prints = [sha256_fingerprint(a) for a in answers]
+        counts = {fp: prints.count(fp) for fp in prints}
+        winner = max(prints, key=lambda fp: (counts[fp], -prints.index(fp)))
+        outcome = DecentralizedPageRank(
+            workers, redundancy=len(workers)
+        )._execute_with_voting(RankTask(iteration=1, partition=0))
+        assert outcome.agreeing_workers == sorted(
+            f"w{i}" for i, fp in enumerate(prints) if fp == winner
+        )
+        assert outcome.dissenting_workers == sorted(
+            f"w{i}" for i, fp in enumerate(prints) if fp != winner
+        )
+        assert sha256_fingerprint(outcome.accepted) == winner
 
     def test_majority_voting_rejects_minority_manipulation(self):
         graph = chain_graph(30)

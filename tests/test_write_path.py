@@ -4,8 +4,9 @@ Outside a publish scope each ``DHTNetwork.put/get/add_to_set/get_set`` call is
 one full iterative lookup, so ``dht.stats.lookups`` deltas count the trips an
 operation makes.
 The budgets below are exact: a change that sends a message twice again — a
-provider announcement per replica, a second manifest read per merge, a shard
-pointer, an eager provider lookup — fails here before it shows up in E13.
+provider announcement per replica, a provider record for placed content, a
+second manifest read per merge, a shard pointer, an eager provider lookup —
+fails here before it shows up in E13.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import pytest
 from repro.core.directory import DocumentDirectory
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node
-from repro.dht.node import STORE
+from repro.dht.node import APPEND, FIND_NODE, STORE
 from repro.dht.nodeid import key_to_id
 from repro.errors import KeyNotFoundError, RoutingError
+from repro.errors import BlockNotFoundError
+from repro.index.cache import PostingCache
 from repro.index.distributed import DistributedIndex, term_key
 from repro.index.document import Document
 from repro.index.placement import PlacementPolicy
@@ -32,8 +35,10 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
+from repro.storage.peer import PUT_BLOCK
 
 from tests.conftest import make_small_engine
+from tests.traffic import watch_traffic
 
 
 class _Deployment:
@@ -79,30 +84,83 @@ class TestAnnouncementBudget:
         assert d.storage.providers_of(receipt.cid) == sorted(receipt.providers)
 
     def test_placed_add_announces_exactly_the_chosen_peers_with_one_lookup(self):
+        # The chosen peers are named by the receipt, which the manifest hints
+        # carry; the DHT gets no record of them, so the add makes no lookup.
         d = _Deployment()
         chosen = ["store-1", "store-4", "store-6"]
         spent, receipt = d.run(lambda: d.storage.add_bytes(b"shard " * 40, providers=chosen))
-        assert spent == 1 and d.storage.providers_of(receipt.cid) == chosen
+        assert spent == 0 and receipt.providers == tuple(chosen)
+        assert all(d.storage.peers[address].store.has(receipt.cid) for address in chosen)
+        assert d.storage.providers_of(receipt.cid) == []
 
     def test_repair_announces_all_new_holders_with_one_lookup(self):
+        # The sources come from the caller's placement record and the new
+        # holders go into the manifest hints: no record read, none written.
         d = _Deployment()
         receipt = d.storage.add_bytes(b"shard " * 40, providers=["store-0"])
-        # One read of the record to find a source, one announcement for both targets.
-        assert d.lookups(
-            lambda: d.storage.replicate_to(receipt.cid, ["store-2", "store-5"])
-        ) == 2
-        assert d.storage.providers_of(receipt.cid) == ["store-0", "store-2", "store-5"]
+        assert d.run(lambda: d.storage.replicate_to(
+            receipt.cid, ["store-2", "store-5"], sources=receipt.providers
+        )) == (0, ["store-2", "store-5"])
+        assert all(d.storage.peers[a].store.has(receipt.cid) for a in ("store-2", "store-5"))
+        assert d.storage.providers_of(receipt.cid) == []
+
+
+class TestPlacedContentIsFoundThroughItsManifest:
+    """A placed add's holders are named by the manifest hints its receipt feeds, so
+    it writes no DHT provider record; unplaced content keeps announcing."""
+
+    def test_a_placed_add_sends_nothing_for_its_provider_key(self):
+        d = _Deployment()
+        data = b"shard " * 40
+        with watch_traffic() as traffic:
+            spent, receipt = d.run(lambda: d.storage.add_bytes(
+                data, publisher="store-0", providers=["store-1", "store-4", "store-6"]
+            ))
+        assert traffic.sends_for(provider_key(receipt.cid)) == []
+        assert spent == 0 and {msg_type for msg_type, _, _ in traffic.sends} == {PUT_BLOCK}
+        assert receipt.providers == ("store-1", "store-4", "store-6")
+        # A merge's shard body and its patch are both placed.
+        d.index.publish_term("head", _postings(300))
+        with watch_traffic() as traffic:
+            d.index.merge_term("head", PostingList([Posting(900, 2)]))
+        info = d.index.fetch_term_manifest("head").shards[-1]
+        assert info.patch is not None
+        for placed in (info.cid, info.patch.cid):
+            assert traffic.sends_for(provider_key(placed)) == []
+            assert d.storage.providers_of(placed) == []
+
+    def test_an_unplaced_add_still_announces_with_one_lookup(self, small_corpus):
+        d = _Deployment()
+        with watch_traffic() as traffic:
+            spent, receipt = d.run(lambda: d.storage.add_bytes(b"page " * 60))
+        sent = [msg_type for msg_type, _, _ in traffic.sends_for(provider_key(receipt.cid))]
+        assert spent == 1 and FIND_NODE in sent and sent[-1] == APPEND
+        assert d.storage.providers_of(receipt.cid) == sorted(receipt.providers)
+        # In a deployment, a page version announces its page and its term
+        # vector, and none of the shard bodies its terms placed.
+        engine = make_small_engine(seed=31, index_shard_size=8)
+        engine.bootstrap_corpus(small_corpus.documents[:12])
+        page = Document(doc_id=40_001, url="https://example.test/40001", title="hive",
+                        text="queenbee honey " * 6, owner="owner-q")
+        with watch_traffic() as traffic:
+            cid = engine.publish_document(page).cid
+        for unplaced in (cid, engine.term_directory.fetch(40_001).terms_cid):
+            assert APPEND in {t for t, _, _ in traffic.sends_for(provider_key(unplaced))}
+            assert engine.storage.providers_of(unplaced)
+        for term in ("hive", "queenbee", "honey"):
+            for info in engine.index.fetch_term_manifest(term, use_cache=False).shards:
+                assert info.providers and engine.storage.providers_of(info.cid) == []
 
 
 class TestMergeBudget:
     def test_merge_into_existing_term_costs_four_lookups(self):
         d = _Deployment()
         d.index.publish_term("head", _postings(300))
-        # manifest get, patch announce, shard announce, manifest put — the
-        # shard read rides a live manifest hint.
+        # Manifest get and manifest put: the shard read rides a live manifest
+        # hint, and the placed patch and shard adds announce nothing.
         assert d.lookups(
             lambda: d.index.merge_term("head", PostingList([Posting(900, 2)]))
-        ) == 4
+        ) == 2
         assert d.index.stats.deltas_published == 1
         assert d.index.fetch_term("head").doc_ids == list(range(300)) + [900]
 
@@ -112,25 +170,25 @@ class TestMergeBudget:
         d.index.publish_term("head", _postings(300))
         assert d.lookups(
             lambda: d.index.merge_term("head", PostingList([Posting(900, 2)]))
-        ) == 3
+        ) == 2
         assert d.index.stats.deltas_published == 0
 
     def test_merge_into_a_new_term_costs_three(self):
         d = _Deployment()
-        # One clean miss, shard announce, manifest put.
+        # One clean miss and the manifest put.
         assert d.lookups(
             lambda: d.index.merge_term("fresh", PostingList([Posting(1, 1)]))
-        ) == 3
+        ) == 2
         assert d.index.fetch_term("fresh").doc_ids == [1]
 
     def test_remove_document_costs_what_a_merge_costs(self):
         d = _Deployment()
         d.index.publish_term("head", _postings(300))
-        assert d.lookups(lambda: d.index.remove_document("head", 7)) == 4
+        assert d.lookups(lambda: d.index.remove_document("head", 7)) == 2
         assert d.index.stats.deltas_published == 1
         plain = _Deployment(delta_max_ratio=0.0)
         plain.index.publish_term("head", _postings(300))
-        assert plain.lookups(lambda: plain.index.remove_document("head", 7)) == 3
+        assert plain.lookups(lambda: plain.index.remove_document("head", 7)) == 2
         # A document the term does not hold, and a term nobody published:
         # the one read, nothing written.
         assert plain.lookups(lambda: plain.index.remove_document("head", 9_999)) == 1
@@ -138,8 +196,9 @@ class TestMergeBudget:
 
     def test_first_generation_publish_reads_nothing(self):
         d = _Deployment()
-        # bootstrap_corpus's shape: no previous manifest passed, none looked up.
-        assert d.lookups(lambda: d.index.publish_term("boot", _postings(5))) == 2
+        # bootstrap_corpus's shape: no previous manifest passed, none looked
+        # up; the placed shard announces nothing, so the manifest put is all.
+        assert d.lookups(lambda: d.index.publish_term("boot", _postings(5))) == 1
 
     def test_no_shard_pointer_is_written(self):
         d = _Deployment()
@@ -232,22 +291,23 @@ class TestConcurrentPushes:
         d.network.set_offline("store-4")
         _, receipt = self._add(d, b"honey " * 20, self.CHOSEN)
         assert receipt.providers == ("store-1", "store-6")
-        assert d.storage.providers_of(receipt.cid) == ["store-1", "store-6"]
         blocks = len(d.storage.dag.build(b"honey " * 20).blocks)
         assert d.storage.stats.blocks_transferred == 2 * blocks
         for address in ("store-1", "store-6"):
             d.network.set_offline(address)
         _, lost = self._add(d, b"comb " * 20, self.CHOSEN)
         assert lost.providers == ("store-0",)
-        assert d.storage.providers_of(lost.cid) == ["store-0"]
         assert d.storage.peers["store-0"].store.has(lost.cid)
+        # The receipts name the holders; neither add announced them.
+        assert d.storage.providers_of(receipt.cid) == d.storage.providers_of(lost.cid) == []
         assert d.storage.stats.blocks_transferred == 2 * blocks
 
 
 class TestProviderLookupBesidePushes:
-    """An add looks its provider key up as the last branch of its push region and
-    sends the APPEND fan-out after both: under ``ConstantLatency`` it costs
-    max(pushes, lookup) + one round trip, not their sum."""
+    """An unplaced add looks its provider key up as the last branch of its push
+    region and sends the APPEND fan-out after both: under ``ConstantLatency`` it
+    costs max(pushes, lookup) + one round trip, not their sum.  A placed add has
+    no provider key: it costs its pushes alone."""
 
     CHOSEN = ["store-1", "store-4", "store-6"]
     ROUND_TRIP = 20.0  # ConstantLatency(10.0)
@@ -272,7 +332,8 @@ class TestProviderLookupBesidePushes:
         start = d.simulator.now
         d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN if placed else None)
         assert lookup > 0
-        assert d.simulator.now - start == pytest.approx(max(pushes, lookup) + self.ROUND_TRIP)
+        expected = pushes if placed else max(pushes, lookup) + self.ROUND_TRIP
+        assert d.simulator.now - start == pytest.approx(expected)
 
     def test_a_lookup_that_reaches_nobody_raises_with_the_dag_pinned_on_its_targets(self):
         d = _Deployment()
@@ -282,10 +343,13 @@ class TestProviderLookupBesidePushes:
         data = b"honey " * 20
         built = d.storage.dag.build(data)
         with pytest.raises(RoutingError):
-            d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN)
-        for address in self.CHOSEN:
-            store = d.storage.peers[address].store
-            assert all(store.has(block.cid) for block in built.blocks), address
+            d.storage.add_bytes(data, publisher="store-0")
+        # The publisher and its two replicas hold the whole DAG.
+        holders = [
+            address for address, peer in sorted(d.storage.peers.items())
+            if all(peer.store.has(block.cid) for block in built.blocks)
+        ]
+        assert len(holders) == 3 and "store-0" in holders
 
     def test_a_recorded_provider_key_costs_no_lookup(self):
         d = _Deployment()
@@ -294,11 +358,9 @@ class TestProviderLookupBesidePushes:
         with d.dht.publish_scope():
             assert d.dht.get_set(provider_key(built.root_cid)) == []
             start = d.simulator.now
-            spent, receipt = d.run(
-                lambda: d.storage.add_bytes(data, publisher="store-0", providers=self.CHOSEN)
-            )
+            spent, receipt = d.run(lambda: d.storage.add_bytes(data, publisher="store-0"))
             ticks = d.simulator.now - start
-        assert spent == 0 and d.storage.providers_of(receipt.cid) == self.CHOSEN
+        assert spent == 0 and d.storage.providers_of(receipt.cid) == sorted(receipt.providers)
         # The recorded closest set stands in for the lookup: pushes, then the fan-out.
         assert ticks == pytest.approx(len(built.blocks) * self.ROUND_TRIP + self.ROUND_TRIP)
 
@@ -321,42 +383,60 @@ class TestFetchBudget:
         assert spent == 0 and fetched.data == b"content " * 50 and not fetched.from_local
 
     def test_no_hint_costs_the_one_lookup(self):
+        # Unplaced content: its provider record is the one locator.
         d = _Deployment()
-        receipt = self._published(d, ["store-1", "store-2"])
-        assert d.lookups(lambda: d.storage.get_bytes(receipt.cid, requester="store-5")) == 1
+        receipt = d.storage.add_bytes(b"content " * 50, publisher="store-1")
+        requester = next(a for a in sorted(d.storage.peers) if a not in receipt.providers)
+        spent, fetched = d.run(lambda: d.storage.get_bytes(receipt.cid, requester=requester))
+        assert spent == 1 and fetched.data == b"content " * 50
 
     @pytest.mark.parametrize("hedged", [False, True])
     @pytest.mark.parametrize("hints_are", ["offline", "wrongly suspected"])
     def test_failed_hints_fall_through_to_the_announced_set(self, hedged, hints_are):
+        # A placed shard's announced set is what its manifest names now.  A
+        # repair moved the shard and rewrote the hints at the same generation,
+        # so a reader's cached manifest names holders that cannot serve it.
         d = _Deployment(hedged_fetches=hedged)
-        receipt = self._published(d, ["store-3"])  # the only holder, and not hinted
-        hints = ["store-1", "store-2"]
-        if hints_are == "offline":
-            for address in hints:
+        d.index.publish_term("head", _postings(40))
+        reader = DistributedIndex(d.dht, d.storage, cache=PostingCache(8))
+        info = reader.fetch_term_manifest("head").shards[0]
+        hints = list(info.providers)
+        requester, mover = [a for a in sorted(d.storage.peers) if a not in hints][:2]
+        assert d.storage.replicate_to(info.cid, [mover], sources=hints) == [mover]
+        d.index.refresh_shard_providers("head", {0: (mover,)})
+        for address in hints:
+            if hints_are == "offline":
                 d.network.set_offline(address)
-        else:
-            # Healthy peers the detector has given up on — and they do not
-            # hold the content either, so only the announced set can serve.
-            for address in hints:
+            else:
+                # Healthy peers the detector has given up on — and they do not
+                # hold the content either, so only the current hints can serve.
+                d.storage.peers[address].store.remove(info.cid)
                 for _ in range(d.detector.suspicion_threshold):
                     d.detector.record_failure(address)
-            assert not any(d.storage.presumed_alive(a) for a in hints)
-        spent, fetched = d.run(
-            lambda: d.storage.get_bytes(receipt.cid, requester="store-5", preferred=hints)
-        )
-        assert spent == 1 and fetched.data == b"content " * 50
+                assert not d.storage.presumed_alive(address)
+        # The hinted read asks no provider record and misses...
+        lookups = d.dht.stats.lookups
+        with pytest.raises(BlockNotFoundError):
+            d.storage.get_bytes(info.cid, requester=requester, preferred=hints)
+        assert d.dht.stats.lookups == lookups
+        # ...so the reader re-reads the manifest, its one lookup, and the
+        # holder it names now serves the shard.
+        spent, postings = d.run(lambda: reader.fetch_term("head", requester=requester))
+        assert spent == 1 and postings.doc_ids == list(range(40))
+        assert reader.fetch_term_manifest("head").shards[0].providers == (mover,)
 
     def test_suspected_hint_still_gets_its_turn_after_the_lookup(self):
         d = _Deployment()
         receipt = self._published(d, ["store-3"])
-        # The one holder is hinted but wrongly suspected, and its provider
-        # record is gone: only the "suspects last" rung can reach it.
-        for node in d.dht.nodes.values():
-            node.sets.clear()
+        # The one holder is hinted but wrongly suspected, and the content has
+        # no provider record: only the "suspects last" rung can reach it,
+        # after the live hints, with no lookup.
         for _ in range(d.detector.suspicion_threshold):
             d.detector.record_failure("store-3")
-        result = d.storage.get_bytes(receipt.cid, requester="store-5", preferred=["store-3"])
-        assert result.data == b"content " * 50
+        spent, result = d.run(lambda: d.storage.get_bytes(
+            receipt.cid, requester="store-5", preferred=["store-1", "store-3"]
+        ))
+        assert spent == 0 and result.data == b"content " * 50
 
 
 # -- a publisher that dies mid-update -----------------------------------------------------

@@ -7,6 +7,8 @@ a run's traffic wrap :meth:`SimulatedNetwork._deliver` instead::
     with watch_traffic() as traffic:
         ...  # build and drive a deployment
     traffic.sends    # [(msg_type, src, dst), ...] in host order, drops included
+    traffic.keys     # beside each send, the DHT key id or lookup target it named (else None)
+    traffic.sends_for("providers:<cid>")  # the sends that named that DHT key
     traffic.bytes    # the sizer below, over every exchange a response came back for
     traffic.digest() # SHA-256 of the sends, one "msg_type src dst" line each
 
@@ -21,8 +23,9 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.dht.nodeid import key_to_id
 from repro.dht.routing import Contact
 from repro.net.network import SimulatedNetwork
 
@@ -70,7 +73,16 @@ def envelope_size(msg_type: str, payload: Any) -> int:
 @dataclass
 class Traffic:
     sends: List[Tuple[str, str, str]] = field(default_factory=list)
+    # Beside each send, the DHT key id its request named: a STORE, APPEND or
+    # FIND_VALUE ``key``, a FIND_NODE ``target`` (None off the DHT).
+    keys: List[Optional[int]] = field(default_factory=list)
     bytes: int = 0
+
+    def sends_for(self, key: str) -> List[Tuple[str, str, str]]:
+        """The sends whose request named DHT ``key``: every lookup toward it and
+        every write or read of it, in host order."""
+        wanted = key_to_id(key)
+        return [send for send, named in zip(self.sends, self.keys) if named == wanted]
 
     def digest(self) -> str:
         lines = (f"{msg_type} {src} {dst}" for msg_type, src, dst in self.sends)
@@ -85,6 +97,7 @@ def watch_traffic() -> Iterator[Traffic]:
 
     def watched(network, src, dst, msg_type, payload, *args, **kwargs):
         traffic.sends.append((msg_type, src, dst))
+        traffic.keys.append(payload.get("key", payload.get("target")) if payload else None)
         outcome = deliver(network, src, dst, msg_type, payload, *args, **kwargs)
         response = outcome[0]
         if response is not None:
