@@ -372,7 +372,18 @@ class DistributedIndexStats:
     per_fetch_bytes: List[int] = field(default_factory=list)
 
     def reset(self) -> None:
-        self.__init__()
+        self.terms_published = 0
+        self.terms_fetched = 0
+        self.fetch_misses = 0
+        self.bytes_fetched = 0
+        self.manifest_fetches = 0
+        self.manifest_bytes_fetched = 0
+        self.shards_unchanged = 0
+        self.rank_ceiling_refreshes = 0
+        self.deltas_published = 0
+        self.shards_patched = 0
+        self.delta_fallbacks = 0
+        self.per_fetch_bytes.clear()
 
 
 class DistributedIndex:
@@ -872,10 +883,16 @@ class DistributedIndex:
         contents load on demand through the per-shard posting cache, so
         consumers that skip shards never pay their content fetch.
         """
+        held = self._manifests.get(term) if use_cache else None
         manifest = self.fetch_term_manifest(term, use_cache=use_cache)
+        # Only a manifest the cache served can predate a repair's hint rewrite.
+        manifest_cached = manifest is held
 
         def loader(index: int) -> PostingList:
-            return self._fetch_shard(manifest, index, requester=requester, use_cache=use_cache)
+            return self._fetch_shard(
+                manifest, index, requester=requester, use_cache=use_cache,
+                manifest_cached=manifest_cached,
+            )
 
         return ShardedPostings(manifest, loader)
 
@@ -905,8 +922,10 @@ class DistributedIndex:
         index: int,
         requester: Optional[str] = None,
         use_cache: bool = True,
+        manifest_cached: bool = False,
     ) -> PostingList:
-        """One shard's postings, through the per-shard posting cache."""
+        """One shard's postings, through the per-shard posting cache;
+        ``manifest_cached`` says the manifest cache served ``manifest``."""
         info = manifest.shards[index]
         key = shard_key(manifest.term, index)
         if self.cache is not None and use_cache:
@@ -921,10 +940,7 @@ class DistributedIndex:
             cached = self.cache.get(key, generation=info.generation)
             if cached is not None:
                 return cached
-        payload = self._read_shard_payload(
-            manifest.term, info, requester,
-            from_cache=self.cache is not None and use_cache,
-        )
+        payload = self._read_shard_payload(manifest.term, info, requester, manifest_cached)
         self.stats.terms_fetched += 1
         self.stats.bytes_fetched += len(payload)
         self.stats.per_fetch_bytes.append(len(payload))
@@ -936,22 +952,25 @@ class DistributedIndex:
         return postings
 
     def _read_shard_payload(
-        self, term: str, info: ShardInfo, requester: Optional[str], from_cache: bool
+        self, term: str, info: ShardInfo, requester: Optional[str], manifest_cached: bool
     ) -> str:
         """One shard body's payload, read through its hints.  A repair
         rewrites hints at the same generation, which no epoch tells a cached
-        manifest, so when every hint of one that came ``from_cache`` misses,
-        the record is re-read once and the read retried with its hints."""
-        entry: Optional[ShardInfo] = info
-        while entry is not None:
+        manifest, so when every hint of one the cache served misses, the
+        record is re-read once and the read retried with the hints it names
+        now."""
+        try:
+            return self.storage.get_text(info.cid, requester=requester, preferred=self._hints(info))
+        except Exception as exc:
+            missed = exc
+        moved = self._moved(term, info) if manifest_cached and info.providers else None
+        if moved is not None:
             try:
                 return self.storage.get_text(
-                    info.cid, requester=requester, preferred=self._hints(entry)
+                    info.cid, requester=requester, preferred=self._hints(moved)
                 )
             except Exception as exc:
                 missed = exc
-            first = entry is info and from_cache and bool(info.providers)
-            entry = self._moved(term, info) if first else None
         self.stats.fetch_misses += 1
         raise TermNotFoundError(f"shard {info.index} of term {term!r} is unreachable") from missed
 

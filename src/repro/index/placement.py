@@ -37,8 +37,10 @@ re-replicated onto fresh peers via
 :meth:`~repro.storage.ipfs.DecentralizedStorage.replicate_to` (sourced from
 the record's holders), and the term manifests' provider hints are refreshed
 in place (same generation — content is untouched, so caches stay valid).  A
-repair that finds no live source is recorded as a deficit and retried when a
-peer rejoins.
+holder the repair drops stays in the record as a *dormant* source: its pinned
+copy survives, so a later repair can pull from it once it is back.  A repair
+that finds no live source is recorded as a deficit and retried when a peer
+rejoins.
 
 Two deployment knobs debounce the repair loop.  A **grace period**
 (``repair_grace``) delays the reaction to a departure: the repair scan is
@@ -116,6 +118,9 @@ class PlacedShard:
 
     cid: str
     providers: Tuple[str, ...]
+    # Holders a repair dropped while they were offline.  Their pinned copy
+    # survives, so once back they are repair sources again.
+    dormant: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -234,13 +239,20 @@ class PlacementPolicy:
                 term_load[provider] = term_load.get(provider, 0) + 1
         assignments: Dict[int, Tuple[str, ...]] = {}
         for index in sorted(needed):
+            want = min(self.replication_factor, len(online))
             replicas: List[str] = []
-            for _ in range(min(self.replication_factor, len(online))):
+            for _ in range(want):
                 candidates = [address for address in online if address not in replicas]
-                pool = [a for a in candidates if term_load.get(a, 0) < bound] or candidates
-                choice = min(pool, key=lambda a: (
-                    term_load.get(a, 0), self._peer_shards.get(a, 0), tiebreaks[a]
-                ))
+                under_cap = [a for a in candidates if term_load.get(a, 0) < bound]
+                pool = under_cap or candidates
+                choice = min(
+                    pool,
+                    key=lambda a: (
+                        term_load.get(a, 0),
+                        self._peer_shards.get(a, 0),
+                        tiebreaks[a],
+                    ),
+                )
                 replicas.append(choice)
                 term_load[choice] = term_load.get(choice, 0) + 1
             assignments[index] = tuple(replicas)
@@ -248,16 +260,30 @@ class PlacementPolicy:
 
     # -- registry ----------------------------------------------------------------
 
-    def record(self, term: str, index: int, cid: str, providers: Tuple[str, ...]) -> None:
-        """Register (or refresh) where one shard's content was placed."""
+    def record(
+        self,
+        term: str,
+        index: int,
+        cid: str,
+        providers: Tuple[str, ...],
+        dormant: Tuple[str, ...] = (),
+    ) -> None:
+        """Register (or refresh) where one shard's content was placed; the
+        same content keeps its dormant holders, and ``dormant`` adds some."""
         shards = self._placements.setdefault(term, {})
         previous = shards.get(index)
         if previous is not None:
             self._release(term, index, previous.providers)
+            if previous.cid == cid:
+                dormant = previous.dormant + dormant
         for provider in providers:
             self._peer_shards[provider] = self._peer_shards.get(provider, 0) + 1
             self._by_provider.setdefault(provider, set()).add((term, index))
-        shards[index] = PlacedShard(cid=cid, providers=tuple(providers))
+        shards[index] = PlacedShard(
+            cid=cid,
+            providers=tuple(providers),
+            dormant=tuple(a for a in dict.fromkeys(dormant) if a not in providers),
+        )
 
     def forget(self, term: str, index: int) -> None:
         """Drop a shard the latest manifest no longer names."""
@@ -413,23 +439,27 @@ class PlacementPolicy:
             len(self._placements.get(term, {})), self.replication_factor
         )
         candidates = [a for a in online if a not in placed.providers]
-        pool = [a for a in candidates if term_load.get(a, 0) < bound] or candidates
-        pool.sort(key=lambda a: (
-            term_load.get(a, 0), self._peer_shards.get(a, 0), self._tiebreak(term, a)
-        ))
-        targets = pool[:needed]
-        pushed = (
-            self.storage.replicate_to(placed.cid, targets, sources=placed.providers)
-            if targets else []
+        under_cap = [a for a in candidates if term_load.get(a, 0) < bound]
+        pool = under_cap or candidates
+        pool.sort(
+            key=lambda a: (
+                term_load.get(a, 0),
+                self._peer_shards.get(a, 0),
+                self._tiebreak(term, a),
+            )
         )
+        targets = pool[:needed]
+        sources = placed.providers + placed.dormant
+        pushed = self.storage.replicate_to(placed.cid, targets, sources) if targets else []
         if not pushed:
             self.stats.repairs_failed += 1
             self._deficits.add((term, index))
             return None
-        # Dead providers drop out of the record and the hints (their pinned
-        # copy survives, unnamed); live + new is the routable set.
+        # Dead providers drop out of the hints; live + new is the routable
+        # set.  Their pinned copy survives, so they stay dormant sources.
         providers = tuple(live + pushed)
-        self.record(term, index, placed.cid, providers)
+        dropped = tuple(p for p in placed.providers if p not in live)
+        self.record(term, index, placed.cid, providers, dormant=dropped)
         self.stats.shards_repaired += 1
         if len(pushed) < needed:
             # Partial repair (not enough eligible targets, or pushes lost):

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import BlockNotFoundError, KeyNotFoundError
 from repro.dht.dht import DHTNetwork
 from repro.net.detector import FailureDetector
-from repro.net.network import SimulatedNetwork
+from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.sim.simulator import Simulator
 from repro.storage.block import Block
 from repro.storage.chunker import DEFAULT_CHUNK_SIZE
@@ -387,11 +387,12 @@ class DecentralizedStorage:
     ) -> List[str]:
         """Re-replicate placed content onto ``targets`` (repair).
 
-        A live one of ``sources`` (the placement record's holders) that still
-        holds the full DAG pushes every block (pinned) to each target; nothing
-        is announced, the caller rewrites the manifest hints.  Returns the
-        targets that now hold the content — empty when no reachable source
-        held the complete DAG (the caller records a deficit and retries).
+        A live one of ``sources`` (the placement record's holders, dormant
+        ones included) that still holds the full DAG pushes every block
+        (pinned) to each target; nothing is announced, the caller rewrites
+        the manifest hints.  Returns the targets that now hold the content —
+        empty when no reachable source held the complete DAG (the caller
+        records a deficit and retries).
         """
         supplied: List[str] = []
         remaining = list(dict.fromkeys(targets))
@@ -452,14 +453,18 @@ class DecentralizedStorage:
         cid: str,
         trace: Optional[_FetchTrace] = None,
     ) -> Optional[Block]:
-        providers = list(providers)
+        # Each candidate with the retry policy its sequential turn runs under
+        # (None: the network's own).
+        turns: List[Tuple[str, Optional[RetryPolicy]]] = [(p, None) for p in providers]
         if trace is None:
             trace = _FetchTrace()
         if self.hedged_fetches and len(providers) > 1:
             # Hedge the first two candidates: the clock pays only the
             # winner's round trip, cutting the tail a straggler provider
-            # would otherwise set.  On a double miss, fall through to the
-            # rest sequentially.
+            # would otherwise set.  The race is each raced peer's first
+            # attempt, not its only one: on a double miss the rest go
+            # sequentially, then the two raced peers spend what is left of
+            # their retry budget.
             self.stats.hedged_gets += 1
             trace.hedged = True
             # One logical attempt, fanned out to two peers by the race.
@@ -473,10 +478,14 @@ class DecentralizedStorage:
                 self.stats.blocks_transferred += 1
                 trace.blocks_fetched += 1
                 return block
-            providers = providers[2:]
-        for provider in providers:
+            retry = self.network.retry_policy
+            turns = turns[2:]
+            if retry.attempts > 1:
+                left = replace(retry, attempts=retry.attempts - 1)
+                turns += [(p, left) for p in providers[:2]]
+        for provider, policy in turns:
             trace.attempts += 1
-            block = peer.fetch_block_from(provider, cid)
+            block = peer.fetch_block_from(provider, cid, policy=policy)
             if block is not None:
                 self.stats.blocks_transferred += 1
                 trace.blocks_fetched += 1

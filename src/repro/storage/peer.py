@@ -6,7 +6,7 @@ import base64
 from typing import Optional
 
 from repro.net.message import Message, Response
-from repro.net.network import SimulatedNetwork
+from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.storage.block import Block
 from repro.storage.blockstore import BlockStore
 
@@ -76,16 +76,18 @@ class StoragePeer:
 
     # -- client-side helpers --------------------------------------------------
 
-    def fetch_block_from(self, provider: str, cid: str) -> Optional[Block]:
+    def fetch_block_from(
+        self, provider: str, cid: str, policy: Optional[RetryPolicy] = None
+    ) -> Optional[Block]:
         """Request one block from ``provider``; returns ``None`` on any failure.
 
-        Goes through the network's resilient request path, so a configured
-        :class:`~repro.net.network.RetryPolicy` applies; under the default
-        policy this is a plain ``rpc``.
+        Goes through the network's resilient request path, so its
+        :class:`~repro.net.network.RetryPolicy` (or ``policy``) applies;
+        under the default policy this is a plain ``rpc``.
         """
         try:
             response = self.network.request_with_retry(
-                self.address, provider, GET_BLOCK, {"cid": cid}
+                self.address, provider, GET_BLOCK, {"cid": cid}, policy=policy
             )
         except Exception:
             return None

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import (
+    BlockNotFoundError,
     NetworkError,
     NodeUnreachableError,
     RequestTimeoutError,
@@ -469,6 +470,30 @@ class TestDetectorRouting:
         assert storage.get_text(cid, requester=requester) == payload
         assert storage.stats.hedged_gets >= 1
         assert network.stats.hedges >= 1
+
+    def test_a_hedged_race_is_not_the_raced_peers_only_attempt(self):
+        # Both raced requests are lost.  With two holders nobody is left
+        # after the race, so the holders' remaining attempts must serve it:
+        # the race was their first of two.
+        _, network, _, storage = make_storage_stack(hedged=True)
+        payload = "raced content " * 8
+        holders = storage.peer_addresses()[:2]
+        cid = storage.add_text(payload, providers=holders).cid
+        requester = storage.peer_addresses()[-1]
+        network.retry_policy = RetryPolicy(attempts=2)
+        network.faults.add(DropFirst(count=2))
+        assert storage.get_text(cid, requester=requester, preferred=holders) == payload
+        assert network.faults.stats.injected == 2 and network.stats.hedges >= 1
+        assert network.stats.retries == 0  # one attempt each after the race
+
+    def test_a_lost_race_without_retries_configured_asks_nobody_again(self):
+        _, network, _, storage = make_storage_stack(hedged=True)
+        holders = storage.peer_addresses()[:2]
+        cid = storage.add_text("raced content " * 8, providers=holders).cid
+        network.faults.add(DropFirst(count=2))
+        with pytest.raises(BlockNotFoundError):
+            storage.get_text(cid, requester=storage.peer_addresses()[-1], preferred=holders)
+        assert network.stats.per_type["storage.get_block"] == 2
 
 
 # ---------------------------------------------------------------------------

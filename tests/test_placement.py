@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
+from repro.errors import TermNotFoundError
 from repro.index.analysis import Analyzer
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.placement import PlacementPolicy, anti_affinity_bound
@@ -83,7 +84,7 @@ class _FakeStorage:
     def peer_addresses(self):
         return sorted(self._peers)
 
-    def replicate_to(self, cid, targets):  # pragma: no cover - assign-only tests
+    def replicate_to(self, cid, targets, sources):  # pragma: no cover - assign-only tests
         return list(targets)
 
 
@@ -327,6 +328,28 @@ class TestRoutingAndRepair:
         assert index.stats.manifest_fetches == reads + 1
         assert index.fetch_term_manifest(term).shards[info.index].providers == moved.providers
 
+    def test_a_manifest_just_read_is_not_re_read_when_its_hints_miss(self):
+        # Every holder of a shard is gone and nothing repaired it: a reader
+        # that has just read the manifest off the DHT learns nothing new by
+        # reading it again, so the miss costs that one read.
+        corpus = small_corpus()
+        engine = build_engine(posting_cache_capacity=64)
+        engine.bootstrap_corpus(corpus.documents)
+        engine.converge_metadata()
+        term = heaviest_term(corpus)
+        reader = "peer-001:store"
+        index = engine.create_frontend(requester=reader).index
+        info = next(
+            i for i in engine.index.fetch_term_manifest(term, use_cache=False).shards
+            if i.count and reader not in i.providers
+        )
+        for holder in info.providers:
+            engine.network.set_offline(holder)
+        reads = index.stats.manifest_fetches
+        with pytest.raises(TermNotFoundError):
+            index.fetch_term_sharded(term).shard(info.index)
+        assert index.stats.manifest_fetches == reads + 1
+
     def test_failed_repair_is_retried_on_rejoin(self):
         corpus = small_corpus(num_documents=30)
         engine = build_engine()
@@ -353,6 +376,37 @@ class TestRoutingAndRepair:
             engine.config.storage_replication,
             len([a for a in engine.storage.peer_addresses() if engine.network.is_online(a)]),
         )
+
+    def test_a_holder_a_repair_dropped_is_a_source_when_it_returns(self):
+        corpus = small_corpus(num_documents=30)
+        engine = build_engine()
+        engine.bootstrap_corpus(corpus.documents)
+        term = heaviest_term(corpus)
+        healthy = engine.index.fetch_term_sharded(term, use_cache=False).shard(0).arrays()
+        churn = engine.create_churn_model()
+        original = engine.placement.placements_for(term)[0]
+        # Every holder leaves in turn; each departure moves the shard on.
+        for holder in original.providers:
+            churn.schedule_leave(holder, 1.0)
+            engine.simulator.advance(10.0)
+        moved = engine.placement.placements_for(term)[0]
+        assert not set(moved.providers) & set(original.providers)
+        # One dropped holder returns with its pinned copy; no hint names it.
+        returned = original.providers[0]
+        churn.schedule_join(returned, 1.0)
+        engine.simulator.advance(10.0)
+        assert returned not in engine.placement.placements_for(term)[0].providers
+        # Then every holder the repairs chose is lost at once: the returned
+        # holder is the only live copy, and the repair must pull from it.
+        for holder in moved.providers[:-1]:
+            engine.network.set_offline(holder)
+        churn.schedule_leave(moved.providers[-1], 1.0)
+        engine.simulator.advance(50.0)
+        final = engine.placement.placements_for(term)[0]
+        live = [p for p in final.providers if engine.network.is_online(p)]
+        assert len(live) == engine.placement.repair_floor
+        shard = engine.index.fetch_term_sharded(term, use_cache=False).shard(0)
+        assert shard.arrays() == healthy
 
     def test_batch_parallel_execution_beats_additive_latency(self):
         # Engine-level check of the parallel per-query batch region: result

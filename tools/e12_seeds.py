@@ -6,7 +6,8 @@
 Runs ``benchmarks/bench_e12_chaos.py``'s ``_run_scenario`` on E12's own corpus
 and queries (full size; ``E12_SMOKE=1`` in the environment for the CI size)
 at each engine seed of the current directory's checkout, and prints one row
-per seed: the answered share and the recall against the healthy pass.  With
+per seed: the answered share, the recall against the healthy pass, and the
+p50 and p99 query latency in simulated ticks.  With
 ``--against``, the same seeds also run in that checkout, and the
 table gains its columns and the paired differences (this checkout minus the
 other).  A summary closes the table: each side's mean, the mean paired
@@ -27,7 +28,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-METRICS = ("answered (%)", "recall vs healthy (%)")
+METRICS = ("answered (%)", "recall vs healthy (%)", "p50 latency", "p99 latency")
+# Metrics where a smaller value is the better one.
+LOWER_IS_BETTER = {"p50 latency", "p99 latency"}
 
 
 def seed_list(text: str) -> List[int]:
@@ -69,6 +72,8 @@ def summary(name: str, this: Sequence[float], other: Sequence[float]) -> str:
     deltas = [a - b for a, b in zip(this, other)]
     error = statistics.stdev(deltas) / math.sqrt(len(deltas)) if len(deltas) > 1 else 0.0
     worse, better = sum(d < 0 for d in deltas), sum(d > 0 for d in deltas)
+    if name in LOWER_IS_BETTER:
+        worse, better = better, worse
     return (f"{name}: {statistics.fmean(this):.1f} vs {statistics.fmean(other):.1f}; paired "
             f"difference {statistics.fmean(deltas):+.1f} ± {error:.1f} (standard error); worse at "
             f"{worse}, better at {better}, equal at {len(deltas) - worse - better} of "
@@ -92,16 +97,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     sides = [run_checkout(Path("."), args)]
     if args.against is not None:
         sides.append(run_checkout(args.against, args))
-    header = ["seed", "answered %", "recall %"]
+    header = ["seed", *METRICS]
     if len(sides) == 2:
-        header += ["other answered %", "other recall %", "Δ answered", "Δ recall"]
+        header += [f"other {name}" for name in METRICS] + [f"Δ {name}" for name in METRICS]
     print(f"E12 {args.scenario!r}, resilience {args.resilience}, {len(seeds)} engine seeds\n")
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
     for seed in seeds:
         values = [side[seed][name] for side in sides for name in METRICS]
         if len(sides) == 2:
-            values += [values[0] - values[2], values[1] - values[3]]
+            values += [sides[0][seed][name] - sides[1][seed][name] for name in METRICS]
         print(f"| {seed} | " + " | ".join(f"{value:.1f}" for value in values) + " |")
     print()
     for name in METRICS:
