@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import KeyNotFoundError, RoutingError
 from repro.dht.lookup import LookupResult, find_node, find_value
@@ -193,13 +193,24 @@ class DHTNetwork:
         """
         return self._write_at(self.locate(key, origin), STORE, {"value": value})
 
-    def get(self, key: str, origin: Optional[KademliaNode] = None) -> Any:
+    def get(
+        self,
+        key: str,
+        origin: Optional[KademliaNode] = None,
+        accept: Optional[Callable[[Any], bool]] = None,
+    ) -> Any:
         """Fetch the value stored under ``key``.
 
+        The lookup runs to convergence and returns the freshest replica it
+        heard, unless ``accept`` is given: then it stops at the first value
+        ``accept`` returns true for (an answer the caller can use) and
+        returns that one, or converges as before when none qualifies.
+        Inside :meth:`publish_scope` ``accept`` is ignored: the read's
+        converged closest set is what the key's next write fans out to.
         Raises :class:`KeyNotFoundError` on a clean miss and its subclass
         :class:`RoutingError` on an inconclusive one (see :meth:`_read`).
         """
-        result = self._read(key, origin)
+        result = self._read(key, origin, None if self._resolved is not None else accept)
         if not result.found:
             raise KeyNotFoundError(f"key {key!r} not found in the DHT")
         return result.value
@@ -295,12 +306,17 @@ class DHTNetwork:
                 stored += 1
         return stored
 
-    def _read(self, key: str, origin: Optional[KademliaNode]) -> LookupResult:
+    def _read(
+        self,
+        key: str,
+        origin: Optional[KademliaNode],
+        accept: Optional[Callable[[Any], bool]] = None,
+    ) -> LookupResult:
         """One FIND_VALUE lookup.  A miss is returned only when it is clean;
         inside :meth:`publish_scope` the returned (conclusive) lookup is
         recorded for the key's next write."""
         origin = origin or self.random_node()
-        result = find_value(origin, key_to_id(key), k=self.k, alpha=self.alpha)
+        result = find_value(origin, key_to_id(key), k=self.k, alpha=self.alpha, accept=accept)
         self._record_lookup(result.rounds, result.contacted)
         if not result.found and self._inconclusive(result):
             raise RoutingError(

@@ -4,17 +4,21 @@ One event-ordered :meth:`~repro.net.network.SimulatedNetwork.rpc_parallel` call
 keeps up to ``alpha`` requests in flight to the closest unqueried contacts of a
 ``k``-long shortlist; each reply is merged as it lands and the flight topped
 back up, not held for the slowest (Maymounkov & Mazières, IPTPS 2002, §2.3).
-It converges once nothing is unqueried or in flight; every reply is awaited, so
-a value lookup keeps the freshest replica.  A contact that did not answer
-leaves the shortlist for good.  ``rounds`` is the longest reply chain's hop
-depth (a contact from the origin's own table is hop 1; E4's "lookup hops").
+It converges once nothing is unqueried or in flight, and a value lookup then
+keeps the freshest replica it heard.  A value lookup given an ``accept``
+predicate stops sooner: at the first value that meets it (the origin's own
+copy first), at the instant of that reply, sending nothing more (Kademlia's
+FIND_VALUE halts at the first holder; Dynamo's reads wait for enough replies,
+not all).  A contact that did not answer leaves the shortlist for good.
+``rounds`` is the longest reply chain's hop depth (a contact from the origin's
+own table is hop 1; E4's "lookup hops").
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.dht.node import FIND_NODE, FIND_VALUE, KademliaNode
 from repro.dht.routing import Contact
@@ -37,6 +41,9 @@ class LookupResult:
     #: Contacts asked that did not answer.  A miss with any of these is
     #: inconclusive: one of them may hold the record.
     unanswered: int = 0
+    #: Whether an ``accept`` predicate ended the lookup before it converged
+    #: (``closest`` is then the shortlist at that instant).
+    stopped_early: bool = False
 
     @property
     def hops(self) -> int:
@@ -45,7 +52,12 @@ class LookupResult:
 
 
 class IterativeLookup:
-    """Runs one iterative lookup on behalf of ``origin``."""
+    """Runs one iterative lookup on behalf of ``origin``.
+
+    ``accept``, for a value lookup, says which answers the caller can use
+    (say, none older than a version it already knows of): the first value it
+    returns true for is the result.
+    """
 
     def __init__(
         self,
@@ -54,15 +66,18 @@ class IterativeLookup:
         k: int = 20,
         alpha: int = DEFAULT_ALPHA,
         find_value: bool = False,
+        accept: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self.origin = origin
         self.target = target
         self.k = k
         self.alpha = alpha
         self.find_value = find_value
+        self.accept = accept
 
     def run(self) -> LookupResult:
         origin, target, find_value, alpha = self.origin, self.target, self.find_value, self.alpha
+        accept = self.accept
         k, table = self.k, origin.routing_table
         result = LookupResult(target=target)
         # (distance to the target, contact), sorted, at most k long.
@@ -75,19 +90,26 @@ class IterativeLookup:
         msg_type = FIND_VALUE if find_value else FIND_NODE
         # Every request of the lookup says the same thing; handlers only read it.
         payload = dict(origin._base_payload(), **{"key" if find_value else "target": target})
-        # Value candidates found along the way: (stored_at, value).  The lookup
-        # runs to convergence and keeps the freshest replica, so an overwrite
-        # that moved the replica set is not shadowed by a stale holder.
+        # Value candidates found along the way: (stored_at, value).  Without an
+        # accepted one the lookup runs to convergence and keeps the freshest
+        # replica, so an overwrite that moved the replica set is not shadowed
+        # by a stale holder.
         value_candidates: List[tuple] = []
         item_union: Set[Any] = set()
         items_found = False
 
+        def accepted(value: Any) -> bool:
+            if accept is None or not accept(value):
+                return False
+            result.found, result.value, result.stopped_early = True, value, True
+            return True
+
         # The origin's own storage counts as hop zero for value lookups.
         if find_value:
             if target in origin.values:
-                value_candidates.append(
-                    (origin.store_timestamps.get(target, 0.0), origin.values[target])
-                )
+                own = origin.values[target]
+                if not accepted(own):
+                    value_candidates.append((origin.store_timestamps.get(target, 0.0), own))
             if target in origin.sets:
                 items_found = True
                 item_union.update(origin.sets[target])
@@ -108,7 +130,7 @@ class IterativeLookup:
                 requests.append((contact.address, msg_type, payload))
             return requests
 
-        def on_reply(index: int, response: Optional[Response]) -> List[tuple]:
+        def on_reply(index: int, response: Optional[Response]) -> Optional[List[tuple]]:
             nonlocal in_flight, items_found
             in_flight -= 1
             contact = asked[index]
@@ -124,6 +146,8 @@ class IterativeLookup:
             reply = response.payload
             if find_value and reply.get("found"):
                 if "value" in reply:
+                    if accepted(reply["value"]):
+                        return None  # ends the fan-out at this reply
                     value_candidates.append((reply.get("stored_at", 0.0), reply["value"]))
                 if "items" in reply:
                     items_found = True
@@ -141,11 +165,14 @@ class IterativeLookup:
                             listed.discard(shortlist.pop()[1].node_id)
             return top_up()
 
-        # Converged once no shortlist contact is unqueried and nothing is in flight.
-        if first_wave := top_up():
+        # Converged once no shortlist contact is unqueried and nothing is in
+        # flight, or stopped at an accepted value.
+        if not result.stopped_early and (first_wave := top_up()):
             origin.network.rpc_parallel(origin.address, first_wave, on_reply=on_reply)
         result.contacted = len(asked)
         result.closest = [contact for _, contact in shortlist]
+        if result.stopped_early:
+            return result
         # Fold the replicas heard into the result: the freshest value, the union of sets.
         if value_candidates:
             result.found = True
@@ -161,6 +188,13 @@ def find_node(origin: KademliaNode, target: int, k: int = 20, alpha: int = DEFAU
     return IterativeLookup(origin, target, k=k, alpha=alpha, find_value=False).run()
 
 
-def find_value(origin: KademliaNode, key: int, k: int = 20, alpha: int = DEFAULT_ALPHA) -> LookupResult:
-    """Locate the value stored under ``key`` starting from ``origin``."""
-    return IterativeLookup(origin, key, k=k, alpha=alpha, find_value=True).run()
+def find_value(
+    origin: KademliaNode,
+    key: int,
+    k: int = 20,
+    alpha: int = DEFAULT_ALPHA,
+    accept: Optional[Callable[[Any], bool]] = None,
+) -> LookupResult:
+    """Locate the value stored under ``key`` starting from ``origin``; with
+    ``accept``, stop at the first value it accepts."""
+    return IterativeLookup(origin, key, k=k, alpha=alpha, find_value=True, accept=accept).run()

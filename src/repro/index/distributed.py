@@ -493,6 +493,9 @@ class DistributedIndex:
         # per term: what the provider-hint restamp rewrites without a DHT
         # read.  The read path never consults it.
         self._authoritative: Dict[str, TermManifest] = {}
+        # The manifest the latest floor read stopped early at (see
+        # fetch_term_manifest): like a cached one, it may predate a repair.
+        self._stopped_early: Optional[TermManifest] = None
 
     # -- epochs ---------------------------------------------------------------------
 
@@ -852,18 +855,49 @@ class DistributedIndex:
         Manifest caching rides the posting-cache config: an instance built
         without a cache pays the full one-DHT-lookup-per-resolution cost
         model on every fetch (what the cache-free benchmark rows measure).
+
+        A cached read of a term whose generation is known (> 0) is a *floor
+        read*: its lookup stops at the first replica at that generation or
+        later, the oldest answer the epoch registry allows, instead of
+        converging on the freshest.  ``use_cache=False`` (the write path's
+        read-modify-write) and a read inside the DHT's publish scope always
+        converge: their closest set seeds the write.
         """
         use_cache = use_cache and self.cache is not None
+        floor = self.generation(term) if use_cache else 0
         if use_cache:
             cached = self._manifests.get(term)
-            if cached is not None and cached.generation == self.generation(term):
+            if cached is not None and cached.generation == floor:
                 return cached
+        # Each distinct replica value is parsed once, by the floor test or
+        # after the lookup: (value, its manifest or the rejection).
+        parsed: Dict[int, Tuple[object, object]] = {}
+
+        def decode(value: object) -> object:
+            entry = parsed.get(id(value))
+            if entry is None:
+                try:
+                    entry = (value, self._decode_manifest(term, value))
+                except TermNotFoundError as exc:
+                    entry = (value, exc)
+                parsed[id(value)] = entry
+            return entry[1]
+
+        def meets_floor(value: object) -> bool:
+            manifest = decode(value)
+            if isinstance(manifest, TermManifest) and manifest.generation >= floor:
+                self._stopped_early = manifest  # the lookup returns it
+                return True
+            return False
+
         try:
-            value = self.dht.get(term_key(term))
+            value = self.dht.get(term_key(term), accept=meets_floor if floor else None)
         except KeyNotFoundError as exc:
             self.stats.fetch_misses += 1
             raise TermNotFoundError(f"term {term!r} has no published shard") from exc
-        manifest = self._decode_manifest(term, value)
+        manifest = decode(value)
+        if isinstance(manifest, TermNotFoundError):
+            raise manifest
         self.stats.manifest_fetches += 1
         self.stats.manifest_bytes_fetched += len(str(value))
         self._observe_generation(term, manifest.generation)
@@ -885,13 +919,13 @@ class DistributedIndex:
         """
         held = self._manifests.get(term) if use_cache else None
         manifest = self.fetch_term_manifest(term, use_cache=use_cache)
-        # Only a manifest the cache served can predate a repair's hint rewrite.
-        manifest_cached = manifest is held
+        # A manifest the cache served, or one a floor read stopped early at,
+        # can predate a repair's hint rewrite; a converged read's cannot.
+        may_lag = manifest is held or manifest is self._stopped_early
 
         def loader(index: int) -> PostingList:
             return self._fetch_shard(
-                manifest, index, requester=requester, use_cache=use_cache,
-                manifest_cached=manifest_cached,
+                manifest, index, requester=requester, use_cache=use_cache, may_lag=may_lag,
             )
 
         return ShardedPostings(manifest, loader)
@@ -922,10 +956,11 @@ class DistributedIndex:
         index: int,
         requester: Optional[str] = None,
         use_cache: bool = True,
-        manifest_cached: bool = False,
+        may_lag: bool = False,
     ) -> PostingList:
         """One shard's postings, through the per-shard posting cache;
-        ``manifest_cached`` says the manifest cache served ``manifest``."""
+        ``may_lag`` says ``manifest`` may predate a repair (the manifest cache
+        served it, or a floor read stopped early at it)."""
         info = manifest.shards[index]
         key = shard_key(manifest.term, index)
         if self.cache is not None and use_cache:
@@ -940,7 +975,7 @@ class DistributedIndex:
             cached = self.cache.get(key, generation=info.generation)
             if cached is not None:
                 return cached
-        payload = self._read_shard_payload(manifest.term, info, requester, manifest_cached)
+        payload = self._read_shard_payload(manifest.term, info, requester, may_lag)
         self.stats.terms_fetched += 1
         self.stats.bytes_fetched += len(payload)
         self.stats.per_fetch_bytes.append(len(payload))
@@ -952,18 +987,18 @@ class DistributedIndex:
         return postings
 
     def _read_shard_payload(
-        self, term: str, info: ShardInfo, requester: Optional[str], manifest_cached: bool
+        self, term: str, info: ShardInfo, requester: Optional[str], may_lag: bool
     ) -> str:
         """One shard body's payload, read through its hints.  A repair
         rewrites hints at the same generation, which no epoch tells a cached
-        manifest, so when every hint of one the cache served misses, the
-        record is re-read once and the read retried with the hints it names
-        now."""
+        or floor-read manifest, so when every hint of one that ``may_lag``
+        misses, the record is re-read once (converging) and the read retried
+        with the hints it names now."""
         try:
             return self.storage.get_text(info.cid, requester=requester, preferred=self._hints(info))
         except Exception as exc:
             missed = exc
-        moved = self._moved(term, info) if manifest_cached and info.providers else None
+        moved = self._moved(term, info) if may_lag and info.providers else None
         if moved is not None:
             try:
                 return self.storage.get_text(

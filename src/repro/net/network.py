@@ -420,7 +420,7 @@ class SimulatedNetwork:
         self,
         src: str,
         requests: Sequence[Tuple[str, str, dict]],
-        on_reply: Optional[Callable[[int, Optional[Response]], Iterable[tuple]]] = None,
+        on_reply: Optional[Callable[[int, Optional[Response]], Optional[Iterable[tuple]]]] = None,
     ) -> List[Optional[Response]]:
         """Issue several RPCs "in parallel": the clock advances by the slowest
         round trip instead of the sum.
@@ -431,6 +431,9 @@ class SimulatedNetwork:
         failures.  Built on :meth:`send`, the clock moving to each outcome in
         turn.  ``on_reply(index, response)``, if given, runs at each outcome;
         the requests it returns leave then and are appended to ``requests``.
+        When it returns ``None`` the call ends at that outcome's instant:
+        nothing more is sent, and the requests still in flight were already
+        delivered and counted but are not waited for.
         """
         clock = self.simulator.clock
         results: List[Optional[Response]] = []
@@ -445,7 +448,10 @@ class SimulatedNetwork:
             done_at, index = heapq.heappop(in_flight)
             clock.advance_to(done_at)
             if on_reply is not None:
-                requests.extend(on_reply(index, results[index]))
+                more = on_reply(index, results[index])
+                if more is None:
+                    return results
+                requests.extend(more)
 
     def rpc_hedged(
         self,

@@ -277,6 +277,56 @@ class TestAsynchronousLookup:
         result = find_value(origin, key, k=dht.k, alpha=dht.alpha)
         assert result.found and result.value == "v2"
 
+    def _planted_below_the_floor(self):
+        # Generation 2 is on its replica set; generation 1 is planted on every
+        # other node and on one replica, each stored after it, so a converging
+        # read prefers a generation-1 copy by its timestamp.
+        sim, network, dht = _padded_overlay()
+        key = key_to_id("k")
+        dht.put("k", {"gen": 2})
+        sim.clock.advance(100.0)
+        holders = [node for node in dht.nodes.values() if key in node.values]
+        for node in dht.nodes.values():
+            if node not in holders[1:]:
+                node.values[key], node.store_timestamps[key] = {"gen": 1}, sim.now
+        return dht, key
+
+    def test_a_replica_below_the_floor_is_never_returned(self):
+        dht, key = self._planted_below_the_floor()
+
+        def meets_floor(value):
+            return value["gen"] >= 2
+
+        for origin in dht.nodes.values():
+            result = find_value(origin, key, k=dht.k, alpha=dht.alpha, accept=meets_floor)
+            assert result.found and result.value == {"gen": 2} and result.stopped_early
+        converged = find_value(dht.nodes["node-00"], key, k=dht.k, alpha=dht.alpha)
+        assert converged.value == {"gen": 1} and not converged.stopped_early
+
+    def test_a_floor_read_stops_at_the_first_value_it_accepts(self):
+        sim, network, dht = _padded_overlay()
+        key = key_to_id("k")
+        dht.put("k", "v")
+
+        def anything(value):
+            return True
+
+        holder = next(node for node in dht.nodes.values() if key in node.values)
+        before = network.stats.rpc_count
+        own = find_value(holder, key, k=dht.k, alpha=dht.alpha, accept=anything)
+        # The origin's own copy is checked first: nothing is sent.
+        assert own.value == "v" and own.contacted == 0 and own.stopped_early
+        assert network.stats.rpc_count == before
+        for origin in dht.nodes.values():
+            if key in origin.values:
+                continue
+            start = sim.now
+            full = find_value(origin, key, k=dht.k, alpha=dht.alpha)
+            full_ticks, start = sim.now - start, sim.now
+            first = find_value(origin, key, k=dht.k, alpha=dht.alpha, accept=anything)
+            assert first.value == full.value == "v"
+            assert first.contacted < full.contacted and sim.now - start < full_ticks
+
     def test_two_runs_at_one_seed_are_identical(self):
         def run():
             outcomes = []

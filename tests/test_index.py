@@ -10,8 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.dht.dht import DHTNetwork
+from repro.dht.node import FIND_VALUE
 from repro.errors import IndexError_, KeyNotFoundError, TermNotFoundError
 from repro.index.analysis import Analyzer, light_stem, tokenize
+from repro.index.cache import PostingCache
 from repro.index.compression import (
     compress_postings,
     decompress_postings,
@@ -25,11 +28,16 @@ from repro.index.document import Document, DocumentStore
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
+from repro.net.latency import ConstantLatency
+from repro.net.network import SimulatedNetwork
 from repro.search.executor import QueryExecutor
 from repro.search.planner import QueryPlan
 from repro.search.query import parse_query
+from repro.sim.simulator import Simulator
+from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
 from tests.conftest import frontend_over
+from tests.traffic import watch_traffic
 
 
 class TestAnalysis:
@@ -432,8 +440,13 @@ class TestDistributedIndex:
             shard["cid"] = shard["patch"]["cid"]
         else:
             shard["cid"] = index.storage.add_text("postings: 1, 2, 3").cid
+        # A newer generation the reader has heard of: its floor read accepts
+        # no replica older than the forged record (one at the old generation
+        # would meet the floor, and a replica the put did not reach may hold it).
+        body["gen"] += 1
         forged = json.dumps(body, sort_keys=True)
         index.dht.put(term_key("bee"), forged)
+        assert index.fetch_term_manifest("bee", use_cache=False).generation == body["gen"]
 
         assert frontend.search("bee").results == []
         with pytest.raises(TermNotFoundError, match="not a shard body"):
@@ -461,6 +474,86 @@ class TestDistributedIndex:
         index.publish_term("present", PostingList([Posting(1)]))
         assert json.loads(dht.get(term_key("present")))["term"] == "present"
         assert term_key("x") == "idx:x"
+
+
+FLOOR_TERMS = [f"term{n}" for n in range(12)]
+
+
+def _floor_twin():
+    """A 32-peer overlay with ``FLOOR_TERMS`` published, and a cached reader
+    that knows each term's generation but holds no manifest.  Built the same
+    way every time, so two twins' reads start from one origin each."""
+    simulator = Simulator(seed=5)
+    network = SimulatedNetwork(simulator, latency=ConstantLatency(10.0))
+    dht = DHTNetwork(simulator, network, k=8, alpha=3, replicate=4)
+    dht.build(32)
+    storage = DecentralizedStorage(
+        simulator, network, dht, options=StorageOptions(replication=2, chunk_size=64)
+    )
+    storage.build(4)
+    publisher = DistributedIndex(dht, storage)
+    for count, term in enumerate(FLOOR_TERMS, start=1):
+        publisher.publish_term(term, PostingList([Posting(d, 1) for d in range(count)]))
+    reader = DistributedIndex(dht, storage, cache=PostingCache(capacity=16))
+    for term in FLOOR_TERMS:
+        reader.fetch_term_manifest(term, use_cache=False)  # observes, caches nothing
+    return dht, storage, reader
+
+
+def _reads(read):
+    """Each ``FLOOR_TERMS`` read's sends on a fresh twin, and its manifests."""
+    dht, storage, reader = _floor_twin()
+    sends, manifests = [], []
+    for term in FLOOR_TERMS:
+        with watch_traffic() as traffic:
+            manifests.append(read(dht, storage, reader, term))
+        sends.append(traffic.sends)
+    return sends, manifests
+
+
+def _converged(dht, storage, reader, term):
+    return reader.fetch_term_manifest(term, use_cache=False)
+
+
+def _floor(dht, storage, reader, term):
+    return reader.fetch_term_manifest(term)
+
+
+def _for_update(dht, storage, reader, term):
+    return reader._read_for_update(term).manifest
+
+
+def _in_scope(dht, storage, reader, term):
+    with dht.publish_scope():
+        return reader.fetch_term_manifest(term)
+
+
+def _floor_zero(dht, storage, reader, term):
+    fresh = DistributedIndex(dht, storage, cache=PostingCache(capacity=16))
+    assert fresh.generation(term) == 0
+    return fresh.fetch_term_manifest(term)
+
+
+class TestFloorReads:
+    """A cached reader's manifest read stops at the first replica at its
+    gossiped generation; every read that seeds a write still converges."""
+
+    def test_a_floor_read_sends_fewer_find_values_than_a_converging_read(self):
+        floor_sends, floor_manifests = _reads(_floor)
+        full_sends, full_manifests = _reads(_converged)
+        assert [m.to_json() for m in floor_manifests] == [m.to_json() for m in full_manifests]
+        floor_counts = [sum(s[0] == FIND_VALUE for s in sends) for sends in floor_sends]
+        full_counts = [sum(s[0] == FIND_VALUE for s in sends) for sends in full_sends]
+        assert all(f <= c for f, c in zip(floor_counts, full_counts))
+        assert sum(floor_counts) < sum(full_counts)
+
+    @pytest.mark.parametrize("read", [_for_update, _in_scope, _floor_zero],
+                             ids=["read-for-update", "publish-scope", "floor-0"])
+    def test_a_read_that_seeds_a_write_or_knows_no_floor_converges(self, read):
+        sends, manifests = _reads(read)
+        full_sends, full_manifests = _reads(_converged)
+        assert sends == full_sends
+        assert [m.to_json() for m in manifests] == [m.to_json() for m in full_manifests]
 
 
 class TestMaxTermFrequency:

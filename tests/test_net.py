@@ -9,7 +9,7 @@ import pytest
 from repro.errors import NetworkError, NodeUnreachableError
 from repro.net.churn import ChurnModel
 from repro.net.detector import FailureDetector
-from repro.net.faults import LinkLoss
+from repro.net.faults import LinkLoss, Straggler
 from repro.net.latency import ConstantLatency, LogNormalLatency, UniformLatency
 from repro.net.message import Message, Response
 from repro.net.network import SimulatedNetwork
@@ -198,6 +198,29 @@ class TestParallelAndBroadcast:
         assert [dst for dst, _, _ in requests] == ["b", "c"]
         assert [response.sender for response in responses] == ["b", "c"]
         assert sim.now == start + 20.0
+
+    def test_none_from_on_reply_ends_the_call_at_that_reply(self, net):
+        sim, network = net
+        handled = []
+        network.register("c", lambda message: handled.append(message.payload) or Response(
+            "c", message.msg_type, {}))
+        network.faults.add(Straggler(peer="c", factor=10.0))
+        seen = []
+
+        def on_reply(index, response):
+            seen.append(index)
+            return None if response.sender == "b" else [("b", "ping", {})]
+
+        requests = [("c", "ping", {"n": 0}), ("b", "ping", {})]
+        start, before = sim.now, network.stats.rpc_count
+        responses = network.rpc_parallel("a", requests, on_reply=on_reply)
+        # b answers in 10 ticks, c in 100: the call ends at b's reply, and c's
+        # request, already delivered, keeps its handler run and its count.
+        assert seen == [1]
+        assert sim.now == start + 10.0
+        assert handled == [{"n": 0}] and responses[0].ok
+        assert network.stats.rpc_count - before == 2
+        assert len(requests) == 2
 
     def test_broadcast_reaches_all_online_peers(self, net):
         _, network = net

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
+from repro.dht.nodeid import key_to_id
 from repro.errors import TermNotFoundError
 from repro.index.analysis import Analyzer
+from repro.index.distributed import term_key
 from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.placement import PlacementPolicy, anti_affinity_bound
 from repro.storage.ipfs import provider_key
@@ -328,10 +330,57 @@ class TestRoutingAndRepair:
         assert index.stats.manifest_fetches == reads + 1
         assert index.fetch_term_manifest(term).shards[info.index].providers == moved.providers
 
+    def test_a_floor_read_that_returned_pre_repair_hints_reads_the_moved_shard(self, monkeypatch):
+        # A floor read stops at the first replica at the reader's generation,
+        # and repair rewrites hints at that same generation: a replica the
+        # rewrite did not reach (here, the lookup's own origin) still names the
+        # holders that left.
+        corpus = small_corpus()
+        engine = build_engine(posting_cache_capacity=64)
+        engine.bootstrap_corpus(corpus.documents)
+        engine.converge_metadata()
+        term = heaviest_term(corpus)
+        reader = "peer-001:store"
+        index = engine.create_frontend(requester=reader).index
+        key = key_to_id(term_key(term))
+        info = next(
+            i for i in engine.index.fetch_term_manifest(term, use_cache=False).shards
+            if i.count and reader not in i.providers
+        )
+        pre_repair = next(node for node in engine.dht.nodes.values() if key in node.values)
+        pre_repair_record = (pre_repair.values[key], pre_repair.store_timestamps[key])
+
+        churn = engine.create_churn_model()
+        for holder in info.providers:
+            churn.schedule_leave(holder, 1.0)
+            engine.simulator.advance(10.0)
+        moved = engine.placement.placements_for(term)[info.index]
+        assert moved.cid == info.cid
+        assert not set(moved.providers) & set(info.providers) and reader not in moved.providers
+        origin = next(
+            node for address, node in sorted(engine.dht.nodes.items())
+            if key not in node.values and engine.network.is_online(address)
+        )
+        origin.values[key], origin.store_timestamps[key] = pre_repair_record
+        monkeypatch.setattr(engine.dht, "random_node", lambda: origin)
+        assert index.generation(term) > 0 and index.held_manifests() == {}
+
+        reads = index.stats.manifest_fetches
+        with watch_traffic() as traffic:
+            postings = index.fetch_term_sharded(term).shard(info.index)
+        expected = engine.index.fetch_term_sharded(term, use_cache=False).shard(info.index)
+        assert postings.arrays() == expected.arrays()
+        assert traffic.sends_for(provider_key(info.cid)) == []
+        # The floor read, then the converging re-read that learned the new hints.
+        assert index.stats.manifest_fetches == reads + 2
+        assert index.fetch_term_manifest(term).shards[info.index].providers == moved.providers
+
     def test_a_manifest_just_read_is_not_re_read_when_its_hints_miss(self):
         # Every holder of a shard is gone and nothing repaired it: a reader
-        # that has just read the manifest off the DHT learns nothing new by
-        # reading it again, so the miss costs that one read.
+        # whose read of the manifest converged learns nothing new by reading
+        # it again, so the miss costs that one read.  A floor read may have
+        # stopped at a replica a repair's rewrite missed, so its miss costs
+        # one converging re-read more.
         corpus = small_corpus()
         engine = build_engine(posting_cache_capacity=64)
         engine.bootstrap_corpus(corpus.documents)
@@ -347,8 +396,11 @@ class TestRoutingAndRepair:
             engine.network.set_offline(holder)
         reads = index.stats.manifest_fetches
         with pytest.raises(TermNotFoundError):
-            index.fetch_term_sharded(term).shard(info.index)
+            index.fetch_term_sharded(term, use_cache=False).shard(info.index)
         assert index.stats.manifest_fetches == reads + 1
+        with pytest.raises(TermNotFoundError):
+            index.fetch_term_sharded(term).shard(info.index)
+        assert index.stats.manifest_fetches == reads + 3
 
     def test_failed_repair_is_retried_on_rejoin(self):
         corpus = small_corpus(num_documents=30)
