@@ -137,8 +137,8 @@ class _CacheBypassIndex:
     def fetch_term(self, term: str, requester: Optional[str] = None):
         return self._index.fetch_term(term, requester=requester, use_cache=False)
 
-    def fetch_statistics(self, requester: Optional[str] = None):
-        return self._index.fetch_statistics(requester=requester)
+    def fetch_statistics(self, requester: Optional[str] = None, head=(0, None)):
+        return self._index.fetch_statistics(requester=requester, head=head)
 
 
 def _invalidation_row(corpus) -> Dict[str, object]:

@@ -91,6 +91,7 @@ past its manifest cache, and retries with the hints it names now.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -106,6 +107,7 @@ from repro.storage.cid import compute_cid
 from repro.storage.ipfs import DecentralizedStorage
 from repro.storage.patches import PatchChannel, PatchInfo
 
+# The collection statistics' DHT record: ``{"cid": <blob CID>, "v": <version>}`` as JSON.
 STATS_KEY = "idx:__collection_statistics__"
 
 # Postings per shard above which a term's list splits into range shards.
@@ -842,7 +844,7 @@ class DistributedIndex:
         """Publish the collection statistics the frontend needs for BM25."""
         payload = json.dumps(statistics.to_dict(), sort_keys=True)
         cid = self.storage.add_text(payload, publisher=publisher).cid
-        self.dht.put(STATS_KEY, cid)
+        self.dht.put(STATS_KEY, json.dumps({"cid": cid, "v": statistics.version}, sort_keys=True))
         return cid
 
     # -- fetching (frontend side) -----------------------------------------------------
@@ -1169,14 +1171,41 @@ class DistributedIndex:
         if term in self._manifests:
             self._manifests[term] = refreshed
 
-    def fetch_statistics(self, requester: Optional[str] = None) -> CollectionStatistics:
-        """Fetch the published collection statistics (empty stats if absent)."""
+    def fetch_statistics(
+        self,
+        requester: Optional[str] = None,
+        head: Tuple[int, Optional[str]] = (0, None),
+    ) -> CollectionStatistics:
+        """Fetch the published collection statistics (empty stats if absent).
+
+        ``head`` is a gossiped ``(version, cid)``.  The blob behind its CID is
+        fetched directly — a CID checks its own content — and adopted when
+        its version reaches the head's.  Only when that fails is
+        ``STATS_KEY`` read, its lookup stopping at the first record at the
+        head's version or later; without a head that read converges.
+        """
+        floor, cid = head
+
+        def load(blob: str) -> CollectionStatistics:
+            payload = self.storage.get_text(blob, requester=requester)
+            return CollectionStatistics.from_dict(json.loads(payload))
+
+        def meets_floor(value: object) -> bool:
+            try:
+                return int(json.loads(value)["v"]) >= floor
+            except (TypeError, ValueError, KeyError):
+                return False
+
+        if cid is not None:
+            with contextlib.suppress(ReproError, ValueError, KeyError, TypeError):
+                statistics = load(cid)
+                if statistics.version >= floor:
+                    return statistics
         try:
-            cid = self.dht.get(STATS_KEY)
-            payload = self.storage.get_text(cid, requester=requester)
+            record = json.loads(self.dht.get(STATS_KEY, accept=meets_floor if floor else None))
+            return load(record["cid"])
         except Exception:
             return CollectionStatistics()
-        return CollectionStatistics.from_dict(json.loads(payload))
 
     # -- serialization ----------------------------------------------------------------
 

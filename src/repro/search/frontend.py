@@ -231,8 +231,10 @@ class SearchFrontend:
     # -- statistics handling ------------------------------------------------------
 
     def refresh_statistics(self) -> CollectionStatistics:
-        """Re-fetch the published collection statistics from the DWeb."""
-        self._statistics = self.index.fetch_statistics(requester=self.requester)
+        """Re-fetch the published collection statistics from the DWeb, by the
+        gossiped head's CID when this frontend has a gossip view."""
+        head = self.metadata_view.stats_head() if self.metadata_view is not None else (0, None)
+        self._statistics = self.index.fetch_statistics(requester=self.requester, head=head)
         return self._statistics
 
     @property
@@ -241,9 +243,9 @@ class SearchFrontend:
             self.refresh_statistics()
         elif self.metadata_view is not None:
             # Gossip-plane freshness: when the gossiped statistics head is
-            # newer than the snapshot we fetched, re-fetch from the DWeb
-            # (the DHT record is authoritative, so the fetched version is
-            # always >= the gossiped one — no refresh loop).
+            # newer than the snapshot we fetched, re-fetch it from the DWeb
+            # (the head's blob, or the DHT record put before the head was
+            # gossiped, is at least the head's version — no refresh loop).
             gossiped_version, _ = self.metadata_view.stats_head()
             if gossiped_version > self._statistics.version:
                 self.refresh_statistics()

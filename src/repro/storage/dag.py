@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import BlockNotFoundError, InvalidCIDError
 from repro.storage.block import Block
@@ -24,11 +24,13 @@ class DAGBuildResult:
 
 
 class MerkleDAG:
-    """Builds and reassembles content as a two-level Merkle DAG.
+    """Builds and reassembles content as a Merkle DAG of at most two levels.
 
-    Leaves hold raw chunks; the root holds a small JSON manifest and links to
-    every leaf.  Content of a single chunk still gets a root so that every
-    published page is addressed by exactly one CID.
+    Content of at most one chunk (the empty payload included) is a single raw
+    block: its CID is the object's CID, as UnixFS stores a file smaller than
+    its chunk size as one raw leaf.  Larger content is a root holding a small
+    JSON manifest and a link to every leaf.  A root with links is always such
+    a manifest; a block without links is always raw data.
     """
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
@@ -37,9 +39,14 @@ class MerkleDAG:
         self.chunk_size = chunk_size
 
     def build(self, data: bytes) -> DAGBuildResult:
-        """Chunk ``data`` and return all blocks (leaves first, root last)."""
+        """Chunk ``data`` and return all blocks (leaves first, root last).
+
+        A single chunk is its own root: the result is that one block.
+        """
         chunks = chunk_bytes(data, self.chunk_size)
         leaves = [Block.create(chunk) for chunk in chunks]
+        if len(leaves) == 1:
+            return DAGBuildResult(root_cid=leaves[0].cid, blocks=leaves)
         manifest = json.dumps(
             {"type": "file", "size": len(data), "chunks": len(leaves)},
             sort_keys=True,
@@ -50,10 +57,13 @@ class MerkleDAG:
     def assemble(self, root: Block, blocks_by_cid: Dict[str, Block]) -> bytes:
         """Reassemble the original bytes from the root and a block mapping.
 
-        Every block is verified against its CID; a corrupted block raises
+        A root without links is the whole object, returned as is.  Every
+        block is verified against its CID; a corrupted block raises
         :class:`InvalidCIDError`, a missing one :class:`BlockNotFoundError`.
         """
         root.ensure_valid()
+        if not root.links:
+            return root.data
         try:
             manifest = json.loads(root.data.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:

@@ -223,9 +223,11 @@ class DecentralizedStorage:
         crash mid-publish leaves that peer at its previous committed state
         (old-or-new, composing with the manifest-put commit point).
 
-        The pushes to the targets are concurrent — one branch per target of
-        one parallel region — while each target's blocks still go one after
-        another.  An unplaced add's provider-key lookup
+        An object of at most one chunk is one block (:class:`MerkleDAG`), so
+        its push to a target is one ``put_block``.  The pushes to the targets
+        are concurrent — one branch per target of one parallel region — while
+        a larger object's blocks still go to each target one after another.
+        An unplaced add's provider-key lookup
         (``DHTNetwork.locate``: a ``find_node``, or the open publish scope's
         record of the key) needs nothing from the pushes, so it is the
         region's last branch; the APPEND fan-out follows the region.  So an
@@ -312,6 +314,12 @@ class DecentralizedStorage:
         were reached (blocks pulled remotely, attempts, hedging).  Callers
         that only want the payload read ``.data``/``.text``.
 
+        An object of at most one chunk is one block, fetched in one round
+        trip.  A larger object's root comes first, then every leaf the
+        requester lacks at once, in one parallel region (as a Bitswap
+        want-list asks for them together): it costs the root plus its slowest
+        leaf.  The candidate providers are settled before that region opens.
+
         Each block is looked for in the requester's own store first.  A
         *hinted* read (``preferred``: a placed shard's manifest hints) then
         asks the presumed-alive hints in order, then the suspected ones, and
@@ -330,18 +338,21 @@ class DecentralizedStorage:
         live = [a for a in hinted if self.presumed_alive(a)]
         rest: Optional[List[str]] = None
 
-        def fetch(block_cid: str, what: str) -> Block:
+        def fallback() -> List[str]:
             nonlocal rest
+            if rest is None:
+                rest = (
+                    [a for a in hinted if a not in live] if preferred
+                    else self._route_candidates(self._announced(cid), exclude=peer.address)
+                )
+            return rest
+
+        def fetch(block_cid: str, what: str) -> Block:
             if peer.store.has(block_cid):
                 return peer.store.get(block_cid)
             block = self._fetch_from_any(peer, live, block_cid, trace)
             if block is None:
-                if rest is None:
-                    rest = (
-                        [a for a in hinted if a not in live] if preferred
-                        else self._route_candidates(self._announced(cid), exclude=peer.address)
-                    )
-                block = self._fetch_from_any(peer, rest, block_cid, trace)
+                block = self._fetch_from_any(peer, fallback(), block_cid, trace)
             if block is None:
                 self.stats.failed_gets += 1
                 raise BlockNotFoundError(
@@ -350,7 +361,14 @@ class DecentralizedStorage:
             return block
 
         root = fetch(cid, "root block")
-        blocks_by_cid = {link: fetch(link, "chunk") for link in root.links}
+        blocks_by_cid = {link: peer.store.get(link) for link in root.links if peer.store.has(link)}
+        missing = [link for link in dict.fromkeys(root.links) if link not in blocks_by_cid]
+        if missing:
+            fallback()  # before the region: no branch's cost depends on a sibling
+            fetched = self.simulator.parallel_region(
+                [partial(fetch, link, "chunk") for link in missing]
+            )
+            blocks_by_cid.update(zip(missing, fetched))
         return FetchResult(
             cid=cid,
             data=self.dag.assemble(root, blocks_by_cid),
@@ -389,8 +407,8 @@ class DecentralizedStorage:
 
         A live one of ``sources`` (the placement record's holders, dormant
         ones included) that still holds the full DAG pushes every block
-        (pinned) to each target; nothing is announced, the caller rewrites
-        the manifest hints.  Returns the targets that now hold the content —
+        (pinned) to each target, one block for an object of one chunk;
+        nothing is announced, the caller rewrites the manifest hints.  Returns the targets that now hold the content —
         empty when no reachable source held the complete DAG (the caller
         records a deficit and retries).
         """

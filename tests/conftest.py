@@ -20,6 +20,7 @@ from repro.index.cache import PostingCache
 from repro.index.distributed import DistributedIndex
 from repro.index.postings import Posting, PostingList
 from repro.index.statistics import CollectionStatistics
+from repro.net.detector import FailureDetector
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.search.frontend import FrontendOptions, SearchFrontend
@@ -180,6 +181,22 @@ def make_small_engine(seed: int = 3, **overrides) -> QueenBeeEngine:
     for key, value in overrides.items():
         setattr(config, key, value)
     return QueenBeeEngine(config)
+
+
+def make_storage_stack(seed=2, hedged=False, with_detector=True):
+    """Six storage peers over eight DHT nodes: 64-byte chunks, replication 3,
+    one tick a hop; returns ``(simulator, network, detector, storage)``."""
+    sim = Simulator(seed=seed)
+    detector = FailureDetector(sim, suspicion_threshold=2) if with_detector else None
+    network = SimulatedNetwork(sim, latency=ConstantLatency(1.0), detector=detector)
+    dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
+    dht.build(8)
+    storage = DecentralizedStorage(
+        sim, network, dht, liveness=detector,
+        options=StorageOptions(replication=3, chunk_size=64, hedged_fetches=hedged),
+    )
+    storage.build(6)
+    return sim, network, detector, storage
 
 
 @pytest.fixture

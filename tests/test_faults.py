@@ -46,7 +46,7 @@ from repro.net.latency import ConstantLatency, LogNormalLatency
 from repro.net.network import RetryPolicy, SimulatedNetwork
 from repro.sim import SharedStateMonitor, Simulator
 
-from tests.conftest import make_small_engine
+from tests.conftest import make_small_engine, make_storage_stack
 from tests.traffic import watch_traffic
 
 
@@ -404,23 +404,6 @@ class TestFailureDetector:
 # ---------------------------------------------------------------------------
 # Detector-driven storage routing
 # ---------------------------------------------------------------------------
-
-
-def make_storage_stack(seed=2, hedged=False, with_detector=True):
-    from repro.dht.dht import DHTNetwork
-    from repro.storage.ipfs import DecentralizedStorage, StorageOptions
-
-    sim = Simulator(seed=seed)
-    detector = FailureDetector(sim, suspicion_threshold=2) if with_detector else None
-    network = SimulatedNetwork(sim, latency=ConstantLatency(1.0), detector=detector)
-    dht = DHTNetwork(sim, network, k=4, alpha=2, replicate=3)
-    dht.build(8)
-    storage = DecentralizedStorage(
-        sim, network, dht, liveness=detector,
-        options=StorageOptions(replication=3, chunk_size=64, hedged_fetches=hedged),
-    )
-    storage.build(6)
-    return sim, network, detector, storage
 
 
 class TestDetectorRouting:

@@ -4,7 +4,8 @@ The unit half drives :class:`repro.sim.monitor.SharedStateMonitor` through
 synthetic regions and the real shared surfaces, asserting each cell of the
 conflict matrix (including the benign demotions).  The ``racecheck``-marked
 half runs the write path (bootstrap, publish, update, delete), the E10
-batch path and the E11 serving path under an active monitor and asserts
+batch path, the E11 serving path and a multi-chunk content read (its leaf
+region, hinted and unhinted) under an active monitor and asserts
 **zero** conflicts — the proof obligation
 ``Simulator.parallel_region`` takes on when it charges only the slowest
 branch.  The injection tests seed known races and assert the detector
@@ -25,7 +26,7 @@ from repro.sim import SharedStateConflictError, SharedStateMonitor, Simulator
 from repro.sim import monitor as state_monitor
 from repro.workloads import FlashCrowdArrivals, QueryWorkloadGenerator
 
-from tests.conftest import make_small_engine
+from tests.conftest import make_small_engine, make_storage_stack
 
 
 def run_region(simulator: Simulator, *thunks):
@@ -483,6 +484,33 @@ class TestEndToEndRaceSmokes:
         assert monitor.regions_checked > bootstrap_regions
         assert add_regions == 1
         assert monitor.conflicts == [], monitor.report()
+
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_a_multi_chunk_read_is_race_free(self, hinted):
+        # A three-chunk object's leaves are fetched in one region whose branches
+        # share the requester's block store and the read's fetch trace.  Under
+        # the monitor the region is checked and clean; run in reverse order its
+        # branches give the same result at the same clock.
+        def read(reverse: bool):
+            simulator, _, _, storage = make_storage_stack(seed=59)
+            holders = ["store-1", "store-3", "store-5"]
+            receipt = storage.add_bytes(
+                bytes(range(150)), publisher="store-0", providers=holders if hinted else None
+            )
+            requester = next(a for a in storage.peer_addresses() if a not in receipt.providers)
+            if reverse:
+                parallel_region = simulator.parallel_region
+                simulator.parallel_region = lambda thunks: parallel_region(list(thunks)[::-1])[::-1]
+            with SharedStateMonitor() as monitor:
+                result = storage.get_bytes(
+                    receipt.cid, requester=requester, preferred=holders if hinted else None
+                )
+            assert result.data == bytes(range(150)) and result.blocks_fetched == 4
+            assert monitor.regions_checked == 1
+            assert monitor.conflicts == [], monitor.report()
+            return result, simulator.now
+
+        assert read(reverse=True) == read(reverse=False)
 
     def test_e11_serving_path_is_race_free(self):
         engine = make_small_engine(seed=43, result_cache_capacity=16)

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from repro.errors import BlockNotFoundError, InvalidCIDError
 from repro.storage.block import Block
 from repro.storage.blockstore import BlockStore
-from repro.storage.chunker import chunk_bytes, iter_chunks
+from repro.storage.chunker import chunk_bytes
 from repro.storage.cid import compute_cid, is_valid_cid, validate_cid, verify_cid
 from repro.storage.dag import MerkleDAG
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
-from repro.storage.peer import StoragePeer, decode_block, encode_block
+from repro.storage.peer import GET_BLOCK, PUT_BLOCK, StoragePeer, decode_block, encode_block
+
+from tests.conftest import make_storage_stack
+from tests.traffic import watch_traffic
 
 
 class TestCID:
@@ -70,7 +73,6 @@ class TestChunker:
 
     def test_empty_input_yields_single_empty_chunk(self):
         assert chunk_bytes(b"") == [b""]
-        assert list(iter_chunks(b"")) == [b""]
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +116,25 @@ class TestMerkleDAG:
     def test_identical_content_shares_root_cid(self):
         dag = MerkleDAG()
         assert dag.build(b"same").root_cid == dag.build(b"same").root_cid
+
+    @pytest.mark.parametrize("data", [b"", b"x", b"y" * 10])
+    def test_content_of_one_chunk_is_one_raw_block(self, data):
+        dag = MerkleDAG(chunk_size=10)
+        built = dag.build(data)
+        assert built.blocks == [Block.create(data)]
+        assert built.root_cid == built.blocks[0].cid
+        assert dag.assemble(built.blocks[0], {}) == data
+
+    def test_content_over_one_chunk_keeps_its_root(self):
+        built = MerkleDAG(chunk_size=10).build(b"z" * 11)
+        *leaves, root = built.blocks
+        assert len(leaves) == 2 and root.links == tuple(leaf.cid for leaf in leaves)
+        assert built.root_cid == root.cid
+
+    def test_corrupted_one_block_object_raises(self):
+        block = MerkleDAG().build(b"one chunk").blocks[0]
+        with pytest.raises(InvalidCIDError):
+            MerkleDAG().assemble(Block(cid=block.cid, data=b"tampered", links=()), {})
 
 
 class TestBlockStore:
@@ -324,3 +345,92 @@ class TestDecentralizedStorage:
 
     def test_provider_key_format(self):
         assert provider_key("bafyabc").startswith("providers:")
+
+
+class TestOneRoundTripPerObject:
+    """An object of one chunk is one block: one push per replica, one fetch per
+    read.  A larger object's leaves come in one region after its root."""
+
+    HOLDERS = ["store-1", "store-3", "store-5"]
+    ROUND_TRIP = 2.0  # make_storage_stack's one tick a hop
+
+    def _placed(self, storage: DecentralizedStorage, data: bytes):
+        return storage.add_bytes(data, publisher="store-0", providers=self.HOLDERS)
+
+    def test_a_placed_sub_chunk_add_sends_one_put_block_per_replica(self):
+        _, _, _, storage = make_storage_stack()
+        with watch_traffic() as traffic:
+            receipt = self._placed(storage, b"a sub-chunk shard")
+        assert traffic.sends == [(PUT_BLOCK, "store-0", holder) for holder in self.HOLDERS]
+        assert receipt.providers == tuple(self.HOLDERS)
+
+    def test_a_hinted_read_of_it_sends_one_get_block(self):
+        _, _, _, storage = make_storage_stack()
+        receipt = self._placed(storage, b"a sub-chunk shard")
+        start = storage.simulator.now
+        with watch_traffic() as traffic:
+            result = storage.get_bytes(receipt.cid, requester="store-2", preferred=self.HOLDERS)
+        assert traffic.sends == [(GET_BLOCK, "store-2", "store-1")]
+        assert result.data == b"a sub-chunk shard" and result.blocks_fetched == 1
+        assert storage.simulator.now - start == pytest.approx(self.ROUND_TRIP)
+
+    def test_a_three_chunk_read_costs_its_root_and_its_slowest_leaf(self):
+        _, _, _, storage = make_storage_stack()
+        data = bytes(range(150))  # 64 + 64 + 22 bytes
+        receipt = self._placed(storage, data)
+        root = storage.peers["store-1"].store.get(receipt.cid)
+        assert len(root.links) == 3
+        extra = dict(zip(root.links, (0.0, 300.0, 100.0)))
+        requester = storage.peers["store-2"]
+        fetch_block_from = requester.fetch_block_from
+
+        def slowed(provider, cid, policy=None):
+            block = fetch_block_from(provider, cid, policy=policy)
+            storage.simulator.clock.advance(extra.get(cid, 0.0))
+            return block
+
+        requester.fetch_block_from = slowed
+        start = storage.simulator.now
+        result = storage.get_bytes(receipt.cid, requester="store-2", preferred=self.HOLDERS)
+        assert result.data == data and result.blocks_fetched == 4
+        # Leaves one after another would cost 2 + (2 + 302 + 102).
+        assert storage.simulator.now - start == pytest.approx(self.ROUND_TRIP + self.ROUND_TRIP + 300.0)
+
+    @pytest.mark.parametrize("hedged", [False, True])
+    def test_a_corrupted_one_block_object_is_rejected_and_the_next_provider_serves(self, hedged):
+        _, _, _, storage = make_storage_stack(hedged=hedged)
+        receipt = self._placed(storage, b"tamper-evident shard")
+        first = storage.peers["store-1"].store
+        assert first.remove(receipt.cid)
+        first.put(Block(cid=receipt.cid, data=b"forged shard", links=()), pin=True)
+        with watch_traffic() as traffic:
+            result = storage.get_bytes(receipt.cid, requester="store-2", preferred=self.HOLDERS)
+        assert result.data == b"tamper-evident shard" and result.attempts == 2
+        assert storage.peers["store-2"].store.get(receipt.cid).verify()
+        # Sequentially the second hint serves it; a hedged race between the
+        # first two is won by the forgery (ties go to the first), so the third does.
+        served_by = "store-5" if hedged else "store-3"
+        assert traffic.sends[-1] == (GET_BLOCK, "store-2", served_by)
+        assert result.hedged is hedged
+
+    def test_replicating_a_one_block_shard_pushes_one_block(self):
+        _, _, _, storage = make_storage_stack()
+        receipt = self._placed(storage, b"a sub-chunk shard")
+        with watch_traffic() as traffic:
+            supplied = storage.replicate_to(receipt.cid, ["store-4"], sources=["store-1"])
+        assert supplied == ["store-4"]
+        assert traffic.sends == [(PUT_BLOCK, "store-1", "store-4")]
+
+    @pytest.mark.parametrize("placed", [False, True])
+    def test_the_empty_payload_round_trips(self, placed):
+        _, _, _, storage = make_storage_stack()
+        receipt = (
+            self._placed(storage, b"") if placed
+            else storage.add_bytes(b"", publisher="store-0")
+        )
+        assert receipt.cid == Block.create(b"").cid
+        requester = next(a for a in storage.peer_addresses() if a not in receipt.providers)
+        result = storage.get_bytes(
+            receipt.cid, requester=requester, preferred=self.HOLDERS if placed else None
+        )
+        assert result.data == b"" and result.blocks_fetched == 1

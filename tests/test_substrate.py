@@ -258,10 +258,17 @@ def test_store_fan_out_is_one_round_trip_and_evicts_the_silent():
 # replica at its gossiped generation: the same 310 lookups, 86 FIND_VALUE requests fewer,
 # hop depths summing to 313, and the draws after the first request no longer sent dealt to
 # other messages.  Pages, executor work, gossip, ads and ledger did not move.
-GOLDEN_COUNTERS = (8340.774007, 4527, 1737789, 310, 313)
+# Re-recorded once more (from (8340.774007, 4527, 1737789, 310, 313) and sends fd4b8c6e…)
+# when an object of one chunk became one raw block and a frontend began reading the
+# statistics by their gossiped CID: every add of such an object pushes one block fewer to
+# each holder and every read of it fetches one fewer (534 RPCs fewer), the frontend's
+# `STATS_KEY` lookup is gone (309 lookups), and the draws after the first dropped send were
+# dealt to other messages (hop depths now sum to 315).  Pages, executor work, gossip, ads
+# and ledger did not move.
+GOLDEN_COUNTERS = (7668.091848, 3993, 1555999, 309, 315)
 # Every send of the same deployment, construction included, as (msg_type, sender,
 # recipient) in host order: the SHA-256 of those lines.
-GOLDEN_SENDS = "fd4b8c6ecc53929a398a054c839f2ee3f4bf4b6f31e15ec272e7397120fdd42c"
+GOLDEN_SENDS = "b90da59d87053e1673d6aa1c08abb2394bc4a9efcd04a835738cae2088a2e95e"
 GOLDEN_PAGES = [
     [4, 12, 9, 19, 8], [4, 13], [0, 1, 2, 3, 4, 6, 5, 8, 12, 11], [3, 5, 19, 11],
     [0, 9, 8, 14, 19, 17, 16, 11, 7], [0, 1, 2, 3, 5, 6, 8, 19, 18, 16], [0, 14],
@@ -354,10 +361,13 @@ def test_golden_deployment_is_unchanged():
 # last_convergence_rounds; the clock; and the SHA-256 of every node's sorted
 # (key, version, repr(value)) triples.  The clock alone was re-recorded (9361.833961 ->
 # 8740.467228) when placed shards stopped being announced: the build and each publish
-# make fewer lookups, and the stores every node ends with are the same.
+# make fewer lookups, and the stores every node ends with are the same.  The clock and the
+# stores' digest were re-recorded (8740.467228 -> 8721.584012, 34303a1f… -> 615b04b4…) when
+# an object of one chunk became one raw block: each add pushes fewer blocks, and the heads
+# the plane carries name their blobs by their new CIDs.  The plane's counters did not move.
 GOLDEN_CHURN_GOSSIP = (
-    (8, 348, 2471, 1), 8740.467228,
-    "34303a1f19804e3946abd8cdf4fae3ff9a013b859c85c7e17aca97d01b062ea0",
+    (8, 348, 2471, 1), 8721.584012,
+    "615b04b483673b7d04e20e048b090b8bb22656e92438eda687afa1ec2f2c90bf",
 )
 
 
