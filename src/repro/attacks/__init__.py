@@ -12,23 +12,15 @@ engine may induce new attacks", naming two concretely:
   (:mod:`repro.attacks.scraper`), defended by content-hash deduplication in
   the publish contract (first publisher of a CID owns it).
 
-:mod:`repro.attacks.sybil` adds the classic Sybil amplification of the
-collusion attack, and :mod:`repro.attacks.defenses` gathers the defense
-evaluation helpers the E6/E7 benches use.
+E6 and E7 run both attacks against their defenses.
 """
 
 from repro.attacks.collusion import CollusionAttack, CollusionOutcome
 from repro.attacks.scraper import ScraperAttack, ScraperOutcome
-from repro.attacks.sybil import SybilAttack, SybilOutcome
-from repro.attacks.defenses import DefenseEvaluation, evaluate_rank_manipulation
 
 __all__ = [
     "CollusionAttack",
     "CollusionOutcome",
     "ScraperAttack",
     "ScraperOutcome",
-    "SybilAttack",
-    "SybilOutcome",
-    "DefenseEvaluation",
-    "evaluate_rank_manipulation",
 ]

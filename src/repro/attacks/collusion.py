@@ -16,7 +16,6 @@ from typing import List
 
 from repro.errors import AttackConfigError
 from repro.core.engine import QueenBeeEngine
-from repro.index.postings import PostingList
 from repro.ranking.distributed import DEFAULT_REDUNDANCY, RankContribution, RankTask
 from repro.ranking.pagerank import pagerank
 
@@ -54,9 +53,6 @@ class CollusionAttack:
         The page whose rank the cartel wants to inflate.
     boost:
         Extra rank mass each colluder injects for the target per task.
-    poison_index:
-        Also tamper with index shards (adds the target to every term the
-        colluder indexes, with an outsized term frequency).
     success_threshold:
         The attack is declared successful if the observed rank exceeds the
         honest rank by at least this multiplicative factor.
@@ -68,7 +64,6 @@ class CollusionAttack:
         colluding_fraction: float,
         target_doc_id: int,
         boost: float = 0.05,
-        poison_index: bool = False,
         success_threshold: float = 1.5,
     ) -> None:
         if not 0.0 <= colluding_fraction <= 1.0:
@@ -81,7 +76,6 @@ class CollusionAttack:
         self.colluding_fraction = colluding_fraction
         self.target_doc_id = target_doc_id
         self.boost = boost
-        self.poison_index = poison_index
         self.success_threshold = success_threshold
         self.colluders: List[str] = []
 
@@ -95,8 +89,6 @@ class CollusionAttack:
         chosen = rng.sample(workers, count) if count else []
         for worker in chosen:
             worker.rank_tamper = self._make_rank_tamper()
-            if self.poison_index:
-                worker.index_tamper = self._make_index_tamper()
         self.colluders = [worker.address for worker in chosen]
         return list(self.colluders)
 
@@ -105,7 +97,6 @@ class CollusionAttack:
         for worker in self.engine.workers:
             if worker.address in self.colluders:
                 worker.rank_tamper = None
-                worker.index_tamper = None
         self.colluders = []
 
     def _make_rank_tamper(self):
@@ -115,15 +106,6 @@ class CollusionAttack:
         def tamper(task: RankTask, contribution: RankContribution) -> RankContribution:
             contribution.contributions[target] = contribution.contributions.get(target, 0.0) + boost
             return contribution
-
-        return tamper
-
-    def _make_index_tamper(self):
-        target = self.target_doc_id
-
-        def tamper(term: str, postings: PostingList) -> PostingList:
-            postings.add(target, 50)
-            return postings
 
         return tamper
 

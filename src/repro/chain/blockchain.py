@@ -33,13 +33,10 @@ class Blockchain:
     Parameters
     ----------
     simulator:
-        Supplies block timestamps (simulated time) and, when
-        :meth:`start_block_production` is used, schedules periodic blocks.
+        Supplies block timestamps (simulated time).
     validators:
         Addresses allowed to produce blocks.  They earn the gas fees of the
         transactions they include.
-    block_interval:
-        Simulated ticks between blocks when production is scheduled.
     auto_mine:
         When true (the default for unit tests and small experiments), every
         submitted transaction is immediately executed in its own block; when
@@ -50,19 +47,16 @@ class Blockchain:
         self,
         simulator: Simulator,
         validators: Optional[Sequence[str]] = None,
-        block_interval: float = 1_000.0,
         auto_mine: bool = True,
     ) -> None:
         self.simulator = simulator
         self.state = WorldState()
         self.vm = ContractVM(self.state)
         self.schedule = RoundRobinSchedule(list(validators) if validators else ["validator-0"])
-        self.block_interval = block_interval
         self.auto_mine = auto_mine
         self.blocks: List[ChainBlock] = []
         self.pending: List[Transaction] = []
         self.receipts: Dict[str, ExecutionReceipt] = {}
-        self._producing = False
 
     # -- accounts -------------------------------------------------------------
 
@@ -82,9 +76,6 @@ class Blockchain:
     def deploy(self, contract: Contract) -> Contract:
         """Deploy a contract instance."""
         return self.vm.deploy(contract)
-
-    def contract(self, name: str) -> Contract:
-        return self.vm.get(name)
 
     @property
     def events(self) -> List[EventLog]:
@@ -195,16 +186,6 @@ class Blockchain:
         self.blocks.append(block)
         return block
 
-    def start_block_production(self) -> None:
-        """Produce a block every ``block_interval`` ticks on the simulator."""
-        if self._producing:
-            return
-        self._producing = True
-        self.simulator.schedule(self.block_interval, self._block_tick, label="chain-block")
-
-    def stop_block_production(self) -> None:
-        self._producing = False
-
     def verify_integrity(self) -> bool:
         """Re-derive every hash from current contents — detects any retroactive tampering."""
         previous = GENESIS_HASH
@@ -215,12 +196,6 @@ class Blockchain:
         return True
 
     # -- internals --------------------------------------------------------------
-
-    def _block_tick(self) -> None:
-        if not self._producing:
-            return
-        self.produce_block()
-        self.simulator.schedule(self.block_interval, self._block_tick, label="chain-block")
 
     def _validate(self, tx: Transaction) -> None:
         if not tx.signature_valid():

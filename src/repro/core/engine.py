@@ -63,8 +63,6 @@ from repro.search.results import ResultPage
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
-RANK_VECTOR_KEY = "rank:vector"
-
 
 class GossipRankClient:
     """Rank-vector access for a remote frontend: gossiped head, DWeb body.
@@ -529,30 +527,6 @@ class QueenBeeEngine:
         upper bound) on this counter instead of re-deriving them per query.
         """
         return self._rank_version
-
-    def fetch_published_ranks(self) -> Dict[int, float]:
-        """The rank vector as a frontend would fetch it from the DWeb.
-
-        With banded publication the authoritative band manifest is preferred
-        (on a delta round the full vector under ``rank:vector`` is the older
-        wholesale anchor); the legacy full-vector path is the fallback.
-        """
-        try:
-            manifest_json = str(self.dht.get(RANK_BANDS_DHT_KEY))
-        except Exception:
-            manifest_json = None
-        if manifest_json is not None:
-            assembled = assemble_banded_ranks(manifest_json, self.storage.get_text)
-            if assembled is not None:
-                return assembled
-        try:
-            cid = self.dht.get(RANK_VECTOR_KEY)
-            payload = self.storage.get_text(cid)
-        except Exception:
-            return {}
-        body = json.loads(payload)
-        ranks = body["ranks"] if isinstance(body, dict) and "ranks" in body else body
-        return {int(doc_id): float(rank) for doc_id, rank in sorted(ranks.items())}
 
     # -- searching --------------------------------------------------------------------
 

@@ -45,9 +45,8 @@ class WorkerBee:
 
     Attack hooks
     ------------
-    ``index_tamper`` and ``rank_tamper`` are optional callables the attack
-    scenarios (E6) install on colluding workers.  Honest workers leave them
-    ``None``.
+    ``rank_tamper`` is an optional callable the collusion attack (E6)
+    installs on colluding workers.  Honest workers leave it ``None``.
     """
 
     def __init__(
@@ -57,7 +56,6 @@ class WorkerBee:
         directory: DocumentDirectory,
         analyzer: Optional[Analyzer] = None,
         storage_peer: Optional[str] = None,
-        index_tamper: Optional[Callable[[str, PostingList], PostingList]] = None,
         rank_tamper: Optional[Callable[[RankTask, RankContribution], RankContribution]] = None,
         term_directory: Optional[TermDirectory] = None,
     ) -> None:
@@ -66,7 +64,6 @@ class WorkerBee:
         self.directory = directory
         self.analyzer = analyzer or Analyzer()
         self.storage_peer = storage_peer
-        self.index_tamper = index_tamper
         self.rank_tamper = rank_tamper
         # Workers sharing a DHT share directory state by construction, so a
         # default-constructed term directory still sees every other worker's
@@ -77,7 +74,7 @@ class WorkerBee:
 
     @property
     def is_malicious(self) -> bool:
-        return self.index_tamper is not None or self.rank_tamper is not None
+        return self.rank_tamper is not None
 
     # -- indexing -------------------------------------------------------------------
 
@@ -117,8 +114,6 @@ class WorkerBee:
                 def run():
                     postings = PostingList()
                     postings.add(document.doc_id, frequency)
-                    if self.index_tamper is not None:
-                        postings = self.index_tamper(term, postings)
                     return self.index.merge_term(term, postings, publisher=self.storage_peer)
                 return run
 

@@ -122,12 +122,6 @@ class DHTNetwork:
         """Create ``count`` nodes and return them."""
         return [self.add_node() for _ in range(count)]
 
-    def remove_node(self, address: str) -> None:
-        """Take a node off the network (crash)."""
-        node = self.nodes.pop(address, None)
-        if node is not None:
-            self.network.unregister(address)
-
     def refresh_routing(self) -> int:
         """Re-seed routing tables and re-run the join lookup on every node.
 

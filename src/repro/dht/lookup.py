@@ -45,11 +45,6 @@ class LookupResult:
     #: (``closest`` is then the shortlist at that instant).
     stopped_early: bool = False
 
-    @property
-    def hops(self) -> int:
-        """Alias used by the experiment tables."""
-        return self.rounds
-
 
 class IterativeLookup:
     """Runs one iterative lookup on behalf of ``origin``.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, Set
 
 from repro.dht.routing import Contact, RoutingTable
 from repro.errors import NetworkError
@@ -133,12 +133,5 @@ class KademliaNode:
 
     # -- local helpers --------------------------------------------------------
 
-    def stored_keys(self) -> List[int]:
-        """Every key this node holds in either slot."""
-        return sorted(set(self.values) | set(self.sets))
-
     def as_contact(self) -> Contact:
         return Contact(self.node_id, self.address)
-
-    def __repr__(self) -> str:
-        return f"KademliaNode(address={self.address!r}, keys={len(self.stored_keys())})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.dht.nodeid import bucket_index, id_to_hex
+from repro.dht.nodeid import bucket_index
 
 DEFAULT_K = 20
 
@@ -16,9 +16,6 @@ class Contact:
 
     node_id: int
     address: str
-
-    def __repr__(self) -> str:
-        return f"Contact({id_to_hex(self.node_id)[:8]}…, {self.address!r})"
 
 
 class KBucket:
@@ -38,9 +35,6 @@ class KBucket:
 
     def __len__(self) -> int:
         return len(self._contacts)
-
-    def __contains__(self, contact: Contact) -> bool:
-        return contact in self._contacts
 
     def __iter__(self) -> Iterator[Contact]:
         return iter(self._contacts)

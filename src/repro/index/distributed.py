@@ -299,10 +299,6 @@ class ShardedPostings:
         self._shards: Dict[int, PostingList] = dict(preloaded or {})
 
     @property
-    def term(self) -> str:
-        return self.manifest.term
-
-    @property
     def shard_infos(self) -> Tuple[ShardInfo, ...]:
         return self.manifest.shards
 
@@ -318,9 +314,6 @@ class ShardedPostings:
     @property
     def max_doc_id(self) -> Optional[int]:
         return self.manifest.max_doc_id
-
-    def __len__(self) -> int:
-        return self.manifest.posting_count
 
     def loaded(self, index: int) -> bool:
         return index in self._shards
@@ -1176,13 +1169,17 @@ class DistributedIndex:
         requester: Optional[str] = None,
         head: Tuple[int, Optional[str]] = (0, None),
     ) -> CollectionStatistics:
-        """Fetch the published collection statistics (empty stats if absent).
+        """Fetch the published collection statistics (empty stats if none
+        were ever published).
 
         ``head`` is a gossiped ``(version, cid)``.  The blob behind its CID is
         fetched directly — a CID checks its own content — and adopted when
         its version reaches the head's.  Only when that fails is
         ``STATS_KEY`` read, its lookup stopping at the first record at the
-        head's version or later; without a head that read converges.
+        head's version or later; without a head that read converges.  An
+        inconclusive read of the key, or a blob that cannot be fetched or
+        parsed, raises (a :class:`ReproError`, or ``ValueError`` /
+        ``KeyError`` / ``TypeError`` for a malformed record).
         """
         floor, cid = head
 
@@ -1202,10 +1199,12 @@ class DistributedIndex:
                 if statistics.version >= floor:
                     return statistics
         try:
-            record = json.loads(self.dht.get(STATS_KEY, accept=meets_floor if floor else None))
-            return load(record["cid"])
-        except Exception:
+            value = self.dht.get(STATS_KEY, accept=meets_floor if floor else None)
+        except RoutingError:
+            raise
+        except KeyNotFoundError:
             return CollectionStatistics()
+        return load(json.loads(value)["cid"])
 
     # -- serialization ----------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import IndexError_
 from repro.storage.cid import compute_cid
@@ -73,12 +73,6 @@ class DocumentStore:
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self._by_id.values())
-
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._by_id
-
     def add(self, document: Document) -> None:
         """Insert or replace a document (URL collisions must share the doc_id)."""
         existing_id = self._by_url.get(document.url)
@@ -118,6 +112,3 @@ class DocumentStore:
 
     def doc_ids(self) -> List[int]:
         return sorted(self._by_id)
-
-    def urls(self) -> List[str]:
-        return sorted(self._by_url)

@@ -40,9 +40,6 @@ class LocalInvertedIndex:
     def __len__(self) -> int:
         return len(self._postings)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self._postings
-
     @property
     def document_count(self) -> int:
         return self.statistics.document_count
@@ -113,9 +110,6 @@ class LocalInvertedIndex:
         """
         ranked = sorted(self._postings.items(), key=lambda item: (-len(item[1]), item[0]))
         return [term for term, _ in ranked[:count]]
-
-    def doc_ids(self) -> List[int]:
-        return sorted(self._doc_terms)
 
     def index_size_bytes(self, compressed: bool = True) -> int:
         """Total size of every posting list (the E4 storage column)."""

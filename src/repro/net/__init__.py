@@ -2,16 +2,16 @@
 
 QueenBee, the DHT, the decentralized storage layer, and the blockchain all
 exchange messages through :class:`~repro.net.network.SimulatedNetwork`.  The
-network charges simulated latency for every RPC, can drop messages, can be
-partitioned into isolated groups, and supports taking peers offline — the
-knobs the resilience experiments (E3) turn.
+network charges simulated latency for every RPC, can drop messages, carries
+a fault plane (:mod:`repro.net.faults`: link loss, stragglers, gray failures,
+partition and crash windows), and supports taking peers offline — the knobs
+the resilience experiments (E3, E12) turn.
 """
 
 from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
-    UniformLatency,
 )
 from repro.net.message import Message, Response
 from repro.net.network import NetworkStats, SimulatedNetwork
@@ -20,7 +20,6 @@ from repro.net.churn import ChurnModel
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
     "Message",
     "Response",

@@ -46,11 +46,6 @@ class DetectorStats:
     suspicions_raised: int = 0
     probes_granted: int = 0
 
-    def reset(self) -> None:
-        self.successes = 0
-        self.suspicions_raised = 0
-        self.probes_granted = 0
-
 
 class FailureDetector:
     """Per-peer suspicion counters with decay-on-success and timed probes.
@@ -113,11 +108,6 @@ class FailureDetector:
         self._suspicion.pop(address, None)
         self._last_failure.pop(address, None)
 
-    def reset(self) -> None:
-        self._suspicion.clear()
-        self._last_failure.clear()
-        self.stats.reset()
-
     # -- verdicts -------------------------------------------------------------
 
     def is_alive(self, address: str) -> bool:
@@ -140,10 +130,4 @@ class FailureDetector:
             address
             for address, suspicion in self._suspicion.items()
             if suspicion >= self.suspicion_threshold
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FailureDetector(threshold={self.suspicion_threshold}, "
-            f"suspected={len(self.suspected())})"
         )

@@ -90,9 +90,6 @@ class FaultRule:
     def latency_factor(self, src: str, dst: str, now: float) -> float:
         return 1.0
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass
 class LinkLoss(FaultRule):
@@ -113,25 +110,6 @@ class LinkLoss(FaultRule):
 
     def intercept(self, message, now, rng):
         if not _matches(self.src, message.sender) or not _matches(self.dst, message.recipient):
-            return None
-        if rng.random() < self.probability:
-            return DROP
-        return None
-
-
-@dataclass
-class PeerLoss(FaultRule):
-    """Drop messages touching one peer (as sender *or* recipient)."""
-
-    peer: str
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {self.probability!r}")
-
-    def intercept(self, message, now, rng):
-        if not (_matches(self.peer, message.sender) or _matches(self.peer, message.recipient)):
             return None
         if rng.random() < self.probability:
             return DROP
@@ -192,14 +170,13 @@ class FlakyPeer(FaultRule):
 class PartitionWindow(FaultRule):
     """Block cross-group messages during ``[start, end)``.
 
-    Group members may be full addresses or peer prefixes.  Semantics
-    mirror :meth:`SimulatedNetwork.partition`: addresses not in any group
-    form their own implicit side and cannot reach the named groups.
-    Because the window is evaluated per message against the simulated
-    clock, it needs no event-queue processing to open or close — it works
-    even on the query-driven clock where no events run.  (A partition
-    that must also stop *gossip* rounds goes through the network's real
-    ``partition()`` instead, which :meth:`GossipPlane.run_round` honours.)
+    Group members may be full addresses or peer prefixes; addresses not in
+    any group form their own implicit side and cannot reach the named
+    groups.  Because the window is evaluated per message against the
+    simulated clock, it needs no event-queue processing to open or close —
+    it works even on the query-driven clock where no events run.  Gossip
+    honours it too: :meth:`SimulatedNetwork.can_reach` asks the plane
+    whether a window separates two peers (:meth:`FaultPlane.separates`).
     """
 
     groups: Sequence[Sequence[str]]
@@ -213,12 +190,12 @@ class PartitionWindow(FaultRule):
                     return index
         return -1
 
+    def cuts(self, src: str, dst: str, now: float) -> bool:
+        """Whether the window is open at ``now`` with the two on different sides."""
+        return self.start <= now < self.end and self._group_of(src) != self._group_of(dst)
+
     def intercept(self, message, now, rng):
-        if not self.start <= now < self.end:
-            return None
-        if self._group_of(message.sender) != self._group_of(message.recipient):
-            return BLOCK
-        return None
+        return BLOCK if self.cuts(message.sender, message.recipient, now) else None
 
 
 @dataclass
@@ -302,10 +279,6 @@ class FaultPlane:
     def remove(self, rule: FaultRule) -> None:
         self.rules.remove(rule)
 
-    def clear(self) -> None:
-        """Remove every rule (the schedule digest keeps accumulating)."""
-        self.rules.clear()
-
     # -- the two hooks the network calls ------------------------------------
 
     def intercept(self, message: "Message") -> Optional[str]:
@@ -335,12 +308,17 @@ class FaultPlane:
             factor *= rule.latency_factor(src, dst, now)
         return factor
 
+    def separates(self, src: str, dst: str) -> bool:
+        """Whether an open :class:`PartitionWindow` cuts ``src`` from ``dst``
+        now.  Draws nothing, counts nothing and leaves the schedule digest
+        alone, so asking does not change the simulation."""
+        now = self.simulator.now
+        return any(isinstance(rule, PartitionWindow) and rule.cuts(src, dst, now)
+                   for rule in self.rules)
+
     # -- reproducibility ------------------------------------------------------
 
     def schedule_digest(self) -> str:
         """SHA-256 over every injected fault so far; equal digests at the
         same seed prove the fault schedule reproduced exactly."""
         return self._schedule.hexdigest()
-
-    def __repr__(self) -> str:
-        return f"FaultPlane(rules={len(self.rules)}, injected={self.stats.injected})"

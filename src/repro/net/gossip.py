@@ -248,11 +248,6 @@ class GossipView:
         entry = self._entry(EPOCH_PREFIX + term)
         return entry.version if entry is not None else 0
 
-    def publish(self, term: str, generation: int, origin: Optional[str] = None) -> None:
-        """Feed-publish hook: a local publish enters the plane at this node."""
-        del origin  # a view is bound to one node; the plane handles routing
-        self._node.put(EPOCH_PREFIX + term, generation, generation)
-
     def observe(self, term: str, generation: int) -> None:
         """Record a generation learned from an authoritative manifest fetch.
 

@@ -30,19 +30,6 @@ class ConstantLatency(LatencyModel):
         return self.delay
 
 
-class UniformLatency(LatencyModel):
-    """One-way delay drawn uniformly from ``[low, high]`` per message."""
-
-    def __init__(self, low: float = 10.0, high: float = 60.0) -> None:
-        if low < 0 or high < low:
-            raise ValueError(f"invalid latency range [{low!r}, {high!r}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return rng.uniform(self.low, self.high)
-
-
 class LogNormalLatency(LatencyModel):
     """Heavy-tailed delays, matching measured Internet RTT distributions.
 

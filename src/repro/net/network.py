@@ -160,7 +160,6 @@ class SimulatedNetwork:
         self.stats = NetworkStats()
         self._handlers: Dict[str, Handler] = {}
         self._online: Set[str] = set()
-        self._partition_of: Dict[str, int] = {}
         self._rng = simulator.fork_rng("network")
         self._retry_rng = simulator.fork_rng("network-retry")
         self._faults: Optional[FaultPlane] = None
@@ -191,12 +190,6 @@ class SimulatedNetwork:
         self._handlers[address] = handler
         self._online.add(address)
 
-    def unregister(self, address: str) -> None:
-        """Remove a peer entirely (it stops being addressable)."""
-        self._handlers.pop(address, None)
-        self._online.discard(address)
-        self._partition_of.pop(address, None)
-
     def addresses(self) -> List[str]:
         """All registered addresses, online or not."""
         return sorted(self._handlers)
@@ -217,42 +210,25 @@ class SimulatedNetwork:
             raise NetworkError(f"cannot bring unknown address {address!r} online")
         self._online.add(address)
 
-    # -- partitions ---------------------------------------------------------
-
-    def partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Split the network: peers may only reach peers in their own group.
-
-        Addresses not mentioned in any group keep full connectivity with each
-        other but cannot reach any partitioned group.
-        """
-        self._partition_of.clear()
-        for group_index, group in enumerate(groups):
-            for address in group:
-                self._partition_of[address] = group_index
-
-    def heal_partition(self) -> None:
-        """Restore full connectivity."""
-        self._partition_of.clear()
-
     def can_reach(self, src: str, dst: str) -> bool:
-        """Whether a message from ``src`` could currently reach ``dst``
-        (destination registered, online, and on the same partition side).
+        """Whether a message from ``src`` could currently reach ``dst``:
+        the destination is registered and online, and no open
+        :class:`~repro.net.faults.PartitionWindow` of the fault plane puts
+        the two on different sides.
 
         This is *topology* ground truth, which a real node does observe —
         its own links either work or they don't — unlike the per-peer
         liveness oracle :meth:`is_online` routing code must avoid.  The
         gossip plane uses it so partitions actually stop gossip exchange.
+        It draws no randomness and changes no state.
         """
-        return self._can_reach(src, dst)
-
-    def _can_reach(self, src: str, dst: str) -> bool:
-        if dst not in self._online or dst not in self._handlers:
+        if not self._registered_online(dst):
             return False
-        if not self._partition_of:
-            return True
-        src_group = self._partition_of.get(src, -1)
-        dst_group = self._partition_of.get(dst, -1)
-        return src_group == dst_group
+        plane = self._active_faults()
+        return plane is None or not plane.separates(src, dst)
+
+    def _registered_online(self, address: str) -> bool:
+        return address in self._online and address in self._handlers
 
     # -- detector feed -------------------------------------------------------
 
@@ -296,7 +272,7 @@ class SimulatedNetwork:
         for this exchange (a serial delivery has been charged already).
         """
         message = Message(sender=src, recipient=dst, msg_type=msg_type, payload=payload or {})
-        reachable = self._can_reach(src, dst)
+        reachable = self._registered_online(dst)
         verdict = plane.intercept(message) if reachable and plane is not None else None
         if not reachable or verdict == BLOCK:
             self.stats.record_drop(message)
@@ -338,7 +314,7 @@ class SimulatedNetwork:
         """Send a request and wait for the reply, charging round-trip latency.
 
         Raises :class:`NodeUnreachableError` if the destination is offline or
-        partitioned away, and :class:`NetworkError` if the message is lost.
+        a fault rule blocks it, and :class:`NetworkError` if the message is lost.
         """
         response, _, fault = self._deliver(
             src, dst, msg_type, payload, self._active_faults(), serial=True

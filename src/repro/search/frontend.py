@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import QueryParseError, TermNotFoundError
+from repro.errors import QueryParseError, ReproError, TermNotFoundError
 from repro.index.analysis import Analyzer, tokenize
 from repro.index.distributed import DistributedIndex
 from repro.index.statistics import CollectionStatistics
@@ -232,9 +232,15 @@ class SearchFrontend:
 
     def refresh_statistics(self) -> CollectionStatistics:
         """Re-fetch the published collection statistics from the DWeb, by the
-        gossiped head's CID when this frontend has a gossip view."""
+        gossiped head's CID when this frontend has a gossip view.  A fetch
+        that fails keeps the snapshot held (empty statistics before the first
+        one); the next query tries again."""
         head = self.metadata_view.stats_head() if self.metadata_view is not None else (0, None)
-        self._statistics = self.index.fetch_statistics(requester=self.requester, head=head)
+        try:
+            self._statistics = self.index.fetch_statistics(requester=self.requester, head=head)
+        except (ReproError, ValueError, KeyError, TypeError):
+            if self._statistics is None:
+                self._statistics = CollectionStatistics()
         return self._statistics
 
     @property

@@ -142,7 +142,3 @@ class ResultCache:
             return None
         state_monitor.record_read("result_cache", self, key, page)
         return page
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._latest_by_fingerprint.clear()

@@ -138,10 +138,6 @@ class ServiceStats:
     degraded: int = 0
     shed: int = 0
 
-    @property
-    def rejected(self) -> int:
-        return self.degraded + self.shed
-
 
 class _Replica:
     """One frontend plus its slot/queue state."""

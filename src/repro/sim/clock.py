@@ -54,6 +54,3 @@ class SimClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now!r})"

@@ -63,7 +63,3 @@ class EventQueue:
         if not self._heap:
             return None
         return self._heap[0].time
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()

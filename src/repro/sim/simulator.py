@@ -214,6 +214,3 @@ class Simulator:
 
         digest = hashlib.sha256(f"{self.seed}:{label}".encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
-
-    def __repr__(self) -> str:
-        return f"Simulator(seed={self.seed}, now={self.clock.now}, pending={len(self.events)})"

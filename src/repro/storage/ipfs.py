@@ -82,17 +82,8 @@ class FetchResult:
     hedged: bool
 
     @property
-    def retried(self) -> bool:
-        """Whether any block needed more than one provider attempt."""
-        return self.attempts > self.blocks_fetched
-
-    @property
     def from_local(self) -> bool:
         return self.blocks_fetched == 0
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
     @property
     def text(self) -> str:

@@ -50,11 +50,6 @@ class ArrivalWorkload:
     def __iter__(self):
         return iter(self.arrivals)
 
-    @property
-    def horizon(self) -> float:
-        """The last arrival time (0.0 when empty)."""
-        return self.arrivals[-1][0] if self.arrivals else 0.0
-
 
 class _ArrivalProcess:
     """Shared machinery: a Zipf-repeated query pool + time generation."""

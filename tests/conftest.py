@@ -13,7 +13,7 @@ import pytest
 from repro.chain.blockchain import Blockchain
 from repro.contracts.queenbee import QueenBeeContracts
 from repro.core.config import QueenBeeConfig
-from repro.core.engine import QueenBeeEngine
+from repro.core.engine import GossipRankClient, QueenBeeEngine
 from repro.dht.dht import DHTNetwork
 from repro.index.analysis import Analyzer
 from repro.index.cache import PostingCache
@@ -181,6 +181,14 @@ def make_small_engine(seed: int = 3, **overrides) -> QueenBeeEngine:
     for key, value in overrides.items():
         setattr(config, key, value)
     return QueenBeeEngine(config)
+
+
+def published_ranks(engine: QueenBeeEngine, requester: str = "peer-003:store") -> dict:
+    """The rank vector as a frontend on ``requester`` reads it once gossip has
+    converged: the gossiped head, the body from the DWeb."""
+    engine.converge_metadata()
+    view = engine.gossip.view(requester)
+    return dict(GossipRankClient(view, engine.storage, requester, dht=engine.dht).ranks())
 
 
 def make_storage_stack(seed=2, hedged=False, with_detector=True):

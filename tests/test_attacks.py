@@ -1,4 +1,4 @@
-"""Tests for the attack scenarios and their defenses (collusion, scraper, Sybil)."""
+"""Tests for the attack scenarios and their defenses (collusion, scraper)."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import pytest
 
 from repro.errors import AttackConfigError
 from repro.attacks.collusion import CollusionAttack
-from repro.attacks.defenses import DefenseEvaluation, success_rate_by_redundancy
 from repro.attacks.scraper import ScraperAttack
-from repro.attacks.sybil import SybilAttack
 from repro.contracts.rewards import PUBLISH_REWARD
-from repro.contracts.workers import WORKER_STAKE
 
 from tests.conftest import make_small_engine
 
@@ -72,16 +69,6 @@ class TestCollusionAttack:
         with pytest.raises(AttackConfigError):
             CollusionAttack(engine, colluding_fraction=0.5, target_doc_id=0, boost=0.0)
 
-    def test_success_rate_summary_helper(self):
-        evaluations = [
-            DefenseEvaluation(0.2, 1, True, 3.0, 0),
-            DefenseEvaluation(0.4, 1, True, 3.0, 0),
-            DefenseEvaluation(0.2, 5, False, 1.0, 1),
-            DefenseEvaluation(0.4, 5, False, 1.0, 2),
-        ]
-        rates = success_rate_by_redundancy(evaluations)
-        assert rates == {1: 1.0, 5: 0.0}
-
 
 class TestScraperAttack:
     def test_dedup_defense_blocks_verbatim_mirrors(self, corpus):
@@ -116,35 +103,3 @@ class TestScraperAttack:
         engine = attacked_engine(corpus, seed=40)
         with pytest.raises(AttackConfigError):
             ScraperAttack(engine, mirror_count=0)
-
-
-class TestSybilAttack:
-    def test_sybil_identities_join_the_worker_pool(self, corpus):
-        engine = attacked_engine(corpus, seed=41, workers=3)
-        attack = SybilAttack(engine, identity_count=4, target_doc_id=engine.documents.doc_ids()[0])
-        identities = attack.register_identities()
-        assert len(identities) == 4
-        active = engine.contracts.active_workers()
-        assert all(identity in active for identity in identities)
-        assert len(engine.workers) == 7
-
-    def test_sybil_majority_beats_low_redundancy_but_costs_stake_at_high_redundancy(self, corpus):
-        engine = attacked_engine(corpus, seed=42, workers=3)
-        target = engine.documents.doc_ids()[0]
-        attack = SybilAttack(engine, identity_count=5, target_doc_id=target, boost=0.2)
-        outcome = attack.run(redundancy=1)
-        assert outcome.collusion is not None
-        assert outcome.stake_committed == 5 * WORKER_STAKE
-        # With redundancy 1 nothing is cross-checked, so nothing is slashed.
-        assert outcome.stake_lost == 0
-
-        fresh = attacked_engine(corpus, seed=43, workers=6)
-        target = fresh.documents.doc_ids()[0]
-        defended = SybilAttack(fresh, identity_count=3, target_doc_id=target, boost=0.2)
-        defended_outcome = defended.run(redundancy=5)
-        assert defended_outcome.stake_lost > 0
-
-    def test_invalid_identity_count_rejected(self, corpus):
-        engine = attacked_engine(corpus, seed=44)
-        with pytest.raises(AttackConfigError):
-            SybilAttack(engine, identity_count=0, target_doc_id=0)

@@ -10,6 +10,7 @@ from repro.baselines.yacy import YaCyStyleEngine
 from repro.core.freshness import FreshnessTracker
 from repro.index.analysis import Analyzer
 from repro.index.document import Document
+from repro.net.faults import PartitionWindow
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
@@ -66,7 +67,7 @@ class TestCentralizedBaseline:
 
     def test_partition_cuts_clients_off(self, centralized):
         _, network, engine = centralized
-        network.partition([{"client"}, {engine.address}])
+        network.faults.add(PartitionWindow(groups=[["client"], [engine.address]]))
         page = engine.search("honey", client="client")
         assert page.result_count == 0
 

@@ -305,17 +305,6 @@ class TestBlockchain:
         assert block.transaction_count == 2
         assert chain.query("counter", "value") == 3
 
-    def test_scheduled_block_production(self, simulator):
-        chain = Blockchain(simulator, auto_mine=False, block_interval=100.0)
-        chain.deploy(Counter())
-        chain.fund_account("alice", 10**9)
-        chain.call("alice", "counter", "increment", by=4)
-        chain.start_block_production()
-        simulator.run(until=simulator.now + 250.0)
-        chain.stop_block_production()
-        assert chain.height >= 2
-        assert chain.query("counter", "value") == 4
-
     def test_query_does_not_mutate_state(self, chain_with_counter):
         chain = chain_with_counter
         chain.call("alice", "counter", "increment", by=3)

@@ -19,7 +19,7 @@ from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
 from repro.index.statistics import CollectionStatistics
 
-from tests.conftest import DELETED_KNOBS, make_small_engine
+from tests.conftest import DELETED_KNOBS, make_small_engine, published_ranks
 from tests.reference import frontend_reference
 
 
@@ -142,7 +142,7 @@ class TestEngineEndToEnd:
 
     def test_page_ranks_published_to_dweb(self, bootstrapped_engine):
         engine = bootstrapped_engine
-        published = engine.fetch_published_ranks()
+        published = published_ranks(engine)
         assert published
         assert published == pytest.approx(engine.page_ranks())
 

@@ -26,7 +26,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.faults import CrashWindow
 from repro.ranking.distributed import RANK_BANDS_DHT_KEY, DecentralizedPageRank
 
-from tests.conftest import assert_rank_stamps_from_vector, make_small_engine
+from tests.conftest import assert_rank_stamps_from_vector, make_small_engine, published_ranks
 from tests.reference import frontend_reference
 
 
@@ -207,7 +207,7 @@ class TestBandedRankPublication:
         engine.compute_page_ranks()  # nothing changed: a zero-band delta round
         assert engine.metrics.counter("publish.full_bytes") == full_after_first
         assert engine.metrics.counter("publish.delta_bytes") == delta_after_first
-        assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
+        assert published_ranks(engine) == pytest.approx(dict(engine.page_ranks()))
 
     def test_graph_change_falls_back_to_wholesale(self, small_corpus):
         """A link-graph change ripples PageRank globally; the publisher must
@@ -226,7 +226,7 @@ class TestBandedRankPublication:
         engine.publish_document(linked)
         engine.compute_page_ranks()
         assert engine.metrics.counter("publish.full_bytes") > full_after_first
-        assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
+        assert published_ranks(engine) == pytest.approx(dict(engine.page_ranks()))
 
     def test_gossip_client_adopts_delta_round_without_band_fetches(self, small_corpus):
         engine = make_small_engine(seed=47)

@@ -38,7 +38,6 @@ from repro.net.faults import (
     FlakyPeer,
     LinkLoss,
     PartitionWindow,
-    PeerLoss,
     Straggler,
 )
 from repro.net.gossip import EPOCH_PREFIX
@@ -102,9 +101,10 @@ class TestFaultRules:
         assert network.rpc("a", "c", "ping").ok, "other destinations must be clean"
         assert network.faults.stats.dropped == 1
 
-    def test_peer_loss_matches_either_endpoint(self):
+    def test_link_loss_on_either_leg_of_one_peer(self):
         _, network = make_net()
-        network.faults.add(PeerLoss(peer="b", probability=1.0))
+        network.faults.add(LinkLoss(probability=1.0, dst="b"))
+        network.faults.add(LinkLoss(probability=1.0, src="b"))
         with pytest.raises(NetworkError):
             network.rpc("a", "b", "ping")
         with pytest.raises(NetworkError):
@@ -542,20 +542,19 @@ class TestPartitionHeal:
     MINORITY = "peer-006:store"
 
     def split(self, engine):
-        everyone = set(engine.network.addresses())
-        minority = {self.MINORITY}
-        engine.network.partition([everyone - minority, minority])
+        """Cut the minority off from everyone else; returns the window."""
+        return engine.network.faults.add(PartitionWindow(groups=[[self.MINORITY]]))
 
     def test_gossip_reconverges_after_heal(self):
         engine = make_small_engine(seed=13, peer_count=8)
         plane = engine.gossip
-        self.split(engine)
+        window = self.split(engine)
         plane.publish("peer-000:store", EPOCH_PREFIX + "web", 3, 3)
         assert plane.rounds_to_converge(max_rounds=12) == -1, (
             "a partitioned plane must not report convergence"
         )
         assert plane.node(self.MINORITY).version_of(EPOCH_PREFIX + "web") == 0
-        engine.network.heal_partition()
+        engine.network.faults.remove(window)
         rounds = plane.rounds_to_converge(max_rounds=32)
         assert rounds > 0, "after heal, convergence must complete in finite rounds"
         assert plane.node(self.MINORITY).version_of(EPOCH_PREFIX + "web") == 3
@@ -581,7 +580,7 @@ class TestPartitionHeal:
         warm = frontend.search(term)
         assert [r.doc_id for r in warm.results] == [30_001]
 
-        self.split(engine)
+        window = self.split(engine)
         newer = Document(
             doc_id=30_002, url="https://example.test/b", title=term,
             text=(term + " ") * 15, owner="owner-b",
@@ -593,7 +592,7 @@ class TestPartitionHeal:
             "minority frontend serves its last consistent view, not an error"
         )
 
-        engine.network.heal_partition()
+        engine.network.faults.remove(window)
         assert engine.converge_metadata() > 0
         fresh = frontend.search(term)
         assert 30_002 in [r.doc_id for r in fresh.results]

@@ -116,3 +116,26 @@ def test_a_blob_below_the_gossiped_head_is_not_adopted(small_corpus):
     assert _find_values_for_the_key(traffic) and len(floors) == 1
     # The key's blob is adopted: it meets the head's version, the old blob did not.
     assert frontend.statistics.version == engine.statistics.version >= old_version + 1
+
+
+def test_a_failed_fetch_keeps_the_held_snapshot(small_corpus):
+    """A new statistics blob whose holders are all offline (the gossiped head
+    and ``STATS_KEY`` both name it) cannot be fetched: a warm frontend keeps
+    serving the snapshot it holds instead of empty statistics."""
+    engine = _engine(small_corpus)
+    frontend = engine.create_frontend(requester="peer-002:store")
+    query = _query(small_corpus)
+    _serves_the_reference(frontend, query)
+    assert (frontend.statistics.version, frontend.statistics.document_count) == (20, 20)
+
+    _publish_unannounced_statistics(engine)
+    engine.publish_statistics()
+    engine.converge_metadata()
+    _, cid = frontend.metadata_view.stats_head()
+    holders = engine.storage.providers_of(cid)
+    assert holders and frontend.requester not in holders
+    for holder in holders:
+        engine.network.set_offline(holder)
+
+    frontend.search(query)
+    assert (frontend.statistics.version, frontend.statistics.document_count) == (20, 20)

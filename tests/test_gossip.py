@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
 from repro.index.document import Document
+from repro.net.faults import PartitionWindow
 from repro.net.gossip import EPOCH_PREFIX, GossipPlane, GossipView, quantize_load
 from repro.net.latency import LogNormalLatency
 from repro.net.network import SimulatedNetwork
@@ -224,6 +225,52 @@ def _twin(plane_class):
     return plane_class(simulator, network, fanout=2), network
 
 
+class TestPartitionWindow:
+    """A fault-plane partition stops gossip across the cut while it is armed;
+    each side keeps converging on its own, and the sides re-merge once the
+    window is removed."""
+
+    SIDE_A = [f"peer-{i:03d}:store" for i in range(4)]
+    SIDE_B = [f"peer-{i:03d}:store" for i in range(4, 8)]
+
+    def _plane(self):
+        simulator = Simulator(seed=7)
+        network = SimulatedNetwork(simulator, latency=LogNormalLatency())
+        for address in self.SIDE_A + self.SIDE_B:
+            network.register(address, lambda message: None)
+        plane = GossipPlane(simulator, network, fanout=2)
+        for address in self.SIDE_A + self.SIDE_B:
+            plane.node(address)
+        return plane, network
+
+    def test_a_window_stops_exchange_across_the_cut_until_removed(self):
+        plane, network = self._plane()
+        window = network.faults.add(PartitionWindow(groups=[self.SIDE_A, self.SIDE_B]))
+        plane.publish(self.SIDE_A[0], "epoch:a", 1, 1)
+        plane.publish(self.SIDE_B[0], "epoch:b", 2, 2)
+        plane.run_rounds(12)
+        assert not plane.converged()
+        for address in self.SIDE_A:
+            assert plane.node(address).version_of("epoch:a") == 1
+            assert plane.node(address).version_of("epoch:b") == 0
+        for address in self.SIDE_B:
+            assert plane.node(address).version_of("epoch:b") == 2
+            assert plane.node(address).version_of("epoch:a") == 0
+        assert network.faults.stats.injected == 0, "gossip peer choice sends nothing"
+
+        network.faults.remove(window)
+        assert plane.rounds_to_converge(max_rounds=32) > 0
+        for address in self.SIDE_A + self.SIDE_B:
+            assert plane.node(address).digest() == {"epoch:a": 1, "epoch:b": 2}
+
+    def test_a_window_outside_its_interval_does_not_cut(self):
+        plane, network = self._plane()
+        network.faults.add(PartitionWindow(
+            groups=[self.SIDE_A, self.SIDE_B], start=plane.simulator.now + 1e9))
+        plane.publish(self.SIDE_A[0], "epoch:a", 1, 1)
+        assert plane.rounds_to_converge(max_rounds=32) > 0
+
+
 class TestDigestExchange:
     @given(st.lists(_gossip_op, max_size=40))
     @settings(max_examples=150, deadline=None)
@@ -247,10 +294,12 @@ class TestDigestExchange:
                         network.set_offline(address)
                     elif kind == "flip":
                         network.set_online(address)
-                    elif op[1]:
-                        network.partition([TWIN_NODES[:op[1]], TWIN_NODES[op[1]:]])
                     else:
-                        network.heal_partition()
+                        for window in list(network.faults.rules):
+                            network.faults.remove(window)
+                        if op[1]:
+                            network.faults.add(PartitionWindow(
+                                groups=[TWIN_NODES[:op[1]], TWIN_NODES[op[1]:]]))
             (ours, _), (reference, _) = twins
             assert returned[0] == returned[1], op
             assert ours.trace == reference.trace, op

@@ -9,8 +9,8 @@ import pytest
 from repro.errors import NetworkError, NodeUnreachableError
 from repro.net.churn import ChurnModel
 from repro.net.detector import FailureDetector
-from repro.net.faults import LinkLoss, Straggler
-from repro.net.latency import ConstantLatency, LogNormalLatency, UniformLatency
+from repro.net.faults import LinkLoss, PartitionWindow, Straggler
+from repro.net.latency import ConstantLatency, LogNormalLatency
 from repro.net.message import Message, Response
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
@@ -54,12 +54,6 @@ class TestLatencyModels:
     def test_constant_latency(self):
         assert ConstantLatency(12.0).sample(random.Random(0), "a", "b") == 12.0
 
-    def test_uniform_latency_within_bounds(self):
-        model = UniformLatency(5.0, 9.0)
-        rng = random.Random(0)
-        samples = [model.sample(rng, "a", "b") for _ in range(200)]
-        assert all(5.0 <= s <= 9.0 for s in samples)
-
     def test_lognormal_latency_positive_and_capped(self):
         model = LogNormalLatency(median=20.0, sigma=1.0, cap=100.0)
         rng = random.Random(0)
@@ -69,8 +63,6 @@ class TestLatencyModels:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-        with pytest.raises(ValueError):
-            UniformLatency(5.0, 1.0)
         with pytest.raises(ValueError):
             LogNormalLatency(median=0.0)
 
@@ -269,16 +261,31 @@ class TestDropTimeAccounting:
 class TestPartitions:
     def test_partitioned_groups_cannot_communicate(self, net):
         _, network = net
-        network.partition([{"a"}, {"b", "c"}])
+        network.faults.add(PartitionWindow(groups=[["a"], ["b", "c"]]))
         with pytest.raises(NodeUnreachableError):
             network.rpc("a", "b", "ping")
         assert network.rpc("b", "c", "ping").ok
+        assert not network.can_reach("a", "b") and network.can_reach("b", "c")
 
     def test_heal_partition_restores_connectivity(self, net):
         _, network = net
-        network.partition([{"a"}, {"b", "c"}])
-        network.heal_partition()
+        window = network.faults.add(PartitionWindow(groups=[["a"], ["b", "c"]]))
+        network.faults.remove(window)
         assert network.rpc("a", "b", "ping").ok
+        assert network.can_reach("a", "b")
+
+    def test_asking_whether_a_window_cuts_draws_and_counts_nothing(self, net):
+        sim, network = net
+        network.faults.add(PartitionWindow(groups=[["a"]], start=10.0, end=20.0))
+        assert network.can_reach("a", "b")
+        sim.clock.advance(10.0)
+        digest = network.faults.schedule_digest()
+        state = network.faults._rng.getstate()
+        assert not network.can_reach("a", "b") and not network.can_reach("b", "a")
+        assert network.can_reach("b", "c")
+        assert network.faults.stats.injected == 0
+        assert network.faults.schedule_digest() == digest
+        assert network.faults._rng.getstate() == state
 
 
 class TestChurn:

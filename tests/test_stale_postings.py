@@ -23,7 +23,7 @@ from repro.errors import RoutingError, StorageError, TermNotFoundError
 from repro.index.directory import TermDirectory, doc_terms_key
 from repro.index.document import Document
 
-from tests.conftest import make_small_engine
+from tests.conftest import make_small_engine, published_ranks
 
 
 def _publish(engine, doc_id, text, url=None, owner="creator-000", version=1):
@@ -308,7 +308,7 @@ class TestRankVectorVersioning:
         engine.compute_page_ranks()
         payload = json.loads(engine.storage.get_text(engine._rank_cid))
         assert payload["version"] == 1
-        assert engine.fetch_published_ranks() == pytest.approx(dict(engine.page_ranks()))
+        assert published_ranks(engine) == pytest.approx(dict(engine.page_ranks()))
 
     def test_frontend_memoizes_rank_upper_bound_per_version(self, small_corpus):
         engine = make_small_engine(seed=38)
