@@ -48,7 +48,7 @@ class QueenBeeConfig:
     # Base backoff (ticks) before the second attempt; doubles per attempt.
     retry_backoff: float = 0.0
     # ± fraction of deterministic jitter on each backoff, drawn from a
-    # dedicated RNG stream (never perturbs latency/loss sampling).
+    # dedicated RNG stream (never perturbs latency sampling).
     retry_jitter: float = 0.0
     # Hedge storage block fetches across the two best-ranked providers,
     # charging the clock only the winner's round trip (tail-latency hedge).
@@ -78,14 +78,6 @@ class QueenBeeConfig:
     # pruning.  0 publishes every term as a single shard (the pre-sharding
     # layout).
     index_shard_size: int = 128
-    # Grace period (ticks) before a departed provider's shards are repaired:
-    # a peer that rejoins inside the window triggers zero repairs (flap
-    # debounce).  0 repairs immediately on departure.
-    placement_repair_grace: float = 0.0
-    # Maximum repair attempts (shards found below the replication floor)
-    # per churn event; overflow is recorded as a deficit and retried on the
-    # next join/audit.  0 = unbounded.
-    placement_repair_budget: int = 0
 
     # Metadata plane
     # Frontends learn soft metadata (index epochs, the rank and statistics
@@ -157,10 +149,6 @@ class QueenBeeConfig:
             raise ValueError("posting_cache_capacity must be non-negative")
         if self.index_shard_size < 0:
             raise ValueError("index_shard_size must be non-negative")
-        if self.placement_repair_grace < 0:
-            raise ValueError("placement_repair_grace must be non-negative")
-        if self.placement_repair_budget < 0:
-            raise ValueError("placement_repair_budget must be non-negative")
         if self.gossip_interval <= 0:
             raise ValueError("gossip_interval must be positive")
         if self.result_cache_capacity < 0:

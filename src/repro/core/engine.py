@@ -118,14 +118,18 @@ class GossipRankClient:
             # next query retries.
             return
         self.bytes_fetched += len(payload)
-        body = json.loads(payload)
-        data = body["ranks"] if isinstance(body, dict) and "ranks" in body else body
-        version = (
-            int(body.get("version", head_version)) if isinstance(body, dict) else head_version
-        )
-        self._ranks = MappingProxyType(
-            {int(doc_id): float(rank) for doc_id, rank in sorted(data.items())}
-        )
+        try:
+            body = json.loads(payload)
+            data = body["ranks"] if isinstance(body, dict) and "ranks" in body else body
+            version = (
+                int(body.get("version", head_version)) if isinstance(body, dict) else head_version
+            )
+            ranks = {int(doc_id): float(rank) for doc_id, rank in sorted(data.items())}
+        except (ValueError, TypeError, AttributeError):
+            # The head names something that is not a rank vector: keep the
+            # previous consistent pair.
+            return
+        self._ranks = MappingProxyType(ranks)
         self._version = version
 
     def _adopt_banded(self, manifest_json: str) -> bool:
@@ -232,11 +236,8 @@ class QueenBeeEngine:
         self.placement = PlacementPolicy(
             self.storage,
             # Placed and unplaced content survive the same churn; repair
-            # kicks in on any departure (the floor defaults to the factor).
+            # kicks in on any departure (the floor is the factor).
             replication_factor=cfg.storage_replication,
-            repair_grace=cfg.placement_repair_grace,
-            repair_budget=cfg.placement_repair_budget or None,
-            simulator=self.simulator,
         )
         self.index = DistributedIndex(
             self.dht, self.storage, cache=self.posting_cache,

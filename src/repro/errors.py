@@ -25,10 +25,6 @@ class NodeUnreachableError(NetworkError):
     """The destination peer is offline, partitioned away, or unknown."""
 
 
-class RequestTimeoutError(NetworkError):
-    """A resilient request exhausted its per-operation deadline budget."""
-
-
 class RetriesExhaustedError(NetworkError):
     """A resilient request failed on every attempt its retry policy allowed."""
 

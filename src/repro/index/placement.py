@@ -3,7 +3,7 @@
 Why placement exists
 --------------------
 Doc-id-range sharding spreads a head term's postings across shard *keys*,
-but a shard published like any other content is pinned by its publishing
+but a shard published like any other content is stored by its publishing
 peer, so one peer would end up providing *every* shard of a head term —
 exactly the hot-spot the decentralized design is meant to avoid.
 :class:`PlacementPolicy` closes that gap: at publish time it steers each
@@ -32,24 +32,16 @@ Repair under churn
 The policy keeps an in-memory registry of every placement it made.  When a
 provider leaves (a :class:`~repro.net.churn.ChurnModel` leave listener, see
 ``QueenBeeEngine.create_churn_model``), every shard the peer provided is
-checked against the **replication floor**; shards that dropped below it are
-re-replicated onto fresh peers via
+checked against the **replication floor**, the replication factor; shards
+that dropped below it are re-replicated onto fresh peers via
 :meth:`~repro.storage.ipfs.DecentralizedStorage.replicate_to` (sourced from
 the record's holders), and the term manifests' provider hints are refreshed
 in place (same generation — content is untouched, so caches stay valid).  A
-holder the repair drops stays in the record as a *dormant* source: its pinned
+holder the repair drops stays in the record as a *dormant* source: its stored
 copy survives, so a later repair can pull from it once it is back.  A repair
 that finds no live source is recorded as a deficit and retried when a peer
-rejoins.
-
-Two deployment knobs debounce the repair loop.  A **grace period**
-(``repair_grace``) delays the reaction to a departure: the repair scan is
-scheduled ``grace`` ticks out, and a peer that rejoins inside the window
-triggers zero repairs — short connectivity flaps, the common case in session
-churn, cost nothing.  A **repair budget** (``repair_budget``) caps the
-shards re-replicated per churn event; overflow is recorded as a deficit and
-drained by later joins or an :meth:`~PlacementPolicy.audit`, bounding the
-repair bandwidth any single departure can consume.
+rejoins.  Nothing damps this loop: a departure is repaired at once, however
+soon the peer returns and however many shards it held.
 
 Replica routing
 ---------------
@@ -118,7 +110,7 @@ class PlacedShard:
 
     cid: str
     providers: Tuple[str, ...]
-    # Holders a repair dropped while they were offline.  Their pinned copy
+    # Holders a repair dropped while they were offline.  Their stored copy
     # survives, so once back they are repair sources again.
     dormant: Tuple[str, ...] = ()
 
@@ -128,15 +120,9 @@ class PlacementStats:
     """Counters for the placement/repair experiments (E4 placement rows,
     E3 shard-repair-under-churn)."""
 
-    repairs_triggered: int = 0
     shards_repaired: int = 0
     repairs_failed: int = 0
     manifest_refreshes: int = 0
-    # Departures whose grace window expired with the peer back online —
-    # flaps the debounce absorbed at zero repair cost.
-    repairs_debounced: int = 0
-    # Shards a churn event's repair budget pushed to the deficit queue.
-    budget_deferrals: int = 0
 
 
 class PlacementPolicy:
@@ -150,51 +136,17 @@ class PlacementPolicy:
         primitive.
     replication_factor:
         Distinct providers each shard is placed on (capped at the online
-        overlay size).
-    repair_floor:
-        Live providers below which a shard is re-replicated; defaults to the
-        replication factor (any departure triggers an immediate top-up).
-    repair_grace:
-        Ticks to wait after a departure before repairing the peer's shards;
-        a rejoin inside the window cancels the repair entirely (flap
-        debounce).  Needs ``simulator``; 0 (default) repairs immediately.
-    repair_budget:
-        Maximum repair attempts (shards found below the floor) per churn
-        event — attempts spend budget even when their pushes fail, so the
-        cap really bounds replication traffic; overflow is recorded as a
-        deficit and drained by later joins or an :meth:`audit`.  ``None``
-        (default) is unbounded.
-    simulator:
-        Event scheduler for the grace window (the engine wires its own).
+        overlay size), and the repair floor: a shard with fewer live
+        providers is re-replicated, so any departure triggers a top-up.
     """
 
-    def __init__(
-        self,
-        storage: DecentralizedStorage,
-        replication_factor: int = 3,
-        repair_floor: Optional[int] = None,
-        repair_grace: float = 0.0,
-        repair_budget: Optional[int] = None,
-        simulator=None,
-    ) -> None:
+    def __init__(self, storage: DecentralizedStorage, replication_factor: int = 3) -> None:
         if replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be at least 1, got {replication_factor!r}"
             )
-        if repair_floor is not None and repair_floor < 1:
-            raise ValueError(f"repair_floor must be at least 1, got {repair_floor!r}")
-        if repair_grace < 0:
-            raise ValueError(f"repair_grace must be non-negative, got {repair_grace!r}")
-        if repair_budget is not None and repair_budget < 1:
-            raise ValueError(f"repair_budget must be at least 1, got {repair_budget!r}")
-        if repair_grace > 0 and simulator is None:
-            raise ValueError("repair_grace needs a simulator to schedule the window")
         self.storage = storage
         self.replication_factor = replication_factor
-        self.repair_floor = repair_floor if repair_floor is not None else replication_factor
-        self.repair_grace = repair_grace
-        self.repair_budget = repair_budget
-        self.simulator = simulator
         self.stats = PlacementStats()
         # The DistributedIndex binds this so repairs refresh manifest hints.
         self.manifest_updater: Optional[ManifestUpdater] = None
@@ -334,79 +286,23 @@ class PlacementPolicy:
     def on_peer_down(self, address: str) -> int:
         """Churn leave hook: repair every shard ``address`` was providing.
 
-        With a grace window configured the repair scan is *scheduled*
-        ``repair_grace`` ticks out instead of running inline, and a rejoin
-        inside the window cancels it — the hook then returns 0 (nothing
-        repaired yet).  Returns the number of shards re-replicated.
+        Returns the number of shards re-replicated.
         """
-        if self.repair_grace > 0:
-            self.simulator.schedule(
-                self.repair_grace,
-                lambda: self._graced_repair(address),
-                label=f"placement-grace:{address}",
-            )
-            return 0
-        return self._repair_provider(address)
-
-    def _graced_repair(self, address: str) -> int:
-        """The deferred half of a debounced departure."""
-        if self._is_online(address):
-            # The flap healed itself inside the grace window: zero repairs.
-            self.stats.repairs_debounced += 1
-            return 0
-        return self._repair_provider(address)
-
-    def _repair_provider(self, address: str) -> int:
-        """Repair every shard ``address`` was providing (one churn event)."""
-        return self._repair_pairs(
-            sorted(self._by_provider.get(address, ())), budget=self.repair_budget
-        )
+        return self._repair_pairs(sorted(self._by_provider.get(address, ())))
 
     def on_peer_up(self, address: str) -> int:
         """Churn join hook: retry repairs that previously found no live source."""
         del address  # any join can unblock a deficit; the address itself is moot
         if not self._deficits:
             return 0
-        return self._repair_pairs(sorted(self._deficits), budget=self.repair_budget)
+        return self._repair_pairs(sorted(self._deficits))
 
-    def audit(self) -> int:
-        """Scan every placement and repair shards under the replication floor.
-
-        Audits are unbudgeted: they are the explicit drain for deficits the
-        per-event budget deferred.
-        """
-        pairs = [
-            (term, index)
-            for term in sorted(self._placements)
-            for index in sorted(self._placements[term])
-        ]
-        return self._repair_pairs(pairs, budget=None)
-
-    def _repair_pairs(
-        self, pairs: Sequence[Tuple[str, int]], budget: Optional[int]
-    ) -> int:
-        """Repair the given shards, refreshing each touched manifest once.
-
-        ``budget`` caps repair *attempts* for this event — every shard
-        found below the floor spends budget whether or not its pushes
-        succeed, so a lossy network cannot turn one departure into
-        unbounded replication traffic.  Shards past the cap are queued as
-        deficits (drained by joins/audits); healthy shards cost nothing.
-        """
-        attempted = 0
+    def _repair_pairs(self, pairs: Sequence[Tuple[str, int]]) -> int:
+        """Repair the given shards, refreshing each touched manifest once."""
         repaired = 0
         updates_by_term: Dict[str, Dict[int, Tuple[str, ...]]] = {}
-        for position, (term, index) in enumerate(pairs):
-            if budget is not None and attempted >= budget:
-                remainder = pairs[position:]
-                fresh = sum(1 for pair in remainder if pair not in self._deficits)
-                self._deficits.update(remainder)
-                self.stats.budget_deferrals += fresh
-                break
-            triggered_before = self.stats.repairs_triggered
+        for term, index in pairs:
             refreshed = self._repair_shard(term, index)
-            if self.stats.repairs_triggered > triggered_before:
-                attempted += 1
             if refreshed is not None:
                 updates_by_term.setdefault(term, {})[index] = refreshed
                 repaired += 1
@@ -428,11 +324,10 @@ class PlacementPolicy:
             return None
         live = [p for p in placed.providers if self._is_online(p)]
         online = self._online_peers()
-        floor = min(self.repair_floor, len(online))
+        floor = min(self.replication_factor, len(online))
         if len(live) >= floor:
             self._deficits.discard((term, index))
             return None
-        self.stats.repairs_triggered += 1
         needed = floor - len(live)
         term_load = self.term_provider_counts(term)
         bound = anti_affinity_bound(
@@ -456,7 +351,7 @@ class PlacementPolicy:
             self._deficits.add((term, index))
             return None
         # Dead providers drop out of the hints; live + new is the routable
-        # set.  Their pinned copy survives, so they stay dormant sources.
+        # set.  Their stored copy survives, so they stay dormant sources.
         providers = tuple(live + pushed)
         dropped = tuple(p for p in placed.providers if p not in live)
         self.record(term, index, placed.cid, providers, dormant=dropped)

@@ -1,17 +1,17 @@
 """Deterministic fault injection for the simulated network (the chaos plane).
 
-The E3 resilience experiment models failure as a single global i.i.d.
-``loss_rate`` plus binary online/offline peers.  Production failure is
-richer: lossy *links*, gray-failing peers that answer errors, stragglers
-that answer slowly, partitions that open and close, and publishers that
-die halfway through a multi-step publish.  This module provides those as
+Churn alone models failure as binary online/offline peers.  Production
+failure is richer: lossy *links* (the network's only message loss),
+gray-failing peers that answer errors, stragglers that answer slowly,
+partitions that open and close, and publishers that die halfway through a
+multi-step publish.  This module provides those as
 composable **fault rules** evaluated inside the network's send path.
 
 Determinism contract
 --------------------
 * Every probabilistic rule draws from the plane's own forked RNG stream
   (``simulator.fork_rng("faults")``), so installing or removing rules
-  never perturbs the latency/loss streams the rest of the simulation
+  never perturbs the latency stream the rest of the simulation
   consumes — and two runs at the same seed see the identical fault
   schedule.
 * A plane with no rules is inert: zero RNG draws, zero clock charges,

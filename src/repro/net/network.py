@@ -16,8 +16,7 @@ bit-identical to the pre-resilience network):
   :meth:`rpc` and :meth:`rpc_parallel` charge the configured timeout on a
   drop instead of a sampled round trip;
 * :class:`RetryPolicy` + :meth:`request_with_retry` add bounded retries
-  with exponential backoff, deterministic jitter, and a per-operation
-  deadline budget;
+  with exponential backoff and deterministic jitter;
 * :meth:`rpc_hedged` duplicates a tail-latency-critical read across
   providers and charges the clock only the winner's round trip;
 * an attached :class:`~repro.net.detector.FailureDetector` is fed the
@@ -34,7 +33,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.errors import (
     NetworkError,
     NodeUnreachableError,
-    RequestTimeoutError,
     RetriesExhaustedError,
 )
 from repro.net.detector import FailureDetector
@@ -69,7 +67,7 @@ class NetworkStats:
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
-    The default policy (one attempt, no backoff, no deadline) makes
+    The default policy (one attempt, no backoff) makes
     :meth:`SimulatedNetwork.request_with_retry` behave exactly like a
     plain :meth:`~SimulatedNetwork.rpc` call — resilience is opt-in.
 
@@ -84,18 +82,12 @@ class RetryPolicy:
     jitter:
         Fraction of the backoff randomized (``±jitter``), drawn from the
         network's dedicated retry RNG stream so jitter never perturbs the
-        latency/loss streams.
-    deadline:
-        Per-operation budget in ticks; once the clock has advanced past
-        it no further attempt is made and
-        :class:`~repro.errors.RequestTimeoutError` is raised.  ``0``
-        disables the budget.
+        latency stream.
     """
 
     attempts: int = 1
     backoff_base: float = 0.0
     jitter: float = 0.0
-    deadline: float = 0.0
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
@@ -104,8 +96,6 @@ class RetryPolicy:
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base!r}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter!r}")
-        if self.deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {self.deadline!r}")
 
     def backoff_delay(self, attempt: int, rng) -> float:
         """Backoff before ``attempt`` (attempt 1 is the first retry)."""
@@ -123,13 +113,10 @@ class SimulatedNetwork:
     Parameters
     ----------
     simulator:
-        Owns the clock advanced by each RPC and the RNG used for loss and
-        latency sampling.
+        Owns the clock advanced by each RPC and the RNG used for latency
+        sampling.
     latency:
         One-way delay model; defaults to a constant 20 ticks.
-    loss_rate:
-        Probability that any individual RPC is dropped (raises
-        :class:`NetworkError`).
     rpc_timeout:
         When set, a dropped RPC charges exactly this many ticks — on both
         the single and the parallel path — instead of a sampled round
@@ -143,17 +130,13 @@ class SimulatedNetwork:
         self,
         simulator: Simulator,
         latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
         rpc_timeout: Optional[float] = None,
         detector: Optional[FailureDetector] = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate!r}")
         if rpc_timeout is not None and rpc_timeout <= 0:
             raise ValueError(f"rpc_timeout must be positive, got {rpc_timeout!r}")
         self.simulator = simulator
         self.latency = latency or ConstantLatency()
-        self.loss_rate = loss_rate
         self.rpc_timeout = rpc_timeout
         self.detector = detector
         self.retry_policy = RetryPolicy()
@@ -258,7 +241,7 @@ class SimulatedNetwork:
         plane: Optional[FaultPlane], serial: bool,
     ) -> Tuple[Optional[Response], float, Optional[str]]:
         """One request's whole trip, the step every RPC flavour shares:
-        reachability, fault verdict, loss draw, latency draws, handler,
+        reachability, fault verdict, latency draws, handler,
         traffic record, detector feed — in that order.
 
         ``serial`` is :meth:`rpc`'s accounting: the clock moves with the
@@ -279,7 +262,7 @@ class SimulatedNetwork:
             self._note_failure(dst)
             return None, 0.0, BLOCK
         clock = self.simulator.clock
-        if verdict == DROP or (self.loss_rate and self._rng.random() < self.loss_rate):
+        if verdict == DROP:
             self.stats.record_drop(message)
             # A lost request still costs the sender a timeout's worth of waiting.
             ticks = self._drop_cost(src, dst)
@@ -340,18 +323,14 @@ class SimulatedNetwork:
         error, so it retries both.  Backoff advances the simulated clock;
         jitter draws from the dedicated retry RNG stream.  On exhaustion
         the last non-ok response is returned if any attempt got through,
-        otherwise :class:`~repro.errors.RetriesExhaustedError` is raised;
-        blowing the deadline raises :class:`~repro.errors.RequestTimeoutError`.
+        otherwise :class:`~repro.errors.RetriesExhaustedError` is raised.
 
-        With the default policy (or ``attempts=1`` and no deadline) this
-        *is* :meth:`rpc` — same draws, same charges, same exceptions.
+        With the default policy (or ``attempts=1``) this *is* :meth:`rpc` —
+        same draws, same charges, same exceptions.
         """
         policy = policy if policy is not None else self.retry_policy
-        if policy.attempts <= 1 and policy.deadline <= 0:
+        if policy.attempts <= 1:
             return self.rpc(src, dst, msg_type, payload)
-        deadline = (
-            self.simulator.now + policy.deadline if policy.deadline > 0 else None
-        )
         last_error: Optional[NetworkError] = None
         last_response: Optional[Response] = None
         for attempt in range(policy.attempts):
@@ -359,11 +338,6 @@ class SimulatedNetwork:
                 delay = policy.backoff_delay(attempt, self._retry_rng)
                 if delay > 0:
                     self.simulator.clock.advance(delay)
-                if deadline is not None and self.simulator.now >= deadline:
-                    raise RequestTimeoutError(
-                        f"{msg_type!r} from {src!r} to {dst!r} blew its "
-                        f"{policy.deadline}-tick deadline after {attempt} attempt(s)"
-                    )
                 self.stats.retries += 1
             try:
                 response = self.rpc(src, dst, msg_type, payload)

@@ -8,7 +8,7 @@ QueenBee depends on:
 * :mod:`repro.storage.block` / :mod:`repro.storage.chunker` /
   :mod:`repro.storage.dag` — blocks, chunking, and Merkle-DAG files.
 * :mod:`repro.storage.blockstore` — per-peer local block storage: one
-  in-memory LRU store with pinning and a transactional ``writer()``.
+  in-memory store that keeps every block, with a transactional ``writer()``.
 * :mod:`repro.storage.peer` — a storage peer serving blocks over the network.
 * :mod:`repro.storage.ipfs` — :class:`DecentralizedStorage`, the add/get
   facade with replication; unplaced content is announced in DHT provider

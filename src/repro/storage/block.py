@@ -36,11 +36,6 @@ class Block:
         """Whether the stored CID matches the block's contents."""
         return self.cid == compute_cid(self._canonical_bytes(self.data, self.links))
 
-    @property
-    def size(self) -> int:
-        """Payload size in bytes (links excluded)."""
-        return len(self.data)
-
     def ensure_valid(self) -> None:
         """Raise :class:`InvalidCIDError` if the block has been tampered with."""
         if not self.verify():

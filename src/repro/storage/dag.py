@@ -20,7 +20,7 @@ class DAGBuildResult:
 
     @property
     def total_bytes(self) -> int:
-        return sum(block.size for block in self.blocks)
+        return sum(len(block.data) for block in self.blocks)
 
 
 class MerkleDAG:

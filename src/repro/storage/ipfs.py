@@ -38,8 +38,6 @@ class StorageOptions:
     replication: int = 3
     #: Merkle-DAG leaf size in bytes.
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Per-peer cache budget in bytes (``None`` = unbounded).
-    capacity_bytes: Optional[int] = None
     #: Race the first two providers on block fetches (PR 8's tail cut).
     hedged_fetches: bool = False
 
@@ -153,17 +151,11 @@ class DecentralizedStorage:
 
     # -- membership -----------------------------------------------------------
 
-    def add_peer(
-        self,
-        address: Optional[str] = None,
-        capacity_bytes: Optional[int] = None,
-    ) -> StoragePeer:
+    def add_peer(self, address: Optional[str] = None) -> StoragePeer:
         """Create a storage peer and register it on the network."""
         if address is None:
             address = f"store-{len(self.peers)}"
-        if capacity_bytes is None:
-            capacity_bytes = self.options.capacity_bytes
-        peer = StoragePeer(address, self.network, capacity_bytes=capacity_bytes)
+        peer = StoragePeer(address, self.network)
         self.peers[address] = peer
         return peer
 
@@ -196,21 +188,21 @@ class DecentralizedStorage:
     ) -> StoreReceipt:
         """Publish ``data``; returns a :class:`StoreReceipt`.
 
-        Without ``providers`` (the default path), the publisher pins every
+        Without ``providers`` (the default path), the publisher stores every
         block and replicates to ``replication - 1`` random online peers, and
         the publisher plus the replicas are announced in a DHT provider
         record: a reader that knows only the CID finds them there.
 
-        With ``providers`` (pinned replica placement — the index placement
-        layer uses this), the content is pushed and pinned onto *exactly*
-        those peers and nothing is announced: placed content is reached only
-        through its term manifest, whose hints name its holders.  The
+        With ``providers`` (replica placement — the index placement layer
+        uses this), the content is pushed onto *exactly* those peers and
+        nothing is announced: placed content is reached only through its
+        term manifest, whose hints name its holders.  The
         publisher does not become an implicit holder, which is what lets a
         placement policy bound any single peer's serving load.  Chosen peers
         that cannot be reached at push time are dropped; if every one fails,
-        the publisher pins the content itself so it is never lost.
+        the publisher stores the content itself so it is never lost.
 
-        A peer's own pins go through the store's transactional writer, so a
+        A peer's own stores go through the store's transactional writer, so a
         crash mid-publish leaves that peer at its previous committed state
         (old-or-new, composing with the manifest-put commit point).
 
@@ -235,11 +227,11 @@ class DecentralizedStorage:
             )
             holders = [target for target, whole in zip(providers, landed) if whole]
             if not holders:
-                self._pin_locally(origin, result.blocks)
+                self._store_locally(origin, result.blocks)
                 holders = [origin.address]
             self.stats.adds += 1
             return StoreReceipt(cid=result.root_cid, providers=tuple(holders), size=len(data))
-        self._pin_locally(origin, result.blocks)
+        self._store_locally(origin, result.blocks)
         targets = self._choose_replicas(origin.address, self.replication - 1)
         *_, announce = self.simulator.parallel_region(
             [partial(self._push_dag, origin, target, result.blocks) for target in targets]
@@ -251,25 +243,25 @@ class DecentralizedStorage:
         return StoreReceipt(cid=result.root_cid, providers=tuple(holders), size=len(data))
 
     def _push_dag(self, origin: StoragePeer, target: str, blocks: Sequence[Block]) -> bool:
-        """Pin ``blocks`` on ``target`` (on ``origin`` itself, locally), one
+        """Store ``blocks`` on ``target`` (on ``origin`` itself, locally), one
         push after another up to the first failure; whether all landed."""
         if target == origin.address:
-            self._pin_locally(origin, blocks)
+            self._store_locally(origin, blocks)
             return True
         delivered = 0
         for block in blocks:
-            if not origin.push_block_to(target, block, pin=True):
+            if not origin.push_block_to(target, block):
                 break
             delivered += 1
         self.stats.blocks_transferred += delivered
         return delivered == len(blocks)
 
     @staticmethod
-    def _pin_locally(origin: StoragePeer, blocks: Sequence[Block]) -> None:
-        """Pin a whole DAG on ``origin`` atomically (old-or-new, never torn)."""
+    def _store_locally(origin: StoragePeer, blocks: Sequence[Block]) -> None:
+        """Store a whole DAG on ``origin`` atomically (old-or-new, never torn)."""
         with origin.store.writer() as txn:
             for block in blocks:
-                txn.put(block, pin=True)
+                txn.put(block)
 
     def add_bytes_placed(
         self,
@@ -398,7 +390,7 @@ class DecentralizedStorage:
 
         A live one of ``sources`` (the placement record's holders, dormant
         ones included) that still holds the full DAG pushes every block
-        (pinned) to each target, one block for an object of one chunk;
+        to each target, one block for an object of one chunk;
         nothing is announced, the caller rewrites the manifest hints.  Returns the targets that now hold the content —
         empty when no reachable source held the complete DAG (the caller
         records a deficit and retries).

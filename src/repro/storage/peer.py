@@ -41,15 +41,10 @@ class StoragePeer:
     (replication push from a publisher).
     """
 
-    def __init__(
-        self,
-        address: str,
-        network: SimulatedNetwork,
-        capacity_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, address: str, network: SimulatedNetwork) -> None:
         self.address = address
         self.network = network
-        self.store = BlockStore(capacity_bytes=capacity_bytes)
+        self.store = BlockStore()
         self.blocks_served = 0
         self.blocks_received = 0
         network.register(address, self.handle_message)
@@ -69,7 +64,7 @@ class StoragePeer:
             block = decode_block(message.payload["block"])
             if not block.verify():
                 return Response.failure(self.address, PUT_BLOCK, "block failed CID verification")
-            self.store.put(block, pin=bool(message.payload.get("pin", False)))
+            self.store.put(block)
             self.blocks_received += 1
             return Response(self.address, PUT_BLOCK, {"stored": True})
         return Response.failure(self.address, message.msg_type, "unknown storage message type")
@@ -100,7 +95,7 @@ class StoragePeer:
         self.store.put(block)
         return block
 
-    def push_block_to(self, target: str, block: Block, pin: bool = False) -> bool:
+    def push_block_to(self, target: str, block: Block) -> bool:
         """Replicate ``block`` to ``target``; returns ``True`` on success.
 
         Also routed through the resilient request path: a lossy link no
@@ -108,7 +103,7 @@ class StoragePeer:
         """
         try:
             response = self.network.request_with_retry(
-                self.address, target, PUT_BLOCK, {"block": encode_block(block), "pin": pin}
+                self.address, target, PUT_BLOCK, {"block": encode_block(block)}
             )
         except Exception:
             return False

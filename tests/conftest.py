@@ -40,7 +40,7 @@ DELETED_KNOBS = (
     "rank_redundancy", "rank_damping", "min_worker_stake", "worker_stake", "publish_reward",
     "task_reward", "creator_share", "worker_share", "treasury_share", "creator_funding",
     "worker_funding", "max_ads", "compress_index", "index_placement", "delta_publication",
-    "storage_backend", "storage_path",
+    "storage_backend", "storage_path", "placement_repair_grace", "placement_repair_budget",
 )
 
 

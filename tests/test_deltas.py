@@ -24,6 +24,7 @@ from repro.index.inverted_index import LocalInvertedIndex
 from repro.index.postings import Posting, PostingList
 from repro.metrics.collector import MetricsCollector
 from repro.net.faults import CrashWindow
+from repro.net.gossip import RANK_HEAD_KEY
 from repro.ranking.distributed import RANK_BANDS_DHT_KEY, DecentralizedPageRank
 
 from tests.conftest import assert_rank_stamps_from_vector, make_small_engine, published_ranks
@@ -336,6 +337,32 @@ class TestRankFallbackLadder:
         warm_storage.cids.clear()
         assert self._served(warm) == (2, published[2])
         assert warm.band_refreshes == 2
+
+    @pytest.mark.parametrize("body", [
+        "this is not a rank vector",
+        json.dumps(["not", "a", "rank", "vector"]),
+        json.dumps({"ranks": {"doc": "high"}, "version": 99}),
+    ])
+    def test_a_head_that_names_no_rank_vector_keeps_the_served_pair(self, small_corpus, body):
+        engine = make_small_engine(seed=61)
+        engine.bootstrap_corpus(small_corpus.documents[:20])
+        engine.compute_page_ranks()
+        engine.converge_metadata()
+        frontend = engine.create_frontend(requester="peer-003:store")
+        query = " ".join(small_corpus.documents[0].text.split()[:2])
+        served = [(hit.doc_id, hit.score) for hit in frontend.search(query).results]
+        assert served and frontend.rank_version_provider() == 1
+
+        # A head ahead of every rank round names content that is no rank vector.
+        cid = engine.storage.add_text(body).cid
+        engine.gossip.publish("peer-000:store", RANK_HEAD_KEY, cid, 99)
+        engine.converge_metadata()
+        assert frontend.metadata_view.rank_head() == (99, cid)
+
+        page = frontend.search(query)
+        assert [(hit.doc_id, hit.score) for hit in page.results] == served
+        assert frontend.rank_version_provider() == 1
+        assert dict(frontend.rank_provider()) == dict(engine.page_ranks())
 
 
 class TestCeilingsNeedNoChannel:

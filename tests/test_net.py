@@ -111,25 +111,6 @@ class TestRPC:
         pong = (4 + 2 + 40) + (4 + (2 + 4 + 2) + 40)
         assert traffic.bytes == ping + pong == 200
 
-    def test_loss_rate_drops_messages(self):
-        sim = Simulator(seed=3)
-        network = SimulatedNetwork(sim, latency=ConstantLatency(1.0), loss_rate=0.5)
-        network.register("a", echo_handler("a"))
-        network.register("b", echo_handler("b"))
-        outcomes = []
-        for _ in range(100):
-            try:
-                network.rpc("a", "b", "ping")
-                outcomes.append(True)
-            except NetworkError:
-                outcomes.append(False)
-        assert 20 < sum(outcomes) < 80
-        assert network.stats.messages_dropped > 0
-
-    def test_invalid_loss_rate_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedNetwork(Simulator(seed=0), loss_rate=1.5)
-
 
 class TestParallelAndBroadcast:
     def test_parallel_rpc_charges_slowest_round_trip_only(self, net):

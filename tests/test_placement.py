@@ -456,7 +456,7 @@ class TestRoutingAndRepair:
         engine.simulator.advance(50.0)
         final = engine.placement.placements_for(term)[0]
         live = [p for p in final.providers if engine.network.is_online(p)]
-        assert len(live) == engine.placement.repair_floor
+        assert len(live) == engine.placement.replication_factor
         shard = engine.index.fetch_term_sharded(term, use_cache=False).shard(0)
         assert shard.arrays() == healthy
 
@@ -494,8 +494,6 @@ class TestPolicyUnits:
         storage = _FakeStorage(["a"])
         with pytest.raises(ValueError):
             PlacementPolicy(storage, replication_factor=0)
-        with pytest.raises(ValueError):
-            PlacementPolicy(storage, replication_factor=2, repair_floor=0)
 
     def test_record_and_forget_keep_global_load_consistent(self):
         storage = _FakeStorage(["a", "b", "c"])
@@ -521,72 +519,6 @@ class TestPolicyUnits:
                 assert anti_affinity_bound(shards, replication) == max(
                     1, math.ceil(shards / replication)
                 )
-
-
-class TestRepairDebounce:
-    """The placement_repair_grace / placement_repair_budget deployment knobs."""
-
-    def test_leave_then_rejoin_inside_grace_triggers_zero_repairs(self):
-        # The ROADMAP regression: a flapping peer must not cost a
-        # re-replication scan when it returns within the grace window.
-        corpus = small_corpus(num_documents=40)
-        engine = build_engine(placement_repair_grace=100.0)
-        engine.bootstrap_corpus(corpus.documents)
-        term = heaviest_term(corpus)
-        victim = engine.placement.placements_for(term)[0].providers[0]
-
-        churn = engine.create_churn_model()
-        churn.schedule_leave(victim, 5.0)
-        churn.schedule_join(victim, 30.0)  # back well inside the window
-        engine.simulator.advance(500.0)
-
-        stats = engine.placement.stats
-        assert stats.repairs_triggered == 0
-        assert stats.shards_repaired == 0
-        assert stats.manifest_refreshes == 0
-        assert stats.repairs_debounced >= 1
-
-    def test_departure_outlasting_grace_still_repairs(self):
-        corpus = small_corpus(num_documents=40)
-        engine = build_engine(placement_repair_grace=100.0)
-        engine.bootstrap_corpus(corpus.documents)
-        term = heaviest_term(corpus)
-        victim = engine.placement.placements_for(term)[0].providers[0]
-
-        churn = engine.create_churn_model()
-        churn.schedule_leave(victim, 5.0)
-        engine.simulator.advance(500.0)
-
-        assert engine.placement.stats.shards_repaired > 0
-        refreshed = engine.placement.placements_for(term)
-        assert victim not in refreshed[0].providers
-
-    def test_repair_budget_caps_one_event_and_audit_drains(self):
-        corpus = small_corpus()
-        engine = build_engine(placement_repair_budget=1)
-        engine.bootstrap_corpus(corpus.documents)
-        policy = engine.placement
-        # Pick a peer providing several shards so one departure wants more
-        # repairs than the budget allows.
-        victim, entries = max(
-            policy._by_provider.items(), key=lambda item: len(item[1])
-        )
-        assert len(entries) > 1
-        engine.network.set_offline(victim)
-        repaired = policy.on_peer_down(victim)
-        assert repaired == 1, "the event budget must cap re-replication"
-        assert policy.stats.budget_deferrals > 0
-        assert policy._deficits, "overflow must be queued, not dropped"
-        # The explicit audit is unbudgeted and drains the backlog.
-        policy.audit()
-        assert not policy._deficits
-
-    def test_grace_requires_a_simulator(self):
-        storage = _FakeStorage(["a", "b"])
-        with pytest.raises(ValueError):
-            PlacementPolicy(storage, repair_grace=10.0)
-        with pytest.raises(ValueError):
-            PlacementPolicy(storage, repair_budget=0)
 
 
 class TestRankReplicas:

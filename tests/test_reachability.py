@@ -10,7 +10,16 @@ import textwrap
 
 import pytest
 
-from tools.reachability import AllowEntry, audit, format_report, read_allow_list, record_calls
+from tools.reachability import (
+    ALLOW_LIST,
+    ROOT,
+    AllowEntry,
+    audit,
+    format_report,
+    functions_in,
+    read_allow_list,
+    record_calls,
+)
 
 FIXTURE = '''\
 import functools
@@ -159,3 +168,14 @@ def test_an_entry_may_keep_a_module_and_needs_a_reason(tmp_path):
     allow.write_text("pkg/mod.py:never\n")
     with pytest.raises(ValueError, match="needs ' -- <reason>'"):
         read_allow_list(allow)
+
+
+def test_every_allow_list_entry_names_a_function_under_src():
+    # The full audit runs every driver (minutes, weekly); this is its cheap
+    # half, so a change that deletes an allow-listed function fails at once.
+    functions = functions_in(ROOT / "src" / "repro")
+    entries = read_allow_list(ALLOW_LIST)
+    assert entries
+    stale = [f"{entry.path}:{entry.qualname}" for entry in entries
+             if not any(entry.keeps(function) for function in functions)]
+    assert stale == []

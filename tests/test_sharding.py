@@ -35,7 +35,7 @@ from repro.search.result_cache import ResultCache
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions
 
-from tests.reference import reference_page
+from tests.reference import frontend_reference, reference_page
 
 
 def _stack(seed: int = 7):
@@ -511,6 +511,49 @@ class TestShardedResilience:
         )
         pages = frontend.search_batch(queries)  # batch path must not raise either
         assert len(pages) == len(queries)
+
+    def test_a_shard_lost_mid_query_restarts_without_its_term(self, small_corpus):
+        """An OR query resolves its manifests up front and loads shards
+        lazily, inside the executor.  When a term's holders go offline between
+        the two, the lazy load fails and the executor restarts with the term
+        missing: the page is the reference page without that term."""
+        engine = make_small_engine(seed=61)
+        engine.bootstrap_corpus(small_corpus.documents[:20])
+        engine.compute_page_ranks()
+        engine.converge_metadata()
+        requester = "peer-003:store"
+        frontend = engine.create_frontend(requester=requester)
+        query = parse_query(" OR ".join(small_corpus.documents[0].text.split()[:3]),
+                            frontend.analyzer)
+        holders = {
+            term: {address for info in engine.index.fetch_term_manifest(term).shards
+                   for address in info.providers}
+            for term in query.terms
+        }
+        victim = next(term for term in query.terms if requester not in holders[term])
+        others = set().union(*(holders[term] for term in query.terms if term != victim))
+        assert not holders[victim] & others, "the cut must leave the other terms whole"
+
+        resolve = frontend._resolve_term
+        resolved = []
+
+        def resolve_then_lose_the_holders(term):
+            reader = resolve(term)
+            resolved.append(term)
+            if term == victim:
+                for address in holders[victim]:
+                    engine.network.set_offline(address)
+            return reader
+
+        frontend._resolve_term = resolve_then_lose_the_holders
+        raw = " OR ".join(query.terms)
+        page = frontend.search(raw)
+        assert victim in resolved and page.terms_missing == (victim,)
+        without = " OR ".join(term for term in query.terms if term != victim)
+        assert page.results
+        assert [(hit.doc_id, hit.score) for hit in page.results] == frontend_reference(
+            frontend, without
+        )
 
 
 class TestOverlappedPrefetch:

@@ -49,7 +49,6 @@ class TestBlock:
     def test_create_and_verify(self):
         block = Block.create(b"payload", links=("bafy" + "0" * 64,))
         assert block.verify()
-        assert block.size == 7
 
     def test_tampered_block_fails_verification(self):
         block = Block.create(b"payload")
@@ -168,107 +167,20 @@ class TestBlockStore:
         orphan = compute_cid("never stored")
         with pytest.raises(BlockNotFoundError):
             store.get(orphan)
-        with pytest.raises(BlockNotFoundError):
-            store.pin(orphan)
         assert not store.has(orphan)
-        assert not store.remove(orphan)
-
-    def test_lru_eviction_spares_pinned_blocks(self):
-        store = BlockStore(capacity_bytes=10)
-        pinned = Block.create(b"p" * 8)
-        store.put(pinned, pin=True)
-        first = Block.create(b"a" * 8)
-        second = Block.create(b"b" * 8)
-        store.put(first)
-        store.put(second)  # exceeds capacity: `first` (LRU, unpinned) goes
-        assert pinned.cid in store
-        assert first.cid not in store
-        assert second.cid in store
-
-    def test_evict_one_is_lru_and_skips_pinned(self):
-        store = BlockStore()
-        blocks = [Block.create(f"payload {i}".encode()) for i in range(4)]
-        store.put(blocks[0], pin=True)
-        for block in blocks[1:]:
-            store.put(block)
-        # Touch blocks[1] so blocks[2] becomes the LRU unpinned victim.
-        store.get(blocks[1].cid)
-        assert store.evict_one() == blocks[2].cid
-        assert store.evict_one() == blocks[3].cid
-        assert store.evict_one() == blocks[1].cid
-        # Only the pinned block remains; nothing else is evictable.
-        assert store.evict_one() is None
-        assert store.cids() == [blocks[0].cid]
-
-    def test_capacity_eviction_keeps_the_newest_cached_blocks(self):
-        store = BlockStore(capacity_bytes=250)
-        pinned = Block.create(b"pinned " + b"p" * 93)
-        store.put(pinned, pin=True)
-        cached = [Block.create(f"cached {i} ".encode() + b"c" * 91) for i in range(5)]
-        for block in cached:
-            store.put(block)
-        # 100-byte blocks under a 250-byte budget: two stay besides the pin.
-        assert store.cids() == [pinned.cid, cached[3].cid, cached[4].cid]
-        assert store.cached_bytes() == 200
-
-    def test_pinned_put_keeps_the_cache_within_capacity(self):
-        store = BlockStore(capacity_bytes=250)
-        held = {}
-
-        def put(payload: bytes, pin: bool = False) -> None:
-            block = Block.create(payload)
-            held[block.cid] = block
-            store.put(block, pin=pin)
-            unpinned = sum(
-                held[cid].size for cid in store.cids() if not store.is_pinned(cid)
-            )
-            assert unpinned <= store.capacity_bytes
-            assert store.cached_bytes() == unpinned
-
-        put(b"a" * 100)
-        put(b"b" * 100)
-        # A new pinned block was never cached, so it must not free budget.
-        put(b"p" * 100, pin=True)
-        for i in range(3):
-            put(f"{i}".encode() * 50)
-        assert store.cached_bytes() == 250
-
-    def test_pin_and_remove(self):
-        store = BlockStore()
-        block = Block.create(b"xyz")
-        store.put(block)
-        store.pin(block.cid)
-        assert store.is_pinned(block.cid)
-        assert store.remove(block.cid)
-        assert not store.remove(block.cid)
-
-    def test_pin_moves_bytes_out_of_cached(self):
-        store = BlockStore()
-        block = Block.create(b"x" * 100)
-        store.put(block)
-        assert store.cached_bytes() == 100
-        assert store.total_bytes() == 100
-        store.pin(block.cid)
-        assert store.is_pinned(block.cid)
-        assert store.cached_bytes() == 0
-        assert store.total_bytes() == 100
-
-    def test_pin_missing_block_raises(self):
-        with pytest.raises(BlockNotFoundError):
-            BlockStore().pin(compute_cid("nope"))
 
     def test_writer_commit_is_all_or_nothing(self):
         store = BlockStore()
         committed = Block.create(b"committed before the crash")
         with store.writer() as txn:
-            txn.put(committed, pin=True)
+            txn.put(committed)
         doomed_a, doomed_b = Block.create(b"doomed a"), Block.create(b"doomed b")
         with pytest.raises(RuntimeError):
             with store.writer() as txn:
                 txn.put(doomed_a)
                 txn.put(doomed_b)
                 raise RuntimeError("crash mid-publish")
-        assert store.has(committed.cid) and store.is_pinned(committed.cid)
+        assert store.has(committed.cid)
         assert not store.has(doomed_a.cid)
         assert not store.has(doomed_b.cid)
         assert len(store) == 1
@@ -283,7 +195,7 @@ class TestStoragePeerRPC:
         alice = StoragePeer("alice", network)
         bob = StoragePeer("bob", network)
         block = Block.create(b"shared data")
-        alice.store.put(block, pin=True)
+        alice.store.put(block)
         fetched = bob.fetch_block_from("alice", block.cid)
         assert fetched == block
         assert bob.store.has(block.cid)
@@ -298,7 +210,7 @@ class TestStoragePeerRPC:
         alice = StoragePeer("alice", network)
         bob = StoragePeer("bob", network)
         block = Block.create(b"replicate me")
-        assert alice.push_block_to("bob", block, pin=True)
+        assert alice.push_block_to("bob", block)
         assert bob.store.has(block.cid)
 
 
@@ -400,9 +312,10 @@ class TestOneRoundTripPerObject:
     def test_a_corrupted_one_block_object_is_rejected_and_the_next_provider_serves(self, hedged):
         _, _, _, storage = make_storage_stack(hedged=hedged)
         receipt = self._placed(storage, b"tamper-evident shard")
-        first = storage.peers["store-1"].store
-        assert first.remove(receipt.cid)
-        first.put(Block(cid=receipt.cid, data=b"forged shard", links=()), pin=True)
+        # store-1 now holds a forgery under the object's CID, and nothing else.
+        forged = BlockStore()
+        forged.put(Block(cid=receipt.cid, data=b"forged shard", links=()))
+        storage.peers["store-1"].store = forged
         with watch_traffic() as traffic:
             result = storage.get_bytes(receipt.cid, requester="store-2", preferred=self.HOLDERS)
         assert result.data == b"tamper-evident shard" and result.attempts == 2

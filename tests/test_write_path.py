@@ -35,6 +35,7 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
+from repro.storage.blockstore import BlockStore
 from repro.storage.peer import PUT_BLOCK
 
 from tests.conftest import make_small_engine
@@ -249,8 +250,8 @@ SLOW_PUSH = 1_000.0
 def _slow_pushes(d: _Deployment) -> None:
     """Make every storage peer's ``push_block_to`` cost ``SLOW_PUSH`` more."""
     for peer in d.storage.peers.values():
-        def slow(target, block, pin=False, push=peer.push_block_to):
-            delivered = push(target, block, pin=pin)
+        def slow(target, block, push=peer.push_block_to):
+            delivered = push(target, block)
             d.simulator.clock.advance(SLOW_PUSH)
             return delivered
 
@@ -410,7 +411,7 @@ class TestFetchBudget:
             else:
                 # Healthy peers the detector has given up on — and they do not
                 # hold the content either, so only the current hints can serve.
-                d.storage.peers[address].store.remove(info.cid)
+                d.storage.peers[address].store = BlockStore()
                 for _ in range(d.detector.suspicion_threshold):
                     d.detector.record_failure(address)
                 assert not d.storage.presumed_alive(address)
