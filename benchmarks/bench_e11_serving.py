@@ -61,10 +61,10 @@ BASE_RATE = 1 / 2_500.0
 BURST_START = 2_000.0
 BURST_DURATION = 10_000.0 if SMOKE else 30_000.0
 # The burst must exceed what the replicas can serve at both sizes, or nothing
-# is shed.  It is scaled to the full-path query's sim cost: 40 x 2.62, the
-# speed-up from resolving a page's records concurrently (E13 query-cold mean,
-# 1,402.5 -> 535.1 ticks), under which x40 was admitted in full at smoke size.
-BURST_FACTOR = 105.0
+# is shed, so it follows the full-path query's sim cost (E13 query-cold mean
+# 175 ticks).  At smoke size x105 is admitted in full and x180 sheds 15
+# requests for a 2 % p99 gain; x200 sheds 19 and cuts the p99 by a third.
+BURST_FACTOR = 200.0
 FLASH_HORIZON = BURST_START + BURST_DURATION + (20_000.0 if SMOKE else 60_000.0)
 
 DIURNAL_HORIZON = 30_000.0 if SMOKE else 90_000.0

@@ -113,7 +113,9 @@ class YaCyStyleEngine:
             if peer is None:
                 continue
             peer.postings.setdefault(term, PostingList()).add(document.doc_id, frequency)
-        self.statistics.add_document(document.doc_id, document.length, frequencies)
+        self.statistics.add_document(
+            document.doc_id, document.length, frequencies, document.version
+        )
         self.stats.documents_indexed += 1
 
     def _responsible_peer(self, term: str) -> Optional[_YaCyPeer]:

@@ -384,7 +384,9 @@ class QueenBeeEngine:
                 next(page_workers).publish_records(
                     document, receipt.cid, frequencies, prior_version=0
                 )
-                self.statistics.add_document(document.doc_id, document.length, frequencies)
+                self.statistics.add_document(
+                    document.doc_id, document.length, frequencies, document.version
+                )
                 self._register_ground_truth(document)
                 self.stats.documents_published += 1
 

@@ -126,14 +126,20 @@ class WorkerBee:
             # partially-failed update stay admissible against both the
             # rolled-back and the retried state; the true length lands after
             # the shards commit (a pure length fix-up: df is untouched).  On
-            # failure the mutation is rolled back so a retry applies the
-            # df/length delta exactly once, not twice.
-            prior_length = statistics.length_of(document.doc_id) if statistics is not None else 0
+            # failure the mutation is rolled back, prior length and page
+            # version included, so a retry applies the df/length delta exactly
+            # once, not twice.
+            prior_length, prior_doc_version = 0, 0
+            if statistics is not None:
+                prior_length = statistics.length_of(document.doc_id)
+                prior_doc_version = statistics.version_floor(document.doc_id)
             conservative_length = min(prior_length, document.length) if previous else 0
             if statistics is not None:
                 if previous:
                     statistics.remove_document(document.doc_id, previous)
-                statistics.add_document(document.doc_id, conservative_length, frequencies)
+                statistics.add_document(
+                    document.doc_id, conservative_length, frequencies, document.version
+                )
 
             prior_version = prior.version if prior is not None else 0
             branches = [
@@ -149,10 +155,14 @@ class WorkerBee:
                 if statistics is not None:
                     statistics.remove_document(document.doc_id, frequencies)
                     if previous:
-                        statistics.add_document(document.doc_id, prior_length, previous)
+                        statistics.add_document(
+                            document.doc_id, prior_length, previous, prior_doc_version
+                        )
                 raise
             if statistics is not None:
-                statistics.add_document(document.doc_id, document.length, frequencies)
+                statistics.add_document(
+                    document.doc_id, document.length, frequencies, document.version
+                )
 
             self.publish_records(
                 document, cid, frequencies, prior_version=prior_version, terms_cid=terms_cid
@@ -186,21 +196,25 @@ class WorkerBee:
             # Same ordering rule as index_document: lengths must be current
             # before the shard republishes stamp their min-length bounds — and
             # the same rollback rule, so a failed delete retries cleanly.
-            prior_length = statistics.length_of(doc_id) if statistics is not None else 0
+            # The deleted page's version (0: not listed) is what the display
+            # tombstone succeeds; without statistics the tombstone states none.
+            prior_length, prior_doc_version = 0, 0
             if statistics is not None:
+                prior_length = statistics.length_of(doc_id)
+                prior_doc_version = statistics.version_floor(doc_id)
                 statistics.remove_document(doc_id, prior.terms)
             try:
                 self._update_shards(doc_id, list(prior.terms), [])
             except Exception:
                 if statistics is not None:
-                    statistics.add_document(doc_id, prior_length, prior.terms)
+                    statistics.add_document(doc_id, prior_length, prior.terms, prior_doc_version)
                 raise
             # The two tombstones, side by side in the same order as publish_records.
             self.index.dht.simulator.parallel_region([
                 lambda: self.term_directory.delete(
                     doc_id, publisher=self.storage_peer, prior_version=prior.version
                 ),
-                lambda: self.directory.mark_deleted(doc_id),
+                lambda: self.directory.mark_deleted(doc_id, prior_doc_version or None),
             ])
             self.index_tasks_completed += 1
             return True

@@ -57,7 +57,9 @@ class LocalInvertedIndex:
         for term, frequency in frequencies.items():
             self._postings.setdefault(term, PostingList()).add(document.doc_id, frequency)
         self._doc_terms[document.doc_id] = frequencies
-        self.statistics.add_document(document.doc_id, document.length, frequencies)
+        self.statistics.add_document(
+            document.doc_id, document.length, frequencies, document.version
+        )
         return frequencies
 
     def remove_document(self, doc_id: int) -> bool:

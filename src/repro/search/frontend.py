@@ -65,9 +65,11 @@ from repro.search.results import (
 )
 from repro.sim.simulator import Simulator
 
-# Resolves a doc_id to its metadata ({url, title, owner, cid, snippet}); the
-# engine backs this with the document directory it publishes to the DHT.
-MetadataResolver = Callable[[int], Dict[str, Any]]
+# Resolves a doc_id to its metadata ({url, title, owner, cid, snippet}) given
+# the page version the frontend's statistics list it at (its floor, 0 when
+# unlisted); the engine backs this with the document directory it publishes
+# to the DHT, whose read stops at the first replica that meets the floor.
+MetadataResolver = Callable[[int, int], Dict[str, Any]]
 # Returns the current page-rank vector (doc_id -> rank).
 RankProvider = Callable[[], Mapping[int, float]]
 # Returns the monotonic version of the rank vector (bumped per rank round);
@@ -156,7 +158,9 @@ class SearchFrontend:
         (version, corpus size) instead of recomputing the O(corpus) max()
         on every query, and result-cache keys include the version.
     metadata_resolver:
-        Callable mapping doc_id to display metadata.  It runs as a branch of
+        Callable mapping ``(doc_id, floor)`` to display metadata, ``floor``
+        being the page version the statistics list the document at
+        (:meth:`CollectionStatistics.version_floor`).  It runs as a branch of
         the compose step's parallel region, so it must not raise: return
         ``{}`` for a record it cannot read.
     ad_provider:
@@ -198,7 +202,7 @@ class SearchFrontend:
         self.index = index
         self.rank_provider = rank_provider or (lambda: {})
         self.rank_version_provider = rank_version_provider
-        self.metadata_resolver = metadata_resolver or (lambda doc_id: {})
+        self.metadata_resolver = metadata_resolver or (lambda doc_id, floor: {})
         self.ad_provider = ad_provider
         self.analyzer = analyzer or Analyzer()
         self._statistics = statistics
@@ -745,10 +749,14 @@ class SearchFrontend:
         outcome = executor.execute(plan)
 
         # Compose: the top-k display records resolve side by side, so a page
-        # costs its slowest resolve rather than their sum.
-        records = self._run_region(
-            [lambda doc_id=doc_id: self.metadata_resolver(doc_id) for doc_id in outcome.scores]
-        )
+        # costs its slowest resolve rather than their sum, and each stops at
+        # the first record at the version the statistics list.
+        records = self._run_region([
+            lambda doc_id=doc_id: self.metadata_resolver(
+                doc_id, statistics.version_floor(doc_id)
+            )
+            for doc_id in outcome.scores
+        ])
         results = []
         for (doc_id, score), metadata in zip(outcome.scores.items(), records):
             metadata = metadata or {}

@@ -104,7 +104,7 @@ def _report(tmp_path, allow=()):
         module.Thing().method()
 
     called = record_calls([driver])
-    return audit(source, tests, called, list(allow))
+    return audit(source, functions_in(source), tests, called, list(allow))
 
 
 def _verdicts(report):
@@ -149,7 +149,7 @@ def test_a_function_only_a_test_calls_is_reached_by_tests_only(tmp_path):
 
 def test_a_constructor_is_named_by_its_class(tmp_path):
     source, tests, _ = _fixture(tmp_path)
-    report = audit(source, tests, set(), [])
+    report = audit(source, functions_in(source), tests, set(), [])
     assert _verdicts(report)["Thing.__init__"] == ["tests/test_mod.py::TestThing::test_builds"]
 
 
@@ -162,12 +162,29 @@ def test_an_entry_may_keep_a_module_and_needs_a_reason(tmp_path):
         pkg/mod.py:gone -- names no function
     """))
     entries = read_allow_list(allow)
-    report = audit(source, tests, set(), entries)
+    report = audit(source, functions_in(source), tests, set(), entries)
     assert report.unexplained == [] and len(report.kept) == len(report.functions)
     assert [entry.qualname for entry in report.unused_entries] == ["gone"]
     allow.write_text("pkg/mod.py:never\n")
     with pytest.raises(ValueError, match="needs ' -- <reason>'"):
         read_allow_list(allow)
+
+
+def test_audit_judges_the_functions_listed_before_the_run(tmp_path):
+    source, tests, module = _fixture(tmp_path)
+    functions = functions_in(source)
+    # An edit made while the drivers run moves every function two lines down.
+    (source / "mod.py").write_text("\n\n" + FIXTURE)
+
+    def driver():
+        module.called()
+        module.Thing().method()
+
+    called = record_calls([driver])
+    verdicts = _verdicts(audit(source, functions, tests, called, []))
+    assert "called" not in verdicts and "Thing.method" not in verdicts
+    relisted = _verdicts(audit(source, functions_in(source), tests, called, []))
+    assert "called" in relisted and "Thing.method" in relisted
 
 
 def test_every_allow_list_entry_names_a_function_under_src():

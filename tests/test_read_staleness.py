@@ -73,4 +73,5 @@ def test_watching_a_run_changes_nothing_in_it():
         remove()
     assert watched == plain
     assert families["idx"].reads and families["idx"].stopped_early
-    assert families["docmeta"].reads and families["docmeta"].stopped_early == 0
+    # Compose reads its display records at the statistics' version floor too.
+    assert families["docmeta"].reads and families["docmeta"].stopped_early > 0

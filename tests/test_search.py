@@ -182,7 +182,7 @@ class TestSearchFrontend:
             simulator=simulator,
             index=index,
             rank_provider=lambda: {1: 0.5, 2: 0.3, 3: 0.2},
-            metadata_resolver=lambda doc_id: metadata.get(doc_id, {}),
+            metadata_resolver=lambda doc_id, floor: metadata.get(doc_id, {}),
             ad_provider=lambda kw: [{"ad_id": 9, "advertiser": "adv", "bid_per_click": 10}]
             if kw == "honey" else [],
             analyzer=analyzer,
@@ -254,10 +254,10 @@ class TestSearchFrontend:
         plain, ranks = frontend.metadata_resolver, frontend.rank_provider()
         delay, starts = 25.0, []
 
-        def slow(doc_id):
+        def slow(doc_id, floor):
             starts.append(simulator.now)
             simulator.advance(delay)
-            return plain(doc_id)
+            return plain(doc_id, floor)
 
         frontend.metadata_resolver = slow
         page = frontend.search(raw)
@@ -266,8 +266,8 @@ class TestSearchFrontend:
         assert simulator.now - starts[0] == delay
         assert page.results == [
             SearchResult(
-                doc_id=doc_id, score=score, url=plain(doc_id)["url"],
-                title=plain(doc_id)["title"], owner=plain(doc_id)["owner"],
+                doc_id=doc_id, score=score, url=plain(doc_id, 0)["url"],
+                title=plain(doc_id, 0)["title"], owner=plain(doc_id, 0)["owner"],
                 page_rank=ranks[doc_id],
             )
             for doc_id, score in frontend_reference(frontend, raw)

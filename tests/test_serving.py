@@ -188,9 +188,11 @@ class TestFlashCrowdRecovery:
         )
         pool = [" ".join(doc.text.split()[:2]) for doc in corpus.documents[:6]]
         burst_end = 6_000.0
+        # 400x the base rate: the burst must overload the one slot, and the
+        # cheaper a query, the larger the burst that does.
         workload = FlashCrowdArrivals(
             pool, base_rate=1 / 3000.0, burst_start=1_000.0, burst_duration=5_000.0,
-            burst_factor=200.0, rng=engine.simulator.fork_rng("flash-wl"),
+            burst_factor=400.0, rng=engine.simulator.fork_rng("flash-wl"),
         ).generate(30_000.0)
         start = engine.simulator.now
         responses = service.run_workload(workload)

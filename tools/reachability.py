@@ -165,9 +165,13 @@ def read_allow_list(path: Path) -> List[AllowEntry]:
     return entries
 
 
-def audit(source_root: Path, tests_root: Path, called: Set[Tuple[str, int]],
-          allow: Sequence[AllowEntry]) -> Report:
-    functions = functions_in(source_root)
+def audit(source_root: Path, functions: Sequence[Function], tests_root: Path,
+          called: Set[Tuple[str, int]], allow: Sequence[AllowEntry]) -> Report:
+    """Judge ``functions`` against ``called``.  ``functions`` is listed from
+    ``source_root`` by :func:`functions_in` *before* the drivers run, so an
+    edit to an imported module during the run cannot move a line away from
+    the code object recorded for it."""
+    functions = list(functions)
     base = source_root.parent
     reached = [f for f in functions
                if (os.path.realpath(base / f.path), f.line) in called]
@@ -276,8 +280,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             driver()
         return run
 
+    source_root = ROOT / "src" / "repro"
+    functions = functions_in(source_root)
     called = record_calls(announced(name, driver) for name, driver in drivers())
-    report = audit(ROOT / "src" / "repro", ROOT / "tests", called, read_allow_list(ALLOW_LIST))
+    report = audit(source_root, functions, ROOT / "tests", called, read_allow_list(ALLOW_LIST))
     print(format_report(report))
     return 1 if args.check and not report.clean else 0
 
