@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.errors import KeyNotFoundError
-from repro.dht.dht import DHTNetwork
+from repro.dht.dht import DHTNetwork, WriteTarget
 from repro.index.document import Document
 
 
@@ -35,8 +35,14 @@ class DocumentDirectory:
         self.dht = dht
         self.snippet_length = snippet_length
 
-    def publish(self, document: Document, cid: str) -> None:
-        """Record the metadata of an indexed document."""
+    def locate(self, doc_id: int) -> WriteTarget:
+        """The lookup half of a write of ``doc_id``'s record, for a writer to run
+        beside the work the write waits on (:meth:`DHTNetwork.locate`)."""
+        return self.dht.locate(doc_key(doc_id))
+
+    def publish(self, document: Document, cid: str, target: Optional[WriteTarget] = None) -> None:
+        """Record the metadata of an indexed document (at ``target`` when the
+        caller located it early)."""
         record = {
             "doc_id": document.doc_id,
             "url": document.url,
@@ -47,9 +53,11 @@ class DocumentDirectory:
             "published_at": document.published_at,
             "snippet": document.text[: self.snippet_length],
         }
-        self.dht.put(doc_key(document.doc_id), record)
+        self.dht.put(doc_key(document.doc_id), record, target=target)
 
-    def mark_deleted(self, doc_id: int, version: Optional[int] = None) -> None:
+    def mark_deleted(
+        self, doc_id: int, version: Optional[int] = None, target: Optional[WriteTarget] = None
+    ) -> None:
         """Replace a document's metadata with a tombstone (page deletion).
 
         The DHT has no delete primitive, so absence is expressed as published
@@ -61,7 +69,7 @@ class DocumentDirectory:
         record: Dict[str, Any] = {"doc_id": doc_id, "deleted": True}
         if version is not None:
             record["version"] = version + 1
-        self.dht.put(doc_key(doc_id), record)
+        self.dht.put(doc_key(doc_id), record, target=target)
 
     def resolve(self, doc_id: int, floor: int = 0) -> Dict[str, Any]:
         """Metadata for ``doc_id`` (empty dict when unknown/unreachable/deleted).

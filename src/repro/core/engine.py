@@ -358,9 +358,11 @@ class QueenBeeEngine:
 
         Creators publish on their own, so every page is one branch of one
         parallel region, in corpus order: its publisher stores and registers
-        it (contract state and honey flows are real; a page the dedup defense
-        rejects stops there), and a worker bee writes its two directory records
-        side by side (:meth:`WorkerBee.publish_records`).  Posting lists are
+        it (contract state and honey flows are real) while a worker bee stores
+        its term vector and looks up its two directory records' keys, and then
+        the worker STOREs both records side by side
+        (:meth:`WorkerBee.publish_records`); a page the dedup defense rejects
+        writes no record.  Posting lists are
         built locally by the worker bees' analyzer and published once per term
         instead of once per term per document: after every page is registered,
         every term in a second region, spread across the workers, beside the
@@ -373,16 +375,31 @@ class QueenBeeEngine:
 
         def page_thunk(document: Document):
             def publish_page() -> None:
-                receipt = self.publisher_for(document.owner).publish(document)
+                worker = next(page_workers)
+                frequencies = self.analyzer.term_frequencies(document.full_text)
+                # The page add, its term vector's store and both directory
+                # records' lookups run side by side; only the records' STOREs
+                # wait for the receipt (the vector is invisible until its
+                # ``doc:`` record names it).
+                receipt, terms_cid, *targets = self.simulator.parallel_region([
+                    lambda: self.publisher_for(document.owner).publish(document),
+                    lambda: worker.term_directory.store_terms(
+                        document.doc_id, frequencies,
+                        publisher=worker.storage_peer, prior_version=0,
+                    ),
+                    lambda: worker.term_directory.locate(document.doc_id),
+                    lambda: worker.directory.locate(document.doc_id),
+                ])
                 if not receipt.accepted:
                     self.stats.publishes_rejected += 1
                     return
-                frequencies = local.add_document(document)
+                local.add_document(document)
                 # Directory records are published even on the batch path, so the
                 # first post-bootstrap update of any page can diff against its
                 # bootstrapped term vector regardless of which worker handles it.
-                next(page_workers).publish_records(
-                    document, receipt.cid, frequencies, prior_version=0
+                worker.publish_records(
+                    document, receipt.cid, frequencies, prior_version=0,
+                    terms_cid=terms_cid, targets=tuple(targets),
                 )
                 self.statistics.add_document(
                     document.doc_id, document.length, frequencies, document.version

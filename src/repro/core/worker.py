@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.directory import DocumentDirectory
+from repro.dht.dht import WriteTarget
 from repro.index.analysis import Analyzer
-from repro.index.directory import TermDirectory
+from repro.index.directory import TermDirectory, TermDirectoryRecord
 from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
 from repro.index.postings import PostingList
@@ -94,7 +95,8 @@ class WorkerBee:
         ``statistics`` (the shared collection statistics, owned by the engine)
         is updated in place when provided.  The task runs in one DHT publish
         scope, so a key it reads and then writes (the ``doc:`` record, each
-        merged term's manifest) is resolved once.
+        merged term's manifest) is resolved once, and the ``docmeta:`` record it
+        writes without reading is looked up beside the ``doc:`` read.
 
         The shard updates run in one parallel region, with the new version's
         content-addressed term vector stored as its last branch: nothing can
@@ -105,7 +107,7 @@ class WorkerBee:
         """
         with self.index.dht.publish_scope():
             frequencies = self.analyzer.term_frequencies(document.full_text)
-            prior = self.term_directory.fetch(document.doc_id, requester=self.storage_peer)
+            prior, meta_target = self._read_prior(document.doc_id)
             previous = prior.terms if prior is not None and not prior.deleted else {}
             is_update = bool(previous)
             removed_terms = [term for term in previous if term not in frequencies]
@@ -165,7 +167,8 @@ class WorkerBee:
                 )
 
             self.publish_records(
-                document, cid, frequencies, prior_version=prior_version, terms_cid=terms_cid
+                document, cid, frequencies, prior_version=prior_version, terms_cid=terms_cid,
+                targets=(None, meta_target),
             )
             self.index_tasks_completed += 1
             return IndexTaskResult(
@@ -190,7 +193,7 @@ class WorkerBee:
         Runs in one DHT publish scope, as :meth:`index_document` does.
         """
         with self.index.dht.publish_scope():
-            prior = self.term_directory.fetch(doc_id, requester=self.storage_peer)
+            prior, meta_target = self._read_prior(doc_id)
             if prior is None or prior.deleted:
                 return False
             # Same ordering rule as index_document: lengths must be current
@@ -214,7 +217,9 @@ class WorkerBee:
                 lambda: self.term_directory.delete(
                     doc_id, publisher=self.storage_peer, prior_version=prior.version
                 ),
-                lambda: self.directory.mark_deleted(doc_id, prior_doc_version or None),
+                lambda: self.directory.mark_deleted(
+                    doc_id, prior_doc_version or None, target=meta_target
+                ),
             ])
             self.index_tasks_completed += 1
             return True
@@ -226,6 +231,7 @@ class WorkerBee:
         frequencies: Dict[str, int],
         prior_version: int,
         terms_cid: Optional[str] = None,
+        targets: Tuple[Optional[WriteTarget], Optional[WriteTarget]] = (None, None),
     ) -> None:
         """Write a document's two per-document records in one parallel region.
 
@@ -233,20 +239,32 @@ class WorkerBee:
         (``TermDirectory.publish``, successor of ``prior_version``), the second
         the ``docmeta:<id>`` display record (``DocumentDirectory.publish``).
         ``terms_cid`` names a term vector already stored
-        (:meth:`index_document` stores it beside the shard updates); without
-        one, as on the bootstrap path, the first branch stores the vector
-        before its record.  Neither branch reads what the other writes, so the
-        write costs the slower of the two.  A raise in the first branch
-        propagates before the second runs, so no display record is written
-        without its term record.
+        (:meth:`index_document` stores it beside the shard updates, bootstrap
+        beside the page's add); without one the first branch stores the vector
+        before its record.  ``targets`` are the two records' write targets when
+        the caller located them early (``doc:`` first; ``None`` for a record
+        looked up here or resolved by the publish scope).  Neither branch reads
+        what the other writes, so the write costs the slower of the two.  A
+        raise in the first branch propagates before the second runs, so no
+        display record is written without its term record.
         """
+        terms_target, meta_target = targets
         self.index.dht.simulator.parallel_region([
             lambda: self.term_directory.publish(
                 document.doc_id, frequencies, publisher=self.storage_peer,
-                prior_version=prior_version, terms_cid=terms_cid,
+                prior_version=prior_version, terms_cid=terms_cid, target=terms_target,
             ),
-            lambda: self.directory.publish(document, cid),
+            lambda: self.directory.publish(document, cid, target=meta_target),
         ])
+
+    def _read_prior(self, doc_id: int) -> Tuple[Optional[TermDirectoryRecord], WriteTarget]:
+        """The document's prior ``doc:`` record and, beside that read, the
+        lookup half of its ``docmeta:`` write (the one record a task writes
+        without reading it), so that write waits for its STORE alone."""
+        return tuple(self.index.dht.simulator.parallel_region([
+            lambda: self.term_directory.fetch(doc_id, requester=self.storage_peer),
+            lambda: self.directory.locate(doc_id),
+        ]))
 
     def _update_shards(self, doc_id, removed_terms, thunks) -> list:
         """Issue removals for ``removed_terms`` plus ``thunks`` concurrently.

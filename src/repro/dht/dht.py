@@ -170,9 +170,12 @@ class DHTNetwork:
         its origin and the closest set its lookup converged on, and the next
         write of that key without an explicit ``origin`` consumes the record:
         it fans out from that origin to that set instead of looking the key up
-        again.  A fan-out that lands on no replica falls back to a fresh
-        lookup.  Records are used once and dropped when the scope exits, so
-        they never outlive the publish that made them.
+        again.  A key the scope writes without reading it (a worker's
+        ``docmeta:`` record) is located beside the scope's first read instead
+        (:meth:`locate`, then ``put(..., target=)``).  Either way a fan-out
+        that lands on no replica falls back to a fresh lookup.  Records are
+        used once and dropped when the scope exits, so they never outlive the
+        publish that made them.
         """
         outer, self._resolved = self._resolved, {}
         try:
@@ -180,12 +183,21 @@ class DHTNetwork:
         finally:
             self._resolved = outer
 
-    def put(self, key: str, value: Any, origin: Optional[KademliaNode] = None) -> int:
+    def put(
+        self,
+        key: str,
+        value: Any,
+        origin: Optional[KademliaNode] = None,
+        target: Optional[WriteTarget] = None,
+    ) -> int:
         """Store ``value`` on the ``replicate`` nodes closest to ``key``.
 
-        Returns the number of replicas successfully written.
+        A caller that ran the lookup half (:meth:`locate`) beside the work the
+        write waits on passes its ``target`` and pays only the STORE fan-out
+        (see :meth:`_write_at`).  Returns the number of replicas successfully
+        written.
         """
-        return self._write_at(self.locate(key, origin), STORE, {"value": value})
+        return self._write_at(key, origin, target, STORE, {"value": value})
 
     def get(
         self,
@@ -220,12 +232,10 @@ class DHTNetwork:
 
         One lookup and one APPEND per replica however many items there are.
         A caller that already ran the lookup half (:meth:`locate`) passes its
-        ``target`` and pays only the fan-out.  Returns the number of replicas
-        successfully written.
+        ``target`` and pays only the fan-out, as :meth:`put` does.  Returns the
+        number of replicas successfully written.
         """
-        if target is None:
-            target = self.locate(key, origin)
-        return self._write_at(target, APPEND, {"items": list(items)})
+        return self._write_at(key, origin, target, APPEND, {"items": list(items)})
 
     def get_set(self, key: str, origin: Optional[KademliaNode] = None) -> List[Any]:
         """Fetch the set stored under ``key`` (empty list on a clean miss;
@@ -239,8 +249,8 @@ class DHTNetwork:
         the lookup (and is consumed).  Otherwise one ``find_node`` runs from
         ``origin`` (a random online node by default).  An inconclusive lookup
         does not raise here: it is carried to the fan-out half
-        (``add_to_set(..., target=)``), so a caller can run this half beside
-        other work and still fail after it.
+        (``put`` / ``add_to_set(..., target=)``), so a caller can run this half
+        beside other work and still fail after it.
         """
         recorded = self._resolved.pop(key, None) if self._resolved and origin is None else None
         if recorded is not None:
@@ -253,31 +263,48 @@ class DHTNetwork:
             inconclusive=not result.closest and self._inconclusive(result),
         )
 
-    def _write_at(self, target: WriteTarget, msg_type: str, body: Dict[str, Any]) -> int:
-        """The fan-out half of a write: send ``msg_type`` to ``target``'s ``replicate``
-        closest nodes in one parallel round; returns how many stored it.
+    def _write_at(
+        self,
+        key: str,
+        origin: Optional[KademliaNode],
+        target: Optional[WriteTarget],
+        msg_type: str,
+        body: Dict[str, Any],
+    ) -> int:
+        """The fan-out half of a write: send ``msg_type`` to the ``replicate``
+        closest nodes of ``target`` (located now when none is given) in one
+        parallel round; returns how many stored it.
 
-        A lookup that reached nobody raises :class:`RoutingError` instead of
-        falling back to the origin's own store: that copy would be one no
-        other reader can find during the outage and — being the freshest —
-        the one every reader prefers after it.  Only an overlay with nobody
-        to ask stores on the origin.  A recorded target whose fan-out stores
-        nowhere falls back to a fresh lookup.
+        A target located before the write was due — the caller's own
+        :meth:`locate`, run beside the work the write waits on, or a publish
+        scope's record — may have gone stale by then: when it is inconclusive,
+        or its fan-out stores nowhere, the key is looked up again.  A lookup
+        made for the write that reached nobody raises :class:`RoutingError`
+        instead of falling back to the origin's own store: that copy would be
+        one no other reader can find during the outage and — being the
+        freshest — the one every reader prefers after it.  Only an overlay
+        with nobody to ask stores on the origin.
         """
-        if target.recorded:
-            stored = self._fan_out(target.origin, target.closest, target.key, msg_type, body)
+        early = target is not None
+        if target is None:
+            target = self.locate(key, origin)
+        # An empty set that is not inconclusive is the origin alone: nothing went stale.
+        if (early or target.recorded) and (target.closest or target.inconclusive):
+            stored = target.closest and self._fan_out(
+                target.origin, target.closest, key, msg_type, body
+            )
             if stored:
                 self.stats.stores += 1
                 return stored
-            target = self.locate(target.key)
+            target = self.locate(key)
         if target.inconclusive:
-            raise RoutingError(f"no peer answered the lookup for {target.key!r}; nothing stored")
+            raise RoutingError(f"no peer answered the lookup for {key!r}; nothing stored")
         self.stats.stores += 1
         origin = target.origin
         if target.closest:
-            return self._fan_out(origin, target.closest, target.key, msg_type, body)
+            return self._fan_out(origin, target.closest, key, msg_type, body)
         # The origin is the whole overlay: its own handler, no network.
-        payload = dict(origin._base_payload(), key=key_to_id(target.key), **body)
+        payload = dict(origin._base_payload(), key=key_to_id(key), **body)
         message = Message(origin.address, origin.address, msg_type, payload)
         return int(origin.handle_message(message).ok)
 

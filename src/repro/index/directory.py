@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import KeyNotFoundError, RoutingError
-from repro.dht.dht import DHTNetwork
+from repro.dht.dht import DHTNetwork, WriteTarget
 from repro.storage.ipfs import DecentralizedStorage
 
 
@@ -119,6 +119,7 @@ class TermDirectory:
         publisher: Optional[str] = None,
         prior_version: Optional[int] = None,
         terms_cid: Optional[str] = None,
+        target: Optional[WriteTarget] = None,
     ) -> TermDirectoryRecord:
         """Publish ``terms`` as the authoritative term vector for ``doc_id``.
 
@@ -127,7 +128,8 @@ class TermDirectory:
         extra DHT read.  When omitted, the current pointer is read so the
         successor version is still monotonic.  ``terms_cid`` names the vector
         when :meth:`store_terms` already stored it; without it the vector is
-        stored first.
+        stored first.  ``target`` is the pointer's write target when the caller
+        located it early (:meth:`locate`).
         """
         version = self._next_version(doc_id, prior_version)
         if terms_cid is None:
@@ -135,9 +137,14 @@ class TermDirectory:
         record = TermDirectoryRecord(
             doc_id=doc_id, version=version, terms_cid=terms_cid, terms=dict(terms)
         )
-        self.dht.put(doc_terms_key(doc_id), record.to_pointer())
+        self.dht.put(doc_terms_key(doc_id), record.to_pointer(), target=target)
         self.stats.records_published += 1
         return record
+
+    def locate(self, doc_id: int) -> WriteTarget:
+        """The lookup half of a write of ``doc_id``'s pointer, for a writer to
+        run beside the work the write waits on (:meth:`DHTNetwork.locate`)."""
+        return self.dht.locate(doc_terms_key(doc_id))
 
     def delete(
         self,

@@ -834,11 +834,19 @@ class DistributedIndex:
     def publish_statistics(
         self, statistics: CollectionStatistics, publisher: Optional[str] = None
     ) -> str:
-        """Publish the collection statistics the frontend needs for BM25."""
+        """Publish the collection statistics the frontend needs for BM25.
+
+        The blob's add and the ``STATS_KEY`` record's lookup run side by side;
+        the record's STORE, which names the blob, follows both.
+        """
         payload = json.dumps(statistics.to_dict(), sort_keys=True)
-        cid = self.storage.add_text(payload, publisher=publisher).cid
-        self.dht.put(STATS_KEY, json.dumps({"cid": cid, "v": statistics.version}, sort_keys=True))
-        return cid
+        receipt, target = self.dht.simulator.parallel_region([
+            lambda: self.storage.add_text(payload, publisher=publisher),
+            lambda: self.dht.locate(STATS_KEY),
+        ])
+        record = json.dumps({"cid": receipt.cid, "v": statistics.version}, sort_keys=True)
+        self.dht.put(STATS_KEY, record, target=target)
+        return receipt.cid
 
     # -- fetching (frontend side) -----------------------------------------------------
 

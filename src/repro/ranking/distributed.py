@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.dht.dht import WriteTarget
 from repro.errors import AttackConfigError
 from repro.ranking.graph import LinkGraph
 from repro.ranking.pagerank import DEFAULT_DAMPING, PageRankResult
@@ -371,11 +372,7 @@ class RankCeilingPublisher:
 
 # -- banded rank-vector publication ----------------------------------------------------
 
-# DHT record names of the published rank artifacts.  The full vector under
-# RANK_VECTOR_DHT_KEY is the **resync anchor**: delta rounds leave it at the
-# last wholesale version and readers reconstruct the current vector as
-# anchor + changed bands per the band manifest under RANK_BANDS_DHT_KEY.
-RANK_VECTOR_DHT_KEY = "rank:vector"
+# DHT record name of the band manifest, the one published rank record.
 RANK_BANDS_DHT_KEY = "rank:bands"
 
 RANK_BAND_MANIFEST_KIND = "qb-rank-bands"
@@ -453,9 +450,9 @@ class RankVectorPublisher:
     bands; each band's canonical payload is fingerprinted, and a round whose
     vector moved only a few bands stores just those bands plus a small
     **band manifest** — remote frontends holding the previous vector then
-    fetch only the moved bands.  The last wholesale full vector stays
-    published as the resync anchor; the invariant (held by induction across
-    delta rounds) is that a band whose manifest entry carries no CID is
+    fetch only the moved bands.  The last wholesale full vector is the
+    manifest's ``anchor.cid``; the invariant (held by induction across delta
+    rounds) is that a band whose manifest entry carries no CID is
     bit-identical to its slice of the anchor, so any reader can always
     reconstruct the *current* vector as anchor + CID-carrying bands.
 
@@ -467,10 +464,9 @@ class RankVectorPublisher:
 
     The manifest is ``dht.put`` under :data:`RANK_BANDS_DHT_KEY`
     (authoritative); the engine additionally gossips it so frontends skip
-    the DHT lookup on the happy path.  A wholesale round stores the anchor
-    and then puts its ``rank:vector`` pointer and the manifest in one
-    parallel region; a delta round stores its changed bands in one region
-    and then puts the manifest.
+    the DHT lookup on the happy path.  A wholesale round stores the anchor,
+    and a delta round its changed bands, in one parallel region beside the
+    manifest key's lookup; the manifest's STORE follows.
     """
 
     def __init__(self, storage, dht, metrics=None) -> None:
@@ -488,7 +484,6 @@ class RankVectorPublisher:
         """Ship ``ranks`` at ``version``; returns what went on the wire."""
         if not ranks:
             full_cid, nbytes = self._store_full(ranks, version, publisher)
-            self.dht.put(RANK_VECTOR_DHT_KEY, full_cid)
             self._previous = None
             return RankPublishReceipt(
                 version=version, wholesale=True, full_cid=full_cid,
@@ -525,18 +520,16 @@ class RankVectorPublisher:
     # -- internals ---------------------------------------------------------------------
 
     def _publish_wholesale(self, ranks, version, width, bounds, fingerprints, publisher):
-        full_cid, nbytes = self._store_full(ranks, version, publisher)
+        (full_cid, nbytes), target = self.dht.simulator.parallel_region([
+            lambda: self._store_full(ranks, version, publisher),
+            lambda: self.dht.locate(RANK_BANDS_DHT_KEY),
+        ])
         cids: List[Optional[str]] = [None] * len(bounds)
         state = _BandState(
             version=version, width=width, fingerprints=fingerprints, cids=cids,
             anchor_cid=full_cid, anchor_version=version,
         )
-        # The two head records name the stored anchor and nothing of each
-        # other's, so they go up side by side.
-        _, manifest_json = self.dht.simulator.parallel_region([
-            lambda: self.dht.put(RANK_VECTOR_DHT_KEY, full_cid),
-            lambda: self._put_manifest(ranks, state, bounds),
-        ])
+        manifest_json = self._put_manifest(ranks, state, bounds, target)
         self._previous = state
         return RankPublishReceipt(
             version=version, wholesale=True, manifest_json=manifest_json,
@@ -552,10 +545,10 @@ class RankVectorPublisher:
             for index in range(len(bounds))
         ]
         payloads = {index: rank_band_payload(ranks, *bounds[index]) for index in changed}
-        stored = self.dht.simulator.parallel_region([
+        *stored, target = self.dht.simulator.parallel_region([
             partial(self.storage.add_text, payloads[index], publisher=publisher)
             for index in changed
-        ])
+        ] + [partial(self.dht.locate, RANK_BANDS_DHT_KEY)])
         nbytes = 0
         for index, receipt in zip(changed, stored):
             cids[index] = receipt.cid
@@ -566,7 +559,7 @@ class RankVectorPublisher:
             version=version, width=width, fingerprints=fingerprints, cids=cids,
             anchor_cid=previous.anchor_cid, anchor_version=previous.anchor_version,
         )
-        manifest_json = self._put_manifest(ranks, state, bounds)
+        manifest_json = self._put_manifest(ranks, state, bounds, target)
         self._previous = state
         return RankPublishReceipt(
             version=version, wholesale=False, manifest_json=manifest_json,
@@ -575,8 +568,8 @@ class RankVectorPublisher:
         )
 
     def _store_full(self, ranks, version, publisher) -> Tuple[str, int]:
-        """Store the full versioned vector (the legacy/anchor artifact); its
-        ``rank:vector`` pointer is the caller's to put."""
+        """Store the full versioned vector (the anchor a band manifest names;
+        ``rank:head`` gossips its CID)."""
         payload = json.dumps(
             {
                 "version": version,
@@ -590,7 +583,7 @@ class RankVectorPublisher:
             self.metrics.increment("publish.full_bytes", len(payload))
         return cid, len(payload)
 
-    def _put_manifest(self, ranks, state: _BandState, bounds) -> str:
+    def _put_manifest(self, ranks, state: _BandState, bounds, target: WriteTarget) -> str:
         body = {
             "kind": RANK_BAND_MANIFEST_KIND,
             "v": state.version,
@@ -610,7 +603,7 @@ class RankVectorPublisher:
             ],
         }
         manifest_json = json.dumps(body, sort_keys=True)
-        self.dht.put(RANK_BANDS_DHT_KEY, manifest_json)
+        self.dht.put(RANK_BANDS_DHT_KEY, manifest_json, target=target)
         return manifest_json
 
     @staticmethod

@@ -148,16 +148,19 @@ class Simulator:
         Each thunk runs with the clock reset to the region's start time; after
         all branches have run, the clock lands on ``start + max(durations)``.
         This mirrors :meth:`repro.net.network.SimulatedNetwork.rpc_parallel`
-        but for arbitrary multi-RPC operations — a worker bee updating all of
-        a page's term shards concurrently (with the page's term vector stored
-        beside them) or writing a page's two directory records (or
-        tombstones) side by side, a term publish storing every changed
+        but for arbitrary multi-RPC operations — a worker bee reading a
+        page's prior ``doc:`` record while it looks up its ``docmeta:`` key,
+        updating all of the page's term shards concurrently (with the page's
+        term vector stored beside them) or writing its two directory records
+        (or tombstones) side by side, a term publish storing every changed
         shard's patch and body at once, bootstrap storing, registering and
-        recording every page of the corpus at once and then publishing every
-        term (beside the collection statistics) at once, a content add
-        pushing to its replicas while it looks up its provider key, a rank
-        round putting its vector pointer beside its band manifest (or storing
-        its changed bands at once), a frontend prefetching every manifest and
+        recording every page of the corpus at once (each page's add beside its
+        term vector's store and its two records' lookups) and then publishing
+        every term (beside the collection statistics) at once, a content add
+        pushing to its replicas while it looks up its provider key, a
+        statistics publish adding its blob while it looks up ``STATS_KEY``, a
+        rank round storing its anchor (or its changed bands) while it looks up
+        its band manifest's key, a frontend prefetching every manifest and
         range shard of a query batch in one overlapped region, or a frontend
         composing a page by resolving its top-k records at once.  A branch
         that calls the chain gets a block no earlier than the chain's head

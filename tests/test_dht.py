@@ -549,6 +549,56 @@ class TestPublishScope:
         assert run(opened_a_scope=True) == counters
 
 
+class TestEarlyTarget:
+    """``put(..., target=)``: a writer that ran the lookup half (``locate``) beside
+    other work pays only the STORE fan-out, and a target gone stale by then is
+    looked up again, as a publish-scope record is."""
+
+    def test_a_located_put_costs_no_further_lookup(self, dht_net, monkeypatch):
+        _, _, dht = dht_net
+        target = dht.locate("k")
+        _, writes = _spy(monkeypatch, dht)
+        before = dht.stats.lookups
+        assert dht.put("k", "v", target=target) == 3
+        assert dht.stats.lookups == before
+        assert writes == [(target.origin.address, [c.address for c in target.closest[:3]])]
+        assert dht.get("k") == "v"
+
+    def test_replicas_gone_offline_before_the_write_are_looked_up_again(
+        self, dht_net, monkeypatch
+    ):
+        _, network, dht = dht_net
+        target = dht.locate("k")
+        located = [contact.address for contact in target.closest[:3]]
+        for address in located:
+            network.set_offline(address)
+        _, writes = _spy(monkeypatch, dht)
+        before = dht.stats.lookups
+        assert dht.put("k", "v", target=target) >= 1
+        assert dht.stats.lookups - before == 1
+        # The located set first, then whatever the fresh lookup located.
+        assert len(writes) == 2 and writes[0][1] == located
+        assert not set(located) & set(writes[1][1])
+        assert dht.get("k") == "v"
+
+    def test_an_inconclusive_target_is_looked_up_again(self, dht_net):
+        _, network, dht = dht_net
+        origin = dht.random_node()
+        contacts = origin.routing_table.closest(key_to_id("k"))
+        rules = [network.faults.add(_Silent(c.address, FIND_NODE)) for c in contacts]
+        target = dht.locate("k", origin=origin)
+        assert target.inconclusive
+        # The outage ends before the write: the contacts the failed lookup evicted return.
+        for rule in rules:
+            network.faults.remove(rule)
+        for contact in contacts:
+            origin.routing_table.update(contact)
+        before = dht.stats.lookups
+        assert dht.put("k", "v", target=target) >= 1
+        assert dht.stats.lookups - before == 1
+        assert dht.get("k") == "v"
+
+
 class TestPeerRpcErrors:
     """``ping`` / ``store_at`` / ``append_at`` read a *transport* failure as
     "peer dead, evict it" — and nothing else."""

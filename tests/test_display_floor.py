@@ -69,8 +69,10 @@ class TestComposeFloor:
         for node in engine.dht.nodes.values():
             if key in node.values and node is not lagging:
                 engine.network.faults.add(Straggler(peer=node.address, factor=50.0))
-        # A read that took the first record it heard would show v1.
-        first = engine.dht.get(doc_key(DOC), accept=lambda record: True)
+        # A read that took the first record it heard would show v1.  It starts
+        # at a node holding no copy, so that record comes from the network.
+        origin = next(node for node in engine.dht.nodes.values() if key not in node.values)
+        first = engine.dht.get(doc_key(DOC), origin=origin, accept=lambda record: True)
         assert first["version"] == 1
 
         titles, row = _watched(lambda: [_search_title(engine) for _ in range(5)])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from repro.dht.node import FIND_VALUE
 from repro.index.distributed import STATS_KEY
 from repro.index.document import Document
 from repro.net.gossip import STATS_HEAD_KEY
@@ -33,22 +32,26 @@ def _query(small_corpus) -> str:
     return " ".join(small_corpus.documents[0].text.split()[:2])
 
 
-def _find_values_for_the_key(traffic):
-    return [send for send in traffic.sends_for(STATS_KEY) if send[0] == FIND_VALUE]
-
-
 def _watch_floors(frontend):
-    """Record the ``accept=`` each ``STATS_KEY`` read of ``frontend`` passes."""
-    floors = []
-    get = frontend.index.dht.get
+    """Record ``(accept=, lookups)`` for each ``STATS_KEY`` read of ``frontend``:
+    the floor it passes and the DHT lookups it made.  The lookup count, not the
+    FIND_VALUEs sent, shows the read: a lookup whose origin holds the key itself
+    sends nothing."""
+    reads = []
+    dht = frontend.index.dht
+    get = dht.get
 
     def watched(key, origin=None, accept=None):
-        if key == STATS_KEY:
-            floors.append(accept)
-        return get(key, origin=origin, accept=accept)
+        if key != STATS_KEY:
+            return get(key, origin=origin, accept=accept)
+        before = dht.stats.lookups
+        try:
+            return get(key, origin=origin, accept=accept)
+        finally:
+            reads.append((accept, dht.stats.lookups - before))
 
-    frontend.index.dht.get = watched
-    return floors
+    dht.get = watched
+    return reads
 
 
 def _record(version: int) -> str:
@@ -92,11 +95,10 @@ def test_an_unreachable_gossiped_blob_falls_back_to_the_key_at_the_gossiped_floo
     requester = next(a for a in engine.storage.peer_addresses() if a not in holders)
     frontend = engine.create_frontend(requester=requester)
     assert frontend.metadata_view.stats_head() == (gossiped_version, gossiped_cid)
-    floors = _watch_floors(frontend)
-    with watch_traffic() as traffic:
-        _serves_the_reference(frontend, _query(small_corpus))
-    assert _find_values_for_the_key(traffic)
-    [accept] = floors
+    reads = _watch_floors(frontend)
+    _serves_the_reference(frontend, _query(small_corpus))
+    [(accept, lookups)] = reads
+    assert lookups == 1
     assert accept(_record(gossiped_version)) and not accept(_record(gossiped_version - 1))
     assert frontend.statistics.version == engine.statistics.version > gossiped_version
 
@@ -110,10 +112,11 @@ def test_a_blob_below_the_gossiped_head_is_not_adopted(small_corpus):
     engine.converge_metadata()
     frontend = engine.create_frontend(requester="peer-001:store")
     assert frontend.metadata_view.stats_head() == (old_version + 1, old_cid)
-    floors = _watch_floors(frontend)
-    with watch_traffic() as traffic:
-        _serves_the_reference(frontend, _query(small_corpus))
-    assert _find_values_for_the_key(traffic) and len(floors) == 1
+    reads = _watch_floors(frontend)
+    _serves_the_reference(frontend, _query(small_corpus))
+    [(accept, lookups)] = reads
+    assert lookups == 1
+    assert accept(_record(old_version + 1)) and not accept(_record(old_version))
     # The key's blob is adopted: it meets the head's version, the old blob did not.
     assert frontend.statistics.version == engine.statistics.version >= old_version + 1
 

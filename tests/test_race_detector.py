@@ -3,7 +3,8 @@
 The unit half drives :class:`repro.sim.monitor.SharedStateMonitor` through
 synthetic regions and the real shared surfaces, asserting each cell of the
 conflict matrix (including the benign demotions).  The ``racecheck``-marked
-half runs the write path (bootstrap, publish, update, delete), the E10
+half runs the write path (bootstrap, publish, update, delete, a rank round
+and a statistics publish), the E10
 batch path, the E11 serving path and a multi-chunk content read (its leaf
 region, hinted and unhinted) under an active monitor and asserts
 **zero** conflicts — the proof obligation
@@ -443,10 +444,13 @@ class TestEndToEndRaceSmokes:
         assert [r.score for r in pages[2].results] == [r.score for r in pages[0].results]
 
     def test_write_path_is_race_free(self, small_corpus):
-        # Bootstrap stores, registers and records its pages side by side and
-        # then publishes its terms side by side, every publish, update and
-        # delete writes a document's two records side by side, and every
-        # content add pushes to its replicas side by side.
+        # Bootstrap stores, registers and records its pages side by side (each
+        # page's add beside its term vector's store and its records' lookups)
+        # and then publishes its terms side by side, every publish, update and
+        # delete reads its prior record beside its display record's lookup and
+        # writes a document's two records side by side, a rank round stores its
+        # vector and a statistics publish its blob beside their record's
+        # lookup, and every content add pushes to its replicas side by side.
         engine = make_small_engine(seed=53, index_shard_size=8)
         documents = small_corpus.documents
         outer_regions = []  # branch counts of the regions bootstrap itself opens
@@ -474,6 +478,10 @@ class TestEndToEndRaceSmokes:
                 documents[0].updated(text="revised honey text", published_at=engine.simulator.now)
             )
             assert engine.delete_document(documents[1].doc_id)
+            before_records = monitor.regions_checked
+            engine.compute_page_ranks()
+            engine.publish_statistics()
+            record_regions = monitor.regions_checked - before_records
             before_add = monitor.regions_checked
             engine.storage.add_bytes(b"honey " * 40)
             add_regions = monitor.regions_checked - before_add
@@ -482,6 +490,7 @@ class TestEndToEndRaceSmokes:
         assert len(outer_regions) == 2 and outer_regions[0] == 40
         assert bootstrap_regions > 2
         assert monitor.regions_checked > bootstrap_regions
+        assert record_regions >= 2
         assert add_regions == 1
         assert monitor.conflicts == [], monitor.report()
 

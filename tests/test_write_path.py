@@ -16,7 +16,7 @@ from typing import List
 
 import pytest
 
-from repro.core.directory import DocumentDirectory
+from repro.core.directory import DocumentDirectory, doc_key
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node
 from repro.dht.node import APPEND, FIND_NODE, STORE
@@ -24,7 +24,8 @@ from repro.dht.nodeid import key_to_id
 from repro.errors import KeyNotFoundError, RoutingError
 from repro.errors import BlockNotFoundError
 from repro.index.cache import PostingCache
-from repro.index.distributed import DistributedIndex, term_key
+from repro.index.directory import doc_terms_key
+from repro.index.distributed import STATS_KEY, DistributedIndex, term_key
 from repro.index.document import Document
 from repro.index.placement import PlacementPolicy
 from repro.index.postings import Posting, PostingList
@@ -33,6 +34,7 @@ from repro.net.faults import CrashWindow, FaultRule
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
+from repro.ranking.distributed import RANK_BANDS_DHT_KEY
 from repro.sim.simulator import Simulator
 from repro.storage.ipfs import DecentralizedStorage, StorageOptions, provider_key
 from repro.storage.blockstore import BlockStore
@@ -40,6 +42,11 @@ from repro.storage.peer import PUT_BLOCK
 
 from tests.conftest import make_small_engine
 from tests.traffic import watch_traffic
+
+# Lookups of a first publish, an update and a delete of one page on
+# ``TestRecordLookupsBesideTheirWork``'s engine, as counted before the
+# ``docmeta:`` lookup moved beside the ``doc:`` read.
+PUBLISH_UPDATE_DELETE_LOOKUPS = [6, 9, 7]
 
 
 class _Deployment:
@@ -209,8 +216,8 @@ class TestMergeBudget:
 
 
 class TestRankRoundBudget:
-    """A rank round writes the vector (its payload's announcement, the
-    ``rank:vector`` pointer, the band manifest) and nothing per term."""
+    """A rank round writes the vector (its payload's announcement and the band
+    manifest) and nothing per term."""
 
     @staticmethod
     def _round(small_corpus, documents: int):
@@ -227,7 +234,7 @@ class TestRankRoundBudget:
         large = self._round(small_corpus, 60)
         assert small == large
         lookups, gossip_keys = small
-        assert lookups <= 4
+        assert lookups == 2
         assert gossip_keys == 2  # rank:bands and rank:head
 
 
@@ -242,6 +249,115 @@ class TestDirectoryBudget:
         assert directory.resolve(7)["url"] == "dweb://a/7"
         assert d.lookups(lambda: directory.mark_deleted(7)) == 1
         assert directory.resolve(7) == {}
+
+
+class TestRecordLookupsBesideTheirWork:
+    """A record write looks its key up beside the work it waits on, so only its
+    STORE fan-out is left after that work.  The lookups move; none are added."""
+
+    @staticmethod
+    def _engine(small_corpus):
+        engine = make_small_engine(seed=31)
+        engine.bootstrap_corpus(small_corpus.documents[:20])
+        return engine
+
+    @staticmethod
+    def _watch_tasks(engine, traffic):
+        """Per worker task, in call order: ``[lookups, region_end, task_end]``,
+        the two ends as positions in ``traffic.sends``."""
+        tasks = []
+
+        def wrap(worker, name, step):
+            method = getattr(worker, name)
+
+            def watched(*args, **kwargs):
+                return step(method, *args, **kwargs)
+
+            setattr(worker, name, watched)
+
+        def task(method, *args, **kwargs):
+            entry = [engine.dht.stats.lookups, None, None]
+            tasks.append(entry)
+            result = method(*args, **kwargs)
+            entry[0] = engine.dht.stats.lookups - entry[0]
+            entry[2] = len(traffic.sends)
+            return result
+
+        def region(method, *args, **kwargs):
+            result = method(*args, **kwargs)
+            tasks[-1][1] = len(traffic.sends)
+            return result
+
+        for worker in engine.workers:
+            wrap(worker, "index_document", task)
+            wrap(worker, "delete_document", task)
+            wrap(worker, "_update_shards", region)
+        return tasks
+
+    def test_a_live_publish_and_a_delete_send_no_find_node_after_their_shard_region(
+        self, small_corpus
+    ):
+        engine = self._engine(small_corpus)
+        page = Document(doc_id=500, url="dweb://z/500", title="mead", text="zymurgy mead honey",
+                        owner="owner-z")
+        revised = Document(doc_id=500, url="dweb://z/500", title="mead", text="zymurgy comb wax",
+                           owner="owner-z", version=2)
+        with watch_traffic() as traffic:
+            tasks = self._watch_tasks(engine, traffic)
+            engine.publish_document(page)
+            engine.publish_document(revised)
+            assert engine.delete_document(500)
+        # The parent's counts: the docmeta: lookup moved, it was not added.
+        assert [lookups for lookups, _, _ in tasks] == PUBLISH_UPDATE_DELETE_LOOKUPS
+        for _, region_end, task_end in tasks:
+            after = [msg_type for msg_type, _, _ in traffic.sends[region_end:task_end]]
+            assert STORE in after and FIND_NODE not in after
+
+    def test_a_bootstrap_page_the_dedup_defense_rejects_writes_no_directory_record(
+        self, small_corpus
+    ):
+        engine = make_small_engine(seed=31)
+        original = small_corpus.documents[0]
+        # Another owner republishes the same content under a new id: the same CID.
+        mirror = Document(doc_id=999, url="dweb://mirror/0", title=original.title,
+                          text=original.text, owner="scraper")
+        assert mirror.full_text == original.full_text and mirror.owner != original.owner
+        engine.bootstrap_corpus([original, mirror])
+        assert engine.stats.publishes_rejected == 1
+        with pytest.raises(KeyNotFoundError):
+            engine.dht.get(doc_terms_key(999))
+        with pytest.raises(KeyNotFoundError):
+            engine.dht.get(doc_key(999))
+        assert engine.term_directory.fetch(original.doc_id).version == 1
+        assert engine.directory.resolve(original.doc_id)["url"] == original.url
+
+    @pytest.mark.parametrize("write", ["rank round", "statistics"])
+    def test_a_record_put_sends_no_find_node_after_its_store(self, small_corpus, write):
+        engine = self._engine(small_corpus)
+        key = RANK_BANDS_DHT_KEY if write == "rank round" else STATS_KEY
+        run = engine.compute_page_ranks if write == "rank round" else engine.publish_statistics
+        puts = []
+        put = engine.dht.put
+
+        def watched(put_key, *args, **kwargs):
+            start, lookups = len(traffic.sends), engine.dht.stats.lookups
+            stored = put(put_key, *args, **kwargs)
+            sent = [msg_type for msg_type, _, _ in traffic.sends[start:]]
+            puts.append((put_key, engine.dht.stats.lookups - lookups, sent))
+            return stored
+
+        engine.dht.put = watched
+        with watch_traffic() as traffic:
+            lookups = engine.dht.stats.lookups
+            run()
+            lookups = engine.dht.stats.lookups - lookups
+        # One record put, and it is the STORE fan-out alone: its lookup ran
+        # beside the blob's (or the bands') add.
+        [(put_key, put_lookups, sent)] = puts
+        assert put_key == key and put_lookups == 0
+        assert sent and set(sent) == {STORE}
+        # The blob's add (its provider key) and the record's key: two lookups.
+        assert lookups == 2
 
 
 SLOW_PUSH = 1_000.0

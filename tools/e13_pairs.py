@@ -8,8 +8,8 @@ alternating which side goes first (odd pairs: parent first), each run appending
 its record to ``parent.seed<N>.json`` / ``change.seed<N>.json`` under
 ``--out-dir``.  Then prints, per workload, one markdown row per end-to-end
 metric: both medians with quartiles, change / parent, pairs won, and a verdict
-against the metric's bound in the change checkout's ``BENCHMARK.json`` — the
-shape of ``docs/PERFORMANCE.md`` section 4.1.  Each workload's header also says
+against the metric's bound in the change checkout's ``BENCHMARK.json``.
+Each workload's header also says
 whether the two checkouts run the same harness (``BENCHMARK.json`` and
 ``benchmarks/e13/**/*.py``): pairs from different harnesses do not compare.
 ``--pairs 0`` only prints the table from records already in ``--out-dir``.
