@@ -329,20 +329,28 @@ class QueenBeeEngine:
     def publish_document(self, document: Document) -> PublishReceipt:
         """The full publish pipeline for one page version.
 
-        Store on the DWeb, register through the contract, have a worker bee
-        index it, reward the worker, and track freshness.  Rejected publishes
-        (dedup defense) stop after the contract call.
+        Store on the DWeb and register through the contract beside the next
+        worker bee's prior read (:meth:`WorkerBee.index_document`), then have
+        that worker index it, reward the worker, and track freshness.  A page
+        the dedup defense rejects writes nothing and takes no worker; the
+        trade is that it pays one prior read (a ``doc:`` FIND_VALUE lookup and
+        a ``docmeta:`` FIND_NODE) and nothing else.
         """
         published_at = self.simulator.now
         publisher = self.publisher_for(document.owner)
-        receipt = publisher.publish(document)
+
+        def add() -> PublishReceipt:
+            receipt = publisher.publish(document)
+            if receipt.accepted:
+                self._next_worker += 1
+                self.freshness.record_publish(document.doc_id, document.version, published_at)
+            return receipt
+
+        worker = self.workers[self._next_worker % len(self.workers)]
+        receipt = worker.index_document(document, add, statistics=self.statistics).receipt
         if not receipt.accepted:
             self.stats.publishes_rejected += 1
             return receipt
-
-        self.freshness.record_publish(document.doc_id, document.version, published_at)
-        worker = self._pick_worker()
-        worker.index_document(document, receipt.cid, statistics=self.statistics)
         self.contracts.reward_worker_task(worker.address, "index")
         self.freshness.record_indexed(document.doc_id, document.version, self.simulator.now)
 
@@ -434,7 +442,8 @@ class QueenBeeEngine:
         rewarded like any other index task.  Ground truth (document store and
         link graph) is updated so later rank rounds stop crediting the page.
         """
-        worker = self._pick_worker()
+        worker = self.workers[self._next_worker % len(self.workers)]
+        self._next_worker += 1
         if not worker.delete_document(doc_id, statistics=self.statistics):
             return False
         self.contracts.reward_worker_task(worker.address, "index")
@@ -722,11 +731,6 @@ class QueenBeeEngine:
             self.network.set_online(f"{peer_id}:store")
 
     # -- internals -----------------------------------------------------------------------
-
-    def _pick_worker(self) -> WorkerBee:
-        worker = self.workers[self._next_worker % len(self.workers)]
-        self._next_worker += 1
-        return worker
 
     def _register_ground_truth(self, document: Document) -> None:
         self.documents.add(document)

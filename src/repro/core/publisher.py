@@ -47,9 +47,9 @@ class ContentPublisher:
         self.storage_peer = storage_peer
 
     def publish(self, document: Document) -> PublishReceipt:
-        """Publish one document version.  Never raises: rejected publishes
-        (e.g. the dedup defense firing on mirrored content) return a receipt
-        with ``accepted=False``."""
+        """Publish one document version.  Rejected publishes (e.g. the dedup
+        defense firing on mirrored content) return a receipt with
+        ``accepted=False``; a content add that reaches nobody raises."""
         store_receipt = self.storage.add_text(
             document.full_text, publisher=self.storage_peer
         )

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.directory import DocumentDirectory
+from repro.core.publisher import PublishReceipt
 from repro.dht.dht import WriteTarget
 from repro.index.analysis import Analyzer
 from repro.index.directory import TermDirectory, TermDirectoryRecord
@@ -18,11 +19,12 @@ from repro.ranking.distributed import RankContribution, RankTask, compute_honest
 
 @dataclass
 class IndexTaskResult:
-    """Outcome of indexing one published page version."""
+    """Outcome of indexing one page version (no term updated when rejected)."""
 
     doc_id: int
-    terms_updated: int
-    is_update: bool
+    receipt: PublishReceipt
+    terms_updated: int = 0
+    is_update: bool = False
 
 
 class WorkerBee:
@@ -82,10 +84,15 @@ class WorkerBee:
     def index_document(
         self,
         document: Document,
-        cid: str,
+        add: Callable[[], PublishReceipt],
         statistics: Optional[CollectionStatistics] = None,
     ) -> IndexTaskResult:
-        """Index one published page version into the distributed index.
+        """Add one page version to the DWeb and index it into the distributed index.
+
+        ``add`` (the page's store, announce and register, returning its
+        receipt) runs beside the prior read below as the first branch of one
+        parallel region, so an add that raises does so before the read; only
+        the records need the receipt's CID.  A rejected receipt writes nothing.
 
         The previous term vector is fetched from the term directory, so
         updates remove the document from terms it no longer contains even
@@ -106,8 +113,12 @@ class WorkerBee:
         fails the region and rolls the statistics back like a failed merge.
         """
         with self.index.dht.publish_scope():
+            receipt, (prior, meta_target) = self.index.dht.simulator.parallel_region([
+                add, lambda: self._read_prior(document.doc_id),
+            ])
+            if not receipt.accepted:
+                return IndexTaskResult(doc_id=document.doc_id, receipt=receipt)
             frequencies = self.analyzer.term_frequencies(document.full_text)
-            prior, meta_target = self._read_prior(document.doc_id)
             previous = prior.terms if prior is not None and not prior.deleted else {}
             is_update = bool(previous)
             removed_terms = [term for term in previous if term not in frequencies]
@@ -167,12 +178,13 @@ class WorkerBee:
                 )
 
             self.publish_records(
-                document, cid, frequencies, prior_version=prior_version, terms_cid=terms_cid,
-                targets=(None, meta_target),
+                document, receipt.cid, frequencies, prior_version=prior_version,
+                terms_cid=terms_cid, targets=(None, meta_target),
             )
             self.index_tasks_completed += 1
             return IndexTaskResult(
                 doc_id=document.doc_id,
+                receipt=receipt,
                 terms_updated=len(frequencies) + len(removed_terms),
                 is_update=is_update,
             )

@@ -471,12 +471,10 @@ class GossipPlane:
     def start(self) -> None:
         """Schedule recurring rounds on the simulator (idempotent)."""
         if self._cancel_rounds is None:
-            # Fixed-rate: rounds anchor to their *scheduled* time, so heavy
-            # foreground work (a churn repair storm) delays rounds instead
-            # of starving them — the long-run anti-entropy rate stays
-            # 1/interval (the E3c in-window round count regression).
+            # Rounds keep their grid (``schedule_every`` is fixed-rate), so a
+            # churn repair storm delays rounds instead of starving them.
             self._cancel_rounds = self.simulator.schedule_every(
-                self.interval, self.run_round, label="gossip-round", fixed_rate=True
+                self.interval, self.run_round, label="gossip-round"
             )
 
     def stop(self) -> None:

@@ -38,32 +38,16 @@ class Simulator:
         return self.events.push(self.clock.now + delay, callback, label=label)
 
     def schedule_every(
-        self,
-        interval: float,
-        callback: Callable[[], Any],
-        label: str = "",
-        fixed_rate: bool = False,
+        self, interval: float, callback: Callable[[], Any], label: str = ""
     ) -> Callable[[], None]:
         """Schedule ``callback`` every ``interval`` ticks until cancelled.
 
-        The first firing is one interval from now.  By default each firing
-        reschedules the next one interval after the callback *completes*
-        (fixed **delay**), so a callback that advances the clock — or
-        unrelated work overrunning the event's scheduled time — pushes
-        later firings out.  Under load this drifts: the achieved period is
-        ``interval + callback duration + overrun``, and a heavy callback
-        can starve the schedule to a fraction of its nominal rate.
-
-        With ``fixed_rate=True`` the next firing is anchored to the
-        *scheduled* time instead: after a firing, the schedule advances to
-        the first grid point ``scheduled + n * interval`` strictly after
-        the current time.  A callback cheaper than the interval therefore
-        holds the nominal period exactly (late firings shift, they don't
-        shrink the long-run rate), and a long stall is absorbed by
-        *skipping* the missed grid points — one late firing, never a
-        compressed same-instant burst.  Anti-entropy uses this: a
-        churn-driven repair storm must not starve gossip rounds (the E3c
-        in-window round count).
+        The first firing is one interval from now; each later one is the
+        first grid point ``scheduled + n * interval`` strictly after the
+        current time (fixed rate).  A callback cheaper than the interval holds
+        the period exactly, and a long stall skips the grid points it covered:
+        one late firing, never a same-instant burst, so a churn repair storm
+        cannot starve gossip rounds (the E3c in-window round count).
 
         Returns a zero-argument cancel function; cancelling is final.
         """
@@ -79,13 +63,10 @@ class Simulator:
             callback()
             if cancelled:
                 return
-            if fixed_rate:
+            next_time += interval
+            while next_time <= self.clock.now:
                 next_time += interval
-                while next_time <= self.clock.now:
-                    next_time += interval
-                self.schedule_at(next_time, fire, label=label)
-            else:
-                self.schedule(interval, fire, label=label)
+            self.schedule_at(next_time, fire, label=label)
 
         def cancel() -> None:
             nonlocal cancelled
@@ -148,15 +129,16 @@ class Simulator:
         Each thunk runs with the clock reset to the region's start time; after
         all branches have run, the clock lands on ``start + max(durations)``.
         This mirrors :meth:`repro.net.network.SimulatedNetwork.rpc_parallel`
-        but for arbitrary multi-RPC operations — a worker bee reading a
-        page's prior ``doc:`` record while it looks up its ``docmeta:`` key,
-        updating all of the page's term shards concurrently (with the page's
-        term vector stored beside them) or writing its two directory records
-        (or tombstones) side by side, a term publish storing every changed
-        shard's patch and body at once, bootstrap storing, registering and
-        recording every page of the corpus at once (each page's add beside its
-        term vector's store and its two records' lookups) and then publishing
-        every term (beside the collection statistics) at once, a content add
+        but for arbitrary multi-RPC operations — a live publish adding its
+        page while a worker bee reads the page's prior ``doc:`` record and
+        looks up its ``docmeta:`` key, a worker updating all of the page's
+        term shards concurrently (with the page's term vector stored beside
+        them) or writing its two directory records (or tombstones) side by
+        side, a term publish storing every changed shard's patch and body at
+        once, bootstrap storing, registering and recording every page of the
+        corpus at once (each page's add beside its term vector's store and its
+        two records' lookups) and then publishing every term (beside the
+        collection statistics) at once, a content add
         pushing to its replicas while it looks up its provider key, a
         statistics publish adding its blob while it looks up ``STATS_KEY``, a
         rank round storing its anchor (or its changed bands) while it looks up

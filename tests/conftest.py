@@ -14,6 +14,7 @@ from repro.chain.blockchain import Blockchain
 from repro.contracts.queenbee import QueenBeeContracts
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import GossipRankClient, QueenBeeEngine
+from repro.core.publisher import PublishReceipt
 from repro.dht.dht import DHTNetwork
 from repro.index.analysis import Analyzer
 from repro.index.cache import PostingCache
@@ -189,6 +190,14 @@ def published_ranks(engine: QueenBeeEngine, requester: str = "peer-003:store") -
     engine.converge_metadata()
     view = engine.gossip.view(requester)
     return dict(GossipRankClient(view, engine.storage, requester, dht=engine.dht).ranks())
+
+
+def page_add(document, cid):
+    """A page add for ``WorkerBee.index_document`` that stores nothing and
+    returns an accepted receipt naming ``cid``."""
+    return lambda: PublishReceipt(
+        url=document.url, cid=cid, version=document.version, accepted=True, published_at=0.0
+    )
 
 
 def make_storage_stack(seed=2, hedged=False, with_detector=True):

@@ -10,16 +10,17 @@ import pytest
 
 from repro.contracts.queenbee import QueenBeeContracts
 from repro.core.config import KNOB_NAMES, QueenBeeConfig, UnknownConfigKnobError
-from repro.core.directory import DocumentDirectory
+from repro.core.directory import DocumentDirectory, doc_key
 from repro.core.publisher import ContentPublisher
 from repro.core.worker import WorkerBee
-from repro.errors import ContractError
+from repro.errors import ContractError, KeyNotFoundError
 from repro.index.analysis import Analyzer
+from repro.index.directory import doc_terms_key
 from repro.index.distributed import DistributedIndex
 from repro.index.document import Document
 from repro.index.statistics import CollectionStatistics
 
-from tests.conftest import DELETED_KNOBS, make_small_engine, published_ranks
+from tests.conftest import DELETED_KNOBS, make_small_engine, page_add, published_ranks
 from tests.reference import frontend_reference
 
 
@@ -94,7 +95,9 @@ class TestWorkerBee:
         statistics = CollectionStatistics()
         worker = WorkerBee("worker-x", index, directory, analyzer=Analyzer(stem=False))
         document = Document(doc_id=1, url="dweb://a/1", text="honey bees honey", owner="alice")
-        result = worker.index_document(document, cid="bafy" + "1" * 64, statistics=statistics)
+        result = worker.index_document(
+            document, page_add(document, "bafy" + "1" * 64), statistics=statistics
+        )
         assert not result.is_update and result.terms_updated == 2
         assert index.fetch_term("honey").frequencies() == {1: 2}
         assert statistics.document_count == 1
@@ -106,9 +109,11 @@ class TestWorkerBee:
         statistics = CollectionStatistics()
         worker = WorkerBee("worker-x", index, directory, analyzer=Analyzer(stem=False))
         original = Document(doc_id=1, url="dweb://a/1", text="alpha beta", owner="alice")
-        worker.index_document(original, cid="bafy" + "1" * 64, statistics=statistics)
+        worker.index_document(original, page_add(original, "bafy" + "1" * 64), statistics=statistics)
         updated = Document(doc_id=1, url="dweb://a/1", text="beta gamma", owner="alice", version=2)
-        result = worker.index_document(updated, cid="bafy" + "2" * 64, statistics=statistics)
+        result = worker.index_document(
+            updated, page_add(updated, "bafy" + "2" * 64), statistics=statistics
+        )
         assert result.is_update
         assert index.fetch_term("alpha").doc_ids == []
         assert index.fetch_term("gamma").doc_ids == [1]
@@ -177,9 +182,19 @@ class TestEngineEndToEnd:
         victim = small_corpus.documents[0]
         mirror = Document(doc_id=555, url="dweb://scraper/mirror", title=victim.title,
                           text=victim.text, owner="scraper")
+        statistics = engine.statistics.to_dict()
+        freshness = (engine.freshness.lags(), engine.freshness.pending())
+        turn = engine._next_worker
         receipt = engine.publish_document(mirror)
         assert not receipt.accepted
         assert engine.stats.publishes_rejected == 1
+        # The page writes nothing and takes no worker from the rotation.
+        for key in (doc_terms_key(555), doc_key(555)):
+            with pytest.raises(KeyNotFoundError):
+                engine.dht.get(key)
+        assert engine.statistics.to_dict() == statistics
+        assert (engine.freshness.lags(), engine.freshness.pending()) == freshness
+        assert engine._next_worker == turn
 
     def test_rank_round_rewards_popular_creators(self, bootstrapped_engine):
         engine = bootstrapped_engine

@@ -24,7 +24,7 @@ from repro.index.document import Document
 from repro.index.statistics import CollectionStatistics
 from repro.net.faults import Straggler
 
-from tests.conftest import make_small_engine
+from tests.conftest import make_small_engine, page_add
 from tests.traffic import watch_traffic
 from tools.read_staleness import Family, watch
 
@@ -131,8 +131,10 @@ class TestStatisticsVersions:
         index = DistributedIndex(dht, storage)
         worker = WorkerBee("worker-x", index, DocumentDirectory(dht),
                            analyzer=Analyzer(stem=False))
-        worker.index_document(_document(1), "bafy" + "1" * 64, statistics=statistics)
-        worker.index_document(_document(2), "bafy" + "2" * 64, statistics=statistics)
+        worker.index_document(_document(1), page_add(_document(1), "bafy" + "1" * 64),
+                              statistics=statistics)
+        worker.index_document(_document(2), page_add(_document(2), "bafy" + "2" * 64),
+                              statistics=statistics)
         assert statistics.version_floor(DOC) == 2
         snapshot = statistics.to_dict()
 
@@ -141,7 +143,8 @@ class TestStatisticsVersions:
 
         index.merge_term = index.remove_document = unreachable
         with pytest.raises(TermNotFoundError):
-            worker.index_document(_document(3), "bafy" + "3" * 64, statistics=statistics)
+            worker.index_document(_document(3), page_add(_document(3), "bafy" + "3" * 64),
+                                  statistics=statistics)
         assert statistics.version_floor(DOC) == 2
         with pytest.raises(TermNotFoundError):
             worker.delete_document(DOC, statistics=statistics)

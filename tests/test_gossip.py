@@ -492,20 +492,6 @@ class TestScheduleEvery:
         with pytest.raises(SimulationError):
             Simulator(seed=1).schedule_every(0.0, lambda: None)
 
-    def test_fixed_delay_drifts_under_heavy_callbacks(self):
-        # The pre-fix behaviour, kept as the documented default: a callback
-        # that costs 90 ticks stretches a 100-tick interval to ~190.
-        simulator = Simulator(seed=1)
-        fired = []
-
-        def heavy():
-            fired.append(simulator.now)
-            simulator.clock.advance(90.0)
-
-        simulator.schedule_every(100.0, heavy)
-        simulator.advance(1000.0)
-        assert fired == [100.0, 290.0, 480.0, 670.0, 860.0]
-
     def test_fixed_rate_holds_the_period_under_heavy_callbacks(self):
         # The regression this PR fixes: anti-entropy rounds anchored to the
         # scheduled time keep the nominal rate no matter what rounds cost.
@@ -516,7 +502,7 @@ class TestScheduleEvery:
             fired.append(simulator.now)
             simulator.clock.advance(90.0)
 
-        simulator.schedule_every(100.0, heavy, fixed_rate=True)
+        simulator.schedule_every(100.0, heavy)
         simulator.advance(1000.0)
         assert fired == [100.0 * n for n in range(1, 11)]
 
@@ -525,7 +511,7 @@ class TestScheduleEvery:
         # back-to-back burst of every missed interval.
         simulator = Simulator(seed=1)
         fired = []
-        simulator.schedule_every(100.0, lambda: fired.append(simulator.now), fixed_rate=True)
+        simulator.schedule_every(100.0, lambda: fired.append(simulator.now))
 
         def stall():
             simulator.clock.advance(650.0)
@@ -540,9 +526,7 @@ class TestScheduleEvery:
     def test_fixed_rate_cancel_is_final(self):
         simulator = Simulator(seed=1)
         fired = []
-        cancel = simulator.schedule_every(
-            10.0, lambda: fired.append(simulator.now), fixed_rate=True
-        )
+        cancel = simulator.schedule_every(10.0, lambda: fired.append(simulator.now))
         simulator.advance(35.0)
         assert fired == [10.0, 20.0, 30.0]
         cancel()

@@ -446,9 +446,10 @@ class TestEndToEndRaceSmokes:
     def test_write_path_is_race_free(self, small_corpus):
         # Bootstrap stores, registers and records its pages side by side (each
         # page's add beside its term vector's store and its records' lookups)
-        # and then publishes its terms side by side, every publish, update and
-        # delete reads its prior record beside its display record's lookup and
-        # writes a document's two records side by side, a rank round stores its
+        # and then publishes its terms side by side, a live publish or update
+        # adds its page beside its worker's prior read, every publish, update
+        # and delete reads its prior record beside its display record's lookup
+        # and writes a document's two records side by side, a rank round stores its
         # vector and a statistics publish its blob beside their record's
         # lookup, and every content add pushes to its replicas side by side.
         engine = make_small_engine(seed=53, index_shard_size=8)

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import make_small_engine
+from conftest import make_small_engine, page_add
 from repro.errors import TermNotFoundError
 from repro.index.analysis import Analyzer
 from repro.index.cache import PostingCache
@@ -473,7 +473,7 @@ class TestPublishPathReachabilityGuard:
         updated = document.updated(text="zzrollback different words entirely",
                                    published_at=engine.simulator.now)
         with pytest.raises(TermNotFoundError):
-            engine.workers[0].index_document(updated, "bafy" + "0" * 64,
+            engine.workers[0].index_document(updated, page_add(updated, "bafy" + "0" * 64),
                                              statistics=engine.statistics)
         after = engine.statistics.to_dict()
         # version moves (mutate + rollback both bump it); everything BM25

@@ -19,7 +19,7 @@ import pytest
 from repro.core.directory import DocumentDirectory, doc_key
 from repro.dht.dht import DHTNetwork
 from repro.dht.lookup import find_node
-from repro.dht.node import APPEND, FIND_NODE, STORE
+from repro.dht.node import APPEND, FIND_NODE, FIND_VALUE, STORE
 from repro.dht.nodeid import key_to_id
 from repro.errors import KeyNotFoundError, RoutingError
 from repro.errors import BlockNotFoundError
@@ -43,10 +43,17 @@ from repro.storage.peer import PUT_BLOCK
 from tests.conftest import make_small_engine
 from tests.traffic import watch_traffic
 
-# Lookups of a first publish, an update and a delete of one page on
-# ``TestRecordLookupsBesideTheirWork``'s engine, as counted before the
-# ``docmeta:`` lookup moved beside the ``doc:`` read.
-PUBLISH_UPDATE_DELETE_LOOKUPS = [6, 9, 7]
+# Lookups inside each worker task of a first publish, an update and a delete
+# of one page on ``TestRecordLookupsBesideTheirWork``'s engine: the counts
+# from before the ``docmeta:`` lookup moved beside the ``doc:`` read, plus the
+# page's provider-key lookup for the publish and the update, which moved into
+# the task with the page add ([6, 9, 7] before; no lookup was added, see
+# ``LIVE_EVENT_SENDS``).
+PUBLISH_UPDATE_DELETE_LOOKUPS = [7, 10, 7]
+
+# SHA-256 of the (msg_type, src, dst) sends of the same three events, recorded
+# while a live publish still ran its page add before the worker's task.
+LIVE_EVENT_SENDS = "cc028feba8b3bb1d211f0429ad756fc4a95d5a8f5f49800b80b7dc45cd75a008"
 
 
 class _Deployment:
@@ -255,11 +262,21 @@ class TestRecordLookupsBesideTheirWork:
     """A record write looks its key up beside the work it waits on, so only its
     STORE fan-out is left after that work.  The lookups move; none are added."""
 
+    PAGE = Document(doc_id=500, url="dweb://z/500", title="mead", text="zymurgy mead honey",
+                    owner="owner-z")
+
     @staticmethod
     def _engine(small_corpus):
         engine = make_small_engine(seed=31)
         engine.bootstrap_corpus(small_corpus.documents[:20])
         return engine
+
+    @classmethod
+    def _live_events(cls, engine):
+        """A first publish, an update and a delete of one page."""
+        engine.publish_document(cls.PAGE)
+        engine.publish_document(cls.PAGE.updated(text="zymurgy comb wax"))
+        assert engine.delete_document(cls.PAGE.doc_id)
 
     @staticmethod
     def _watch_tasks(engine, traffic):
@@ -298,20 +315,48 @@ class TestRecordLookupsBesideTheirWork:
         self, small_corpus
     ):
         engine = self._engine(small_corpus)
-        page = Document(doc_id=500, url="dweb://z/500", title="mead", text="zymurgy mead honey",
-                        owner="owner-z")
-        revised = Document(doc_id=500, url="dweb://z/500", title="mead", text="zymurgy comb wax",
-                           owner="owner-z", version=2)
         with watch_traffic() as traffic:
             tasks = self._watch_tasks(engine, traffic)
-            engine.publish_document(page)
-            engine.publish_document(revised)
-            assert engine.delete_document(500)
+            self._live_events(engine)
         # The parent's counts: the docmeta: lookup moved, it was not added.
         assert [lookups for lookups, _, _ in tasks] == PUBLISH_UPDATE_DELETE_LOOKUPS
         for _, region_end, task_end in tasks:
             after = [msg_type for msg_type, _, _ in traffic.sends[region_end:task_end]]
             assert STORE in after and FIND_NODE not in after
+
+    def test_a_live_page_add_beside_its_prior_read_moves_only_the_clock(self, small_corpus):
+        engine = self._engine(small_corpus)
+        with watch_traffic() as traffic:
+            self._live_events(engine)
+        assert traffic.digest() == LIVE_EVENT_SENDS
+
+    def test_the_prior_read_is_sent_when_the_page_add_begins(self, small_corpus, monkeypatch):
+        engine = self._engine(small_corpus)
+        wanted = key_to_id(doc_terms_key(self.PAGE.doc_id))
+        sent_at = []
+        deliver = SimulatedNetwork._deliver
+
+        def watched(network, src, dst, msg_type, payload, *args, **kwargs):
+            if msg_type == FIND_VALUE and payload.get("key") == wanted:
+                sent_at.append(network.simulator.now)
+            return deliver(network, src, dst, msg_type, payload, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedNetwork, "_deliver", watched)
+        began = engine.simulator.now
+        engine.publish_document(self.PAGE)
+        assert sent_at and sent_at[0] == began
+
+    def test_a_failed_page_add_raises_before_the_prior_read(self, small_corpus):
+        engine = self._engine(small_corpus)
+
+        def unreachable(document):
+            raise RoutingError("no provider-key contact answered")
+
+        engine.publisher_for(self.PAGE.owner).publish = unreachable
+        turn = engine._next_worker
+        with watch_traffic() as traffic, pytest.raises(RoutingError):
+            engine.publish_document(self.PAGE)
+        assert traffic.sends == [] and engine._next_worker == turn
 
     def test_a_bootstrap_page_the_dedup_defense_rejects_writes_no_directory_record(
         self, small_corpus
